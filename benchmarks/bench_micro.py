@@ -13,7 +13,7 @@ import pytest
 from repro.baselines.hadi import hadi_diameter
 from repro.baselines.mpx import mpx_decomposition
 from repro.core.cluster import cluster
-from repro.core.growth import ClusterGrowth
+from repro.core.growth_engine import GrowthEngine
 from repro.core.quotient import build_quotient_graph, quotient_diameter
 from repro.generators import barabasi_albert_graph, mesh_graph, road_network_graph
 from repro.graph.traversal import bfs_distances, multi_source_bfs
@@ -52,7 +52,7 @@ def test_bench_multi_source_bfs(benchmark, mesh):
 
 def test_bench_growth_step(benchmark, mesh):
     def grow_five_steps():
-        growth = ClusterGrowth(mesh)
+        growth = GrowthEngine(mesh)
         growth.add_centers(list(range(0, mesh.num_nodes, 120)))
         growth.grow_steps(5)
         return growth.num_covered

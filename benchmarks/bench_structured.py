@@ -10,11 +10,14 @@ strategy is the backend's choice, the comparison is simply
 (tuple path) on the same driver call.
 
 ``test_structured_cluster_native_beats_tuple_path`` and
-``test_structured_bfs_beats_tuple_path`` are the CI smoke gates (mirroring
-the vectorized-beats-serial shuffle gate of ``bench_backends.py``): they
-fail the build if the ≥5x speedup or the bit-identity ever regresses.  All
-measurements are appended to ``BENCH_mr.json`` via the shared recorder so
-the perf trajectory is machine-readable across PRs.
+``test_structured_bfs_beats_tuple_path`` are the CI smoke gates: they fail
+the build if the ≥5x speedup or the bit-identity ever regresses.
+``test_vectorized_beats_serial_count_round`` gates a single ≥100k-pair
+degree-count round (one ``(dst, src)`` pair per directed arc, reduced with
+``count``) the same way, without a speedup factor, and
+``test_backends_identical_on_degree_count_round`` pins all three backends
+bit-identical on it.  All measurements are appended to ``BENCH_mr.json`` via
+the shared recorder so the perf trajectory is machine-readable across PRs.
 """
 
 from __future__ import annotations
@@ -206,15 +209,69 @@ def test_shm_process_backend_beats_vectorized_at_scale(million_pair_workload, mr
 
 
 # ------------------------------------------------------------------ #
-# Structured-round shuffle throughput (per-backend, feeds BENCH_mr.json)
+# Single-round gates and per-backend shuffle throughput (BENCH_mr.json)
 # ------------------------------------------------------------------ #
 @pytest.fixture(scope="module")
-def claim_workload(arc_graph):
-    """One argmin round over every arc: (dst, (dist, src)) composite rows."""
+def arcs(arc_graph):
+    """``(src, dst)`` of every directed arc of ``arc_graph``."""
     src = np.repeat(np.arange(arc_graph.num_nodes, dtype=np.int64), np.diff(arc_graph.indptr))
-    dst = arc_graph.indices.astype(np.int64)
+    return src, arc_graph.indices.astype(np.int64)
+
+
+@pytest.fixture(scope="module")
+def degree_workload(arcs):
+    """One ``(dst, src)`` pair per directed arc; ``count`` yields in-degrees."""
+    src, dst = arcs
+    assert dst.size >= 100_000
+    return ArrayPairs(dst, src)
+
+
+@pytest.fixture(scope="module")
+def claim_workload(arcs):
+    """One argmin round over every arc: (dst, (dist, src)) composite rows."""
+    src, dst = arcs
     rows = np.column_stack((np.abs(src - dst) % 17, src))
     return ArrayPairs(dst, rows)
+
+
+def test_vectorized_beats_serial_count_round(degree_workload, mr_bench_recorder):
+    """Acceptance check: the segment-reduced count round beats the serial
+    tuple path on >= 100k pairs, with bit-identical output and metrics."""
+    engines = {name: MREngine(backend=name) for name in ("serial", "vectorized")}
+    timings, results = interleaved_best(
+        {
+            name: lambda engine=engine: engine.run_structured_round(degree_workload, "count", label="bench")
+            for name, engine in engines.items()
+        },
+        repetitions=7,
+    )
+    for backend, seconds in timings.items():
+        mr_bench_recorder(
+            benchmark="structured_count_round",
+            workload=f"arc-degree-count/{len(degree_workload)}-pairs",
+            pairs=len(degree_workload),
+            backend=backend,
+            seconds=seconds,
+        )
+
+    assert np.array_equal(results["serial"].keys, results["vectorized"].keys)
+    assert np.array_equal(results["serial"].values, results["vectorized"].values)
+    assert engines["serial"].metrics.as_dict() == engines["vectorized"].metrics.as_dict()
+    assert timings["vectorized"] < timings["serial"], (
+        f"vectorized count round ({timings['vectorized'] * 1000:.1f} ms) should beat the serial "
+        f"tuple path ({timings['serial'] * 1000:.1f} ms) on {len(degree_workload)} pairs"
+    )
+
+
+def test_backends_identical_on_degree_count_round(degree_workload):
+    """All three backends produce identical output and counters on the workload."""
+    outcomes = {}
+    for backend in ("serial", "vectorized", "process"):
+        with MREngine(backend=backend, num_shards=4) as engine:
+            out = engine.run_structured_round(degree_workload, "count")
+            outcomes[backend] = (out.keys.tolist(), out.values.tolist(), engine.metrics.as_dict())
+    for backend, outcome in outcomes.items():
+        assert outcome == outcomes["serial"], backend
 
 
 @pytest.mark.parametrize("backend", ["serial", "vectorized", "process"])

@@ -28,9 +28,9 @@ if str(_SRC) not in sys.path:
 # ------------------------------------------------------------------ #
 # Machine-readable MR-performance trajectory (BENCH_mr.json)
 # ------------------------------------------------------------------ #
-# The MR benchmarks (bench_backends.py, bench_structured.py) record one row
-# per measured (workload, backend) pair; at session end the rows are written
-# to BENCH_mr.json (override the path with REPRO_BENCH_MR_JSON) so the perf
+# The MR benchmarks (bench_structured.py) record one row per measured
+# (workload, backend) pair; at session end the rows are written to
+# BENCH_mr.json (override the path with REPRO_BENCH_MR_JSON) so the perf
 # trajectory stays comparable across PRs.  CI uploads the file as an
 # artifact next to the pytest-benchmark timings.
 _MR_BENCH_RESULTS: list = []

@@ -5,13 +5,14 @@ The library's performance claims are stated in the MapReduce model of
 Pietracaprina et al.: number of rounds, communication volume, and local/global
 memory constraints.  This script shows the substrate on its own:
 
-1. run a word-count round and inspect the metered counters,
-2. run the Fact-1 primitives (sort, prefix sum) under a small local memory and
-   watch the round count grow logarithmically,
+1. run a word-count round (a ``sum`` reducer over string keys) and inspect
+   the metered counters,
+2. tabulate the analytical round cost of the Fact-1 primitives (sort, prefix
+   sums) under a shrinking local memory: O(log_ML n) rounds each,
 3. execute the CLUSTER-based diameter estimation under a memory-constrained
    model and convert its metrics into simulated wall-clock time,
-4. run the same round on every execution backend (serial / vectorized /
-   process) and check that output and metrics are bit-identical.
+4. run the same ``count`` round on every execution backend (serial /
+   vectorized / process) and check that output and metrics are bit-identical.
 
 Run with::
 
@@ -30,36 +31,30 @@ from repro.mapreduce import (
     MREngine,
     MRModel,
     available_backends,
-    mr_prefix_sum,
-    mr_sort,
+    rounds_for_primitive,
 )
 
 
 def word_count_demo() -> None:
     engine = MREngine()
-    documents = [(None, "graphs are large"), (None, "graphs are sparse")]
+    documents = np.array(["graphs are large", "graphs are sparse"])
 
-    def tokenize(key, value):
-        for word in value.split():
-            yield (word, 1)
+    def tokenize(batch: ArrayPairs) -> ArrayPairs:
+        words = [word for line in batch.values.tolist() for word in line.split()]
+        return ArrayPairs(np.asarray(words), np.ones(len(words), dtype=np.int64))
 
-    def count(key, values):
-        yield (key, sum(values))
-
-    result = dict(engine.run_round(documents, count, mapper=tokenize))
-    print("word count:", result)
+    batch = ArrayPairs(np.arange(documents.size), documents)
+    result = engine.run_structured_round(batch, "sum", mapper=tokenize)
+    print("word count:", dict(result.to_pairs()))
     print("metrics:", engine.metrics.as_dict(), "\n")
 
 
-def primitives_demo() -> None:
+def fact1_demo() -> None:
+    sizes = (500, 10**6)
+    print("Fact 1: rounds per sort / prefix sum, by local memory M_L and input size n")
+    print("    M_L" + "".join(f"{f'n={n:,}':>14}" for n in sizes))
     for local_memory in (1024, 32, 8):
-        engine = MREngine(MRModel(local_memory=local_memory, enforce=False))
-        mr_sort(engine, list(range(500))[::-1])
-        mr_prefix_sum(engine, [1.0] * 500)
-        print(
-            f"M_L = {local_memory:>5}: sort + prefix-sum used "
-            f"{engine.metrics.rounds} rounds (Fact 1: O(log_ML n) each)"
-        )
+        print(f"  {local_memory:>5}" + "".join(f"{rounds_for_primitive(n, local_memory):>14}" for n in sizes))
     print()
 
 
@@ -73,26 +68,22 @@ def constrained_diameter_demo() -> None:
         f"  rounds            {report.rounds}\n"
         f"  shuffled pairs    {report.shuffled_pairs:,}\n"
         f"  simulated time    {report.simulated_time:.1f} s\n"
-        f"  diameter bounds   [{report.estimate.lower_bound}, {report.estimate.upper_bound:.0f}] "
-        f"(true: 118)\n"
+        f"  diameter bounds   [{report.estimate.lower_bound}, {report.estimate.upper_bound:.0f}] (true: 118)\n"
         f"  memory violations {len(model.violations)}"
     )
 
 
 def backends_demo() -> None:
-    """One shuffle, three backends — identical output and counters."""
+    """One count round, three backends — identical output and counters."""
     rng = np.random.default_rng(0)
     batch = ArrayPairs(rng.integers(0, 64, 5000), rng.integers(0, 100, 5000))
 
-    def count(key, values):
-        yield (key, len(values))
-
-    print("\nbackend equivalence on a 5000-pair shuffle:")
+    print("\nbackend equivalence on a 5000-pair count round:")
     reference = None
     for name in available_backends():
-        engine = MREngine(backend=name, num_shards=4)
-        output = engine.run_round(batch, count)
-        snapshot = (output, engine.metrics.as_dict())
+        with MREngine(backend=name, num_shards=4) as engine:
+            output = engine.run_structured_round(batch, "count")
+        snapshot = (output.to_pairs(), engine.metrics.as_dict())
         if reference is None:
             reference = snapshot
         status = "consistent" if snapshot == reference else "MISMATCH"
@@ -101,7 +92,7 @@ def backends_demo() -> None:
 
 def main() -> None:
     word_count_demo()
-    primitives_demo()
+    fact1_demo()
     constrained_diameter_demo()
     backends_demo()
 

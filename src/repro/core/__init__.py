@@ -4,7 +4,6 @@ from repro.core.cluster import cluster, cluster_with_target_clusters
 from repro.core.cluster2 import Cluster2Result, cluster2
 from repro.core.clustering import Clustering, GrowthStepStats, IterationStats
 from repro.core.diameter import DiameterEstimate, estimate_diameter
-from repro.core.growth import ClusterGrowth
 from repro.core.growth_engine import (
     ArbitraryTieBreak,
     BatchHalvingSchedule,
@@ -50,7 +49,6 @@ __all__ = [
     "IterationStats",
     "DiameterEstimate",
     "estimate_diameter",
-    "ClusterGrowth",
     "GrowthEngine",
     "TieBreakPolicy",
     "ArbitraryTieBreak",

@@ -31,7 +31,6 @@ costs at least one edge, hence at least ``w_min``).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -205,21 +204,6 @@ class DistanceOracle:
             np.asarray([ui], dtype=np.int64), np.asarray([vi], dtype=np.int64)
         )
         return float(lower[0]), float(upper[0])
-
-    def query_upper(self, u: int, v: int) -> float:
-        """Deprecated upper-bound-only wrapper.
-
-        .. deprecated:: 1.1
-           Use ``query_batch(us, vs)[1]`` (or ``query(u, v)[1]``) instead.
-        """
-        warnings.warn(
-            "DistanceOracle.query_upper is deprecated; use "
-            "query_batch(us, vs)[1] for batched upper bounds "
-            "(or query(u, v)[1] for a single pair)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(u, v)[1]
 
 
 def build_distance_oracle(

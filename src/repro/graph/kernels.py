@@ -814,7 +814,12 @@ def delta_stepping(
         open_mask = np.isfinite(dist) & ~settled
         if not np.any(open_mask):
             break
-        boundary = (np.floor(dist[open_mask].min() / delta) + 1.0) * delta
+        lowest = dist[open_mask].min()
+        boundary = (np.floor(lowest / delta) + 1.0) * delta
+        if boundary <= lowest:
+            # The product can round onto ``lowest`` itself (delta = 18/7,
+            # lowest = 18): the bucket would be empty and never advance.
+            boundary = np.nextafter(lowest, np.inf)
         frontier = np.flatnonzero(open_mask & (dist < boundary))
         while frontier.size:
             settled[frontier] = True

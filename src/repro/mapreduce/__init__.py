@@ -1,4 +1,4 @@
-"""MR(M_G, M_L) MapReduce simulation substrate (model, engine, backends, primitives)."""
+"""MR(M_G, M_L) MapReduce simulation substrate (model, engine, backends, structured rounds)."""
 
 from repro.mapreduce.backends import (
     ArrayPairs,
@@ -13,13 +13,11 @@ from repro.mapreduce.backends import (
 )
 from repro.mapreduce.shm import SharedArrayPool, SharedArrayRef, active_repro_segments
 from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
-from repro.mapreduce.engine import MREngine, identity_mapper
+from repro.mapreduce.engine import MREngine
 from repro.mapreduce.metrics import MRMetrics
 from repro.mapreduce.model import MRConstraintViolation, MRModel, rounds_for_primitive
-from repro.mapreduce.primitives import mr_prefix_sum, mr_segmented_prefix_sum, mr_sort
 from repro.mapreduce.structured import (
     ArrayMapper,
-    CallableReducer,
     StructuredOutcome,
     StructuredReducer,
     available_structured_reducers,
@@ -29,7 +27,6 @@ from repro.mapreduce.structured import (
 
 __all__ = [
     "ArrayMapper",
-    "CallableReducer",
     "StructuredOutcome",
     "StructuredReducer",
     "available_structured_reducers",
@@ -50,12 +47,8 @@ __all__ = [
     "CostModel",
     "DEFAULT_COST_MODEL",
     "MREngine",
-    "identity_mapper",
     "MRMetrics",
     "MRConstraintViolation",
     "MRModel",
     "rounds_for_primitive",
-    "mr_prefix_sum",
-    "mr_segmented_prefix_sum",
-    "mr_sort",
 ]

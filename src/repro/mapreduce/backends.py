@@ -1,62 +1,47 @@
 """Pluggable execution backends for the MR simulation engine.
 
 :class:`~repro.mapreduce.engine.MREngine` delegates the physical execution of
-a round — shuffle (grouping by key) and reduce — to an
+a structured round — shuffle (grouping an :class:`ArrayPairs` batch by key)
+and reduce (a :class:`~repro.mapreduce.structured.StructuredReducer`) — to an
 :class:`ExecutionBackend`.  Three backends ship with the library:
 
 ``serial``
-    The reference implementation: a single-threaded dict-based shuffle that
-    appends every mapped pair to its key's group one at a time.  Zero
-    dependencies, easiest to debug, and the semantic baseline the other
-    backends are tested against.
+    The reference implementation: flattens the batch to per-pair Python
+    tuples, groups them with a dict and calls the reducer's
+    :meth:`~repro.mapreduce.structured.StructuredReducer.reference` once per
+    key (the *tuple path*).  Zero dependencies, easiest to debug, and the
+    semantic baseline the other backends are tested against.
 
 ``vectorized``
-    Groups pairs with a stable NumPy ``argsort`` over the key array instead of
-    O(pairs) Python-level dict operations, and accepts the *unflattened*
-    :class:`ArrayPairs` representation (one keys array + one values array per
-    batch) so large numeric workloads never materialize per-pair tuples.
-    Falls back to the dict shuffle for key types NumPy cannot sort
-    (heterogeneous or ragged keys).  Best choice for large single-machine
-    workloads.
+    Groups with one stable argsort over the key array and evaluates the
+    reducer as ``np.<ufunc>.reduceat``-style segment reductions — zero
+    per-pair and zero per-key Python calls.  Key arrays that cannot be
+    argsort-grouped (object dtype, NaN floats) take the tuple path.  Best
+    choice for large single-machine workloads.
 
 ``process``
-    Hash-shards the mapped pairs into ``num_shards`` buckets and reduces every
-    shard in a worker of a ``multiprocessing.Pool``, batching all reducer
-    invocations of a shard into a single inter-process call — the shuffle
-    costs O(shards) Python-level task submissions instead of O(pairs).
-    One pool is forked lazily and reused across all of an engine's rounds
-    (picklable reducers travel inside each task; arbitrary closures fall back
-    to a per-round fork-inherited pool); where ``fork`` is unavailable the
-    backend transparently degrades to in-process shard-at-a-time execution
-    with identical semantics.  Large structured rounds (at least
-    ``shm_min_pairs`` pairs, default 131072 or ``REPRO_SHM_MIN_PAIRS``) run
-    on a *zero-copy shared-memory data plane* (:mod:`repro.mapreduce.shm`):
+    Shards the key/value *arrays* by ``keys % num_shards`` and segment-reduces
+    every shard in a worker of a ``multiprocessing.Pool``.  One pool is forked
+    lazily and reused across all of an engine's rounds (the reducer travels
+    inside each task; a reducer that does not pickle runs in-process); where
+    ``fork`` is unavailable the backend transparently degrades to in-process
+    shard-at-a-time execution with identical semantics.  Large rounds (at
+    least ``shm_min_pairs`` pairs, default 131072 or ``REPRO_SHM_MIN_PAIRS``)
+    run on a *zero-copy shared-memory data plane* (:mod:`repro.mapreduce.shm`):
     the round's key/value arrays are published once into
     ``multiprocessing.shared_memory`` segments, workers receive only
     :class:`~repro.mapreduce.shm.SharedArrayRef` descriptors plus contiguous
     per-shard index ranges, and winner rows are written into a preallocated
     shared output segment — no pickled numpy arrays cross the pool boundary
-    in either direction.  Long-lived driver data (a graph's CSR arrays, a
-    suite's datasets) can be pinned into the same plane via
-    :meth:`ExecutionBackend.pin_shared`.
+    in either direction.  Smaller rounds ship pickled shard arrays.
+    Long-lived driver data (a graph's CSR arrays, a suite's datasets) can be
+    pinned into the same plane via :meth:`ExecutionBackend.pin_shared`.
 
 Every backend implements the same contract and is *bit-compatible* with the
-serial reference: identical output pair lists (same order — groups are emitted
-in first-occurrence order of their key, exactly like dict insertion order) and
+serial reference: identical output arrays (same order — groups are emitted in
+first-occurrence order of their key, exactly like dict insertion order) and
 identical :class:`~repro.mapreduce.metrics.MRMetrics`.  The cross-backend
-equivalence suite in ``tests/mapreduce/test_backends.py`` enforces this.
-
-Besides the classic per-key-callable rounds, every backend also executes
-*structured rounds* (:mod:`repro.mapreduce.structured`): declarative
-:class:`~repro.mapreduce.structured.StructuredReducer` specs evaluated over
-:class:`ArrayPairs` batches.  The serial backend runs them through the
-flattened tuple path (the bit-compatibility reference), the vectorized
-backend as pure segment reductions with zero per-key Python calls, and the
-process backend by sharding the key/value arrays across its worker pool —
-through shared-memory descriptors above the ``shm_min_pairs`` threshold,
-pickled shard arrays below it.  The shm path is bit-identical to both other
-paths (same outputs, same metrics) and falls back automatically when fork is
-unavailable, the round is single-shard, or the dtypes are not shareable.
+equivalence suites in ``tests/mapreduce`` enforce this.
 """
 
 from __future__ import annotations
@@ -67,9 +52,7 @@ import pickle
 import time
 import weakref
 from abc import ABC, abstractmethod
-from collections import defaultdict
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -81,15 +64,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (structured imports A
 
 _LOG = get_logger("mapreduce.backends")
 
-Key = Hashable
-Value = object
-Pair = Tuple[Key, Value]
-Mapper = Callable[[Key, Value], Iterable[Pair]]
-Reducer = Callable[[Key, List[Value]], Iterable[Pair]]
+Pair = Tuple[Hashable, object]
 
 __all__ = [
     "ArrayPairs",
-    "RoundOutcome",
     "ExecutionBackend",
     "SerialBackend",
     "VectorizedBackend",
@@ -162,11 +140,11 @@ def _pool_pids(pool) -> frozenset:
 class ArrayPairs:
     """Unflattened batch of key-value pairs: one keys array, one values array.
 
-    The vectorized backend consumes this representation natively (the keys
-    never become per-pair Python tuples); the other backends flatten it via
-    :meth:`to_pairs`.  ``keys`` must be a one-dimensional NumPy array;
-    ``values`` must be a NumPy array (any dtype, including ``object``) whose
-    first dimension matches ``keys``.
+    The vectorized and process backends consume this representation natively
+    (the keys never become per-pair Python tuples); the serial reference
+    flattens it via :meth:`to_pairs`.  ``keys`` must be a one-dimensional
+    NumPy array; ``values`` must be a NumPy array (any dtype, including
+    ``object``) whose first dimension matches ``keys``.
     """
 
     __slots__ = ("keys", "values")
@@ -191,95 +169,25 @@ class ArrayPairs:
         return list(zip(self.keys.tolist(), self.values.tolist()))
 
 
-PairBatch = Union[Sequence[Pair], ArrayPairs]
-
-
-@dataclass(frozen=True)
-class RoundOutcome:
-    """What a backend reports back to the engine after one shuffle+reduce.
-
-    Attributes
-    ----------
-    output:
-        The round's output pairs, in the canonical (serial-equivalent) order.
-    pairs_shuffled:
-        Number of mapped pairs moved through the shuffle.
-    max_reducer_input:
-        Size of the largest reducer input group (the M_L-constrained quantity).
-    """
-
-    output: List[Pair]
-    pairs_shuffled: int
-    max_reducer_input: int
-
-
-def _flatten(batch: PairBatch) -> List[Pair]:
-    """Normalize a pair batch to the per-pair tuple representation."""
-    if isinstance(batch, ArrayPairs):
-        return batch.to_pairs()
-    return list(batch)
-
-
-def _dict_shuffle_reduce(mapped: List[Pair], reducer: Reducer) -> RoundOutcome:
-    """The reference dict-based shuffle: O(pairs) appends, insertion order."""
-    groups: Dict[Key, List[Value]] = defaultdict(list)
-    for key, value in mapped:
-        groups[key].append(value)
-    max_reducer_input = max((len(v) for v in groups.values()), default=0)
-    output: List[Pair] = []
-    for key, values in groups.items():
-        output.extend(reducer(key, values))
-    return RoundOutcome(output, len(mapped), max_reducer_input)
-
-
 class ExecutionBackend(ABC):
     """Strategy interface executing the shuffle+reduce phase of an MR round.
 
     Implementations must be *bit-compatible* with :class:`SerialBackend`:
-    given the same mapped pairs and reducer they must return the same
-    :class:`RoundOutcome` (same output pairs in the same order, same
-    counters).  Groups are reduced in first-occurrence order of their key and
-    each reducer receives its values in arrival order.
+    given the same mapped :class:`ArrayPairs` batch and structured reducer
+    they must return the same
+    :class:`~repro.mapreduce.structured.StructuredOutcome` (same output
+    arrays in the same order, same counters).  Groups are reduced in
+    first-occurrence order of their key and each reducer sees its values in
+    arrival order.  Custom backends override :meth:`shuffle_reduce_structured`.
     """
 
     name: str = "abstract"
 
-    def map_pairs(self, pairs: PairBatch, mapper: Optional[Mapper]) -> PairBatch:
-        """Apply ``mapper`` to every input pair (identity when ``None``).
-
-        The map phase is executed serially in the driver by every backend:
-        mappers in this codebase are cheap generator closures, and keeping the
-        mapped order identical everywhere is what makes the backends
-        bit-compatible.
-        """
-        if mapper is None:
-            return pairs
-        mapped: List[Pair] = []
-        for key, value in _flatten(pairs):
-            mapped.extend(mapper(key, value))
-        return mapped
-
     @abstractmethod
-    def shuffle_reduce(self, mapped: PairBatch, reducer: Reducer) -> RoundOutcome:
-        """Group ``mapped`` by key and apply ``reducer`` to every group."""
-
     def shuffle_reduce_structured(
         self, mapped: "ArrayPairs", reducer: "StructuredReducer"
     ) -> "StructuredOutcome":
-        """Group an :class:`ArrayPairs` batch and apply a structured reducer.
-
-        The base implementation is the *tuple path*: flatten to per-pair
-        tuples and run the reducer's reference callable through the dict
-        shuffle — the bit-compatibility baseline (and what custom backends
-        inherit for free).  Callable escape-hatch reducers are routed through
-        the backend's own classic :meth:`shuffle_reduce` so their execution
-        strategy matches the classic rounds of the same backend.
-        """
-        from repro.mapreduce import structured
-
-        if isinstance(reducer, structured.CallableReducer):
-            return structured.outcome_from_round(self.shuffle_reduce(mapped, reducer.reference))
-        return structured.execute_reference(mapped, reducer)
+        """Group an :class:`ArrayPairs` batch by key and apply ``reducer``."""
 
     def pin_shared(self, name: str, arrays: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
         """Pin long-lived arrays into the backend's shared data plane.
@@ -299,184 +207,50 @@ class ExecutionBackend(ABC):
     def close(self) -> None:
         """Release backend resources (worker pools); a no-op by default."""
 
-    def execute_round(
-        self, pairs: PairBatch, reducer: Reducer, mapper: Optional[Mapper] = None
-    ) -> RoundOutcome:
-        """Full round: map, then shuffle+reduce."""
-        return self.shuffle_reduce(self.map_pairs(pairs, mapper), reducer)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
 
 
 class SerialBackend(ExecutionBackend):
-    """Single-threaded dict-based shuffle (the reference semantics)."""
+    """The tuple path: per-pair tuples, dict shuffle, per-key reference calls.
 
-    name = "serial"
-
-    def shuffle_reduce(self, mapped: PairBatch, reducer: Reducer) -> RoundOutcome:
-        return _dict_shuffle_reduce(_flatten(mapped), reducer)
-
-
-class VectorizedBackend(ExecutionBackend):
-    """Shuffle via a stable NumPy argsort over the key array.
-
-    Grouping 100k+ pairs with ``argsort`` + slice boundaries replaces 100k+
-    Python-level dict appends with a handful of C-level array passes; reducer
-    invocation (one call per key, values in arrival order) is unchanged.  Keys
-    that NumPy cannot represent as a sortable one-dimensional array — mixed
-    types, tuples of varying length, ``None`` — fall back to the dict shuffle,
-    so the backend is safe as a drop-in default.
+    The reference semantics every other backend is pinned against, and the
+    path every backend takes for keys an argsort cannot group (object dtype,
+    NaN floats).
     """
 
-    name = "vectorized"
-
-    # Key-array dtypes eligible for the argsort fast path: integers, unsigned,
-    # booleans, fixed-width strings/bytes, and floats (NaN-free only — NaN
-    # breaks grouping-by-equality).  Object arrays are excluded because
-    # comparison may fail.
-    _SORTABLE_KINDS = frozenset("iubUS")
-
-    @classmethod
-    def _sortable_key_array(cls, keys: np.ndarray) -> bool:
-        """True when ``keys`` can take the argsort fast path as-is."""
-        if keys.dtype.kind in cls._SORTABLE_KINDS:
-            return True
-        return keys.dtype.kind == "f" and not bool(np.isnan(keys).any())
-
-    def shuffle_reduce(self, mapped: PairBatch, reducer: Reducer) -> RoundOutcome:
-        if isinstance(mapped, ArrayPairs):
-            if len(mapped) == 0:
-                return RoundOutcome([], 0, 0)
-            if self._sortable_key_array(mapped.keys):
-                # Fast path: keys and values stay as arrays; the only per-pair
-                # Python-object work is one C-level ``tolist`` per array.
-                return self._argsort_reduce(mapped.keys, mapped.keys.tolist(), mapped.values, reducer)
-            return _dict_shuffle_reduce(mapped.to_pairs(), reducer)
-
-        mapped_list = list(mapped)
-        if not mapped_list:
-            return RoundOutcome([], 0, 0)
-        keys_t, values_t = zip(*mapped_list)
-        key_array = self._as_key_array(keys_t)
-        if key_array is None:
-            return _dict_shuffle_reduce(mapped_list, reducer)
-        value_array = np.empty(len(values_t), dtype=object)
-        value_array[:] = values_t
-        return self._argsort_reduce(key_array, list(keys_t), value_array, reducer)
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def _as_key_array(cls, keys: Sequence[Key]) -> Optional[np.ndarray]:
-        """Keys as a sortable 1-d array, or ``None`` if ineligible."""
-        try:
-            array = np.asarray(keys)
-        except (ValueError, TypeError):  # ragged tuples and friends
-            return None
-        if array.ndim != 1:
-            return None
-        if array.dtype.kind == "f":
-            # Floats are sortable as long as no key is NaN (NaN defeats
-            # grouping-by-equality) and no key was silently coerced: a large
-            # int coerced to float64 could merge keys a dict keeps distinct,
-            # so the fast path only trusts genuinely-float key lists.
-            if np.isnan(array).any() or any(type(k) is not float for k in keys):
-                return None
-            return array
-        if array.dtype.kind not in cls._SORTABLE_KINDS:
-            return None
-        if array.dtype.kind in "US":
-            # np.asarray coerces mixed key types to a common string dtype
-            # (e.g. [3, "3"] -> ["3", "3"]), which would merge keys a dict
-            # keeps distinct.  Only trust a string array when every key really
-            # is the same string type.  (Numeric kinds are safe: mixing in a
-            # non-number yields a 'U'/'O' array, never 'i'/'u'/'b', and the
-            # one cross-type numeric merge — True with 1 — matches dict
-            # semantics, since hash(True) == hash(1).)
-            first_type = type(keys[0])
-            if first_type not in (str, bytes) or any(type(k) is not first_type for k in keys):
-                return None
-        return array
-
-    @staticmethod
-    def _argsort_reduce(
-        key_array: np.ndarray,
-        key_objects: List[Key],
-        value_array: np.ndarray,
-        reducer: Reducer,
-    ) -> RoundOutcome:
-        order = np.argsort(key_array, kind="stable")
-        sorted_keys = key_array[order]
-        # Group boundaries in the sorted key array.
-        boundary = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-        starts = np.concatenate(([0], boundary))
-        ends = np.concatenate((boundary, [len(sorted_keys)]))
-        max_reducer_input = int((ends - starts).max())
-        # The stable sort keeps original positions increasing within a group,
-        # so order[start] is the key's first occurrence; emitting groups by
-        # that index reproduces dict insertion order bit-for-bit.
-        first_occurrence = order[starts]
-        emit_order = np.argsort(first_occurrence, kind="stable")
-
-        # One global reorder pass; per group only a cheap list slice remains.
-        # ``tolist`` also converts NumPy scalars to the Python scalars the
-        # serial backend would have handed the reducer.
-        sorted_values = value_array[order].tolist()
-        first_list = first_occurrence.tolist()
-        starts_list = starts.tolist()
-        ends_list = ends.tolist()
-
-        output: List[Pair] = []
-        for group in emit_order.tolist():
-            key = key_objects[first_list[group]]
-            output.extend(reducer(key, sorted_values[starts_list[group]:ends_list[group]]))
-        return RoundOutcome(output, len(key_objects), max_reducer_input)
+    name = "serial"
 
     def shuffle_reduce_structured(
         self, mapped: "ArrayPairs", reducer: "StructuredReducer"
     ) -> "StructuredOutcome":
-        """Structured fast path: one stable argsort + pure segment reductions.
-
-        Zero per-key Python calls — the reducer is evaluated with
-        ``np.<ufunc>.reduceat``-style passes over the whole sorted value
-        array.  Callable escape-hatch reducers run through the classic
-        argsort shuffle (per-group Python calls) instead.
-        """
         from repro.mapreduce import structured
 
-        if isinstance(reducer, structured.CallableReducer):
-            return structured.outcome_from_round(self.shuffle_reduce(mapped, reducer.reference))
+        return structured.execute_reference(mapped, reducer)
+
+
+class VectorizedBackend(ExecutionBackend):
+    """One stable argsort over the key array + pure segment reductions.
+
+    Zero per-key Python calls — the reducer is evaluated with
+    ``np.<ufunc>.reduceat``-style passes over the whole sorted value array.
+    Key arrays an argsort cannot group (object dtype, NaN floats) take the
+    serial tuple path, so the backend is safe as a drop-in default.
+    """
+
+    name = "vectorized"
+
+    def shuffle_reduce_structured(
+        self, mapped: "ArrayPairs", reducer: "StructuredReducer"
+    ) -> "StructuredOutcome":
+        from repro.mapreduce import structured
+
         return structured.execute_segments(mapped, reducer)
 
 
 # ---------------------------------------------------------------------- #
 # Process backend
 # ---------------------------------------------------------------------- #
-# Picklable reducers are shipped to the workers of one *persistent* pool
-# inside each task; non-picklable reducers (arbitrary closures) are handed to
-# a freshly forked per-round pool by fork inheritance: stored in this
-# module-level slot immediately before the fork, so the children see them
-# without pickling.
-_ACTIVE_REDUCER: Optional[Reducer] = None
-
-
-def _reduce_shard(shard: List[Tuple[int, Key, Value]]) -> Tuple[List[Tuple[int, List[Pair]]], int]:
-    """Group and reduce one shard with the fork-inherited reducer slot."""
-    faults.inject("mr.worker.closure")
-    reducer = _ACTIVE_REDUCER
-    assert reducer is not None, "reducer slot not populated before shard execution"
-    return _reduce_shard_with(reducer, shard)
-
-
-def _reduce_shard_task(
-    task: Tuple[Reducer, List[Tuple[int, Key, Value]]],
-) -> Tuple[List[Tuple[int, List[Pair]]], int]:
-    """Pool task carrying its (picklable) reducer inline — persistent-pool path."""
-    faults.inject("mr.worker.classic")
-    reducer, shard = task
-    return _reduce_shard_with(reducer, shard)
-
-
 def _structured_shard_task(task):
     """Pool task for one pickled structured shard (chaos-instrumented)."""
     from repro.mapreduce import structured
@@ -485,61 +259,34 @@ def _structured_shard_task(task):
     return structured.reduce_structured_shard(task)
 
 
-def _reduce_shard_with(
-    reducer: Reducer, shard: List[Tuple[int, Key, Value]]
-) -> Tuple[List[Tuple[int, List[Pair]]], int]:
-    """Group and reduce one shard; runs inside a pool worker (or in-process).
-
-    Returns ``(groups, max_reducer_input)`` where every group is
-    ``(first_global_index, reducer_output)`` so the driver can interleave
-    groups from all shards back into first-occurrence order.
-    """
-    first_index: Dict[Key, int] = {}
-    groups: Dict[Key, List[Value]] = {}
-    for index, key, value in shard:
-        bucket = groups.get(key)
-        if bucket is None:
-            groups[key] = [value]
-            first_index[key] = index
-        else:
-            bucket.append(value)
-    max_input = max((len(v) for v in groups.values()), default=0)
-    reduced = [(first_index[key], list(reducer(key, values))) for key, values in groups.items()]
-    return reduced, max_input
-
-
 class ProcessBackend(ExecutionBackend):
-    """Hash-sharded shuffle reduced by a ``multiprocessing.Pool``.
+    """Array-sharded shuffle reduced by a ``multiprocessing.Pool``.
 
-    The mapped pairs are partitioned into ``num_shards`` buckets by
-    ``hash(key) % num_shards`` (all pairs of a key land in one shard, so
-    grouping stays exact), and each shard is reduced in a single batched
-    worker call.  Output groups are merged back in first-occurrence order, so
-    the result is bit-identical to the serial backend.
+    The key array is partitioned into ``num_shards`` shards by ``keys %
+    num_shards`` (all pairs of a key land in one shard, so grouping stays
+    exact; no per-pair tuples are built), and every shard is reduced with the
+    same segment reductions as the vectorized backend in one worker call.
+    Output groups are merged back in first-occurrence order, so the result is
+    bit-identical to the serial backend.
 
     One worker pool is forked lazily on first use and *reused across all of
-    an engine's rounds* — picklable reducers (module-level functions,
-    :class:`~repro.mapreduce.structured.StructuredReducer` instances) travel
-    inside each task, so the tens-of-milliseconds pool setup cost is paid
-    once instead of per round, which makes the backend viable for round-heavy
-    drivers.  Non-picklable reducers (arbitrary closures) still work: they
-    reach the workers of a freshly forked per-round pool by fork inheritance,
-    exactly as before.  Release the pool with :meth:`close` (also called by
-    ``MREngine.close()`` / the engine's context manager, and on garbage
-    collection); a closed backend lazily re-creates the pool if used again.
+    an engine's rounds* — the (picklable) reducer travels inside each task, so
+    the tens-of-milliseconds pool setup cost is paid once instead of per
+    round, which makes the backend viable for round-heavy drivers.  A reducer
+    that does not pickle runs in-process.  Release the pool with :meth:`close`
+    (also called by ``MREngine.close()`` / the engine's context manager, and
+    on garbage collection); a closed backend lazily re-creates the pool if
+    used again.
 
-    Structured rounds are sharded as *arrays*: the key array is partitioned
-    by ``keys % num_shards`` (no per-pair tuples) and every shard is reduced
-    with the same segment reductions as the vectorized backend.  Rounds of at
-    least ``shm_min_pairs`` pairs take the *zero-copy shared-memory path*
-    (:mod:`repro.mapreduce.shm`): the key/value arrays are published into one
-    shared segment in shard order, workers receive only ``(segment, dtype,
-    shape, offset)`` descriptors plus a contiguous ``[start, end)`` slice per
-    shard, and the reduced winner rows are written into a preallocated shared
-    output segment — no pickled NumPy array ever crosses the pool boundary in
-    either direction.  Smaller rounds (and key/value dtypes shared memory
-    cannot hold) keep the descriptor-free pickled-shard path; fork-less
-    platforms keep the in-process fallback.
+    Rounds of at least ``shm_min_pairs`` pairs take the *zero-copy
+    shared-memory path* (:mod:`repro.mapreduce.shm`): the key/value arrays
+    are published into one shared segment in shard order, workers receive
+    only ``(segment, dtype, shape, offset)`` descriptors plus a contiguous
+    ``[start, end)`` slice per shard, and the reduced winner rows are written
+    into a preallocated shared output segment — no pickled NumPy array ever
+    crosses the pool boundary in either direction.  Smaller rounds (and
+    key/value dtypes shared memory cannot hold) keep the descriptor-free
+    pickled-shard path; fork-less platforms keep the in-process fallback.
 
     Parameters
     ----------
@@ -795,54 +542,6 @@ class ProcessBackend(ExecutionBackend):
         self._pins.clear()
 
     # ------------------------------------------------------------------ #
-    def shuffle_reduce(self, mapped: PairBatch, reducer: Reducer) -> RoundOutcome:
-        mapped_list = _flatten(mapped)
-        if not mapped_list:
-            return RoundOutcome([], 0, 0)
-
-        shards: List[List[Tuple[int, Key, Value]]] = [[] for _ in range(self.num_shards)]
-        for index, (key, value) in enumerate(mapped_list):
-            shards[hash(key) % self.num_shards].append((index, key, value))
-        shards = [shard for shard in shards if shard]
-
-        if self._fork_available and len(shards) > 1 and self._picklable(reducer):
-            # Persistent-pool path: the reducer travels inside each task.
-            results = self._run_tasks(_reduce_shard_task, [(reducer, shard) for shard in shards])
-        elif self._fork_available and len(shards) > 1:
-            # Closure reducers reach a per-round pool by fork inheritance.
-            # The per-round pool gets one supervised attempt: it dies with
-            # its round anyway, so a lost worker goes straight to the
-            # bit-identical in-process fallback instead of a rebuild loop.
-            global _ACTIVE_REDUCER
-            _ACTIVE_REDUCER = reducer
-            try:
-                context = multiprocessing.get_context("fork")
-                workers = min(len(shards), self.num_shards, os.cpu_count() or 1)
-                with context.Pool(processes=workers) as pool:
-                    try:
-                        results = self._supervised_map(pool, _reduce_shard, shards)
-                    except WorkerLostError as exc:
-                        _LOG.warning(
-                            "per-round pool failed (%s); running round in-process", exc
-                        )
-                        results = [_reduce_shard_with(reducer, shard) for shard in shards]
-            finally:
-                _ACTIVE_REDUCER = None
-        else:
-            # Single shard, or no fork on this platform: batched in-process
-            # execution with identical semantics.
-            results = [_reduce_shard_with(reducer, shard) for shard in shards]
-
-        max_reducer_input = max((max_input for _, max_input in results), default=0)
-        groups: List[Tuple[int, List[Pair]]] = []
-        for reduced, _ in results:
-            groups.extend(reduced)
-        groups.sort(key=lambda item: item[0])
-        output: List[Pair] = []
-        for _, group_output in groups:
-            output.extend(group_output)
-        return RoundOutcome(output, len(mapped_list), max_reducer_input)
-
     def shuffle_reduce_structured(
         self, mapped: "ArrayPairs", reducer: "StructuredReducer"
     ) -> "StructuredOutcome":
@@ -853,14 +552,12 @@ class ProcessBackend(ExecutionBackend):
         is segment-reduced in a persistent-pool worker.  Rounds of at least
         ``shm_min_pairs`` pairs run zero-copy through shared memory
         (:meth:`_shuffle_reduce_structured_shm`); smaller rounds ship pickled
-        shard arrays as before.  Key arrays that cannot be mod-sharded
+        shard arrays.  Key arrays that cannot be mod-sharded
         (strings, floats) run the single-driver segment path instead; output
         and counters are identical on every path.
         """
         from repro.mapreduce import structured
 
-        if isinstance(reducer, structured.CallableReducer):
-            return structured.outcome_from_round(self.shuffle_reduce(mapped, reducer.reference))
         reducer.validate_values(mapped.values)
         if len(mapped) == 0 or not structured.segment_eligible(mapped.keys):
             return structured.execute_segments(mapped, reducer)

@@ -2,8 +2,8 @@
 
 The engine executes MR rounds in-process, single-machine, but faithfully to
 the MR(M_G, M_L) abstraction: a round takes a multiset of key-value pairs,
-optionally applies a map function to each pair, shuffles (groups) the results
-by key, applies a reducer to every group, and emits the next multiset.  After
+optionally applies a map function to it, shuffles (groups) the results by
+key, applies a reducer to every group, and emits the next multiset.  After
 every round the engine
 
 * meters the number of shuffled pairs, the largest reducer input and the
@@ -11,38 +11,34 @@ every round the engine
   and
 * checks the M_L / M_G constraints via :class:`~repro.mapreduce.model.MRModel`.
 
-Rounds come in two flavours:
-
-* **classic rounds** (:meth:`MREngine.run_round`) — per-pair tuples, a Python
-  callable per mapped pair and per key group; maximally general, maximally
-  slow; and
-* **structured rounds** (:meth:`MREngine.run_structured_round`) — the map
-  phase emits an unflattened :class:`~repro.mapreduce.backends.ArrayPairs`
-  batch through the :class:`~repro.mapreduce.structured.ArrayMapper`
-  protocol, and the reduce phase is a declarative
-  :class:`~repro.mapreduce.structured.StructuredReducer` (``min`` / ``max`` /
-  ``sum`` / ``count`` / ``first`` / ``argmin`` / ``bitwise_or`` / custom)
-  that the backends evaluate as C-level segment reductions — no per-pair or
-  per-key Python calls on the fast path.  The metrics (pairs shuffled, max
-  reducer input, live pairs) are metered from the array shapes and are
-  bit-identical to executing the same round through the tuple path.
+Every round is a *structured round* (:meth:`MREngine.run_structured_round`):
+the map phase emits an unflattened
+:class:`~repro.mapreduce.backends.ArrayPairs` batch through the
+:class:`~repro.mapreduce.structured.ArrayMapper` protocol, and the reduce
+phase is a declarative :class:`~repro.mapreduce.structured.StructuredReducer`
+(``min`` / ``max`` / ``sum`` / ``count`` / ``first`` / ``argmin`` /
+``bitwise_or`` / custom) that the backends evaluate as C-level segment
+reductions — no per-pair or per-key Python calls on the fast path.  The
+metrics are metered from the array shapes.  Primitives whose round cost is
+known analytically (the sort / prefix sums of Fact 1, see
+:func:`~repro.mapreduce.model.rounds_for_primitive`) are charged with
+:meth:`MREngine.charge_rounds` instead of being executed.
 
 The physical execution of the shuffle+reduce is pluggable
-(:mod:`repro.mapreduce.backends`): ``backend="serial"`` is the dict-based
-reference (structured rounds run through the flattened tuple path — the
-bit-compatibility baseline), ``backend="vectorized"`` groups with NumPy
-argsort and evaluates structured reducers with segment reductions,
-``backend="process"`` hash-shards the shuffle across a persistent
-``multiprocessing.Pool`` (structured rounds are sharded as key/value arrays).
-All backends are bit-compatible: identical output pairs and identical
-metrics, so round/communication numbers reported by the experiment harness do
-not depend on the backend choice.  That guarantee extends to partial
-failures: the process backend supervises its pool, retries a round whose
-worker died (fresh shards, bounded exponential backoff) and finally falls
-back to in-process execution, so a round either returns the exact pairs and
-metrics a fault-free run would have produced or raises — never a silently
-truncated shuffle.  The seeded chaos suite (:mod:`repro.faults`) regression-
-gates this bit-identical-under-faults property.
+(:mod:`repro.mapreduce.backends`): ``backend="serial"`` is the per-pair tuple
+path (the bit-compatibility reference), ``backend="vectorized"`` groups with
+one argsort and evaluates the reducer with segment reductions,
+``backend="process"`` shards the key/value arrays across a persistent
+``multiprocessing.Pool``.  All backends are bit-compatible: identical output
+arrays and identical metrics, so round/communication numbers reported by the
+experiment harness do not depend on the backend choice.  That guarantee
+extends to partial failures: the process backend supervises its pool, retries
+a round whose worker died (fresh shards, bounded exponential backoff) and
+finally falls back to in-process execution, so a round either returns the
+exact arrays and metrics a fault-free run would have produced or raises —
+never a silently truncated shuffle.  The seeded chaos suite
+(:mod:`repro.faults`) regression-gates this bit-identical-under-faults
+property.
 
 The MR drivers of the core algorithms (:mod:`repro.core.mr_algorithms`,
 :mod:`repro.core.mr_native`) and of the baselines (BFS, HADI) are built on
@@ -55,16 +51,11 @@ explicitly; pools are re-created lazily if the engine is used again).
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from repro.mapreduce.backends import (
-    ArrayPairs,
-    ExecutionBackend,
-    PairBatch,
-    get_backend,
-)
+from repro.mapreduce.backends import ArrayPairs, ExecutionBackend, get_backend
 from repro.mapreduce.metrics import MRMetrics
 from repro.mapreduce.model import MRModel
 from repro.mapreduce.structured import (
@@ -74,19 +65,9 @@ from repro.mapreduce.structured import (
     resolve_structured_reducer,
 )
 
-Key = Hashable
-Value = object
-Pair = Tuple[Key, Value]
-Mapper = Callable[[Key, Value], Iterable[Pair]]
-Reducer = Callable[[Key, List[Value]], Iterable[Pair]]
 BackendSpec = Union[str, ExecutionBackend, None]
 
-__all__ = ["MREngine", "identity_mapper"]
-
-
-def identity_mapper(key: Key, value: Value) -> Iterable[Pair]:
-    """Mapper that forwards its input pair unchanged."""
-    yield (key, value)
+__all__ = ["MREngine"]
 
 
 class MREngine:
@@ -129,37 +110,10 @@ class MREngine:
         return self.backend.name
 
     # ------------------------------------------------------------------ #
-    def run_round(
-        self,
-        pairs: PairBatch,
-        reducer: Reducer,
-        *,
-        mapper: Optional[Mapper] = None,
-        label: str = "round",
-    ) -> List[Pair]:
-        """Execute one map → shuffle → reduce round and return the output pairs.
-
-        ``pairs`` is either a sequence of ``(key, value)`` tuples or an
-        :class:`~repro.mapreduce.backends.ArrayPairs` batch (which the
-        vectorized backend consumes without flattening).
-        """
-        outcome = self.backend.execute_round(pairs, reducer, mapper)
-        live_pairs = max(outcome.pairs_shuffled, len(outcome.output))
-        self.metrics.record_round(
-            pairs_shuffled=outcome.pairs_shuffled,
-            max_reducer_input=outcome.max_reducer_input,
-            live_pairs=live_pairs,
-            label=label,
-        )
-        self.model.check_round(
-            max_reducer_input=outcome.max_reducer_input, live_pairs=live_pairs
-        )
-        return outcome.output
-
     def run_structured_round(
         self,
         pairs: ArrayPairs,
-        reducer: Union[str, StructuredReducer, Reducer],
+        reducer: Union[str, StructuredReducer],
         *,
         mapper: Union[ArrayMapper, Callable[[ArrayPairs], ArrayPairs], None] = None,
         label: str = "round",
@@ -170,13 +124,11 @@ class MREngine:
         :class:`~repro.mapreduce.structured.ArrayMapper` or any ``ArrayPairs
         -> ArrayPairs`` callable) runs once over the whole batch; ``reducer``
         is a registered structured-reducer name (``"min"``, ``"sum"``,
-        ``"first"``, ``"argmin"``, ``"bitwise_or"``, ...), a
-        :class:`~repro.mapreduce.structured.StructuredReducer` instance, or —
-        the escape hatch — a plain per-key callable executed through the
-        classic machinery.  The same :class:`MRMetrics` counters as
-        :meth:`run_round` are metered from the array shapes, bit-identical to
-        the tuple path, and the output batch preserves first-occurrence key
-        order.
+        ``"first"``, ``"argmin"``, ``"bitwise_or"``, ...) or a
+        :class:`~repro.mapreduce.structured.StructuredReducer` instance.  The
+        :class:`MRMetrics` counters are metered from the array shapes,
+        identically on every backend, and the output batch preserves
+        first-occurrence key order.
         """
         structured_reducer = resolve_structured_reducer(reducer)
         mapped = apply_array_mapper(mapper, pairs)
@@ -192,21 +144,6 @@ class MREngine:
             max_reducer_input=outcome.max_reducer_input, live_pairs=live_pairs
         )
         return outcome.output
-
-    def run_rounds(
-        self,
-        pairs: PairBatch,
-        stages: Sequence[Tuple[Optional[Mapper], Reducer]],
-        *,
-        label: str = "round",
-    ) -> List[Pair]:
-        """Execute a fixed pipeline of rounds, feeding each stage's output to the next."""
-        current: PairBatch = pairs if isinstance(pairs, ArrayPairs) else list(pairs)
-        for mapper, reducer in stages:
-            current = self.run_round(current, reducer, mapper=mapper, label=label)
-        if isinstance(current, ArrayPairs):  # zero stages executed
-            return current.to_pairs()
-        return list(current)
 
     # ------------------------------------------------------------------ #
     def charge_rounds(self, count: int, *, pairs_per_round: int = 0, label: str = "charged") -> None:

@@ -1,19 +1,19 @@
 """Structured MR rounds: array-native reducers executed as segment reductions.
 
-The classic engine path (:meth:`~repro.mapreduce.engine.MREngine.run_round`)
-invokes one Python callable per key, which is exactly the per-pair /
-per-key object cost the paper's linear-communication algorithms are supposed
-to avoid.  A *structured round* replaces the callable with a declarative
+A *structured round* pairs an unflattened
+:class:`~repro.mapreduce.backends.ArrayPairs` batch with a declarative
 :class:`StructuredReducer` drawn from a registry (``min``, ``max``, ``sum``,
 ``count``, ``first``, ``argmin``, ``bitwise_or``, or a custom registration)
-that every backend knows how to execute over an unflattened
-:class:`~repro.mapreduce.backends.ArrayPairs` batch:
+that every backend knows how to execute — never one Python callable per key
+on the fast path, which is exactly the per-pair / per-key object cost the
+paper's linear-communication algorithms are supposed to avoid:
 
 ``serial``
     Flattens the batch to per-pair Python tuples and runs the reducer's
-    :meth:`~StructuredReducer.reference` callable through the dict shuffle —
-    the *tuple path*, kept as the bit-compatibility reference (and as the
-    slow side of the structured-vs-tuple benchmark gates).
+    :meth:`~StructuredReducer.reference` callable through a dict shuffle —
+    the *tuple path* (:func:`execute_reference`), kept as the
+    bit-compatibility reference (and as the slow side of the
+    structured-vs-tuple benchmark gates).
 
 ``vectorized``
     Groups with one stable ``argsort`` over the key array and evaluates the
@@ -36,10 +36,17 @@ arrays in the same (first-occurrence) order, same counters — so the metered
 ``MRMetrics`` never depend on the execution strategy.  (One carve-out: the
 ``sum`` reducer requires group sums to fit the value dtype — integer
 overflow wraps on the segment path but not in exact Python arithmetic, so
-overflowing workloads are outside the contract.)  Map phases emit
-``ArrayPairs`` directly via the :class:`ArrayMapper` protocol (e.g. frontier
-claim expansion is one ``np.repeat``/gather over the CSR arrays, reusing the
-:mod:`repro.graph.kernels` primitives).
+overflowing workloads are outside the contract.)  Key arrays an argsort
+cannot group (object dtype, NaN floats) run the tuple path on every backend.
+Map phases emit ``ArrayPairs`` directly via the :class:`ArrayMapper`
+protocol (e.g. frontier claim expansion is one ``np.repeat``/gather over the
+CSR arrays, reusing the :mod:`repro.graph.kernels` primitives).
+
+A reducer emits one row per group (plus an optional emit mask); rounds whose
+reduce step would emit many rows per group — the sample sort and prefix sums
+of Fact 1 — are not executed but charged analytically
+(:func:`~repro.mapreduce.model.rounds_for_primitive`,
+:meth:`~repro.mapreduce.engine.MREngine.charge_rounds`).
 
 Registering a custom segment reducer::
 
@@ -50,11 +57,6 @@ Registering a custom segment reducer::
 
     register_structured_reducer(MyReducer())
     engine.run_structured_round(batch, "my-reducer")
-
-Passing a plain callable to ``run_structured_round`` engages the escape
-hatch: the round is executed through the classic per-key callable machinery
-(still grouped with the backend's shuffle) and the output is converted back
-to arrays, so unported reducers keep working unchanged.
 """
 
 from __future__ import annotations
@@ -70,12 +72,10 @@ from repro.mapreduce.backends import ArrayPairs
 Key = Hashable
 Value = object
 Pair = Tuple[Key, Value]
-Reducer = Callable[[Key, List[Value]], Iterable[Pair]]
 
 __all__ = [
     "StructuredOutcome",
     "StructuredReducer",
-    "CallableReducer",
     "ArrayMapper",
     "register_structured_reducer",
     "get_structured_reducer",
@@ -88,7 +88,6 @@ __all__ = [
     "segment_eligible",
     "reduce_structured_shard",
     "merge_shard_groups",
-    "outcome_from_round",
 ]
 
 # Key-array dtypes a structured round can group with one argsort: integers,
@@ -101,10 +100,10 @@ _SEGMENT_KEY_KINDS = frozenset("iubUSf")
 class StructuredOutcome:
     """What a backend reports after executing one structured shuffle+reduce.
 
-    The array-native analogue of
-    :class:`~repro.mapreduce.backends.RoundOutcome`: ``output`` is an
-    :class:`ArrayPairs` batch (groups in first-occurrence order of their
-    key), the counters are the same metered quantities.
+    ``output`` is an :class:`ArrayPairs` batch (groups in first-occurrence
+    order of their key); ``pairs_shuffled`` is the number of mapped pairs
+    moved through the shuffle and ``max_reducer_input`` the size of the
+    largest group (the M_L-constrained quantity).
     """
 
     output: ArrayPairs
@@ -152,9 +151,9 @@ class StructuredReducer(ABC):
       reduced row per group (plus an optional emit mask for reducers that
       drop groups); and
     * :meth:`reference` — the per-key tuple-path callable with the exact
-      same semantics, used by the serial backend and by the escape-hatch /
-      fallback paths.  Bit-compatibility between the two is what the
-      cross-backend equivalence suite enforces.
+      same semantics, used by the serial backend and by the fallback for
+      keys an argsort cannot group.  Bit-compatibility between the two is
+      what the cross-backend equivalence suite enforces.
 
     ``values_ndim`` restricts the accepted value-array rank (``None`` = any);
     violating it raises ``ValueError`` identically on every backend.
@@ -198,28 +197,6 @@ class StructuredReducer(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-class CallableReducer(StructuredReducer):
-    """Escape hatch: wrap an arbitrary per-key callable as a structured reducer.
-
-    The wrapped callable runs through the classic per-key machinery on every
-    backend (the vectorized backend still groups with its argsort shuffle but
-    invokes Python per group), so correctness never depends on a segment
-    implementation existing.
-    """
-
-    name = "callable"
-    supports_segments = False
-
-    def __init__(self, func: Reducer) -> None:
-        self.func = func
-
-    def segment_reduce(self, sorted_values, starts, ends):  # pragma: no cover
-        raise NotImplementedError("CallableReducer has no segment fast path")
-
-    def reference(self, key, values):
-        return self.func(key, values)
 
 
 class _MinReducer(StructuredReducer):
@@ -364,17 +341,16 @@ def available_structured_reducers() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def resolve_structured_reducer(
-    spec: Union[str, StructuredReducer, Reducer],
-) -> StructuredReducer:
-    """Resolve a name / instance / plain callable to a :class:`StructuredReducer`."""
+def resolve_structured_reducer(spec: Union[str, StructuredReducer]) -> StructuredReducer:
+    """Resolve a registered name or an instance to a :class:`StructuredReducer`."""
     if isinstance(spec, StructuredReducer):
         return spec
     if isinstance(spec, str):
         return get_structured_reducer(spec)
-    if callable(spec):
-        return CallableReducer(spec)
-    raise TypeError(f"cannot resolve {spec!r} to a structured reducer")
+    raise TypeError(
+        f"reducer must be a registered name or a StructuredReducer, got {spec!r}; "
+        f"registered: {available_structured_reducers()}"
+    )
 
 
 for _reducer in (
@@ -436,9 +412,25 @@ def execute_reference(mapped: ArrayPairs, reducer: StructuredReducer) -> Structu
     if not out_keys:
         outcome = _empty_outcome(mapped, reducer)
         return StructuredOutcome(outcome.output, len(mapped), max_input)
-    keys_array = np.asarray(out_keys, dtype=mapped.keys.dtype)
-    values_array = np.asarray(out_values, dtype=reducer.result_dtype(mapped.values))
+    keys_array = _pack(out_keys, mapped.keys.dtype, ())
+    values_array = _pack(
+        out_values, reducer.result_dtype(mapped.values), reducer.result_row_shape(mapped.values)
+    )
     return StructuredOutcome(ArrayPairs(keys_array, values_array), len(mapped), max_input)
+
+
+def _pack(items: List[object], dtype: np.dtype, row_shape: Tuple[int, ...]) -> np.ndarray:
+    """``np.asarray(items, dtype)`` that keeps scalar object items whole.
+
+    NumPy unpacks a list of equal-length tuples into a 2-d array even with
+    ``dtype=object``; tuple keys must stay one element per group.
+    """
+    if np.dtype(dtype) != object or row_shape:
+        return np.asarray(items, dtype=dtype)
+    packed = np.empty(len(items), dtype=object)
+    for index, item in enumerate(items):
+        packed[index] = item
+    return packed
 
 
 def grouping_order(keys: np.ndarray) -> np.ndarray:
@@ -524,28 +516,6 @@ def reduce_structured_shard(
     """
     reducer, keys, values, global_indices = task
     return _segment_groups(keys, values, reducer, global_indices)
-
-
-def outcome_from_round(outcome) -> StructuredOutcome:
-    """Convert a classic :class:`RoundOutcome` (pair list) back to arrays.
-
-    Used by the callable escape hatch: every backend runs the wrapped
-    callable through its own classic shuffle (producing identical pair
-    lists), so converting with plain ``np.asarray`` inference yields
-    identical arrays on every backend.
-    """
-    if not outcome.output:
-        return StructuredOutcome(
-            ArrayPairs(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)),
-            outcome.pairs_shuffled,
-            outcome.max_reducer_input,
-        )
-    keys, values = zip(*outcome.output)
-    return StructuredOutcome(
-        ArrayPairs(np.asarray(keys), np.asarray(values)),
-        outcome.pairs_shuffled,
-        outcome.max_reducer_input,
-    )
 
 
 def merge_shard_groups(

@@ -57,12 +57,6 @@ class TestOracleBounds:
         oracle = build_distance_oracle(mesh20, seed=1)
         assert oracle.query(7, 7) == (0.0, 0.0)
 
-    def test_query_upper_deprecated_but_correct(self, mesh20):
-        oracle = build_distance_oracle(mesh20, seed=2)
-        with pytest.warns(DeprecationWarning, match="query_upper is deprecated"):
-            upper = oracle.query_upper(0, 399)
-        assert upper == oracle.query(0, 399)[1]
-
     def test_out_of_range_rejected(self, mesh8):
         oracle = build_distance_oracle(mesh8, seed=3)
         with pytest.raises(IndexError):

@@ -1,9 +1,9 @@
 """Cross-backend equivalence suite for the MR execution backends.
 
 Every backend must be bit-compatible with the serial reference: identical
-output pairs (same order) and identical :class:`MRMetrics` for any workload.
-This is what allows the experiment harness to treat the backend as a pure
-performance knob.
+output pairs (same order, same dtypes) and identical :class:`MRMetrics` for
+any structured round.  This is what allows the experiment harness to treat
+the backend as a pure performance knob.
 """
 
 from __future__ import annotations
@@ -25,174 +25,32 @@ from repro.mapreduce.engine import MREngine
 from repro.mapreduce.model import MRConstraintViolation, MRModel
 
 BACKENDS = ("serial", "vectorized", "process")
+SCALAR_REDUCERS = ("min", "max", "sum", "count", "first")
 
 
-def sum_reducer(key, values):
-    yield (key, sum(values))
+def object_keys(items):
+    """A 1-d object key array holding ``items`` whole (tuples included)."""
+    keys = np.empty(len(items), dtype=object)
+    for index, item in enumerate(items):
+        keys[index] = item
+    return keys
 
 
-def count_reducer(key, values):
-    yield (key, len(values))
+def fanout_mapper(batch):
+    return ArrayPairs(
+        np.concatenate((batch.keys, batch.keys + 1)),
+        np.concatenate((batch.values, batch.values * 2)),
+    )
 
 
-def fanout_mapper(key, value):
-    yield (key, value)
-    yield (key + 1, value * 2)
-
-
-def run_all_backends(pairs, reducer, *, mapper=None, num_shards=3):
-    """Execute one round on every backend; return {name: (output, metrics)}."""
+def run_all_backends(batch, reducer, *, mapper=None, num_shards=3):
+    """One structured round per backend; returns {name: (pairs, dtypes, metrics)}."""
     results = {}
     for name in BACKENDS:
-        engine = MREngine(backend=name, num_shards=num_shards)
-        output = engine.run_round(pairs, reducer, mapper=mapper)
-        results[name] = (output, engine.metrics.as_dict())
+        with MREngine(backend=name, num_shards=num_shards) as engine:
+            out = engine.run_structured_round(batch, reducer, mapper=mapper)
+        results[name] = (out.to_pairs(), (str(out.keys.dtype), str(out.values.dtype)), engine.metrics.as_dict())
     return results
-
-
-def assert_all_equal(results):
-    reference = results["serial"]
-    for name, result in results.items():
-        assert result[0] == reference[0], f"{name} output differs from serial"
-        assert result[1] == reference[1], f"{name} metrics differ from serial"
-
-
-# ---------------------------------------------------------------------- #
-# Random-workload property tests
-# ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_random_int_workloads_identical(seed):
-    rng = np.random.default_rng(seed)
-    size = int(rng.integers(1, 400))
-    keys = rng.integers(0, max(2, size // 4), size=size).tolist()
-    values = rng.integers(-100, 100, size=size).tolist()
-    results = run_all_backends(list(zip(keys, values)), sum_reducer)
-    assert_all_equal(results)
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_random_workloads_with_mapper_identical(seed):
-    rng = np.random.default_rng(100 + seed)
-    size = int(rng.integers(1, 200))
-    pairs = list(zip(rng.integers(0, 20, size=size).tolist(), rng.integers(0, 9, size=size).tolist()))
-    results = run_all_backends(pairs, sum_reducer, mapper=fanout_mapper)
-    assert_all_equal(results)
-
-
-def test_string_keys_identical():
-    rng = np.random.default_rng(7)
-    words = ["alpha", "beta", "gamma", "delta", "a", "zz"]
-    pairs = [(words[int(i)], int(v)) for i, v in zip(rng.integers(0, len(words), 300), rng.integers(0, 50, 300))]
-    results = run_all_backends(pairs, sum_reducer)
-    assert_all_equal(results)
-
-
-def test_tuple_keys_fall_back_and_stay_identical():
-    # Tuple keys defeat the argsort fast path; the vectorized backend must
-    # transparently fall back to dict grouping and still match bit-for-bit.
-    rng = np.random.default_rng(8)
-    pairs = [((int(k) % 3, int(k) % 5), int(v)) for k, v in zip(rng.integers(0, 30, 200), rng.integers(0, 9, 200))]
-    results = run_all_backends(pairs, sum_reducer)
-    assert_all_equal(results)
-
-
-def test_mixed_type_keys_identical():
-    pairs = [(None, 1), ("x", 2), (3, 4), (None, 5), ((1, 2), 6), ("x", 7)]
-    results = run_all_backends(pairs, count_reducer)
-    assert_all_equal(results)
-
-
-def test_str_and_int_keys_stay_distinct():
-    # np.asarray([3, "3"]) coerces to one string dtype; the vectorized backend
-    # must not let that merge keys a dict keeps distinct.
-    pairs = [("3", 1), (3, 2), ("3", 4), (3, 8)]
-    results = run_all_backends(pairs, sum_reducer)
-    assert_all_equal(results)
-    assert results["serial"][0] == [("3", 5), (3, 10)]
-
-
-def test_bytes_and_str_keys_stay_distinct():
-    pairs = [(b"a", 1), ("a", 2), (b"a", 4)]
-    results = run_all_backends(pairs, sum_reducer)
-    assert_all_equal(results)
-    assert results["serial"][0] == [(b"a", 5), ("a", 2)]
-
-
-def test_bool_and_int_keys_merge_like_dict():
-    # hash(True) == hash(1): a dict groups them; every backend must agree.
-    pairs = [(True, 1), (1, 2), (0, 4), (False, 8)]
-    results = run_all_backends(pairs, sum_reducer)
-    assert_all_equal(results)
-    assert results["serial"][0] == [(True, 3), (0, 12)]
-
-
-def test_numpy_array_values_identical():
-    # Values that are NumPy arrays (HADI-sketch-like payloads) must survive
-    # pickling through the process backend and grouping in the others.
-    rng = np.random.default_rng(9)
-    pairs = [(int(k), rng.integers(0, 2**32, size=4, dtype=np.uint64)) for k in rng.integers(0, 6, 40)]
-
-    def or_reducer(key, values):
-        merged = values[0]
-        for value in values[1:]:
-            merged = merged | value
-        yield (key, merged.tolist())
-
-    results = run_all_backends(pairs, or_reducer)
-    assert_all_equal(results)
-
-
-def test_sorted_outputs_identical_on_large_random_workload():
-    rng = np.random.default_rng(10)
-    pairs = list(zip(rng.integers(0, 500, 5000).tolist(), rng.integers(0, 1000, 5000).tolist()))
-    results = run_all_backends(pairs, sum_reducer, num_shards=5)
-    assert_all_equal(results)
-    reference = sorted(results["serial"][0])
-    for name, (output, _) in results.items():
-        assert sorted(output) == reference, name
-
-
-# ---------------------------------------------------------------------- #
-# Randomized cross-backend equivalence sweep
-# ---------------------------------------------------------------------- #
-def _random_workload(rng):
-    """One random workload: (pairs-or-ArrayPairs, structured-reducer-name-or-None).
-
-    Samples the whole space the backends must agree on: mixed int/str/tuple
-    keys, float keys with and without NaN, empty batches, single-key batches,
-    flattened tuples vs unflattened ArrayPairs, and — for numeric array
-    batches — a structured reducer paired with its callable reference.
-    """
-    family = rng.choice(
-        ["int", "str", "tuple", "mixed", "float", "nan-float", "single-key", "empty"]
-    )
-    size = int(rng.integers(1, 200))
-    values = rng.integers(-50, 50, size=size)
-    if family == "empty":
-        return ([], None) if rng.random() < 0.5 else (ArrayPairs(np.zeros(0, np.int64), np.zeros(0, np.int64)), "sum")
-    if family == "int":
-        keys = rng.integers(-10, 25, size=size)
-        if rng.random() < 0.5:
-            return ArrayPairs(keys, values), str(rng.choice(["min", "max", "sum", "count", "first"]))
-        return list(zip(keys.tolist(), values.tolist())), None
-    if family == "single-key":
-        keys = np.full(size, int(rng.integers(0, 5)))
-        if rng.random() < 0.5:
-            return ArrayPairs(keys, values), str(rng.choice(["min", "sum", "count"]))
-        return list(zip(keys.tolist(), values.tolist())), None
-    if family == "str":
-        words = ["alpha", "beta", "gamma", "d", "ee"]
-        return [(words[int(k) % len(words)], int(v)) for k, v in zip(rng.integers(0, 9, size), values)], None
-    if family == "tuple":
-        return [((int(k) % 3, int(k) % 4), int(v)) for k, v in zip(rng.integers(0, 24, size), values)], None
-    if family == "mixed":
-        pool = [None, "x", 3, (1, 2), "3", b"x", True, 0]
-        return [(pool[int(k) % len(pool)], int(v)) for k, v in zip(rng.integers(0, 64, size), values)], None
-    # float / nan-float
-    keys = rng.uniform(-3, 3, size).round(1)
-    if family == "nan-float":
-        keys[rng.random(size) < 0.2] = np.nan
-    return list(zip(keys.tolist(), values.tolist())), None
 
 
 def _pairs_equal(left, right):
@@ -208,76 +66,163 @@ def _pairs_equal(left, right):
     return True
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_randomized_cross_backend_sweep(seed):
-    """Any workload, any backend: identical output order and identical metrics.
-
-    When the workload pairs a structured reducer with an ArrayPairs batch,
-    the structured round (segment reductions on vectorized, array shards on
-    process) is additionally checked against the classic round running the
-    reducer's callable reference — same pairs, same counters.
-    """
-    rng = np.random.default_rng(1000 + seed)
-    for _ in range(8):
-        workload, structured_name = _random_workload(rng)
-        outputs = {}
-        metrics = {}
-        for name in BACKENDS:
-            engine = MREngine(backend=name, num_shards=3)
-            if structured_name is not None:
-                out = engine.run_structured_round(workload, structured_name).to_pairs()
-            else:
-                out = engine.run_round(workload, sum_reducer)
-            outputs[name] = out
-            metrics[name] = engine.metrics.as_dict()
-            engine.close()
-        for name in BACKENDS:
-            assert _pairs_equal(outputs[name], outputs["serial"]), (name, structured_name)
-            assert metrics[name] == metrics["serial"], (name, structured_name)
-        if structured_name is not None and isinstance(workload, ArrayPairs):
-            # Structured fast path vs the per-key callable reference.
-            from repro.mapreduce.structured import get_structured_reducer
-
-            reference_engine = MREngine(backend="serial")
-            reference = reference_engine.run_round(
-                workload, get_structured_reducer(structured_name).reference
-            )
-            assert _pairs_equal(outputs["serial"], reference)
-            assert metrics["serial"] == reference_engine.metrics.as_dict()
+def assert_all_equal(results):
+    reference = results["serial"]
+    for name, (pairs, dtypes, metrics) in results.items():
+        assert _pairs_equal(pairs, reference[0]), f"{name} output differs from serial"
+        assert dtypes == reference[1], f"{name} dtypes differ from serial"
+        assert metrics == reference[2], f"{name} metrics differ from serial"
 
 
 # ---------------------------------------------------------------------- #
-# ArrayPairs (unflattened) fast path
+# Random-workload property tests
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_random_int_workloads_identical(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 400))
+    batch = ArrayPairs(rng.integers(0, max(2, size // 4), size=size), rng.integers(-100, 100, size=size))
+    assert_all_equal(run_all_backends(batch, "sum"))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_workloads_with_mapper_identical(seed):
+    rng = np.random.default_rng(100 + seed)
+    size = int(rng.integers(1, 200))
+    batch = ArrayPairs(rng.integers(0, 20, size=size), rng.integers(0, 9, size=size))
+    assert_all_equal(run_all_backends(batch, "sum", mapper=fanout_mapper))
+
+
+def test_string_keys_identical():
+    rng = np.random.default_rng(7)
+    words = np.array(["alpha", "beta", "gamma", "delta", "a", "zz"])
+    batch = ArrayPairs(words[rng.integers(0, len(words), 300)], rng.integers(0, 50, 300))
+    assert_all_equal(run_all_backends(batch, "sum"))
+
+
+def test_tuple_keys_fall_back_and_stay_identical():
+    # Object-dtype tuple keys defeat the argsort fast path; every backend
+    # must fall back to the tuple path and keep each tuple one key.
+    rng = np.random.default_rng(8)
+    keys = object_keys([(int(k) % 3, int(k) % 5) for k in rng.integers(0, 30, 200)])
+    results = run_all_backends(ArrayPairs(keys, rng.integers(0, 9, 200)), "sum")
+    assert_all_equal(results)
+    assert all(isinstance(key, tuple) for key, _ in results["serial"][0])
+
+
+def test_mixed_type_keys_identical():
+    keys = object_keys([None, "x", 3, None, (1, 2), "x"])
+    results = run_all_backends(ArrayPairs(keys, np.arange(6)), "count")
+    assert_all_equal(results)
+    assert results["serial"][0] == [(None, 2), ("x", 2), (3, 1), ((1, 2), 1)]
+
+
+def test_str_and_int_keys_stay_distinct():
+    # np.asarray([3, "3"]) coerces to one string dtype; an object key array
+    # must keep keys a dict keeps distinct.
+    results = run_all_backends(ArrayPairs(object_keys(["3", 3, "3", 3]), np.array([1, 2, 4, 8])), "sum")
+    assert_all_equal(results)
+    assert results["serial"][0] == [("3", 5), (3, 10)]
+
+
+def test_bytes_and_str_keys_stay_distinct():
+    results = run_all_backends(ArrayPairs(object_keys([b"a", "a", b"a"]), np.array([1, 2, 4])), "sum")
+    assert_all_equal(results)
+    assert results["serial"][0] == [(b"a", 5), ("a", 2)]
+
+
+def test_bool_and_int_keys_merge_like_dict():
+    # hash(True) == hash(1): a dict groups them; every backend must agree.
+    results = run_all_backends(ArrayPairs(object_keys([True, 1, 0, False]), np.array([1, 2, 4, 8])), "sum")
+    assert_all_equal(results)
+    assert results["serial"][0] == [(True, 3), (0, 12)]
+
+
+def test_numpy_array_values_identical():
+    # Row values (HADI-sketch-like payloads) must survive pickling through
+    # the process backend and grouping in the others.
+    rng = np.random.default_rng(9)
+    rows = rng.integers(0, 2**32, size=(40, 4), dtype=np.uint64)
+    results = run_all_backends(ArrayPairs(rng.integers(0, 6, 40), rows), "first")
+    assert_all_equal(results)
+    assert results["serial"][1][1] == "uint64"
+
+
+def test_sorted_outputs_identical_on_large_random_workload():
+    rng = np.random.default_rng(10)
+    batch = ArrayPairs(rng.integers(0, 500, 5000), rng.integers(0, 1000, 5000))
+    results = run_all_backends(batch, "sum", num_shards=5)
+    assert_all_equal(results)
+    reference = sorted(results["serial"][0])
+    for name, (pairs, _, _) in results.items():
+        assert sorted(pairs) == reference, name
+
+
+# ---------------------------------------------------------------------- #
+# Randomized cross-backend equivalence sweep
+# ---------------------------------------------------------------------- #
+def _random_workload(rng):
+    """One random structured round: (ArrayPairs, reducer name).
+
+    Samples the whole key space the backends must agree on: int keys,
+    single-key and empty batches, string keys, object-dtype tuple and mixed
+    keys, and float keys with and without NaN.
+    """
+    family = rng.choice(["int", "single-key", "empty", "str", "tuple", "mixed", "float", "nan-float"])
+    size = int(rng.integers(1, 200))
+    values = rng.integers(-50, 50, size=size)
+    reducer = str(rng.choice(SCALAR_REDUCERS))
+    if family == "empty":
+        return ArrayPairs(np.zeros(0, np.int64), np.zeros(0, np.int64)), reducer
+    if family == "int":
+        keys = rng.integers(-10, 25, size=size)
+    elif family == "single-key":
+        keys = np.full(size, int(rng.integers(0, 5)))
+    elif family == "str":
+        keys = np.array(["alpha", "beta", "gamma", "d", "ee"])[rng.integers(0, 5, size)]
+    elif family == "tuple":
+        keys = object_keys([(int(k) % 3, int(k) % 4) for k in rng.integers(0, 24, size)])
+    elif family == "mixed":
+        pool = [None, "x", 3, (1, 2), "3", b"x", True, 0]
+        keys = object_keys([pool[int(k) % len(pool)] for k in rng.integers(0, 64, size)])
+    else:  # float / nan-float
+        keys = rng.uniform(-3, 3, size).round(1)
+        if family == "nan-float":
+            keys[rng.random(size) < 0.2] = np.nan
+    return ArrayPairs(keys, values), reducer
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_randomized_cross_backend_sweep(seed):
+    """Any key family, any scalar reducer, any backend: identical output
+    order, dtypes and metrics to the serial tuple-path reference."""
+    rng = np.random.default_rng(1000 + seed)
+    for _ in range(8):
+        batch, reducer = _random_workload(rng)
+        assert_all_equal(run_all_backends(batch, reducer))
+
+
+# ---------------------------------------------------------------------- #
+# ArrayPairs batches
 # ---------------------------------------------------------------------- #
 def test_array_pairs_identical_across_backends():
     rng = np.random.default_rng(11)
     batch = ArrayPairs(rng.integers(0, 40, 600), rng.integers(0, 1000, 600))
-    results = run_all_backends(batch, sum_reducer)
-    assert_all_equal(results)
+    for reducer in SCALAR_REDUCERS:
+        assert_all_equal(run_all_backends(batch, reducer))
 
 
 def test_array_pairs_matches_flattened_input():
+    """The segment path equals a plain dict group-by over the flattened pairs."""
     rng = np.random.default_rng(12)
     batch = ArrayPairs(rng.integers(0, 25, 300), rng.integers(0, 9, 300))
-    engine_batch = MREngine(backend="vectorized")
-    engine_flat = MREngine(backend="vectorized")
-    out_batch = engine_batch.run_round(batch, sum_reducer)
-    out_flat = engine_flat.run_round(batch.to_pairs(), sum_reducer)
-    assert out_batch == out_flat
-    assert engine_batch.metrics.as_dict() == engine_flat.metrics.as_dict()
-
-
-def test_run_rounds_with_array_pairs_and_no_stages():
-    batch = ArrayPairs(np.array([1, 2]), np.array([3, 4]))
-    assert MREngine().run_rounds(batch, []) == [(1, 3), (2, 4)]
-
-
-def test_run_rounds_with_array_pairs_pipeline():
-    batch = ArrayPairs(np.array([0, 1, 0]), np.array([1, 2, 3]))
+    expected = {}
+    for key, value in batch.to_pairs():
+        expected[key] = expected.get(key, 0) + value
     engine = MREngine(backend="vectorized")
-    out = engine.run_rounds(batch, [(None, sum_reducer), (None, count_reducer)])
-    assert out == [(0, 1), (1, 1)]
-    assert engine.metrics.rounds == 2
+    out = engine.run_structured_round(batch, "sum")
+    assert out.to_pairs() == list(expected.items())
+    assert engine.metrics.shuffled_pairs == 300
 
 
 def test_array_pairs_validation():
@@ -290,18 +235,28 @@ def test_array_pairs_validation():
 # ---------------------------------------------------------------------- #
 # Constraint checking behaves identically everywhere
 # ---------------------------------------------------------------------- #
+def assert_violation_enforced_and_recorded(backend, batch, **limits):
+    with MREngine(MRModel(enforce=True, **limits), backend=backend, num_shards=2) as engine:
+        with pytest.raises(MRConstraintViolation):
+            engine.run_structured_round(batch, "sum")
+    recording = MRModel(enforce=False, **limits)
+    with MREngine(recording, backend=backend, num_shards=2) as engine:
+        out = engine.run_structured_round(batch, "sum")
+    with MREngine(backend="serial") as engine:
+        assert out.to_pairs() == engine.run_structured_round(batch, "sum").to_pairs()
+    assert recording.num_violations == 1
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_local_memory_violation_raises_on_every_backend(backend):
-    engine = MREngine(MRModel(local_memory=2, enforce=True), backend=backend, num_shards=2)
-    with pytest.raises(MRConstraintViolation):
-        engine.run_round([(0, i) for i in range(5)], sum_reducer)
+    batch = ArrayPairs(np.zeros(5, dtype=np.int64), np.arange(5))
+    assert_violation_enforced_and_recorded(backend, batch, local_memory=2)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_global_memory_violation_raises_on_every_backend(backend):
-    engine = MREngine(MRModel(global_memory=3, enforce=True), backend=backend, num_shards=2)
-    with pytest.raises(MRConstraintViolation):
-        engine.run_round([(i, i) for i in range(10)], sum_reducer)
+    batch = ArrayPairs(np.arange(10), np.arange(10))
+    assert_violation_enforced_and_recorded(backend, batch, global_memory=3)
 
 
 # ---------------------------------------------------------------------- #

@@ -18,7 +18,6 @@ from repro.mapreduce import shm
 from repro.mapreduce.backends import (
     ArrayPairs,
     ProcessBackend,
-    SerialBackend,
     WorkerLostError,
     fork_available,
 )
@@ -83,24 +82,19 @@ class TestWorkerDeath:
         finally:
             backend.close()
 
-    def test_classic_round_survives_worker_kill(self, tmp_path):
+    def test_pickled_shard_round_survives_worker_kill(self, tmp_path):
+        """SIGKILL one worker mid pickled-shard round (below the shm threshold)."""
+        state = tmp_path / "state"
         FaultPlan(
-            specs=(FaultSpec(site="mr.worker.classic", kind="kill"),),
-            state_dir=str(tmp_path / "state"),
+            specs=(FaultSpec(site="mr.worker.structured", kind="kill"),),
+            state_dir=str(state),
         ).install()
-        backend = chaos_backend()
-        pairs = [(i % 7, i) for i in range(500)]
-
-        def reducer(key, values):
-            yield (key, sum(values))
-
-        expected = SerialBackend().shuffle_reduce(list(pairs), reducer)
+        backend = chaos_backend(shm_min_pairs=10**9)
         try:
-            got = backend.shuffle_reduce(list(pairs), reducer)
+            assert_bit_identical(structured_batch(seed=7), "sum", backend)
         finally:
             backend.close()
-        assert expected.output == got.output
-        assert expected.max_reducer_input == got.max_reducer_input
+        assert len(list(state.glob("fault-0.*"))) == 1
 
     def test_repeated_kills_fall_back_in_process(self, tmp_path):
         """More kills than retries: the driver-side fallback still answers."""
@@ -149,19 +143,24 @@ class TestInfraFaults:
     def test_error_budget_exhaustion_falls_back(self, tmp_path):
         """Error faults outlasting every pool retry hit the terminal fallback.
 
-        One shard per round and a global ticket budget equal to the attempt
-        count makes the accounting exact: all three pool attempts fail, and
-        the in-process fallback runs with the budget already spent.
+        A pool map result is ready only once every task has finished, so
+        each of the three pool attempts runs both shard tasks, and a global
+        ticket budget of shards x attempts makes the accounting exact: every
+        pool task fails, and the in-process fallback runs with the budget
+        already spent.
         """
+        state = tmp_path / "state"
+        shards, attempts = 2, 3
         FaultPlan(
-            specs=(FaultSpec(site="mr.worker.structured", kind="error", times=3),),
-            state_dir=str(tmp_path / "state"),
+            specs=(FaultSpec(site="mr.worker.structured", kind="error", times=shards * attempts),),
+            state_dir=str(state),
         ).install()
-        backend = chaos_backend(num_shards=1, max_round_retries=2, shm_min_pairs=10**9)
+        backend = chaos_backend(num_shards=shards, max_round_retries=attempts - 1, shm_min_pairs=10**9)
         try:
             assert_bit_identical(structured_batch(seed=17), "min", backend)
         finally:
             backend.close()
+        assert len(list(state.glob("fault-0.*"))) == shards * attempts
 
 
 # ------------------------------------------------------------------ #

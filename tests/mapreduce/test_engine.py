@@ -2,88 +2,110 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.mapreduce.backends import available_backends
-from repro.mapreduce.engine import MREngine, identity_mapper
+from repro.mapreduce.backends import ArrayPairs, available_backends
+from repro.mapreduce.engine import MREngine
 from repro.mapreduce.model import MRConstraintViolation, MRModel
+from repro.mapreduce.structured import StructuredReducer
 
 ALL_BACKENDS = available_backends()
 
 
-def word_count_mapper(key, value):
-    for word in value.split():
-        yield (word, 1)
+def batch_of(pairs):
+    keys, values = zip(*pairs)
+    return ArrayPairs(np.asarray(keys), np.asarray(values))
 
 
-def sum_reducer(key, values):
-    yield (key, sum(values))
+def word_count_mapper(batch):
+    words = [word for line in batch.values.tolist() for word in line.split()]
+    return ArrayPairs(np.asarray(words), np.ones(len(words), dtype=np.int64))
+
+
+class DropAll(StructuredReducer):
+    """Emits nothing: every group is masked out."""
+
+    name = "test-drop-all"
+
+    def segment_reduce(self, sorted_values, starts, ends):
+        return sorted_values[starts], np.zeros(starts.size, dtype=bool)
+
+    def reference(self, key, values):
+        return []
+
+
+class Angry(StructuredReducer):
+    """Raises on every group, on the segment path and on the tuple path."""
+
+    name = "test-angry"
+
+    def segment_reduce(self, sorted_values, starts, ends):
+        raise ValueError(f"boom on {starts.size} groups")
+
+    def reference(self, key, values):
+        raise ValueError(f"boom on key {key}")
 
 
 class TestRunRound:
     def test_word_count(self):
         engine = MREngine()
-        pairs = [(None, "a b a"), (None, "b c")]
-        result = dict(engine.run_round(pairs, sum_reducer, mapper=word_count_mapper))
-        assert result == {"a": 2, "b": 2, "c": 1}
+        documents = ArrayPairs(np.zeros(2, dtype=np.int64), np.array(["a b a", "b c"]))
+        result = engine.run_structured_round(documents, "sum", mapper=word_count_mapper)
+        assert dict(result.to_pairs()) == {"a": 2, "b": 2, "c": 1}
 
     def test_metrics_recorded(self):
         engine = MREngine()
-        pairs = [(i % 3, i) for i in range(12)]
-        engine.run_round(pairs, sum_reducer)
+        engine.run_structured_round(batch_of([(i % 3, i) for i in range(12)]), "sum")
         assert engine.metrics.rounds == 1
         assert engine.metrics.shuffled_pairs == 12
         assert engine.metrics.max_reducer_input == 4
 
-    def test_identity_mapper(self):
-        engine = MREngine()
-        pairs = [(1, "x")]
-        out = engine.run_round(pairs, lambda k, vs: [(k, vs[0])], mapper=identity_mapper)
-        assert out == [(1, "x")]
+    def test_none_mapper_is_identity(self):
+        # ``mapper=None`` is the identity map phase.
+        batch = batch_of([(1, 5), (2, 7)])
+        for mapper in (None, lambda b: b):
+            out = MREngine().run_structured_round(batch, "first", mapper=mapper)
+            assert out.to_pairs() == [(1, 5), (2, 7)]
 
-    def test_run_rounds_pipeline(self):
+    def test_chained_rounds_pipeline(self):
+        # Each round's output batch feeds the next: word count, then total.
         engine = MREngine()
-        stages = [
-            (word_count_mapper, sum_reducer),
-            (None, lambda k, vs: [("total", sum(vs))]),
-            (None, sum_reducer),
-        ]
-        out = engine.run_rounds([(None, "x y x z")], stages)
-        assert out == [("total", 4)]
-        assert engine.metrics.rounds == 3
+        counts = engine.run_structured_round(
+            ArrayPairs(np.zeros(1, dtype=np.int64), np.array(["x y x z"])), "sum", mapper=word_count_mapper
+        )
+        total = engine.run_structured_round(
+            counts, "sum", mapper=lambda b: ArrayPairs(np.zeros(len(b), dtype=np.int64), b.values)
+        )
+        assert total.to_pairs() == [(0, 4)]
+        assert engine.metrics.rounds == 2
 
     def test_reset(self):
         engine = MREngine()
-        engine.run_round([(0, 1)], sum_reducer)
+        engine.run_structured_round(batch_of([(0, 1)]), "sum")
         engine.reset()
         assert engine.metrics.rounds == 0
 
 
 class TestConstraints:
     def test_local_memory_violation_raises(self):
-        model = MRModel(local_memory=2, enforce=True)
-        engine = MREngine(model)
-        pairs = [(0, i) for i in range(5)]
+        engine = MREngine(MRModel(local_memory=2, enforce=True))
         with pytest.raises(MRConstraintViolation):
-            engine.run_round(pairs, sum_reducer)
+            engine.run_structured_round(batch_of([(0, i) for i in range(5)]), "sum")
 
     def test_global_memory_violation_raises(self):
-        model = MRModel(global_memory=3, enforce=True)
-        engine = MREngine(model)
-        pairs = [(i, i) for i in range(10)]
+        engine = MREngine(MRModel(global_memory=3, enforce=True))
         with pytest.raises(MRConstraintViolation):
-            engine.run_round(pairs, sum_reducer)
+            engine.run_structured_round(batch_of([(i, i) for i in range(10)]), "sum")
 
     def test_record_mode_collects_violations(self):
         model = MRModel(local_memory=1, enforce=False)
-        engine = MREngine(model)
-        engine.run_round([(0, 1), (0, 2)], sum_reducer)
+        MREngine(model).run_structured_round(batch_of([(0, 1), (0, 2)]), "sum")
         assert model.num_violations == 1
 
     def test_within_budget_no_violation(self):
         model = MRModel(local_memory=10, global_memory=100, enforce=True)
-        engine = MREngine(model)
-        engine.run_round([(i % 4, i) for i in range(20)], sum_reducer)
+        MREngine(model).run_structured_round(batch_of([(i % 4, i) for i in range(20)]), "sum")
         assert model.num_violations == 0
 
 
@@ -92,9 +114,10 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_empty_pair_list(self, backend):
-        engine = MREngine(backend=backend, num_shards=2)
-        output = engine.run_round([], sum_reducer)
-        assert output == []
+        empty = ArrayPairs(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        with MREngine(backend=backend, num_shards=2) as engine:
+            output = engine.run_structured_round(empty, "sum")
+        assert len(output) == 0
         assert engine.metrics.rounds == 1
         assert engine.metrics.shuffled_pairs == 0
         assert engine.metrics.max_reducer_input == 0
@@ -102,25 +125,21 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_mapper_that_emits_nothing(self, backend):
-        def silent_mapper(key, value):
-            return
-            yield  # pragma: no cover - makes this a generator function
+        def silent_mapper(batch):
+            return ArrayPairs(batch.keys[:0], batch.values[:0])
 
-        engine = MREngine(backend=backend, num_shards=2)
-        output = engine.run_round([(0, 1), (1, 2)], sum_reducer, mapper=silent_mapper)
-        assert output == []
+        with MREngine(backend=backend, num_shards=2) as engine:
+            output = engine.run_structured_round(batch_of([(0, 1), (1, 2)]), "sum", mapper=silent_mapper)
+        assert len(output) == 0
         assert engine.metrics.rounds == 1
         assert engine.metrics.shuffled_pairs == 0
         assert engine.metrics.max_reducer_input == 0
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_reducer_that_emits_nothing(self, backend):
-        def drop_all(key, values):
-            return []
-
-        engine = MREngine(backend=backend, num_shards=2)
-        output = engine.run_round([(0, 1), (0, 2), (1, 3)], drop_all)
-        assert output == []
+        with MREngine(backend=backend, num_shards=2) as engine:
+            output = engine.run_structured_round(batch_of([(0, 1), (0, 2), (1, 3)]), DropAll())
+        assert len(output) == 0
         assert engine.metrics.shuffled_pairs == 3
         assert engine.metrics.max_reducer_input == 2
         # Live pairs = max(input, output): inputs were alive during the round.
@@ -128,40 +147,37 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_reducer_exception_propagates(self, backend):
-        def angry_reducer(key, values):
-            raise ValueError(f"boom on key {key}")
-            yield  # pragma: no cover
-
-        engine = MREngine(backend=backend, num_shards=2)
-        with pytest.raises(ValueError, match="boom on key"):
-            engine.run_round([(0, 1), (1, 2), (2, 3)], angry_reducer)
+        with MREngine(backend=backend, num_shards=2) as engine:
+            with pytest.raises(ValueError, match="boom on"):
+                engine.run_structured_round(batch_of([(0, 1), (1, 2), (2, 3)]), Angry())
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_local_memory_enforced(self, backend):
-        engine = MREngine(MRModel(local_memory=3, enforce=True), backend=backend, num_shards=2)
-        # Within budget: fine.
-        engine.run_round([(0, i) for i in range(3)], sum_reducer)
-        # One pair over budget: raises and records the violation.
-        with pytest.raises(MRConstraintViolation, match="exceeding M_L"):
-            engine.run_round([(0, i) for i in range(4)], sum_reducer)
+        with MREngine(MRModel(local_memory=3, enforce=True), backend=backend, num_shards=2) as engine:
+            # Within budget: fine.
+            engine.run_structured_round(batch_of([(0, i) for i in range(3)]), "sum")
+            # One pair over budget: raises and records the violation.
+            with pytest.raises(MRConstraintViolation, match="exceeding M_L"):
+                engine.run_structured_round(batch_of([(0, i) for i in range(4)]), "sum")
         assert engine.model.num_violations == 1
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_global_memory_enforced(self, backend):
-        engine = MREngine(MRModel(global_memory=5, enforce=True), backend=backend, num_shards=2)
-        engine.run_round([(i, i) for i in range(5)], sum_reducer)
-        with pytest.raises(MRConstraintViolation, match="exceed M_G"):
-            engine.run_round([(i, i) for i in range(6)], sum_reducer)
+        with MREngine(MRModel(global_memory=5, enforce=True), backend=backend, num_shards=2) as engine:
+            engine.run_structured_round(batch_of([(i, i) for i in range(5)]), "sum")
+            with pytest.raises(MRConstraintViolation, match="exceed M_G"):
+                engine.run_structured_round(batch_of([(i, i) for i in range(6)]), "sum")
         assert engine.model.num_violations == 1
 
     def test_global_memory_counts_output_when_larger(self):
-        def fanout_reducer(key, values):
-            for i in range(4):
-                yield (key, i)
+        # The live pairs of a round are its mapped batch: a mapper fanning one
+        # input pair out to four exceeds M_G = 3.
+        def fanout_mapper(batch):
+            return ArrayPairs(np.repeat(batch.keys, 4), np.arange(4 * len(batch)))
 
         engine = MREngine(MRModel(global_memory=3, enforce=True))
         with pytest.raises(MRConstraintViolation):
-            engine.run_round([(0, 1)], fanout_reducer)
+            engine.run_structured_round(batch_of([(0, 1)]), "first", mapper=fanout_mapper)
 
 
 class TestChargeRounds:

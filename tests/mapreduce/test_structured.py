@@ -4,8 +4,8 @@ Structured rounds must be bit-compatible with the serial tuple path: for any
 workload and any registered reducer, every backend returns the same output
 arrays (same dtype, same first-occurrence order) and meters the same
 :class:`MRMetrics`.  These tests enforce that, plus the registry contract,
-the :class:`ArrayMapper` protocol, the callable escape hatch, the persistent
-process pool, and the driver-level equivalence of the ported MR consumers.
+the :class:`ArrayMapper` protocol, the persistent process pool, and the
+driver-level equivalence of the MR drivers.
 """
 
 from __future__ import annotations
@@ -20,19 +20,18 @@ from repro.generators import barabasi_albert_graph, mesh_graph
 from repro.mapreduce.backends import (
     ArrayPairs,
     ProcessBackend,
-    VectorizedBackend,
     fork_available,
 )
 from repro.mapreduce.engine import MREngine
 from repro.mapreduce.structured import (
     ArrayMapper,
-    CallableReducer,
     StructuredReducer,
     available_structured_reducers,
     get_structured_reducer,
     grouping_order,
     register_structured_reducer,
     resolve_structured_reducer,
+    segment_eligible,
 )
 
 BACKENDS = ("serial", "vectorized", "process")
@@ -92,8 +91,9 @@ def test_resolve_structured_reducer():
     assert resolve_structured_reducer("sum").name == "sum"
     instance = get_structured_reducer("min")
     assert resolve_structured_reducer(instance) is instance
-    wrapped = resolve_structured_reducer(lambda k, vs: [(k, len(vs))])
-    assert isinstance(wrapped, CallableReducer)
+    # A plain per-key callable is rejected with the registered names listed.
+    with pytest.raises(TypeError, match="registered: .*'sum'"):
+        resolve_structured_reducer(lambda k, vs: [(k, len(vs))])  # type: ignore[arg-type]
     with pytest.raises(TypeError):
         resolve_structured_reducer(123)  # type: ignore[arg-type]
 
@@ -189,27 +189,20 @@ def test_values_ndim_validation_identical_on_all_backends():
 
 
 def test_structured_output_matches_classic_reference_round():
-    """Structured output flattened == classic round with the reference callable."""
+    """Structured output flattened == a dict group-by calling the reference."""
     rng = np.random.default_rng(6)
     batch = ArrayPairs(rng.integers(0, 30, 500), rng.integers(0, 100, 500))
+    groups = {}
+    for key, value in batch.to_pairs():
+        groups.setdefault(key, []).append(value)
     for name in ("min", "max", "sum", "count", "first"):
         reducer = get_structured_reducer(name)
-        engine_structured = MREngine(backend="vectorized")
-        engine_classic = MREngine(backend="serial")
-        structured = engine_structured.run_structured_round(batch, reducer)
-        classic = engine_classic.run_round(batch, reducer.reference)
-        assert structured.to_pairs() == classic, name
-        assert engine_structured.metrics.as_dict() == engine_classic.metrics.as_dict(), name
-
-
-def test_callable_escape_hatch_identical_across_backends():
-    def median_reducer(key, values):
-        yield (key, sorted(values)[len(values) // 2])
-
-    rng = np.random.default_rng(7)
-    batch = ArrayPairs(rng.integers(0, 12, 300), rng.integers(0, 50, 300))
-    results = run_structured_on_all(batch, median_reducer)
-    assert_structured_identical(results)
+        expected = [pair for key, values in groups.items() for pair in reducer.reference(key, values)]
+        engine = MREngine(backend="vectorized")
+        structured = engine.run_structured_round(batch, reducer)
+        assert structured.to_pairs() == expected, name
+        assert engine.metrics.shuffled_pairs == 500, name
+        assert engine.metrics.max_reducer_input == max(map(len, groups.values())), name
 
 
 def test_string_keys_and_nan_float_keys_fall_back_identically():
@@ -283,8 +276,7 @@ def test_process_pool_reused_across_rounds_and_closed():
     engine.run_structured_round(batch, "sum")
     pool_after_first = backend._pool
     assert pool_after_first is not None, "structured round should fork the pool"
-    engine.run_structured_round(batch, "sum")
-    engine.run_round(batch, get_structured_reducer("sum").reference)
+    engine.run_structured_round(batch, "min")
     assert backend._pool is pool_after_first, "pool must be reused across rounds"
     engine.close()
     assert backend._pool is None
@@ -303,42 +295,49 @@ def test_engine_context_manager_closes_pool():
     assert backend._pool is None
 
 
-def test_closure_reducers_still_work_on_process_backend():
-    # Non-picklable closures take the per-round fork-inheritance path.
-    offset = 13
+class OffsetSum(StructuredReducer):
+    """Group sum plus an offset held in a closure, so it cannot be pickled."""
 
-    def closure_reducer(key, values):
-        yield (key, sum(values) + offset)
+    name = "test-offset-sum"
+    values_ndim = 1
 
+    def __init__(self, offset):
+        self.shift = lambda total: total + offset
+
+    def segment_reduce(self, sorted_values, starts, ends):
+        return self.shift(np.add.reduceat(sorted_values, starts)), None
+
+    def reference(self, key, values):
+        yield (key, self.shift(sum(values)))
+
+
+def test_unpicklable_reducer_runs_in_process():
+    # A reducer that cannot reach pool workers runs in the driver, even on an
+    # shm-sized round, with the serial reference's output.
     batch = ArrayPairs(np.arange(120) % 7, np.arange(120))
-    with MREngine(backend="process", num_shards=3) as engine:
-        out = engine.run_round(batch, closure_reducer)
-    with MREngine(backend="serial") as reference:
-        assert out == reference.run_round(batch, closure_reducer)
+    backend = ProcessBackend(num_shards=3, shm_min_pairs=1)
+    backend._ensure_pool = lambda: pytest.fail("an unpicklable reducer reached the pool")
+    with MREngine(backend=backend) as engine:
+        out = engine.run_structured_round(batch, OffsetSum(13))
+    with MREngine(backend="serial") as engine:
+        assert out.to_pairs() == engine.run_structured_round(batch, OffsetSum(13)).to_pairs()
 
 
 # ---------------------------------------------------------------------- #
-# Float keys on the classic argsort fast path (NaN-free only)
+# Float keys on the argsort fast path (NaN-free only)
 # ---------------------------------------------------------------------- #
 def test_float_keys_take_argsort_fast_path():
-    keys = [1.5, 2.5, 1.5, -0.0, 0.0]
-    assert VectorizedBackend._as_key_array(keys) is not None
-    assert VectorizedBackend._as_key_array([1.5, float("nan")]) is None
-    # Large ints silently coerced to float64 must not take the fast path.
-    assert VectorizedBackend._as_key_array([2**60, 2**60 + 1, 0.5]) is None
+    assert segment_eligible(np.array([1.5, 2.5, 1.5, -0.0, 0.0]))
+    assert not segment_eligible(np.array([1.5, np.nan]))
+    assert not segment_eligible(np.array([1.5, None], dtype=object))
 
 
 def test_float_key_workloads_identical_across_backends():
     rng = np.random.default_rng(9)
-    keys = rng.uniform(-5, 5, 400).round(2)
-    pairs = list(zip(keys.tolist(), rng.integers(0, 50, 400).tolist()))
-    outputs = {}
-    for name in BACKENDS:
-        with MREngine(backend=name, num_shards=3) as engine:
-            out = engine.run_round(pairs, lambda k, vs: [(k, sum(vs))])
-            outputs[name] = (out, engine.metrics.as_dict())
-    for name, result in outputs.items():
-        assert result == outputs["serial"], name
+    batch = ArrayPairs(rng.uniform(-5, 5, 400).round(2), rng.integers(0, 50, 400))
+    results = run_structured_on_all(batch, "sum")
+    assert_structured_identical(results)
+    assert results["serial"][2][0] == "float64"
 
 
 # ---------------------------------------------------------------------- #

@@ -46,6 +46,11 @@ def _graphs():
         ),
         "single-node": attach_weights(path_graph(1), "uniform", seed=14),
         "unit-path": WeightedCSRGraph.from_unit_graph(path_graph(9)),
+        # Mean weight 18/7: delta_stepping's bucket boundary 7 * (18/7)
+        # rounds onto the bucket minimum 18 itself and must be widened.
+        "path-bucket-boundary": WeightedCSRGraph.from_edges(
+            [(i, i + 1) for i in range(7)], weights=[3, 3, 3, 3, 2, 2, 2]
+        ),
     }
 
 
