@@ -14,6 +14,10 @@ arrays as the frozen reference it replaces:
 3. **Direction-optimizing BFS**: Beamer-style push/pull switching beats the
    push-only expansion on an R-MAT sample (low-diameter scale-free graphs are
    exactly the regime pull mode targets).
+4. **Batched weighted rows**: :func:`repro.graph.kernels.delta_stepping_rows`
+   relaxes every source of a road-network quotient, in the quotient layer's
+   tiles, at least ``ROWS_GATE``x faster than one
+   :func:`~repro.graph.kernels.delta_stepping` call per source.
 
 Every measurement lands in ``BENCH_kernels.json`` via the shared recorder so
 the kernel-perf trajectory stays machine-readable across PRs; CI runs this
@@ -28,11 +32,16 @@ import time
 
 import numpy as np
 
+from repro.core.pipeline import DecompositionPipeline
+from repro.core.quotient import _TILE_ARCS
+from repro.generators import road_network_graph
 from repro.generators.rmat import rmat_graph
 from repro.graph import kernels
+from repro.graph.components import largest_component
 
 CLAIMS_GATE = 2.0
 MSBFS_GATE = 5.0
+ROWS_GATE = 5.0
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -40,6 +49,8 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 CLAIM_PAIRS = 1_000_000 if QUICK else 2_000_000
 #: R-MAT scale for the BFS-level gates (2^scale nodes, ~16 arcs per node).
 RMAT_SCALE = 14 if QUICK else 16
+#: Side of the road grid whose weighted quotient the rows gate relaxes.
+ROAD_SIDE = 40 if QUICK else 50
 
 
 def interleaved_best(runners, repetitions=3):
@@ -196,4 +207,55 @@ def test_direction_optimized_bfs_gate(kernel_bench_recorder):
         f"direction-optimized BFS must beat push-only on rmat{RMAT_SCALE}, "
         f"got {speedup:.2f}x (push {timings['push'] * 1000:.1f} ms, "
         f"auto {timings['auto'] * 1000:.1f} ms)"
+    )
+
+
+# ------------------------------------------------------------------ #
+# Gate 4: batched weighted rows >= 5x over one delta_stepping per source
+# ------------------------------------------------------------------ #
+def test_delta_stepping_rows_gate(kernel_bench_recorder):
+    graph, _ = largest_component(road_network_graph(ROAD_SIDE, ROAD_SIDE, seed=1))
+    pipe = DecompositionPipeline(graph, target_clusters=graph.num_nodes // 20, seed=1)
+    quotient = pipe.quotient(weighted=True)
+    indptr, indices, weights = quotient.graph.indptr, quotient.graph.indices, quotient.weights
+    k = quotient.num_nodes
+    tile = max(1, _TILE_ARCS // indices.size)
+    workload = f"road{ROAD_SIDE}-quotient/k{k}-arcs{indices.size}/tile{tile}"
+
+    def loop_run():
+        return np.stack(
+            [
+                kernels.delta_stepping(indptr, indices, weights, np.asarray([s], dtype=np.int64))[0]
+                for s in range(k)
+            ]
+        )
+
+    def rows_run():
+        return np.concatenate(
+            [
+                kernels.delta_stepping_rows(indptr, indices, weights, np.arange(lo, min(lo + tile, k)))
+                for lo in range(0, k, tile)
+            ]
+        )
+
+    timings, results = interleaved_best(
+        {"loop": loop_run, "rows": rows_run}, repetitions=2 if QUICK else 3
+    )
+    assert np.array_equal(results["loop"], results["rows"])
+
+    for mode, seconds in timings.items():
+        kernel_bench_recorder(
+            benchmark="delta_stepping_rows", workload=workload, units=k,
+            mode=mode, seconds=seconds,
+        )
+    speedup = timings["loop"] / timings["rows"]
+    kernel_bench_recorder(
+        benchmark="delta_stepping_rows", workload=workload, units=k,
+        mode="speedup", seconds=timings["rows"],
+        speedup=speedup, gate=ROWS_GATE,
+    )
+    assert speedup >= ROWS_GATE, (
+        f"delta_stepping_rows must be >= {ROWS_GATE}x over one delta_stepping "
+        f"per source on a {k}-cluster road quotient, got {speedup:.2f}x "
+        f"(loop {timings['loop'] * 1000:.0f} ms, rows {timings['rows'] * 1000:.0f} ms)"
     )

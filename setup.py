@@ -24,6 +24,6 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy>=1.22"],
     extras_require={
-        "dev": ["pytest>=7", "pytest-benchmark>=4", "ruff>=0.4"],
+        "dev": ["pytest>=7", "pytest-benchmark>=4", "ruff>=0.4", "scipy", "hypothesis"],
     },
 )

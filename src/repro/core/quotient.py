@@ -18,7 +18,7 @@ two variants:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "QuotientGraph",
     "build_quotient_graph",
     "quotient_apsp",
-    "quotient_dijkstra",
     "quotient_diameter",
 ]
 
@@ -126,141 +125,84 @@ def build_quotient_graph(
     return QuotientGraph(graph=q_graph, weights=weights)
 
 
-def quotient_apsp(quotient: QuotientGraph) -> np.ndarray:
-    """All-pairs shortest-path matrix of a (small) quotient graph.
+#: Source-by-arc budget of one weighted tile: ``delta_stepping_rows`` relaxes
+#: ``max(1, _TILE_ARCS // num_arcs)`` rows at a time.  In a sweep of 2^14 to
+#: 2^19 (EXPERIMENTS.md), 2^16 was the fastest on dense R-MAT quotients and
+#: 17% behind the best on sparse road ones.
+_TILE_ARCS = 1 << 16
 
-    Built entirely on the shared frontier kernels of
-    :mod:`repro.graph.kernels` — the bit-parallel
-    :func:`~repro.graph.kernels.msbfs_levels` sweep (64 sources per ``uint64``
-    word, chunked by :func:`~repro.graph.kernels.msbfs_batch_size`) for the
-    unweighted flavour, one exact bucketed delta-stepping relaxation per
-    cluster for the weighted one — so the distance-oracle serving plane needs
-    no external shortest-path dependency.  Entry ``(a, b)`` is ``float64``
-    (``inf`` when the clusters lie in different components), matching the
-    conventions of ``scipy.sparse.csgraph.shortest_path``, against which this
-    function is bit-compat-tested.
 
-    The quotient graph is small by construction (its size is chosen to fit
-    the local memory of a single reducer), so the full sweep costs
-    ``O(k/64 · (k + m_Q))`` OR-word work on ``k`` clusters — linear in the
-    original graph for the oracle's ``k = O(sqrt(n))`` regime.
+def _distance_tiles(quotient: QuotientGraph) -> Iterator[Tuple[int, np.ndarray]]:
+    """Row tiles ``(first_row, float64 block)`` of the quotient's APSP matrix.
+
+    Hop distances come from the bit-parallel
+    :func:`~repro.graph.kernels.msbfs_levels` sweep in tiles of
+    :func:`~repro.graph.kernels.msbfs_batch_size` sources; weighted ones from
+    :func:`~repro.graph.kernels.delta_stepping_rows` in tiles of
+    ``_TILE_ARCS // num_arcs`` sources.  Unreached entries are ``inf``.
     """
     n = quotient.num_nodes
-    if n == 0:
-        return np.zeros((0, 0))
     indptr = quotient.graph.indptr
     indices = quotient.graph.indices
     weights = quotient.weights
-    matrix = np.empty((n, n), dtype=np.float64)
     if weights is None:
         degrees = quotient.graph.degrees
-        batch = kernels.msbfs_batch_size()
-        for lo in range(0, n, batch):
-            chunk = np.arange(lo, min(lo + batch, n), dtype=np.int64)
-            hops = kernels.msbfs_levels(indptr, indices, chunk, degrees=degrees)
+        rows = kernels.msbfs_batch_size()
+    else:
+        rows = max(1, _TILE_ARCS // max(1, indices.size))
+    for lo in range(0, n, rows):
+        sources = np.arange(lo, min(lo + rows, n), dtype=np.int64)
+        if weights is None:
+            hops = kernels.msbfs_levels(indptr, indices, sources, degrees=degrees)
             block = hops.astype(np.float64)
             block[hops < 0] = np.inf
-            matrix[lo : lo + chunk.size] = block
-    else:
-        for source in range(n):
-            source_array = np.asarray([source], dtype=np.int64)
-            row, _ = kernels.delta_stepping(indptr, indices, weights, source_array)
-            matrix[source] = row
+        else:
+            block = kernels.delta_stepping_rows(indptr, indices, weights, sources)
+        yield lo, block
+
+
+def quotient_apsp(quotient: QuotientGraph) -> np.ndarray:
+    """All-pairs shortest-path matrix of a (small) quotient graph.
+
+    The distance oracle's data structure.  Rows are filled tile by tile from
+    the shared kernels of :mod:`repro.graph.kernels`: the bit-parallel
+    :func:`~repro.graph.kernels.msbfs_levels` sweep (64 sources per
+    ``uint64`` word) for the unweighted flavour, and the batched Δ-stepping
+    :func:`~repro.graph.kernels.delta_stepping_rows` (a tile of sources per
+    bucket loop) for the weighted one — so the serving plane needs no external
+    shortest-path dependency.  Entry ``(a, b)`` is ``float64`` (``inf`` when
+    the clusters lie in different components), following the conventions of
+    ``scipy.sparse.csgraph.shortest_path``; row ``a`` is bit-identical to a
+    single-source :func:`~repro.graph.kernels.delta_stepping` from ``a``.
+    With non-integer weights the matrix need not be bitwise symmetric:
+    ``(a, b)`` and ``(b, a)`` round the same path's sum in opposite orders.
+    """
+    n = quotient.num_nodes
+    matrix = np.empty((n, n), dtype=np.float64)
+    for lo, block in _distance_tiles(quotient):
+        matrix[lo : lo + block.shape[0]] = block
     return matrix
 
 
-def quotient_dijkstra(quotient: QuotientGraph, source: int) -> np.ndarray:
-    """Single-source shortest paths on a quotient graph (weighted or not).
-
-    Runs the shared :func:`repro.graph.kernels.delta_stepping` relaxation on
-    the quotient's CSR arrays (unit weights for the unweighted flavour): the
-    quotient graph is small by construction (its size is chosen to fit the
-    local memory of a single reducer), so this is exactly the "one round,
-    single reducer" computation of Theorem 4.
-    """
-    n = quotient.num_nodes
-    if not (0 <= source < n):
-        raise IndexError("source out of range")
-    weights = quotient.weights
-    if weights is None:
-        weights = np.ones(quotient.graph.indices.size, dtype=np.float64)
-    dist, _ = kernels.delta_stepping(
-        quotient.graph.indptr,
-        quotient.graph.indices,
-        weights,
-        np.asarray([source], dtype=np.int64),
-    )
-    return dist
-
-
-def quotient_diameter(quotient: QuotientGraph, *, method: str = "auto") -> float:
+def quotient_diameter(quotient: QuotientGraph) -> float:
     """Exact diameter of a (connected) quotient graph.
 
-    Parameters
-    ----------
-    method:
-        ``"auto"`` runs the kernel-based :func:`quotient_apsp` matrix sweep
-        when the graph has more than 256 nodes and the per-source loop below
-        otherwise; ``"scipy"`` uses ``scipy.sparse.csgraph`` (kept as an
-        optional external cross-check — scipy is not a dependency of any
-        default path); ``"dijkstra"`` uses the pure-Python all-pairs Dijkstra
-        above (the second cross-check used in the tests).
+    A running max over the row tiles that :func:`quotient_apsp` would stack,
+    so no ``k × k`` matrix is allocated: the "one round, single reducer"
+    computation of Theorem 4 in ``O(tile)`` memory.  Hop distances for the
+    unweighted flavour, weighted distances for the weighted one.
 
     Raises
     ------
     ValueError
-        If the quotient graph is disconnected (the underlying graph was
-        disconnected), since the diameter is infinite.
+        If the quotient graph is empty, or disconnected (the underlying graph
+        was disconnected), since the diameter is then infinite.
     """
-    n = quotient.num_nodes
-    if n == 0:
+    if quotient.num_nodes == 0:
         raise ValueError("quotient graph is empty")
-    if n == 1:
-        return 0.0
-    if method not in ("auto", "scipy", "dijkstra"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "scipy":
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import shortest_path
-
-        data = (
-            quotient.weights
-            if quotient.weights is not None
-            else np.ones(quotient.graph.indices.size, dtype=np.float64)
-        )
-        matrix = csr_matrix(
-            (data, quotient.graph.indices, quotient.graph.indptr), shape=(n, n)
-        )
-        if quotient.is_weighted:
-            dist = shortest_path(matrix, method="D", directed=False)
-        else:
-            dist = shortest_path(matrix, method="D", directed=False, unweighted=True)
-        finite = dist[np.isfinite(dist)]
-        if finite.size != dist.size:
-            raise ValueError("quotient graph is disconnected; diameter is infinite")
-        return float(finite.max())
-    if method == "auto" and n > 256:
-        dist = quotient_apsp(quotient)
-        if not np.all(np.isfinite(dist)):
-            raise ValueError("quotient graph is disconnected; diameter is infinite")
-        return float(dist.max())
-
     best = 0.0
-    if quotient.is_weighted:
-        for source in range(n):
-            dist = quotient_dijkstra(quotient, source)
-            if not np.all(np.isfinite(dist)):
-                raise ValueError("quotient graph is disconnected; diameter is infinite")
-            best = max(best, float(dist.max()))
-    else:
-        degrees = quotient.graph.degrees
-        batch = kernels.msbfs_batch_size()
-        for lo in range(0, n, batch):
-            chunk = np.arange(lo, min(lo + batch, n), dtype=np.int64)
-            hops = kernels.msbfs_levels(
-                quotient.graph.indptr, quotient.graph.indices, chunk, degrees=degrees
-            )
-            if np.any(hops < 0):
-                raise ValueError("quotient graph is disconnected; diameter is infinite")
-            best = max(best, float(hops.max()))
+    for _, block in _distance_tiles(quotient):
+        if not np.isfinite(block).all():
+            raise ValueError("quotient graph is disconnected; diameter is infinite")
+        best = max(best, float(block.max()))
     return best

@@ -129,8 +129,8 @@ class CSRGraph:
             weights = np.ascontiguousarray(np.asarray(weights, dtype=np.float64))
             if weights.shape != indices.shape:
                 raise ValueError("weights must be aligned with indices")
-            if weights.size and weights.min() <= 0:
-                raise ValueError("edge weights must be strictly positive")
+            if weights.size and not (weights.min() > 0 and weights.max() < np.inf):
+                raise ValueError("edge weights must be finite and strictly positive")
         # Enforce the documented invariant that every node's neighbour slice is
         # sorted (``has_edge`` / ``edge_weight`` binary-search it): inputs built
         # via the raw constructor with unsorted rows are sorted here, once,
@@ -186,8 +186,8 @@ class CSRGraph:
             ).reshape(-1)
             if edge_array.shape[0] != weight_array.shape[0]:
                 raise ValueError("edges and weights must have the same length")
-            if weight_array.size and weight_array.min() <= 0:
-                raise ValueError("edge weights must be strictly positive")
+            if weight_array.size and not (weight_array.min() > 0 and weight_array.max() < np.inf):
+                raise ValueError("edge weights must be finite and strictly positive")
         if edge_array.size and edge_array.min() < 0:
             raise ValueError("edge endpoints must be non-negative")
         inferred = int(edge_array.max()) + 1 if edge_array.size else 0

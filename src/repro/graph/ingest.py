@@ -111,8 +111,8 @@ def _canonical_chunk(
         weights = np.asarray(weights, dtype=np.float64).reshape(-1)
         if weights.shape[0] != edges.shape[0]:
             raise ValueError("edge chunk and weight chunk must have the same length")
-        if weights.size and weights.min() <= 0:
-            raise ValueError("edge weights must be strictly positive")
+        if weights.size and not (weights.min() > 0 and weights.max() < np.inf):
+            raise ValueError("edge weights must be finite and strictly positive")
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
     if lo.size and lo.min() < 0:

@@ -35,7 +35,9 @@ Kernel families
 * :func:`component_labels` / :func:`eccentricities` — BFS-derived utilities.
 * :func:`delta_stepping` — bucketed relaxation computing *exact* weighted
   shortest paths (the vectorized replacement for per-node binary-heap
-  Dijkstra loops).
+  Dijkstra loops); :func:`delta_stepping_rows` runs the same bucket loop for
+  a tile of sources at once (one distance row each), the weighted analogue
+  of :func:`msbfs_levels` behind the quotient APSP and diameter.
 * :func:`hop_bounded_relaxation` — level-synchronous Bellman–Ford rounds
   bounding the number of hops (the relaxation pattern of the weighted
   decomposition, exposed as a standalone kernel).
@@ -76,6 +78,7 @@ __all__ = [
     "msbfs_levels",
     "msbfs_batch_size",
     "delta_stepping",
+    "delta_stepping_rows",
     "hop_bounded_relaxation",
     "neighbor_reduce",
     "reduce_segments",
@@ -800,16 +803,70 @@ def delta_stepping(
         return dist, owner
     dist[sources] = 0.0
     owner[sources] = sources
+    _relax_buckets(indptr, indices, weights, dist, owner=owner, delta=delta)
+    return dist, owner
+
+
+def delta_stepping_rows(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    sources: np.ndarray,
+) -> np.ndarray:
+    """Single-source weighted distances from each of ``sources``, one row each.
+
+    Returns an ``(len(sources), n)`` ``float64`` matrix whose row ``j`` is
+    bit-identical to ``delta_stepping(indptr, indices, weights,
+    [sources[j]])[0]`` (``inf`` when unreached; duplicates give equal rows).
+    The rows are relaxed together by one run of the :func:`delta_stepping`
+    bucket loop over flat pair ids ``j·n + v`` — a virtual disjoint union of
+    ``len(sources)`` copies of the graph, with no union CSR built — so the
+    per-round array work covers a whole tile of sources instead of one.
+
+    Any schedule gives the same rows: each is the unique least fixpoint of
+    ``d[v] = min_u fl(d[u] + w_uv)``, because ``fl(x + w)`` is monotone in
+    ``x`` and every weight is positive.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    n = indptr.size - 1
+    dist = np.full((sources.size, n), np.inf)
+    if sources.size == 0 or n == 0:
+        return dist
+    dist[np.arange(sources.size), sources] = 0.0
+    _relax_buckets(indptr, indices, weights, dist.reshape(-1))
+    return dist
+
+
+def _relax_buckets(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    dist: np.ndarray,
+    *,
+    owner: Optional[np.ndarray] = None,
+    delta: Optional[float] = None,
+) -> None:
+    """The Δ-stepping bucket loop behind both weighted shortest-path kernels.
+
+    ``dist`` is a flat view over pair ids ``j·n + v`` (row ``j``, node ``v``)
+    holding ``0.0`` at the seeds and ``inf`` elsewhere; it is relaxed in
+    place.  Arcs never cross rows, so one row is a single-graph run.
+    ``owner`` (one row only) is updated to the source of each node's
+    shortest-path tree, with the :func:`claim_min` tie-break.
+    """
+    n = indptr.size - 1
     if indices.size == 0:
-        return dist, owner
+        return
     if delta is None:
         # Bucket width of the order of the mean edge weight keeps the number
         # of buckets near (weighted diameter / mean weight) while bounding
         # the re-relaxation work inside each bucket.
         delta = float(weights.mean()) or 1.0
     delta = max(float(delta), np.finfo(np.float64).tiny)
-    workspace = ClaimWorkspace(n)
-    settled = np.zeros(n, dtype=bool)
+    size = dist.size
+    degrees = np.diff(indptr)
+    workspace = ClaimWorkspace(size)
+    settled = np.zeros(size, dtype=bool)
     while True:
         open_mask = np.isfinite(dist) & ~settled
         if not np.any(open_mask):
@@ -823,25 +880,40 @@ def delta_stepping(
         frontier = np.flatnonzero(open_mask & (dist < boundary))
         while frontier.size:
             settled[frontier] = True
-            src, dst, pos = gather_neighbors(indptr, indices, frontier)
-            if dst.size == 0:
+            nodes = frontier % n if size > n else frontier
+            deg = degrees[nodes]
+            ends = np.cumsum(deg)
+            total = int(ends[-1])
+            if total == 0:
                 break
-            candidate = dist[src] + weights[pos]
+            # The frontier's adjacency slices in scan order (gather_neighbors),
+            # shifted into each pair's row.
+            pos = np.repeat(indptr[nodes] - (ends - deg), deg) + np.arange(total)
+            dst = indices[pos]
+            if size > n:
+                dst = dst + np.repeat(frontier - nodes, deg)
+            candidate = np.repeat(dist[frontier], deg) + weights[pos]
             improving = candidate < dist[dst]
             if not np.any(improving):
                 break
-            # claim_min's keys are minima of already-improving candidates and
-            # dist is untouched in between, so every claim wins: apply directly.
-            targets, parents, keys = claim_min(
-                dst[improving], src[improving], candidate[improving], workspace=workspace
-            )
-            dist[targets] = keys
-            owner[targets] = owner[parents]
+            dst = dst[improving]
+            if owner is None:
+                np.minimum.at(dist, dst, candidate[improving])
+                # Distinct improved pairs: the last scatter of each id survives.
+                rank = np.arange(dst.size)
+                workspace.rank_scratch[dst] = rank
+                targets = dst[workspace.rank_scratch[dst] == rank]
+            else:
+                # claim_min's keys are minima of already-improving candidates
+                # and dist is untouched in between, so every claim wins.
+                parents = np.repeat(frontier, deg)[improving]
+                targets, parents, keys = claim_min(dst, parents, candidate[improving], workspace=workspace)
+                dist[targets] = keys
+                owner[targets] = owner[parents]
             # Re-open improved nodes; those still inside the current bucket
             # are relaxed again this phase, the rest wait for their bucket.
             settled[targets] = False
             frontier = targets[dist[targets] < boundary]
-    return dist, owner
 
 
 def hop_bounded_relaxation(

@@ -6,21 +6,22 @@ import numpy as np
 import pytest
 
 from repro.core.cluster import cluster
+from repro.core.pipeline import DecompositionPipeline
 from repro.core.quotient import (
     QuotientGraph,
     build_quotient_graph,
     quotient_apsp,
     quotient_diameter,
-    quotient_dijkstra,
 )
 from repro.core.clustering import Clustering
-from repro.generators import barabasi_albert_graph, mesh_graph, path_graph
+from repro.generators import barabasi_albert_graph, path_graph, road_network_graph
+from repro.graph import kernels
 from repro.graph.components import is_connected
 from repro.graph.csr import CSRGraph
 
 
 def scipy_apsp(quotient: QuotientGraph) -> np.ndarray:
-    """Reference APSP through scipy.sparse.csgraph (the dropped dependency)."""
+    """Reference APSP through scipy.sparse.csgraph (not a dependency of src/)."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
@@ -34,6 +35,37 @@ def scipy_apsp(quotient: QuotientGraph) -> np.ndarray:
     return shortest_path(
         matrix, method="D", directed=False, unweighted=not quotient.is_weighted
     )
+
+
+def per_source_apsp(quotient: QuotientGraph) -> np.ndarray:
+    """Reference APSP: one single-source delta_stepping per cluster.
+
+    The unweighted flavour runs on unit weights, whose distances are hops.
+    """
+    n = quotient.num_nodes
+    indptr, indices = quotient.graph.indptr, quotient.graph.indices
+    weights = quotient.weights if quotient.is_weighted else np.ones(indices.size)
+    matrix = np.empty((n, n))
+    for source in range(n):
+        matrix[source], _ = kernels.delta_stepping(
+            indptr, indices, weights, np.asarray([source], dtype=np.int64)
+        )
+    return matrix
+
+
+def reference_diameter(matrix: np.ndarray) -> float:
+    if not np.isfinite(matrix).all():
+        raise ValueError("quotient graph is disconnected; diameter is infinite")
+    return float(matrix.max())
+
+
+def float_weighted_quotient() -> QuotientGraph:
+    """A quotient of the weighted decomposition: non-integer arc weights."""
+    graph = road_network_graph(30, 30, seed=3, weights="uniform")
+    pipe = DecompositionPipeline(graph, method="weighted", target_clusters=100, seed=0)
+    quotient = pipe.quotient(weighted=True)
+    assert np.any(quotient.weights != np.round(quotient.weights))
+    return quotient
 
 
 @pytest.fixture
@@ -117,15 +149,21 @@ class TestBuildQuotient:
 
 
 class TestQuotientDiameter:
+    """The running max over tiles equals the max of both reference matrices."""
+
+    def assert_exact(self, q):
+        expected = reference_diameter(per_source_apsp(q))
+        assert quotient_diameter(q) == expected
+        assert reference_diameter(scipy_apsp(q)) == expected
+
     def test_unweighted_methods_agree(self, mesh20, mesh_clustering):
-        q = build_quotient_graph(mesh20, mesh_clustering)
-        assert quotient_diameter(q, method="dijkstra") == quotient_diameter(q, method="scipy")
+        self.assert_exact(build_quotient_graph(mesh20, mesh_clustering))
 
     def test_weighted_methods_agree(self, mesh20, mesh_clustering):
-        q = build_quotient_graph(mesh20, mesh_clustering, weighted=True)
-        assert quotient_diameter(q, method="dijkstra") == pytest.approx(
-            quotient_diameter(q, method="scipy")
-        )
+        self.assert_exact(build_quotient_graph(mesh20, mesh_clustering, weighted=True))
+
+    def test_float_weighted_quotient_exact(self):
+        self.assert_exact(float_weighted_quotient())
 
     def test_singleton_clusters_recover_graph_diameter(self, path10):
         singles = Clustering.singleton_clustering(path10.num_nodes)
@@ -133,45 +171,32 @@ class TestQuotientDiameter:
         assert quotient_diameter(q) == 9
 
     def test_single_node_quotient(self):
-        q = QuotientGraph(graph=CSRGraph.empty(1))
-        assert quotient_diameter(q) == 0.0
+        assert quotient_diameter(QuotientGraph(graph=CSRGraph.empty(1))) == 0.0
+        weighted = QuotientGraph(graph=CSRGraph.empty(1), weights=np.zeros(0))
+        assert quotient_diameter(weighted) == 0.0
 
     def test_empty_quotient_rejected(self):
         with pytest.raises(ValueError):
             quotient_diameter(QuotientGraph(graph=CSRGraph.empty(0)))
 
     def test_disconnected_quotient_rejected(self):
-        q = QuotientGraph(graph=CSRGraph.from_edges([(0, 1)], num_nodes=3))
-        with pytest.raises(ValueError):
-            quotient_diameter(q, method="dijkstra")
-        with pytest.raises(ValueError):
-            quotient_diameter(q, method="scipy")
+        graph = CSRGraph.from_edges([(0, 1)], num_nodes=3)
+        for q in (QuotientGraph(graph=graph), QuotientGraph(graph=graph, weights=np.ones(2))):
+            with pytest.raises(ValueError, match="disconnected"):
+                quotient_diameter(q)
 
-    def test_unknown_method_rejected(self, path10):
-        singles = Clustering.singleton_clustering(path10.num_nodes)
-        q = build_quotient_graph(path10, singles)
-        with pytest.raises(ValueError):
-            quotient_diameter(q, method="bogus")
-
-    def test_auto_large_quotient_uses_apsp_sweep(self, path10):
-        """n > 256 routes through quotient_apsp; same answer as the loop."""
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_large_quotient_spans_several_tiles(self, weighted):
+        """300 clusters: more rows than one msbfs batch or weighted tile."""
         big = path_graph(300)
-        singles = Clustering.singleton_clustering(big.num_nodes)
-        q = build_quotient_graph(big, singles)
-        assert quotient_diameter(q, method="auto") == 299.0
+        q = build_quotient_graph(big, Clustering.singleton_clustering(300), weighted=weighted)
+        assert quotient_diameter(q) == 299.0
         disconnected = QuotientGraph(
-            graph=CSRGraph.from_edges([(0, 1)], num_nodes=300)
+            graph=CSRGraph.from_edges([(0, 1)], num_nodes=300),
+            weights=np.ones(2) if weighted else None,
         )
         with pytest.raises(ValueError, match="disconnected"):
-            quotient_diameter(disconnected, method="auto")
-
-    def test_dijkstra_single_source(self, mesh20, mesh_clustering):
-        q = build_quotient_graph(mesh20, mesh_clustering, weighted=True)
-        dist = quotient_dijkstra(q, 0)
-        assert dist[0] == 0.0
-        assert np.all(np.isfinite(dist))
-        with pytest.raises(IndexError):
-            quotient_dijkstra(q, q.num_nodes)
+            quotient_diameter(disconnected)
 
 
 class TestQuotientApsp:
@@ -190,9 +215,17 @@ class TestQuotientApsp:
         graph = barabasi_albert_graph(250, 3, seed=seed)
         clustering = cluster(graph, 4, seed=seed)
         q = build_quotient_graph(graph, clustering, weighted=weighted)
-        # Quotient weights are integer-valued floats (growth distances + 1),
-        # so delta-stepping and scipy's Dijkstra agree bit-for-bit.
         assert np.array_equal(quotient_apsp(q), scipy_apsp(q))
+        assert np.array_equal(quotient_apsp(q), per_source_apsp(q))
+
+    def test_float_weights_match_both_references(self):
+        q = float_weighted_quotient()
+        matrix = quotient_apsp(q)
+        assert np.array_equal(matrix, per_source_apsp(q))
+        assert np.array_equal(matrix, scipy_apsp(q))
+        # Row a sums a path from a, row b the same path from b: rows cannot
+        # be mirrored from columns.
+        assert not np.array_equal(matrix, matrix.T)
 
     def test_symmetric_zero_diagonal(self, mesh20, mesh_clustering):
         q = build_quotient_graph(mesh20, mesh_clustering, weighted=True)

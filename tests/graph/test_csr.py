@@ -74,6 +74,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CSRGraph(indptr=np.asarray([0, 2, 1, 3]), indices=np.asarray([1, 2, 0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_from_edges_rejects_bad_weights(self, bad):
+        # A NaN minimum passes ``min() <= 0``; it used to hang delta_stepping.
+        # The bad weight duplicates a good edge, so folding would hide an inf.
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            CSRGraph.from_edges([(0, 1), (1, 2), (1, 0)], num_nodes=3, weights=[1.0, 1.0, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_raw_constructor_rejects_bad_weights(self, bad):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            CSRGraph(
+                indptr=np.asarray([0, 1, 2]),
+                indices=np.asarray([1, 0]),
+                weights=np.asarray([bad, bad]),
+            )
+
     def test_raw_constructor_sorts_neighbor_slices(self):
         # Triangle 0-1-2 with every adjacency row deliberately unsorted; the
         # constructor must restore the documented per-row sort invariant so

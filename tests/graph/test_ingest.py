@@ -99,6 +99,14 @@ class TestFromEdgeChunks:
         with pytest.raises(ValueError, match="2\\^31"):
             from_edge_chunks(_chunked(edges, 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_bad_weights_rejected(self, bad):
+        # The bad weight duplicates a good edge, so folding would hide an inf.
+        edges = np.array([[0, 1], [1, 2], [1, 0]])
+        weights = np.array([1.0, 1.0, bad])
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            from_edge_chunks(_chunked(edges, 1, weights))
+
 
 class TestIngestEdgeList:
     def test_matches_in_memory_load(self, tmp_path):

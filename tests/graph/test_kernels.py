@@ -5,13 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.generators import mesh_graph, path_graph
+from repro.core.pipeline import DecompositionPipeline
+from repro.generators import (
+    attach_weights,
+    barabasi_albert_graph,
+    mesh_graph,
+    path_graph,
+    road_network_graph,
+)
 from repro.graph import kernels
 from repro.graph.builders import disjoint_union
 from repro.graph.components import connected_components
 from repro.graph.csr import CSRGraph
 from repro.graph.diameter_exact import diameter_all_pairs
+from repro.graph.snapshot import load_snapshot, save_snapshot
 from repro.graph.traversal import bfs_distances, multi_source_bfs
+from repro.weighted.wgraph import WeightedCSRGraph
 
 
 @pytest.fixture
@@ -130,8 +139,6 @@ class TestDeltaStepping:
         assert np.all(owner == 0)
 
     def test_delta_parameter_does_not_change_result(self, mesh):
-        from repro.generators import attach_weights
-
         wg = attach_weights(mesh, "uniform", seed=3)
         sources = np.asarray([0, 33], dtype=np.int64)
         base, _ = kernels.delta_stepping(wg.indptr, wg.indices, wg.weights, sources)
@@ -140,6 +147,105 @@ class TestDeltaStepping:
                 wg.indptr, wg.indices, wg.weights, sources, delta=delta
             )
             assert np.array_equal(base, dist)
+
+
+def _per_source_rows(indptr, indices, weights, sources):
+    """Reference: one single-source delta_stepping per source."""
+    n = indptr.size - 1
+    out = np.empty((len(sources), n))
+    for j, source in enumerate(sources):
+        out[j], _ = kernels.delta_stepping(
+            indptr, indices, weights, np.asarray([source], dtype=np.int64)
+        )
+    return out
+
+
+def _quotient(graph, *, method="cluster", target=40, seed=0):
+    pipe = DecompositionPipeline(graph, method=method, target_clusters=target, seed=seed)
+    return pipe.quotient(weighted=True)
+
+
+class TestDeltaSteppingRows:
+    """Every row equals the single-source delta_stepping from its source."""
+
+    @pytest.fixture(scope="class")
+    def quotients(self):
+        return {
+            "road": _quotient(road_network_graph(25, 25, seed=4)),
+            "ba": _quotient(barabasi_albert_graph(400, 3, seed=5)),
+            "road-float": _quotient(
+                road_network_graph(30, 30, seed=3, weights="uniform"), method="weighted"
+            ),
+            "ba-float": _quotient(
+                barabasi_albert_graph(300, 3, seed=2, weights="uniform"), method="weighted"
+            ),
+        }
+
+    def assert_rows_match(self, indptr, indices, weights, sources):
+        got = kernels.delta_stepping_rows(indptr, indices, weights, sources)
+        assert got.dtype == np.float64
+        assert got.shape == (len(sources), indptr.size - 1)
+        assert np.array_equal(got, _per_source_rows(indptr, indices, weights, sources))
+
+    @pytest.mark.parametrize("name", ["road", "ba", "road-float", "ba-float"])
+    @pytest.mark.parametrize("tile", [1, 7, None])
+    def test_quotient_tiles_match_per_source(self, quotients, name, tile):
+        q = quotients[name]
+        k = q.num_nodes
+        assert k > 7
+        if name.endswith("-float"):
+            assert np.any(q.weights != np.round(q.weights))
+        tile = k if tile is None else tile
+        for lo in range(0, k, tile):
+            sources = np.arange(lo, min(lo + tile, k), dtype=np.int64)
+            self.assert_rows_match(q.graph.indptr, q.graph.indices, q.weights, sources)
+
+    def test_duplicate_and_unordered_sources(self, quotients):
+        q = quotients["road-float"]
+        sources = np.asarray([5, 0, 5, 3, 0], dtype=np.int64)
+        got = kernels.delta_stepping_rows(q.graph.indptr, q.graph.indices, q.weights, sources)
+        assert np.array_equal(got[0], got[2]) and np.array_equal(got[1], got[4])
+        self.assert_rows_match(q.graph.indptr, q.graph.indices, q.weights, sources)
+
+    def test_disconnected_and_isolated_nodes(self):
+        g = attach_weights(
+            disjoint_union([mesh_graph(5, 5), path_graph(4), path_graph(1)]),
+            "uniform",
+            seed=13,
+        )
+        sources = np.arange(g.num_nodes, dtype=np.int64)
+        self.assert_rows_match(g.indptr, g.indices, g.weights, sources)
+        got = kernels.delta_stepping_rows(g.indptr, g.indices, g.weights, sources)
+        assert np.isinf(got[0, 25:]).all() and np.isinf(got[-1, :-1]).all()
+        assert got[-1, -1] == 0.0
+
+    def test_bucket_boundary_weights(self):
+        # Mean weight 18/7: a bucket boundary rounds onto its own minimum 18.
+        g = WeightedCSRGraph.from_edges(
+            [(i, i + 1) for i in range(7)], weights=[3, 3, 3, 3, 2, 2, 2]
+        )
+        self.assert_rows_match(g.indptr, g.indices, g.weights, np.arange(8))
+
+    def test_mmap_loaded_csr(self, quotients, tmp_path):
+        q = quotients["ba-float"]
+        graph = WeightedCSRGraph(
+            indptr=q.graph.indptr, indices=q.graph.indices, weights=q.weights
+        )
+        mapped = load_snapshot(save_snapshot(graph, tmp_path / "q.snap"), mmap=True)
+        assert mapped.mode == "mmap"
+        sources = np.arange(q.num_nodes, dtype=np.int64)
+        got = kernels.delta_stepping_rows(mapped.indptr, mapped.indices, mapped.weights, sources)
+        assert np.array_equal(
+            got, _per_source_rows(q.graph.indptr, q.graph.indices, q.weights, sources)
+        )
+
+    def test_empty_inputs(self):
+        g = CSRGraph.from_edges([], num_nodes=3)
+        no_arcs = kernels.delta_stepping_rows(g.indptr, g.indices, np.zeros(0), np.arange(3))
+        assert np.array_equal(no_arcs, np.where(np.eye(3) > 0, 0.0, np.inf))
+        assert kernels.delta_stepping_rows(
+            g.indptr, g.indices, np.zeros(0), np.zeros(0, dtype=np.int64)
+        ).shape == (0, 3)
 
 
 class TestNeighborReduce:
