@@ -92,6 +92,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -133,14 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="serve unchanged cells from the artifact store "
                              "(requires --out); only new/changed cells — including "
                              "previously quarantined failures — recompute")
-    parser.add_argument("--cell-timeout", type=float, default=None, metavar="SECONDS",
+    parser.add_argument("--cell-timeout", type=_positive_float, default=None, metavar="SECONDS",
                         help="wall-clock budget per cell attempt; a cell that "
                              "exceeds it counts as one failed attempt "
-                             "(default: no timeout, or REPRO_SUITE_CELL_TIMEOUT)")
-    parser.add_argument("--cell-retries", type=int, default=None, metavar="N",
-                        help="re-run a failing cell up to N times before "
-                             "quarantining it into the manifest "
-                             "(default: 1, or REPRO_SUITE_CELL_RETRIES)")
+                             "(default: no timeout)")
+    parser.add_argument("--cell-retries", type=_non_negative_int, default=1, metavar="N",
+                        help="re-run a failing cell up to N times (and resubmit "
+                             "one whose pool worker died up to N+1 times) before "
+                             "quarantining it into the manifest (default: 1)")
     parser.add_argument("--csv", action="store_true", help="emit CSV instead of a text table")
     parser.add_argument("--verbose", action="store_true", help="enable progress logging")
     serve = parser.add_argument_group("serve", "options for the 'serve' subcommand")

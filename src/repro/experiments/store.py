@@ -167,9 +167,8 @@ class DatasetCache:
     A bounded in-memory LRU (``memory_items`` graphs — repeated loads of a
     resident graph return the *same object*, which several callers rely on)
     sits in front of an optional disk layer: graphs in the raw snapshot
-    format of :mod:`repro.graph.snapshot` (``*.snap``; legacy ``.npz``
-    entries are still read and migrated forward) and reference diameters as
-    one ``*.diameter.json`` file per key.  With ``mmap=True`` (the default)
+    format of :mod:`repro.graph.snapshot` (``*.snap``) and reference
+    diameters as one ``*.diameter.json`` file per key.  With ``mmap=True`` (the default)
     disk hits open the snapshot as read-only ``np.memmap`` views, so every
     process mapping the same cache file shares one physical copy through the
     OS page cache — this is how ``SuiteRunner --jobs`` workers share
@@ -213,10 +212,6 @@ class DatasetCache:
         assert self._directory is not None
         return self._directory / f"{name}@{scale}.snap"
 
-    def _legacy_graph_path(self, name: str, scale: str) -> Path:
-        assert self._directory is not None
-        return self._directory / f"{name}@{scale}.npz"
-
     def _diameter_path(self, key: str) -> Path:
         assert self._directory is not None
         return self._directory / f"{key}.diameter.json"
@@ -225,8 +220,7 @@ class DatasetCache:
         """The cached graph for ``(name, scale)``, building via ``build()`` on miss.
 
         Disk hits come back as read-only mmap views when the cache was
-        constructed with ``mmap=True``; a legacy ``.npz`` entry is read once
-        and migrated forward to the snapshot format.  Disk entries are loaded
+        constructed with ``mmap=True``.  Disk entries are loaded
         with ``verify="auto"`` so a version-2 snapshot whose checksum trailer
         disagrees with its payload is treated as corrupt: the cache logs a
         warning and rebuilds over it instead of serving damaged arrays.
@@ -249,18 +243,6 @@ class DatasetCache:
                     # that overwrites it.
                     _LOG.warning("dataset cache entry %s is corrupt (%s); rebuilding", path, exc)
                     graph = None
-            if graph is None:
-                legacy = self._legacy_graph_path(name, scale)
-                if legacy.exists():
-                    from repro.graph.io import load_npz
-
-                    try:
-                        migrated = load_npz(legacy)
-                    except (OSError, ValueError, KeyError):
-                        migrated = None
-                    if migrated is not None:
-                        save_snapshot(migrated, path)  # atomic; races benignly
-                        graph = self._reload_saved(path, migrated)
         if graph is None:
             graph = build()
             if self._directory is not None:
@@ -309,7 +291,7 @@ class DatasetCache:
         The suite runner's workers call this with a zero-copy reconstruction
         over shared-memory views published by the parent: the parent performed
         the one disk load (or build), so the worker must neither re-read the
-        ``.npz`` nor rebuild.  An already-resident graph wins (same-object
+        snapshot nor rebuild.  An already-resident graph wins (same-object
         semantics preserved); the disk layer is never touched.
         """
         key = (name, scale)
@@ -351,6 +333,6 @@ class DatasetCache:
         self._graphs.clear()
         self._diameters.clear()
         if disk and self._directory is not None and self._directory.is_dir():
-            for pattern in ("*.snap", "*.npz", "*.diameter.json"):
+            for pattern in ("*.snap", "*.diameter.json"):
                 for path in self._directory.glob(pattern):
                     path.unlink(missing_ok=True)

@@ -12,13 +12,13 @@ params)* measurements.  This module makes that grid explicit:
   request) and a cell *runner* (module-level and picklable, so cells can be
   shipped to worker processes).
 * :class:`SuiteRunner` — executes any selection of cells either serially (the
-  bit-compatibility reference) or in parallel over a persistent forked
-  process pool (the pool-lifecycle pattern of
-  :class:`~repro.mapreduce.backends.ProcessBackend`: forked lazily on first
-  use, reused across runs, released by ``close()`` / the context manager).
-  Cells derive every random stream from their own spec
+  bit-compatibility reference) or in parallel on a
+  :class:`~repro.mapreduce.pool.SupervisedPool` (forked lazily on first use,
+  reused across runs, released by ``close()`` / the context manager).  Both
+  modes run the same cell task, retry loop included.  Cells derive every
+  random stream from their own spec
   (:func:`~repro.experiments.config.dataset_rng`), so parallel execution is
-  bit-identical to serial — ``pool.map`` order equals submission order and no
+  bit-identical to serial — the pool returns results in task order and no
   state is shared between cells.
 
 With an :class:`~repro.experiments.store.ArtifactStore` attached, every
@@ -34,8 +34,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
-import os
 import signal
 import threading
 import time
@@ -58,8 +56,9 @@ from repro.experiments import (
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.experiments.datasets import DATASETS, dataset_cache, dataset_names, load_dataset
 from repro.experiments.store import ArtifactStore, to_jsonable
-from repro.mapreduce.backends import _pool_pids, fork_available, shutdown_pool
 from repro.mapreduce import shm
+from repro.mapreduce.backends import fork_available
+from repro.mapreduce.pool import SupervisedPool, WorkerLostError
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("experiments.suite")
@@ -429,26 +428,6 @@ def _seed_shared_datasets(shared) -> None:
         cache.seed(name, scale, build)
 
 
-def _execute_cell_task(task) -> Tuple[List[Dict], float]:
-    """Pool task: run one cell, returning ``(rows, elapsed_seconds)``.
-
-    ``task`` is ``(cell, scale, config)`` or — when the parent published the
-    run's datasets into shared memory — ``(cell, scale, config, shared)``
-    with ``shared`` the descriptor map consumed by
-    :func:`_seed_shared_datasets`.  Only descriptors cross the pool boundary,
-    never arrays.
-    """
-    if len(task) == 4:
-        cell, scale, config, shared = task
-        _seed_shared_datasets(shared)
-    else:
-        cell, scale, config = task
-    faults.inject(f"suite.cell:{cell.cell_id}")
-    start = time.perf_counter()
-    rows = run_cell(cell, scale, config)
-    return rows, time.perf_counter() - start
-
-
 class CellTimeoutError(Exception):
     """A cell ran past the suite's per-cell wall-clock budget."""
 
@@ -484,23 +463,33 @@ def _cell_alarm(timeout: Optional[float]):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _execute_cell_task_safe(task) -> Tuple[str, object, float]:
-    """Quarantining wrapper around :func:`_execute_cell_task`.
+def _execute_cell_task(task) -> Tuple[str, object, float, int]:
+    """Run one cell within its retry budget: the serial loop body and the pool task.
 
-    ``task`` is ``(inner_task, timeout)``.  Returns ``("ok", rows, elapsed)``
-    or ``("failed", traceback_text, elapsed)`` — a failing or timed-out cell
-    becomes data instead of an exception, so one bad cell can never abort
-    the surrounding suite run (and, as a pool task, never poisons
-    ``pool.map``-style batching for its neighbours).
+    ``task`` is ``(cell, scale, config, shared, timeout, retries)``.
+    ``shared`` is ``None`` for a serial run, or the descriptor map of a
+    parallel run's datasets consumed by :func:`_seed_shared_datasets` — only
+    descriptors cross the pool boundary, never arrays.  Every attempt runs
+    under the ``timeout`` alarm, and a failing attempt is retried up to
+    ``retries`` times.  Returns ``("ok", rows, elapsed, attempts)`` or
+    ``("failed", traceback_text, elapsed, attempts)``: a failing or timed-out
+    cell becomes data instead of an exception, so one bad cell can never
+    abort the surrounding suite run.
     """
-    inner, timeout = task
-    start = time.perf_counter()
-    try:
-        with _cell_alarm(timeout):
-            rows, elapsed = _execute_cell_task(inner)
-        return ("ok", rows, elapsed)
-    except Exception:
-        return ("failed", traceback.format_exc(limit=20), time.perf_counter() - start)
+    cell, scale, config, shared, timeout, retries = task
+    _seed_shared_datasets(shared)
+    for attempt in range(1, retries + 2):
+        start = time.perf_counter()
+        try:
+            with _cell_alarm(timeout):
+                faults.inject(f"suite.cell:{cell.cell_id}")
+                start = time.perf_counter()
+                rows = run_cell(cell, scale, config)
+            return ("ok", rows, time.perf_counter() - start, attempt)
+        except Exception:
+            error = traceback.format_exc(limit=20)
+            _LOG.warning("cell %s attempt %d/%d failed", cell.cell_id, attempt, retries + 1)
+    return ("failed", error, time.perf_counter() - start, retries + 1)
 
 
 # ---------------------------------------------------------------------- #
@@ -579,10 +568,11 @@ class SuiteRunner:
         every cell (and into every content key).
     jobs:
         Worker processes.  ``1`` (the default) runs serially in-process — the
-        bit-compatibility reference.  More than one uses a lazily forked
-        persistent pool, reused across :meth:`run` calls until :meth:`close`
-        (also via the context manager / garbage collection); platforms
-        without ``fork`` degrade to serial execution with identical results.
+        bit-compatibility reference.  More than one uses :attr:`pool`, a
+        lazily forked :class:`~repro.mapreduce.pool.SupervisedPool` reused
+        across :meth:`run` calls until :meth:`close` (also via the context
+        manager); platforms without ``fork`` degrade to serial execution
+        with identical results.
         Parallel runs load each required dataset from disk exactly once: the
         parent publishes the built graphs into shared-memory segments
         (:mod:`repro.mapreduce.shm`) and workers reconstruct them as
@@ -591,13 +581,15 @@ class SuiteRunner:
         Serve cells whose content key already exists in the store instead of
         recomputing them.  Requires ``store``.
     cell_timeout:
-        Per-cell wall-clock budget in seconds; a cell running past it is
-        interrupted (``SIGALRM``) and treated like a failed attempt.
-        ``None`` (the default, or ``REPRO_SUITE_CELL_TIMEOUT``) disables it.
+        Wall-clock budget in seconds for one attempt of a cell; a cell
+        running past it is interrupted (``SIGALRM``) and treated like a
+        failed attempt.  ``None`` (the default) disables it.
     cell_retries:
         How many times a failing cell is re-executed before being
         quarantined as ``status="failed"`` (the run itself never aborts).
-        Defaults to ``REPRO_SUITE_CELL_RETRIES`` or 1.
+        A cell whose pool worker dies is resubmitted up to ``cell_retries +
+        1`` times, so one crash never quarantines a cell, and is then
+        quarantined too.
     """
 
     def __init__(
@@ -608,48 +600,32 @@ class SuiteRunner:
         jobs: int = 1,
         resume: bool = False,
         cell_timeout: Optional[float] = None,
-        cell_retries: Optional[int] = None,
+        cell_retries: int = 1,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if resume and store is None:
             raise ValueError("resume=True requires an artifact store")
+        if cell_retries < 0:
+            raise ValueError(f"cell_retries must be >= 0, got {cell_retries}")
+        if cell_timeout is not None and not cell_timeout > 0:
+            raise ValueError(
+                f"cell_timeout must be a positive number of seconds or None, got {cell_timeout}"
+            )
         self.store = store
         self.config = config
         self.jobs = int(jobs)
         self.resume = bool(resume)
-        if cell_timeout is None:
-            raw_timeout = os.environ.get("REPRO_SUITE_CELL_TIMEOUT", "")
-            cell_timeout = float(raw_timeout) if raw_timeout else None
-        self.cell_timeout = cell_timeout if cell_timeout and cell_timeout > 0 else None
-        if cell_retries is None:
-            cell_retries = int(os.environ.get("REPRO_SUITE_CELL_RETRIES", 1))
-        self.cell_retries = max(0, int(cell_retries))
+        self.cell_timeout = cell_timeout
+        self.cell_retries = int(cell_retries)
+        # The cell task catches its own failures, so the pool charges a cell
+        # only for a lost worker; one extra resubmission means a single
+        # crash never quarantines a cell, whatever cell_retries is.
+        self.pool = SupervisedPool(self.jobs, retries=self.cell_retries + 1)
         self._fork_available = fork_available()
-        self._pool = None
-        self._shm_pool: Optional[shm.SharedArrayPool] = None
         # (name, scale) -> descriptor dict of the published graph arrays;
         # memoized so repeated run() calls re-use one published copy.
         self._shared_datasets: Dict[Tuple[str, str], Dict[str, shm.SharedArrayRef]] = {}
-
-    # ------------------------------------------------------------------ #
-    # Pool lifecycle (the ProcessBackend pattern)
-    # ------------------------------------------------------------------ #
-    def _ensure_pool(self):
-        if self._pool is None:
-            # Workers must inherit the parent's resource tracker so their
-            # shared-memory attachments never spawn a private tracker that
-            # would unlink the parent's segments at worker exit.
-            shm.ensure_tracker_running()
-            context = multiprocessing.get_context("fork")
-            workers = min(self.jobs, os.cpu_count() or 1)
-            self._pool = context.Pool(processes=workers)
-        return self._pool
-
-    def _ensure_shm_pool(self) -> shm.SharedArrayPool:
-        if self._shm_pool is None:
-            self._shm_pool = shm.SharedArrayPool()
-        return self._shm_pool
 
     def _publish_datasets(self, cells, scale: str):
         """Make every dataset the cells need shareable across workers, once each.
@@ -685,193 +661,23 @@ class SuiteRunner:
                 arrays = {"indptr": graph.indptr, "indices": graph.indices}
                 if graph.weights is not None:
                     arrays["weights"] = graph.weights
-                self._shared_datasets[key] = self._ensure_shm_pool().publish(arrays)
+                self._shared_datasets[key] = self.pool.segments.publish(arrays)
             shared[key] = self._shared_datasets[key]
         return shared
 
     def close(self) -> None:
         """Shut down the worker pool and release published dataset segments.
 
-        The pool is drained gracefully (``close()``/``join()`` with a bounded
-        wait, ``terminate()`` as fallback); everything is re-created lazily
-        if the runner is used again.
+        Both are re-created lazily if the runner is used again.
         """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            shutdown_pool(pool)
         self._shared_datasets.clear()
-        shm_pool, self._shm_pool = self._shm_pool, None
-        if shm_pool is not None:
-            shm_pool.close()
+        self.pool.close()
 
     def __enter__(self) -> "SuiteRunner":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _rebuild_pool(self) -> None:
-        """Terminate a pool with dead/hung workers; the next use re-forks it."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.terminate()
-                pool.join()
-            except Exception:  # pragma: no cover - best-effort teardown
-                pass
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown best effort
-        try:
-            if time is None or multiprocessing is None:  # interpreter teardown
-                return
-            self.close()
-        except BaseException:
-            pass
-
-    # ------------------------------------------------------------------ #
-    # Pending-cell execution (quarantine semantics)
-    # ------------------------------------------------------------------ #
-    def _run_pending_serial(self, pending, scale: str) -> Dict[int, CellOutcome]:
-        """Execute pending cells in-process with per-cell retries + timeout."""
-        executed: Dict[int, CellOutcome] = {}
-        for index, cell, key in pending:
-            task = (cell, scale, self.config)
-            status, payload, elapsed = "failed", "cell was never attempted", 0.0
-            for attempt in range(1, self.cell_retries + 2):
-                status, payload, elapsed = _execute_cell_task_safe((task, self.cell_timeout))
-                if status == "ok":
-                    executed[index] = CellOutcome(
-                        cell, key, "computed", payload, elapsed, attempts=attempt
-                    )
-                    break
-                _LOG.warning(
-                    "cell %s attempt %d/%d failed",
-                    cell.cell_id,
-                    attempt,
-                    self.cell_retries + 1,
-                )
-            if status != "ok":
-                executed[index] = CellOutcome(
-                    cell,
-                    key,
-                    "failed",
-                    [],
-                    elapsed,
-                    attempts=self.cell_retries + 1,
-                    error=str(payload),
-                )
-        return executed
-
-    def _run_pending_parallel(self, pending, scale: str, shared) -> Dict[int, CellOutcome]:
-        """Execute pending cells over the pool, surviving worker loss.
-
-        Cells are submitted individually (``apply_async``) so one slow or
-        crashing cell never stalls a batch.  A cell whose wrapper reports
-        failure is resubmitted until its retry budget is spent, then
-        quarantined.  A *dead worker* (SIGKILL — its task will simply never
-        return, and the pool's maintainer thread silently respawns the
-        worker) is detected by polling the worker pid set; the pool is then
-        rebuilt and every in-flight cell resubmitted.  Crash resubmissions
-        are budgeted separately from failure retries (``cell_retries + 1``
-        pool losses per cell) so a genuinely crashy cell converges to
-        quarantine instead of looping, while innocent cells that merely
-        shared the pool with a crash are not charged a failed attempt.
-        """
-        executed: Dict[int, CellOutcome] = {}
-        pool = self._ensure_pool()
-        if not hasattr(pool, "apply_async"):  # duck-typed pool stubs (tests)
-            tasks = [
-                ((cell, scale, self.config, shared), self.cell_timeout)
-                for _, cell, _ in pending
-            ]
-            for (index, cell, key), (status, payload, elapsed) in zip(
-                pending, pool.map(_execute_cell_task_safe, tasks)
-            ):
-                if status == "ok":
-                    executed[index] = CellOutcome(cell, key, "computed", payload, elapsed)
-                else:
-                    executed[index] = CellOutcome(
-                        cell, key, "failed", [], elapsed, error=str(payload)
-                    )
-            return executed
-        attempts: Dict[int, int] = {index: 0 for index, _, _ in pending}
-        losses: Dict[int, int] = {index: 0 for index, _, _ in pending}
-        queue: List[Tuple[int, ExperimentCell, str]] = list(pending)
-        inflight: Dict[int, Tuple[object, ExperimentCell, str]] = {}
-        baseline = _pool_pids(pool)
-        while queue or inflight:
-            while queue:
-                index, cell, key = queue.pop(0)
-                attempts[index] += 1
-                task = ((cell, scale, self.config, shared), self.cell_timeout)
-                inflight[index] = (
-                    pool.apply_async(_execute_cell_task_safe, (task,)),
-                    cell,
-                    key,
-                )
-            time.sleep(0.02)
-            for index in list(inflight):
-                result, cell, key = inflight[index]
-                if not result.ready():
-                    continue
-                del inflight[index]
-                try:
-                    status, payload, elapsed = result.get()
-                except Exception:  # wrapper never raises; belt and braces
-                    status, payload, elapsed = "failed", traceback.format_exc(limit=20), 0.0
-                if status == "ok":
-                    executed[index] = CellOutcome(
-                        cell, key, "computed", payload, elapsed, attempts=attempts[index]
-                    )
-                elif attempts[index] <= self.cell_retries:
-                    _LOG.warning(
-                        "cell %s attempt %d/%d failed; retrying",
-                        cell.cell_id,
-                        attempts[index],
-                        self.cell_retries + 1,
-                    )
-                    queue.append((index, cell, key))
-                else:
-                    executed[index] = CellOutcome(
-                        cell,
-                        key,
-                        "failed",
-                        [],
-                        elapsed,
-                        attempts=attempts[index],
-                        error=str(payload),
-                    )
-            if not inflight:
-                continue
-            workers = list(getattr(pool, "_pool", None) or [])
-            if _pool_pids(pool) != baseline or any(
-                worker.exitcode is not None for worker in workers
-            ):
-                _LOG.warning(
-                    "suite pool lost a worker with %d cell(s) in flight; "
-                    "rebuilding pool and resubmitting",
-                    len(inflight),
-                )
-                for index in list(inflight):
-                    _, cell, key = inflight.pop(index)
-                    losses[index] += 1
-                    attempts[index] -= 1  # a pool loss is not the cell's failure
-                    if losses[index] <= self.cell_retries + 1:
-                        queue.append((index, cell, key))
-                    else:
-                        executed[index] = CellOutcome(
-                            cell,
-                            key,
-                            "failed",
-                            [],
-                            0.0,
-                            attempts=attempts[index] + losses[index],
-                            error="worker process died repeatedly while executing this cell",
-                        )
-                self._rebuild_pool()
-                pool = self._ensure_pool()
-                baseline = _pool_pids(pool)
-        return executed
 
     # ------------------------------------------------------------------ #
     def run(
@@ -934,15 +740,30 @@ class SuiteRunner:
 
         if pending:
             parallel = self.jobs > 1 and self._fork_available and len(pending) > 1
+            # A parallel run loads every needed dataset once in the parent
+            # and publishes it; tasks carry descriptors, not arrays.
+            shared = self._publish_datasets([c for _, c, _ in pending], scale) if parallel else None
+            tasks = [
+                (cell, scale, self.config, shared, self.cell_timeout, self.cell_retries)
+                for _, cell, _ in pending
+            ]
             if parallel:
-                # Load every needed dataset once in the parent and publish it
-                # into shared memory; tasks carry descriptors, not arrays.
-                shared = self._publish_datasets([cell for _, cell, _ in pending], scale)
-                executed = self._run_pending_parallel(pending, scale, shared)
+                results = self.pool.map(_execute_cell_task, tasks)
             else:
-                executed = self._run_pending_serial(pending, scale)
-            for index, cell, key in pending:
-                outcome = executed[index]
+                results = [_execute_cell_task(task) for task in tasks]
+            for (index, cell, key), result in zip(pending, results):
+                if isinstance(result, WorkerLostError):
+                    outcome = CellOutcome(
+                        cell, key, "failed", [], 0.0, attempts=self.pool.retries + 1, error=str(result)
+                    )
+                else:
+                    status, payload, elapsed, attempts = result
+                    if status == "ok":
+                        outcome = CellOutcome(cell, key, "computed", payload, elapsed, attempts)
+                    else:
+                        outcome = CellOutcome(
+                            cell, key, "failed", [], elapsed, attempts, error=str(payload)
+                        )
                 outcomes[index] = outcome
                 if outcome.status == "failed":
                     _LOG.warning(

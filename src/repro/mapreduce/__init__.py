@@ -9,8 +9,8 @@ from repro.mapreduce.backends import (
     available_backends,
     fork_available,
     get_backend,
-    shutdown_pool,
 )
+from repro.mapreduce.pool import SupervisedPool, WorkerLostError
 from repro.mapreduce.shm import SharedArrayPool, SharedArrayRef, active_repro_segments
 from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
 from repro.mapreduce.engine import MREngine
@@ -40,7 +40,8 @@ __all__ = [
     "available_backends",
     "fork_available",
     "get_backend",
-    "shutdown_pool",
+    "SupervisedPool",
+    "WorkerLostError",
     "SharedArrayPool",
     "SharedArrayRef",
     "active_repro_segments",

@@ -29,12 +29,12 @@ The physical execution of the shuffle+reduce is pluggable
 path (the bit-compatibility reference), ``backend="vectorized"`` groups with
 one argsort and evaluates the reducer with segment reductions,
 ``backend="process"`` shards the key/value arrays across a persistent
-``multiprocessing.Pool``.  All backends are bit-compatible: identical output
-arrays and identical metrics, so round/communication numbers reported by the
-experiment harness do not depend on the backend choice.  That guarantee
-extends to partial failures: the process backend supervises its pool, retries
-a round whose worker died (fresh shards, bounded exponential backoff) and
-finally falls back to in-process execution, so a round either returns the
+:class:`~repro.mapreduce.pool.SupervisedPool`.  All backends are
+bit-compatible: identical output arrays and identical metrics, so
+round/communication numbers reported by the experiment harness do not depend
+on the backend choice.  That guarantee extends to partial failures: the pool
+resubmits a shard whose worker raised, died or hung, and the process backend
+reduces a shard that stays lost in-process, so a round either returns the
 exact arrays and metrics a fault-free run would have produced or raises —
 never a silently truncated shuffle.  The seeded chaos suite
 (:mod:`repro.faults`) regression-gates this bit-identical-under-faults

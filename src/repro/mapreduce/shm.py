@@ -178,8 +178,9 @@ def _layout(specs: Mapping[str, Tuple[np.dtype, Tuple[int, ...]]]) -> Tuple[Dict
 class SharedArrayPool:
     """Owner of shared segments: allocate, publish, view, release, leak-check.
 
-    One pool instance belongs to one owning component (a
-    :class:`~repro.mapreduce.backends.ProcessBackend`, a
+    One pool instance belongs to one owning component (the
+    :class:`~repro.mapreduce.pool.SupervisedPool` of a
+    :class:`~repro.mapreduce.backends.ProcessBackend` or a
     :class:`~repro.experiments.suite.SuiteRunner`); only the owner unlinks.
     ``close()`` releases every still-owned segment — the leak backstop the
     lifecycle tests assert on — and is idempotent.

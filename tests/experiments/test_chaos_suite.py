@@ -140,12 +140,14 @@ class TestCellTimeout:
         assert result.failed == 1
         assert "CellTimeout" in result.outcomes[0].error
 
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUITE_CELL_TIMEOUT", "2.5")
-        monkeypatch.setenv("REPRO_SUITE_CELL_RETRIES", "4")
-        runner = SuiteRunner()
-        assert runner.cell_timeout == 2.5
-        assert runner.cell_retries == 4
+    @pytest.mark.parametrize(
+        "kwargs", [{"cell_retries": -3}, {"cell_timeout": -2}, {"cell_timeout": 0}]
+    )
+    def test_bad_budgets_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SuiteRunner(**kwargs)
+        # None still means "no timeout".
+        assert SuiteRunner(cell_timeout=None).cell_timeout is None
 
 
 # ------------------------------------------------------------------ #
@@ -203,6 +205,27 @@ class TestAcceptance:
             assert deterministic_view(resumed.rows_for(name)) == deterministic_view(
                 baseline.rows_for(name)
             ), name
+
+    def test_cell_whose_worker_keeps_dying_is_quarantined(self, tmp_path):
+        """A cell the pool returns lost is quarantined; --resume recomputes it."""
+        FaultPlan(
+            specs=(FaultSpec(site="suite.cell:table1/mesh", kind="kill", times=99),),
+            state_dir=str(tmp_path / "state"),
+        ).install()
+        store = ArtifactStore(tmp_path / "run")
+        with SuiteRunner(store=store, jobs=2, cell_retries=0) as runner:
+            faulted = small_run(runner, datasets=["mesh"])
+        lost = next(o for o in faulted.outcomes if o.cell.cell_id == "table1/mesh")
+        assert lost.status == "failed"
+        assert "worker died" in lost.error
+        assert lost.attempts == 2  # one crash is always resubmitted
+        assert shm.active_repro_segments() == []
+
+        faults.clear_installed()
+        with SuiteRunner(store=store, jobs=2, resume=True) as runner:
+            resumed = small_run(runner, datasets=["mesh"])
+        assert resumed.failed == 0
+        assert resumed.computed == faulted.failed
 
     def test_parallel_worker_kill_recovers_bit_identical(self, tmp_path):
         # Two cells so the pool path engages (a single pending cell runs
@@ -311,6 +334,16 @@ class TestSuiteCLI:
         args = build_parser().parse_args(parser_args)
         assert args.cell_timeout == 3.5
         assert args.cell_retries == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--cell-retries", "-3"], ["--cell-timeout", "-2"], ["--cell-timeout", "0"]],
+    )
+    def test_bad_cell_budgets_exit_2(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--scale", "small", "--datasets", "mesh", *flags])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
     def test_reap_shm_subcommand(self, capsys):
         assert main(["reap-shm"]) == 0

@@ -385,7 +385,7 @@ class TestSharedDatasets:
         monkeypatch.setattr(snapshot_module, "load_snapshot", counting_load)
         clear_dataset_cache()
         with SuiteRunner(store=store, jobs=2) as runner:
-            runner._ensure_pool()  # fork first: workers start with cold caches
+            runner.pool.map(abs, [0])  # fork first: workers start with cold caches
             result = small_run(runner, experiments=["table1", "table2"], datasets=datasets)
         assert result.computed == len(result.outcomes)
 
@@ -416,6 +416,8 @@ class TestSharedDatasets:
         from repro.mapreduce import shm
 
         class RecordingPool:
+            """Fake ``pool.map``: pickle-roundtrips every task, then runs it here."""
+
             def __init__(self):
                 self.payloads = []
 
@@ -435,7 +437,7 @@ class TestSharedDatasets:
         clear_dataset_cache()
         runner = SuiteRunner(jobs=2)
         fake = RecordingPool()
-        runner._pool = fake
+        runner.pool.map = fake.map
         try:
             if not runner._fork_available:
                 pytest.skip("requires fork")
@@ -448,7 +450,6 @@ class TestSharedDatasets:
                 assert not shm.contains_ndarray(task)
                 assert len(shm.flatten_refs(task)) > 0
         finally:
-            runner._pool = None
             runner.close()
             clear_dataset_cache()
             shm.detach_all()

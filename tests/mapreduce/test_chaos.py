@@ -5,9 +5,16 @@ runs a round through the :class:`ProcessBackend`, and asserts the output and
 metrics are bit-identical to the fault-free serial reference — plus zero
 leaked ``rshm_*`` segments.  Kill faults use a ``state_dir`` so the ticket is
 global: the respawned worker of the rebuilt pool must not re-fire it.
+Scenarios where a worker-only fault site must never fire outside a worker
+run in a forked child, so a wrongly fired ``kill`` shows up as exit code -9
+instead of killing pytest.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import traceback
 
 import numpy as np
 import pytest
@@ -15,13 +22,9 @@ import pytest
 from repro import faults
 from repro.faults import FaultPlan, FaultSpec
 from repro.mapreduce import shm
-from repro.mapreduce.backends import (
-    ArrayPairs,
-    ProcessBackend,
-    WorkerLostError,
-    fork_available,
-)
+from repro.mapreduce.backends import ArrayPairs, ProcessBackend, fork_available
 from repro.mapreduce.engine import MREngine
+from repro.mapreduce.pool import WorkerLostError
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="requires fork start method")
 
@@ -39,7 +42,6 @@ def _clean_faults_and_segments():
 def chaos_backend(**kwargs):
     kwargs.setdefault("num_shards", 2)
     kwargs.setdefault("shm_min_pairs", 1)
-    kwargs.setdefault("retry_backoff", 0.0)
     return ProcessBackend(**kwargs)
 
 
@@ -63,6 +65,31 @@ def assert_bit_identical(batch, reducer_name, backend):
         assert np.array_equal(expected.keys, got.keys)
         assert np.array_equal(expected.values, got.values)
         assert engine.metrics.as_dict() == expected_metrics
+
+
+def exit_code_in_child(body) -> int:
+    """Run ``body`` in a forked child and return its exit code.
+
+    0 when ``body`` ran without raising, 1 when it raised, and the negated
+    signal number when something (a fault fired outside a worker) killed it.
+    """
+
+    def main():
+        code = 0
+        try:
+            body()
+        except BaseException:
+            traceback.print_exc()
+            code = 1
+        os._exit(code)
+
+    child = multiprocessing.get_context("fork").Process(target=main)
+    child.start()
+    child.join(120)
+    if child.is_alive():  # pragma: no cover - a hang is a failure, not a wait
+        child.kill()
+        child.join()
+    return child.exitcode
 
 
 # ------------------------------------------------------------------ #
@@ -104,12 +131,41 @@ class TestWorkerDeath:
         ).install()
         backend = chaos_backend(max_round_retries=1)
         try:
-            # With times=10 every pool attempt dies; the terminal fallback
-            # executes the segments on the driver, where the per-process hit
-            # counter of site "mr.worker.shm" is never reached.
+            # With times=10 every pool attempt dies; the lost shards are
+            # reduced in-process, which never runs the instrumented task.
             assert_bit_identical(structured_batch(seed=8), "sum", backend)
         finally:
             backend.close()
+
+    def test_repeated_kills_fall_back_in_process_pickled(self, tmp_path):
+        """The pickled-path twin: lost shards never run the worker task in-process."""
+        FaultPlan(
+            specs=(FaultSpec(site="mr.worker.structured", kind="kill", times=10),),
+            state_dir=str(tmp_path / "state"),
+        ).install()
+
+        def body():
+            backend = chaos_backend(max_round_retries=1, shm_min_pairs=10**9)
+            assert_bit_identical(structured_batch(seed=8), "sum", backend)
+
+        assert exit_code_in_child(body) == 0
+
+    @pytest.mark.parametrize("kind", ["kill", "error"])
+    def test_one_shard_round_fires_no_worker_site(self, tmp_path, kind):
+        """All keys in one shard: the round needs no pool and no segments."""
+        state = tmp_path / "state"
+        FaultPlan(
+            specs=(FaultSpec(site="mr.worker.shm", kind=kind, times=10),),
+            state_dir=str(state),
+        ).install()
+        batch = structured_batch(seed=9)
+        even = ArrayPairs(batch.keys * 2, batch.values)  # every key in shard 0 of 2
+
+        def body():
+            assert_bit_identical(even, "min", chaos_backend(shm_min_pairs=1))
+
+        assert exit_code_in_child(body) == 0
+        assert list(state.glob("fault-*")) == []
 
 
 # ------------------------------------------------------------------ #
@@ -170,43 +226,48 @@ class TestSupervision:
     def test_worker_lost_error_exported(self):
         assert issubclass(WorkerLostError, RuntimeError)
 
-    def test_run_tasks_gives_up_to_in_process(self, monkeypatch):
-        """A pool that always loses workers ends at the in-process fallback."""
-        backend = ProcessBackend(num_shards=2, max_round_retries=1, retry_backoff=0.0)
-        calls = {"maps": 0, "rebuilds": 0}
+    @needs_fork
+    def test_run_tasks_gives_up_to_in_process(self):
+        """Shards the pool returns lost are reduced in-process, on both paths."""
+        for shm_min_pairs in (1, 10**9):
+            backend = chaos_backend(num_shards=3, shm_min_pairs=shm_min_pairs)
+            calls = []
 
-        def failing_map(func, tasks):
-            calls["maps"] += 1
-            raise WorkerLostError("synthetic")
+            def losing_map(func, tasks):
+                calls.append(len(tasks))
+                return [WorkerLostError("synthetic") for _ in tasks]
 
-        monkeypatch.setattr(backend, "_supervised_map", lambda pool, f, t: failing_map(f, t))
-        monkeypatch.setattr(backend, "_ensure_pool", lambda: object())
-        monkeypatch.setattr(
-            backend, "_rebuild_pool", lambda: calls.__setitem__("rebuilds", calls["rebuilds"] + 1)
-        )
-        out = backend._run_tasks(lambda task: task * 2, [1, 2, 3])
-        assert out == [2, 4, 6]
-        assert calls["maps"] == 2  # initial + one retry
-        assert calls["rebuilds"] == 2
+            backend.pool.map = losing_map
+            try:
+                assert_bit_identical(structured_batch(seed=19), "sum", backend)
+            finally:
+                backend.close()
+            assert calls == [3], shm_min_pairs
 
+    @needs_fork
     def test_supervised_map_degrades_to_plain_map(self):
-        """Duck-typed pools without map_async still work (test stubs)."""
+        """A plain ``map`` swapped in for the supervised one drives the round."""
 
         class MapOnly:
             def map(self, func, tasks):
                 return [func(task) for task in tasks]
 
-        backend = ProcessBackend(num_shards=2)
-        assert backend._supervised_map(MapOnly(), lambda x: x + 1, [1, 2]) == [2, 3]
+        backend = chaos_backend(shm_min_pairs=10**9)
+        backend.pool.map = MapOnly().map
+        try:
+            assert_bit_identical(structured_batch(seed=23), "max", backend)
+        finally:
+            backend.close()
 
-    def test_retry_backoff_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MR_RETRIES", "7")
-        monkeypatch.setenv("REPRO_MR_RETRY_BACKOFF", "0.25")
-        monkeypatch.setenv("REPRO_MR_ROUND_TIMEOUT", "9.5")
-        backend = ProcessBackend(num_shards=1)
-        assert backend.max_round_retries == 7
-        assert backend.retry_backoff == 0.25
-        assert backend.round_timeout == 9.5
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_round_retries": -4}, {"round_timeout": -1}, {"round_timeout": 0}],
+    )
+    def test_bad_budgets_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ProcessBackend(num_shards=2, **kwargs)
+        # None still means "no timeout".
+        assert ProcessBackend(num_shards=2, round_timeout=None).pool.timeout is None
 
 
 # ------------------------------------------------------------------ #

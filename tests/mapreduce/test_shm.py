@@ -11,7 +11,8 @@ Covers the :mod:`repro.mapreduce.shm` module and its integration into
   backends, for scalar, composite-row and 2-d workloads and for the ported
   MR drivers;
 * the zero-pickled-arrays contract: pool task payloads contain descriptors
-  only, asserted through a pickle-instrumented fake pool;
+  only, asserted through a pickle-instrumented fake swapped in for
+  ``backend.pool.map``;
 * the no-fork (spawn-only) fallback: identical outcomes, no descriptors
   ever emitted; and
 * the satellite fixes: memoized ``_picklable`` probes and graceful pool
@@ -31,12 +32,7 @@ from repro.baselines.hadi import hadi_diameter
 from repro.core.mr_native import mr_cluster_native
 from repro.generators import barabasi_albert_graph
 from repro.mapreduce import shm
-from repro.mapreduce.backends import (
-    ArrayPairs,
-    ProcessBackend,
-    fork_available,
-    shutdown_pool,
-)
+from repro.mapreduce.backends import ArrayPairs, ProcessBackend, fork_available
 from repro.mapreduce.engine import MREngine
 from repro.mapreduce.structured import StructuredReducer, get_structured_reducer
 
@@ -303,7 +299,7 @@ def test_engine_pin_shared_forwards_none_values():
 # Zero pickled arrays across the pool boundary
 # ------------------------------------------------------------------ #
 class RecordingPool:
-    """Fake pool: pickle-roundtrips every task, then runs it in-process."""
+    """Fake ``pool.map``: pickle-roundtrips every task, then runs it in-process."""
 
     def __init__(self):
         self.payloads = []
@@ -327,7 +323,7 @@ def test_shm_path_ships_descriptors_only():
 
     backend = shm_backend(num_shards=3)
     fake = RecordingPool()
-    backend._ensure_pool = lambda: fake
+    backend.pool.map = fake.map
     try:
         with MREngine(backend=backend) as engine:
             got = engine.run_structured_round(batch, "min")
@@ -365,7 +361,7 @@ def test_no_fork_structured_rounds_bit_identical(monkeypatch):
     assert not backend._fork_available
     assert not backend._shm_eligible(batch, get_structured_reducer("min"))
     fake = RecordingPool()
-    backend._ensure_pool = lambda: fake
+    backend.pool.map = fake.map
     try:
         with MREngine(backend=backend) as engine:
             got = engine.run_structured_round(batch, "min")
@@ -435,39 +431,22 @@ def test_close_drains_pool_gracefully():
     rng = np.random.default_rng(12)
     keys = rng.integers(0, 50, size=2000).astype(np.int64)
     backend.shuffle_reduce_structured(ArrayPairs(keys, keys.copy()), get_structured_reducer("min"))
-    pool = backend._pool
-    assert pool is not None
-    workers = list(pool._pool)
+    pids = backend.pool.pids
+    assert pids
     backend.close()
-    assert backend._pool is None
-    assert all(not worker.is_alive() for worker in workers)
+    assert backend.pool.pids == frozenset()
+    assert not any(shm._pid_alive(pid) for pid in pids)
     # Idempotent, and the backend lazily re-acquires a pool if used again.
     backend.close()
     backend.shuffle_reduce_structured(ArrayPairs(keys, keys.copy()), get_structured_reducer("min"))
     backend.close()
 
 
-@needs_fork
-def test_shutdown_pool_terminate_fallback():
-    import multiprocessing
-
-    shm.ensure_tracker_running()
-    context = multiprocessing.get_context("fork")
-    pool = context.Pool(processes=1)
-    result = pool.apply_async(__import__("time").sleep, (60,))
-    # A worker stuck in a long task forces the bounded wait to hit its
-    # timeout and fall back to terminate(); the call must still return.
-    shutdown_pool(pool, timeout=0.2)
-    assert result is not None
-
-
-def test_shm_min_pairs_threshold_and_env(monkeypatch):
+def test_shm_min_pairs_threshold():
     rng = np.random.default_rng(13)
     keys = rng.integers(0, 40, size=100).astype(np.int64)
     batch = ArrayPairs(keys, keys.copy())
     reducer = get_structured_reducer("min")
-    if fork_available():
-        assert not ProcessBackend(num_shards=2, shm_min_pairs=101)._shm_eligible(batch, reducer)
-        assert ProcessBackend(num_shards=2, shm_min_pairs=100)._shm_eligible(batch, reducer)
-    monkeypatch.setenv("REPRO_SHM_MIN_PAIRS", "77")
-    assert ProcessBackend(num_shards=2).shm_min_pairs == 77
+    expected = fork_available()
+    assert not ProcessBackend(num_shards=2, shm_min_pairs=101)._shm_eligible(batch, reducer)
+    assert ProcessBackend(num_shards=2, shm_min_pairs=100)._shm_eligible(batch, reducer) == expected

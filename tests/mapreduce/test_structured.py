@@ -274,12 +274,12 @@ def test_process_pool_reused_across_rounds_and_closed():
     engine = MREngine(backend=backend)
     batch = ArrayPairs(np.arange(200) % 17, np.arange(200))
     engine.run_structured_round(batch, "sum")
-    pool_after_first = backend._pool
-    assert pool_after_first is not None, "structured round should fork the pool"
+    workers_after_first = backend.pool.pids
+    assert workers_after_first, "structured round should fork the pool"
     engine.run_structured_round(batch, "min")
-    assert backend._pool is pool_after_first, "pool must be reused across rounds"
+    assert backend.pool.pids == workers_after_first, "pool must be reused across rounds"
     engine.close()
-    assert backend._pool is None
+    assert backend.pool.pids == frozenset()
     # Closed backends lazily re-create the pool when used again.
     out = engine.run_structured_round(batch, "count")
     assert len(out) == 17
@@ -291,8 +291,8 @@ def test_engine_context_manager_closes_pool():
     with MREngine(backend="process", num_shards=2) as engine:
         engine.run_structured_round(ArrayPairs(np.arange(50) % 5, np.arange(50)), "max")
         backend = engine.backend
-        assert backend._pool is not None
-    assert backend._pool is None
+        assert backend.pool.pids
+    assert backend.pool.pids == frozenset()
 
 
 class OffsetSum(StructuredReducer):
@@ -316,7 +316,7 @@ def test_unpicklable_reducer_runs_in_process():
     # shm-sized round, with the serial reference's output.
     batch = ArrayPairs(np.arange(120) % 7, np.arange(120))
     backend = ProcessBackend(num_shards=3, shm_min_pairs=1)
-    backend._ensure_pool = lambda: pytest.fail("an unpicklable reducer reached the pool")
+    backend.pool.map = lambda func, tasks: pytest.fail("an unpicklable reducer reached the pool")
     with MREngine(backend=backend) as engine:
         out = engine.run_structured_round(batch, OffsetSum(13))
     with MREngine(backend="serial") as engine:
