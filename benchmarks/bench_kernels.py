@@ -1,8 +1,11 @@
 """Frontier-kernel benchmarks and the kernel-layer no-regression gates.
 
-The kernel rebuild makes three performance claims, each of which is *also* a
+The kernel rebuild makes four performance claims, each of which is *also* a
 bit-identity claim — the optimized path must produce byte-for-byte the same
-arrays as the frozen reference it replaces:
+arrays as the frozen reference it replaces.  The references of gates 1–2 live
+in ``tests/graph/kernel_reference.py`` (they never run in production), and
+gate 3's push-only baseline is the production kernel with its private pull
+threshold patched to 0:
 
 1. **Sort-free claims**: scatter-based winner selection in
    :func:`repro.graph.kernels.claim_first` / ``claim_min`` is at least
@@ -28,7 +31,9 @@ the per-level direction counters are embedded in the artifact.
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +43,15 @@ from repro.generators import road_network_graph
 from repro.generators.rmat import rmat_graph
 from repro.graph import kernels
 from repro.graph.components import largest_component
+
+# The frozen references live with the tests, never in src/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "graph"))
+from kernel_reference import (
+    eccentricities_loop,
+    forced_direction,
+    sorted_claim_first,
+    sorted_claim_min,
+)
 
 CLAIMS_GATE = 2.0
 MSBFS_GATE = 5.0
@@ -82,12 +96,12 @@ def test_sortfree_claims_gate(kernel_bench_recorder):
     for benchmark, sorted_run, scatter_run in (
         (
             "claim_first",
-            lambda: kernels.claim_first(dst, src),
+            lambda: sorted_claim_first(dst, src),
             lambda: kernels.claim_first(dst, src, workspace=workspace),
         ),
         (
             "claim_min",
-            lambda: kernels.claim_min(dst, src, key),
+            lambda: sorted_claim_min(dst, src, key),
             lambda: kernels.claim_min(dst, src, key, workspace=workspace),
         ),
     ):
@@ -130,14 +144,10 @@ def test_msbfs_gate(kernel_bench_recorder):
     workload = f"rmat{RMAT_SCALE}/64-sources"
 
     def loop_run():
-        return kernels.eccentricities(
-            graph.indptr, graph.indices, sources, degrees=degrees, method="loop"
-        )
+        return eccentricities_loop(graph.indptr, graph.indices, sources, degrees=degrees)
 
     def msbfs_run():
-        return kernels.eccentricities(
-            graph.indptr, graph.indices, sources, degrees=degrees, method="msbfs"
-        )
+        return kernels.eccentricities(graph.indptr, graph.indices, sources, degrees=degrees)
 
     timings, results = interleaved_best(
         {"loop": loop_run, "msbfs": msbfs_run}, repetitions=2 if QUICK else 3
@@ -172,14 +182,11 @@ def test_direction_optimized_bfs_gate(kernel_bench_recorder):
     workload = f"rmat{RMAT_SCALE}/single-source"
 
     def push_run():
-        return kernels.frontier_expansion(
-            graph.indptr, graph.indices, source, degrees=degrees, direction="push"
-        )
+        with forced_direction("push"):
+            return kernels.frontier_expansion(graph.indptr, graph.indices, source, degrees=degrees)
 
     def auto_run():
-        return kernels.frontier_expansion(
-            graph.indptr, graph.indices, source, degrees=degrees, direction="auto"
-        )
+        return kernels.frontier_expansion(graph.indptr, graph.indices, source, degrees=degrees)
 
     timings, results = interleaved_best(
         {"push": push_run, "auto": auto_run}, repetitions=3 if QUICK else 5

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.generators import barabasi_albert_graph, road_network_graph
-from repro.weighted.traversal import hop_bounded_relaxation, multi_source_dijkstra
+from repro.weighted.traversal import multi_source_dijkstra
 
 
 def quick_mode() -> bool:
@@ -126,9 +126,3 @@ def test_bench_vectorized_dijkstra(benchmark, social):
 def test_bench_vectorized_dijkstra_road(benchmark, road):
     result = benchmark(multi_source_dijkstra, road, [0])
     assert result.distances.size == road.num_nodes
-
-
-def test_bench_hop_bounded_relaxation(benchmark, social):
-    sources = spread_sources(social)
-    result = benchmark(hop_bounded_relaxation, social, sources, max_hops=8)
-    assert result.hops.max() <= 8

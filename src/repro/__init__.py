@@ -29,7 +29,7 @@ Quick start::
     print(service.num_clusters, lower, upper)
 """
 
-from repro import analysis, baselines, core, generators, graph, mapreduce, serving, sparsify, utils, weighted
+from repro import analysis, baselines, core, generators, graph, mapreduce, serving, utils, weighted
 from repro.baselines import (
     bfs_diameter,
     gonzalez_kcenter,
@@ -89,7 +89,6 @@ __all__ = [
     "generators",
     "graph",
     "mapreduce",
-    "sparsify",
     "utils",
     "weighted",
     "__version__",

@@ -1,19 +1,9 @@
-"""Analysis helpers: doubling dimension, clustering statistics, table rendering."""
+"""Analysis helpers: clustering statistics and table rendering."""
 
-from repro.analysis.doubling import (
-    DoublingEstimate,
-    ball,
-    estimate_doubling_dimension,
-    greedy_ball_cover,
-)
 from repro.analysis.stats import ClusteringReport, clustering_report, edge_cut
 from repro.analysis.tables import format_value, render_csv, render_table
 
 __all__ = [
-    "DoublingEstimate",
-    "ball",
-    "estimate_doubling_dimension",
-    "greedy_ball_cover",
     "ClusteringReport",
     "clustering_report",
     "edge_cut",

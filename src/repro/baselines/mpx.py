@@ -113,8 +113,9 @@ def mr_mpx_decomposition(
     applies to its sort/prefix-sum formulation as well).  The execution trace
     recorded by :class:`~repro.core.growth_engine.GrowthEngine` is replayed
     against an :class:`~repro.mapreduce.engine.MREngine` configured with the
-    chosen execution backend, exactly like the CLUSTER driver in
-    :func:`repro.core.mr_algorithms.mr_cluster_decomposition`.
+    chosen execution backend, with the same
+    :func:`repro.core.mr_algorithms.charge_clustering_rounds` replay as the
+    CLUSTER pipeline's :meth:`~repro.core.pipeline.DecompositionPipeline.mr_report`.
 
     Returns an :class:`repro.core.mr_algorithms.MRExecutionReport` (with
     ``estimate=None``).

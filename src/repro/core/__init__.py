@@ -21,9 +21,7 @@ from repro.core.growth_engine import (
 from repro.core.kcenter import KCenterResult, evaluate_centers, kcenter, merge_clusters_to_k
 from repro.core.mr_algorithms import (
     MRExecutionReport,
-    mr_cluster_decomposition,
     mr_estimate_diameter,
-    mr_weighted_cluster_decomposition,
 )
 from repro.core.mr_native import mr_cluster_native
 from repro.core.oracle import (
@@ -66,10 +64,8 @@ __all__ = [
     "kcenter",
     "merge_clusters_to_k",
     "MRExecutionReport",
-    "mr_cluster_decomposition",
     "mr_cluster_native",
     "mr_estimate_diameter",
-    "mr_weighted_cluster_decomposition",
     "DistanceOracle",
     "build_distance_oracle",
     "check_node_batch",

@@ -222,11 +222,9 @@ class GrowthEngine:
         graph,
         *,
         tie_break: "TieBreakPolicy | str | None" = None,
-        direction: Optional[str] = None,
     ) -> None:
         self.graph = graph
         self.tie_break = _as_tie_break(tie_break, graph)
-        self.direction = direction
         n = graph.num_nodes
         self.assignment = np.full(n, UNCOVERED, dtype=np.int64)
         self.distance = np.full(n, UNCOVERED, dtype=np.int64)
@@ -269,7 +267,6 @@ class GrowthEngine:
                 self.graph.indices,
                 self.assignment,
                 degrees=self.graph.degrees,
-                direction=self.direction,
             )
         return self._direction_optimizer
 

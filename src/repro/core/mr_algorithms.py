@@ -20,7 +20,10 @@ replay that trace against the MR(M_G, M_L) accounting of
 
 This is what turns the paper's Table 4 / Figure 1 "time" columns into
 measurable quantities on a single machine: rounds, shuffled pairs, and the
-simulated time of :class:`repro.mapreduce.cost.CostModel`.
+simulated time of :class:`repro.mapreduce.cost.CostModel`.  The replay only
+charges rounds — it executes none — so it needs no execution backend;
+:meth:`repro.core.pipeline.DecompositionPipeline.mr_report` is the one place
+that runs it, and :func:`mr_estimate_diameter` is its functional front end.
 """
 
 from __future__ import annotations
@@ -34,12 +37,13 @@ from repro.core.clustering import Clustering
 from repro.core.diameter import DiameterEstimate
 from repro.graph.csr import CSRGraph
 from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
-from repro.mapreduce.engine import BackendSpec, MREngine
+from repro.mapreduce.engine import MREngine
 from repro.mapreduce.metrics import MRMetrics
 from repro.mapreduce.model import MRModel, rounds_for_primitive
 from repro.utils.rng import SeedLike
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with repro.weighted
+    from repro.weighted.applications import WeightedDiameterEstimate
     from repro.weighted.decomposition import WeightedClustering
 
 __all__ = [
@@ -47,8 +51,6 @@ __all__ = [
     "charge_clustering_rounds",
     "charge_quotient_rounds",
     "mr_estimate_diameter",
-    "mr_cluster_decomposition",
-    "mr_weighted_cluster_decomposition",
 ]
 
 
@@ -59,7 +61,8 @@ class MRExecutionReport:
     Attributes
     ----------
     estimate:
-        The diameter estimate (``None`` for pure decomposition runs).
+        The diameter estimate (weighted bounds for a weighted decomposition;
+        ``None`` for pure decomposition runs).
     clustering:
         The decomposition produced (unweighted or weighted).
     metrics:
@@ -68,7 +71,7 @@ class MRExecutionReport:
         Seconds under the configured :class:`CostModel`.
     """
 
-    estimate: Optional[DiameterEstimate]
+    estimate: "Optional[Union[DiameterEstimate, WeightedDiameterEstimate]]"
     clustering: "Union[Clustering, WeightedClustering]"
     metrics: MRMetrics
     simulated_time: float
@@ -149,67 +152,6 @@ def charge_quotient_rounds(
     engine.charge_rounds(1, pairs_per_round=quotient_arcs, label="quotient-diameter")
 
 
-def mr_cluster_decomposition(
-    graph: CSRGraph,
-    tau: int,
-    *,
-    seed: SeedLike = None,
-    model: Optional[MRModel] = None,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    backend: BackendSpec = "serial",
-    num_shards: Optional[int] = None,
-) -> MRExecutionReport:
-    """Run CLUSTER(τ) and account for its execution in the MR model."""
-    from repro.core.cluster import cluster
-
-    engine = MREngine(
-        model=model if model is not None else MRModel(enforce=False),
-        backend=backend,
-        num_shards=num_shards,
-    )
-    clustering = cluster(graph, tau, seed=seed)
-    charge_clustering_rounds(engine, clustering)
-    return MRExecutionReport(
-        estimate=None,
-        clustering=clustering,
-        metrics=engine.metrics,
-        simulated_time=cost_model.simulated_time(engine.metrics),
-    )
-
-
-def mr_weighted_cluster_decomposition(
-    wgraph,
-    tau: int,
-    *,
-    seed: SeedLike = None,
-    model: Optional[MRModel] = None,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    backend: BackendSpec = "serial",
-    num_shards: Optional[int] = None,
-) -> MRExecutionReport:
-    """Run the §7 weighted CLUSTER(τ) and account for it in the MR model.
-
-    The weighted decomposition records the same unified per-step /
-    per-iteration trace as the unweighted algorithms, so its MR-round and
-    communication accounting is the exact same replay.
-    """
-    from repro.weighted.decomposition import weighted_cluster
-
-    engine = MREngine(
-        model=model if model is not None else MRModel(enforce=False),
-        backend=backend,
-        num_shards=num_shards,
-    )
-    clustering = weighted_cluster(wgraph, tau, seed=seed)
-    charge_clustering_rounds(engine, clustering)
-    return MRExecutionReport(
-        estimate=None,
-        clustering=clustering,
-        metrics=engine.metrics,
-        simulated_time=cost_model.simulated_time(engine.metrics),
-    )
-
-
 def mr_estimate_diameter(
     graph: CSRGraph,
     *,
@@ -220,16 +162,12 @@ def mr_estimate_diameter(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     use_cluster2: bool = False,
     enforce_local_memory: bool = False,
-    backend: BackendSpec = "serial",
-    num_shards: Optional[int] = None,
 ) -> MRExecutionReport:
     """Full decomposition-based diameter estimation under MR accounting.
 
     This is the driver behind the CLUSTER columns of the Table 4 and Figure 1
     reproductions: the returned report carries both the diameter estimate and
-    the rounds / communication / simulated-time metrics.  ``backend`` /
-    ``num_shards`` select the engine's execution backend (metrics are
-    backend-independent by construction).  Implemented as the
+    the rounds / communication / simulated-time metrics.  Implemented as the
     :class:`~repro.core.pipeline.DecompositionPipeline`'s MR accounting pass.
     """
     from repro.core.pipeline import DecompositionPipeline, PipelineConfig
@@ -243,8 +181,6 @@ def mr_estimate_diameter(
             seed=seed,
             weighted_quotient=True,
             enforce_local_memory=enforce_local_memory,
-            mr_backend=backend,
-            mr_shards=num_shards,
         ),
     )
     return pipeline.mr_report(model=model, cost_model=cost_model)

@@ -37,7 +37,7 @@ from repro.core.clustering import Clustering
 from repro.core.quotient import QuotientGraph, build_quotient_graph, quotient_diameter
 from repro.graph import kernels
 from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
-from repro.mapreduce.engine import BackendSpec, MREngine
+from repro.mapreduce.engine import MREngine
 from repro.mapreduce.model import MRModel
 from repro.utils.rng import SeedLike, as_rng
 
@@ -80,8 +80,10 @@ class PipelineConfig:
     enforce_local_memory:
         Enforce the Theorem 4 requirement that the quotient graph fits in one
         reducer's local memory during MR accounting.
-    mr_backend / mr_shards:
-        Execution backend for the MR accounting engine.
+
+    MR accounting charges rounds without executing any, so no execution
+    backend is configured here (the round-executing BFS and HADI baselines
+    take theirs from :class:`~repro.experiments.config.ExperimentConfig`).
     """
 
     method: str = "cluster"
@@ -91,8 +93,6 @@ class PipelineConfig:
     seed: SeedLike = None
     weighted_quotient: bool = True
     enforce_local_memory: bool = False
-    mr_backend: BackendSpec = "serial"
-    mr_shards: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.method not in PIPELINE_METHODS:
@@ -394,14 +394,12 @@ class DecompositionPipeline:
         *,
         model: Optional[MRModel] = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        include_quotient: bool = True,
     ):
         """Account for the pipeline's execution in the MR(M_G, M_L) model.
 
-        Charges the decomposition's growth trace, plus (by default) the
-        quotient-build and quotient-diameter rounds, against an
-        :class:`~repro.mapreduce.engine.MREngine` configured with the
-        pipeline's backend; returns an
+        Charges the decomposition's growth trace (one round per growing step,
+        Lemma 3) plus the quotient-build and quotient-diameter rounds against
+        a charge-only :class:`~repro.mapreduce.engine.MREngine`; returns an
         :class:`~repro.core.mr_algorithms.MRExecutionReport`.
         """
         from repro.core.mr_algorithms import (
@@ -410,29 +408,21 @@ class DecompositionPipeline:
             charge_quotient_rounds,
         )
 
-        estimate = self.diameter() if include_quotient else None
-        clustering = self.decompose()
+        estimate = self.diameter()
         # Prerequisite stages above record their own timings; "mr-accounting"
         # covers only the round-charging replay.
         with _StageScope(self, "mr-accounting"):
-            engine = MREngine(
-                model=model if model is not None else MRModel(enforce=False),
-                backend=self.config.mr_backend,
-                num_shards=self.config.mr_shards,
+            engine = MREngine(model=model if model is not None else MRModel(enforce=False))
+            charge_clustering_rounds(engine, estimate.clustering)
+            charge_quotient_rounds(
+                engine,
+                self.graph,
+                num_quotient_edges=estimate.num_quotient_edges,
+                enforce_local_memory=self.config.enforce_local_memory,
             )
-            if include_quotient:
-                charge_clustering_rounds(engine, estimate.clustering)
-                charge_quotient_rounds(
-                    engine,
-                    self.graph,
-                    num_quotient_edges=estimate.num_quotient_edges,
-                    enforce_local_memory=self.config.enforce_local_memory,
-                )
-            else:
-                charge_clustering_rounds(engine, clustering)
         return MRExecutionReport(
             estimate=estimate,
-            clustering=clustering,
+            clustering=estimate.clustering,
             metrics=engine.metrics,
             simulated_time=cost_model.simulated_time(engine.metrics),
         )

@@ -137,7 +137,7 @@ def _distance_tiles(quotient: QuotientGraph) -> Iterator[Tuple[int, np.ndarray]]
 
     Hop distances come from the bit-parallel
     :func:`~repro.graph.kernels.msbfs_levels` sweep in tiles of
-    :func:`~repro.graph.kernels.msbfs_batch_size` sources; weighted ones from
+    :data:`~repro.graph.kernels.MSBFS_TILE` sources; weighted ones from
     :func:`~repro.graph.kernels.delta_stepping_rows` in tiles of
     ``_TILE_ARCS // num_arcs`` sources.  Unreached entries are ``inf``.
     """
@@ -147,7 +147,7 @@ def _distance_tiles(quotient: QuotientGraph) -> Iterator[Tuple[int, np.ndarray]]
     weights = quotient.weights
     if weights is None:
         degrees = quotient.graph.degrees
-        rows = kernels.msbfs_batch_size()
+        rows = kernels.MSBFS_TILE
     else:
         rows = max(1, _TILE_ARCS // max(1, indices.size))
     for lo in range(0, n, rows):

@@ -52,13 +52,14 @@ class ExperimentConfig:
         The ``c`` values of Figure 1 (tail length = c × diameter).
     mr_backend / mr_shards:
         Execution backend (``serial`` / ``vectorized`` / ``process``) and
-        shard count used by every MR engine the harness creates.  Metrics and
-        results are backend-independent; the choice only affects wall-clock
-        time of the harness itself.  Defaults to ``vectorized``: the MR
-        drivers now *execute* their rounds (structured rounds, see
+        shard count of the BFS and HADI baselines, which execute their MR
+        rounds.  Metrics and results are backend-independent; the choice only
+        affects wall-clock time of the harness itself.  Defaults to
+        ``vectorized``: the baselines run structured rounds (see
         :mod:`repro.mapreduce.structured`), and the segment fast path keeps
-        the harness as fast as the old charge-only accounting, while
-        ``serial`` would run every round through the per-pair tuple path.
+        the harness fast, while ``serial`` would run every round through the
+        per-pair tuple path.  The decomposition pipeline's MR accounting only
+        charges rounds, so it takes no backend.
     decomposition_method:
         Decomposition algorithm used by the pipeline-driven experiments
         (``cluster`` / ``cluster2`` / ``mpx`` / ``single-batch`` /
@@ -89,7 +90,7 @@ class ExperimentConfig:
 
     def pipeline(self, graph, **overrides) -> "DecompositionPipeline":
         """Build a :class:`~repro.core.pipeline.DecompositionPipeline` wired
-        with this config's method, MR backend and shard count.
+        with this config's decomposition method.
 
         Keyword overrides are forwarded to
         :class:`~repro.core.pipeline.PipelineConfig` (``tau``,
@@ -98,11 +99,7 @@ class ExperimentConfig:
         """
         from repro.core.pipeline import DecompositionPipeline, PipelineConfig
 
-        base = PipelineConfig(
-            method=self.decomposition_method,
-            mr_backend=self.mr_backend,
-            mr_shards=self.mr_shards,
-        )
+        base = PipelineConfig(method=self.decomposition_method)
         return DecompositionPipeline(graph, base, **overrides)
 
 

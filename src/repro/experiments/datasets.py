@@ -21,7 +21,7 @@ Two scales are provided: ``"default"`` (used by the benchmark harness) and
 are seeded, so every experiment is reproducible bit-for-bit.
 
 Built graphs are memoized through a :class:`~repro.experiments.store.DatasetCache`
-— a bounded in-memory LRU with an optional ``.npz`` disk layer.  The cache is
+— a bounded in-memory LRU with an optional ``.snap`` disk layer.  The cache is
 memory-only by default (set ``REPRO_DATASET_CACHE`` or call
 :func:`configure_dataset_cache` to add the disk layer); the suite runner
 points it at the artifact store's ``datasets/`` directory so one build is

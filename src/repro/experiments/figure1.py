@@ -54,8 +54,6 @@ def figure1_rows(
             target_clusters=target,
             seed=rng,
             cost_model=config.cost_model,
-            backend=config.mr_backend,
-            num_shards=config.mr_shards,
         )
         bfs = mr_bfs_diameter(
             graph,

@@ -26,9 +26,7 @@ from repro.graph.ingest import from_edge_chunks, ingest_edge_list, largest_compo
 from repro.graph.io import (
     iter_edge_list_chunks,
     load_edge_list,
-    load_npz,
     save_edge_list,
-    save_npz,
 )
 from repro.graph.properties import GraphSummary, degree_statistics, summarize_graph
 from repro.graph.snapshot import is_snapshot, load_snapshot, read_snapshot_header, save_snapshot
@@ -64,9 +62,7 @@ __all__ = [
     "largest_component_snapshot",
     "iter_edge_list_chunks",
     "load_edge_list",
-    "load_npz",
     "save_edge_list",
-    "save_npz",
     "is_snapshot",
     "load_snapshot",
     "read_snapshot_header",

@@ -388,24 +388,6 @@ class CSRGraph:
             keep,
         )
 
-    def to_scipy(self):
-        """Return the adjacency matrix as a ``scipy.sparse.csr_matrix``.
-
-        Unweighted graphs export 0/1 entries; weighted graphs export the edge
-        weights.
-        """
-        from scipy.sparse import csr_matrix
-
-        data = (
-            np.ones(self.indices.size, dtype=np.int8)
-            if self.weights is None
-            else self.weights
-        )
-        return csr_matrix(
-            (data, self.indices, self.indptr),
-            shape=(self.num_nodes, self.num_nodes),
-        )
-
     # ------------------------------------------------------------------ #
     # Dunder helpers
     # ------------------------------------------------------------------ #

@@ -2,10 +2,10 @@
 
 Supports the plain whitespace-separated edge-list format used by the SNAP
 datasets the paper evaluates on (``# comment`` lines, one ``u v`` pair per
-line, an optional weight column) plus a compact NumPy ``.npz`` format for
-caching generated graphs.  Both formats round-trip the optional ``weights``
+line, an optional weight column).  It round-trips the optional ``weights``
 array of the unified :class:`~repro.graph.csr.CSRGraph` core, so the
-weighted and unweighted stacks share one IO path.
+weighted and unweighted stacks share one IO path; binary caching uses the
+snapshot format of :mod:`repro.graph.snapshot` (``CSRGraph.save`` / ``load``).
 
 Parsing is streaming at its core: :func:`iter_edge_list_chunks` reads a file
 in bounded line chunks and yields ``(edges, weights)`` arrays, which is what
@@ -42,8 +42,6 @@ DEFAULT_MAX_EDGES = 50_000_000
 __all__ = [
     "load_edge_list",
     "save_edge_list",
-    "load_npz",
-    "save_npz",
     "parse_edge_list_text",
     "iter_edge_list_chunks",
 ]
@@ -330,27 +328,3 @@ def save_edge_list(graph: CSRGraph, path: PathLike, *, header: Optional[str] = N
         for (u, v), w in zip(edges, weights):
             buffer.write(f"{int(u)}\t{int(v)}\t{float(w)!r}\n")
     Path(path).write_text(buffer.getvalue())
-
-
-def save_npz(graph: CSRGraph, path: PathLike) -> None:
-    """Cache a graph in compressed NumPy format (weights included if present)."""
-    arrays = {"indptr": graph.indptr, "indices": graph.indices}
-    if graph.weights is not None:
-        arrays["weights"] = graph.weights
-    np.savez_compressed(Path(path), **arrays)
-
-
-def load_npz(path: PathLike) -> CSRGraph:
-    """Load a graph previously stored with :func:`save_npz`.
-
-    Files carrying a ``weights`` array come back as a
-    :class:`~repro.weighted.wgraph.WeightedCSRGraph`.
-    """
-    with np.load(Path(path)) as data:
-        if "weights" in data.files:
-            from repro.weighted.wgraph import WeightedCSRGraph
-
-            return WeightedCSRGraph(
-                indptr=data["indptr"], indices=data["indices"], weights=data["weights"]
-            )
-        return CSRGraph(indptr=data["indptr"], indices=data["indices"])

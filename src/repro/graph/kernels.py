@@ -1,14 +1,15 @@
 """Shared vectorized frontier kernels over raw CSR arrays.
 
 Every traversal in the library — unweighted BFS, disjoint cluster growing,
-connected components, exact Dijkstra, and the hop-bounded weighted relaxation
-of the §7 decomposition — is built from the same handful of array operations:
-gather the adjacency blocks of a frontier, resolve one claim per contested
-target, and iterate level-synchronously.  This module implements those
-operations exactly once, on raw ``indptr`` / ``indices`` (/ ``weights``)
-arrays so that :class:`~repro.graph.csr.CSRGraph`, the weighted subclass, the
-:class:`~repro.core.growth_engine.GrowthEngine` policies, and the quotient
-graph machinery can all share them without import cycles.
+connected components and exact weighted shortest paths — is built from the
+same handful of array operations: gather the adjacency blocks of a frontier,
+resolve one claim per contested target, and iterate level-synchronously.
+This module implements those operations exactly once, on raw ``indptr`` /
+``indices`` (/ ``weights``) arrays so that :class:`~repro.graph.csr.CSRGraph`,
+the weighted subclass, the :class:`~repro.core.growth_engine.GrowthEngine`
+policies, and the quotient graph machinery can all share them without import
+cycles.  Each job has one implementation here; the frozen references they are
+pinned against (sorted claims, one BFS per source) live with the tests.
 
 Kernel families
 ---------------
@@ -16,18 +17,17 @@ Kernel families
   returns the arc *positions* so weighted callers can align edge weights).
 * :func:`claim_first` / :func:`claim_min` — keep exactly one claimant per
   contested target (the arbitrary and the min-key tie-break, respectively).
-  With a :class:`ClaimWorkspace` both run *sort-free*: winners are selected by
-  scattering emission-order ranks (and keys) into dense scratch arrays
-  instead of sorting the whole claim list per level; without a workspace the
-  original ``argsort`` / ``lexsort`` paths run as the frozen bit-identical
-  reference.
+  Both run *sort-free* through a :class:`ClaimWorkspace`: winners are
+  selected by scattering emission-order ranks (and keys) into dense scratch
+  arrays instead of sorting the whole claim list per level.
 * :func:`frontier_expansion` — level-synchronous multi-source BFS with owner
   tracking and an optional per-level hook (used by the MR-metered BFS).  The
   expansion is *direction-optimizing*: a :class:`DirectionOptimizer` switches
   each level between the classic push gather and a pull step that scans
-  still-unvisited vertices against the frontier (Beamer-style alpha/beta
-  heuristic), with pull winners replicated via min-frontier-rank so the
-  outputs are bit-identical in either direction.
+  still-unvisited vertices against the frontier (Beamer-style heuristic with
+  the fixed thresholds ``_PULL_ALPHA`` / ``_PULL_BETA``), with pull winners
+  replicated via min-frontier-rank so the outputs are bit-identical in
+  either direction.
 * :func:`msbfs_levels` — bit-parallel multi-source BFS advancing 64 sources
   per ``uint64`` word with HADI-style OR sweeps; backs :func:`eccentricities`,
   the quotient APSP of the distance oracle, and the serving plane's
@@ -38,15 +38,6 @@ Kernel families
   Dijkstra loops); :func:`delta_stepping_rows` runs the same bucket loop for
   a tile of sources at once (one distance row each), the weighted analogue
   of :func:`msbfs_levels` behind the quotient APSP and diameter.
-* :func:`hop_bounded_relaxation` — level-synchronous Bellman–Ford rounds
-  bounding the number of hops (the relaxation pattern of the weighted
-  decomposition, exposed as a standalone kernel).
-* :func:`neighbor_reduce` — per-node reduction of neighbour values.  HADI's
-  production path now runs this as a structured MR round (the ``bitwise_or``
-  reducer of :mod:`repro.mapreduce.structured`); the kernel is kept as the
-  *independent in-memory reference* the structured round is cross-checked
-  against (``tests/mapreduce/test_structured.py``) and as the generic
-  neighbour-reduction primitive for non-MR callers.
 
 Observability
 -------------
@@ -54,9 +45,7 @@ Observability
 aggregate counters — levels by direction, frontier sizes, edges scanned,
 direction switches, claim and msbfs activity — readable via
 :func:`kernel_stats_snapshot` and surfaced in the pipeline stage timings and
-the kernel benchmark JSON.  Direction tuning: ``REPRO_BFS_DIRECTION``
-(``auto`` / ``push`` / ``pull``), ``REPRO_BFS_ALPHA``, ``REPRO_BFS_BETA``,
-``REPRO_MSBFS_BATCH``.
+the kernel benchmark JSON.
 """
 
 from __future__ import annotations
@@ -76,12 +65,9 @@ __all__ = [
     "component_labels",
     "eccentricities",
     "msbfs_levels",
-    "msbfs_batch_size",
+    "MSBFS_TILE",
     "delta_stepping",
     "delta_stepping_rows",
-    "hop_bounded_relaxation",
-    "neighbor_reduce",
-    "reduce_segments",
     "enable_kernel_stats",
     "kernel_stats_enabled",
     "kernel_stats_snapshot",
@@ -96,6 +82,18 @@ _NO_RANK = np.iinfo(np.int64).max
 
 _WORD_BITS = 64
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: Beamer's push/pull thresholds: a level runs pull when the frontier's arcs
+#: times ``_PULL_ALPHA`` exceed the arcs still incident to unvisited nodes and
+#: the frontier size times ``_PULL_BETA`` exceeds ``n`` (the msbfs sweep uses
+#: only the arc test).  Both directions give bit-identical results, so these
+#: only trade speed.
+_PULL_ALPHA = 4.0
+_PULL_BETA = 24.0
+
+#: Sources per bit-parallel sweep in :func:`eccentricities` and the quotient
+#: layer's hop tiles; bounds the live ``(n, MSBFS_TILE / 64)`` word matrices.
+MSBFS_TILE = 256
 
 
 # --------------------------------------------------------------------------- #
@@ -114,7 +112,6 @@ class _KernelStats:
         "edges_scanned_push",
         "edges_scanned_pull",
         "claims_scatter",
-        "claims_sorted",
         "msbfs_sweeps",
         "msbfs_levels",
         "msbfs_edges_scanned",
@@ -210,15 +207,14 @@ def gather_neighbors(
 
 
 class ClaimWorkspace:
-    """Reusable scratch arrays enabling the sort-free scatter claims.
+    """Reusable scratch arrays of the sort-free scatter claims.
 
-    With a workspace, :func:`claim_first` / :func:`claim_min` resolve
-    contested targets by scattering emission-order ranks (and keys) into dense
-    length-``num_nodes`` scratch arrays instead of sorting the full claim
-    list.  The scratch is never cleared between calls — each call only reads
-    back positions it just wrote — so one workspace per traversal amortizes
-    the allocation across every level.  Target ids must lie in
-    ``[0, num_nodes)``.
+    :func:`claim_first` / :func:`claim_min` resolve contested targets by
+    scattering emission-order ranks (and keys) into dense length-``num_nodes``
+    scratch arrays instead of sorting the full claim list.  The scratch is
+    never cleared between calls — each call only reads back positions it just
+    wrote — so one workspace per traversal amortizes the allocation across
+    every level.  Target ids must lie in ``[0, num_nodes)``.
     """
 
     __slots__ = ("num_nodes", "rank_scratch", "_key_scratch")
@@ -236,33 +232,19 @@ class ClaimWorkspace:
         return self._key_scratch
 
 
-def claim_first(
-    dst: np.ndarray, src: np.ndarray, *, workspace: Optional[ClaimWorkspace] = None
-) -> Tuple[np.ndarray, np.ndarray]:
+def claim_first(dst: np.ndarray, src: np.ndarray, *, workspace: ClaimWorkspace) -> Tuple[np.ndarray, np.ndarray]:
     """Keep the first claim per target in the concatenated adjacency scan.
 
-    Returns ``(targets, parents)`` with one entry per distinct target; the
-    surviving parent is the first occurrence in emission order, which is the
-    arbitrary-but-deterministic tie-break of the paper's Algorithm 1 (and of
-    multi-source BFS).
+    Returns ``(targets, parents)`` with one entry per distinct target, sorted
+    by target; the surviving parent is the first occurrence in emission
+    order, which is the arbitrary-but-deterministic tie-break of the paper's
+    Algorithm 1 (and of multi-source BFS).
 
-    Without ``workspace`` this runs the original stable-``argsort`` selection
-    (the frozen reference: ``O(E log E)`` per level).  With a
-    :class:`ClaimWorkspace` the same winners are selected sort-free: writing
-    ranks through fancy assignment in *reverse* order leaves each target
-    holding its first claimant's rank (NumPy keeps the last write per index),
-    and only the distinct winners — not the whole claim list — are sorted.
-    Both paths return bit-identical arrays.
+    Writing ranks through fancy assignment in *reverse* order leaves each
+    target holding its first claimant's rank (NumPy keeps the last write per
+    index), so only the distinct winners — not the whole claim list — are
+    sorted.
     """
-    if workspace is None:
-        if _STATS is not None:
-            _STATS.claims_sorted += 1
-        order = np.argsort(dst, kind="stable")
-        dst_sorted = dst[order]
-        src_sorted = src[order]
-        first = np.ones(dst_sorted.size, dtype=bool)
-        first[1:] = dst_sorted[1:] != dst_sorted[:-1]
-        return dst_sorted[first], src_sorted[first]
     if _STATS is not None:
         _STATS.claims_scatter += 1
     count = dst.size
@@ -283,30 +265,21 @@ def claim_min(
     src: np.ndarray,
     key: np.ndarray,
     *,
-    workspace: Optional[ClaimWorkspace] = None,
+    workspace: ClaimWorkspace,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Keep, per target, the claim with the smallest ``key``.
 
-    Returns ``(targets, parents, keys)``; ties on the key fall back to the
-    stable gather order.  This is the min-weight tie-break of the weighted
-    decomposition and the bucket-relaxation step of :func:`delta_stepping`.
+    Returns ``(targets, parents, keys)`` sorted by target; ties on the key
+    fall back to the first emission.  This is the min-weight tie-break of the
+    weighted decomposition and the bucket-relaxation step of
+    :func:`delta_stepping`.
 
-    Without ``workspace`` this runs the original ``lexsort`` selection (the
-    frozen reference).  With a :class:`ClaimWorkspace` the per-target minimum
-    key is found with ``np.minimum.at`` into the key scratch, and key ties
-    are resolved to the *first* emission (the lexsort tie-break) with the
-    same reverse-rank scatter as :func:`claim_first` — bit-identical output,
-    no sort over the claim list.  ``key`` must be float (NaN-free), as every
-    caller's accumulated distances are.
+    The per-target minimum key is found with ``np.minimum.at`` into the key
+    scratch, and key ties are resolved to the first emission with the same
+    reverse-rank scatter as :func:`claim_first` — no sort over the claim
+    list.  ``key`` must be float (NaN-free), as every caller's accumulated
+    distances are.
     """
-    if workspace is None:
-        if _STATS is not None:
-            _STATS.claims_sorted += 1
-        order = np.lexsort((key, dst))
-        dst_sorted = dst[order]
-        first = np.ones(dst_sorted.size, dtype=bool)
-        first[1:] = dst_sorted[1:] != dst_sorted[:-1]
-        return dst_sorted[first], src[order][first], key[order][first]
     if _STATS is not None:
         _STATS.claims_scatter += 1
     count = dst.size
@@ -330,13 +303,6 @@ def claim_min(
 # --------------------------------------------------------------------------- #
 # Direction-optimizing expansion
 # --------------------------------------------------------------------------- #
-def _direction_mode(override: Optional[str]) -> str:
-    mode = override if override is not None else os.environ.get("REPRO_BFS_DIRECTION", "auto")
-    if mode not in ("auto", "push", "pull"):
-        raise ValueError(f"unknown BFS direction {mode!r}; choose 'auto', 'push', or 'pull'")
-    return mode
-
-
 class DirectionOptimizer:
     """Beamer-style push/pull switching state for one level-synchronous run.
 
@@ -347,16 +313,13 @@ class DirectionOptimizer:
     candidate vertices.
 
     A level runs *pull* when the frontier's outgoing arcs dominate the arcs
-    still incident to unvisited nodes (``m_f · alpha > m_u``) and the frontier
-    is a non-trivial fraction of the graph (``|F| · beta > n``); otherwise it
-    runs the classic push gather.  The pull winner for a node is its
-    neighbour with the *smallest frontier-array position* — exactly the first
-    claimant of the push gather — so both directions produce bit-identical
-    ``(new_nodes, parents)`` and the choice is purely a performance knob.
-
-    Defaults come from ``REPRO_BFS_DIRECTION`` / ``REPRO_BFS_ALPHA`` /
-    ``REPRO_BFS_BETA``; explicit constructor arguments override the
-    environment.
+    still incident to unvisited nodes (``m_f · _PULL_ALPHA > m_u``) and the
+    frontier is a non-trivial fraction of the graph (``|F| · _PULL_BETA >
+    n``); otherwise it runs the classic push gather.  The pull winner for a
+    node is its neighbour with the *smallest frontier-array position* —
+    exactly the first claimant of the push gather — so both directions
+    produce bit-identical ``(new_nodes, parents)`` and the choice only
+    affects speed.
     """
 
     __slots__ = (
@@ -365,9 +328,6 @@ class DirectionOptimizer:
         "status",
         "degrees",
         "num_nodes",
-        "mode",
-        "alpha",
-        "beta",
         "last_direction",
         "frontier_arcs",
         "last_pull_arcs",
@@ -384,18 +344,12 @@ class DirectionOptimizer:
         *,
         degrees: Optional[np.ndarray] = None,
         covered: Optional[np.ndarray] = None,
-        direction: Optional[str] = None,
-        alpha: Optional[float] = None,
-        beta: Optional[float] = None,
     ) -> None:
         self.indptr = indptr
         self.indices = indices
         self.status = status
         self.num_nodes = int(indptr.size - 1)
         self.degrees = np.diff(indptr) if degrees is None else degrees
-        self.mode = _direction_mode(direction)
-        self.alpha = float(os.environ.get("REPRO_BFS_ALPHA", "4.0")) if alpha is None else float(alpha)
-        self.beta = float(os.environ.get("REPRO_BFS_BETA", "24.0")) if beta is None else float(beta)
         if covered is None:
             covered = np.flatnonzero(status != -1)
         self.unvisited_arcs = int(indices.size) - int(self.degrees[covered].sum())
@@ -408,17 +362,8 @@ class DirectionOptimizer:
     def choose(self, frontier: np.ndarray) -> str:
         """Pick the direction for the next level (also caches ``m_f``)."""
         self.frontier_arcs = int(self.degrees[frontier].sum())
-        if self.mode == "auto":
-            direction = (
-                "pull"
-                if (
-                    self.frontier_arcs * self.alpha > self.unvisited_arcs
-                    and frontier.size * self.beta > self.num_nodes
-                )
-                else "push"
-            )
-        else:
-            direction = self.mode
+        pull = self.frontier_arcs * _PULL_ALPHA > self.unvisited_arcs and frontier.size * _PULL_BETA > self.num_nodes
+        direction = "pull" if pull else "push"
         if direction != self.last_direction:
             self.last_direction = direction
             if _STATS is not None:
@@ -473,7 +418,6 @@ def frontier_expansion(
     max_depth: Optional[int] = None,
     on_level: Optional[Callable[[np.ndarray], None]] = None,
     degrees: Optional[np.ndarray] = None,
-    direction: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Level-synchronous multi-source BFS (direction-optimizing).
 
@@ -488,9 +432,8 @@ def frontier_expansion(
 
     Each level runs either as a push gather + sort-free claim or as a
     :meth:`DirectionOptimizer.pull_expand` scan over unvisited vertices; the
-    two are bit-identical, so ``direction`` (default: ``REPRO_BFS_DIRECTION``
-    / auto) only affects speed.  Pass the graph's cached ``degrees`` to skip
-    the per-call ``np.diff``.
+    two are bit-identical, so the per-level choice only affects speed.  Pass
+    the graph's cached ``degrees`` to skip the per-call ``np.diff``.
     """
     n = indptr.size - 1
     distances = np.full(n, -1, dtype=np.int64)
@@ -501,7 +444,7 @@ def frontier_expansion(
     owners[sources] = sources
     frontier = sources
     level = 0
-    optimizer = DirectionOptimizer(indptr, indices, distances, degrees=degrees, covered=sources, direction=direction)
+    optimizer = DirectionOptimizer(indptr, indices, distances, degrees=degrees, covered=sources)
     workspace = ClaimWorkspace(n)
     while frontier.size and (max_depth is None or level < max_depth):
         if on_level is not None:
@@ -572,11 +515,6 @@ def component_labels(indptr: np.ndarray, indices: np.ndarray, *, degrees: Option
 # --------------------------------------------------------------------------- #
 # Bit-parallel multi-source BFS
 # --------------------------------------------------------------------------- #
-def msbfs_batch_size() -> int:
-    """Sources advanced per bit-parallel sweep (``REPRO_MSBFS_BATCH``, ≥ 1)."""
-    return max(1, int(os.environ.get("REPRO_MSBFS_BATCH", "256")))
-
-
 def _msbfs_sweep(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -591,9 +529,9 @@ def _msbfs_sweep(
     frontier bits along every arc into each target and keeps the bits not yet
     visited.  Levels run push (gather frontier rows, group by target, one
     ``bitwise_or.reduceat``) or pull (gather the not-yet-finished rows and
-    reduce their neighbours' frontier bits), switched by the same alpha/beta
-    heuristic as :class:`DirectionOptimizer`; BFS distances are direction-
-    independent, so the result is exact either way.
+    reduce their neighbours' frontier bits), switched by the arc test of
+    :class:`DirectionOptimizer` (``_PULL_ALPHA``); BFS distances are
+    direction-independent, so the result is exact either way.
 
     ``on_new(level, rows, new_bits)`` is called once per productive level with
     the rows that gained bits and their ``(len(rows), words)`` newly set bit
@@ -614,8 +552,6 @@ def _msbfs_sweep(
     np.bitwise_or.at(visited, (sources, word_of), bit_of)
     frontier_bits = visited.copy()
     frontier_rows = np.unique(sources)
-    mode = _direction_mode(None)
-    alpha = float(os.environ.get("REPRO_BFS_ALPHA", "4.0"))
     unvisited_arcs = int(indices.size)
     seeded_full = frontier_rows[(visited[frontier_rows] == full).all(axis=1)]
     if seeded_full.size:
@@ -626,11 +562,7 @@ def _msbfs_sweep(
         _STATS.msbfs_sweeps += 1
     while frontier_rows.size and (max_depth is None or level < max_depth):
         frontier_arcs = int(degrees[frontier_rows].sum())
-        if mode == "auto":
-            pull = frontier_arcs * alpha > unvisited_arcs
-        else:
-            pull = mode == "pull"
-        if pull:
+        if frontier_arcs * _PULL_ALPHA > unvisited_arcs:
             if unfinished is None:
                 unfinished = np.flatnonzero((visited != full).any(axis=1))
             else:
@@ -689,7 +621,7 @@ def msbfs_levels(
     hop distances from ``sources[j]`` (``-1`` when unreached) — bit-identical
     to ``len(sources)`` independent :func:`frontier_expansion` runs, at the
     cost of a single OR sweep over the graph.  Callers wanting bounded memory
-    chunk their sources (see :func:`msbfs_batch_size`); the matrix rows stay
+    chunk their sources (in tiles of :data:`MSBFS_TILE`); the matrix rows stay
     aligned with the given source order, duplicates included.
     """
     sources = np.asarray(sources, dtype=np.int64)
@@ -716,32 +648,26 @@ def eccentricities(
     sources: np.ndarray,
     *,
     degrees: Optional[np.ndarray] = None,
-    method: str = "auto",
-    batch: Optional[int] = None,
 ) -> np.ndarray:
     """Hop eccentricity of every node in ``sources`` within its component.
 
-    ``method="msbfs"`` (the ``"auto"`` default for more than one source) runs
-    the bit-parallel sweep in batches of ``batch`` (default
-    :func:`msbfs_batch_size`) sources, tracking only the last level at which
-    each source's bit column grew — no per-source Python BFS loop and no
-    ``(S, n)`` distance matrix.  ``method="loop"`` keeps the original
-    one-BFS-per-source path as the frozen bit-identical reference (isolated
-    nodes report 0 in both).
+    One source runs one :func:`frontier_expansion`.  More run the
+    bit-parallel sweep in tiles of :data:`MSBFS_TILE` sources, tracking only
+    the last level at which each source's bit column grew — no per-source
+    Python BFS loop and no ``(S, n)`` distance matrix.  Isolated nodes report
+    0.
     """
     sources = np.asarray(sources, dtype=np.int64)
-    if method not in ("auto", "msbfs", "loop"):
-        raise ValueError(f"unknown eccentricities method {method!r}")
-    if method == "loop" or (method == "auto" and sources.size <= 1):
-        return _eccentricities_loop(indptr, indices, sources, degrees=degrees)
+    out = np.zeros(sources.size, dtype=np.int64)
+    if sources.size == 1:
+        distances, _, _ = frontier_expansion(indptr, indices, sources, degrees=degrees)
+        out[0] = distances.max()
+        return out
     if degrees is None:
         degrees = np.diff(indptr)
-    if batch is None:
-        batch = msbfs_batch_size()
-    batch = max(1, int(batch))
-    out = np.zeros(sources.size, dtype=np.int64)
-    for lo in range(0, sources.size, batch):
-        chunk = sources[lo : lo + batch]
+    tile = MSBFS_TILE
+    for lo in range(0, sources.size, tile):
+        chunk = sources[lo : lo + tile]
         ecc_chunk = out[lo : lo + chunk.size]
 
         def on_new(level: int, rows: np.ndarray, new_bits: np.ndarray) -> None:
@@ -753,22 +679,6 @@ def eccentricities(
     return out
 
 
-def _eccentricities_loop(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    sources: np.ndarray,
-    *,
-    degrees: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """One BFS per source — the pre-msbfs reference implementation."""
-    out = np.zeros(sources.size, dtype=np.int64)
-    for i, source in enumerate(sources):
-        distances, _, _ = frontier_expansion(indptr, indices, np.asarray([source], dtype=np.int64), degrees=degrees)
-        reached = distances[distances >= 0]
-        out[i] = int(reached.max()) if reached.size else 0
-    return out
-
-
 # --------------------------------------------------------------------------- #
 # Weighted relaxation kernels
 # --------------------------------------------------------------------------- #
@@ -777,15 +687,13 @@ def delta_stepping(
     indices: np.ndarray,
     weights: np.ndarray,
     sources: np.ndarray,
-    *,
-    delta: Optional[float] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact multi-source weighted shortest paths via bucketed relaxation.
 
     A delta-stepping-style schedule: tentative distances are grouped into
-    buckets of width ``delta``; the lowest non-empty bucket is relaxed to a
-    fixpoint (vectorized gather + :func:`claim_min` per inner round) before
-    the next bucket opens.  Edge weights are strictly positive, so once a
+    buckets of width δ (the mean edge weight); the lowest non-empty bucket
+    is relaxed to a fixpoint (vectorized gather + :func:`claim_min` per inner
+    round) before the next bucket opens.  Edge weights are strictly positive, so once a
     bucket reaches its fixpoint every node settled in it is final — the
     result is *exact* shortest paths, identical to Dijkstra, with the hot
     loop running over whole frontiers instead of one heap pop per node (and
@@ -803,7 +711,7 @@ def delta_stepping(
         return dist, owner
     dist[sources] = 0.0
     owner[sources] = sources
-    _relax_buckets(indptr, indices, weights, dist, owner=owner, delta=delta)
+    _relax_buckets(indptr, indices, weights, dist, owner=owner)
     return dist, owner
 
 
@@ -844,7 +752,6 @@ def _relax_buckets(
     dist: np.ndarray,
     *,
     owner: Optional[np.ndarray] = None,
-    delta: Optional[float] = None,
 ) -> None:
     """The Δ-stepping bucket loop behind both weighted shortest-path kernels.
 
@@ -857,12 +764,10 @@ def _relax_buckets(
     n = indptr.size - 1
     if indices.size == 0:
         return
-    if delta is None:
-        # Bucket width of the order of the mean edge weight keeps the number
-        # of buckets near (weighted diameter / mean weight) while bounding
-        # the re-relaxation work inside each bucket.
-        delta = float(weights.mean()) or 1.0
-    delta = max(float(delta), np.finfo(np.float64).tiny)
+    # Bucket width of the order of the mean edge weight keeps the number of
+    # buckets near (weighted diameter / mean weight) while bounding the
+    # re-relaxation work inside each bucket.
+    delta = max(float(weights.mean()) or 1.0, np.finfo(np.float64).tiny)
     size = dist.size
     degrees = np.diff(indptr)
     workspace = ClaimWorkspace(size)
@@ -914,94 +819,3 @@ def _relax_buckets(
             # are relaxed again this phase, the rest wait for their bucket.
             settled[targets] = False
             frontier = targets[dist[targets] < boundary]
-
-
-def hop_bounded_relaxation(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    sources: np.ndarray,
-    *,
-    max_hops: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Level-synchronous Bellman–Ford: min weighted distance over ≤ h hops.
-
-    Each round relaxes every arc leaving the nodes improved in the previous
-    round (one parallel round per hop), so after round ``h`` every node holds
-    the minimum weighted length over paths with at most ``h`` edges — the
-    relaxation pattern underlying the §7 hop-bounded weighted decomposition.
-    With ``max_hops=None`` the rounds run to a fixpoint, which yields exact
-    shortest paths (at a higher cost than :func:`delta_stepping`).
-
-    Returns ``(distances, owners, hops)`` where ``hops[v]`` is the round in
-    which ``v`` received its final distance (0 for sources, -1 unreached).
-    """
-    n = indptr.size - 1
-    dist = np.full(n, np.inf)
-    owner = np.full(n, -1, dtype=np.int64)
-    hops = np.full(n, -1, dtype=np.int64)
-    if sources.size == 0 or n == 0:
-        return dist, owner, hops
-    dist[sources] = 0.0
-    owner[sources] = sources
-    hops[sources] = 0
-    workspace = ClaimWorkspace(n)
-    frontier = sources
-    round_index = 0
-    while frontier.size and (max_hops is None or round_index < max_hops):
-        src, dst, pos = gather_neighbors(indptr, indices, frontier)
-        if dst.size == 0:
-            break
-        candidate = dist[src] + weights[pos]
-        improving = candidate < dist[dst]
-        if not np.any(improving):
-            break
-        # As in delta_stepping: claimed keys always beat dist, apply directly.
-        targets, parents, keys = claim_min(dst[improving], src[improving], candidate[improving], workspace=workspace)
-        round_index += 1
-        dist[targets] = keys
-        owner[targets] = owner[parents]
-        hops[targets] = round_index
-        frontier = targets
-    return dist, owner, hops
-
-
-# --------------------------------------------------------------------------- #
-# Whole-graph neighbour reductions
-# --------------------------------------------------------------------------- #
-def reduce_segments(indptr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Precompute :func:`neighbor_reduce` segment metadata for ``indptr``.
-
-    Returns ``(has_neighbors, segment_starts)``.  Both arrays depend only on
-    the graph structure, so iterative callers (HADI runs one reduction per
-    round) hoist this out of their loop and pass the result back in.
-    """
-    has_neighbors = np.diff(indptr) > 0
-    return has_neighbors, indptr[:-1][has_neighbors]
-
-
-def neighbor_reduce(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    values: np.ndarray,
-    ufunc: np.ufunc,
-    *,
-    segments: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Reduce every node's neighbour values with ``ufunc`` (e.g. bitwise OR).
-
-    ``values`` is indexed by node id along axis 0; the reduction gathers
-    ``values[indices]`` and applies ``ufunc.reduceat`` per adjacency slice.
-    Returns ``(has_neighbors, reduced)`` where ``reduced`` holds one row per
-    node *with* neighbours (zero-degree nodes are excluded so the ``reduceat``
-    segment boundaries stay exact).  This full-frontier gather is one parallel
-    round shuffling a value along every arc — the HADI/ANF iteration.
-
-    ``segments`` takes a precomputed :func:`reduce_segments` result so
-    repeated reductions over the same graph skip the per-call O(n) setup.
-    """
-    has_neighbors, segment_starts = reduce_segments(indptr) if segments is None else segments
-    if segment_starts.size == 0:
-        return has_neighbors, values[:0]
-    gathered = values[indices]
-    return has_neighbors, ufunc.reduceat(gathered, segment_starts, axis=0)

@@ -27,8 +27,9 @@ Version 2 appends a per-array CRC-32 trailer after the payloads, so readers
 can detect bit-flips and short writes (``load_snapshot(..., verify=True)``)
 without changing the payload layout at all — the trailer sits past every
 array, mapped views are byte-identical to v1, and v1 files (no trailer)
-remain fully readable.  Verification is opt-in because a full-payload read
-defeats the point of lazily mapping a 100M-edge graph.
+remain fully readable; writers always produce v2.  Verification is opt-in
+because a full-payload read defeats the point of lazily mapping a 100M-edge
+graph.
 
 Writes are atomic (temp file in the destination directory + ``os.replace``)
 so a crashed writer never leaves a half-written snapshot behind, and
@@ -90,9 +91,7 @@ def _temp_path(path: Path) -> Path:
     return path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
 
 
-def _build_header(
-    num_nodes: int, num_arcs: int, weighted: bool, version: int = SNAPSHOT_VERSION
-) -> Dict:
+def _build_header(num_nodes: int, num_arcs: int, weighted: bool) -> Dict:
     arrays: Dict[str, Dict] = {}
     offset = 0  # filled in below, relative to the payload base
     for name, dtype, length in (
@@ -104,7 +103,7 @@ def _build_header(
         offset = _aligned(offset + length * 8)
     return {
         "format": "repro.graph.snapshot",
-        "version": int(version),
+        "version": SNAPSHOT_VERSION,
         "endianness": "little",
         "num_nodes": int(num_nodes),
         "num_arcs": int(num_arcs),
@@ -118,7 +117,7 @@ def _encode_header(header: Dict) -> bytes:
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     preamble = (
         MAGIC
-        + int(header.get("version", SNAPSHOT_VERSION)).to_bytes(4, "little")
+        + int(header["version"]).to_bytes(4, "little")
         + len(blob).to_bytes(4, "little")
     )
     head = preamble + blob
@@ -257,17 +256,11 @@ class SnapshotWriter:
         num_arcs: int,
         *,
         weighted: bool = False,
-        version: int = SNAPSHOT_VERSION,
     ) -> None:
         if num_nodes < 0 or num_arcs < 0:
             raise ValueError("num_nodes and num_arcs must be non-negative")
-        if version not in SUPPORTED_VERSIONS:
-            raise ValueError(
-                f"cannot write snapshot version {version}; supported: {SUPPORTED_VERSIONS}"
-            )
         self.path = Path(path)
-        self.version = int(version)
-        self.header = _build_header(num_nodes, num_arcs, weighted, version)
+        self.header = _build_header(num_nodes, num_arcs, weighted)
         head = _encode_header(self.header)
         self._data_offset = len(head)
         self._tmp: Optional[Path] = _temp_path(self.path)
@@ -305,21 +298,18 @@ class SnapshotWriter:
         for view in self._maps.values():
             view.flush()
         self._maps.clear()
-        if self.version >= 2:
-            # CRC the payload regions as written on disk (chunked, so a
-            # 100M-edge streaming build never holds an array in memory) and
-            # append the trailer past the last payload byte.
-            base = self._data_offset
-            with open(self._tmp, "r+b") as handle:
-                checksums = {
-                    name: _crc32_region(handle, base + spec["offset"], _region_nbytes(spec))
-                    for name, spec in self.header["arrays"].items()
-                }
-                blob = json.dumps(
-                    {"algo": "crc32", "arrays": checksums}, sort_keys=True
-                ).encode("utf-8")
-                handle.seek(base + int(self.header["payload_bytes"]))
-                handle.write(_TRAILER_MAGIC + len(blob).to_bytes(4, "little") + blob)
+        # CRC the payload regions as written on disk (chunked, so a
+        # 100M-edge streaming build never holds an array in memory) and
+        # append the trailer past the last payload byte.
+        base = self._data_offset
+        with open(self._tmp, "r+b") as handle:
+            checksums = {
+                name: _crc32_region(handle, base + spec["offset"], _region_nbytes(spec))
+                for name, spec in self.header["arrays"].items()
+            }
+            blob = json.dumps({"algo": "crc32", "arrays": checksums}, sort_keys=True).encode("utf-8")
+            handle.seek(base + int(self.header["payload_bytes"]))
+            handle.write(_TRAILER_MAGIC + len(blob).to_bytes(4, "little") + blob)
         os.replace(self._tmp, self.path)
         self._tmp = None
         # Chaos hook: simulated post-write corruption (torn write / bit
@@ -349,20 +339,19 @@ class SnapshotWriter:
             pass
 
 
-def save_snapshot(graph, path: PathLike, *, version: int = SNAPSHOT_VERSION) -> Path:
-    """Write ``graph`` as a snapshot file (atomic); returns the final path.
+def save_snapshot(graph, path: PathLike) -> Path:
+    """Write ``graph`` as a (version-2) snapshot file (atomic); returns the
+    final path.
 
     The arrays are dumped as-is — a graph loaded back from the file is
-    bit-identical to ``graph`` (same ``indptr``/``indices``/``weights``).
-    ``version=1`` writes the legacy trailer-less layout (compat tooling and
-    tests); the default v2 appends the per-array checksum trailer.
+    bit-identical to ``graph`` (same ``indptr``/``indices``/``weights``) —
+    followed by the per-array checksum trailer.
     """
     writer = SnapshotWriter(
         path,
         graph.num_nodes,
         graph.num_directed_edges,
         weighted=graph.weights is not None,
-        version=version,
     )
     try:
         writer.indptr[:] = graph.indptr

@@ -5,15 +5,12 @@ is a thin subclass of the array-backed :class:`~repro.graph.csr.CSRGraph`
 core (shared construction, validation, min-weight edge folding, and IO), and
 every weighted traversal runs the shared vectorized kernels of
 :mod:`repro.graph.kernels` — :func:`dijkstra` / :func:`multi_source_dijkstra`
-are the bucketed :func:`~repro.graph.kernels.delta_stepping` relaxation and
-:func:`hop_bounded_relaxation` is the level-synchronous
-:func:`~repro.graph.kernels.hop_bounded_relaxation` kernel, the same
-relaxation pattern the decomposition's
-:class:`~repro.core.growth_engine.MinWeightTieBreak` growth steps use.  On
-top sit the hop-bounded weighted decomposition (controlling both the weighted
-radius and the hop radius), and the weighted k-center / diameter
-applications; ``DecompositionPipeline(graph, method="weighted")`` runs the
-whole chain end to end.
+are the bucketed :func:`~repro.graph.kernels.delta_stepping` relaxation.  On
+top sit the hop-bounded weighted decomposition (the shared growth engine with
+the :class:`~repro.core.growth_engine.MinWeightTieBreak` policy, controlling
+both the weighted radius and the hop radius), and the weighted k-center /
+diameter applications; ``DecompositionPipeline(graph, method="weighted")``
+runs the whole chain end to end.
 """
 
 from repro.weighted.applications import (
@@ -26,17 +23,14 @@ from repro.weighted.applications import (
 )
 from repro.weighted.decomposition import (
     WeightedClustering,
-    WeightedGrowth,
     weighted_cluster,
     weighted_cluster_with_target_clusters,
 )
 from repro.weighted.traversal import (
     WeightedBFSResult,
     dijkstra,
-    hop_bounded_relaxation,
     multi_source_dijkstra,
     weighted_double_sweep,
-    weighted_eccentricity,
 )
 from repro.weighted.wgraph import WeightedCSRGraph, as_weighted
 
@@ -48,15 +42,12 @@ __all__ = [
     "weighted_gonzalez_kcenter",
     "weighted_kcenter",
     "WeightedClustering",
-    "WeightedGrowth",
     "weighted_cluster",
     "weighted_cluster_with_target_clusters",
     "WeightedBFSResult",
     "dijkstra",
-    "hop_bounded_relaxation",
     "multi_source_dijkstra",
     "weighted_double_sweep",
-    "weighted_eccentricity",
     "WeightedCSRGraph",
     "as_weighted",
 ]

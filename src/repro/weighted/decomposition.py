@@ -52,7 +52,6 @@ __all__ = [
     "WeightedClustering",
     "weighted_cluster",
     "weighted_cluster_with_target_clusters",
-    "WeightedGrowth",
     "UNCOVERED",
 ]
 
@@ -164,34 +163,6 @@ class WeightedClustering:
             "weighted_radius": round(self.weighted_radius, 3),
             "growth_rounds": self.growth_rounds,
         }
-
-
-class WeightedGrowth(GrowthEngine):
-    """Hop-synchronous weighted cluster growing (compatibility shim).
-
-    The weighted growth loop is the shared :class:`GrowthEngine` with the
-    :class:`MinWeightTieBreak` policy; this subclass only preserves the
-    historical attribute names (``hop_distance`` / ``num_rounds`` /
-    ``grow_round``) and the :class:`WeightedClustering` freeze.
-    """
-
-    def __init__(self, graph: WeightedCSRGraph) -> None:
-        super().__init__(graph, tie_break=MinWeightTieBreak())
-
-    @property
-    def hop_distance(self) -> np.ndarray:
-        return self.distance
-
-    @property
-    def num_rounds(self) -> int:
-        return self.num_steps
-
-    def grow_round(self) -> int:
-        """One parallel hop-round; uncovered nodes go to the lightest claimant."""
-        return self.grow_step()
-
-    def to_clustering(self, algorithm: str = "weighted-cluster") -> WeightedClustering:
-        return self.to_weighted_clustering(algorithm)
 
 
 def weighted_cluster(

@@ -1,20 +1,14 @@
-"""Weighted traversals: vectorized Dijkstra and hop-bounded relaxation.
+"""Weighted traversals: exact vectorized Dijkstra and the weighted double sweep.
 
-Two distance notions coexist in the weighted extension:
-
-* the **weighted distance** (sum of edge weights along a path), computed
-  exactly by :func:`dijkstra` / :func:`multi_source_dijkstra` — since the
-  substrate unification these run the bucketed
-  :func:`repro.graph.kernels.delta_stepping` relaxation (whole-frontier NumPy
-  rounds) instead of a per-node binary-heap loop, with bit-identical results;
-* the **hop-bounded weighted distance** used by the decomposition: clusters
-  grow one *hop* per parallel round (so the number of rounds — the parallel
-  depth — equals the hop radius), and within each round a node is claimed by
-  the neighbour minimizing the accumulated weighted distance.  The standalone
-  :func:`hop_bounded_relaxation` exposes that pattern
-  (:func:`repro.graph.kernels.hop_bounded_relaxation`) outside the growth
-  engine; it is what the paper's concluding section calls controlling "the
-  weighted radius and the hop radius" simultaneously.
+The **weighted distance** (sum of edge weights along a path) is computed
+exactly by :func:`dijkstra` / :func:`multi_source_dijkstra`, which run the
+bucketed :func:`repro.graph.kernels.delta_stepping` relaxation
+(whole-frontier NumPy rounds) instead of a per-node binary-heap loop, with
+bit-identical results.  :func:`weighted_double_sweep` builds the weighted
+diameter lower bound of the §7 pipeline on top.  The *hop-bounded* weighted
+distance of the decomposition (one hop per parallel round, the lightest
+claimant wins) lives in the growth engine's
+:class:`~repro.core.growth_engine.MinWeightTieBreak` steps.
 """
 
 from __future__ import annotations
@@ -31,13 +25,8 @@ __all__ = [
     "WeightedBFSResult",
     "dijkstra",
     "multi_source_dijkstra",
-    "hop_bounded_relaxation",
-    "weighted_eccentricity",
     "weighted_double_sweep",
 ]
-
-UNREACHED = np.inf
-
 
 @dataclass(frozen=True)
 class WeightedBFSResult:
@@ -50,14 +39,10 @@ class WeightedBFSResult:
     sources:
         int64 array; ``sources[v]`` is the source whose shortest-path tree
         contains ``v`` (``-1`` when unreachable).
-    hops:
-        int64 array of hop counts along the relaxation paths, present only
-        for :func:`hop_bounded_relaxation` results (``None`` otherwise).
     """
 
     distances: np.ndarray
     sources: np.ndarray
-    hops: Optional[np.ndarray] = None
 
     @property
     def reached(self) -> np.ndarray:
@@ -90,35 +75,6 @@ def multi_source_dijkstra(
 def dijkstra(graph: WeightedCSRGraph, source: int) -> np.ndarray:
     """Single-source weighted shortest-path distances (``inf`` if unreachable)."""
     return multi_source_dijkstra(graph, [source]).distances
-
-
-def hop_bounded_relaxation(
-    graph: WeightedCSRGraph,
-    sources: Sequence[int],
-    *,
-    max_hops: Optional[int] = None,
-) -> WeightedBFSResult:
-    """Minimum weighted distance over paths with at most ``max_hops`` edges.
-
-    One vectorized Bellman–Ford round per hop — the relaxation pattern of the
-    §7 hop-bounded weighted decomposition, where ``max_hops`` caps the
-    parallel depth.  With ``max_hops=None`` the rounds run to a fixpoint and
-    the distances coincide with :func:`multi_source_dijkstra`.
-    """
-    source_array = _check_sources(graph, sources)
-    if max_hops is not None and max_hops < 0:
-        raise ValueError("max_hops must be non-negative")
-    dist, owner, hops = kernels.hop_bounded_relaxation(
-        graph.indptr, graph.indices, graph.weights, source_array, max_hops=max_hops
-    )
-    return WeightedBFSResult(distances=dist, sources=owner, hops=hops)
-
-
-def weighted_eccentricity(graph: WeightedCSRGraph, source: int) -> float:
-    """Weighted eccentricity of ``source`` within its component."""
-    dist = dijkstra(graph, source)
-    finite = dist[np.isfinite(dist)]
-    return float(finite.max()) if finite.size else 0.0
 
 
 def weighted_double_sweep(

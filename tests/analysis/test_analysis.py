@@ -1,60 +1,13 @@
-"""Unit tests for the analysis helpers (doubling dimension, stats, tables)."""
+"""Unit tests for the analysis helpers (clustering stats, tables)."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.analysis.doubling import ball, estimate_doubling_dimension, greedy_ball_cover
 from repro.analysis.stats import clustering_report, edge_cut
 from repro.analysis.tables import format_value, render_csv, render_table
 from repro.core.cluster import cluster
-from repro.generators import mesh_graph, path_graph
-from repro.graph.csr import CSRGraph
-
-
-class TestBallAndCover:
-    def test_ball_membership(self, mesh8):
-        members = ball(mesh8, 0, 2)
-        assert 0 in members
-        assert len(members) == 6  # corner of a mesh: 1 + 2 + 3
-
-    def test_ball_radius_zero(self, mesh8):
-        assert ball(mesh8, 5, 0).tolist() == [5]
-
-    def test_ball_negative_radius(self, mesh8):
-        with pytest.raises(ValueError):
-            ball(mesh8, 0, -1)
-
-    def test_greedy_cover_path(self):
-        graph = path_graph(20)
-        nodes = np.arange(20)
-        # Balls of radius 2 cover 5 consecutive path nodes: need >= 4 of them.
-        assert greedy_ball_cover(graph, nodes, 2) >= 4
-
-    def test_greedy_cover_whole_graph_single_ball(self, mesh8):
-        nodes = np.arange(mesh8.num_nodes)
-        assert greedy_ball_cover(mesh8, nodes, 14) == 1
-
-
-class TestDoublingDimension:
-    def test_mesh_dimension_near_two(self, mesh20):
-        estimate = estimate_doubling_dimension(mesh20, num_samples=10, seed=0)
-        assert 1.0 <= estimate.dimension <= 3.5
-        assert estimate.num_samples > 0
-
-    def test_path_dimension_near_one(self):
-        graph = path_graph(200)
-        estimate = estimate_doubling_dimension(graph, num_samples=10, seed=1)
-        assert estimate.dimension <= 2.0
-
-    def test_explicit_radii(self, mesh8):
-        estimate = estimate_doubling_dimension(mesh8, num_samples=4, radii=[2], seed=2)
-        assert estimate.dimension >= 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_doubling_dimension(CSRGraph.empty(0))
+from repro.generators import mesh_graph
 
 
 class TestClusteringReport:

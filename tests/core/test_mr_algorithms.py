@@ -9,7 +9,6 @@ from repro.core.cluster import cluster
 from repro.core.mr_algorithms import (
     charge_clustering_rounds,
     charge_quotient_rounds,
-    mr_cluster_decomposition,
     mr_estimate_diameter,
 )
 from repro.generators import mesh_graph, path_graph
@@ -49,16 +48,16 @@ class TestChargeRounds:
 
 class TestMRCluster:
     def test_report_fields(self, mesh20):
-        report = mr_cluster_decomposition(mesh20, 2, seed=2)
-        assert report.estimate is None
+        report = mr_estimate_diameter(mesh20, tau=2, seed=2)
+        assert report.estimate.clustering is report.clustering
         assert report.rounds > 0
         assert report.shuffled_pairs > 0
         assert report.simulated_time > 0
         report.clustering.validate(mesh20)
 
     def test_cost_model_scaling(self, mesh20):
-        cheap = mr_cluster_decomposition(mesh20, 2, seed=3, cost_model=CostModel(0.1, 1e-9))
-        pricey = mr_cluster_decomposition(mesh20, 2, seed=3, cost_model=CostModel(10.0, 1e-9))
+        cheap = mr_estimate_diameter(mesh20, tau=2, seed=3, cost_model=CostModel(0.1, 1e-9))
+        pricey = mr_estimate_diameter(mesh20, tau=2, seed=3, cost_model=CostModel(10.0, 1e-9))
         assert pricey.simulated_time > cheap.simulated_time
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.diameter import estimate_diameter
-from repro.core.mr_algorithms import mr_estimate_diameter, mr_weighted_cluster_decomposition
+from repro.core.mr_algorithms import mr_estimate_diameter
 from repro.core.pipeline import DecompositionPipeline, PipelineConfig
 from repro.experiments.config import ExperimentConfig
 from repro.generators import mesh_graph
@@ -91,15 +91,6 @@ class TestWrapperEquivalence:
         assert report.shuffled_pairs == pipe_report.shuffled_pairs
         assert "mr-accounting" in pipe.timings
 
-    def test_mr_report_decomposition_only(self, mesh16):
-        pipe = DecompositionPipeline(mesh16, PipelineConfig(tau=2, seed=42))
-        full = pipe.mr_report()
-        lean = DecompositionPipeline(mesh16, PipelineConfig(tau=2, seed=42)).mr_report(
-            include_quotient=False
-        )
-        assert lean.estimate is None
-        assert lean.rounds < full.rounds
-
 
 class TestMethods:
     @pytest.mark.parametrize("method", ["cluster", "cluster2", "mpx", "single-batch"])
@@ -128,11 +119,13 @@ class TestMethods:
 
 
 class TestExperimentConfigThreading:
-    def test_config_pipeline_uses_method_and_backend(self, mesh16):
-        config = ExperimentConfig(decomposition_method="mpx", mr_backend="vectorized")
+    def test_config_pipeline_uses_method(self, mesh16):
+        # The MR backend stays with the round-executing baselines: the
+        # pipeline's accounting charges rounds and takes no backend.
+        config = ExperimentConfig(decomposition_method="mpx", mr_backend="process", mr_shards=2)
         pipe = config.pipeline(mesh16, seed=3)
         assert pipe.config.method == "mpx"
-        assert pipe.config.mr_backend == "vectorized"
+        assert pipe.config == PipelineConfig(method="mpx", seed=3)
         assert pipe.run().method == "mpx"
 
 
@@ -197,8 +190,8 @@ class TestWeightedMRAccounting:
         wgraph = WeightedCSRGraph.random_weights(
             mesh_graph(14, 14), rng=np.random.default_rng(6)
         )
-        report = mr_weighted_cluster_decomposition(wgraph, 1, seed=11)
-        assert report.estimate is None
+        report = DecompositionPipeline(wgraph, method="weighted", tau=1, seed=11).mr_report()
+        assert report.estimate.lower_bound <= report.estimate.upper_bound
         assert report.rounds > 0
         assert report.shuffled_pairs > 0
         assert report.simulated_time > 0

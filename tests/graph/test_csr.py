@@ -222,12 +222,3 @@ class TestSubgraph:
         for i in range(sub.num_nodes):
             for j in sub.neighbors(i):
                 assert mesh8.has_edge(int(mapping[i]), int(mapping[int(j)]))
-
-
-class TestScipyExport:
-    def test_to_scipy_shape_and_symmetry(self, tiny_graph):
-        matrix = tiny_graph.to_scipy()
-        assert matrix.shape == (6, 6)
-        dense = matrix.toarray()
-        assert (dense == dense.T).all()
-        assert dense.sum() == tiny_graph.num_directed_edges

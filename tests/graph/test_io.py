@@ -1,4 +1,4 @@
-"""Unit tests for edge-list / npz IO."""
+"""Unit tests for edge-list IO."""
 
 from __future__ import annotations
 
@@ -8,10 +8,8 @@ import pytest
 from repro.graph.io import (
     iter_edge_list_chunks,
     load_edge_list,
-    load_npz,
     parse_edge_list_text,
     save_edge_list,
-    save_npz,
 )
 from repro.generators import mesh_graph
 from repro.weighted.wgraph import WeightedCSRGraph
@@ -88,13 +86,6 @@ class TestRoundTrip:
         path.write_text("0 1\n1 0\n1 2\n")
         graph, _ = load_edge_list(path, symmetrize=True)
         assert graph.num_edges == 2
-
-    def test_npz_roundtrip(self, tmp_path):
-        graph = mesh_graph(6, 7)
-        path = tmp_path / "mesh.npz"
-        save_npz(graph, path)
-        loaded = load_npz(path)
-        assert loaded == graph
 
     def test_weighted_edge_list_roundtrip(self, tmp_path):
         graph = mesh_graph(4, 4, weights="uniform", seed=1)

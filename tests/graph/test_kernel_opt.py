@@ -2,11 +2,13 @@
 
 The sort-free claims, the direction-optimizing expansion, and the
 bit-parallel multi-source BFS are pure execution-strategy changes: every
-test here pins an optimized path against its frozen reference (stable
-argsort/lexsort claims, push-only expansion, one-BFS-per-source loops)
-and asserts byte-for-byte equality — on in-memory graphs, on mmap-loaded
-snapshots, and through the :class:`~repro.core.growth_engine.GrowthEngine`
-including its MR step accounting.
+test here pins an optimized path against its frozen reference in
+``kernel_reference.py`` (stable argsort/lexsort claims, push-only levels,
+one-BFS-per-source loops) and asserts byte-for-byte equality — on in-memory
+graphs, on mmap-loaded snapshots, and through the
+:class:`~repro.core.growth_engine.GrowthEngine` including its MR step
+accounting.  Directions are forced by patching the kernels' private pull
+thresholds (``kernel_reference.forced_direction``).
 """
 
 from __future__ import annotations
@@ -28,6 +30,15 @@ from repro.graph.csr import CSRGraph
 from repro.graph.snapshot import load_snapshot, save_snapshot
 from repro.graph.traversal import multi_source_bfs
 from repro.weighted.wgraph import WeightedCSRGraph
+
+from kernel_reference import (  # rootless test layout: pytest puts this dir on sys.path
+    eccentricities_loop,
+    forced_direction,
+    sorted_claim_first,
+    sorted_claim_min,
+)
+
+DIRECTIONS = ("push", "pull", "auto")
 
 
 def star_graph(num_leaves: int) -> CSRGraph:
@@ -66,7 +77,7 @@ class TestSortFreeClaims:
         n = 2000
         dst = rng.integers(0, n, count)
         src = rng.integers(0, n, count)
-        ref_targets, ref_parents = kernels.claim_first(dst, src)
+        ref_targets, ref_parents = sorted_claim_first(dst, src)
         targets, parents = kernels.claim_first(
             dst, src, workspace=kernels.ClaimWorkspace(n)
         )
@@ -83,7 +94,7 @@ class TestSortFreeClaims:
         # Quantized keys force plenty of exact ties, exercising the
         # first-claimant tie-break of the scatter path.
         key = np.round(rng.random(count), 2)
-        reference = kernels.claim_min(dst, src, key)
+        reference = sorted_claim_min(dst, src, key)
         scatter = kernels.claim_min(dst, src, key, workspace=kernels.ClaimWorkspace(n))
         for ref, got in zip(reference, scatter):
             assert np.array_equal(ref, got)
@@ -124,16 +135,12 @@ class TestDirectionEquivalence:
         sources = np.sort(
             rng.choice(graph.num_nodes, min(num_sources, graph.num_nodes), replace=False)
         ).astype(np.int64)
-        runs = {
-            direction: kernels.frontier_expansion(
-                graph.indptr,
-                graph.indices,
-                sources,
-                degrees=graph.degrees,
-                direction=direction,
-            )
-            for direction in ("push", "pull", "auto")
-        }
+        runs = {}
+        for direction in DIRECTIONS:
+            with forced_direction(direction):
+                runs[direction] = kernels.frontier_expansion(
+                    graph.indptr, graph.indices, sources, degrees=graph.degrees
+                )
         push_dist, push_owner, push_levels = runs["push"]
         for direction in ("pull", "auto"):
             dist, owner, levels = runs[direction]
@@ -146,14 +153,14 @@ class TestDirectionEquivalence:
         sources = np.asarray([0], dtype=np.int64)
         seen = {"push": [], "pull": []}
         for direction in ("push", "pull"):
-            kernels.frontier_expansion(
-                graph.indptr,
-                graph.indices,
-                sources,
-                max_depth=4,
-                on_level=lambda f, d=direction: seen[d].append(f.copy()),
-                direction=direction,
-            )
+            with forced_direction(direction):
+                kernels.frontier_expansion(
+                    graph.indptr,
+                    graph.indices,
+                    sources,
+                    max_depth=4,
+                    on_level=lambda f, d=direction: seen[d].append(f.copy()),
+                )
         assert len(seen["push"]) == len(seen["pull"]) == 4
         for push_frontier, pull_frontier in zip(seen["push"], seen["pull"]):
             assert np.array_equal(push_frontier, pull_frontier)
@@ -161,38 +168,19 @@ class TestDirectionEquivalence:
     def test_empty_sources(self):
         graph = mesh_graph(4, 4)
         empty = np.zeros(0, dtype=np.int64)
-        for direction in ("push", "pull", "auto"):
-            dist, owner, levels = kernels.frontier_expansion(
-                graph.indptr, graph.indices, empty, direction=direction
-            )
+        for direction in DIRECTIONS:
+            with forced_direction(direction):
+                dist, owner, levels = kernels.frontier_expansion(graph.indptr, graph.indices, empty)
             assert (dist == -1).all() and (owner == -1).all() and levels == 0
 
     def test_single_node_graph(self):
         graph = CSRGraph.empty(1)
-        for direction in ("push", "pull", "auto"):
-            dist, owner, levels = kernels.frontier_expansion(
-                graph.indptr,
-                graph.indices,
-                np.asarray([0], dtype=np.int64),
-                direction=direction,
-            )
+        for direction in DIRECTIONS:
+            with forced_direction(direction):
+                dist, owner, levels = kernels.frontier_expansion(
+                    graph.indptr, graph.indices, np.asarray([0], dtype=np.int64)
+                )
             assert dist.tolist() == [0] and owner.tolist() == [0] and levels == 0
-
-    def test_direction_env_override(self, monkeypatch):
-        graph = mesh_graph(6, 6)
-        source = np.asarray([0], dtype=np.int64)
-        baseline = kernels.frontier_expansion(graph.indptr, graph.indices, source)
-        for value in ("push", "pull", "auto"):
-            monkeypatch.setenv("REPRO_BFS_DIRECTION", value)
-            dist, owner, levels = kernels.frontier_expansion(
-                graph.indptr, graph.indices, source
-            )
-            assert np.array_equal(dist, baseline[0])
-            assert np.array_equal(owner, baseline[1])
-            assert levels == baseline[2]
-        monkeypatch.setenv("REPRO_BFS_DIRECTION", "sideways")
-        with pytest.raises(ValueError, match="unknown BFS direction"):
-            kernels.frontier_expansion(graph.indptr, graph.indices, source)
 
 
 # ---------------------------------------------------------------------- #
@@ -243,34 +231,25 @@ class TestMsbfs:
         assert levels.shape == (0, graph.num_nodes)
 
     @pytest.mark.parametrize("batch", [7, 48, 500])
-    def test_eccentricities_msbfs_matches_loop(self, batch):
+    def test_eccentricities_msbfs_matches_loop(self, batch, monkeypatch):
+        # ``batch`` sources per sweep: one tile, several, and a ragged last one.
+        monkeypatch.setattr(kernels, "MSBFS_TILE", batch)
         graph = disjoint_union([rmat_graph(8, 6, seed=2), star_graph(10)])
         sources = np.arange(graph.num_nodes, dtype=np.int64)
-        loop = kernels.eccentricities(
-            graph.indptr, graph.indices, sources, method="loop"
-        )
-        msbfs = kernels.eccentricities(
-            graph.indptr, graph.indices, sources, method="msbfs", batch=batch
-        )
+        loop = eccentricities_loop(graph.indptr, graph.indices, sources)
+        msbfs = kernels.eccentricities(graph.indptr, graph.indices, sources)
         assert np.array_equal(loop, msbfs)
-
-    def test_eccentricities_batch_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MSBFS_BATCH", "17")
-        assert kernels.msbfs_batch_size() == 17
-        graph = mesh_graph(8, 8)
-        sources = np.arange(graph.num_nodes, dtype=np.int64)
-        via_env = kernels.eccentricities(graph.indptr, graph.indices, sources)
-        loop = kernels.eccentricities(graph.indptr, graph.indices, sources, method="loop")
-        assert np.array_equal(via_env, loop)
 
     def test_eccentricities_isolated_nodes_report_zero(self):
         graph = CSRGraph.from_edges([(0, 1)], num_nodes=4)
         sources = np.arange(4, dtype=np.int64)
-        for method in ("loop", "msbfs"):
-            eccs = kernels.eccentricities(
-                graph.indptr, graph.indices, sources, method=method
-            )
-            assert eccs.tolist() == [1, 1, 0, 0]
+        expected = [1, 1, 0, 0]
+        assert eccentricities_loop(graph.indptr, graph.indices, sources).tolist() == expected
+        assert kernels.eccentricities(graph.indptr, graph.indices, sources).tolist() == expected
+        # A single source takes the one-BFS path instead of a sweep.
+        for source in range(4):
+            single = np.asarray([source], dtype=np.int64)
+            assert kernels.eccentricities(graph.indptr, graph.indices, single).tolist() == [expected[source]]
 
     def test_quotient_apsp_matches_per_source_bfs(self):
         graph = mesh_graph(10, 10)
@@ -302,14 +281,13 @@ class TestMmapBitIdentity:
     def test_frontier_expansion(self, pair, direction):
         graph, mapped = pair
         sources = np.asarray([0, 7], dtype=np.int64)
-        expected = kernels.frontier_expansion(
-            graph.indptr, graph.indices, sources, degrees=graph.degrees,
-            direction=direction,
-        )
-        got = kernels.frontier_expansion(
-            mapped.indptr, mapped.indices, sources, degrees=mapped.degrees,
-            direction=direction,
-        )
+        with forced_direction(direction):
+            expected = kernels.frontier_expansion(
+                graph.indptr, graph.indices, sources, degrees=graph.degrees
+            )
+            got = kernels.frontier_expansion(
+                mapped.indptr, mapped.indices, sources, degrees=mapped.degrees
+            )
         assert np.array_equal(expected[0], got[0])
         assert np.array_equal(expected[1], got[1])
         assert expected[2] == got[2]
@@ -322,12 +300,8 @@ class TestMmapBitIdentity:
             kernels.msbfs_levels(mapped.indptr, mapped.indices, sources),
         )
         assert np.array_equal(
-            kernels.eccentricities(
-                graph.indptr, graph.indices, sources, method="msbfs"
-            ),
-            kernels.eccentricities(
-                mapped.indptr, mapped.indices, sources, method="msbfs"
-            ),
+            kernels.eccentricities(graph.indptr, graph.indices, sources),
+            kernels.eccentricities(mapped.indptr, mapped.indices, sources),
         )
 
     def test_engine_over_mmap_graph(self, pair):
@@ -383,12 +357,12 @@ class TestEngineDirection:
     @pytest.mark.parametrize("name", ["rmat", "mesh", "disconnected", "star"])
     def test_forced_directions_full_run(self, name):
         graph = graph_zoo()[name]
-        engines = {
-            direction: GrowthEngine(graph, direction=direction).run(
-                BatchHalvingSchedule(2, np.random.default_rng(7))
-            )
-            for direction in ("push", "pull", "auto")
-        }
+        engines = {}
+        for direction in DIRECTIONS:
+            with forced_direction(direction):
+                engines[direction] = GrowthEngine(graph).run(
+                    BatchHalvingSchedule(2, np.random.default_rng(7))
+                )
         self.assert_runs_identical(engines["push"], engines["pull"])
         self.assert_runs_identical(engines["push"], engines["auto"])
 
@@ -398,20 +372,22 @@ class TestEngineDirection:
         graph = mesh_graph(11, 11)
         runs = {}
         for direction in ("push", "pull"):
-            engine = GrowthEngine(graph, direction=direction)
-            engine.add_centers([0])
-            engine.grow_steps(2)
-            engine.add_centers([graph.num_nodes - 1, 60])
-            engine.grow_to_exhaustion()
+            with forced_direction(direction):
+                engine = GrowthEngine(graph)
+                engine.add_centers([0])
+                engine.grow_steps(2)
+                engine.add_centers([graph.num_nodes - 1, 60])
+                engine.grow_to_exhaustion()
             runs[direction] = engine
         self.assert_runs_identical(runs["push"], runs["pull"])
 
     def test_weighted_engine_ignores_pull(self):
-        # Min-weight claims have no pull path; direction="pull" must be a
-        # no-op, not an error, and results must match the default engine.
+        # Min-weight claims have no pull path; forcing pull must be a no-op,
+        # not an error, and results must match the default engine.
         graph = mesh_graph(6, 6, weights="uniform", seed=2)
         baseline = GrowthEngine(graph).run(StaticSchedule([0, 35]))
-        forced = GrowthEngine(graph, direction="pull").run(StaticSchedule([0, 35]))
+        with forced_direction("pull"):
+            forced = GrowthEngine(graph).run(StaticSchedule([0, 35]))
         assert isinstance(forced.tie_break, MinWeightTieBreak)
         self.assert_runs_identical(baseline, forced)
 
@@ -435,18 +411,33 @@ class TestKernelStats:
             graph.indices,
             np.asarray([0], dtype=np.int64),
             degrees=graph.degrees,
-            direction="auto",
         )
         stats = kernels.kernel_stats_snapshot()
         assert stats["levels"] == stats["push_levels"] + stats["pull_levels"]
-        # R-MAT at this density is exactly the pull regime: the heuristic
-        # must switch at least once, and every level is counted.
+        # R-MAT at this density is exactly the pull regime: the default
+        # heuristic must run both directions, and every level is counted.
         assert stats["pull_levels"] > 0 and stats["push_levels"] > 0
         assert stats["direction_switches"] >= 1
         assert stats["edges_scanned"] == (
             stats["edges_scanned_push"] + stats["edges_scanned_pull"]
         )
         assert stats["claims_scatter"] > 0
+
+    @pytest.mark.parametrize("direction", ["push", "pull"])
+    def test_forced_direction_pins_every_level(self, stats_guard, direction):
+        # The reference's threshold patch must really force the direction:
+        # on R-MAT the default heuristic mixes both (test above).
+        graph = rmat_graph(10, 8, seed=3)
+        kernels.enable_kernel_stats()
+        with forced_direction(direction):
+            kernels.frontier_expansion(
+                graph.indptr, graph.indices, np.asarray([0], dtype=np.int64), degrees=graph.degrees
+            )
+            GrowthEngine(graph).run(BatchHalvingSchedule(2, np.random.default_rng(7)))
+        stats = kernels.kernel_stats_snapshot()
+        other = "pull" if direction == "push" else "push"
+        assert stats[f"{direction}_levels"] > 0
+        assert stats[f"{other}_levels"] == 0
 
     def test_msbfs_counters_and_reset(self, stats_guard):
         kernels.enable_kernel_stats()
@@ -456,7 +447,6 @@ class TestKernelStats:
             graph.indptr,
             graph.indices,
             np.arange(graph.num_nodes, dtype=np.int64),
-            method="msbfs",
         )
         stats = kernels.kernel_stats_snapshot()
         assert stats["msbfs_sweeps"] >= 1
@@ -464,13 +454,3 @@ class TestKernelStats:
         assert stats["msbfs_edges_scanned"] > 0
         kernels.reset_kernel_stats()
         assert all(value == 0 for value in kernels.kernel_stats_snapshot().values())
-
-    def test_legacy_claims_counted_as_sorted(self, stats_guard):
-        kernels.enable_kernel_stats()
-        kernels.reset_kernel_stats()
-        dst = np.asarray([3, 3, 5], dtype=np.int64)
-        src = np.asarray([0, 1, 2], dtype=np.int64)
-        kernels.claim_first(dst, src)
-        kernels.claim_min(dst, src, np.asarray([1.0, 2.0, 3.0]))
-        stats = kernels.kernel_stats_snapshot()
-        assert stats["claims_sorted"] == 2 and stats["claims_scatter"] == 0

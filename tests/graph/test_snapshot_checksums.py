@@ -27,6 +27,20 @@ def mesh(tmp_path):
     return graph, path
 
 
+def save_v1(graph, path):
+    """Write ``graph`` as a version-1 snapshot (the library writes only v2).
+
+    A v1 file is a v2 file without the checksum trailer, with version 1 in
+    the preamble (which the reader treats as authoritative).
+    """
+    v2 = save_snapshot(graph, path.with_suffix(".v2"))
+    header = read_snapshot_header(v2)
+    blob = bytearray(v2.read_bytes()[: header["data_offset"] + header["payload_bytes"]])
+    blob[8:12] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    return path
+
+
 def flip_payload_byte(path, extra_offset=0):
     header = read_snapshot_header(path)
     offset = header["data_offset"] + extra_offset
@@ -91,36 +105,38 @@ class TestTrailer:
 
 
 class TestV1Compat:
-    def test_v1_still_writable_and_readable(self, tmp_path):
+    def test_v1_still_readable(self, tmp_path):
         graph = mesh_graph(6, 6)
-        path = tmp_path / "v1.snap"
-        save_snapshot(graph, path, version=1)
+        path = save_v1(graph, tmp_path / "v1.snap")
         header = read_snapshot_header(path)
         assert header["version"] == 1
-        loaded = load_snapshot(path)
-        assert np.array_equal(np.asarray(loaded.indices), np.asarray(graph.indices))
+        for mmap in (True, False):
+            loaded = load_snapshot(path, mmap=mmap)
+            assert np.array_equal(np.asarray(loaded.indptr), np.asarray(graph.indptr))
+            assert np.array_equal(np.asarray(loaded.indices), np.asarray(graph.indices))
 
     def test_v1_has_no_checksums(self, tmp_path):
-        path = tmp_path / "v1.snap"
-        save_snapshot(mesh_graph(4, 4), path, version=1)
+        path = save_v1(mesh_graph(4, 4), tmp_path / "v1.snap")
         assert read_snapshot_checksums(path) is None
 
     def test_v1_auto_verify_skips(self, tmp_path):
         graph = mesh_graph(4, 4)
-        path = tmp_path / "v1.snap"
-        save_snapshot(graph, path, version=1)
+        path = save_v1(graph, tmp_path / "v1.snap")
         loaded = load_snapshot(path, verify="auto")
         assert np.array_equal(np.asarray(loaded.indptr), np.asarray(graph.indptr))
 
     def test_v1_strict_verify_rejected(self, tmp_path):
-        path = tmp_path / "v1.snap"
-        save_snapshot(mesh_graph(4, 4), path, version=1)
+        path = save_v1(mesh_graph(4, 4), tmp_path / "v1.snap")
         with pytest.raises(ValueError, match="cannot verify a version-1 snapshot"):
             load_snapshot(path, verify=True)
 
     def test_unknown_version_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="version"):
-            save_snapshot(mesh_graph(4, 4), tmp_path / "x.snap", version=9)
+        path = save_snapshot(mesh_graph(4, 4), tmp_path / "x.snap")
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = (9).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="unsupported snapshot version 9"):
+            read_snapshot_header(path)
         assert SUPPORTED_VERSIONS == (1, 2)
 
 

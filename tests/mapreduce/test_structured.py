@@ -363,13 +363,12 @@ def test_mr_bfs_diameter_identical_across_backends():
 
 
 def test_hadi_sketch_round_matches_neighbor_reduce_kernel():
-    """The structured bitwise_or round == the independent in-memory kernel.
+    """The structured bitwise_or round == an independent in-memory neighbour OR.
 
-    HADI's sketch propagation used to run :func:`repro.graph.kernels.neighbor_reduce`
-    directly; the kernel stays as the reference the MR round is pinned to.
+    HADI's sketch propagation used to reduce each node's neighbour sketches
+    in memory (one ``bitwise_or.reduceat`` per adjacency slice); that
+    reduction, inlined here, is the reference the MR round is pinned to.
     """
-    from repro.graph import kernels
-
     graph = barabasi_albert_graph(300, 4, seed=8)
     rng = np.random.default_rng(0)
     sketches = rng.integers(0, 2**60, size=(graph.num_nodes, 4), dtype=np.uint64)
@@ -384,10 +383,9 @@ def test_hadi_sketch_round_matches_neighbor_reduce_kernel():
         merged = engine.run_structured_round(batch, "bitwise_or")
 
     expected = sketches.copy()
-    has_neighbors, neighbor_or = kernels.neighbor_reduce(
-        graph.indptr, graph.indices, sketches, np.bitwise_or
-    )
-    expected[has_neighbors] |= neighbor_or
+    has_neighbors = np.diff(graph.indptr) > 0
+    segment_starts = graph.indptr[:-1][has_neighbors]
+    expected[has_neighbors] |= np.bitwise_or.reduceat(sketches[graph.indices], segment_starts, axis=0)
     result = np.empty_like(sketches)
     result[merged.keys] = merged.values
     assert np.array_equal(result, expected)

@@ -1,17 +1,16 @@
 """Frozen pre-refactor heapq traversals (reference implementations).
 
 These are verbatim copies of the binary-heap loops that lived in
-``repro/weighted/traversal.py`` before the kernel unification (plus a
-sequential Bellman–Ford reference for the hop-bounded relaxation, which never
-had a heapq form).  They are kept in the test tree — like the PR 2 growth
-goldens — so ``test_kernel_equivalence.py`` can pin the vectorized kernels'
-outputs bit for bit against the historical semantics.  Do not "improve" them.
+``repro/weighted/traversal.py`` before the kernel unification.  They are kept
+in the test tree — like the growth goldens in ``tests/core/goldens`` — so
+``test_kernel_equivalence.py`` can pin the vectorized kernels' outputs bit for
+bit against the historical semantics.  Do not "improve" them.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -48,40 +47,3 @@ def frozen_multi_source_dijkstra(graph, sources: Sequence[int]) -> Tuple[np.ndar
 def frozen_dijkstra(graph, source: int) -> np.ndarray:
     """Single-source distances from the frozen heapq loop."""
     return frozen_multi_source_dijkstra(graph, [source])[0]
-
-
-def frozen_hop_bounded(
-    graph, sources: Sequence[int], max_hops: Optional[int] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sequential full-scan Bellman–Ford reference for the hop-bounded relaxation.
-
-    Round ``r`` relaxes every arc once, so after round ``r`` each node holds
-    the minimum weighted length over paths with at most ``r`` edges; ``hops``
-    records the round of the last improvement.  Runs to a fixpoint when
-    ``max_hops`` is None.
-    """
-    n = graph.num_nodes
-    dist = np.full(n, np.inf)
-    hops = np.full(n, -1, dtype=np.int64)
-    source_array = np.unique(np.asarray(list(sources), dtype=np.int64))
-    dist[source_array] = 0.0
-    hops[source_array] = 0
-    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
-    round_index = 0
-    while max_hops is None or round_index < max_hops:
-        improved = False
-        snapshot = dist.copy()
-        for u in range(n):
-            if not np.isfinite(snapshot[u]):
-                continue
-            for pos in range(indptr[u], indptr[u + 1]):
-                v = int(indices[pos])
-                nd = snapshot[u] + float(weights[pos])
-                if nd < dist[v]:
-                    dist[v] = nd
-                    hops[v] = round_index + 1
-                    improved = True
-        if not improved:
-            break
-        round_index += 1
-    return dist, hops

@@ -1,9 +1,9 @@
 """Golden equivalence: vectorized weighted kernels vs. frozen heapq loops.
 
-Pins ``dijkstra`` / ``multi_source_dijkstra`` / ``hop_bounded_relaxation``
-outputs *bit for bit* against the pre-refactor implementations kept frozen in
-``frozen_heapq.py`` (the weighted analogue of PR 2's growth goldens), across
-seeded generator graphs including disconnected and single-node cases.
+Pins ``dijkstra`` / ``multi_source_dijkstra`` outputs *bit for bit* against
+the pre-refactor implementations kept frozen in ``frozen_heapq.py`` (the
+weighted analogue of the growth goldens), across seeded generator graphs
+including disconnected and single-node cases.
 """
 
 from __future__ import annotations
@@ -19,16 +19,11 @@ from repro.generators import (
     road_network_graph,
 )
 from repro.graph.builders import disjoint_union
-from repro.weighted.traversal import (
-    dijkstra,
-    hop_bounded_relaxation,
-    multi_source_dijkstra,
-)
+from repro.weighted.traversal import dijkstra, multi_source_dijkstra
 from repro.weighted.wgraph import WeightedCSRGraph
 
 from frozen_heapq import (  # rootless test layout: pytest puts this dir on sys.path
     frozen_dijkstra,
-    frozen_hop_bounded,
     frozen_multi_source_dijkstra,
 )
 
@@ -80,24 +75,6 @@ def test_dijkstra_matches_frozen_heapq(name):
     assert np.array_equal(frozen_dijkstra(graph, 0), dijkstra(graph, 0)), name
 
 
-@pytest.mark.parametrize("name", sorted(GRAPHS))
-@pytest.mark.parametrize("max_hops", [0, 1, 3, None])
-def test_hop_bounded_matches_frozen_reference(name, max_hops):
-    graph = GRAPHS[name]
-    for sources in _source_sets(graph):
-        ref_dist, ref_hops = frozen_hop_bounded(graph, sources, max_hops)
-        result = hop_bounded_relaxation(graph, sources, max_hops=max_hops)
-        assert np.array_equal(ref_dist, result.distances), (name, sources, max_hops)
-        assert np.array_equal(ref_hops, result.hops), (name, sources, max_hops)
-
-
-@pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_hop_bounded_fixpoint_equals_dijkstra(name):
-    graph = GRAPHS[name]
-    result = hop_bounded_relaxation(graph, [0])
-    assert np.array_equal(result.distances, dijkstra(graph, 0)), name
-
-
 def test_empty_source_set():
     graph = GRAPHS["mesh-uniform"]
     result = multi_source_dijkstra(graph, [])
@@ -110,16 +87,4 @@ def test_source_out_of_range():
     with pytest.raises(IndexError):
         multi_source_dijkstra(graph, [graph.num_nodes])
     with pytest.raises(IndexError):
-        hop_bounded_relaxation(graph, [-1])
-
-
-def test_hop_bounded_distances_decrease_with_budget():
-    graph = GRAPHS["road-uniform"]
-    budgets = [1, 2, 4, 8, None]
-    previous = None
-    for budget in budgets:
-        dist = hop_bounded_relaxation(graph, [0], max_hops=budget).distances
-        if previous is not None:
-            finite = np.isfinite(dist)
-            assert np.all(dist[finite] <= previous[finite] + 1e-12)
-        previous = dist
+        multi_source_dijkstra(graph, [-1])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.growth_engine import GrowthEngine, MinWeightTieBreak
 from repro.generators import mesh_graph, path_graph, road_network_graph
 from repro.weighted.applications import (
     build_weighted_quotient,
@@ -12,7 +13,7 @@ from repro.weighted.applications import (
     weighted_gonzalez_kcenter,
     weighted_kcenter,
 )
-from repro.weighted.decomposition import WeightedGrowth, weighted_cluster
+from repro.weighted.decomposition import weighted_cluster
 from repro.weighted.traversal import multi_source_dijkstra
 from repro.weighted.wgraph import WeightedCSRGraph
 
@@ -41,37 +42,42 @@ def exact_weighted_diameter(graph: WeightedCSRGraph) -> float:
     return best
 
 
+def weighted_growth(graph: WeightedCSRGraph) -> GrowthEngine:
+    """The weighted growth loop: the shared engine with min-weight claims."""
+    return GrowthEngine(graph, tie_break=MinWeightTieBreak())
+
+
 class TestWeightedGrowth:
     def test_single_center_hop_layers(self):
         graph = WeightedCSRGraph.from_unit_graph(path_graph(6))
-        growth = WeightedGrowth(graph)
+        growth = weighted_growth(graph)
         growth.add_centers([0])
         while growth.num_uncovered:
-            if growth.grow_round() == 0:
+            if growth.grow_step() == 0:
                 break
-        assert growth.hop_distance.tolist() == list(range(6))
+        assert growth.distance.tolist() == list(range(6))
         assert growth.weighted_distance.tolist() == [float(i) for i in range(6)]
 
     def test_lightest_claim_wins(self):
         # Node 2 is reachable from center 0 (weight 10) and center 3 (weight 1)
         # in the same round: it must join the lighter cluster.
         graph = WeightedCSRGraph.from_edges([(0, 2), (3, 2), (0, 1), (3, 4)], weights=[10.0, 1.0, 1.0, 1.0])
-        growth = WeightedGrowth(graph)
+        growth = weighted_growth(graph)
         growth.add_centers([0, 3])
-        growth.grow_round()
+        growth.grow_step()
         assert growth.assignment[2] == growth.assignment[3]
         assert growth.weighted_distance[2] == pytest.approx(1.0)
 
     def test_out_of_range_center(self, weighted_mesh):
-        growth = WeightedGrowth(weighted_mesh)
+        growth = weighted_growth(weighted_mesh)
         with pytest.raises(IndexError):
             growth.add_centers([10_000])
 
     def test_to_clustering_requires_cover(self, weighted_mesh):
-        growth = WeightedGrowth(weighted_mesh)
+        growth = weighted_growth(weighted_mesh)
         growth.add_centers([0])
         with pytest.raises(RuntimeError):
-            growth.to_clustering()
+            growth.to_weighted_clustering()
 
 
 class TestWeightedCluster:

@@ -10,7 +10,6 @@ from repro.weighted.traversal import (
     dijkstra,
     multi_source_dijkstra,
     weighted_double_sweep,
-    weighted_eccentricity,
 )
 from repro.weighted.wgraph import WeightedCSRGraph
 
@@ -140,10 +139,6 @@ class TestDijkstra:
 
 
 class TestEccentricityAndSweep:
-    def test_weighted_eccentricity(self, weighted_path):
-        assert weighted_eccentricity(weighted_path, 0) == pytest.approx(10.0)
-        assert weighted_eccentricity(weighted_path, 4) == pytest.approx(10.0)
-
     def test_double_sweep_exact_on_path(self, weighted_path):
         lower, a, b = weighted_double_sweep(weighted_path, start=2)
         assert lower == pytest.approx(10.0)
