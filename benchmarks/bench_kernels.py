@@ -21,6 +21,11 @@ threshold patched to 0:
    relaxes every source of a road-network quotient, in the quotient layer's
    tiles, at least ``ROWS_GATE``x faster than one
    :func:`~repro.graph.kernels.delta_stepping` call per source.
+5. **Bounded quotient diameter**: :func:`repro.core.quotient.quotient_diameter`
+   finds the exact weighted diameter of an R-MAT quotient from a few rows at
+   least ``DIAMETER_GATE``x faster than the full sweep
+   (``quotient_apsp(q).max()``), with the same value; the hop flavour is
+   recorded alongside, ungated.
 
 Every measurement lands in ``BENCH_kernels.json`` via the shared recorder so
 the kernel-perf trajectory stays machine-readable across PRs; CI runs this
@@ -38,11 +43,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.pipeline import DecompositionPipeline
-from repro.core.quotient import _TILE_ARCS
+from repro.core.quotient import quotient_apsp, quotient_diameter
 from repro.generators import road_network_graph
 from repro.generators.rmat import rmat_graph
 from repro.graph import kernels
 from repro.graph.components import largest_component
+from repro.graph.diameter_exact import bounded_diameter
 
 # The frozen references live with the tests, never in src/.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "graph"))
@@ -56,6 +62,7 @@ from kernel_reference import (
 CLAIMS_GATE = 2.0
 MSBFS_GATE = 5.0
 ROWS_GATE = 5.0
+DIAMETER_GATE = 5.0
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -65,6 +72,8 @@ CLAIM_PAIRS = 1_000_000 if QUICK else 2_000_000
 RMAT_SCALE = 14 if QUICK else 16
 #: Side of the road grid whose weighted quotient the rows gate relaxes.
 ROAD_SIDE = 40 if QUICK else 50
+#: R-MAT scale of the graph whose quotients (n // 50 clusters) gate 5 measures.
+QUOTIENT_RMAT_SCALE = 14 if QUICK else 15
 
 
 def interleaved_best(runners, repetitions=3):
@@ -226,7 +235,7 @@ def test_delta_stepping_rows_gate(kernel_bench_recorder):
     quotient = pipe.quotient(weighted=True)
     indptr, indices, weights = quotient.graph.indptr, quotient.graph.indices, quotient.weights
     k = quotient.num_nodes
-    tile = max(1, _TILE_ARCS // indices.size)
+    tile = kernels.row_tile(indices.size)
     workload = f"road{ROAD_SIDE}-quotient/k{k}-arcs{indices.size}/tile{tile}"
 
     def loop_run():
@@ -265,4 +274,45 @@ def test_delta_stepping_rows_gate(kernel_bench_recorder):
         f"delta_stepping_rows must be >= {ROWS_GATE}x over one delta_stepping "
         f"per source on a {k}-cluster road quotient, got {speedup:.2f}x "
         f"(loop {timings['loop'] * 1000:.0f} ms, rows {timings['rows'] * 1000:.0f} ms)"
+    )
+
+
+# ------------------------------------------------------------------ #
+# Gate 5: bounded quotient diameter >= 5x over the full row sweep
+# ------------------------------------------------------------------ #
+def test_bounded_quotient_diameter_gate(kernel_bench_recorder):
+    # The rmat-social regime: the largest component of a seed-1 R-MAT sample
+    # (what its snapshot generator keeps), at DEFAULT_CONFIG's n // 50 clusters.
+    graph, _ = largest_component(rmat_graph(QUOTIENT_RMAT_SCALE, 16, seed=1))
+    pipe = DecompositionPipeline(graph, target_clusters=graph.num_nodes // 50, seed=1)
+    speedups = {}
+    for flavour in ("weighted", "hop"):
+        quotient = pipe.quotient(weighted=flavour == "weighted")
+        k, arcs = quotient.num_nodes, quotient.graph.indices.size
+        workload = f"rmat{QUOTIENT_RMAT_SCALE}-quotient/{flavour}/k{k}-arcs{arcs}"
+        _, rows = bounded_diameter(
+            quotient.graph.indptr, quotient.graph.indices, quotient.weights, degrees=quotient.graph.degrees
+        )
+        timings, results = interleaved_best(
+            {"full-sweep": lambda: float(quotient_apsp(quotient).max()), "bounded": lambda: quotient_diameter(quotient)},
+            repetitions=2 if QUICK else 3,
+        )
+        assert results["full-sweep"] == results["bounded"]
+        kernel_bench_recorder(
+            benchmark="quotient_diameter", workload=workload, units=k,
+            mode="full-sweep", seconds=timings["full-sweep"], rows=k,
+        )
+        kernel_bench_recorder(
+            benchmark="quotient_diameter", workload=workload, units=k,
+            mode="bounded", seconds=timings["bounded"], rows=rows,
+        )
+        speedups[flavour] = timings["full-sweep"] / timings["bounded"]
+        kernel_bench_recorder(
+            benchmark="quotient_diameter", workload=workload, units=k,
+            mode="speedup", seconds=timings["bounded"], speedup=speedups[flavour],
+            gate=DIAMETER_GATE if flavour == "weighted" else None,
+        )
+    assert speedups["weighted"] >= DIAMETER_GATE, (
+        f"the bounded weighted quotient diameter must be >= {DIAMETER_GATE}x over the full "
+        f"sweep on rmat{QUOTIENT_RMAT_SCALE}, got {speedups['weighted']:.2f}x"
     )

@@ -21,11 +21,13 @@ bit-identical to the historical per-query implementation by the
 frozen-reference tests.  :class:`~repro.serving.GraphService` builds its
 serving plane directly on these arrays.
 
-Weighted graphs are served through the §7 weighted decomposition: the upper
-matrix holds genuine center-to-center path lengths
-(:func:`repro.weighted.applications.build_weighted_quotient`) and the hop
-lower bound is scaled by the minimum edge weight (every cluster crossing
-costs at least one edge, hence at least ``w_min``).
+Both matrices come from one :func:`~repro.core.quotient.build_quotient_graph`
+call: the upper matrix is the APSP of the weighted quotient, and the lower
+one that of the same CSR without weights.  Weighted graphs are served through
+the §7 weighted decomposition: the upper matrix holds genuine
+center-to-center path lengths (weighted growth distances plus edge weights)
+and the hop lower bound is scaled by the minimum edge weight (every cluster
+crossing costs at least one edge, hence at least ``w_min``).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from repro.core.cluster import cluster
 from repro.core.cluster2 import cluster2
-from repro.core.quotient import build_quotient_graph, quotient_apsp
+from repro.core.quotient import QuotientGraph, build_quotient_graph, quotient_apsp
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_node_index
@@ -259,19 +261,13 @@ def build_distance_oracle(
             clustering = cluster2(graph, tau, seed=rng).clustering
         else:
             clustering = cluster(graph, tau, seed=rng)
-    if weighted:
-        from repro.weighted.applications import build_weighted_quotient
-
-        upper_quotient = build_weighted_quotient(graph, clustering)
-        # Every cluster crossing costs at least one edge, so the hop lower
-        # bound transfers to the weighted metric scaled by w_min.
-        scale = float(graph.weights.min()) if graph.weights.size else 1.0
-    else:
-        upper_quotient = build_quotient_graph(graph, clustering, weighted=True)
-        scale = 1.0
-    hop_quotient = build_quotient_graph(graph, clustering, weighted=False)
+    # One build: the hop quotient is the weighted one's CSR without weights.
+    upper_quotient = build_quotient_graph(graph, clustering, weighted=True)
     upper = quotient_apsp(upper_quotient)
-    lower = quotient_apsp(hop_quotient)
+    lower = quotient_apsp(QuotientGraph(graph=upper_quotient.graph))
+    # Every cluster crossing costs at least one edge, so the hop lower bound
+    # transfers to the weighted metric scaled by w_min.
+    scale = float(graph.weights.min()) if weighted and graph.weights.size else 1.0
     if scale != 1.0:
         lower = lower * scale
     return DistanceOracle(

@@ -7,8 +7,8 @@ serving workload — runs the same three-stage chain:
 1. **decompose** the graph with a growth-engine algorithm (CLUSTER, CLUSTER2,
    MPX, or the single-batch baseline, selected by
    :attr:`PipelineConfig.method`),
-2. build the (weighted and/or unweighted) **quotient** graph of the
-   decomposition, and
+2. build the **quotient** graph of the decomposition once (the weighted
+   flavour; the unweighted one is its CSR without weights), and
 3. compute the **diameter bounds** ``∆_C ≤ ∆ ≤ ∆''`` of Section 4.
 
 :class:`DecompositionPipeline` implements that chain once, with every
@@ -75,8 +75,8 @@ class PipelineConfig:
     seed:
         Randomness for the decomposition stage.
     weighted_quotient:
-        Also build the weighted quotient graph and report the tighter ``∆''``
-        upper bound (the number used in Tables 3 and 4).
+        Also compute the weighted quotient's diameter and report the tighter
+        ``∆''`` upper bound (the number used in Tables 3 and 4).
     enforce_local_memory:
         Enforce the Theorem 4 requirement that the quotient graph fits in one
         reducer's local memory during MR accounting.
@@ -109,8 +109,11 @@ class PipelineResult:
 
     ``estimate`` is the Section 4 diameter estimate; ``timings`` maps stage
     names to seconds spent computing them.  The entries are disjoint — each
-    covers only its own work (a ``quotient[...]`` entry includes that
-    quotient's build and its diameter BFS; cache hits cost nothing).
+    covers only its own work, and cache hits cost nothing.  Both quotient
+    flavours share one build, timed under the flavour asked for first: in
+    :meth:`DecompositionPipeline.diameter` of an unweighted decomposition
+    ``quotient[unweighted]`` covers the build and the hop diameter, and
+    ``quotient[weighted]`` only the weighted diameter.
     """
 
     method: str
@@ -275,25 +278,18 @@ class DecompositionPipeline:
     def quotient(self, *, weighted: bool = True) -> QuotientGraph:
         """Build (or return the cached) quotient graph of the decomposition.
 
-        For a weighted decomposition the ``weighted=True`` flavour carries
-        genuine center-to-center path lengths
-        (:func:`repro.weighted.applications.build_weighted_quotient`); the
-        ``weighted=False`` flavour is the hop-metric quotient of the same
-        clustering.
+        Both flavours come from one :func:`~repro.core.quotient.build_quotient_graph`
+        call.  The ``weighted=True`` flavour carries the center-to-center path
+        lengths (weighted growth distances plus edge weights for a weighted
+        decomposition); the ``weighted=False`` flavour is the same CSR
+        without weights, the hop-metric quotient.  The build is timed under
+        the flavour asked for first.
         """
-        if weighted not in self._quotients:
+        if not self._quotients:
             clustering = self.decompose()
             with _StageScope(self, f"quotient[{'weighted' if weighted else 'unweighted'}]"):
-                if weighted and self._is_weighted_run(clustering):
-                    from repro.weighted.applications import build_weighted_quotient
-
-                    self._quotients[weighted] = build_weighted_quotient(
-                        self.graph, clustering
-                    )
-                else:
-                    self._quotients[weighted] = build_quotient_graph(
-                        self.graph, clustering, weighted=weighted
-                    )
+                full = build_quotient_graph(self.graph, clustering, weighted=True)
+            self._quotients = {True: full, False: QuotientGraph(graph=full.graph)}
         return self._quotients[weighted]
 
     @staticmethod
@@ -304,9 +300,8 @@ class DecompositionPipeline:
     def quotient_diameter(self, *, weighted: bool = True) -> float:
         """Diameter of the (cached) quotient graph.
 
-        The BFS time is accumulated into the same ``quotient[...]`` timing
-        entry as the build, so each entry covers that quotient flavour's full
-        cost and the stage timings partition the pipeline's wall-clock.
+        The time is accumulated into the flavour's ``quotient[...]`` timing
+        entry, so the stage timings partition the pipeline's wall-clock.
         """
         if weighted not in self._quotient_diameters:
             quotient = self.quotient(weighted=weighted)
@@ -337,10 +332,9 @@ class DecompositionPipeline:
             radius = clustering.max_radius
             lower = self.quotient_diameter(weighted=False)
             weighted_diam: Optional[float] = None
-            num_quotient_edges = self.quotient(weighted=False).num_edges
             if self.config.weighted_quotient:
                 weighted_diam = self.quotient_diameter(weighted=True)
-                num_quotient_edges = self.quotient(weighted=True).num_edges
+            num_quotient_edges = self.quotient(weighted=False).num_edges
             # Sub-stages above record their own timings; "diameter" covers
             # only the bound assembly so the stage entries stay disjoint.
             with _StageScope(self, "diameter"):
@@ -368,13 +362,10 @@ class DecompositionPipeline:
         from repro.weighted.traversal import weighted_double_sweep
 
         quotient = self.quotient(weighted=True)
-        if quotient.num_nodes <= 1 or quotient.num_edges == 0:
-            quotient_diam = 0.0
-        else:
-            quotient_diam = self.quotient_diameter(weighted=True)
+        quotient_diam = self.quotient_diameter(weighted=True)
         with _StageScope(self, "diameter"):
             lower, _, _ = weighted_double_sweep(self.graph, rng=as_rng(self.config.seed))
-            upper = 2.0 * clustering.weighted_radius + float(quotient_diam)
+            upper = 2.0 * clustering.weighted_radius + quotient_diam
             estimate = WeightedDiameterEstimate(
                 lower_bound=float(lower),
                 upper_bound=float(upper),

@@ -13,18 +13,22 @@ two variants:
   the two cluster centers using only nodes of the two clusters (computed as
   ``min over crossing edges (a, b) of dist(a, center_A) + 1 + dist(b,
   center_B)``), yielding the tighter upper bound ``∆'' = 2·R_ALG2 + ∆'_C``.
+
+Both variants share one CSR: the unweighted one is the weighted one without
+its ``weights``, so a caller that needs both builds once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.core.clustering import Clustering
 from repro.graph import kernels
 from repro.graph.csr import CSRGraph
+from repro.graph.diameter_exact import bounded_diameter
 
 __all__ = [
     "QuotientGraph",
@@ -32,6 +36,10 @@ __all__ = [
     "quotient_apsp",
     "quotient_diameter",
 ]
+
+#: Arcs per CSR row block in :func:`build_quotient_graph`; bounds the block's
+#: temporaries (a few arrays of this length) on graphs of any size.
+_BLOCK_ARCS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,7 @@ class QuotientGraph:
 
     def arc_weight(self, u: int, v: int) -> float:
         """Weight of arc ``(u, v)`` (1.0 for unweighted quotient graphs)."""
-        row = self.graph.indices[self.graph.indptr[u]: self.graph.indptr[u + 1]]
+        row = self.graph.indices[self.graph.indptr[u] : self.graph.indptr[u + 1]]
         pos = np.searchsorted(row, v)
         if pos >= row.size or row[pos] != v:
             raise KeyError(f"no quotient edge between clusters {u} and {v}")
@@ -73,124 +81,132 @@ class QuotientGraph:
         return float(self.weights[self.graph.indptr[u] + pos])
 
 
-def build_quotient_graph(
-    graph: CSRGraph, clustering: Clustering, *, weighted: bool = False
-) -> QuotientGraph:
+def _min_per_key(keys: np.ndarray, lengths: Optional[np.ndarray]):
+    """Sorted distinct ``keys`` and, per key, the minimum of its ``lengths``.
+
+    Integer lengths (or none) ride in the low digits of one sorted ``int64``
+    (a plain sort is several times faster than an argsort); float lengths
+    take an argsort by key and a segment minimum.
+    """
+    if keys.size == 0:
+        return keys, lengths
+    span = 1 if lengths is None else int(lengths.max()) + 1
+    if lengths is None or (lengths.dtype.kind == "i" and int(keys.max()) < np.iinfo(np.int64).max // span):
+        packed = np.sort(keys * span if lengths is None else keys * span + lengths)
+        keys = packed // span
+        heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        return keys[heads], None if lengths is None else packed[heads] % span
+    order = np.argsort(keys)
+    keys = keys[order]
+    heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[heads], np.minimum.reduceat(lengths[order], heads)
+
+
+def build_quotient_graph(graph: CSRGraph, clustering: Clustering, *, weighted: bool = False) -> QuotientGraph:
     """Construct the (optionally weighted) quotient graph of ``clustering``.
 
-    The weight of the quotient edge ``{A, B}`` is
-    ``min over G-edges (a, b) with a ∈ A, b ∈ B of
-    dist(a, center_A) + 1 + dist(b, center_B)``
-    where the distances are the growth distances recorded by the clustering
-    (the exact quantity a distributed implementation has available).
+    The weight of the quotient edge ``{A, B}`` is ``min over G-edges (a, b)
+    with a ∈ A, b ∈ B of dist(a, center_A) + 1 + dist(b, center_B)`` over
+    the growth distances the clustering recorded (the exact quantity a
+    distributed implementation has available); for a
+    :class:`~repro.weighted.decomposition.WeightedClustering` it is
+    ``wdist(a) + w(a, b) + wdist(b)``, a genuine path length.
+
+    The CSR is read in row blocks of at most ``_BLOCK_ARCS`` arcs, so an
+    out-of-core graph is never materialised.  Each block reduces its
+    crossing arcs ``(a, b)``, ``a < b``, to (cluster pair, minimum length)
+    by a key sort and a segment minimum; the blocks are merged the same way.
     """
     if graph.num_nodes != clustering.num_nodes:
         raise ValueError("graph and clustering refer to different node sets")
     k = clustering.num_clusters
-    edges = graph.edge_array()
-    if edges.size == 0:
-        return QuotientGraph(graph=CSRGraph.empty(k), weights=np.zeros(0) if weighted else None)
-    cu = clustering.assignment[edges[:, 0]]
-    cv = clustering.assignment[edges[:, 1]]
-    cross = cu != cv
-    cu, cv = cu[cross], cv[cross]
-    if cu.size == 0:
-        return QuotientGraph(graph=CSRGraph.empty(k), weights=np.zeros(0) if weighted else None)
-    lo = np.minimum(cu, cv)
-    hi = np.maximum(cu, cv)
-    pair_keys = lo * np.int64(k) + hi
+    assignment = clustering.assignment
+    weighted_distance = getattr(clustering, "weighted_distance", None)
+    if weighted and weighted_distance is not None and graph.weights is None:
+        raise ValueError("a weighted clustering's quotient needs the weighted graph it was grown on")
+    indptr = graph.indptr
+    degrees = graph.degrees
+    key_parts = [np.zeros(0, dtype=np.int64)]
+    length_parts = [np.zeros(0, dtype=np.int64 if weighted_distance is None else np.float64)]
+    start = 0
+    while start < graph.num_nodes:
+        stop = max(start + 1, int(np.searchsorted(indptr, indptr[start] + _BLOCK_ARCS, side="right")) - 1)
+        first, last = int(indptr[start]), int(indptr[stop])
+        a = np.repeat(np.arange(start, stop, dtype=np.int64), degrees[start:stop])
+        b = np.asarray(graph.indices[first:last])
+        forward = a < b
+        a, b = a[forward], b[forward]
+        ca, cb = assignment[a], assignment[b]
+        cross = ca != cb
+        ca, cb = ca[cross], cb[cross]
+        keys = np.minimum(ca, cb) * np.int64(k) + np.maximum(ca, cb)
+        lengths = None
+        if weighted:
+            a, b = a[cross], b[cross]
+            if weighted_distance is None:
+                lengths = clustering.distance[a] + clustering.distance[b] + 1
+            else:
+                arc_weights = np.asarray(graph.weights[first:last])[forward][cross]
+                lengths = weighted_distance[a] + weighted_distance[b] + arc_weights
+        keys, lengths = _min_per_key(keys, lengths)
+        key_parts.append(keys)
+        length_parts.append(lengths)
+        start = stop
+    keys = np.concatenate(key_parts)
+    lengths = np.concatenate(length_parts) if weighted else None
+    if len(key_parts) > 2:
+        keys, lengths = _min_per_key(keys, lengths)
+    # Both arcs of every pair, in CSR order (by source, then target).
+    lo, hi = keys // k, keys % k
+    src = np.concatenate((lo, hi))
+    dst = np.concatenate((hi, lo))
+    order = np.argsort(src * np.int64(k) + dst)
+    q_indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=k), out=q_indptr[1:])
+    q_graph = CSRGraph(indptr=q_indptr, indices=dst[order])
     if not weighted:
-        unique_keys = np.unique(pair_keys)
-        q_edges = np.stack([unique_keys // k, unique_keys % k], axis=1)
-        return QuotientGraph(graph=CSRGraph.from_edges(q_edges, num_nodes=k), weights=None)
-
-    crossing = edges[cross]
-    path_len = (
-        clustering.distance[crossing[:, 0]]
-        + clustering.distance[crossing[:, 1]]
-        + 1
-    ).astype(np.float64)
-    unique_keys, inverse = np.unique(pair_keys, return_inverse=True)
-    min_weight = np.full(unique_keys.size, np.inf)
-    np.minimum.at(min_weight, inverse, path_len)
-    q_edges = np.stack([unique_keys // k, unique_keys % k], axis=1)
-    q_graph = CSRGraph.from_edges(q_edges, num_nodes=k)
-
-    # Align weights with the CSR arc order of the quotient graph: every stored
-    # arc (a, b) maps back to the canonical pair key min*k + max.
-    src = np.repeat(np.arange(k, dtype=np.int64), np.diff(q_graph.indptr))
-    arc_keys = np.minimum(src, q_graph.indices) * np.int64(k) + np.maximum(src, q_graph.indices)
-    positions = np.searchsorted(unique_keys, arc_keys)
-    weights = min_weight[positions].astype(np.float64)
+        return QuotientGraph(graph=q_graph)
+    weights = np.concatenate((lengths, lengths))[order].astype(np.float64)
     return QuotientGraph(graph=q_graph, weights=weights)
-
-
-#: Source-by-arc budget of one weighted tile: ``delta_stepping_rows`` relaxes
-#: ``max(1, _TILE_ARCS // num_arcs)`` rows at a time.  In a sweep of 2^14 to
-#: 2^19 (EXPERIMENTS.md), 2^16 was the fastest on dense R-MAT quotients and
-#: 17% behind the best on sparse road ones.
-_TILE_ARCS = 1 << 16
-
-
-def _distance_tiles(quotient: QuotientGraph) -> Iterator[Tuple[int, np.ndarray]]:
-    """Row tiles ``(first_row, float64 block)`` of the quotient's APSP matrix.
-
-    Hop distances come from the bit-parallel
-    :func:`~repro.graph.kernels.msbfs_levels` sweep in tiles of
-    :data:`~repro.graph.kernels.MSBFS_TILE` sources; weighted ones from
-    :func:`~repro.graph.kernels.delta_stepping_rows` in tiles of
-    ``_TILE_ARCS // num_arcs`` sources.  Unreached entries are ``inf``.
-    """
-    n = quotient.num_nodes
-    indptr = quotient.graph.indptr
-    indices = quotient.graph.indices
-    weights = quotient.weights
-    if weights is None:
-        degrees = quotient.graph.degrees
-        rows = kernels.MSBFS_TILE
-    else:
-        rows = max(1, _TILE_ARCS // max(1, indices.size))
-    for lo in range(0, n, rows):
-        sources = np.arange(lo, min(lo + rows, n), dtype=np.int64)
-        if weights is None:
-            hops = kernels.msbfs_levels(indptr, indices, sources, degrees=degrees)
-            block = hops.astype(np.float64)
-            block[hops < 0] = np.inf
-        else:
-            block = kernels.delta_stepping_rows(indptr, indices, weights, sources)
-        yield lo, block
 
 
 def quotient_apsp(quotient: QuotientGraph) -> np.ndarray:
     """All-pairs shortest-path matrix of a (small) quotient graph.
 
-    The distance oracle's data structure.  Rows are filled tile by tile from
-    the shared kernels of :mod:`repro.graph.kernels`: the bit-parallel
-    :func:`~repro.graph.kernels.msbfs_levels` sweep (64 sources per
-    ``uint64`` word) for the unweighted flavour, and the batched Δ-stepping
-    :func:`~repro.graph.kernels.delta_stepping_rows` (a tile of sources per
-    bucket loop) for the weighted one — so the serving plane needs no external
-    shortest-path dependency.  Entry ``(a, b)`` is ``float64`` (``inf`` when
-    the clusters lie in different components), following the conventions of
-    ``scipy.sparse.csgraph.shortest_path``; row ``a`` is bit-identical to a
-    single-source :func:`~repro.graph.kernels.delta_stepping` from ``a``.
-    With non-integer weights the matrix need not be bitwise symmetric:
-    ``(a, b)`` and ``(b, a)`` round the same path's sum in opposite orders.
+    The distance oracle's data structure, filled by
+    :func:`~repro.graph.kernels.distance_rows` in tiles of
+    :data:`~repro.graph.kernels.MSBFS_TILE` sources (bit-parallel BFS, hop
+    flavour) or :func:`~repro.graph.kernels.row_tile` sources (batched
+    Δ-stepping, weighted flavour), so the serving plane needs no external
+    shortest-path dependency.  Entries are ``float64``, ``inf`` between
+    components, as in ``scipy.sparse.csgraph.shortest_path``; row ``a`` is
+    bit-identical to a single-source :func:`~repro.graph.kernels.delta_stepping`
+    from ``a``.  With non-integer weights the matrix need not be bitwise
+    symmetric: ``(a, b)`` and ``(b, a)`` round one path's sum in opposite
+    orders.
     """
     n = quotient.num_nodes
+    graph = quotient.graph
+    weights = quotient.weights
+    tile = kernels.MSBFS_TILE if weights is None else kernels.row_tile(graph.indices.size)
     matrix = np.empty((n, n), dtype=np.float64)
-    for lo, block in _distance_tiles(quotient):
-        matrix[lo : lo + block.shape[0]] = block
+    for lo in range(0, n, tile):
+        sources = np.arange(lo, min(lo + tile, n), dtype=np.int64)
+        matrix[lo : lo + sources.size] = kernels.distance_rows(
+            graph.indptr, graph.indices, weights, sources, degrees=graph.degrees
+        )
     return matrix
 
 
 def quotient_diameter(quotient: QuotientGraph) -> float:
     """Exact diameter of a (connected) quotient graph.
 
-    A running max over the row tiles that :func:`quotient_apsp` would stack,
-    so no ``k × k`` matrix is allocated: the "one round, single reducer"
-    computation of Theorem 4 in ``O(tile)`` memory.  Hop distances for the
-    unweighted flavour, weighted distances for the weighted one.
+    The "one round, single reducer" computation of Theorem 4, by
+    :func:`~repro.graph.diameter_exact.bounded_diameter`: eccentricity bounds
+    prune all but a few rows of the distance matrix, and the result equals
+    the maximum over every row of :func:`quotient_apsp` bit for bit.  Hop
+    distances for the unweighted flavour, weighted distances for the
+    weighted one.
 
     Raises
     ------
@@ -200,9 +216,6 @@ def quotient_diameter(quotient: QuotientGraph) -> float:
     """
     if quotient.num_nodes == 0:
         raise ValueError("quotient graph is empty")
-    best = 0.0
-    for _, block in _distance_tiles(quotient):
-        if not np.isfinite(block).all():
-            raise ValueError("quotient graph is disconnected; diameter is infinite")
-        best = max(best, float(block.max()))
-    return best
+    graph = quotient.graph
+    diameter, _ = bounded_diameter(graph.indptr, graph.indices, quotient.weights, degrees=graph.degrees)
+    return diameter

@@ -17,9 +17,8 @@ from repro.graph.components import (
 )
 from repro.graph.csr import CSRGraph
 from repro.graph.diameter_exact import (
-    diameter_all_pairs,
+    bounded_diameter,
     diameter_bounds,
-    diameter_ifub,
     exact_diameter,
 )
 from repro.graph.ingest import from_edge_chunks, ingest_edge_list, largest_component_snapshot
@@ -53,9 +52,8 @@ __all__ = [
     "is_connected",
     "largest_component",
     "num_connected_components",
-    "diameter_all_pairs",
+    "bounded_diameter",
     "diameter_bounds",
-    "diameter_ifub",
     "exact_diameter",
     "from_edge_chunks",
     "ingest_edge_list",

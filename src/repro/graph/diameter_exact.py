@@ -1,13 +1,16 @@
-"""Exact and tightly-bounded diameter computation (ground truth).
+"""Exact diameters (ground truth) and a cheap diameter sandwich.
 
-The paper reports a "true diameter" column (Table 1/3/4) computed with
-accurate external tools.  At laptop scale we can obtain ground truth directly:
+The paper reports a "true diameter" column (Tables 1, 3 and 4) computed with
+accurate external tools.  At laptop scale the library computes it directly:
 
-* :func:`diameter_all_pairs` — exact, one BFS per node, ``O(n (n + m))``.
-* :func:`diameter_ifub` — exact via the iFUB (iterative Fringe Upper Bound)
-  strategy of Crescenzi et al. [10 in the paper], which typically performs a
-  handful of BFS traversals on real-world graphs.
-* :func:`diameter_bounds` — cheap (lower, upper) sandwich from a double sweep.
+* :func:`bounded_diameter` — the exact diameter of a hop or weighted CSR
+  graph from a few distance rows, pruned by eccentricity bounds
+  (BoundingDiameters, Takes & Kosters, CIKM 2011; a relative of the iFUB
+  scheme of [10] in the paper).  The quotient diameters ``∆_C`` and
+  ``∆'_C`` of Section 4 run it too.
+* :func:`exact_diameter` — the exact hop diameter of a connected graph.
+* :func:`diameter_bounds` — cheap ``(lower, upper)`` sandwich from a double
+  sweep.
 """
 
 from __future__ import annotations
@@ -22,34 +25,90 @@ from repro.graph.csr import CSRGraph
 from repro.graph.traversal import bfs_distances, double_sweep
 
 __all__ = [
-    "diameter_all_pairs",
-    "diameter_ifub",
+    "bounded_diameter",
     "diameter_bounds",
     "exact_diameter",
 ]
 
 
-def _check_connected(graph: CSRGraph) -> None:
-    if graph.num_nodes == 0:
-        raise ValueError("diameter of the empty graph is undefined")
-    if not is_connected(graph):
-        raise ValueError("diameter is defined only for connected graphs; "
-                         "extract the largest component first")
+def bounded_diameter(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: Optional[np.ndarray] = None,
+    *,
+    degrees: Optional[np.ndarray] = None,
+) -> Tuple[float, int]:
+    """Exact diameter of a connected CSR graph from few distance rows.
 
+    Returns ``(diameter, rows)``: the largest entry of the distance matrix
+    (hops when ``weights`` is ``None``) and the number of rows computed.
 
-def diameter_all_pairs(graph: CSRGraph) -> int:
-    """Exact diameter via a BFS from every node (use only for small graphs).
+    A row ``d`` from ``v`` bounds every eccentricity:
+    ``max(d[w], ecc(v) - d[w]) <= ecc(w) <= ecc(v) + d[w]``.  A node is
+    dropped once its upper bound is at most the best eccentricity so far,
+    or, with exact sums, once no node left can lie farther from it than the
+    best: ``d(x, y) <= d_r[x] + d_r[y]`` through the first row's source
+    ``r`` (iFUB's fringe rule).  A pair with a computed or dropped end never
+    exceeds the best, so the loop ends when no node is left.  The first row
+    is the highest-degree node's (a graph of at most one tile computes all
+    rows at once); then each tile of :func:`~repro.graph.kernels.row_tile`
+    sources alternates between the largest upper and the smallest lower
+    bound, ties going to the higher degree.  Rows come from
+    :func:`~repro.graph.kernels.distance_rows` and depend only on their
+    source, so the result is the maximum over all ``n`` rows bit for bit.
 
-    Runs the batched :func:`repro.graph.kernels.eccentricities` kernel over
-    the full node set.
+    Hops and integer weights sum exactly in float64.  Other weights round: a
+    computed distance sums at most ``n - 1`` weights, so it lies within a
+    factor ``1 ± (n - 1)·2^-53`` of the true one; upper bounds are inflated
+    by ``1 + 4(n + 1)·2^-53`` before the comparison, and the pair rule is
+    not used.
+
+    Raises ``ValueError`` for an empty or disconnected graph.
     """
-    _check_connected(graph)
-    all_nodes = np.arange(graph.num_nodes, dtype=np.int64)
-    return int(
-        kernels.eccentricities(
-            graph.indptr, graph.indices, all_nodes, degrees=graph.degrees
-        ).max()
-    )
+    n = indptr.size - 1
+    if n == 0:
+        raise ValueError("diameter of the empty graph is undefined")
+    if degrees is None:
+        degrees = np.diff(indptr)
+    exact = weights is None or (np.array_equal(weights, np.rint(weights)) and weights.sum() <= 2.0**53)
+    slack = 1.0 if exact else 1.0 + 4 * (n + 1) * 2.0**-53
+    tile = kernels.row_tile(indices.size)
+    # Bounds are kept in degree order, so stable sorts break ties by degree.
+    order = np.argsort(-degrees, kind="stable")
+    lower = np.zeros(n)
+    upper = np.full(n, np.inf)
+    alive = np.ones(n, dtype=bool)
+    best = 0.0
+    rows = 0
+    picked = np.arange(n if n <= tile else 1)
+    root = None
+    far_first = True
+    while True:
+        block = kernels.distance_rows(indptr, indices, weights, order[picked], degrees=degrees)[:, order]
+        rows += picked.size
+        if not np.isfinite(block).all():
+            raise ValueError("graph is disconnected; its diameter is infinite")
+        root = block[0] if root is None else root
+        ecc = block.max(axis=1)
+        best = max(best, float(ecc.max()))
+        np.maximum(lower, np.maximum(block, ecc[:, None] - block).max(axis=0), out=lower)
+        np.minimum(upper, (ecc[:, None] + block).min(axis=0), out=upper)
+        alive[picked] = False
+        alive &= upper * slack > best
+        if exact and alive.any():
+            alive &= root + root[alive].max() > best
+        left = np.flatnonzero(alive)
+        if left.size <= tile:
+            if left.size == 0:
+                return best, rows
+            picked = left
+            continue
+        far = left[np.argsort(-upper[left], kind="stable")[:tile]]
+        central = left[np.argsort(lower[left], kind="stable")[:tile]]
+        picks = np.stack((far, central) if far_first else (central, far), axis=1).reshape(-1)
+        far_first = not far_first
+        _, first = np.unique(picks, return_index=True)
+        picked = picks[np.sort(first)[:tile]]
 
 
 def diameter_bounds(graph: CSRGraph, *, rng: Optional[np.random.Generator] = None) -> Tuple[int, int]:
@@ -58,74 +117,18 @@ def diameter_bounds(graph: CSRGraph, *, rng: Optional[np.random.Generator] = Non
     Lower bound: double-sweep.  Upper bound: twice the minimum eccentricity
     observed among the sweep endpoints (``diam <= 2 * ecc(v)`` for any v).
     """
-    _check_connected(graph)
+    if graph.num_nodes == 0 or not is_connected(graph):
+        raise ValueError("diameter bounds need a non-empty connected graph; extract the largest component first")
     lower, a, _ = double_sweep(graph, rng=rng)
     ecc_a = int(bfs_distances(graph, a).max())
     return lower, 2 * ecc_a
 
 
-def diameter_ifub(graph: CSRGraph, *, start: Optional[int] = None) -> int:
-    """Exact diameter with the iFUB strategy.
+def exact_diameter(graph: CSRGraph) -> int:
+    """Exact hop diameter of a connected graph, by :func:`bounded_diameter`.
 
-    1. Pick a root ``r`` (the midpoint of a double sweep works well) and build
-       its BFS tree.
-    2. Process nodes level by level from the deepest: the eccentricity of any
-       node at depth ``i`` is at most ``2 i``; once the best eccentricity seen
-       exceeds ``2 (i - 1)`` we can stop.
-
-    On low-diameter social-network-like graphs this terminates after very few
-    BFS calls; on meshes and road networks it degrades gracefully towards the
-    all-pairs bound but is still exact.
+    Edge weights, if any, are ignored.  Raises ``ValueError`` for an empty or
+    disconnected graph.
     """
-    _check_connected(graph)
-    n = graph.num_nodes
-    if n == 1:
-        return 0
-    if start is None:
-        # Midpoint of the double-sweep path is the classic iFUB root choice.
-        _, a, b = double_sweep(graph)
-        dist_a = bfs_distances(graph, a)
-        path_nodes = np.flatnonzero(dist_a >= 0)
-        dist_b = bfs_distances(graph, b)
-        # Node minimizing max(dist to a, dist to b) approximates the path midpoint.
-        scores = np.maximum(dist_a[path_nodes], dist_b[path_nodes])
-        start = int(path_nodes[np.argmin(scores)])
-    root_dist = bfs_distances(graph, start)
-    depth = int(root_dist.max())
-    lower = depth
-    degrees = graph.degrees
-    # Fringe eccentricities run through the bit-parallel msbfs kernel in
-    # chunks of one uint64 word: a chunk may compute a few eccentricities the
-    # scalar loop would have skipped after its stop condition fired, but every
-    # eccentricity of a depth-``level`` node is at most ``2 * level`` ≤
-    # ``lower`` once the bound holds, so the returned diameter is unchanged.
-    chunk_size = 64
-    # Group nodes by BFS depth (fringe sets).
-    order = np.argsort(root_dist, kind="stable")
-    sorted_depths = root_dist[order]
-    for level in range(depth, 0, -1):
-        if lower >= 2 * level:
-            break
-        level_nodes = order[np.searchsorted(sorted_depths, level):
-                            np.searchsorted(sorted_depths, level + 1)]
-        for lo in range(0, level_nodes.size, chunk_size):
-            chunk = np.asarray(level_nodes[lo : lo + chunk_size], dtype=np.int64)
-            eccs = kernels.eccentricities(
-                graph.indptr, graph.indices, chunk, degrees=degrees
-            )
-            lower = max(lower, int(eccs.max()))
-            if lower >= 2 * level:
-                break
-    return lower
-
-
-def exact_diameter(graph: CSRGraph, *, all_pairs_threshold: int = 2000) -> int:
-    """Exact diameter, dispatching on graph size.
-
-    Small graphs (``n <= all_pairs_threshold``) use the all-pairs routine for
-    simplicity; larger graphs use iFUB.
-    """
-    _check_connected(graph)
-    if graph.num_nodes <= all_pairs_threshold:
-        return diameter_all_pairs(graph)
-    return diameter_ifub(graph)
+    diameter, _ = bounded_diameter(graph.indptr, graph.indices, degrees=graph.degrees)
+    return int(diameter)

@@ -37,7 +37,10 @@ Kernel families
   shortest paths (the vectorized replacement for per-node binary-heap
   Dijkstra loops); :func:`delta_stepping_rows` runs the same bucket loop for
   a tile of sources at once (one distance row each), the weighted analogue
-  of :func:`msbfs_levels` behind the quotient APSP and diameter.
+  of :func:`msbfs_levels`.
+* :func:`distance_rows` — hop or weighted distance rows for a tile of
+  :func:`row_tile` sources as one ``float64`` matrix, behind the quotient
+  APSP and every exact diameter.
 
 Observability
 -------------
@@ -68,6 +71,8 @@ __all__ = [
     "MSBFS_TILE",
     "delta_stepping",
     "delta_stepping_rows",
+    "distance_rows",
+    "row_tile",
     "enable_kernel_stats",
     "kernel_stats_enabled",
     "kernel_stats_snapshot",
@@ -94,6 +99,10 @@ _PULL_BETA = 24.0
 #: Sources per bit-parallel sweep in :func:`eccentricities` and the quotient
 #: layer's hop tiles; bounds the live ``(n, MSBFS_TILE / 64)`` word matrices.
 MSBFS_TILE = 256
+
+#: Source-by-arc budget of one :func:`row_tile`: in a sweep of 2^14 to 2^19
+#: (EXPERIMENTS.md), 2^16 was the fastest on dense R-MAT quotients.
+_TILE_ARCS = 1 << 16
 
 
 # --------------------------------------------------------------------------- #
@@ -743,6 +752,38 @@ def delta_stepping_rows(
     dist[np.arange(sources.size), sources] = 0.0
     _relax_buckets(indptr, indices, weights, dist.reshape(-1))
     return dist
+
+
+def row_tile(num_arcs: int) -> int:
+    """Sources per :func:`distance_rows` call: ``max(1, _TILE_ARCS // num_arcs)``,
+    so small graphs share each round's overhead over many rows."""
+    return max(1, _TILE_ARCS // max(1, int(num_arcs)))
+
+
+def distance_rows(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: Optional[np.ndarray],
+    sources: np.ndarray,
+    *,
+    degrees: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Distances from each of ``sources`` as an ``(len(sources), n)`` float64 matrix.
+
+    Weighted rows come from :func:`delta_stepping_rows`, hop rows from
+    :func:`frontier_expansion` (one source) or :func:`msbfs_levels`; ``inf``
+    marks unreached nodes.  Row ``j`` depends only on ``sources[j]``.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    if weights is not None:
+        return delta_stepping_rows(indptr, indices, weights, sources)
+    if sources.size == 1:
+        hops = frontier_expansion(indptr, indices, sources, degrees=degrees)[0][None, :]
+    else:
+        hops = msbfs_levels(indptr, indices, sources, degrees=degrees)
+    rows = hops.astype(np.float64)
+    rows[hops < 0] = np.inf
+    return rows
 
 
 def _relax_buckets(

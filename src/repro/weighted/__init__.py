@@ -16,7 +16,6 @@ runs the whole chain end to end.
 from repro.weighted.applications import (
     WeightedDiameterEstimate,
     WeightedKCenterResult,
-    build_weighted_quotient,
     estimate_weighted_diameter,
     weighted_gonzalez_kcenter,
     weighted_kcenter,
@@ -37,7 +36,6 @@ from repro.weighted.wgraph import WeightedCSRGraph, as_weighted
 __all__ = [
     "WeightedDiameterEstimate",
     "WeightedKCenterResult",
-    "build_weighted_quotient",
     "estimate_weighted_diameter",
     "weighted_gonzalez_kcenter",
     "weighted_kcenter",

@@ -20,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.quotient import QuotientGraph, quotient_diameter
-from repro.graph.csr import CSRGraph
+from repro.core.quotient import build_quotient_graph, quotient_diameter
 from repro.utils.rng import SeedLike, as_rng
 from repro.weighted.decomposition import WeightedClustering, weighted_cluster
 from repro.weighted.traversal import multi_source_dijkstra, weighted_double_sweep
@@ -31,7 +30,6 @@ __all__ = [
     "WeightedKCenterResult",
     "weighted_kcenter",
     "weighted_gonzalez_kcenter",
-    "build_weighted_quotient",
     "WeightedDiameterEstimate",
     "estimate_weighted_diameter",
 ]
@@ -138,47 +136,6 @@ def weighted_gonzalez_kcenter(
 # --------------------------------------------------------------------------- #
 
 
-def build_weighted_quotient(
-    graph: WeightedCSRGraph, clustering: WeightedClustering
-) -> QuotientGraph:
-    """Weighted quotient graph of a weighted decomposition.
-
-    The quotient edge between clusters ``A`` and ``B`` is weighted with
-    ``min over crossing edges (a, b) of
-    wdist(a, center_A) + w(a, b) + wdist(b, center_B)`` — a genuine path
-    length between the two centers.
-    """
-    if graph.num_nodes != clustering.num_nodes:
-        raise ValueError("graph and clustering refer to different node sets")
-    k = clustering.num_clusters
-    edges, weights = graph.edges()
-    if edges.size == 0:
-        return QuotientGraph(graph=CSRGraph.empty(k), weights=np.zeros(0))
-    cu = clustering.assignment[edges[:, 0]]
-    cv = clustering.assignment[edges[:, 1]]
-    cross = cu != cv
-    if not np.any(cross):
-        return QuotientGraph(graph=CSRGraph.empty(k), weights=np.zeros(0))
-    crossing = edges[cross]
-    path_len = (
-        clustering.weighted_distance[crossing[:, 0]]
-        + clustering.weighted_distance[crossing[:, 1]]
-        + weights[cross]
-    )
-    lo = np.minimum(cu[cross], cv[cross])
-    hi = np.maximum(cu[cross], cv[cross])
-    keys = lo * np.int64(k) + hi
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
-    min_weight = np.full(unique_keys.size, np.inf)
-    np.minimum.at(min_weight, inverse, path_len)
-    q_edges = np.stack([unique_keys // k, unique_keys % k], axis=1)
-    q_graph = CSRGraph.from_edges(q_edges, num_nodes=k)
-    src = np.repeat(np.arange(k, dtype=np.int64), np.diff(q_graph.indptr))
-    arc_keys = np.minimum(src, q_graph.indices) * np.int64(k) + np.maximum(src, q_graph.indices)
-    positions = np.searchsorted(unique_keys, arc_keys)
-    return QuotientGraph(graph=q_graph, weights=min_weight[positions].astype(np.float64))
-
-
 @dataclass(frozen=True)
 class WeightedDiameterEstimate:
     """Bounds on the weighted diameter obtained through the decomposition.
@@ -217,6 +174,9 @@ def estimate_weighted_diameter(
 
     * upper bound: ``2 · weighted_radius + diam(weighted quotient)``;
     * lower bound: weighted double sweep (exact Dijkstra from two nodes).
+
+    Raises ``ValueError`` for an empty graph, and for a disconnected one
+    (its quotient is disconnected, so the diameter is infinite).
     """
     n = graph.num_nodes
     if n == 0:
@@ -226,12 +186,8 @@ def estimate_weighted_diameter(
         if tau is None:
             tau = max(1, int(math.ceil(math.sqrt(n) / max(1.0, math.log2(max(2, n))))))
         clustering = weighted_cluster(graph, tau, seed=rng)
-    quotient = build_weighted_quotient(graph, clustering)
-    if quotient.num_nodes <= 1 or quotient.num_edges == 0:
-        quotient_diam = 0.0
-    else:
-        quotient_diam = quotient_diameter(quotient)
-    upper = 2.0 * clustering.weighted_radius + float(quotient_diam)
+    quotient = build_quotient_graph(graph, clustering, weighted=True)
+    upper = 2.0 * clustering.weighted_radius + quotient_diameter(quotient)
     lower, _, _ = weighted_double_sweep(graph, rng=rng)
     return WeightedDiameterEstimate(
         lower_bound=float(lower),

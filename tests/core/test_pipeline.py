@@ -10,6 +10,7 @@ from repro.core.mr_algorithms import mr_estimate_diameter
 from repro.core.pipeline import DecompositionPipeline, PipelineConfig
 from repro.experiments.config import ExperimentConfig
 from repro.generators import mesh_graph
+from repro.graph.csr import CSRGraph
 from repro.weighted.wgraph import WeightedCSRGraph
 
 
@@ -130,6 +131,14 @@ class TestExperimentConfigThreading:
 
 
 class TestWeightedMethod:
+    def test_disconnected_graph_rejected(self):
+        # Two isolated nodes: the quotient has two clusters and no edge, so
+        # the weighted diameter is infinite rather than 2·R_w + 0.
+        graph = CSRGraph.from_edges(np.zeros((0, 2), dtype=np.int64), num_nodes=2)
+        pipe = DecompositionPipeline(graph, method="weighted", tau=1)
+        with pytest.raises(ValueError, match="disconnected"):
+            pipe.diameter()
+
     def test_weighted_method_on_weighted_graph(self):
         wgraph = mesh_graph(12, 12, weights="uniform", seed=4)
         pipe = DecompositionPipeline(wgraph, PipelineConfig(method="weighted", tau=2, seed=9))

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import oracle, pipeline
+from repro.core import quotient as quotient_module
 from repro.core.cluster import cluster
+from repro.core.oracle import build_distance_oracle
 from repro.core.pipeline import DecompositionPipeline
 from repro.core.quotient import (
     QuotientGraph,
@@ -15,9 +22,22 @@ from repro.core.quotient import (
 )
 from repro.core.clustering import Clustering
 from repro.generators import barabasi_albert_graph, path_graph, road_network_graph
+from repro.generators.rmat import rmat_graph
 from repro.graph import kernels
-from repro.graph.components import is_connected
+from repro.graph.components import is_connected, largest_component
 from repro.graph.csr import CSRGraph
+from repro.graph.diameter_exact import bounded_diameter
+from repro.graph.snapshot import load_snapshot, save_snapshot
+
+from quotient_reference import (  # rootless test layout: pytest puts this dir on sys.path
+    reference_quotient,
+    reference_weighted_quotient,
+)
+
+#: Float weights whose sums round, mixed with magnitudes far apart.
+FLOAT_WEIGHTS = (0.1, 0.2, 0.3, 1 / 3, 1e-3, 1e3)
+#: ``kernels._TILE_ARCS`` budgets: one row per tile, a few rows, the default.
+TILE_BUDGETS = (1, 64, 1 << 16)
 
 
 def scipy_apsp(quotient: QuotientGraph) -> np.ndarray:
@@ -66,6 +86,75 @@ def float_weighted_quotient() -> QuotientGraph:
     quotient = pipe.quotient(weighted=True)
     assert np.any(quotient.weights != np.round(quotient.weights))
     return quotient
+
+
+@st.composite
+def random_quotients(draw, kind: str) -> QuotientGraph:
+    """A random connected graph as a quotient: a random tree plus extra edges.
+
+    ``kind`` picks the arc weights: ``"hop"`` (none), ``"int"`` (1 to 9) or
+    ``"float"`` (from :data:`FLOAT_WEIGHTS`, so path sums round).
+    """
+    n = draw(st.integers(min_value=1, max_value=40))
+    edges = [(v, draw(st.integers(min_value=0, max_value=v - 1))) for v in range(1, n)]
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges += draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if kind == "hop":
+        return QuotientGraph(graph=CSRGraph.from_edges(edges, num_nodes=n))
+    values = st.integers(min_value=1, max_value=9) if kind == "int" else st.sampled_from(FLOAT_WEIGHTS)
+    weights = draw(st.lists(values, min_size=len(edges), max_size=len(edges)))
+    graph = CSRGraph.from_edges(edges, num_nodes=n, weights=np.asarray(weights, dtype=np.float64))
+    return QuotientGraph(graph=CSRGraph(indptr=graph.indptr, indices=graph.indices), weights=graph.weights)
+
+
+def shaped_quotient(shape: str, kind: str) -> QuotientGraph:
+    """k = 1, k = 2, or a 12-node path, star or complete graph."""
+    n = {"k1": 1, "k2": 2}.get(shape, 12)
+    pairs = {
+        "k1": [],
+        "k2": [(0, 1)],
+        "path": [(v, v + 1) for v in range(n - 1)],
+        "star": [(0, v) for v in range(1, n)],
+        "complete": [(u, v) for u in range(n) for v in range(u + 1, n)],
+    }[shape]
+    edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if kind == "hop":
+        return QuotientGraph(graph=CSRGraph.from_edges(edges, num_nodes=n))
+    if kind == "int":
+        weights = 1.0 + np.arange(len(edges)) % 5
+    else:
+        weights = np.resize(np.asarray(FLOAT_WEIGHTS), len(edges))
+    graph = CSRGraph.from_edges(edges, num_nodes=n, weights=weights)
+    return QuotientGraph(graph=CSRGraph(indptr=graph.indptr, indices=graph.indices), weights=graph.weights)
+
+
+def assert_same_quotient(got: QuotientGraph, expected: QuotientGraph) -> None:
+    assert np.array_equal(got.graph.indptr, expected.graph.indptr)
+    assert np.array_equal(got.graph.indices, expected.graph.indices)
+    if expected.weights is None:
+        assert got.weights is None
+    else:
+        assert got.weights.dtype == np.float64
+        assert np.array_equal(got.weights, expected.weights)
+
+
+def builder_case(name: str):
+    """``(graph, clustering)`` pairs: hop growth on three graph families, and
+    the weighted decomposition of a float-weighted road network."""
+    from repro.weighted.decomposition import weighted_cluster
+
+    if name == "ba":
+        graph = barabasi_albert_graph(300, 3, seed=1)
+        return graph, cluster(graph, 4, seed=1)
+    if name == "road":
+        graph, _ = largest_component(road_network_graph(30, 30, seed=2))
+        return graph, cluster(graph, 8, seed=2)
+    if name == "rmat":
+        graph = rmat_graph(10, 8, seed=3)  # isolated nodes: singleton clusters
+        return graph, cluster(graph, 8, seed=3)
+    graph, _ = largest_component(road_network_graph(25, 25, seed=4, weights="uniform"))
+    return graph, weighted_cluster(graph, 6, seed=4)
 
 
 @pytest.fixture
@@ -149,7 +238,7 @@ class TestBuildQuotient:
 
 
 class TestQuotientDiameter:
-    """The running max over tiles equals the max of both reference matrices."""
+    """The bounded routine equals the max of both reference matrices."""
 
     def assert_exact(self, q):
         expected = reference_diameter(per_source_apsp(q))
@@ -181,9 +270,60 @@ class TestQuotientDiameter:
 
     def test_disconnected_quotient_rejected(self):
         graph = CSRGraph.from_edges([(0, 1)], num_nodes=3)
-        for q in (QuotientGraph(graph=graph), QuotientGraph(graph=graph, weights=np.ones(2))):
+        for weights in (None, np.ones(2), np.full(2, 0.1)):
             with pytest.raises(ValueError, match="disconnected"):
-                quotient_diameter(q)
+                quotient_diameter(QuotientGraph(graph=graph, weights=weights))
+        with pytest.raises(ValueError, match="disconnected"):
+            quotient_diameter(QuotientGraph(graph=CSRGraph.empty(2), weights=np.zeros(0)))
+
+    @pytest.mark.parametrize("kind", ["hop", "int", "float"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_sweep_on_random_graphs(self, kind, data):
+        q = data.draw(random_quotients(kind))
+        budget = data.draw(st.sampled_from(TILE_BUDGETS))
+        expected = reference_diameter(per_source_apsp(q))
+        with mock.patch.object(kernels, "_TILE_ARCS", budget):
+            assert quotient_diameter(q) == expected
+
+    @pytest.mark.parametrize("budget", TILE_BUDGETS)
+    @pytest.mark.parametrize("kind", ["hop", "int", "float"])
+    @pytest.mark.parametrize("shape", ["k1", "k2", "path", "star", "complete"])
+    def test_matches_full_sweep_on_fixed_shapes(self, shape, kind, budget):
+        q = shaped_quotient(shape, kind)
+        expected = reference_diameter(per_source_apsp(q))
+        with mock.patch.object(kernels, "_TILE_ARCS", budget):
+            assert quotient_diameter(q) == expected
+
+    def test_float_rounding_is_covered_by_the_margin(self):
+        """Paths whose sums round differently from each end, around a hub.
+
+        Without the rounding margin the bounds drop an end whose reversed
+        sum is one ulp above the best row, e.g. the first case below
+        (2.0666666666666664 instead of 2.066666666666667); a seeded sweep of
+        such shapes failed about once in twenty.
+        """
+        cases = [([1 / 3, 1.1, 0.2, 1 / 3, 0.1], 3)]
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            m = int(rng.integers(3, 12))
+            cases.append((rng.choice(FLOAT_WEIGHTS, size=m - 1).tolist(), m // 2))
+        for path_weights, hub in cases:
+            m = len(path_weights) + 1
+            # Two light leaves make the hub the highest-degree node.
+            edges = [(v, v + 1) for v in range(m - 1)] + [(hub, m), (hub, m + 1)]
+            weights = np.asarray(path_weights + [1e-3, 1e-3])
+            graph = CSRGraph.from_edges(np.asarray(edges), num_nodes=m + 2, weights=weights)
+            q = QuotientGraph(graph=CSRGraph(indptr=graph.indptr, indices=graph.indices), weights=graph.weights)
+            with mock.patch.object(kernels, "_TILE_ARCS", 1):
+                assert quotient_diameter(q) == reference_diameter(per_source_apsp(q))
+
+    def test_float_weighted_quotient_from_few_rows(self):
+        q = float_weighted_quotient()
+        with mock.patch.object(kernels, "_TILE_ARCS", 1):
+            diameter, rows = bounded_diameter(q.graph.indptr, q.graph.indices, q.weights)
+        assert diameter == reference_diameter(per_source_apsp(q))
+        assert rows < q.num_nodes // 2
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_large_quotient_spans_several_tiles(self, weighted):
@@ -244,3 +384,66 @@ class TestQuotientApsp:
         assert quotient_apsp(QuotientGraph(graph=CSRGraph.empty(0))).shape == (0, 0)
         single = quotient_apsp(QuotientGraph(graph=CSRGraph.empty(1)))
         assert np.array_equal(single, [[0.0]])
+
+
+class TestBuilderMatchesReference:
+    """The block-streamed builder reproduces the two frozen builders."""
+
+    @pytest.mark.parametrize("block", [1 << 22, 7])
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("name", ["ba", "road", "rmat", "weighted-road"])
+    def test_matches_frozen_builders(self, tmp_path, name, mmap, block):
+        graph, clustering = builder_case(name)
+        if mmap:
+            graph = load_snapshot(save_snapshot(graph, tmp_path / "graph.snap"), mmap=True)
+            assert graph.mode == "mmap"
+        # A 7-arc block splits rows' crossing arcs of one pair across blocks.
+        with mock.patch.object(quotient_module, "_BLOCK_ARCS", block):
+            for weighted in (False, True):
+                got = build_quotient_graph(graph, clustering, weighted=weighted)
+                if weighted and name == "weighted-road":
+                    expected = reference_weighted_quotient(graph, clustering)
+                else:
+                    expected = reference_quotient(graph, clustering, weighted=weighted)
+                assert_same_quotient(got, expected)
+
+    def test_weighted_clustering_needs_weighted_graph(self):
+        graph, clustering = builder_case("weighted-road")
+        unweighted = CSRGraph(indptr=graph.indptr, indices=graph.indices)
+        with pytest.raises(ValueError, match="weighted graph"):
+            build_quotient_graph(unweighted, clustering, weighted=True)
+        assert_same_quotient(
+            build_quotient_graph(unweighted, clustering), reference_quotient(graph, clustering)
+        )
+
+
+def _counting(calls):
+    def build(*args, **kwargs):
+        calls.append(kwargs)
+        return build_quotient_graph(*args, **kwargs)
+
+    return build
+
+
+class TestOneBuildPerClustering:
+    """Both quotient flavours come from one build per clustering."""
+
+    @pytest.mark.parametrize("method", ["cluster", "weighted"])
+    def test_pipeline_builds_once(self, monkeypatch, mesh20, method):
+        calls = []
+        monkeypatch.setattr(pipeline, "build_quotient_graph", _counting(calls))
+        pipe = DecompositionPipeline(mesh20, method=method, tau=4, seed=0)
+        pipe.run()
+        pipe.mr_report()
+        pipe.quotient_diameter(weighted=False)
+        assert len(calls) == 1
+        assert pipe.quotient(weighted=False).graph is pipe.quotient(weighted=True).graph
+
+    @pytest.mark.parametrize("weights", [None, "uniform"])
+    def test_oracle_builds_once(self, monkeypatch, weights):
+        graph, _ = largest_component(road_network_graph(20, 20, seed=1, weights=weights))
+        calls = []
+        monkeypatch.setattr(oracle, "build_quotient_graph", _counting(calls))
+        built = build_distance_oracle(graph, seed=0)
+        assert len(calls) == 1
+        assert np.array_equal(np.isfinite(built.lower_matrix), np.isfinite(built.upper_matrix))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graph.components import is_connected
-from repro.graph.diameter_exact import diameter_all_pairs
+from repro.graph.diameter_exact import exact_diameter
 from repro.generators.mesh import cycle_graph, mesh_graph, path_graph, torus_graph
 
 
@@ -22,7 +22,7 @@ class TestMesh:
         assert is_connected(mesh_graph(6, 9))
 
     def test_diameter(self):
-        assert diameter_all_pairs(mesh_graph(4, 6)) == 3 + 5
+        assert exact_diameter(mesh_graph(4, 6)) == 3 + 5
 
     def test_degrees(self):
         g = mesh_graph(5, 5)
@@ -59,7 +59,7 @@ class TestPathAndCycle:
     def test_path_structure(self):
         g = path_graph(6)
         assert g.num_edges == 5
-        assert diameter_all_pairs(g) == 5
+        assert exact_diameter(g) == 5
 
     def test_path_single_node(self):
         assert path_graph(1).num_nodes == 1
@@ -72,7 +72,7 @@ class TestPathAndCycle:
         g = cycle_graph(8)
         assert g.num_edges == 8
         assert np.all(g.degree() == 2)
-        assert diameter_all_pairs(g) == 4
+        assert exact_diameter(g) == 4
 
     def test_cycle_too_small(self):
         with pytest.raises(ValueError):

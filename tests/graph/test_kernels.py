@@ -17,7 +17,7 @@ from repro.graph import kernels
 from repro.graph.builders import disjoint_union
 from repro.graph.components import connected_components
 from repro.graph.csr import CSRGraph
-from repro.graph.diameter_exact import diameter_all_pairs
+from repro.graph.diameter_exact import exact_diameter
 from repro.graph.snapshot import load_snapshot, save_snapshot
 from repro.graph.traversal import bfs_distances, multi_source_bfs
 from repro.weighted.wgraph import WeightedCSRGraph
@@ -124,8 +124,10 @@ class TestComponentAndEccentricity:
         for node, ecc in zip(nodes, eccs):
             assert ecc == int(bfs_distances(mesh, int(node)).max())
 
-    def test_diameter_all_pairs_uses_kernel(self, mesh):
-        assert diameter_all_pairs(mesh) == 16
+    def test_exact_diameter_matches_kernel_eccentricities(self, mesh):
+        nodes = np.arange(mesh.num_nodes, dtype=np.int64)
+        assert kernels.eccentricities(mesh.indptr, mesh.indices, nodes).max() == 16
+        assert exact_diameter(mesh) == 16
 
 
 class TestDeltaStepping:

@@ -10,9 +10,15 @@ from repro.baselines.mpx import mpx_decomposition
 from repro.core.cluster import cluster
 from repro.core.diameter import estimate_diameter
 from repro.core.quotient import build_quotient_graph, quotient_diameter
+from repro.graph import kernels
 from repro.graph.csr import CSRGraph
-from repro.graph.diameter_exact import diameter_all_pairs
 from repro.graph.traversal import bfs_distances
+
+
+def all_pairs_diameter(graph: CSRGraph) -> int:
+    """Reference diameter: the largest eccentricity over every node."""
+    nodes = np.arange(graph.num_nodes, dtype=np.int64)
+    return int(kernels.eccentricities(graph.indptr, graph.indices, nodes).max())
 
 
 @st.composite
@@ -53,7 +59,7 @@ class TestClusterProperties:
     @settings(max_examples=40, deadline=None)
     def test_cluster_radius_at_most_diameter(self, graph, seed):
         clustering = cluster(graph, 1, seed=seed)
-        assert clustering.max_radius <= diameter_all_pairs(graph)
+        assert clustering.max_radius <= all_pairs_diameter(graph)
 
     @given(connected_graphs(), st.floats(min_value=0.05, max_value=3.0), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -67,7 +73,7 @@ class TestDiameterProperties:
     @settings(max_examples=40, deadline=None)
     def test_diameter_sandwich(self, graph, tau, seed):
         """∆_C <= ∆ <= ∆'' <= ∆' for every decomposition of every graph."""
-        true_diameter = diameter_all_pairs(graph)
+        true_diameter = all_pairs_diameter(graph)
         estimate = estimate_diameter(graph, tau=tau, seed=seed, weighted=True)
         assert estimate.lower_bound <= true_diameter
         assert estimate.upper_bound >= true_diameter
@@ -81,4 +87,4 @@ class TestDiameterProperties:
         if quotient.num_nodes > 1:
             # A connected graph's quotient is connected, and its diameter never
             # exceeds the graph diameter.
-            assert quotient_diameter(quotient) <= diameter_all_pairs(graph)
+            assert quotient_diameter(quotient) <= all_pairs_diameter(graph)

@@ -19,6 +19,7 @@ from repro.core.mr_algorithms import mr_estimate_diameter
 from repro.core.pipeline import DecompositionPipeline, PipelineConfig
 from repro.generators import mesh_graph
 from repro.graph import kernels
+from repro.graph.diameter_exact import exact_diameter
 from repro.graph.snapshot import SnapshotWriter, save_snapshot
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -57,6 +58,7 @@ REMOVED = {
     "eccentricities(method=)": lambda: kernels.eccentricities(*_ARGS, _ONE, method="loop"),
     "eccentricities(batch=)": lambda: kernels.eccentricities(*_ARGS, _ONE, batch=8),
     "delta_stepping(delta=)": lambda: kernels.delta_stepping(*_ARGS, _WEIGHTS, _ONE, delta=1.0),
+    "exact_diameter(all_pairs_threshold=)": lambda: exact_diameter(_GRAPH, all_pairs_threshold=10),
     "claim_first() without workspace": lambda: kernels.claim_first(_ONE, _ONE),
     "claim_min() without workspace": lambda: kernels.claim_min(_ONE, _ONE, np.zeros(1)),
     "PipelineConfig(mr_backend=)": lambda: PipelineConfig(mr_backend="process"),

@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 from repro.core.growth_engine import GrowthEngine, MinWeightTieBreak
+from repro.core.quotient import build_quotient_graph
 from repro.generators import mesh_graph, path_graph, road_network_graph
+from repro.graph.csr import CSRGraph
 from repro.weighted.applications import (
-    build_weighted_quotient,
     estimate_weighted_diameter,
     weighted_gonzalez_kcenter,
     weighted_kcenter,
 )
 from repro.weighted.decomposition import weighted_cluster
 from repro.weighted.traversal import multi_source_dijkstra
-from repro.weighted.wgraph import WeightedCSRGraph
+from repro.weighted.wgraph import WeightedCSRGraph, as_weighted
 
 
 @pytest.fixture
@@ -172,7 +173,7 @@ class TestWeightedDiameter:
 
     def test_quotient_weights_are_path_lengths(self, weighted_mesh):
         clustering = weighted_cluster(weighted_mesh, 2, seed=4)
-        quotient = build_weighted_quotient(weighted_mesh, clustering)
+        quotient = build_quotient_graph(weighted_mesh, clustering, weighted=True)
         if quotient.num_edges:
             assert quotient.weights.min() > 0
         assert quotient.num_nodes == clustering.num_clusters
@@ -180,3 +181,10 @@ class TestWeightedDiameter:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             estimate_weighted_diameter(WeightedCSRGraph.from_edges([], num_nodes=0, weights=[]))
+
+    def test_disconnected_graph_rejected(self):
+        # Two isolated nodes: two clusters and no quotient edge, so the
+        # weighted diameter is infinite rather than 2·R_w + 0.
+        graph = as_weighted(CSRGraph.from_edges(np.zeros((0, 2), dtype=np.int64), num_nodes=2))
+        with pytest.raises(ValueError, match="disconnected"):
+            estimate_weighted_diameter(graph, tau=1)
