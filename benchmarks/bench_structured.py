@@ -1,7 +1,7 @@
 """Structured-round benchmarks and the structured-beats-tuple smoke gates.
 
-The tentpole claim of the array-native MR plane is that executing the MR
-drivers as *structured rounds* (segment reductions over ``ArrayPairs``, see
+The claim of the array-native MR plane is that executing the MR drivers as
+*structured rounds* (segment reductions over ``ArrayPairs``, see
 :mod:`repro.mapreduce.structured`) beats executing the very same rounds
 through the per-pair tuple path by at least 5x on a ≥100k-arc workload, with
 bit-identical outputs and bit-identical ``MRMetrics``.  Since the execution
@@ -9,20 +9,18 @@ strategy is the backend's choice, the comparison is simply
 ``backend="vectorized"`` (segment fast path) versus ``backend="serial"``
 (tuple path) on the same driver call.
 
-``test_structured_cluster_native_beats_tuple_path`` and
-``test_structured_bfs_beats_tuple_path`` are the CI smoke gates: they fail
-the build if the ≥5x speedup or the bit-identity ever regresses.
+``test_structured_bfs_beats_tuple_path`` is the CI smoke gate: it fails the
+build if the ≥5x speedup or the bit-identity ever regresses.
 ``test_vectorized_beats_serial_count_round`` gates a single ≥100k-pair
 degree-count round (one ``(dst, src)`` pair per directed arc, reduced with
 ``count``) the same way, without a speedup factor, and
-``test_backends_identical_on_degree_count_round`` pins all three backends
+``test_backends_identical_on_degree_count_round`` pins both backends
 bit-identical on it.  All measurements are appended to ``BENCH_mr.json`` via
 the shared recorder so the perf trajectory is machine-readable across PRs.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -30,19 +28,11 @@ import pytest
 
 from _memory import process_peak_rss
 from repro.baselines.bfs_diameter import mr_bfs_diameter
-from repro.core.mr_native import mr_cluster_native
 from repro.generators import barabasi_albert_graph
-from repro.mapreduce import shm
-from repro.mapreduce.backends import ArrayPairs, ProcessBackend, fork_available
+from repro.mapreduce.backends import ArrayPairs
 from repro.mapreduce.engine import MREngine
-from repro.mapreduce.structured import get_structured_reducer
 
 SPEEDUP_GATE = 5.0
-
-#: The shm-path gate: the process backend must beat the single-process
-#: vectorized backend on a >= 1M-pair structured round (enforced where >= 2
-#: CPUs are available; numbers are recorded everywhere).
-SHM_SPEEDUP_GATE = 1.5
 
 
 @pytest.fixture(scope="module")
@@ -68,43 +58,8 @@ def interleaved_best(runners, repetitions=3):
 
 
 # ------------------------------------------------------------------ #
-# Smoke gates: structured rounds >= 5x over the tuple path, bit-identical
+# Smoke gate: structured rounds >= 5x over the tuple path, bit-identical
 # ------------------------------------------------------------------ #
-def test_structured_cluster_native_beats_tuple_path(arc_graph, mr_bench_recorder):
-    timings, results = interleaved_best(
-        {
-            "serial": lambda: mr_cluster_native(arc_graph, 16, seed=3, backend="serial"),
-            "vectorized": lambda: mr_cluster_native(arc_graph, 16, seed=3, backend="vectorized"),
-        }
-    )
-    (serial_clustering, serial_engine) = results["serial"]
-    (vector_clustering, vector_engine) = results["vectorized"]
-
-    # Bit-identical clustering output ...
-    assert np.array_equal(serial_clustering.assignment, vector_clustering.assignment)
-    assert np.array_equal(serial_clustering.centers, vector_clustering.centers)
-    assert np.array_equal(serial_clustering.distance, vector_clustering.distance)
-    # ... and bit-identical MRMetrics (rounds, shuffled pairs, max reducer input).
-    assert serial_engine.metrics.as_dict() == vector_engine.metrics.as_dict()
-
-    pairs = serial_engine.metrics.shuffled_pairs
-    for backend, seconds in timings.items():
-        mr_bench_recorder(
-            benchmark="mr_cluster_native",
-            workload=f"ba-20k-m6-tau16/{arc_graph.num_directed_edges}-arcs",
-            pairs=pairs,
-            backend=backend,
-            seconds=seconds,
-            peak_rss_bytes=process_peak_rss(),
-        )
-    speedup = timings["serial"] / timings["vectorized"]
-    assert speedup >= SPEEDUP_GATE, (
-        f"structured mr_cluster_native must be >= {SPEEDUP_GATE}x over the tuple path on "
-        f"{arc_graph.num_directed_edges} arcs, got {speedup:.1f}x "
-        f"(serial {timings['serial'] * 1000:.0f} ms, vectorized {timings['vectorized'] * 1000:.0f} ms)"
-    )
-
-
 def test_structured_bfs_beats_tuple_path(arc_graph, mr_bench_recorder):
     timings, results = interleaved_best(
         {
@@ -133,78 +88,6 @@ def test_structured_bfs_beats_tuple_path(arc_graph, mr_bench_recorder):
         f"structured mr_bfs_diameter must be >= {SPEEDUP_GATE}x over the tuple path on "
         f"{arc_graph.num_directed_edges} arcs, got {speedup:.1f}x "
         f"(serial {timings['serial'] * 1000:.0f} ms, vectorized {timings['vectorized'] * 1000:.0f} ms)"
-    )
-
-
-# ------------------------------------------------------------------ #
-# Shared-memory gate: process backend >= 1.5x over vectorized at >= 1M pairs
-# ------------------------------------------------------------------ #
-@pytest.fixture(scope="module")
-def million_pair_workload():
-    """A >= 1M-pair ``min`` round, large enough to engage the shm data plane."""
-    rng = np.random.default_rng(11)
-    n = 1_100_000
-    keys = rng.integers(0, 150_000, size=n).astype(np.int64)
-    values = rng.integers(0, 2**40, size=n).astype(np.int64)
-    return ArrayPairs(keys, values)
-
-
-def test_shm_process_backend_beats_vectorized_at_scale(million_pair_workload, mr_bench_recorder):
-    """The tentpole gate: zero-copy shm rounds make the process backend win.
-
-    Bit-identity (outputs and metrics) and clean segment teardown are
-    asserted unconditionally; the >= 1.5x speedup over the vectorized
-    backend additionally needs real parallelism, so it is enforced only on
-    machines with >= 2 CPUs (CI) — single-CPU machines still record their
-    numbers into BENCH_mr.json.
-    """
-    if not fork_available():
-        pytest.skip("process backend requires fork")
-    cpus = os.cpu_count() or 1
-    backend = ProcessBackend(num_shards=max(2, cpus))
-    assert backend._shm_eligible(million_pair_workload, get_structured_reducer("min"))
-
-    vec_engine = MREngine(backend="vectorized")
-    proc_engine = MREngine(backend=backend)
-    try:
-        timings, results = interleaved_best(
-            {
-                "vectorized": lambda: vec_engine.run_structured_round(
-                    million_pair_workload, "min", label="shm-gate"
-                ),
-                "process-shm": lambda: proc_engine.run_structured_round(
-                    million_pair_workload, "min", label="shm-gate"
-                ),
-            }
-        )
-        assert np.array_equal(results["vectorized"].keys, results["process-shm"].keys)
-        assert np.array_equal(results["vectorized"].values, results["process-shm"].values)
-        assert vec_engine.metrics.as_dict() == proc_engine.metrics.as_dict()
-    finally:
-        proc_engine.close()
-        vec_engine.close()
-    assert shm.active_repro_segments() == []
-
-    pairs = len(million_pair_workload)
-    for name, seconds in timings.items():
-        mr_bench_recorder(
-            benchmark="shm_structured_min_round",
-            workload=f"uniform-min/{pairs}-pairs",
-            pairs=pairs,
-            backend=name,
-            seconds=seconds,
-            peak_rss_bytes=process_peak_rss(),
-        )
-    speedup = timings["vectorized"] / timings["process-shm"]
-    if cpus < 2:
-        pytest.skip(
-            f"shm speedup gate needs >= 2 CPUs (got {cpus}); recorded {speedup:.2f}x"
-        )
-    assert speedup >= SHM_SPEEDUP_GATE, (
-        f"shm process backend must be >= {SHM_SPEEDUP_GATE}x over vectorized on "
-        f"{pairs} pairs, got {speedup:.2f}x "
-        f"(vectorized {timings['vectorized'] * 1000:.0f} ms, "
-        f"process-shm {timings['process-shm'] * 1000:.0f} ms)"
     )
 
 
@@ -264,26 +147,26 @@ def test_vectorized_beats_serial_count_round(degree_workload, mr_bench_recorder)
 
 
 def test_backends_identical_on_degree_count_round(degree_workload):
-    """All three backends produce identical output and counters on the workload."""
+    """Both backends produce identical output and counters on the workload."""
     outcomes = {}
-    for backend in ("serial", "vectorized", "process"):
-        with MREngine(backend=backend, num_shards=4) as engine:
-            out = engine.run_structured_round(degree_workload, "count")
-            outcomes[backend] = (out.keys.tolist(), out.values.tolist(), engine.metrics.as_dict())
+    for backend in ("serial", "vectorized"):
+        engine = MREngine(backend=backend)
+        out = engine.run_structured_round(degree_workload, "count")
+        outcomes[backend] = (out.keys.tolist(), out.values.tolist(), engine.metrics.as_dict())
     for backend, outcome in outcomes.items():
         assert outcome == outcomes["serial"], backend
 
 
-@pytest.mark.parametrize("backend", ["serial", "vectorized", "process"])
+@pytest.mark.parametrize("backend", ["serial", "vectorized"])
 def test_bench_structured_argmin_round(benchmark, backend, claim_workload, mr_bench_recorder):
-    with MREngine(backend=backend, num_shards=4) as engine:
-        result = benchmark.pedantic(
-            engine.run_structured_round,
-            args=(claim_workload, "argmin"),
-            rounds=1 if backend == "serial" else 3,
-            iterations=1,
-        )
-        assert len(result) > 0
+    engine = MREngine(backend=backend)
+    result = benchmark.pedantic(
+        engine.run_structured_round,
+        args=(claim_workload, "argmin"),
+        rounds=1 if backend == "serial" else 3,
+        iterations=1,
+    )
+    assert len(result) > 0
     mr_bench_recorder(
         benchmark="structured_argmin_round",
         workload=f"arc-claims/{len(claim_workload)}-pairs",

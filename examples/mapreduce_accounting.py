@@ -11,8 +11,8 @@ memory constraints.  This script shows the substrate on its own:
    sums) under a shrinking local memory: O(log_ML n) rounds each,
 3. execute the CLUSTER-based diameter estimation under a memory-constrained
    model and convert its metrics into simulated wall-clock time,
-4. run the same ``count`` round on every execution backend (serial /
-   vectorized / process) and check that output and metrics are bit-identical.
+4. run the same ``count`` round on both execution backends (serial /
+   vectorized) and check that output and metrics are bit-identical.
 
 Run with::
 
@@ -39,12 +39,10 @@ def word_count_demo() -> None:
     engine = MREngine()
     documents = np.array(["graphs are large", "graphs are sparse"])
 
-    def tokenize(batch: ArrayPairs) -> ArrayPairs:
-        words = [word for line in batch.values.tolist() for word in line.split()]
-        return ArrayPairs(np.asarray(words), np.ones(len(words), dtype=np.int64))
-
-    batch = ArrayPairs(np.arange(documents.size), documents)
-    result = engine.run_structured_round(batch, "sum", mapper=tokenize)
+    # The map phase: one (word, 1) pair per token.
+    words = [word for line in documents.tolist() for word in line.split()]
+    batch = ArrayPairs(np.asarray(words), np.ones(len(words), dtype=np.int64))
+    result = engine.run_structured_round(batch, "sum")
     print("word count:", dict(result.to_pairs()))
     print("metrics:", engine.metrics.as_dict(), "\n")
 
@@ -74,15 +72,15 @@ def constrained_diameter_demo() -> None:
 
 
 def backends_demo() -> None:
-    """One count round, three backends — identical output and counters."""
+    """One count round, both backends — identical output and counters."""
     rng = np.random.default_rng(0)
     batch = ArrayPairs(rng.integers(0, 64, 5000), rng.integers(0, 100, 5000))
 
     print("\nbackend equivalence on a 5000-pair count round:")
     reference = None
     for name in available_backends():
-        with MREngine(backend=name, num_shards=4) as engine:
-            output = engine.run_structured_round(batch, "count")
+        engine = MREngine(backend=name)
+        output = engine.run_structured_round(batch, "count")
         snapshot = (output.to_pairs(), engine.metrics.as_dict())
         if reference is None:
             reference = snapshot

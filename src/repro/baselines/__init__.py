@@ -3,7 +3,7 @@
 from repro.baselines.bfs_diameter import BFSDiameterResult, bfs_diameter, mr_bfs_diameter
 from repro.baselines.gonzalez import gonzalez_kcenter, random_centers_kcenter
 from repro.baselines.hadi import HADIResult, fm_estimate, hadi_diameter, make_fm_sketches
-from repro.baselines.mpx import mpx_decomposition, mpx_with_target_clusters, mr_mpx_decomposition
+from repro.baselines.mpx import mpx_decomposition, mpx_with_target_clusters
 
 __all__ = [
     "BFSDiameterResult",
@@ -17,5 +17,4 @@ __all__ = [
     "make_fm_sketches",
     "mpx_decomposition",
     "mpx_with_target_clusters",
-    "mr_mpx_decomposition",
 ]

@@ -149,15 +149,14 @@ def mr_bfs_diameter(
     model: Optional[MRModel] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     backend: BackendSpec = "vectorized",
-    num_shards: Optional[int] = None,
 ) -> BFSDiameterResult:
     """Double-sweep BFS with every level executed as a structured MR round.
 
     Each BFS level is one round whose communication volume is the number of
     adjacency entries scanned at that level plus the frontier bookkeeping (so
     the aggregate over a full BFS is ``2m`` arc messages plus ``O(n)``).
-    ``backend`` / ``num_shards`` select the engine's execution backend:
-    the ``vectorized`` default runs the segment fast path, ``serial`` the
+    ``backend`` selects the engine's execution backend: the
+    ``vectorized`` default runs the segment fast path, ``serial`` the
     per-pair tuple path (the bit-compatibility reference); estimates and
     metrics are identical on every backend.
     """
@@ -167,32 +166,14 @@ def mr_bfs_diameter(
     rng = as_rng(seed)
     if start is None:
         start = int(rng.integers(0, n))
-    engine = MREngine(
-        model=model if model is not None else MRModel(enforce=False),
-        backend=backend,
-        num_shards=num_shards,
-    )
-
-    # Pin the CSR arrays into the backend's shared data plane for the two
-    # sweeps (zero-copy views on the process backend, the arrays themselves
-    # on in-process backends).
-    pinned = engine.pin_shared("bfs-csr", {"indptr": graph.indptr, "indices": graph.indices})
-    indptr, indices = pinned["indptr"], pinned["indices"]
-
-    def run_one_bfs(source: int) -> tuple:
-        distances, levels = _structured_bfs(engine, indptr, indices, n, source)
-        return distances, levels
-
-    try:
-        first_dist, first_levels = run_one_bfs(int(start))
-        reachable = np.flatnonzero(first_dist >= 0)
-        ecc_first = int(first_dist[reachable].max())
-        farthest = int(reachable[np.argmax(first_dist[reachable])])
-        second_dist, second_levels = run_one_bfs(farthest)
-        reachable2 = np.flatnonzero(second_dist >= 0)
-        ecc_second = int(second_dist[reachable2].max())
-    finally:
-        engine.release_pins()
+    engine = MREngine(model=model if model is not None else MRModel(enforce=False), backend=backend)
+    first_dist, first_levels = _structured_bfs(engine, graph.indptr, graph.indices, n, int(start))
+    reachable = np.flatnonzero(first_dist >= 0)
+    ecc_first = int(first_dist[reachable].max())
+    farthest = int(reachable[np.argmax(first_dist[reachable])])
+    second_dist, second_levels = _structured_bfs(engine, graph.indptr, graph.indices, n, farthest)
+    reachable2 = np.flatnonzero(second_dist >= 0)
+    ecc_second = int(second_dist[reachable2].max())
 
     return BFSDiameterResult(
         estimate=ecc_second,

@@ -119,7 +119,6 @@ def hadi_diameter(
     model: Optional[MRModel] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     backend: BackendSpec = "vectorized",
-    num_shards: Optional[int] = None,
 ) -> HADIResult:
     """Estimate the diameter of ``graph`` with HADI/ANF.
 
@@ -133,7 +132,7 @@ def hadi_diameter(
     tolerance:
         Relative increase of the neighborhood function below which the
         process is considered saturated.
-    backend / num_shards:
+    backend:
         Execution backend of the engine running the sketch-OR rounds; the
         ``vectorized`` default is the segment fast path, ``serial`` the
         per-pair tuple path.  Estimates and metrics are backend-independent.
@@ -142,21 +141,13 @@ def hadi_diameter(
     if n == 0:
         raise ValueError("graph must be non-empty")
     rng = as_rng(seed)
-    engine = MREngine(
-        model=model if model is not None else MRModel(enforce=False),
-        backend=backend,
-        num_shards=num_shards,
-    )
+    engine = MREngine(model=model if model is not None else MRModel(enforce=False), backend=backend)
     limit = max_iterations if max_iterations is not None else n
 
     sketches = make_fm_sketches(n, num_registers=num_registers, rng=rng)
     neighborhood = [float(n)]  # N(0) = n (every node reaches itself)
     estimate = 0
-    # Pin the CSR arrays into the backend's shared data plane for the
-    # duration of the sketch-propagation loop (zero-copy shared-memory views
-    # on the process backend, the arrays themselves on in-process backends).
-    pinned = engine.pin_shared("hadi-csr", {"indptr": graph.indptr, "indices": graph.indices})
-    indptr, indices = pinned["indptr"], pinned["indices"]
+    indptr, indices = graph.indptr, graph.indices
     # The round's key layout is graph structure only — hoisted out of the loop:
     # every node keys its own sketch, then one key per arc (the row owner
     # receives the sketch of each of its neighbours).
@@ -164,26 +155,23 @@ def hadi_diameter(
     arc_owners = np.repeat(nodes, np.diff(indptr))
     round_keys = np.concatenate((nodes, arc_owners))
 
-    try:
-        for t in range(1, limit + 1):
-            # One HADI iteration = one structured MR round shuffling a sketch
-            # along every arc (plus each node's own): the bitwise_or segment
-            # reducer ORs every node's incoming rows, so zero-degree nodes
-            # simply keep their own sketch.
-            batch = ArrayPairs(round_keys, np.concatenate((sketches, sketches[indices])))
-            merged = engine.run_structured_round(batch, "bitwise_or", label="hadi-iteration")
-            updated = np.empty_like(sketches)
-            updated[merged.keys] = merged.values
-            sketches = updated
-            total_pairs = float(fm_estimate(sketches).sum())
-            neighborhood.append(total_pairs)
-            previous = neighborhood[-2]
-            if previous > 0 and (total_pairs - previous) / previous <= tolerance:
-                estimate = t - 1
-                break
-            estimate = t
-    finally:
-        engine.release_pins()
+    for t in range(1, limit + 1):
+        # One HADI iteration = one structured MR round shuffling a sketch
+        # along every arc (plus each node's own): the bitwise_or segment
+        # reducer ORs every node's incoming rows, so zero-degree nodes
+        # simply keep their own sketch.
+        batch = ArrayPairs(round_keys, np.concatenate((sketches, sketches[indices])))
+        merged = engine.run_structured_round(batch, "bitwise_or", label="hadi-iteration")
+        updated = np.empty_like(sketches)
+        updated[merged.keys] = merged.values
+        sketches = updated
+        total_pairs = float(fm_estimate(sketches).sum())
+        neighborhood.append(total_pairs)
+        previous = neighborhood[-2]
+        if previous > 0 and (total_pairs - previous) / previous <= tolerance:
+            estimate = t - 1
+            break
+        estimate = t
     return HADIResult(
         estimate=estimate,
         neighborhood_function=neighborhood,

@@ -36,12 +36,9 @@ from repro.core.growth_engine import (
     ShiftedStartTieBreak,
 )
 from repro.graph.csr import CSRGraph
-from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
-from repro.mapreduce.engine import BackendSpec, MREngine
-from repro.mapreduce.model import MRModel
 from repro.utils.rng import SeedLike, as_rng
 
-__all__ = ["mpx_decomposition", "mpx_with_target_clusters", "mr_mpx_decomposition"]
+__all__ = ["mpx_decomposition", "mpx_with_target_clusters"]
 
 
 def mpx_decomposition(
@@ -94,47 +91,6 @@ def mpx_decomposition(
     engine = GrowthEngine(graph, tie_break=policy)
     engine.run(ShiftActivationSchedule(start_times, max_round))
     return engine.to_clustering(algorithm="mpx")
-
-
-def mr_mpx_decomposition(
-    graph: CSRGraph,
-    beta: float,
-    *,
-    seed: SeedLike = None,
-    model: Optional[MRModel] = None,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    backend: BackendSpec = "serial",
-    num_shards: Optional[int] = None,
-):
-    """Run MPX and account for its execution in the MR(M_G, M_L) model.
-
-    MPX is level-synchronous like CLUSTER: every integer round is one
-    activation/growing step, i.e. a constant number of MR rounds (Lemma 3
-    applies to its sort/prefix-sum formulation as well).  The execution trace
-    recorded by :class:`~repro.core.growth_engine.GrowthEngine` is replayed
-    against an :class:`~repro.mapreduce.engine.MREngine` configured with the
-    chosen execution backend, with the same
-    :func:`repro.core.mr_algorithms.charge_clustering_rounds` replay as the
-    CLUSTER pipeline's :meth:`~repro.core.pipeline.DecompositionPipeline.mr_report`.
-
-    Returns an :class:`repro.core.mr_algorithms.MRExecutionReport` (with
-    ``estimate=None``).
-    """
-    from repro.core.mr_algorithms import MRExecutionReport, charge_clustering_rounds
-
-    engine = MREngine(
-        model=model if model is not None else MRModel(enforce=False),
-        backend=backend,
-        num_shards=num_shards,
-    )
-    clustering = mpx_decomposition(graph, beta, seed=seed)
-    charge_clustering_rounds(engine, clustering)
-    return MRExecutionReport(
-        estimate=None,
-        clustering=clustering,
-        metrics=engine.metrics,
-        simulated_time=cost_model.simulated_time(engine.metrics),
-    )
 
 
 def mpx_with_target_clusters(

@@ -23,7 +23,6 @@ from repro.core.mr_algorithms import (
     MRExecutionReport,
     mr_estimate_diameter,
 )
-from repro.core.mr_native import mr_cluster_native
 from repro.core.oracle import (
     DistanceOracle,
     build_distance_oracle,
@@ -64,7 +63,6 @@ __all__ = [
     "kcenter",
     "merge_clusters_to_k",
     "MRExecutionReport",
-    "mr_cluster_native",
     "mr_estimate_diameter",
     "DistanceOracle",
     "build_distance_oracle",

@@ -82,8 +82,7 @@ class PipelineConfig:
         reducer's local memory during MR accounting.
 
     MR accounting charges rounds without executing any, so no execution
-    backend is configured here (the round-executing BFS and HADI baselines
-    take theirs from :class:`~repro.experiments.config.ExperimentConfig`).
+    backend is configured here.
     """
 
     method: str = "cluster"

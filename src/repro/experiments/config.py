@@ -18,7 +18,7 @@ whole harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.experiments.datasets import DATASETS, canonical_index
 from repro.mapreduce.cost import CostModel
@@ -50,16 +50,6 @@ class ExperimentConfig:
         FM registers per node for the HADI baseline.
     tail_multipliers:
         The ``c`` values of Figure 1 (tail length = c × diameter).
-    mr_backend / mr_shards:
-        Execution backend (``serial`` / ``vectorized`` / ``process``) and
-        shard count of the BFS and HADI baselines, which execute their MR
-        rounds.  Metrics and results are backend-independent; the choice only
-        affects wall-clock time of the harness itself.  Defaults to
-        ``vectorized``: the baselines run structured rounds (see
-        :mod:`repro.mapreduce.structured`), and the segment fast path keeps
-        the harness fast, while ``serial`` would run every round through the
-        per-pair tuple path.  The decomposition pipeline's MR accounting only
-        charges rounds, so it takes no backend.
     decomposition_method:
         Decomposition algorithm used by the pipeline-driven experiments
         (``cluster`` / ``cluster2`` / ``mpx`` / ``single-batch`` /
@@ -80,8 +70,6 @@ class ExperimentConfig:
     cost_model: CostModel = CostModel(round_latency=1.0, pair_cost=5.0e-5)
     hadi_registers: int = 16
     tail_multipliers: tuple = (0, 1, 2, 4, 6, 8, 10)
-    mr_backend: str = "vectorized"
-    mr_shards: Optional[int] = None
     decomposition_method: str = "cluster"
 
     def divisor(self, regime: str) -> int:

@@ -59,8 +59,6 @@ def figure1_rows(
             graph,
             seed=rng,
             cost_model=config.cost_model,
-            backend=config.mr_backend,
-            num_shards=config.mr_shards,
         )
         rows.append(
             {

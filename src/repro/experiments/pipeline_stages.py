@@ -18,13 +18,13 @@ diameter bounds instead of the hop bounds.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig, dataset_rng, granularity_for
-from repro.experiments.datasets import dataset_names, load_dataset, reference_diameter
+from repro.experiments.datasets import load_dataset, reference_diameter
 from repro.generators import attach_weights
 
-__all__ = ["run_pipeline", "pipeline_row", "SEED_OFFSET"]
+__all__ = ["pipeline_row", "SEED_OFFSET"]
 
 SEED_OFFSET = 23
 
@@ -54,14 +54,3 @@ def pipeline_row(
         "shuffled_pairs": report.shuffled_pairs,
         "sim_time_s": round(report.simulated_time, 1),
     }
-
-
-def run_pipeline(
-    *,
-    scale: str = "default",
-    datasets: Optional[Sequence[str]] = None,
-    config: ExperimentConfig = DEFAULT_CONFIG,
-) -> List[Dict]:
-    """One pipeline run per dataset; returns one row per run."""
-    names = list(datasets) if datasets is not None else dataset_names()
-    return [pipeline_row(name, scale=scale, config=config) for name in names]

@@ -13,7 +13,6 @@ Usage (after installing the package)::
     python -m repro.experiments serve --datasets mesh --scale small --out results
     python -m repro.experiments serve --query-log queries.log --out results
     python -m repro.experiments serve --snapshot results/snapshots/<key>.npz
-    python -m repro.experiments reap-shm                       # unlink orphaned shm
 
 The ``serve`` subcommand drives the :mod:`repro.serving` plane: it builds the
 dataset's :class:`~repro.serving.GraphService` (or cold-starts it from a
@@ -47,7 +46,6 @@ from repro.analysis.tables import render_csv, render_stored_tables, render_table
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.experiments.store import ArtifactStore
 from repro.experiments.suite import DEFAULT_EXPERIMENTS, EXPERIMENTS, SuiteRunner
-from repro.mapreduce.backends import available_backends
 from repro.utils.logging import enable_verbose
 
 __all__ = ["main", "EXPERIMENTS", "run_experiment", "build_parser"]
@@ -56,19 +54,11 @@ _TITLES = {name: definition.title for name, definition in EXPERIMENTS.items()}
 
 
 def _config_for(args) -> ExperimentConfig:
-    """The harness config with the CLI's backend / method selection applied."""
-    overrides = {}
-    for attr, field in (
-        ("backend", "mr_backend"),
-        ("shards", "mr_shards"),
-        ("method", "decomposition_method"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[field] = value
-    if not overrides:
+    """The harness config with the CLI's ``--method`` selection applied."""
+    method = getattr(args, "method", None)
+    if method is None:
         return DEFAULT_CONFIG
-    return dataclasses.replace(DEFAULT_CONFIG, **overrides)
+    return dataclasses.replace(DEFAULT_CONFIG, decomposition_method=method)
 
 
 def run_experiment(name: str, args) -> List[Dict]:
@@ -113,12 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["all", "suite", "report", "serve", "reap-shm"],
+        choices=sorted(EXPERIMENTS) + ["all", "suite", "report", "serve"],
         help="which artifact to regenerate ('suite' = the full grid through "
              "the cell runner; 'report' = re-render tables from a stored run; "
              "'serve' = build/load a GraphService snapshot and replay a query "
-             "workload against it; 'reap-shm' = unlink shared-memory segments "
-             "orphaned by dead processes)",
+             "workload against it)",
     )
     parser.add_argument("--scale", default="default", choices=["default", "small", "xl"],
                         help="dataset scale (small = quick smoke run; xl = the "
@@ -132,11 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="decomposition method for the pipeline experiment "
                              "(default: cluster; 'weighted' runs the §7 hop-bounded "
                              "weighted decomposition on weighted generator outputs)")
-    parser.add_argument("--backend", default=None, choices=available_backends(),
-                        help="MR execution backend for the metered drivers "
-                             "(default: serial; results are backend-independent)")
-    parser.add_argument("--shards", type=_positive_int, default=None,
-                        help="shard count for the process backend (default: CPU count)")
     parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="execute cells over N worker processes "
                              "(default: 1 = serial; rows are bit-identical either way)")
@@ -275,14 +259,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         enable_verbose()
     if args.resume and args.out is None:
         parser.error("--resume requires --out DIR")
-    if args.experiment == "reap-shm":
-        from repro.mapreduce.shm import reap_orphans
-
-        reaped = reap_orphans()
-        for segment in reaped:
-            print(f"reaped {segment}")
-        print(f"reap-shm: unlinked {len(reaped)} orphaned segment(s)")
-        return 0
     if args.experiment == "serve":
         return _run_serve(args)
     if args.experiment == "report":

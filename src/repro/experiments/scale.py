@@ -48,7 +48,6 @@ __all__ = [
     "SCALE_GRAPHS",
     "scale_graph_names",
     "scale_row",
-    "run_scale",
     "peak_rss_bytes",
     "SEED_OFFSET",
 ]
@@ -191,12 +190,3 @@ def scale_row(
     finally:
         if tmp_root is not None:
             shutil.rmtree(tmp_root, ignore_errors=True)
-
-
-def run_scale(
-    *,
-    scale: str = "default",
-    config: ExperimentConfig = DEFAULT_CONFIG,
-) -> List[Dict]:
-    """One row per scale point of the requested tier."""
-    return [scale_row(name, scale=scale, config=config) for name in scale_graph_names(scale)]

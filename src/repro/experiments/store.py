@@ -285,26 +285,6 @@ class DatasetCache:
                         break
         return fallback
 
-    def seed(self, name: str, scale: str, build: Callable[[], object]):
-        """Insert a graph into the in-memory layer without consulting disk.
-
-        The suite runner's workers call this with a zero-copy reconstruction
-        over shared-memory views published by the parent: the parent performed
-        the one disk load (or build), so the worker must neither re-read the
-        snapshot nor rebuild.  An already-resident graph wins (same-object
-        semantics preserved); the disk layer is never touched.
-        """
-        key = (name, scale)
-        hit = self._graphs.get(key)
-        if hit is not None:
-            self._graphs.move_to_end(key)
-            return hit
-        graph = build()
-        self._graphs[key] = graph
-        while len(self._graphs) > self.memory_items:
-            self._graphs.popitem(last=False)
-        return graph
-
     def diameter(self, name: str, scale: str, num_sweeps: int, compute: Callable[[], int]) -> int:
         """The cached reference diameter, computing via ``compute()`` on miss.
 

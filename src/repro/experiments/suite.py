@@ -56,9 +56,7 @@ from repro.experiments import (
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.experiments.datasets import DATASETS, dataset_cache, dataset_names, load_dataset
 from repro.experiments.store import ArtifactStore, to_jsonable
-from repro.mapreduce import shm
-from repro.mapreduce.backends import fork_available
-from repro.mapreduce.pool import SupervisedPool, WorkerLostError
+from repro.mapreduce.pool import SupervisedPool, WorkerLostError, fork_available
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("experiments.suite")
@@ -244,7 +242,7 @@ def _scale_cells(request: SuiteRequest) -> List[ExperimentCell]:
 
     Scale cells carry their graph in ``params`` (not ``dataset``): the graphs
     come from :data:`~repro.experiments.scale.SCALE_GRAPHS`, not the benchmark
-    registry, so dataset-restriction and shared-memory publishing don't apply.
+    registry, so dataset restriction and the parent's dataset loads don't apply.
     """
     return [
         ExperimentCell("scale", None, (("graph", name),))
@@ -388,44 +386,21 @@ def run_cell(
 
 
 def _seed_shared_datasets(shared) -> None:
-    """Seed this process's dataset cache from shared-memory descriptors.
+    """Point this process's dataset cache at the parent's snapshot directory.
 
-    Two shapes, matching the regimes of ``SuiteRunner._publish_datasets``:
-
-    * ``{"dataset_dir": path}`` — disk-resident datasets: point this
-      process's cache at the parent's snapshot directory so ``load_dataset``
-      opens the files as read-only mmap views (one physical copy in the
-      page cache across all workers).  A user-pinned cache directory is
-      left alone.
-    * ``{(name, scale): refs}`` — memory-only regime: ``refs`` are the
-      :class:`~repro.mapreduce.shm.SharedArrayRef` descriptors of a graph
-      the parent published; the worker reconstructs zero-copy views over
-      the attached segments (``CSRGraph`` keeps already-contiguous ``int64``
-      arrays as-is), so ``load_dataset`` inside the cell is a pure memory
-      hit.  Idempotent: graphs already resident in the cache are kept.
+    ``shared`` is ``None`` or ``{"dataset_dir": path}`` (see
+    ``SuiteRunner._share_datasets``): disk-resident datasets are opened as
+    read-only mmap views, so all workers share one physical copy through the
+    page cache.  A user-pinned cache directory is left alone.
     """
     if not shared:
         return
-    if "dataset_dir" in shared:
-        from pathlib import Path
-
-        cache = dataset_cache()
-        target = Path(shared["dataset_dir"])
-        if not cache.pinned and cache.directory != target:
-            cache.set_directory(target)
-        return
-    from repro.graph.csr import CSRGraph
+    from pathlib import Path
 
     cache = dataset_cache()
-    for (name, scale), refs in shared.items():
-
-        def build(refs=refs):
-            weights = shm.attach_view(refs["weights"]) if "weights" in refs else None
-            return CSRGraph(
-                shm.attach_view(refs["indptr"]), shm.attach_view(refs["indices"]), weights
-            )
-
-        cache.seed(name, scale, build)
+    target = Path(shared["dataset_dir"])
+    if not cache.pinned and cache.directory != target:
+        cache.set_directory(target)
 
 
 class CellTimeoutError(Exception):
@@ -467,9 +442,9 @@ def _execute_cell_task(task) -> Tuple[str, object, float, int]:
     """Run one cell within its retry budget: the serial loop body and the pool task.
 
     ``task`` is ``(cell, scale, config, shared, timeout, retries)``.
-    ``shared`` is ``None`` for a serial run, or the descriptor map of a
-    parallel run's datasets consumed by :func:`_seed_shared_datasets` — only
-    descriptors cross the pool boundary, never arrays.  Every attempt runs
+    ``shared`` is what :func:`_seed_shared_datasets` consumes — never
+    arrays: a parallel run's workers inherit memory-only datasets through
+    fork, and disk-resident ones come from the directory.  Every attempt runs
     under the ``timeout`` alarm, and a failing attempt is retried up to
     ``retries`` times.  Returns ``("ok", rows, elapsed, attempts)`` or
     ``("failed", traceback_text, elapsed, attempts)``: a failing or timed-out
@@ -573,10 +548,8 @@ class SuiteRunner:
         across :meth:`run` calls until :meth:`close` (also via the context
         manager); platforms without ``fork`` degrade to serial execution
         with identical results.
-        Parallel runs load each required dataset from disk exactly once: the
-        parent publishes the built graphs into shared-memory segments
-        (:mod:`repro.mapreduce.shm`) and workers reconstruct them as
-        zero-copy views, seeding their process-local dataset cache.
+        Parallel runs build or load each required dataset exactly once, in
+        the parent, before the pool forks (see :meth:`_share_datasets`).
     resume:
         Serve cells whose content key already exists in the store instead of
         recomputing them.  Requires ``store``.
@@ -623,54 +596,42 @@ class SuiteRunner:
         # crash never quarantines a cell, whatever cell_retries is.
         self.pool = SupervisedPool(self.jobs, retries=self.cell_retries + 1)
         self._fork_available = fork_available()
-        # (name, scale) -> descriptor dict of the published graph arrays;
-        # memoized so repeated run() calls re-use one published copy.
-        self._shared_datasets: Dict[Tuple[str, str], Dict[str, shm.SharedArrayRef]] = {}
+        # (name, scale) keys the parent had loaded when the pool forked.
+        self._inherited: frozenset = frozenset()
 
-    def _publish_datasets(self, cells, scale: str):
-        """Make every dataset the cells need shareable across workers, once each.
+    def _share_datasets(self, cells, scale: str):
+        """Load every dataset the cells need in the parent, once each.
 
-        Two zero-copy regimes, picked per run:
+        Two regimes, picked per run:
 
         * **Disk-resident** (the dataset cache has a snapshot directory,
           e.g. because this runner attached the store's ``datasets/``): the
           parent builds/persists each graph once; workers then open the same
           snapshot as read-only ``np.memmap`` views, so all processes share
-          one physical copy through the OS page cache.  Nothing crosses the
-          pool boundary at all.
-        * **Memory-only cache**: the parent loads each graph and publishes
-          its arrays into shared-memory segments; workers reconstruct
-          zero-copy views from the descriptors (never pickled arrays).
+          one physical copy through the OS page cache.  Tasks carry the
+          directory.
+        * **Memory-only cache**: workers forked after the loads inherit the
+          graphs through fork.  A pool forked before the parent loaded one
+          of them is closed, so it forks again with the graph resident
+          instead of leaving its workers to rebuild it.
         """
-        cache = dataset_cache()
-        needed = []
+        needed = {}
         for cell in cells:
-            name = cell.dataset
-            if name is None or name not in DATASETS:
-                continue
-            if (name, scale) not in needed:
-                needed.append((name, scale))
+            if cell.dataset in DATASETS:
+                needed[(cell.dataset, scale)] = None
+        for name, cell_scale in needed:
+            load_dataset(name, cell_scale)
+        cache = dataset_cache()
         if cache.directory is not None and cache.mmap:
-            for name, cell_scale in needed:
-                load_dataset(name, cell_scale)  # ensure the snapshot exists
             return {"dataset_dir": str(cache.directory)}
-        shared: Dict[Tuple[str, str], Dict[str, shm.SharedArrayRef]] = {}
-        for key in needed:
-            if key not in self._shared_datasets:
-                graph = load_dataset(key[0], key[1])
-                arrays = {"indptr": graph.indptr, "indices": graph.indices}
-                if graph.weights is not None:
-                    arrays["weights"] = graph.weights
-                self._shared_datasets[key] = self.pool.segments.publish(arrays)
-            shared[key] = self._shared_datasets[key]
-        return shared
+        if self.pool.pids and not needed.keys() <= self._inherited:
+            self.pool.close()
+        if not self.pool.pids:
+            self._inherited = frozenset(needed)
+        return None
 
     def close(self) -> None:
-        """Shut down the worker pool and release published dataset segments.
-
-        Both are re-created lazily if the runner is used again.
-        """
-        self._shared_datasets.clear()
+        """Shut down the worker pool; it is forked again lazily if needed."""
         self.pool.close()
 
     def __enter__(self) -> "SuiteRunner":
@@ -740,9 +701,8 @@ class SuiteRunner:
 
         if pending:
             parallel = self.jobs > 1 and self._fork_available and len(pending) > 1
-            # A parallel run loads every needed dataset once in the parent
-            # and publishes it; tasks carry descriptors, not arrays.
-            shared = self._publish_datasets([c for _, c, _ in pending], scale) if parallel else None
+            # A parallel run loads every needed dataset once, in the parent.
+            shared = self._share_datasets([c for _, c, _ in pending], scale) if parallel else None
             tasks = [
                 (cell, scale, self.config, shared, self.cell_timeout, self.cell_retries)
                 for _, cell, _ in pending

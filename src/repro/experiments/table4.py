@@ -59,8 +59,6 @@ def table4_row(
         graph,
         seed=rng,
         cost_model=config.cost_model,
-        backend=config.mr_backend,
-        num_shards=config.mr_shards,
     )
 
     row: Dict = {
@@ -82,8 +80,6 @@ def table4_row(
             seed=rng,
             cost_model=config.cost_model,
             max_iterations=4 * max(1, true_diameter),
-            backend=config.mr_backend,
-            num_shards=config.mr_shards,
         )
         row.update(
             {

@@ -6,19 +6,19 @@ manufacture those failures so the recovery paths of the execution planes can
 be exercised (and regression-gated) instead of merely hoped for.
 
 A :class:`FaultPlan` is a list of :class:`FaultSpec` entries, each naming an
-*injection site* (a dotted string like ``"mr.worker.shm"`` — the
+*injection site* (a dotted string like ``"graph.snapshot"`` — the
 instrumented code calls :func:`inject`/:func:`corrupt_file` with its site
 name), a fault *kind*, and firing conditions.  Kinds:
 
 ``kill``
     ``SIGKILL`` the current process — simulates a pool worker dying
-    mid-round.
+    mid-task.
 ``hang``
     Sleep ``delay_s`` seconds before continuing — simulates a slow or hung
-    task (drive it past a round/cell timeout to simulate a full hang).
+    task (drive it past a cell timeout to simulate a full hang).
 ``error``
     Raise :class:`FaultInjected` (an ``OSError`` subclass) — simulates e.g.
-    a failed shared-memory attach.
+    an unreadable file.
 ``torn_write`` / ``bitflip``
     File-corruption faults applied by :func:`corrupt_file` right after an
     instrumented write: truncate the file to ``fraction`` of its size, or
@@ -32,12 +32,12 @@ JSON itself or ``@/path/to/plan.json``).  Site hit counters are
 cap on total firings is *global* when the plan carries a ``state_dir``:
 firing claims a ticket file with ``O_CREAT|O_EXCL``, so a fault fires
 exactly ``times`` times across every participating process — which is what
-lets a chaos test kill one worker once and then assert the retried round
+lets a chaos test kill one worker once and then assert the retried task
 succeeds instead of dying forever.
 
 Sites are matched with :func:`fnmatch.fnmatchcase`, so a spec can target one
 exact cell (``"suite.cell:table2/mesh"``) or a whole plane
-(``"mr.worker.*"``).
+(``"suite.cell:*"``).
 
 No production code path pays more than one ``os.environ`` lookup when no
 plan is installed.
@@ -81,8 +81,8 @@ class FaultInjected(OSError):
     """The exception raised by ``error``-kind faults.
 
     An ``OSError`` subclass so injected failures travel the same handling
-    paths as the real infrastructure errors they simulate (failed shm
-    attaches, unreadable files).
+    paths as the real infrastructure errors they simulate (unreadable
+    files).
     """
 
 

@@ -4,8 +4,7 @@ A *snapshot* is the library's raw binary graph layout, designed so that
 :func:`load_snapshot` can hand the CSR arrays straight back as ``np.memmap``
 views — opening a 100M-edge graph costs one header read plus page faults on
 demand, and every process that maps the same file shares one copy through the
-OS page cache (the disk-resident analogue of the shared-memory data plane in
-:mod:`repro.mapreduce.shm`).
+OS page cache.
 
 Layout (all integers little-endian)::
 
@@ -21,7 +20,7 @@ The JSON header records ``num_nodes`` / ``num_arcs`` / ``endianness`` plus a
 per-array table of ``{dtype, shape, offset}`` entries for ``indptr`` (int64,
 ``n + 1``), ``indices`` (int64, ``2m``) and the optional ``weights`` (float64,
 ``2m``).  Payloads are the raw C-contiguous array bytes; 64-byte alignment
-keeps the mapped views SIMD- and shm-friendly.
+keeps the mapped views SIMD-friendly.
 
 Version 2 appends a per-array CRC-32 trailer after the payloads, so readers
 can detect bit-flips and short writes (``load_snapshot(..., verify=True)``)

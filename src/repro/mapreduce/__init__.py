@@ -3,21 +3,17 @@
 from repro.mapreduce.backends import (
     ArrayPairs,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
     VectorizedBackend,
     available_backends,
-    fork_available,
     get_backend,
 )
-from repro.mapreduce.pool import SupervisedPool, WorkerLostError
-from repro.mapreduce.shm import SharedArrayPool, SharedArrayRef, active_repro_segments
+from repro.mapreduce.pool import SupervisedPool, WorkerLostError, fork_available
 from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
 from repro.mapreduce.engine import MREngine
 from repro.mapreduce.metrics import MRMetrics
 from repro.mapreduce.model import MRConstraintViolation, MRModel, rounds_for_primitive
 from repro.mapreduce.structured import (
-    ArrayMapper,
     StructuredOutcome,
     StructuredReducer,
     available_structured_reducers,
@@ -26,7 +22,6 @@ from repro.mapreduce.structured import (
 )
 
 __all__ = [
-    "ArrayMapper",
     "StructuredOutcome",
     "StructuredReducer",
     "available_structured_reducers",
@@ -36,15 +31,11 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "VectorizedBackend",
-    "ProcessBackend",
     "available_backends",
     "fork_available",
     "get_backend",
     "SupervisedPool",
     "WorkerLostError",
-    "SharedArrayPool",
-    "SharedArrayRef",
-    "active_repro_segments",
     "CostModel",
     "DEFAULT_COST_MODEL",
     "MREngine",

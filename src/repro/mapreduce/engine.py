@@ -1,10 +1,9 @@
 """Round-synchronous MapReduce simulation engine.
 
 The engine executes MR rounds in-process, single-machine, but faithfully to
-the MR(M_G, M_L) abstraction: a round takes a multiset of key-value pairs,
-optionally applies a map function to it, shuffles (groups) the results by
-key, applies a reducer to every group, and emits the next multiset.  After
-every round the engine
+the MR(M_G, M_L) abstraction: a round takes the multiset of key-value pairs
+a driver's map phase emitted, shuffles (groups) it by key, applies a reducer
+to every group, and emits the next multiset.  After every round the engine
 
 * meters the number of shuffled pairs, the largest reducer input and the
   number of live output pairs (:class:`~repro.mapreduce.metrics.MRMetrics`),
@@ -12,58 +11,41 @@ every round the engine
 * checks the M_L / M_G constraints via :class:`~repro.mapreduce.model.MRModel`.
 
 Every round is a *structured round* (:meth:`MREngine.run_structured_round`):
-the map phase emits an unflattened
-:class:`~repro.mapreduce.backends.ArrayPairs` batch through the
-:class:`~repro.mapreduce.structured.ArrayMapper` protocol, and the reduce
-phase is a declarative :class:`~repro.mapreduce.structured.StructuredReducer`
-(``min`` / ``max`` / ``sum`` / ``count`` / ``first`` / ``argmin`` /
-``bitwise_or`` / custom) that the backends evaluate as C-level segment
-reductions — no per-pair or per-key Python calls on the fast path.  The
-metrics are metered from the array shapes.  Primitives whose round cost is
-known analytically (the sort / prefix sums of Fact 1, see
+the driver hands the engine an unflattened
+:class:`~repro.mapreduce.backends.ArrayPairs` batch, and the reduce phase is a
+declarative :class:`~repro.mapreduce.structured.StructuredReducer` (``min`` /
+``max`` / ``sum`` / ``count`` / ``first`` / ``argmin`` / ``bitwise_or`` /
+custom) that the backends evaluate as C-level segment reductions — no
+per-pair or per-key Python calls on the fast path.  The metrics are metered
+from the array shapes.  Primitives whose round cost is known analytically
+(the sort / prefix sums of Fact 1, see
 :func:`~repro.mapreduce.model.rounds_for_primitive`) are charged with
 :meth:`MREngine.charge_rounds` instead of being executed.
 
 The physical execution of the shuffle+reduce is pluggable
 (:mod:`repro.mapreduce.backends`): ``backend="serial"`` is the per-pair tuple
-path (the bit-compatibility reference), ``backend="vectorized"`` groups with
-one argsort and evaluates the reducer with segment reductions,
-``backend="process"`` shards the key/value arrays across a persistent
-:class:`~repro.mapreduce.pool.SupervisedPool`.  All backends are
-bit-compatible: identical output arrays and identical metrics, so
-round/communication numbers reported by the experiment harness do not depend
-on the backend choice.  That guarantee extends to partial failures: the pool
-resubmits a shard whose worker raised, died or hung, and the process backend
-reduces a shard that stays lost in-process, so a round either returns the
-exact arrays and metrics a fault-free run would have produced or raises —
-never a silently truncated shuffle.  The seeded chaos suite
-(:mod:`repro.faults`) regression-gates this bit-identical-under-faults
-property.
+path (the bit-compatibility reference) and ``backend="vectorized"`` groups
+with one argsort and evaluates the reducer with segment reductions.  Both run
+in the calling process and are bit-compatible: identical output arrays and
+identical metrics, so round/communication numbers reported by the experiment
+harness do not depend on the backend choice.
 
-The MR drivers of the core algorithms (:mod:`repro.core.mr_algorithms`,
-:mod:`repro.core.mr_native`) and of the baselines (BFS, HADI) are built on
-this engine, so the rounds / communication volumes reported in the Table 4
-and Figure 1 reproductions are measured, not asserted.  The engine is a
-context manager — ``with MREngine(backend="process") as engine: ...``
-releases the backend's worker pool on exit (``close()`` does the same
-explicitly; pools are re-created lazily if the engine is used again).
+The MR drivers of the core algorithms (:mod:`repro.core.mr_algorithms`) and
+of the baselines (BFS, HADI) are built on this engine, so the rounds /
+communication volumes reported in the Table 4 and Figure 1 reproductions are
+measured, not asserted.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.mapreduce.backends import ArrayPairs, ExecutionBackend, get_backend
 from repro.mapreduce.metrics import MRMetrics
 from repro.mapreduce.model import MRModel
-from repro.mapreduce.structured import (
-    ArrayMapper,
-    StructuredReducer,
-    apply_array_mapper,
-    resolve_structured_reducer,
-)
+from repro.mapreduce.structured import StructuredReducer, resolve_structured_reducer
 
 BackendSpec = Union[str, ExecutionBackend, None]
 
@@ -81,28 +63,15 @@ class MREngine:
     backend:
         Execution backend for the shuffle+reduce phase: a name from
         :func:`repro.mapreduce.backends.available_backends` (``"serial"``,
-        ``"vectorized"``, ``"process"``) or an
+        ``"vectorized"``) or an
         :class:`~repro.mapreduce.backends.ExecutionBackend` instance.
-        Backends are bit-compatible; pick ``vectorized`` for large
-        single-machine workloads, ``process`` to use multiple cores on
-        workloads with large rounds or expensive reducers (one worker pool
-        is forked lazily and reused across all of the engine's rounds —
-        release it with :meth:`close` or the engine's context manager).
-    num_shards:
-        Shard count for the ``process`` backend (defaults to the CPU count);
-        ignored by the other backends.
+        Backends are bit-compatible; pick ``vectorized`` for large workloads.
     """
 
-    def __init__(
-        self,
-        model: Optional[MRModel] = None,
-        *,
-        backend: BackendSpec = "serial",
-        num_shards: Optional[int] = None,
-    ) -> None:
+    def __init__(self, model: Optional[MRModel] = None, *, backend: BackendSpec = "serial") -> None:
         self.model = model if model is not None else MRModel(enforce=False)
         self.metrics = MRMetrics()
-        self.backend = get_backend(backend, num_shards=num_shards)
+        self.backend = get_backend(backend)
 
     @property
     def backend_name(self) -> str:
@@ -115,24 +84,21 @@ class MREngine:
         pairs: ArrayPairs,
         reducer: Union[str, StructuredReducer],
         *,
-        mapper: Union[ArrayMapper, Callable[[ArrayPairs], ArrayPairs], None] = None,
         label: str = "round",
     ) -> ArrayPairs:
-        """Execute one array-native map → shuffle → reduce round.
+        """Execute one array-native shuffle → reduce round over ``pairs``.
 
-        ``pairs`` is an unflattened :class:`ArrayPairs` batch; ``mapper`` (an
-        :class:`~repro.mapreduce.structured.ArrayMapper` or any ``ArrayPairs
-        -> ArrayPairs`` callable) runs once over the whole batch; ``reducer``
-        is a registered structured-reducer name (``"min"``, ``"sum"``,
-        ``"first"``, ``"argmin"``, ``"bitwise_or"``, ...) or a
+        ``pairs`` is the round's unflattened :class:`ArrayPairs` batch, as
+        the driver's map phase emitted it; ``reducer`` is a registered
+        structured-reducer name (``"min"``, ``"sum"``, ``"first"``,
+        ``"argmin"``, ``"bitwise_or"``, ...) or a
         :class:`~repro.mapreduce.structured.StructuredReducer` instance.  The
         :class:`MRMetrics` counters are metered from the array shapes,
         identically on every backend, and the output batch preserves
         first-occurrence key order.
         """
         structured_reducer = resolve_structured_reducer(reducer)
-        mapped = apply_array_mapper(mapper, pairs)
-        outcome = self.backend.shuffle_reduce_structured(mapped, structured_reducer)
+        outcome = self.backend.shuffle_reduce_structured(pairs, structured_reducer)
         live_pairs = max(outcome.pairs_shuffled, len(outcome.output))
         self.metrics.record_round(
             pairs_shuffled=outcome.pairs_shuffled,
@@ -178,43 +144,6 @@ class MREngine:
         if charges.ndim != 1:
             raise ValueError(f"pairs_per_round must be one-dimensional, got shape {charges.shape}")
         self.metrics.record_charged_rounds(charges, label=label)
-
-    # ------------------------------------------------------------------ #
-    def pin_shared(self, name: str, arrays) -> dict:
-        """Pin long-lived arrays into the backend's shared data plane.
-
-        Round-heavy drivers call this once with their graph's CSR arrays
-        (``indptr`` / ``indices`` / optionally ``weights``): the process
-        backend publishes them into shared-memory segments for the driver's
-        lifetime and returns zero-copy views, while in-process backends
-        return the arrays unchanged — so drivers can pin unconditionally.
-        Pass ``None`` values freely; they are forwarded untouched.  Release
-        with :meth:`release_pins` (or :meth:`close`).
-        """
-        present = {key: value for key, value in arrays.items() if value is not None}
-        pinned = dict(self.backend.pin_shared(name, present))
-        for key, value in arrays.items():
-            if value is None:
-                pinned[key] = None
-        return pinned
-
-    def release_pins(self) -> None:
-        """Release every array pinned via :meth:`pin_shared`."""
-        self.backend.release_pins()
-
-    def close(self) -> None:
-        """Release backend resources (worker pools, pinned shared segments).
-
-        Safe to call more than once; the backend lazily re-acquires its
-        resources if the engine is used again afterwards.
-        """
-        self.backend.close()
-
-    def __enter__(self) -> "MREngine":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
 
     def reset(self) -> None:
         """Clear accumulated metrics (the model's violation log is kept)."""

@@ -3,25 +3,23 @@
 The paper's algorithms target clusters where a machine can vanish mid-round;
 the reproduction emulates that cluster with a forked worker pool and must
 survive the same losses.  :class:`SupervisedPool` is the one owner of that
-pool: :class:`~repro.mapreduce.backends.ProcessBackend` runs its shard tasks
-on it and :class:`~repro.experiments.suite.SuiteRunner` its cells.
+pool; :class:`~repro.experiments.suite.SuiteRunner` runs its ``--jobs N``
+cells on it.
 
-* **Lifecycle.**  Workers are forked lazily by the first :meth:`map`, after
-  :func:`~repro.mapreduce.shm.ensure_tracker_running` so their segment
-  attachments land in the owner's resource tracker, and are reused until
-  :meth:`close`.  The pool also owns its caller's
-  :class:`~repro.mapreduce.shm.SharedArrayPool` (:attr:`segments`), so one
-  ``close()`` drains the workers and then unlinks every segment.
+* **Lifecycle.**  Workers are forked lazily by the first :meth:`map` and
+  reused until :meth:`close`.
 * **Supervision.**  Tasks are submitted one at a time, at most one per
   worker, and :meth:`map` wakes on each result instead of sleeping a fixed
-  interval.  A task is charged one attempt when it raises; every task in
-  flight is charged one when a worker dies (a SIGKILLed worker silently
-  drops its task, and ``multiprocessing.Pool`` would wait for it forever) or
-  a task overruns ``timeout``, and the pool is then torn down and the
-  in-flight tasks resubmitted on a fresh one after :data:`RETRY_BACKOFF_S`.
-  A task charged ``retries + 1`` times is *lost*: its result slot holds a
-  :class:`WorkerLostError` and the caller answers for it.  Tasks must
-  therefore be idempotent.
+  interval.  Before a worker runs a task it records its pid and the task on
+  a queue made before the fork, so the pool knows which task each worker
+  holds.  A task is charged one attempt when it raises, when its own worker
+  dies (a SIGKILLed worker silently drops its task, and
+  ``multiprocessing.Pool`` would wait for it forever) or when it overruns
+  ``timeout``.  A death or an overrun tears the pool down; the other tasks
+  in flight are resubmitted uncharged on a fresh one after
+  :data:`RETRY_BACKOFF_S`.  A task charged ``retries + 1`` times is *lost*:
+  its result slot holds a :class:`WorkerLostError` and the caller answers
+  for it.  Tasks must therefore be idempotent.
 """
 
 from __future__ import annotations
@@ -33,12 +31,11 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.mapreduce import shm
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("mapreduce.pool")
 
-__all__ = ["RETRY_BACKOFF_S", "SupervisedPool", "WorkerLostError"]
+__all__ = ["RETRY_BACKOFF_S", "SupervisedPool", "WorkerLostError", "fork_available"]
 
 #: Seconds slept between tearing down a lost pool and resubmitting its
 #: in-flight tasks, so a transient cause (a dying neighbour, memory
@@ -50,6 +47,18 @@ RETRY_BACKOFF_S = 0.05
 _POLL_S = 0.05
 
 
+def fork_available() -> bool:
+    """True when forked worker pools may be used on this platform.
+
+    Spawn-only platforms (and test/CI runs setting ``REPRO_MR_NO_FORK=1`` to
+    simulate them) make every pool-based component degrade to in-process
+    execution with identical semantics.
+    """
+    if os.environ.get("REPRO_MR_NO_FORK", "") not in ("", "0"):
+        return False
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
 class WorkerLostError(RuntimeError):
     """A task the pool gave up on after its last allowed attempt.
 
@@ -57,6 +66,21 @@ class WorkerLostError(RuntimeError):
     :meth:`SupervisedPool.map` returns this in the task's result slot rather
     than raising it, so the caller decides how to answer for the task.
     """
+
+
+# In a worker: the pool's queue of ``(pid, task index)`` start records.
+_STARTS = None
+
+
+def _init_worker(starts) -> None:
+    global _STARTS
+    _STARTS = starts
+
+
+def _run_recorded(func: Callable, index: int, task):
+    """Worker side: record which task this worker starts, then run it."""
+    _STARTS.put((os.getpid(), index))
+    return func(task)
 
 
 class SupervisedPool:
@@ -84,15 +108,8 @@ class SupervisedPool:
         self.retries = int(retries)
         self.timeout = None if timeout is None else float(timeout)
         self._pool = None
+        self._starts = None
         self._baseline: frozenset = frozenset()
-        self._segments: Optional[shm.SharedArrayPool] = None
-
-    @property
-    def segments(self) -> shm.SharedArrayPool:
-        """The caller's shared-memory segments, unlinked by :meth:`close`."""
-        if self._segments is None:
-            self._segments = shm.SharedArrayPool()
-        return self._segments
 
     @property
     def pids(self) -> frozenset:
@@ -103,24 +120,40 @@ class SupervisedPool:
 
     def _started(self):
         if self._pool is None:
-            shm.ensure_tracker_running()
-            self._pool = multiprocessing.get_context("fork").Pool(processes=self.processes)
+            context = multiprocessing.get_context("fork")
+            # One queue per pool: a worker killed mid-put takes the queue's
+            # lock with it, and the teardown that follows discards both.
+            self._starts = context.SimpleQueue()
+            self._pool = context.Pool(
+                processes=self.processes, initializer=_init_worker, initargs=(self._starts,)
+            )
             self._baseline = self.pids
         return self._pool
 
-    def _lost_worker(self) -> bool:
+    def _dead_workers(self) -> frozenset:
         # The maintainer thread replaces a dead worker under a new pid within
-        # milliseconds, so a changed pid set is the reliable death signal;
-        # the exitcode probe covers the window before the replacement.
+        # milliseconds, so a pid missing from the baseline is the reliable
+        # death signal; the exitcode probe covers the window before the
+        # replacement.
         workers = list(self._pool._pool)
-        return self.pids != self._baseline or any(w.exitcode is not None for w in workers)
+        exited = {w.pid for w in workers if w.exitcode is not None}
+        return (self._baseline - self.pids) | exited
+
+    def _read_starts(self, running: Dict[int, int]) -> None:
+        """Fold the workers' start records into ``running`` (pid -> task index)."""
+        while not self._starts.empty():
+            pid, index = self._starts.get()
+            running[pid] = index
 
     def _terminate(self) -> None:
         """Kill the workers outright: they are dead or hung, nothing to drain."""
         pool, self._pool = self._pool, None
+        starts, self._starts = self._starts, None
         if pool is not None:
             pool.terminate()
             pool.join()
+        if starts is not None:
+            starts.close()
 
     # ------------------------------------------------------------------ #
     def map(self, func: Callable, tasks: Sequence) -> List:
@@ -134,8 +167,11 @@ class SupervisedPool:
         charges = [0] * len(tasks)
         waiting = deque(range(len(tasks)))
         inflight: Dict[int, Optional[float]] = {}  # task index -> deadline
+        running: Dict[int, int] = {}  # worker pid -> task it last started
         done: "queue.SimpleQueue" = queue.SimpleQueue()
         epoch = 0  # bumped per pool teardown; stale callbacks are ignored
+        if self._starts is not None:  # drop the records of an earlier map()
+            self._read_starts({})
 
         def charge(index: int, reason: str) -> None:
             charges[index] += 1
@@ -161,8 +197,8 @@ class SupervisedPool:
             while waiting and len(inflight) < self.processes:
                 index = waiting.popleft()
                 self._started().apply_async(
-                    func,
-                    (tasks[index],),
+                    _run_recorded,
+                    (func, index, tasks[index]),
                     callback=lambda value, key=(epoch, index): done.put(key + (True, value)),
                     error_callback=lambda exc, key=(epoch, index): done.put(key + (False, exc)),
                 )
@@ -174,21 +210,37 @@ class SupervisedPool:
             if not inflight:
                 continue
             now = time.monotonic()
-            if self._lost_worker():
-                reason = "a pool worker died"
-            elif any(d is not None and now >= d for d in inflight.values()):
-                reason = f"a task overran the {self.timeout:g}s timeout"
+            dead = self._dead_workers()
+            # Read after the death check: a worker records its task before
+            # it can die running it.
+            self._read_starts(running)
+            if dead:
+                reason = "its pool worker died"
+                culprits = {running[pid] for pid in dead if pid in running}
             else:
-                continue
+                culprits = {i for i, d in inflight.items() if d is not None and now >= d}
+                if not culprits:
+                    continue
+                reason = f"it overran the {self.timeout:g}s timeout"
             while True:  # keep what finished before the loss was noticed
                 try:
                     settle(done.get_nowait())
                 except queue.Empty:
                     break
-            _LOG.warning("%s with %d task(s) in flight; rebuilding the pool", reason, len(inflight))
+            # A worker that died before recording its task cannot be matched
+            # to one; charging every task in flight then keeps map() finite.
+            culprits = (culprits & inflight.keys()) or set(inflight)
+            _LOG.warning(
+                "task(s) %s: %s; rebuilding the pool for %d task(s) in flight",
+                sorted(culprits), reason, len(inflight),
+            )
             for index in sorted(inflight):
-                charge(index, reason)
+                if index in culprits:
+                    charge(index, reason)
+                else:
+                    waiting.append(index)
             inflight.clear()
+            running.clear()
             epoch += 1
             self._terminate()
             time.sleep(RETRY_BACKOFF_S)
@@ -196,12 +248,13 @@ class SupervisedPool:
 
     # ------------------------------------------------------------------ #
     def close(self, timeout: float = 5.0) -> None:
-        """Drain the workers, then unlink every segment; both return lazily.
+        """Drain the workers; the pool is forked again lazily.
 
-        Workers get ``timeout`` seconds to exit so they release their segment
-        attachments cleanly; stragglers are terminated.  Idempotent.
+        Workers get ``timeout`` seconds to exit; stragglers are terminated.
+        Idempotent.
         """
         pool, self._pool = self._pool, None
+        starts, self._starts = self._starts, None
         if pool is not None:
             workers = list(pool._pool)
             pool.close()
@@ -212,9 +265,8 @@ class SupervisedPool:
                     break
                 time.sleep(0.01)
             pool.join()
-        segments, self._segments = self._segments, None
-        if segments is not None:
-            segments.close()
+        if starts is not None:
+            starts.close()
 
     def __enter__(self) -> "SupervisedPool":
         return self
@@ -224,7 +276,7 @@ class SupervisedPool:
 
     def __del__(self):  # pragma: no cover - garbage-collection best effort
         # At interpreter exit module globals may already be gone; the OS then
-        # reaps the workers and the resource tracker the segments.
+        # reaps the workers.
         try:
             self.close()
         except Exception:

@@ -20,27 +20,16 @@ paper's linear-communication algorithms are supposed to avoid:
     reducer with ``np.<ufunc>.reduceat``-style *segment reductions*
     (:meth:`~StructuredReducer.segment_reduce`) — zero per-key Python calls.
 
-``process``
-    Shards the key/value *arrays* by ``keys % num_shards`` (array masks, no
-    per-pair tuples), runs the segment reduction per shard in a pool worker,
-    and merges the emitted groups back into first-occurrence order.  Rounds
-    of at least ``shm_min_pairs`` pairs travel over the zero-copy
-    shared-memory data plane of :mod:`repro.mapreduce.shm`: the sorted
-    key/value arrays are published once into shared segments, workers slice
-    contiguous per-shard views from descriptors, and winner rows land in a
-    preallocated shared output segment — no pickled arrays in either
-    direction.
-
-All three produce bit-identical :class:`StructuredOutcome`\\ s — same output
+Both produce bit-identical :class:`StructuredOutcome`\\ s — same output
 arrays in the same (first-occurrence) order, same counters — so the metered
 ``MRMetrics`` never depend on the execution strategy.  (One carve-out: the
 ``sum`` reducer requires group sums to fit the value dtype — integer
 overflow wraps on the segment path but not in exact Python arithmetic, so
 overflowing workloads are outside the contract.)  Key arrays an argsort
 cannot group (object dtype, NaN floats) run the tuple path on every backend.
-Map phases emit ``ArrayPairs`` directly via the :class:`ArrayMapper`
-protocol (e.g. frontier claim expansion is one ``np.repeat``/gather over the
-CSR arrays, reusing the :mod:`repro.graph.kernels` primitives).
+Drivers build each round's ``ArrayPairs`` with whole-array operations (e.g.
+frontier claim expansion is one ``np.repeat``/gather over the CSR arrays,
+reusing the :mod:`repro.graph.kernels` primitives).
 
 A reducer emits one row per group (plus an optional emit mask); rounds whose
 reduce step would emit many rows per group — the sample sort and prefix sums
@@ -63,7 +52,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -76,18 +65,14 @@ Pair = Tuple[Key, Value]
 __all__ = [
     "StructuredOutcome",
     "StructuredReducer",
-    "ArrayMapper",
     "register_structured_reducer",
     "get_structured_reducer",
     "available_structured_reducers",
     "resolve_structured_reducer",
-    "apply_array_mapper",
     "execute_reference",
     "execute_segments",
     "grouping_order",
     "segment_eligible",
-    "reduce_structured_shard",
-    "merge_shard_groups",
 ]
 
 # Key-array dtypes a structured round can group with one argsort: integers,
@@ -109,33 +94,6 @@ class StructuredOutcome:
     output: ArrayPairs
     pairs_shuffled: int
     max_reducer_input: int
-
-
-class ArrayMapper:
-    """Protocol for map phases that emit :class:`ArrayPairs` directly.
-
-    A structured mapper transforms one unflattened batch into another with
-    whole-array operations (gathers, ``np.repeat``, ``np.column_stack``) —
-    never per-pair Python objects.  Any object with a compatible
-    ``map_batch`` (or any plain ``ArrayPairs -> ArrayPairs`` callable) is
-    accepted by :meth:`MREngine.run_structured_round`; subclassing is
-    optional and only buys isinstance checks.
-    """
-
-    def map_batch(self, batch: ArrayPairs) -> ArrayPairs:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-def apply_array_mapper(
-    mapper: Union[ArrayMapper, Callable[[ArrayPairs], ArrayPairs], None],
-    batch: ArrayPairs,
-) -> ArrayPairs:
-    """Run an :class:`ArrayMapper` (or a bare callable) over ``batch``."""
-    if mapper is None:
-        return batch
-    if hasattr(mapper, "map_batch"):
-        return mapper.map_batch(batch)
-    return mapper(batch)
 
 
 # --------------------------------------------------------------------------- #
@@ -315,8 +273,7 @@ _REGISTRY: Dict[str, StructuredReducer] = {}
 def register_structured_reducer(reducer: StructuredReducer, *, overwrite: bool = False) -> StructuredReducer:
     """Add ``reducer`` to the registry under ``reducer.name``.
 
-    Custom reducers must be module-level classes (the process backend ships
-    them to pool workers by pickling).  Returns the reducer for chaining.
+    Returns the reducer for chaining.
     """
     if not isinstance(reducer, StructuredReducer):
         raise TypeError(f"expected a StructuredReducer, got {type(reducer).__name__}")
@@ -458,13 +415,12 @@ def grouping_order(keys: np.ndarray) -> np.ndarray:
 
 
 def _segment_groups(
-    keys: np.ndarray, values: np.ndarray, reducer: StructuredReducer, global_indices: Optional[np.ndarray]
+    keys: np.ndarray, values: np.ndarray, reducer: StructuredReducer
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Group+reduce one key/value array pair with segment reductions.
 
     Returns ``(first_occurrence, group_keys, rows, max_input)`` restricted to
-    the emitting groups; ``first_occurrence`` is expressed in the caller's
-    index space (``global_indices`` when sharded, local positions otherwise).
+    the emitting groups; ``first_occurrence`` holds input positions.
     """
     order = grouping_order(keys)
     sorted_keys = keys[order]
@@ -474,8 +430,6 @@ def _segment_groups(
     max_input = int((ends - starts).max())
     rows, emit = reducer.segment_reduce(values[order], starts, ends)
     first_occurrence = order[starts]
-    if global_indices is not None:
-        first_occurrence = global_indices[first_occurrence]
     group_keys = sorted_keys[starts]
     if emit is not None:
         first_occurrence = first_occurrence[emit]
@@ -497,43 +451,9 @@ def execute_segments(mapped: ArrayPairs, reducer: StructuredReducer) -> Structur
     if not segment_eligible(mapped.keys):
         return execute_reference(mapped, reducer)
     first_occurrence, group_keys, rows, max_input = _segment_groups(
-        mapped.keys, mapped.values, reducer, None
+        mapped.keys, mapped.values, reducer
     )
     # First-occurrence indices are distinct, so an unstable sort suffices.
     emit_order = np.argsort(first_occurrence)
     output = ArrayPairs(group_keys[emit_order], rows[emit_order])
     return StructuredOutcome(output, len(mapped), max_input)
-
-
-def reduce_structured_shard(
-    task: Tuple[StructuredReducer, np.ndarray, np.ndarray, np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Group+reduce one shard; runs inside a pool worker (or in-process).
-
-    ``task`` is ``(reducer, keys, values, global_indices)``; the returned
-    first-occurrence indices are global so the driver can interleave groups
-    from all shards back into first-occurrence order.
-    """
-    reducer, keys, values, global_indices = task
-    return _segment_groups(keys, values, reducer, global_indices)
-
-
-def merge_shard_groups(
-    mapped: ArrayPairs,
-    reducer: StructuredReducer,
-    results: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, int]],
-) -> StructuredOutcome:
-    """Merge per-shard groups back into global first-occurrence order."""
-    max_input = max((result[3] for result in results), default=0)
-    if not results:
-        outcome = _empty_outcome(mapped, reducer)
-        return StructuredOutcome(outcome.output, len(mapped), max_input)
-    first = np.concatenate([result[0] for result in results])
-    keys = np.concatenate([result[1] for result in results])
-    rows = np.concatenate([result[2] for result in results])
-    if first.size == 0:
-        outcome = _empty_outcome(mapped, reducer)
-        return StructuredOutcome(outcome.output, len(mapped), max_input)
-    # First-occurrence indices are distinct, so an unstable sort suffices.
-    emit_order = np.argsort(first)
-    return StructuredOutcome(ArrayPairs(keys[emit_order], rows[emit_order]), len(mapped), max_input)

@@ -1,4 +1,4 @@
-"""Shared low-level utilities: RNG handling, timers, validation, logging.
+"""Shared low-level utilities: RNG handling, validation, logging.
 
 These helpers are deliberately tiny and dependency-free so that every other
 subpackage (graph substrate, MapReduce engine, core algorithms, experiment
@@ -6,7 +6,6 @@ harness) can rely on them without import cycles.
 """
 
 from repro.utils.rng import as_rng, spawn_rngs
-from repro.utils.timer import Timer, timed
 from repro.utils.validation import (
     check_positive,
     check_probability,
@@ -17,8 +16,6 @@ from repro.utils.validation import (
 __all__ = [
     "as_rng",
     "spawn_rngs",
-    "Timer",
-    "timed",
     "check_positive",
     "check_probability",
     "check_node_index",

@@ -121,9 +121,8 @@ class TestMethods:
 
 class TestExperimentConfigThreading:
     def test_config_pipeline_uses_method(self, mesh16):
-        # The MR backend stays with the round-executing baselines: the
-        # pipeline's accounting charges rounds and takes no backend.
-        config = ExperimentConfig(decomposition_method="mpx", mr_backend="process", mr_shards=2)
+        # The pipeline's MR accounting charges rounds and takes no backend.
+        config = ExperimentConfig(decomposition_method="mpx")
         pipe = config.pipeline(mesh16, seed=3)
         assert pipe.config.method == "mpx"
         assert pipe.config == PipelineConfig(method="mpx", seed=3)

@@ -3,9 +3,8 @@
 The acceptance scenario of the fault-tolerant execution plane lives here: a
 seeded :class:`~repro.faults.FaultPlan` kills a pool worker mid-cell and
 corrupts a freshly written dataset snapshot, and the suite run must complete
-with quarantined-not-aborted cells, leak zero shared-memory segments, and —
-after a fault-free ``--resume`` — produce rows bit-identical to a run that
-never saw a fault.
+with quarantined-not-aborted cells and — after a fault-free ``--resume`` —
+produce rows bit-identical to a run that never saw a fault.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from repro.experiments.runner import main
 from repro.experiments.store import ArtifactStore
 from repro.experiments.suite import SuiteRunner, deterministic_view
 from repro.faults import FaultPlan, FaultSpec
-from repro.mapreduce import shm
-from repro.mapreduce.backends import fork_available
+from repro.mapreduce.pool import fork_available
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="requires fork start method")
 
@@ -30,12 +28,10 @@ DATASETS = ["mesh", "roads-PA-like"]
 
 
 @pytest.fixture(autouse=True)
-def _clean_faults_and_segments():
+def _clean_faults():
     faults.clear_installed()
-    assert shm.active_repro_segments() == []
     yield
     faults.clear_installed()
-    assert shm.active_repro_segments() == []
 
 
 def small_run(runner, experiments=None, datasets=None):
@@ -189,8 +185,6 @@ class TestAcceptance:
         failed = [o for o in faulted.outcomes if o.status == "failed"]
         assert [o.cell.cell_id for o in failed] == ["table2/roads-PA-like"]
         assert faulted.computed == len(faulted.outcomes) - 1
-        # No shared-memory segment survived the run.
-        assert shm.active_repro_segments() == []
 
         # 3. Fault-free resume recomputes exactly the quarantined cell...
         faults.clear_installed()
@@ -198,7 +192,6 @@ class TestAcceptance:
             resumed = small_run(runner)
         assert resumed.failed == 0
         assert resumed.computed == 1
-        assert shm.active_repro_segments() == []
 
         # 4. ...and the final artifacts are bit-identical to the baseline.
         for name in EXPERIMENTS:
@@ -219,13 +212,26 @@ class TestAcceptance:
         assert lost.status == "failed"
         assert "worker died" in lost.error
         assert lost.attempts == 2  # one crash is always resubmitted
-        assert shm.active_repro_segments() == []
 
         faults.clear_installed()
         with SuiteRunner(store=store, jobs=2, resume=True) as runner:
             resumed = small_run(runner, datasets=["mesh"])
         assert resumed.failed == 0
         assert resumed.computed == faulted.failed
+
+    @pytest.mark.parametrize("cell_retries", [0, 1])
+    def test_crashing_cell_never_quarantines_its_neighbour(self, tmp_path, cell_retries):
+        """Only the dying worker's cell is charged; in-flight neighbours rerun free."""
+        FaultPlan(
+            specs=(FaultSpec(site="suite.cell:pipeline/mesh", kind="kill", times=99),),
+            state_dir=str(tmp_path / "state"),
+        ).install()
+        with SuiteRunner(jobs=2, cell_retries=cell_retries) as runner:
+            result = runner.run(scale="small", datasets=["mesh"], include_hadi=False)
+        failed = [o for o in result.outcomes if o.status == "failed"]
+        assert [o.cell.cell_id for o in failed] == ["pipeline/mesh"]
+        assert failed[0].attempts == cell_retries + 2
+        assert result.computed == len(result.outcomes) - 1
 
     def test_parallel_worker_kill_recovers_bit_identical(self, tmp_path):
         # Two cells so the pool path engages (a single pending cell runs
@@ -247,7 +253,7 @@ class TestAcceptance:
 
 
 # ------------------------------------------------------------------ #
-# CLI degraded paths (satellite: serve error paths, reap-shm)
+# CLI degraded paths
 # ------------------------------------------------------------------ #
 class TestServeCLI:
     def _build_snapshot(self, tmp_path, capsys):
@@ -345,6 +351,13 @@ class TestSuiteCLI:
         assert exc.value.code == 2
         assert flags[0] in capsys.readouterr().err
 
-    def test_reap_shm_subcommand(self, capsys):
-        assert main(["reap-shm"]) == 0
-        assert "reap-shm: unlinked" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv",
+        [["reap-shm"], ["table1", "--backend", "serial"], ["table1", "--shards", "2"]],
+        ids=["reap-shm", "backend", "shards"],
+    )
+    def test_removed_cli_surface_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argv[-1] in capsys.readouterr().err

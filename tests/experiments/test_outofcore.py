@@ -79,9 +79,8 @@ class TestMmapBitIdentity:
         values = np.arange(graph.num_directed_edges, dtype=np.int64) % 97
         outcomes = []
         for candidate in (graph, mapped):
-            with MREngine(backend="vectorized") as engine:
-                batch = ArrayPairs(np.asarray(candidate.indices), values)
-                outcomes.append(engine.run_structured_round(batch, "min"))
+            batch = ArrayPairs(np.asarray(candidate.indices), values)
+            outcomes.append(MREngine(backend="vectorized").run_structured_round(batch, "min"))
         assert np.array_equal(outcomes[0].keys, outcomes[1].keys)
         assert np.array_equal(outcomes[0].values, outcomes[1].values)
 

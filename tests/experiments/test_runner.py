@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.experiments.config import DEFAULT_CONFIG
 from repro.experiments.runner import EXPERIMENTS, build_parser, main, run_experiment
 
 
@@ -148,18 +149,17 @@ class TestSuiteRoundTrip:
 
 
 class TestConfigThreading:
-    def test_backend_threaded_into_all_tables(self, capsys):
-        # The --backend/--shards/--method overrides reach every driver now,
-        # table1–table3 included (they were silently dropped before).
+    def test_method_threaded_into_all_tables(self, capsys):
+        # The --method override reaches every driver, table1–table3 included.
         code = main(
-            ["table2", "--scale", "small", "--datasets", "mesh", "--backend", "serial", "--csv"]
+            ["table2", "--scale", "small", "--datasets", "mesh", "--method", "cluster2", "--csv"]
         )
         assert code == 0
         from repro.experiments.runner import _config_for
 
-        args = build_parser().parse_args(["table3", "--backend", "process", "--shards", "2"])
-        config = _config_for(args)
-        assert config.mr_backend == "process" and config.mr_shards == 2
+        args = build_parser().parse_args(["table3", "--method", "mpx"])
+        assert _config_for(args).decomposition_method == "mpx"
+        assert _config_for(build_parser().parse_args(["table3"])) is DEFAULT_CONFIG
 
 
 class TestServeCLI:

@@ -336,32 +336,12 @@ class TestRenderStored:
 
 
 class TestSharedDatasets:
-    """The shared-memory dataset plane of parallel suite runs."""
-
-    def test_cache_seed_skips_disk_and_keeps_resident_graph(self, tmp_path):
-        cache = DatasetCache(directory=tmp_path)
-        built = load_dataset("mesh", "small")
-        calls = {"count": 0}
-
-        def build():
-            calls["count"] += 1
-            return built
-
-        seeded = cache.seed("mesh", "small", build)
-        assert seeded is built and calls["count"] == 1
-        # No snapshot was written and nothing was read: seed is memory-only.
-        assert list(tmp_path.glob("*.snap")) == []
-        assert list(tmp_path.glob("*.npz")) == []
-        # A resident graph wins over a later seed (same-object semantics).
-        other = object()
-        assert cache.seed("mesh", "small", lambda: other) is built
-        assert calls["count"] == 1
+    """How parallel suite runs share datasets with their workers."""
 
     def test_jobs2_shares_disk_datasets_through_mmap_snapshots(self, tmp_path, monkeypatch):
         import os as os_module
 
         import repro.graph.snapshot as snapshot_module
-        from repro.mapreduce import shm
 
         datasets = ["mesh", "roads-PA-like"]
         store = ArtifactStore(tmp_path / "run")
@@ -401,32 +381,76 @@ class TestSharedDatasets:
             opens_by_process[(int(pid), path.rsplit("/", 1)[-1])] += 1
         # The parent opened each dataset exactly once (while ensuring the
         # snapshots exist); no process mapped the same file twice (the
-        # in-memory LRU layer works); nothing was shipped through shm.
+        # in-memory LRU layer works).
         for name in datasets:
             assert opens_by_process.get((parent, f"{name}@small.snap")) == 1
         for (pid, filename), count in opens_by_process.items():
             assert count == 1, (pid, filename)
-        assert shm.active_repro_segments() == []
         clear_dataset_cache()
-        shm.detach_all()
 
-    def test_parallel_tasks_carry_descriptors_not_arrays(self, tmp_path):
+    def test_jobs2_memory_only_builds_each_dataset_once_in_the_parent(self, tmp_path, monkeypatch):
+        """Workers inherit memory-only datasets through fork, run after run.
+
+        The second ``run()`` needs a dataset the parent loads after the
+        first run forked the pool; its workers must not rebuild it.
+        """
+        import os as os_module
+
+        from repro.experiments.datasets import DatasetSpec
+
+        experiments = ["table1", "table2"]
+        clear_dataset_cache()
+        with SuiteRunner() as runner:
+            serial = [small_run(runner, experiments, [name]) for name in SMALL_DATASETS]
+
+        # Log every build, attributed to the building process.  The patch
+        # lands before the pool forks so workers inherit it.
+        log = tmp_path / "builds.log"
+        real_build = DatasetSpec.build
+
+        def logged_build(spec, scale="default"):
+            with open(log, "a") as handle:
+                handle.write(f"{os_module.getpid()} {spec.name}@{scale}\n")
+            return real_build(spec, scale)
+
+        monkeypatch.setattr(DatasetSpec, "build", logged_build)
+        clear_dataset_cache()
+        runner = SuiteRunner(jobs=2)
+        if not runner._fork_available:
+            runner.close()
+            pytest.skip("requires fork")
+        with runner:
+            parallel = []
+            for name in SMALL_DATASETS:
+                parallel.append(small_run(runner, experiments, [name]))
+                assert runner.pool.pids, "each run forks or reuses the pool"
+        parent = os_module.getpid()
+        assert sorted(log.read_text().splitlines()) == sorted(
+            f"{parent} {name}@small" for name in SMALL_DATASETS
+        )
+        for expected, got in zip(serial, parallel):
+            assert got.computed == len(got.outcomes)
+            for name in experiments:
+                assert deterministic_view(expected.rows_for(name)) == deterministic_view(
+                    got.rows_for(name)
+                ), name
+        clear_dataset_cache()
+
+    def test_parallel_tasks_carry_no_arrays(self):
         import pickle
-
-        from repro.mapreduce import shm
 
         class RecordingPool:
             """Fake ``pool.map``: pickle-roundtrips every task, then runs it here."""
 
             def __init__(self):
-                self.payloads = []
+                self.sizes = []
 
             def map(self, func, tasks):
                 results = []
                 for task in tasks:
-                    restored = pickle.loads(pickle.dumps(task))
-                    self.payloads.append(restored)
-                    results.append(func(restored))
+                    payload = pickle.dumps(task)
+                    self.sizes.append(len(payload))
+                    results.append(func(pickle.loads(payload)))
                 return results
 
         datasets = ["mesh", "livejournal-like"]
@@ -445,19 +469,13 @@ class TestSharedDatasets:
             assert deterministic_view(serial.rows_for("table2")) == deterministic_view(
                 parallel.rows_for("table2")
             )
-            assert fake.payloads
-            for task in fake.payloads:
-                assert not shm.contains_ndarray(task)
-                assert len(shm.flatten_refs(task)) > 0
+            # A cell spec and the config: no graph rides along.
+            assert fake.sizes and max(fake.sizes) < 4096, fake.sizes
         finally:
             runner.close()
             clear_dataset_cache()
-            shm.detach_all()
-        assert shm.active_repro_segments() == []
 
     def test_no_fork_suite_degrades_to_serial(self, monkeypatch):
-        from repro.mapreduce import shm
-
         clear_dataset_cache()
         with SuiteRunner() as runner:
             serial = small_run(runner, experiments=["table1"], datasets=["mesh"])
@@ -469,23 +487,3 @@ class TestSharedDatasets:
         assert deterministic_view(serial.rows_for("table1")) == deterministic_view(
             got.rows_for("table1")
         )
-        assert shm.active_repro_segments() == []
-
-    def test_close_releases_published_segments(self):
-        from repro.mapreduce import shm
-
-        clear_dataset_cache()
-        runner = SuiteRunner(jobs=2)
-        if not runner._fork_available:
-            runner.close()
-            pytest.skip("requires fork")
-        cells = build_cells(["table1"], SuiteRequest(scale="small", datasets=("mesh",)))
-        shared = runner._publish_datasets(cells, "small")
-        assert ("mesh", "small") in shared
-        assert len(shm.active_repro_segments()) == 1
-        # Re-publication is memoized: same descriptors, no new segment.
-        again = runner._publish_datasets(cells, "small")
-        assert again == shared
-        assert len(shm.active_repro_segments()) == 1
-        runner.close()
-        assert shm.active_repro_segments() == []

@@ -80,9 +80,9 @@ class TestActivation:
         assert faults.active_plan() == plan
 
     def test_error_message_carries_site(self):
-        FaultPlan(specs=(FaultSpec(site="shm.attach", kind="error", message="boom"),)).install()
-        with pytest.raises(FaultInjected, match="shm.attach: boom"):
-            faults.inject("shm.attach")
+        FaultPlan(specs=(FaultSpec(site="io.read", kind="error", message="boom"),)).install()
+        with pytest.raises(FaultInjected, match="io.read: boom"):
+            faults.inject("io.read")
 
     def test_at_threshold_counts_hits(self):
         FaultPlan(specs=(FaultSpec(site="s", kind="error", at=3),)).install()
@@ -99,10 +99,10 @@ class TestActivation:
         faults.inject("s")  # budget spent: silent
 
     def test_fnmatch_site_patterns(self):
-        FaultPlan(specs=(FaultSpec(site="mr.worker.*", kind="error", times=99),)).install()
+        FaultPlan(specs=(FaultSpec(site="suite.cell:*", kind="error", times=99),)).install()
         with pytest.raises(FaultInjected):
-            faults.inject("mr.worker.shm")
-        faults.inject("mr.driver")  # no match
+            faults.inject("suite.cell:table1/mesh")
+        faults.inject("suite.runner")  # no match
 
     def test_hang_sleeps(self):
         import time

@@ -11,11 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.mr_native import mr_cluster_native
-from repro.generators import mesh_graph
 from repro.mapreduce.backends import (
     ArrayPairs,
-    ProcessBackend,
     SerialBackend,
     VectorizedBackend,
     available_backends,
@@ -24,7 +21,7 @@ from repro.mapreduce.backends import (
 from repro.mapreduce.engine import MREngine
 from repro.mapreduce.model import MRConstraintViolation, MRModel
 
-BACKENDS = ("serial", "vectorized", "process")
+BACKENDS = ("serial", "vectorized")
 SCALAR_REDUCERS = ("min", "max", "sum", "count", "first")
 
 
@@ -36,19 +33,20 @@ def object_keys(items):
     return keys
 
 
-def fanout_mapper(batch):
+def fanout_map(batch):
+    """A map phase emitting two pairs per input pair."""
     return ArrayPairs(
         np.concatenate((batch.keys, batch.keys + 1)),
         np.concatenate((batch.values, batch.values * 2)),
     )
 
 
-def run_all_backends(batch, reducer, *, mapper=None, num_shards=3):
+def run_all_backends(batch, reducer):
     """One structured round per backend; returns {name: (pairs, dtypes, metrics)}."""
     results = {}
     for name in BACKENDS:
-        with MREngine(backend=name, num_shards=num_shards) as engine:
-            out = engine.run_structured_round(batch, reducer, mapper=mapper)
+        engine = MREngine(backend=name)
+        out = engine.run_structured_round(batch, reducer)
         results[name] = (out.to_pairs(), (str(out.keys.dtype), str(out.values.dtype)), engine.metrics.as_dict())
     return results
 
@@ -90,7 +88,7 @@ def test_random_workloads_with_mapper_identical(seed):
     rng = np.random.default_rng(100 + seed)
     size = int(rng.integers(1, 200))
     batch = ArrayPairs(rng.integers(0, 20, size=size), rng.integers(0, 9, size=size))
-    assert_all_equal(run_all_backends(batch, "sum", mapper=fanout_mapper))
+    assert_all_equal(run_all_backends(fanout_map(batch), "sum"))
 
 
 def test_string_keys_identical():
@@ -139,8 +137,8 @@ def test_bool_and_int_keys_merge_like_dict():
 
 
 def test_numpy_array_values_identical():
-    # Row values (HADI-sketch-like payloads) must survive pickling through
-    # the process backend and grouping in the others.
+    # Row values (HADI-sketch-like payloads) must survive grouping on every
+    # backend.
     rng = np.random.default_rng(9)
     rows = rng.integers(0, 2**32, size=(40, 4), dtype=np.uint64)
     results = run_all_backends(ArrayPairs(rng.integers(0, 6, 40), rows), "first")
@@ -151,7 +149,7 @@ def test_numpy_array_values_identical():
 def test_sorted_outputs_identical_on_large_random_workload():
     rng = np.random.default_rng(10)
     batch = ArrayPairs(rng.integers(0, 500, 5000), rng.integers(0, 1000, 5000))
-    results = run_all_backends(batch, "sum", num_shards=5)
+    results = run_all_backends(batch, "sum")
     assert_all_equal(results)
     reference = sorted(results["serial"][0])
     for name, (pairs, _, _) in results.items():
@@ -236,14 +234,11 @@ def test_array_pairs_validation():
 # Constraint checking behaves identically everywhere
 # ---------------------------------------------------------------------- #
 def assert_violation_enforced_and_recorded(backend, batch, **limits):
-    with MREngine(MRModel(enforce=True, **limits), backend=backend, num_shards=2) as engine:
-        with pytest.raises(MRConstraintViolation):
-            engine.run_structured_round(batch, "sum")
+    with pytest.raises(MRConstraintViolation):
+        MREngine(MRModel(enforce=True, **limits), backend=backend).run_structured_round(batch, "sum")
     recording = MRModel(enforce=False, **limits)
-    with MREngine(recording, backend=backend, num_shards=2) as engine:
-        out = engine.run_structured_round(batch, "sum")
-    with MREngine(backend="serial") as engine:
-        assert out.to_pairs() == engine.run_structured_round(batch, "sum").to_pairs()
+    out = MREngine(recording, backend=backend).run_structured_round(batch, "sum")
+    assert out.to_pairs() == MREngine(backend="serial").run_structured_round(batch, "sum").to_pairs()
     assert recording.num_violations == 1
 
 
@@ -260,46 +255,25 @@ def test_global_memory_violation_raises_on_every_backend(backend):
 
 
 # ---------------------------------------------------------------------- #
-# Whole-algorithm equivalence: the native MR CLUSTER execution
-# ---------------------------------------------------------------------- #
-def test_mr_cluster_native_identical_across_backends():
-    graph = mesh_graph(12, 12)
-    reference = None
-    for backend in BACKENDS:
-        clustering, engine = mr_cluster_native(graph, 2, seed=7, backend=backend, num_shards=2)
-        snapshot = (
-            clustering.assignment.tolist(),
-            clustering.centers.tolist(),
-            clustering.distance.tolist(),
-            engine.metrics.as_dict(),
-        )
-        if reference is None:
-            reference = snapshot
-        else:
-            assert snapshot == reference, backend
-    assert reference[3]["rounds"] > 0
-
-
-# ---------------------------------------------------------------------- #
 # Backend registry
 # ---------------------------------------------------------------------- #
 def test_available_backends():
-    assert available_backends() == ["process", "serial", "vectorized"]
+    assert available_backends() == ["serial", "vectorized"]
 
 
 def test_get_backend_resolution():
     assert isinstance(get_backend(None), SerialBackend)
     assert isinstance(get_backend("serial"), SerialBackend)
     assert isinstance(get_backend("vectorized"), VectorizedBackend)
-    process = get_backend("process", num_shards=7)
-    assert isinstance(process, ProcessBackend)
-    assert process.num_shards == 7
     instance = VectorizedBackend()
     assert get_backend(instance) is instance
     with pytest.raises(ValueError):
         get_backend("spark")
-    with pytest.raises(ValueError):
-        ProcessBackend(num_shards=0)
+
+
+def test_process_backend_is_gone():
+    with pytest.raises(ValueError, match=r"'process'; available: \['serial', 'vectorized'\]"):
+        get_backend("process")
 
 
 def test_engine_exposes_backend_name():

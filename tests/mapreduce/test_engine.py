@@ -51,7 +51,7 @@ class TestRunRound:
     def test_word_count(self):
         engine = MREngine()
         documents = ArrayPairs(np.zeros(2, dtype=np.int64), np.array(["a b a", "b c"]))
-        result = engine.run_structured_round(documents, "sum", mapper=word_count_mapper)
+        result = engine.run_structured_round(word_count_mapper(documents), "sum")
         assert dict(result.to_pairs()) == {"a": 2, "b": 2, "c": 1}
 
     def test_metrics_recorded(self):
@@ -61,21 +61,14 @@ class TestRunRound:
         assert engine.metrics.shuffled_pairs == 12
         assert engine.metrics.max_reducer_input == 4
 
-    def test_none_mapper_is_identity(self):
-        # ``mapper=None`` is the identity map phase.
-        batch = batch_of([(1, 5), (2, 7)])
-        for mapper in (None, lambda b: b):
-            out = MREngine().run_structured_round(batch, "first", mapper=mapper)
-            assert out.to_pairs() == [(1, 5), (2, 7)]
-
     def test_chained_rounds_pipeline(self):
         # Each round's output batch feeds the next: word count, then total.
         engine = MREngine()
         counts = engine.run_structured_round(
-            ArrayPairs(np.zeros(1, dtype=np.int64), np.array(["x y x z"])), "sum", mapper=word_count_mapper
+            word_count_mapper(ArrayPairs(np.zeros(1, dtype=np.int64), np.array(["x y x z"]))), "sum"
         )
         total = engine.run_structured_round(
-            counts, "sum", mapper=lambda b: ArrayPairs(np.zeros(len(b), dtype=np.int64), b.values)
+            ArrayPairs(np.zeros(len(counts), dtype=np.int64), counts.values), "sum"
         )
         assert total.to_pairs() == [(0, 4)]
         assert engine.metrics.rounds == 2
@@ -115,8 +108,8 @@ class TestEdgeCases:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_empty_pair_list(self, backend):
         empty = ArrayPairs(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        with MREngine(backend=backend, num_shards=2) as engine:
-            output = engine.run_structured_round(empty, "sum")
+        engine = MREngine(backend=backend)
+        output = engine.run_structured_round(empty, "sum")
         assert len(output) == 0
         assert engine.metrics.rounds == 1
         assert engine.metrics.shuffled_pairs == 0
@@ -128,8 +121,8 @@ class TestEdgeCases:
         def silent_mapper(batch):
             return ArrayPairs(batch.keys[:0], batch.values[:0])
 
-        with MREngine(backend=backend, num_shards=2) as engine:
-            output = engine.run_structured_round(batch_of([(0, 1), (1, 2)]), "sum", mapper=silent_mapper)
+        engine = MREngine(backend=backend)
+        output = engine.run_structured_round(silent_mapper(batch_of([(0, 1), (1, 2)])), "sum")
         assert len(output) == 0
         assert engine.metrics.rounds == 1
         assert engine.metrics.shuffled_pairs == 0
@@ -137,8 +130,8 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_reducer_that_emits_nothing(self, backend):
-        with MREngine(backend=backend, num_shards=2) as engine:
-            output = engine.run_structured_round(batch_of([(0, 1), (0, 2), (1, 3)]), DropAll())
+        engine = MREngine(backend=backend)
+        output = engine.run_structured_round(batch_of([(0, 1), (0, 2), (1, 3)]), DropAll())
         assert len(output) == 0
         assert engine.metrics.shuffled_pairs == 3
         assert engine.metrics.max_reducer_input == 2
@@ -147,37 +140,34 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_reducer_exception_propagates(self, backend):
-        with MREngine(backend=backend, num_shards=2) as engine:
-            with pytest.raises(ValueError, match="boom on"):
-                engine.run_structured_round(batch_of([(0, 1), (1, 2), (2, 3)]), Angry())
+        with pytest.raises(ValueError, match="boom on"):
+            MREngine(backend=backend).run_structured_round(batch_of([(0, 1), (1, 2), (2, 3)]), Angry())
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_local_memory_enforced(self, backend):
-        with MREngine(MRModel(local_memory=3, enforce=True), backend=backend, num_shards=2) as engine:
-            # Within budget: fine.
-            engine.run_structured_round(batch_of([(0, i) for i in range(3)]), "sum")
-            # One pair over budget: raises and records the violation.
-            with pytest.raises(MRConstraintViolation, match="exceeding M_L"):
-                engine.run_structured_round(batch_of([(0, i) for i in range(4)]), "sum")
+        engine = MREngine(MRModel(local_memory=3, enforce=True), backend=backend)
+        # Within budget: fine.
+        engine.run_structured_round(batch_of([(0, i) for i in range(3)]), "sum")
+        # One pair over budget: raises and records the violation.
+        with pytest.raises(MRConstraintViolation, match="exceeding M_L"):
+            engine.run_structured_round(batch_of([(0, i) for i in range(4)]), "sum")
         assert engine.model.num_violations == 1
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_global_memory_enforced(self, backend):
-        with MREngine(MRModel(global_memory=5, enforce=True), backend=backend, num_shards=2) as engine:
-            engine.run_structured_round(batch_of([(i, i) for i in range(5)]), "sum")
-            with pytest.raises(MRConstraintViolation, match="exceed M_G"):
-                engine.run_structured_round(batch_of([(i, i) for i in range(6)]), "sum")
+        engine = MREngine(MRModel(global_memory=5, enforce=True), backend=backend)
+        engine.run_structured_round(batch_of([(i, i) for i in range(5)]), "sum")
+        with pytest.raises(MRConstraintViolation, match="exceed M_G"):
+            engine.run_structured_round(batch_of([(i, i) for i in range(6)]), "sum")
         assert engine.model.num_violations == 1
 
     def test_global_memory_counts_output_when_larger(self):
-        # The live pairs of a round are its mapped batch: a mapper fanning one
-        # input pair out to four exceeds M_G = 3.
-        def fanout_mapper(batch):
-            return ArrayPairs(np.repeat(batch.keys, 4), np.arange(4 * len(batch)))
-
+        # The live pairs of a round are its mapped batch: a map phase fanning
+        # one input pair out to four exceeds M_G = 3.
+        mapped = ArrayPairs(np.zeros(4, dtype=np.int64), np.arange(4))
         engine = MREngine(MRModel(global_memory=3, enforce=True))
         with pytest.raises(MRConstraintViolation):
-            engine.run_structured_round(batch_of([(0, 1)]), "first", mapper=fanout_mapper)
+            engine.run_structured_round(mapped, "first")
 
 
 class TestChargeRounds:

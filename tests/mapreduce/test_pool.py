@@ -9,7 +9,9 @@ through the environment at fork time.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
 import threading
 import time
 
@@ -17,22 +19,26 @@ import pytest
 
 from repro import faults
 from repro.faults import FaultPlan, FaultSpec
-from repro.mapreduce import shm
-from repro.mapreduce.backends import fork_available
-from repro.mapreduce.pool import SupervisedPool, WorkerLostError
+from repro.mapreduce.pool import SupervisedPool, WorkerLostError, fork_available
 
-pytestmark = pytest.mark.skipif(not fork_available(), reason="requires fork start method")
+needs_fork = pytest.mark.skipif(not fork_available(), reason="requires fork start method")
 
 SITE = "test.pool.task"
 
 
 @pytest.fixture(autouse=True)
-def _clean_faults_and_segments():
+def _clean_faults():
     faults.clear_installed()
-    assert shm.active_repro_segments() == []
     yield
     faults.clear_installed()
-    assert shm.active_repro_segments() == []
+
+
+def pid_alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def install(tmp_path, **spec):
@@ -62,6 +68,35 @@ def linger(seconds):
     return seconds
 
 
+def sleep_or_die(task):
+    """``("sleep", s)`` returns ``s`` after ``s`` seconds; ``("die", _)`` SIGKILLs its worker."""
+    kind, seconds = task
+    if kind == "die":
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(seconds)
+    return seconds
+
+
+def test_worker_lost_error_exported():
+    assert issubclass(WorkerLostError, RuntimeError)
+
+
+@pytest.mark.parametrize("kwargs", [{"retries": -4}, {"timeout": -1}, {"timeout": 0}])
+def test_bad_budgets_rejected(kwargs):
+    with pytest.raises(ValueError):
+        SupervisedPool(2, **kwargs)
+    # None still means "no timeout".
+    assert SupervisedPool(2, timeout=None).timeout is None
+
+
+def test_fork_available_env_override(monkeypatch):
+    monkeypatch.setenv("REPRO_MR_NO_FORK", "1")
+    assert not fork_available()
+    monkeypatch.setenv("REPRO_MR_NO_FORK", "0")
+    assert fork_available() == ("fork" in multiprocessing.get_all_start_methods())
+
+
+@needs_fork
 def test_raising_task_is_charged_and_resubmitted(tmp_path):
     state = install(tmp_path, kind="error")
     with SupervisedPool(2, retries=1) as pool:
@@ -73,6 +108,7 @@ def test_raising_task_is_charged_and_resubmitted(tmp_path):
     assert len(list(state.glob("fault-0.*"))) == 1
 
 
+@needs_fork
 def test_killed_worker_tasks_resubmitted_in_order(tmp_path):
     state = install(tmp_path, kind="kill")
     with SupervisedPool(2, retries=1) as pool:
@@ -83,6 +119,7 @@ def test_killed_worker_tasks_resubmitted_in_order(tmp_path):
     assert len(list(state.glob("fault-0.*"))) == 1
 
 
+@needs_fork
 def test_many_tasks_survive_repeated_kills(tmp_path):
     """Stress: every worker generation dies at its 20th task, three times over."""
     state = install(tmp_path, kind="kill", at=20, times=3)
@@ -93,6 +130,7 @@ def test_many_tasks_survive_repeated_kills(tmp_path):
     assert len(list(state.glob("fault-0.*"))) == 3
 
 
+@needs_fork
 def test_task_lost_after_retries_plus_one_charges(tmp_path):
     with SupervisedPool(2, retries=2) as pool:
         results = pool.map(square_logged, [(str(tmp_path), x) for x in range(5)])
@@ -102,6 +140,7 @@ def test_task_lost_after_retries_plus_one_charges(tmp_path):
     assert len((tmp_path / "attempts-0").read_text().splitlines()) == 1
 
 
+@needs_fork
 def test_hang_past_timeout_rebuilds_the_pool(tmp_path):
     install(tmp_path, kind="hang", delay_s=30.0)
     with SupervisedPool(2, retries=1, timeout=0.5) as pool:
@@ -113,6 +152,7 @@ def test_hang_past_timeout_rebuilds_the_pool(tmp_path):
         assert pool.pids != workers, "an overrun must rebuild the pool"
 
 
+@needs_fork
 def test_close_falls_back_to_terminate():
     pool = SupervisedPool(1)
     assert pool.map(linger, [60]) == [60]
@@ -121,4 +161,28 @@ def test_close_falls_back_to_terminate():
     pool.close(timeout=0.2)
     assert time.monotonic() - start < 5
     assert pool.pids == frozenset()
-    assert not any(shm._pid_alive(pid) for pid in workers)
+    assert not any(pid_alive(pid) for pid in workers)
+
+
+@needs_fork
+def test_close_drains_gracefully_and_the_pool_returns_lazily():
+    pool = SupervisedPool(2)
+    assert pool.map(square, range(4)) == [0, 1, 4, 9]
+    workers = pool.pids
+    assert workers
+    pool.close()
+    assert pool.pids == frozenset()
+    assert not any(pid_alive(pid) for pid in workers)
+    pool.close()  # idempotent
+    assert pool.map(square, range(3)) == [0, 1, 4]
+    pool.close()
+
+
+@needs_fork
+def test_dying_neighbour_never_charges_a_slow_task():
+    """Only the dead worker's task is charged: the slow one is resubmitted free."""
+    with SupervisedPool(2, retries=1) as pool:
+        results = pool.map(sleep_or_die, [("sleep", 1.0), ("die", 0.0)])
+    assert results[0] == 1.0
+    assert isinstance(results[1], WorkerLostError)
+    assert "lost after 2 attempt(s)" in str(results[1])

@@ -3,9 +3,8 @@
 Structured rounds must be bit-compatible with the serial tuple path: for any
 workload and any registered reducer, every backend returns the same output
 arrays (same dtype, same first-occurrence order) and meters the same
-:class:`MRMetrics`.  These tests enforce that, plus the registry contract,
-the :class:`ArrayMapper` protocol, the persistent process pool, and the
-driver-level equivalence of the MR drivers.
+:class:`MRMetrics`.  These tests enforce that, plus the registry contract
+and the driver-level equivalence of the MR drivers.
 """
 
 from __future__ import annotations
@@ -15,16 +14,10 @@ import pytest
 
 from repro.baselines.bfs_diameter import mr_bfs_diameter
 from repro.baselines.hadi import hadi_diameter
-from repro.core.mr_native import mr_cluster_native
 from repro.generators import barabasi_albert_graph, mesh_graph
-from repro.mapreduce.backends import (
-    ArrayPairs,
-    ProcessBackend,
-    fork_available,
-)
+from repro.mapreduce.backends import ArrayPairs
 from repro.mapreduce.engine import MREngine
 from repro.mapreduce.structured import (
-    ArrayMapper,
     StructuredReducer,
     available_structured_reducers,
     get_structured_reducer,
@@ -34,21 +27,21 @@ from repro.mapreduce.structured import (
     segment_eligible,
 )
 
-BACKENDS = ("serial", "vectorized", "process")
+BACKENDS = ("serial", "vectorized")
 
 
-def run_structured_on_all(batch, reducer, *, mapper=None, num_shards=3):
+def run_structured_on_all(batch, reducer):
     """One structured round per backend; returns {name: (keys, values, dtypes, metrics)}."""
     results = {}
     for name in BACKENDS:
-        with MREngine(backend=name, num_shards=num_shards) as engine:
-            out = engine.run_structured_round(batch, reducer, mapper=mapper)
-            results[name] = (
-                out.keys.tolist(),
-                out.values.tolist(),
-                (str(out.keys.dtype), str(out.values.dtype)),
-                engine.metrics.as_dict(),
-            )
+        engine = MREngine(backend=name)
+        out = engine.run_structured_round(batch, reducer)
+        results[name] = (
+            out.keys.tolist(),
+            out.values.tolist(),
+            (str(out.keys.dtype), str(out.values.dtype)),
+            engine.metrics.as_dict(),
+        )
     return results
 
 
@@ -65,8 +58,6 @@ def test_builtin_reducers_registered():
     names = available_structured_reducers()
     for name in ("min", "max", "sum", "count", "first", "argmin", "bitwise_or"):
         assert name in names
-    # Registered by repro.core.mr_native on import (custom-reducer extension).
-    assert "cluster-claim" in names
 
 
 def test_registry_rejects_duplicates_and_unknown_names():
@@ -132,8 +123,7 @@ def test_argmin_matches_python_min_semantics():
         np.array([5, 5, 5, 9]),
         np.array([[2, 7], [1, 9], [1, 3], [0, 0]]),
     )
-    with MREngine(backend="vectorized") as engine:
-        out = engine.run_structured_round(batch, "argmin")
+    out = MREngine(backend="vectorized").run_structured_round(batch, "argmin")
     assert out.keys.tolist() == [5, 9]
     assert out.values.tolist() == [[1, 3], [0, 0]]
 
@@ -154,16 +144,28 @@ def test_bitwise_or_scalar_values_identical():
     assert_structured_identical(results)
 
 
+class EvenSums(StructuredReducer):
+    """Group sums, emitted only for the groups whose sum is even."""
+
+    name = "test-even-sums"
+    values_ndim = 1
+
+    def segment_reduce(self, sorted_values, starts, ends):
+        sums = np.add.reduceat(sorted_values, starts)
+        return sums, sums % 2 == 0
+
+    def reference(self, key, values):
+        if sum(values) % 2 == 0:
+            yield (key, sum(values))
+
+
 def test_emit_mask_reducer_identical():
-    # cluster-claim drops covered groups: exercises the emit-mask path.
+    # EvenSums drops odd groups: exercises the emit-mask path.
     rng = np.random.default_rng(5)
-    size = 400
-    tags = rng.integers(0, 2, size)
-    cluster_ids = np.where(tags == 0, rng.integers(-1, 3, size), rng.integers(0, 5, size))
-    dists = rng.integers(0, 7, size)
-    batch = ArrayPairs(rng.integers(0, 40, size), np.column_stack([tags, cluster_ids, dists]))
-    results = run_structured_on_all(batch, "cluster-claim")
+    batch = ArrayPairs(rng.integers(0, 40, 400), rng.integers(0, 7, 400))
+    results = run_structured_on_all(batch, EvenSums())
     assert_structured_identical(results)
+    assert 0 < len(results["serial"][0]) < 40
 
 
 def test_empty_and_single_key_batches():
@@ -183,9 +185,8 @@ def test_empty_and_single_key_batches():
 def test_values_ndim_validation_identical_on_all_backends():
     batch = ArrayPairs(np.array([0, 1]), np.array([[1, 2], [3, 4]]))
     for name in BACKENDS:
-        with MREngine(backend=name, num_shards=2) as engine:
-            with pytest.raises(ValueError):
-                engine.run_structured_round(batch, "min")
+        with pytest.raises(ValueError):
+            MREngine(backend=name).run_structured_round(batch, "min")
 
 
 def test_structured_output_matches_classic_reference_round():
@@ -222,30 +223,6 @@ def test_string_keys_and_nan_float_keys_fall_back_identically():
 
 
 # ---------------------------------------------------------------------- #
-# ArrayMapper protocol
-# ---------------------------------------------------------------------- #
-def test_array_mapper_object_and_callable():
-    class Doubler(ArrayMapper):
-        def map_batch(self, batch):
-            return ArrayPairs(
-                np.concatenate([batch.keys, batch.keys]),
-                np.concatenate([batch.values, batch.values * 2]),
-            )
-
-    batch = ArrayPairs(np.array([0, 1, 0]), np.array([1, 2, 3]))
-    with MREngine(backend="vectorized") as engine:
-        out = engine.run_structured_round(batch, "sum", mapper=Doubler())
-    assert out.to_pairs() == [(0, 12), (1, 6)]
-    assert engine.metrics.shuffled_pairs == 6
-
-    with MREngine(backend="serial") as engine:
-        out = engine.run_structured_round(
-            batch, "sum", mapper=lambda b: ArrayPairs(b.keys, b.values + 1)
-        )
-    assert out.to_pairs() == [(0, 6), (1, 3)]
-
-
-# ---------------------------------------------------------------------- #
 # grouping_order fast paths
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize(
@@ -263,64 +240,6 @@ def test_array_mapper_object_and_callable():
 def test_grouping_order_matches_stable_argsort(keys):
     expected = np.argsort(keys, kind="stable")
     assert np.array_equal(grouping_order(keys), expected)
-
-
-# ---------------------------------------------------------------------- #
-# Persistent process pool (reused across rounds, closed on teardown)
-# ---------------------------------------------------------------------- #
-@pytest.mark.skipif(not fork_available(), reason="pool forking requires fork")
-def test_process_pool_reused_across_rounds_and_closed():
-    backend = ProcessBackend(num_shards=2)
-    engine = MREngine(backend=backend)
-    batch = ArrayPairs(np.arange(200) % 17, np.arange(200))
-    engine.run_structured_round(batch, "sum")
-    workers_after_first = backend.pool.pids
-    assert workers_after_first, "structured round should fork the pool"
-    engine.run_structured_round(batch, "min")
-    assert backend.pool.pids == workers_after_first, "pool must be reused across rounds"
-    engine.close()
-    assert backend.pool.pids == frozenset()
-    # Closed backends lazily re-create the pool when used again.
-    out = engine.run_structured_round(batch, "count")
-    assert len(out) == 17
-    engine.close()
-
-
-@pytest.mark.skipif(not fork_available(), reason="pool forking requires fork")
-def test_engine_context_manager_closes_pool():
-    with MREngine(backend="process", num_shards=2) as engine:
-        engine.run_structured_round(ArrayPairs(np.arange(50) % 5, np.arange(50)), "max")
-        backend = engine.backend
-        assert backend.pool.pids
-    assert backend.pool.pids == frozenset()
-
-
-class OffsetSum(StructuredReducer):
-    """Group sum plus an offset held in a closure, so it cannot be pickled."""
-
-    name = "test-offset-sum"
-    values_ndim = 1
-
-    def __init__(self, offset):
-        self.shift = lambda total: total + offset
-
-    def segment_reduce(self, sorted_values, starts, ends):
-        return self.shift(np.add.reduceat(sorted_values, starts)), None
-
-    def reference(self, key, values):
-        yield (key, self.shift(sum(values)))
-
-
-def test_unpicklable_reducer_runs_in_process():
-    # A reducer that cannot reach pool workers runs in the driver, even on an
-    # shm-sized round, with the serial reference's output.
-    batch = ArrayPairs(np.arange(120) % 7, np.arange(120))
-    backend = ProcessBackend(num_shards=3, shm_min_pairs=1)
-    backend.pool.map = lambda func, tasks: pytest.fail("an unpicklable reducer reached the pool")
-    with MREngine(backend=backend) as engine:
-        out = engine.run_structured_round(batch, OffsetSum(13))
-    with MREngine(backend="serial") as engine:
-        assert out.to_pairs() == engine.run_structured_round(batch, OffsetSum(13)).to_pairs()
 
 
 # ---------------------------------------------------------------------- #
@@ -347,7 +266,7 @@ def test_mr_bfs_diameter_identical_across_backends():
     graph = mesh_graph(15, 15)
     reference = None
     for backend in BACKENDS:
-        result = mr_bfs_diameter(graph, seed=11, backend=backend, num_shards=2)
+        result = mr_bfs_diameter(graph, seed=11, backend=backend)
         snapshot = (
             result.estimate,
             result.lower_bound,
@@ -379,8 +298,7 @@ def test_hadi_sketch_round_matches_neighbor_reduce_kernel():
         np.concatenate((nodes, owners)),
         np.concatenate((sketches, sketches[graph.indices])),
     )
-    with MREngine(backend="vectorized") as engine:
-        merged = engine.run_structured_round(batch, "bitwise_or")
+    merged = MREngine(backend="vectorized").run_structured_round(batch, "bitwise_or")
 
     expected = sketches.copy()
     has_neighbors = np.diff(graph.indptr) > 0
@@ -395,27 +313,8 @@ def test_hadi_identical_across_backends():
     graph = barabasi_albert_graph(250, 3, seed=5)
     reference = None
     for backend in BACKENDS:
-        result = hadi_diameter(graph, seed=12, num_registers=8, backend=backend, num_shards=2)
+        result = hadi_diameter(graph, seed=12, num_registers=8, backend=backend)
         snapshot = (result.estimate, result.neighborhood_function, result.metrics.as_dict())
-        if reference is None:
-            reference = snapshot
-        else:
-            assert snapshot == reference, backend
-
-
-def test_mr_cluster_native_structured_beats_nothing_but_matches():
-    # Bit-identical clustering and metrics across the tuple path (serial)
-    # and the segment paths — the structured-round acceptance invariant.
-    graph = barabasi_albert_graph(400, 4, seed=6)
-    reference = None
-    for backend in BACKENDS:
-        clustering, engine = mr_cluster_native(graph, 2, seed=13, backend=backend, num_shards=2)
-        snapshot = (
-            clustering.assignment.tolist(),
-            clustering.centers.tolist(),
-            clustering.distance.tolist(),
-            engine.metrics.as_dict(),
-        )
         if reference is None:
             reference = snapshot
         else:

@@ -14,13 +14,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.baselines import hadi_diameter, mr_bfs_diameter
 from repro.core.growth_engine import GrowthEngine
 from repro.core.mr_algorithms import mr_estimate_diameter
 from repro.core.pipeline import DecompositionPipeline, PipelineConfig
+from repro.experiments.config import ExperimentConfig
 from repro.generators import mesh_graph
 from repro.graph import kernels
 from repro.graph.diameter_exact import exact_diameter
 from repro.graph.snapshot import SnapshotWriter, save_snapshot
+from repro.mapreduce import ArrayPairs, MREngine
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -46,6 +49,7 @@ _GRAPH = mesh_graph(4, 4)
 _ONE = np.asarray([0], dtype=np.int64)
 _ARGS = (_GRAPH.indptr, _GRAPH.indices)
 _WEIGHTS = np.ones(_GRAPH.indices.size)
+_PAIRS = ArrayPairs(_ONE, _ONE)
 
 REMOVED = {
     "frontier_expansion(direction=)": lambda: kernels.frontier_expansion(*_ARGS, _ONE, direction="push"),
@@ -70,6 +74,14 @@ REMOVED = {
     "mr_estimate_diameter(num_shards=)": lambda: mr_estimate_diameter(_GRAPH, tau=1, num_shards=2),
     "save_snapshot(version=)": lambda: save_snapshot(_GRAPH, "unused.snap", version=1),
     "SnapshotWriter(version=)": lambda: SnapshotWriter("unused.snap", 1, 0, version=1),
+    "MREngine(num_shards=)": lambda: MREngine(backend="vectorized", num_shards=2),
+    "mr_bfs_diameter(num_shards=)": lambda: mr_bfs_diameter(_GRAPH, seed=0, num_shards=2),
+    "hadi_diameter(num_shards=)": lambda: hadi_diameter(_GRAPH, seed=0, num_shards=2),
+    "ExperimentConfig(mr_backend=)": lambda: ExperimentConfig(mr_backend="serial"),
+    "ExperimentConfig(mr_shards=)": lambda: ExperimentConfig(mr_shards=2),
+    "run_structured_round(mapper=)": lambda: MREngine().run_structured_round(
+        _PAIRS, "sum", mapper=lambda batch: batch
+    ),
 }
 
 

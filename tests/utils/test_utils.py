@@ -9,7 +9,6 @@ import pytest
 
 from repro.utils.logging import enable_verbose, get_logger
 from repro.utils.rng import as_rng, random_subset_mask, spawn_rngs
-from repro.utils.timer import Timer, timed
 from repro.utils.validation import (
     check_integer_array,
     check_node_index,
@@ -65,27 +64,6 @@ class TestRNG:
     def test_random_subset_mask_negative_size(self):
         with pytest.raises(ValueError):
             random_subset_mask(-1, 0.5, np.random.default_rng(0))
-
-
-class TestTimer:
-    def test_measure_accumulates(self):
-        timer = Timer()
-        with timer.measure("work"):
-            sum(range(100))
-        with timer.measure("work"):
-            sum(range(100))
-        assert timer.count("work") == 2
-        assert timer.total("work") >= 0
-        assert "work" in timer.as_dict()
-
-    def test_unknown_name_zero(self):
-        assert Timer().total("missing") == 0.0
-        assert Timer().count("missing") == 0
-
-    def test_timed_returns_result_and_elapsed(self):
-        result, elapsed = timed(lambda x: x * 2, 21)
-        assert result == 42
-        assert elapsed >= 0
 
 
 class TestValidation:
