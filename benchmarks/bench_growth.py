@@ -23,9 +23,7 @@ import pytest
 
 from repro.core.cluster import cluster
 from repro.core.growth_engine import GrowthEngine, StaticSchedule
-from repro.generators import barabasi_albert_graph, mesh_graph
-from repro.weighted.decomposition import weighted_cluster
-from repro.weighted.wgraph import WeightedCSRGraph
+from repro.generators import attach_weights, barabasi_albert_graph, mesh_graph
 
 
 def quick_mode() -> bool:
@@ -141,7 +139,7 @@ def test_bench_engine_cluster(benchmark, social):
     assert clustering.num_clusters > 0
 
 
-def test_bench_engine_weighted_cluster(benchmark, mesh):
-    wgraph = WeightedCSRGraph.random_weights(mesh, rng=np.random.default_rng(3))
-    clustering = benchmark(weighted_cluster, wgraph, 4, seed=0)
-    assert clustering.num_clusters > 0
+def test_bench_engine_cluster_on_weighted_graph(benchmark, mesh):
+    wgraph = attach_weights(mesh, "uniform", seed=np.random.default_rng(3))
+    clustering = benchmark(cluster, wgraph, 4, seed=0)
+    assert clustering.is_weighted and clustering.num_clusters > 0

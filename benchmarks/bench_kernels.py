@@ -233,7 +233,7 @@ def test_delta_stepping_rows_gate(kernel_bench_recorder):
     graph, _ = largest_component(road_network_graph(ROAD_SIDE, ROAD_SIDE, seed=1))
     pipe = DecompositionPipeline(graph, target_clusters=graph.num_nodes // 20, seed=1)
     quotient = pipe.quotient(weighted=True)
-    indptr, indices, weights = quotient.graph.indptr, quotient.graph.indices, quotient.weights
+    indptr, indices, weights = quotient.indptr, quotient.indices, quotient.weights
     k = quotient.num_nodes
     tile = kernels.row_tile(indices.size)
     workload = f"road{ROAD_SIDE}-quotient/k{k}-arcs{indices.size}/tile{tile}"
@@ -288,10 +288,10 @@ def test_bounded_quotient_diameter_gate(kernel_bench_recorder):
     speedups = {}
     for flavour in ("weighted", "hop"):
         quotient = pipe.quotient(weighted=flavour == "weighted")
-        k, arcs = quotient.num_nodes, quotient.graph.indices.size
+        k, arcs = quotient.num_nodes, quotient.indices.size
         workload = f"rmat{QUOTIENT_RMAT_SCALE}-quotient/{flavour}/k{k}-arcs{arcs}"
         _, rows = bounded_diameter(
-            quotient.graph.indptr, quotient.graph.indices, quotient.weights, degrees=quotient.graph.degrees
+            quotient.indptr, quotient.indices, quotient.weights, degrees=quotient.degrees
         )
         timings, results = interleaved_best(
             {"full-sweep": lambda: float(quotient_apsp(quotient).max()), "bounded": lambda: quotient_diameter(quotient)},

@@ -1,7 +1,7 @@
 """Heapq-vs-vectorized weighted traversal benchmarks guarding the kernels.
 
-``_heapq_multi_source_dijkstra`` below is a frozen copy of the pre-refactor
-binary-heap loop from ``repro/weighted/traversal.py`` (the same reference the
+``_heapq_dijkstra`` below is a frozen copy of the pre-refactor
+binary-heap multi-source Dijkstra loop (the same reference the
 golden-equivalence tests pin outputs against).  The weighted hot paths now run
 the bucketed :func:`repro.graph.kernels.delta_stepping` relaxation;
 ``test_vectorized_beats_heapq`` asserts that the vectorized kernel is strictly
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.generators import barabasi_albert_graph, road_network_graph
-from repro.weighted.traversal import multi_source_dijkstra
+from repro.graph import kernels
 
 
 def quick_mode() -> bool:
@@ -47,7 +47,7 @@ def spread_sources(graph, count: int = 64) -> list:
     return list(range(0, graph.num_nodes, max(1, graph.num_nodes // count)))
 
 
-def _heapq_multi_source_dijkstra(graph, sources):
+def _heapq_dijkstra(graph, sources):
     """Frozen pre-refactor binary-heap multi-source Dijkstra."""
     n = graph.num_nodes
     source_array = np.unique(np.asarray(list(sources), dtype=np.int64))
@@ -74,6 +74,11 @@ def _heapq_multi_source_dijkstra(graph, sources):
     return dist, owner
 
 
+def _delta_stepping(graph, sources):
+    """The production kernel: ``(distances, owners)`` from ``sources``."""
+    return kernels.delta_stepping(graph.indptr, graph.indices, graph.weights, np.asarray(sources, dtype=np.int64))
+
+
 def _best_of(fn, *args, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -85,10 +90,10 @@ def _best_of(fn, *args, repeats: int) -> float:
 
 def test_vectorized_matches_heapq(social):
     sources = spread_sources(social)
-    ref_dist, ref_owner = _heapq_multi_source_dijkstra(social, sources)
-    result = multi_source_dijkstra(social, sources)
-    assert np.array_equal(ref_dist, result.distances)
-    assert np.array_equal(ref_owner, result.sources)
+    ref_dist, ref_owner = _heapq_dijkstra(social, sources)
+    dist, owner = _delta_stepping(social, sources)
+    assert np.array_equal(ref_dist, dist)
+    assert np.array_equal(ref_owner, owner)
 
 
 def test_vectorized_beats_heapq(social):
@@ -100,11 +105,9 @@ def test_vectorized_beats_heapq(social):
     """
     repeats = 2 if quick_mode() else 4
     for sources in ([0], spread_sources(social)):
-        _heapq_multi_source_dijkstra(social, sources)  # warm caches
-        ref = _best_of(_heapq_multi_source_dijkstra, social, sources, repeats=repeats)
-        vec = _best_of(
-            lambda g, s: multi_source_dijkstra(g, s), social, sources, repeats=repeats
-        )
+        _heapq_dijkstra(social, sources)  # warm caches
+        ref = _best_of(_heapq_dijkstra, social, sources, repeats=repeats)
+        vec = _best_of(_delta_stepping, social, sources, repeats=repeats)
         assert vec < ref, (
             f"vectorized weighted relaxation regressed: {vec:.4f}s vs heapq "
             f"{ref:.4f}s on {len(sources)} sources"
@@ -113,16 +116,16 @@ def test_vectorized_beats_heapq(social):
 
 def test_bench_heapq_dijkstra(benchmark, social):
     sources = spread_sources(social)
-    dist, _ = benchmark(_heapq_multi_source_dijkstra, social, sources)
+    dist, _ = benchmark(_heapq_dijkstra, social, sources)
     assert np.isfinite(dist).any()
 
 
 def test_bench_vectorized_dijkstra(benchmark, social):
     sources = spread_sources(social)
-    result = benchmark(multi_source_dijkstra, social, sources)
-    assert result.distances.size == social.num_nodes
+    dist, _ = benchmark(_delta_stepping, social, sources)
+    assert dist.size == social.num_nodes
 
 
 def test_bench_vectorized_dijkstra_road(benchmark, road):
-    result = benchmark(multi_source_dijkstra, road, [0])
-    assert result.distances.size == road.num_nodes
+    dist, _ = benchmark(_delta_stepping, road, [0])
+    assert dist.size == road.num_nodes

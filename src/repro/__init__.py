@@ -6,8 +6,8 @@ Diameter Approximation.*
 The package provides:
 
 * a **serving plane** (:mod:`repro.serving`): the :class:`GraphService`
-  precomputes one CLUSTER2 / weighted decomposition and then answers batched
-  distance / same-cluster / eccentricity / k-center queries as pure
+  precomputes one CLUSTER2 / weighted CLUSTER decomposition and then answers
+  batched distance / same-cluster / eccentricity / k-center queries as pure
   vectorized lookups, with content-hashed snapshots for cold starts
   (``python -m repro.experiments serve``);
 * the CLUSTER / CLUSTER2 parallel graph decompositions (the paper's primary
@@ -29,7 +29,7 @@ Quick start::
     print(service.num_clusters, lower, upper)
 """
 
-from repro import analysis, baselines, core, generators, graph, mapreduce, serving, utils, weighted
+from repro import analysis, baselines, core, generators, graph, mapreduce, serving, utils
 from repro.baselines import (
     bfs_diameter,
     gonzalez_kcenter,
@@ -90,6 +90,5 @@ __all__ = [
     "graph",
     "mapreduce",
     "utils",
-    "weighted",
     "__version__",
 ]

@@ -15,7 +15,7 @@ __all__ = ["ClusteringReport", "clustering_report", "edge_cut"]
 
 def edge_cut(graph: CSRGraph, clustering: Clustering) -> int:
     """Number of graph edges whose endpoints lie in different clusters."""
-    edges = graph.edge_array()
+    edges = graph.edges()
     if edges.size == 0:
         return 0
     cu = clustering.assignment[edges[:, 0]]

@@ -26,11 +26,9 @@ from repro.core.mr_algorithms import (
 from repro.core.oracle import (
     DistanceOracle,
     build_distance_oracle,
-    check_node_batch,
     default_oracle_tau,
 )
 from repro.core.quotient import (
-    QuotientGraph,
     build_quotient_graph,
     quotient_apsp,
     quotient_diameter,
@@ -66,9 +64,7 @@ __all__ = [
     "mr_estimate_diameter",
     "DistanceOracle",
     "build_distance_oracle",
-    "check_node_batch",
     "default_oracle_tau",
-    "QuotientGraph",
     "build_quotient_graph",
     "quotient_apsp",
     "quotient_diameter",

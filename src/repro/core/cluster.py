@@ -13,7 +13,13 @@ clusters from *progressive batches* of centers:
 The growing itself is delegated to the shared
 :class:`~repro.core.growth_engine.GrowthEngine`: CLUSTER is exactly the
 engine driven by a :class:`~repro.core.growth_engine.BatchHalvingSchedule`
-with the arbitrary tie-break policy.
+with the arbitrary tie-break policy.  On a weighted graph the same schedule
+runs with the :class:`~repro.core.growth_engine.MinWeightTieBreak` policy —
+the hop-bounded weighted decomposition of the paper's §7 outlook: a growing
+step still extends every cluster by one hop (one parallel round), and a
+contested node joins the cluster offering the smallest accumulated weighted
+distance, so the hop radius controls the parallel depth while the weighted
+radius stays controlled.
 
 Theorem 1 shows the result has ``O(τ log² n)`` clusters and that the maximum
 radius is within an ``O(log n)`` factor of the best radius achievable with
@@ -40,48 +46,8 @@ __all__ = [
     "cluster",
     "cluster_with_target_clusters",
     "selection_probability",
-    "tune_tau",
     "uncovered_threshold",
 ]
-
-
-def tune_tau(run, num_nodes, target_clusters, *, tolerance=0.35, max_trials=12):
-    """Multiplicative τ search of the §6.1 experimental protocol.
-
-    ``run(tau)`` executes one decomposition trial and returns any object with
-    a ``num_clusters`` attribute; the search inverts Theorem 1's
-    ``#clusters = O(τ log² n)`` bound for the starting τ and then moves τ
-    multiplicatively toward the target until the count lands within
-    ``(1 ± tolerance) * target_clusters`` (or ``max_trials`` is exhausted, in
-    which case the closest attempt is returned).  Shared by the unweighted
-    and weighted ``*_with_target_clusters`` frontends, which only differ in
-    the decomposition ``run``.
-    """
-    if target_clusters < 1:
-        raise ValueError("target_clusters must be >= 1")
-    n = num_nodes
-    if n == 0:
-        raise ValueError("graph must be non-empty")
-    log_sq = math.log2(max(2, n)) ** 2
-    # Theorem 1: #clusters = O(τ log² n); start from the inversion and adjust.
-    tau = max(1, int(round(target_clusters / max(1.0, 0.25 * log_sq))))
-    best = None
-    best_gap = float("inf")
-    for _ in range(max_trials):
-        result = run(tau)
-        count = result.num_clusters
-        gap = abs(count - target_clusters) / target_clusters
-        if gap < best_gap:
-            best, best_gap = result, gap
-        if (1 - tolerance) * target_clusters <= count <= (1 + tolerance) * target_clusters:
-            return result
-        ratio = target_clusters / max(1, count)
-        # Dampened multiplicative update; τ moves in the direction of the miss.
-        tau = max(1, int(round(tau * min(4.0, max(0.25, ratio)))))
-        if tau >= n:
-            tau = n // 2 or 1
-    assert best is not None
-    return best
 
 
 def cluster(
@@ -96,8 +62,9 @@ def cluster(
     Parameters
     ----------
     graph:
-        Unweighted undirected graph.  The graph need not be connected: as
-        observed in §3.2 of the paper, the algorithm remains correct for a
+        Undirected graph, optionally weighted (then the decomposition also
+        records weighted growth distances).  The graph need not be connected:
+        as observed in §3.2 of the paper, the algorithm remains correct for a
         graph with ``h`` components as long as τ ≥ h (otherwise some
         components simply end up covered by the final singleton promotion or
         by centers that happen to land there).
@@ -135,7 +102,10 @@ def cluster_with_target_clusters(
     random variable); the paper's experiments therefore tune the granularity
     parameter until the observed number of clusters is "close enough" to the
     desired decomposition granularity.  This helper performs that tuning with
-    a multiplicative search on τ, mirroring the experimental protocol of §6.1.
+    a multiplicative search on τ, mirroring the experimental protocol of §6.1:
+    it inverts Theorem 1's ``#clusters = O(τ log² n)`` bound for the starting
+    τ, then moves τ multiplicatively toward the target until the count lands
+    within tolerance (or returns the closest attempt after ``max_trials``).
 
     Parameters
     ----------
@@ -149,11 +119,29 @@ def cluster_with_target_clusters(
         Maximum number of CLUSTER invocations before returning the closest
         attempt seen.
     """
+    if target_clusters < 1:
+        raise ValueError("target_clusters must be >= 1")
+    n = graph.num_nodes
+    if n == 0:
+        raise ValueError("graph must be non-empty")
     rng = as_rng(seed)
-    return tune_tau(
-        lambda tau: cluster(graph, tau, seed=rng),
-        graph.num_nodes,
-        target_clusters,
-        tolerance=tolerance,
-        max_trials=max_trials,
-    )
+    log_sq = math.log2(max(2, n)) ** 2
+    # Theorem 1: #clusters = O(τ log² n); start from the inversion and adjust.
+    tau = max(1, int(round(target_clusters / max(1.0, 0.25 * log_sq))))
+    best = None
+    best_gap = float("inf")
+    for _ in range(max_trials):
+        result = cluster(graph, tau, seed=rng)
+        count = result.num_clusters
+        gap = abs(count - target_clusters) / target_clusters
+        if gap < best_gap:
+            best, best_gap = result, gap
+        if (1 - tolerance) * target_clusters <= count <= (1 + tolerance) * target_clusters:
+            return result
+        ratio = target_clusters / max(1, count)
+        # Dampened multiplicative update; τ moves in the direction of the miss.
+        tau = max(1, int(round(tau * min(4.0, max(0.25, ratio)))))
+        if tau >= n:
+            tau = n // 2 or 1
+    assert best is not None
+    return best

@@ -4,9 +4,11 @@ A :class:`Clustering` is a partition of the node set into disjoint,
 internally-connected clusters, each with a designated center, together with
 the per-node growth distance (the number of growing steps after which the
 node was covered — an upper bound on, and in the growth forest equal to, the
-distance from the node to its center).  It also carries the execution trace
-(per-iteration and per-growing-step statistics) needed by the MR-round
-accounting of :mod:`repro.core.mr_algorithms`.
+distance from the node to its center).  A decomposition of a weighted graph
+(the paper's §7 outlook) also records the weighted length of every node's
+growth path.  It also carries the execution trace (per-iteration and
+per-growing-step statistics) needed by the MR-round accounting of
+:mod:`repro.core.mr_algorithms`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.graph import kernels
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import multi_source_bfs
 
@@ -69,7 +72,7 @@ class Clustering:
         cluster ``c``.
     distance:
         int64 array; growth distance of every node from its cluster center
-        (0 for centers).
+        (0 for centers), in hops — the parallel-depth quantity.
     growth_steps:
         Total number of parallel growing steps performed (the quantity ``R``
         of Lemma 3 which drives the MR round complexity).
@@ -79,6 +82,11 @@ class Clustering:
         Per-growing-step statistics, in execution order.
     algorithm:
         Human-readable name of the producing algorithm.
+    weighted_distance:
+        float64 array of accumulated edge weight along every node's growth
+        path (0.0 for centers), or ``None`` for a decomposition of an
+        unweighted graph.  A genuine path length, hence an upper bound on the
+        weighted distance to the center.
     """
 
     num_nodes: int
@@ -89,6 +97,7 @@ class Clustering:
     iterations: List[IterationStats] = field(default_factory=list)
     step_log: List[GrowthStepStats] = field(default_factory=list)
     algorithm: str = "cluster"
+    weighted_distance: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # Derived quantities
@@ -112,6 +121,16 @@ class Clustering:
     def max_radius(self) -> int:
         """Maximum cluster radius ``R_ALG`` (growth-based, as tracked by the algorithm)."""
         return int(self.distance.max()) if self.distance.size else 0
+
+    @property
+    def is_weighted(self) -> bool:
+        """Whether the decomposition records weighted growth distances."""
+        return self.weighted_distance is not None
+
+    @property
+    def weighted_radius(self) -> float:
+        """Maximum weighted growth distance to a center (weighted decompositions)."""
+        return float(self.weighted_distance.max()) if self.weighted_distance.size else 0.0
 
     def members(self, cluster_id: int) -> np.ndarray:
         """Node ids belonging to ``cluster_id``."""
@@ -144,7 +163,10 @@ class Clustering:
 
         Raises ``AssertionError`` describing the first violated invariant.
         The graph is required for the connectivity / distance-consistency
-        checks; without it only the partition invariants are verified.
+        checks; without it only the partition invariants are verified.  A
+        weighted decomposition's growth-path lengths must also be
+        non-negative, zero at the centers, and (given the graph) no shorter
+        than the weighted distance to the nearest center.
         """
         assert self.assignment.shape == (self.num_nodes,), "assignment has wrong shape"
         assert self.distance.shape == (self.num_nodes,), "distance has wrong shape"
@@ -159,9 +181,20 @@ class Clustering:
         )
         assert np.all(self.distance[self.centers] == 0), "centers must have distance 0"
         assert np.all(self.distance >= 0), "distances must be non-negative"
+        if self.is_weighted:
+            assert self.weighted_distance.shape == (self.num_nodes,), "weighted_distance has wrong shape"
+            assert np.all(self.weighted_distance[self.centers] == 0.0), "centers must have weighted distance 0"
+            assert np.all(self.weighted_distance >= 0.0), "weighted distances must be non-negative"
         if graph is not None:
             assert graph.num_nodes == self.num_nodes, "graph/clustering size mismatch"
             self._validate_growth_consistency(graph)
+            if self.is_weighted:
+                nearest, _ = kernels.delta_stepping(
+                    graph.indptr, graph.indices, graph.weights, np.unique(self.centers)
+                )
+                assert np.all(self.weighted_distance + 1e-9 >= nearest), (
+                    "growth-path distance must upper-bound the nearest-center distance"
+                )
 
     def _validate_growth_consistency(self, graph: CSRGraph) -> None:
         """Every non-center node must have a same-cluster neighbour one step closer."""
@@ -203,4 +236,5 @@ class Clustering:
             "growth_steps": self.growth_steps,
             "largest_cluster": int(sizes.max()) if sizes.size else 0,
             "mean_cluster_size": float(sizes.mean()) if sizes.size else 0.0,
+            **({"weighted_radius": round(self.weighted_radius, 3)} if self.is_weighted else {}),
         }

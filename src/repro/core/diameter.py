@@ -18,6 +18,11 @@ Corollary 1 guarantees ``∆_C ≤ ∆ ≤ ∆' = O(∆ log³ n)`` with high pro
 when CLUSTER2 is used; the experiments show the weighted bound is below
 ``2∆`` in practice.
 
+On a weighted graph (the paper's §7 outlook) the same chain bounds the
+weighted diameter: a weighted double sweep gives the lower bound and
+``2·R_w + ∆'_C`` — the weighted radius plus the diameter of the quotient
+weighted with center-to-center path lengths — the upper bound.
+
 :func:`estimate_diameter` is a thin wrapper over the
 :class:`~repro.core.pipeline.DecompositionPipeline` (which caches the
 decomposition and quotient stages for reuse); use the pipeline directly when
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from repro.core.clustering import Clustering
 from repro.graph.csr import CSRGraph
@@ -44,36 +49,38 @@ class DiameterEstimate:
     Attributes
     ----------
     lower_bound:
-        ``∆_C`` — unweighted quotient diameter (a true lower bound on ∆).
+        ``∆_C`` — unweighted quotient diameter (a true lower bound on ∆); on
+        a weighted graph, the weighted double-sweep bound.
     upper_bound:
         The estimate reported by the algorithm: the weighted bound ``∆''``
         when the weighted quotient was computed, otherwise ``∆'``.
     upper_bound_unweighted:
-        ``∆' = 2·R·(∆_C + 1) + ∆_C``.
+        ``∆' = 2·R·(∆_C + 1) + ∆_C``, or ``None`` on a weighted graph.
     upper_bound_weighted:
         ``∆'' = 2·R + ∆'_C`` or ``None`` when ``weighted=False``.
     radius:
-        Maximum cluster radius ``R`` of the decomposition used.
+        Maximum cluster radius ``R`` of the decomposition used (the weighted
+        radius on a weighted graph).
     num_clusters / num_quotient_edges:
         Size of the quotient graph (the ``n_C`` / ``m_C`` columns of Table 3).
     clustering:
         The decomposition itself (for further inspection).
     """
 
-    lower_bound: int
+    lower_bound: Union[int, float]
     upper_bound: float
-    upper_bound_unweighted: int
+    upper_bound_unweighted: Optional[int]
     upper_bound_weighted: Optional[float]
-    radius: int
+    radius: Union[int, float]
     num_clusters: int
     num_quotient_edges: int
     clustering: Clustering
 
-    def contains(self, true_diameter: int) -> bool:
-        """True if ``lower_bound <= true_diameter <= upper_bound``."""
-        return self.lower_bound <= true_diameter <= self.upper_bound
+    def contains(self, true_diameter: float) -> bool:
+        """True if ``lower_bound <= true_diameter <= upper_bound`` (up to float rounding)."""
+        return self.lower_bound <= true_diameter + 1e-9 and true_diameter <= self.upper_bound + 1e-9
 
-    def approximation_ratio(self, true_diameter: int) -> float:
+    def approximation_ratio(self, true_diameter: float) -> float:
         """``upper_bound / true_diameter`` (∞ for a zero diameter)."""
         if true_diameter == 0:
             return math.inf
@@ -126,7 +133,8 @@ def estimate_diameter(
     Parameters
     ----------
     graph:
-        Connected, unweighted, undirected graph.
+        Connected undirected graph.  On a weighted graph the estimate bounds
+        the weighted diameter (see the module docstring).
     tau:
         Granularity parameter.  Exactly one of ``tau`` / ``target_clusters`` /
         ``clustering`` may be provided; with none, :func:`default_tau` is used.
@@ -137,7 +145,8 @@ def estimate_diameter(
         Use CLUSTER2 (full theoretical guarantees) instead of the simplified
         CLUSTER pipeline used in the paper's experiments.
     weighted:
-        Also compute the weighted quotient graph and the tighter ``∆''`` bound.
+        Also compute the weighted quotient graph and the tighter ``∆''`` bound
+        (always done on a weighted graph).
     clustering:
         Reuse an existing decomposition instead of computing one.
 

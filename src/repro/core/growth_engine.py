@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.core.clustering import Clustering, GrowthStepStats, IterationStats
 from repro.graph import kernels
+from repro.graph.traversal import dijkstra
 from repro.utils.rng import SeedLike, as_rng, random_subset_mask
 
 UNCOVERED = -1
@@ -162,30 +163,16 @@ class ShiftedStartTieBreak(TieBreakPolicy):
         return new_nodes, parents, None
 
 
-_NAMED_TIE_BREAKS = {
-    "arbitrary": ArbitraryTieBreak,
-    "min-weight": MinWeightTieBreak,
-}
-
-
-def _as_tie_break(policy, graph) -> TieBreakPolicy:
-    weighted_graph = getattr(graph, "weights", None) is not None
+def _as_tie_break(policy: Optional[TieBreakPolicy], graph) -> TieBreakPolicy:
     if policy is None:
-        return MinWeightTieBreak() if weighted_graph else ArbitraryTieBreak()
-    if isinstance(policy, str):
-        try:
-            policy = _NAMED_TIE_BREAKS[policy]()
-        except KeyError:
-            raise ValueError(
-                f"unknown tie-break policy {policy!r}; named policies: "
-                f"{sorted(_NAMED_TIE_BREAKS)}"
-            ) from None
-    if policy.weighted != weighted_graph:
+        return MinWeightTieBreak() if graph.is_weighted else ArbitraryTieBreak()
+    if not isinstance(policy, TieBreakPolicy):
+        raise TypeError(f"tie_break must be a TieBreakPolicy or None, got {policy!r}")
+    if policy.weighted != graph.is_weighted:
         raise ValueError(
             f"tie-break policy {policy.name!r} expects "
-            f"{'a weighted' if policy.weighted else 'an unweighted'} graph, got "
-            f"{type(graph).__name__} (use graph.unweighted() / "
-            "WeightedCSRGraph.from_unit_graph to convert)"
+            f"{'a weighted' if policy.weighted else 'an unweighted'} graph "
+            "(use graph.unweighted() or attach weights to convert)"
         )
     return policy
 
@@ -196,10 +183,9 @@ def _as_tie_break(policy, graph) -> TieBreakPolicy:
 class GrowthEngine:
     """Mutable state of a disjoint cluster-growing process.
 
-    Works on both :class:`~repro.graph.csr.CSRGraph` (hop metric) and
-    :class:`~repro.weighted.wgraph.WeightedCSRGraph` (hop + weighted metric);
-    the default tie-break policy is :class:`ArbitraryTieBreak` for the former
-    and :class:`MinWeightTieBreak` for the latter.
+    Works on unweighted graphs (hop metric) and weighted ones (hop + weighted
+    metric); the default tie-break policy is :class:`ArbitraryTieBreak` for
+    the former and :class:`MinWeightTieBreak` for the latter.
 
     Low-level usage (this is literally the inner loop of CLUSTER)::
 
@@ -221,7 +207,7 @@ class GrowthEngine:
         self,
         graph,
         *,
-        tie_break: "TieBreakPolicy | str | None" = None,
+        tie_break: Optional[TieBreakPolicy] = None,
     ) -> None:
         self.graph = graph
         self.tie_break = _as_tie_break(tie_break, graph)
@@ -495,7 +481,11 @@ class GrowthEngine:
     # Freezing
     # ------------------------------------------------------------------ #
     def to_clustering(self, algorithm: str = "cluster") -> Clustering:
-        """Freeze the growth state into a :class:`Clustering` (requires full coverage)."""
+        """Freeze the growth state into a :class:`Clustering` (requires full coverage).
+
+        A run with a weighted tie-break also records the weighted growth
+        distances.
+        """
         if self.num_covered != self.num_nodes:
             raise RuntimeError(
                 f"cannot freeze clustering: {self.num_uncovered} nodes are still uncovered"
@@ -509,28 +499,9 @@ class GrowthEngine:
             iterations=list(self.iterations),
             step_log=list(self.step_log),
             algorithm=algorithm,
-        )
-
-    def to_weighted_clustering(self, algorithm: str = "weighted-cluster"):
-        """Freeze a weighted run into a :class:`~repro.weighted.decomposition.WeightedClustering`."""
-        from repro.weighted.decomposition import WeightedClustering
-
-        if self.weighted_distance is None:
-            raise RuntimeError("engine was not run with a weighted tie-break policy")
-        if self.num_covered != self.num_nodes:
-            raise RuntimeError(f"{self.num_uncovered} nodes still uncovered")
-        return WeightedClustering(
-            num_nodes=self.num_nodes,
-            assignment=self.assignment.copy(),
-            centers=self.centers_array,
-            hop_distance=self.distance.copy(),
-            weighted_distance=np.where(
-                np.isfinite(self.weighted_distance), self.weighted_distance, 0.0
+            weighted_distance=(
+                None if self.weighted_distance is None else self.weighted_distance.copy()
             ),
-            growth_rounds=self.num_steps,
-            iterations=list(self.iterations),
-            step_log=list(self.step_log),
-            algorithm=algorithm,
         )
 
 
@@ -775,7 +746,7 @@ def multi_source_growth(
     graph,
     centers: Sequence[int],
     *,
-    tie_break: "TieBreakPolicy | str | None" = None,
+    tie_break: Optional[TieBreakPolicy] = None,
     promote_singletons: bool = False,
 ) -> GrowthEngine:
     """Grow disjoint clusters from ``centers`` until no step makes progress.
@@ -789,18 +760,30 @@ def multi_source_growth(
     return engine.run(StaticSchedule(centers, promote_singletons=promote_singletons))
 
 
+def _distances_from(graph, source: int) -> np.ndarray:
+    """Shortest-path distances from ``source`` (``inf`` where unreachable):
+    weighted on a weighted graph, else hops from a single-source growth."""
+    if graph.is_weighted:
+        return dijkstra(graph, source)
+    hops = multi_source_growth(graph, [source]).distance
+    return np.where(hops >= 0, hops, np.inf)
+
+
 def farthest_point_centers(
     graph,
     k: int,
     first_center: int,
 ) -> List[int]:
-    """Gonzalez's farthest-point traversal expressed as engine restarts.
+    """Gonzalez's farthest-point traversal.
 
-    Repeatedly adds the node farthest from the current center set; each
-    addition drives one single-source :func:`multi_source_growth` run and the
-    running distance arrays are merged.  Nodes unreachable from every center
-    (other components) take priority so every component gets a center as soon
-    as possible.  Returns the selected center list (size ``min(k, n)``).
+    Repeatedly adds the node farthest from the current center set: each
+    addition computes the new center's distances (a single-source
+    :func:`multi_source_growth` run in hops,
+    :func:`~repro.graph.traversal.dijkstra` on a weighted graph) and merges
+    them into the running minimum.  Nodes unreachable from every
+    center (other components) take priority so every component gets a center
+    as soon as possible.  Returns the selected center list (size
+    ``min(k, n)``).
     """
     n = graph.num_nodes
     if n == 0:
@@ -808,18 +791,10 @@ def farthest_point_centers(
     if k < 1:
         raise ValueError("k must be >= 1")
     centers = [int(first_center)]
-    distances = multi_source_growth(graph, centers).distance
+    distances = _distances_from(graph, centers[0])
     for _ in range(k - 1):
-        reachable = distances >= 0
-        if not np.any(reachable):
-            break
-        unreachable = np.flatnonzero(~reachable)
-        if unreachable.size:
-            next_center = int(unreachable[0])
-        else:
-            next_center = int(np.argmax(distances))
+        unreachable = np.flatnonzero(np.isinf(distances))
+        next_center = int(unreachable[0]) if unreachable.size else int(np.argmax(distances))
         centers.append(next_center)
-        new_dist = multi_source_growth(graph, [next_center]).distance
-        merge_mask = (distances < 0) | ((new_dist >= 0) & (new_dist < distances))
-        distances = np.where(merge_mask, new_dist, distances)
+        distances = np.minimum(distances, _distances_from(graph, next_center))
     return centers

@@ -1,7 +1,8 @@
 """Graph k-center approximation via CLUSTER (Section 3.1 / 3.2 of the paper).
 
-The (unit-weight, graph-metric) k-center problem asks for a set ``M`` of ``k``
-nodes minimizing ``max_v dist(v, M)``.  The paper's algorithm:
+The graph k-center problem asks for a set ``M`` of ``k`` nodes minimizing
+``max_v dist(v, M)`` — in hops, or in summed edge weights on a weighted graph
+(the paper's §7 outlook).  The paper's algorithm:
 
 1. run CLUSTER(τ) with ``τ = Θ(k / log² n)`` so that, with high probability,
    at most ``k`` clusters are returned (Theorem 2);
@@ -11,7 +12,7 @@ nodes minimizing ``max_v dist(v, M)``.  The paper's algorithm:
    into ``k`` groups, exactly as in the proof of Theorem 2;
 3. the returned centers are the cluster centers (one representative per
    merged group); the objective value is evaluated by a multi-source BFS from
-   the centers.
+   the centers (a multi-source Dijkstra on a weighted graph).
 
 Theorem 2: the result is an ``O(log³ n)``-approximation with high
 probability (for ``k = Ω(log² n)``).
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from repro.core.cluster import cluster
 from repro.core.clustering import Clustering
 from repro.core.growth_engine import multi_source_growth
 from repro.core.quotient import build_quotient_graph
+from repro.graph import kernels
 from repro.graph.components import num_connected_components
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike, as_rng
@@ -53,7 +55,8 @@ class KCenterResult:
         int64 array assigning every node to the index (into ``centers``) of
         its nearest center.
     distance:
-        int64 array of distances to the assigned (nearest) center.
+        Distances to the assigned (nearest) center: int64 hops, or float64
+        weighted distances on a weighted graph.
     radius:
         The objective value ``max_v dist(v, centers)``.
     algorithm:
@@ -63,7 +66,7 @@ class KCenterResult:
     centers: np.ndarray
     assignment: np.ndarray
     distance: np.ndarray
-    radius: int
+    radius: Union[int, float]
     algorithm: str = "cluster"
 
     @property
@@ -80,11 +83,24 @@ def evaluate_centers(graph: CSRGraph, centers: "np.ndarray | List[int]", algorit
     graphs whose component contains no center) make the radius infinite,
     reported as ``graph.num_nodes`` (a value larger than any finite
     eccentricity) to keep the arithmetic integral; they are assigned to the
-    first center.
+    first center.  On a weighted graph the distances come from one
+    multi-source :func:`~repro.graph.kernels.delta_stepping` run instead, and
+    an unreachable node makes the radius ``inf``.
     """
     center_array = np.unique(np.asarray(list(centers), dtype=np.int64))
     if center_array.size == 0:
         raise ValueError("at least one center is required")
+    if center_array[0] < 0 or center_array[-1] >= graph.num_nodes:
+        raise IndexError("center node id out of range")
+    if graph.is_weighted:
+        distances, owner = kernels.delta_stepping(graph.indptr, graph.indices, graph.weights, center_array)
+        return KCenterResult(
+            centers=center_array,
+            assignment=np.searchsorted(center_array, owner),  # unreachable (-1) -> 0
+            distance=distances,
+            radius=float(distances.max()),
+            algorithm=algorithm,
+        )
     engine = multi_source_growth(graph, center_array)
     distances = engine.distance.copy()
     unreachable = distances < 0
@@ -131,7 +147,7 @@ def merge_clusters_to_k(
         while queue:
             u = queue.pop()
             order.append(u)
-            for v in quotient.graph.neighbors(u):
+            for v in quotient.neighbors(u):
                 vi = int(v)
                 if not visited[vi]:
                     visited[vi] = True
@@ -191,8 +207,9 @@ def kcenter(
     Parameters
     ----------
     graph:
-        Unweighted undirected graph (need not be connected; ``k`` must be at
-        least the number of connected components for a finite radius).
+        Undirected graph, optionally weighted (need not be connected; ``k``
+        must be at least the number of connected components for a finite
+        radius).
     k:
         Number of centers.
     tau:

@@ -29,7 +29,7 @@ that runs it, and :func:`mr_estimate_diameter` is its functional front end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -41,10 +41,6 @@ from repro.mapreduce.engine import MREngine
 from repro.mapreduce.metrics import MRMetrics
 from repro.mapreduce.model import MRModel, rounds_for_primitive
 from repro.utils.rng import SeedLike
-
-if TYPE_CHECKING:  # avoid a runtime import cycle with repro.weighted
-    from repro.weighted.applications import WeightedDiameterEstimate
-    from repro.weighted.decomposition import WeightedClustering
 
 __all__ = [
     "MRExecutionReport",
@@ -71,8 +67,8 @@ class MRExecutionReport:
         Seconds under the configured :class:`CostModel`.
     """
 
-    estimate: "Optional[Union[DiameterEstimate, WeightedDiameterEstimate]]"
-    clustering: "Union[Clustering, WeightedClustering]"
+    estimate: Optional[DiameterEstimate]
+    clustering: Clustering
     metrics: MRMetrics
     simulated_time: float
 
@@ -85,15 +81,12 @@ class MRExecutionReport:
         return self.metrics.shuffled_pairs
 
 
-def charge_clustering_rounds(
-    engine: MREngine, clustering: "Union[Clustering, WeightedClustering]"
-) -> None:
+def charge_clustering_rounds(engine: MREngine, clustering: Clustering) -> None:
     """Replay a clustering execution trace as MR rounds on ``engine``.
 
     Works on any decomposition carrying the unified growth trace (``num_nodes``,
-    ``iterations``, ``step_log``) — both the unweighted :class:`Clustering` and
-    the weighted :class:`~repro.weighted.decomposition.WeightedClustering`
-    produced by the shared :class:`~repro.core.growth_engine.GrowthEngine`.
+    ``iterations``, ``step_log``) produced by the shared
+    :class:`~repro.core.growth_engine.GrowthEngine`, weighted or not.
     A weighted growing round is still a constant number of MR rounds: the
     min-weight tie-break replaces the arbitrary claim sort with a sort keyed
     by accumulated distance, which Lemma 3's sort/prefix-sum argument covers

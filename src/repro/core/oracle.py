@@ -24,10 +24,11 @@ serving plane directly on these arrays.
 Both matrices come from one :func:`~repro.core.quotient.build_quotient_graph`
 call: the upper matrix is the APSP of the weighted quotient, and the lower
 one that of the same CSR without weights.  Weighted graphs are served through
-the §7 weighted decomposition: the upper matrix holds genuine
-center-to-center path lengths (weighted growth distances plus edge weights)
-and the hop lower bound is scaled by the minimum edge weight (every cluster
-crossing costs at least one edge, hence at least ``w_min``).
+the §7 weighted decomposition (CLUSTER on the weighted graph): the upper
+matrix holds genuine center-to-center path lengths (weighted growth distances
+plus edge weights) and the hop lower bound is scaled by the minimum edge
+weight (every cluster crossing costs at least one edge, hence at least
+``w_min``).
 """
 
 from __future__ import annotations
@@ -40,15 +41,15 @@ import numpy as np
 
 from repro.core.cluster import cluster
 from repro.core.cluster2 import cluster2
-from repro.core.quotient import QuotientGraph, build_quotient_graph, quotient_apsp
+from repro.core.clustering import Clustering
+from repro.core.quotient import build_quotient_graph, quotient_apsp
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import check_node_index
+from repro.utils.validation import check_node_batch, check_node_index
 
 __all__ = [
     "DistanceOracle",
     "build_distance_oracle",
-    "check_node_batch",
     "default_oracle_tau",
 ]
 
@@ -63,30 +64,6 @@ def default_oracle_tau(num_nodes: int) -> int:
     return max(1, int(math.ceil(math.sqrt(n) / max(1.0, math.log2(max(2, n)) ** 2))))
 
 
-def check_node_batch(nodes, num_nodes: int, name: str = "nodes") -> np.ndarray:
-    """Validate a 1-d integer array of node ids, returning it as ``int64``.
-
-    Raises ``ValueError`` for non-1-d input, ``TypeError`` for non-integer
-    dtypes, and ``IndexError`` (naming the first offender, mirroring
-    :func:`repro.utils.validation.check_node_index`) for out-of-range ids.
-    """
-    array = np.asarray(nodes)
-    if array.ndim != 1:
-        raise ValueError(f"{name} must be a 1-d array of node ids, got shape {array.shape}")
-    if array.size == 0:
-        return array.astype(np.int64)
-    if not np.issubdtype(array.dtype, np.integer):
-        raise TypeError(f"{name} must be an integer array, got dtype {array.dtype}")
-    array = array.astype(np.int64, copy=False)
-    bad = (array < 0) | (array >= num_nodes)
-    if np.any(bad):
-        offender = int(array[np.argmax(bad)])
-        raise IndexError(
-            f"{name} {offender} out of range for graph with {num_nodes} nodes"
-        )
-    return array
-
-
 @dataclass
 class DistanceOracle:
     """Approximate distance oracle built on a clustering.
@@ -98,10 +75,8 @@ class DistanceOracle:
     Attributes
     ----------
     clustering:
-        The decomposition the oracle answers from — a
-        :class:`~repro.core.clustering.Clustering` (hop metric) or a
-        :class:`~repro.weighted.decomposition.WeightedClustering` (weighted
-        metric; detected by its ``weighted_distance`` array).
+        The decomposition the oracle answers from; a weighted one (with
+        ``weighted_distance``) makes the oracle bound weighted distances.
     upper_matrix / lower_matrix:
         ``k × k`` float64 APSP matrices of the weighted and unweighted
         quotient graphs (the weighted-metric oracle scales the hop lower
@@ -111,7 +86,7 @@ class DistanceOracle:
         hop metric, the minimum edge weight in the weighted metric.
     """
 
-    clustering: object
+    clustering: Clustering
     upper_matrix: np.ndarray
     lower_matrix: np.ndarray
     same_cluster_lower: float = 1.0
@@ -121,10 +96,9 @@ class DistanceOracle:
     center_distance: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.assignment = np.ascontiguousarray(self.clustering.assignment, dtype=np.int64)
-        distance = getattr(self.clustering, "weighted_distance", None)
-        if distance is None:
-            distance = self.clustering.distance
+        clustering = self.clustering
+        self.assignment = np.ascontiguousarray(clustering.assignment, dtype=np.int64)
+        distance = clustering.weighted_distance if clustering.is_weighted else clustering.distance
         self.center_distance = np.ascontiguousarray(distance, dtype=np.float64)
 
     @property
@@ -138,7 +112,7 @@ class DistanceOracle:
     @property
     def is_weighted(self) -> bool:
         """Whether the oracle bounds weighted (rather than hop) distances."""
-        return getattr(self.clustering, "weighted_distance", None) is not None
+        return self.clustering.is_weighted
 
     @property
     def space_entries(self) -> int:
@@ -228,13 +202,13 @@ def build_distance_oracle(
         Use CLUSTER2 (the variant with the Theorem 3 path-intersection
         guarantee); CLUSTER alone still yields valid bounds, just without the
         polylog approximation guarantee.  Ignored for weighted graphs (which
-        use the §7 weighted decomposition) and when ``clustering`` is given.
+        use CLUSTER, the §7 weighted decomposition) and when ``clustering``
+        is given.
     clustering:
         A precomputed decomposition to build on (e.g. from
         :meth:`repro.core.pipeline.DecompositionPipeline.decompose`), instead
-        of re-running the decomposition here: weighted graphs require a
-        :class:`~repro.weighted.decomposition.WeightedClustering`, unweighted
-        graphs a plain :class:`~repro.core.clustering.Clustering`.
+        of re-running the decomposition here; it must be weighted exactly
+        when the graph is.
     """
     n = graph.num_nodes
     if n == 0:
@@ -243,28 +217,23 @@ def build_distance_oracle(
     if clustering is not None:
         if clustering.num_nodes != n:
             raise ValueError("graph and clustering refer to different node sets")
-        clustering_weighted = getattr(clustering, "weighted_distance", None) is not None
-        if clustering_weighted != weighted:
+        if clustering.is_weighted != weighted:
             raise ValueError(
                 "graph/clustering metric mismatch: a weighted graph needs a "
-                "WeightedClustering and an unweighted graph a plain Clustering"
+                "weighted clustering and an unweighted graph an unweighted one"
             )
     else:
         rng = as_rng(seed)
         if tau is None:
             tau = default_oracle_tau(n)
-        if weighted:
-            from repro.weighted.decomposition import weighted_cluster
-
-            clustering = weighted_cluster(graph, tau, seed=rng)
-        elif use_cluster2:
+        if use_cluster2 and not weighted:
             clustering = cluster2(graph, tau, seed=rng).clustering
         else:
             clustering = cluster(graph, tau, seed=rng)
     # One build: the hop quotient is the weighted one's CSR without weights.
     upper_quotient = build_quotient_graph(graph, clustering, weighted=True)
     upper = quotient_apsp(upper_quotient)
-    lower = quotient_apsp(QuotientGraph(graph=upper_quotient.graph))
+    lower = quotient_apsp(upper_quotient.unweighted())
     # Every cluster crossing costs at least one edge, so the hop lower bound
     # transfers to the weighted metric scaled by w_min.
     scale = float(graph.weights.min()) if weighted and graph.weights.size else 1.0

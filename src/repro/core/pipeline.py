@@ -9,7 +9,8 @@ serving workload — runs the same three-stage chain:
    :attr:`PipelineConfig.method`),
 2. build the **quotient** graph of the decomposition once (the weighted
    flavour; the unweighted one is its CSR without weights), and
-3. compute the **diameter bounds** ``∆_C ≤ ∆ ≤ ∆''`` of Section 4.
+3. compute the **diameter bounds** ``∆_C ≤ ∆ ≤ ∆''`` of Section 4 — or, on a
+   weighted graph, the §7 weighted bounds.
 
 :class:`DecompositionPipeline` implements that chain once, with every
 intermediate result cached on the pipeline object so repeated or partial
@@ -33,9 +34,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.core.clustering import Clustering
-from repro.core.quotient import QuotientGraph, build_quotient_graph, quotient_diameter
+from repro.core.quotient import build_quotient_graph, quotient_diameter
 from repro.graph import kernels
+from repro.graph.csr import CSRGraph
 from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
 from repro.mapreduce.engine import MREngine
 from repro.mapreduce.model import MRModel
@@ -58,10 +62,10 @@ class PipelineConfig:
         version used in the paper's experiments), ``"cluster2"`` (Algorithm 2,
         full guarantees), ``"mpx"`` (the random-shift baseline),
         ``"single-batch"`` (all centers up front — the ablation strawman), or
-        ``"weighted"`` (the §7 hop-bounded weighted decomposition; the input
-        graph is coerced to a :class:`~repro.weighted.wgraph.WeightedCSRGraph`
-        — unweighted inputs are lifted with unit edge weights — and the
-        diameter stage reports weighted bounds).
+        ``"weighted"`` (CLUSTER on a weighted graph, i.e. the §7 hop-bounded
+        weighted decomposition; an unweighted input is lifted to unit edge
+        weights).  On a weighted graph every method grows with the min-weight
+        tie-break and the diameter stage reports weighted bounds.
     tau:
         Granularity parameter for cluster/cluster2 (default:
         :func:`repro.core.diameter.default_tau`).
@@ -204,16 +208,14 @@ class DecompositionPipeline:
         config = config if config is not None else PipelineConfig()
         if overrides:
             config = dataclasses.replace(config, **overrides)
-        if config.method == "weighted":
-            from repro.weighted.wgraph import as_weighted
-
-            graph = as_weighted(graph)
+        if config.method == "weighted" and not graph.is_weighted:
+            graph = CSRGraph(indptr=graph.indptr, indices=graph.indices, weights=np.ones(graph.indices.size))
         self.graph = graph
         self.config = config
         self.timings: Dict[str, float] = {}
         self.kernel_stats: Dict[str, Dict[str, int]] = {}
         self._clustering: Optional[Clustering] = clustering
-        self._quotients: Dict[bool, QuotientGraph] = {}
+        self._quotients: Dict[bool, CSRGraph] = {}
         self._quotient_diameters: Dict[bool, float] = {}
         self._estimate = None
 
@@ -235,18 +237,6 @@ class DecompositionPipeline:
 
         cfg = self.config
         rng = as_rng(cfg.seed)
-        if cfg.method == "weighted":
-            from repro.weighted.decomposition import (
-                weighted_cluster,
-                weighted_cluster_with_target_clusters,
-            )
-
-            if cfg.target_clusters is not None:
-                return weighted_cluster_with_target_clusters(
-                    self.graph, cfg.target_clusters, seed=rng
-                )
-            tau = cfg.tau if cfg.tau is not None else default_tau(self.graph)
-            return weighted_cluster(self.graph, tau, seed=rng)
         if cfg.method == "mpx":
             if cfg.target_clusters is not None:
                 return mpx_with_target_clusters(self.graph, cfg.target_clusters, seed=rng)
@@ -274,7 +264,7 @@ class DecompositionPipeline:
     # ------------------------------------------------------------------ #
     # Stage 2: quotient graph(s)
     # ------------------------------------------------------------------ #
-    def quotient(self, *, weighted: bool = True) -> QuotientGraph:
+    def quotient(self, *, weighted: bool = True) -> CSRGraph:
         """Build (or return the cached) quotient graph of the decomposition.
 
         Both flavours come from one :func:`~repro.core.quotient.build_quotient_graph`
@@ -288,13 +278,8 @@ class DecompositionPipeline:
             clustering = self.decompose()
             with _StageScope(self, f"quotient[{'weighted' if weighted else 'unweighted'}]"):
                 full = build_quotient_graph(self.graph, clustering, weighted=True)
-            self._quotients = {True: full, False: QuotientGraph(graph=full.graph)}
+            self._quotients = {True: full, False: full.unweighted()}
         return self._quotients[weighted]
-
-    @staticmethod
-    def _is_weighted_run(clustering) -> bool:
-        """Whether the decomposition carries weighted growth distances."""
-        return getattr(clustering, "weighted_distance", None) is not None
 
     def quotient_diameter(self, *, weighted: bool = True) -> float:
         """Diameter of the (cached) quotient graph.
@@ -315,17 +300,16 @@ class DecompositionPipeline:
     def diameter(self):
         """Compute (or return the cached) diameter estimate.
 
-        Unweighted decompositions report the Section 4 bounds
-        (:class:`~repro.core.diameter.DiameterEstimate`); weighted
-        decompositions report the §7 weighted bounds
-        (:class:`~repro.weighted.applications.WeightedDiameterEstimate`:
-        weighted double-sweep lower bound, ``2·R_w + ∆'_C`` upper bound).
+        Unweighted decompositions report the Section 4 bounds; weighted
+        decompositions report the §7 weighted bounds (weighted double-sweep
+        lower bound, ``2·R_w + ∆'_C`` upper bound).  Both come back as a
+        :class:`~repro.core.diameter.DiameterEstimate`.
         """
         from repro.core.diameter import DiameterEstimate, diameter_upper_bounds
 
         if self._estimate is None:
             clustering = self.decompose()
-            if self._is_weighted_run(clustering):
+            if clustering.is_weighted:
                 self._estimate = self._weighted_diameter(clustering)
                 return self._estimate
             radius = clustering.max_radius
@@ -357,24 +341,24 @@ class DecompositionPipeline:
 
     def _weighted_diameter(self, clustering):
         """Assemble the §7 weighted diameter bounds from the cached stages."""
-        from repro.weighted.applications import WeightedDiameterEstimate
-        from repro.weighted.traversal import weighted_double_sweep
+        from repro.core.diameter import DiameterEstimate
+        from repro.graph.traversal import double_sweep
 
         quotient = self.quotient(weighted=True)
         quotient_diam = self.quotient_diameter(weighted=True)
         with _StageScope(self, "diameter"):
-            lower, _, _ = weighted_double_sweep(self.graph, rng=as_rng(self.config.seed))
+            lower, _, _ = double_sweep(self.graph, rng=as_rng(self.config.seed))
             upper = 2.0 * clustering.weighted_radius + quotient_diam
-            estimate = WeightedDiameterEstimate(
-                lower_bound=float(lower),
-                upper_bound=float(upper),
-                weighted_radius=clustering.weighted_radius,
-                hop_radius=clustering.hop_radius,
+            return DiameterEstimate(
+                lower_bound=lower,
+                upper_bound=upper,
+                upper_bound_unweighted=None,
+                upper_bound_weighted=upper,
+                radius=clustering.weighted_radius,
                 num_clusters=clustering.num_clusters,
-                clustering=clustering,
                 num_quotient_edges=quotient.num_edges,
+                clustering=clustering,
             )
-        return estimate
 
     # ------------------------------------------------------------------ #
     # MR accounting over the cached stages

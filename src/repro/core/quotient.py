@@ -14,13 +14,14 @@ two variants:
   ``min over crossing edges (a, b) of dist(a, center_A) + 1 + dist(b,
   center_B)``), yielding the tighter upper bound ``∆'' = 2·R_ALG2 + ∆'_C``.
 
-Both variants share one CSR: the unweighted one is the weighted one without
-its ``weights``, so a caller that needs both builds once.
+Both variants are plain :class:`~repro.graph.csr.CSRGraph` objects over the
+clusters and share one CSR: the unweighted one is the weighted one without
+its ``weights`` (:meth:`~repro.graph.csr.CSRGraph.unweighted`), so a caller
+that needs both builds once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,7 +32,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.diameter_exact import bounded_diameter
 
 __all__ = [
-    "QuotientGraph",
     "build_quotient_graph",
     "quotient_apsp",
     "quotient_diameter",
@@ -40,45 +40,6 @@ __all__ = [
 #: Arcs per CSR row block in :func:`build_quotient_graph`; bounds the block's
 #: temporaries (a few arrays of this length) on graphs of any size.
 _BLOCK_ARCS = 1 << 22
-
-
-@dataclass(frozen=True)
-class QuotientGraph:
-    """Quotient graph of a clustering, with optional per-arc weights.
-
-    Attributes
-    ----------
-    graph:
-        Cluster-level :class:`CSRGraph` (one node per cluster).
-    weights:
-        ``float64`` array aligned with ``graph.indices`` giving the weight of
-        every stored arc, or ``None`` for the unweighted variant.
-    """
-
-    graph: CSRGraph
-    weights: Optional[np.ndarray] = None
-
-    @property
-    def num_nodes(self) -> int:
-        return self.graph.num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        return self.graph.num_edges
-
-    @property
-    def is_weighted(self) -> bool:
-        return self.weights is not None
-
-    def arc_weight(self, u: int, v: int) -> float:
-        """Weight of arc ``(u, v)`` (1.0 for unweighted quotient graphs)."""
-        row = self.graph.indices[self.graph.indptr[u] : self.graph.indptr[u + 1]]
-        pos = np.searchsorted(row, v)
-        if pos >= row.size or row[pos] != v:
-            raise KeyError(f"no quotient edge between clusters {u} and {v}")
-        if self.weights is None:
-            return 1.0
-        return float(self.weights[self.graph.indptr[u] + pos])
 
 
 def _min_per_key(keys: np.ndarray, lengths: Optional[np.ndarray]):
@@ -102,14 +63,15 @@ def _min_per_key(keys: np.ndarray, lengths: Optional[np.ndarray]):
     return keys[heads], np.minimum.reduceat(lengths[order], heads)
 
 
-def build_quotient_graph(graph: CSRGraph, clustering: Clustering, *, weighted: bool = False) -> QuotientGraph:
+def build_quotient_graph(graph: CSRGraph, clustering: Clustering, *, weighted: bool = False) -> CSRGraph:
     """Construct the (optionally weighted) quotient graph of ``clustering``.
 
-    The weight of the quotient edge ``{A, B}`` is ``min over G-edges (a, b)
-    with a ∈ A, b ∈ B of dist(a, center_A) + 1 + dist(b, center_B)`` over
-    the growth distances the clustering recorded (the exact quantity a
-    distributed implementation has available); for a
-    :class:`~repro.weighted.decomposition.WeightedClustering` it is
+    Returns a :class:`~repro.graph.csr.CSRGraph` with one node per cluster,
+    carrying per-arc ``weights`` when ``weighted``.  The weight of the
+    quotient edge ``{A, B}`` is ``min over G-edges (a, b) with a ∈ A, b ∈ B
+    of dist(a, center_A) + 1 + dist(b, center_B)`` over the growth distances
+    the clustering recorded (the exact quantity a distributed implementation
+    has available); for a weighted clustering it is
     ``wdist(a) + w(a, b) + wdist(b)``, a genuine path length.
 
     The CSR is read in row blocks of at most ``_BLOCK_ARCS`` arcs, so an
@@ -121,7 +83,7 @@ def build_quotient_graph(graph: CSRGraph, clustering: Clustering, *, weighted: b
         raise ValueError("graph and clustering refer to different node sets")
     k = clustering.num_clusters
     assignment = clustering.assignment
-    weighted_distance = getattr(clustering, "weighted_distance", None)
+    weighted_distance = clustering.weighted_distance
     if weighted and weighted_distance is not None and graph.weights is None:
         raise ValueError("a weighted clustering's quotient needs the weighted graph it was grown on")
     indptr = graph.indptr
@@ -163,14 +125,11 @@ def build_quotient_graph(graph: CSRGraph, clustering: Clustering, *, weighted: b
     order = np.argsort(src * np.int64(k) + dst)
     q_indptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=k), out=q_indptr[1:])
-    q_graph = CSRGraph(indptr=q_indptr, indices=dst[order])
-    if not weighted:
-        return QuotientGraph(graph=q_graph)
-    weights = np.concatenate((lengths, lengths))[order].astype(np.float64)
-    return QuotientGraph(graph=q_graph, weights=weights)
+    weights = np.concatenate((lengths, lengths))[order].astype(np.float64) if weighted else None
+    return CSRGraph(indptr=q_indptr, indices=dst[order], weights=weights)
 
 
-def quotient_apsp(quotient: QuotientGraph) -> np.ndarray:
+def quotient_apsp(quotient: CSRGraph) -> np.ndarray:
     """All-pairs shortest-path matrix of a (small) quotient graph.
 
     The distance oracle's data structure, filled by
@@ -186,19 +145,18 @@ def quotient_apsp(quotient: QuotientGraph) -> np.ndarray:
     orders.
     """
     n = quotient.num_nodes
-    graph = quotient.graph
     weights = quotient.weights
-    tile = kernels.MSBFS_TILE if weights is None else kernels.row_tile(graph.indices.size)
+    tile = kernels.MSBFS_TILE if weights is None else kernels.row_tile(quotient.indices.size)
     matrix = np.empty((n, n), dtype=np.float64)
     for lo in range(0, n, tile):
         sources = np.arange(lo, min(lo + tile, n), dtype=np.int64)
         matrix[lo : lo + sources.size] = kernels.distance_rows(
-            graph.indptr, graph.indices, weights, sources, degrees=graph.degrees
+            quotient.indptr, quotient.indices, weights, sources, degrees=quotient.degrees
         )
     return matrix
 
 
-def quotient_diameter(quotient: QuotientGraph) -> float:
+def quotient_diameter(quotient: CSRGraph) -> float:
     """Exact diameter of a (connected) quotient graph.
 
     The "one round, single reducer" computation of Theorem 4, by
@@ -216,6 +174,5 @@ def quotient_diameter(quotient: QuotientGraph) -> float:
     """
     if quotient.num_nodes == 0:
         raise ValueError("quotient graph is empty")
-    graph = quotient.graph
-    diameter, _ = bounded_diameter(graph.indptr, graph.indices, quotient.weights, degrees=graph.degrees)
+    diameter, _ = bounded_diameter(quotient.indptr, quotient.indices, quotient.weights, degrees=quotient.degrees)
     return diameter

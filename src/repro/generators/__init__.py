@@ -1,7 +1,7 @@
 """Synthetic graph generators used as stand-ins for the paper's datasets.
 
-Every generator accepts ``weights="uniform" | "degree"`` to emit a
-:class:`~repro.weighted.wgraph.WeightedCSRGraph` directly in CSR arrays (see
+Every generator accepts ``weights="uniform" | "degree"`` to emit a weighted
+:class:`~repro.graph.csr.CSRGraph` directly in CSR arrays (see
 :func:`attach_weights`), so weighted experiments never hand-build edge lists.
 """
 

@@ -1,10 +1,10 @@
 """Seeded edge-weight attachment for the synthetic generators.
 
 Weighted experiments should not have to hand-build edge lists: every
-generator accepts a ``weights=`` option and emits a
-:class:`~repro.weighted.wgraph.WeightedCSRGraph` *directly in CSR arrays* —
-one weight is drawn per undirected edge and mirrored onto both stored arcs,
-without a round-trip through an edge list.
+generator accepts a ``weights=`` option and emits a weighted
+:class:`~repro.graph.csr.CSRGraph` *directly in CSR arrays* — one weight is
+drawn per undirected edge and mirrored onto both stored arcs, without a
+round-trip through an edge list.
 
 Two weight models are provided:
 
@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike, as_rng
-from repro.weighted.wgraph import WeightedCSRGraph
 
 __all__ = ["WEIGHT_KINDS", "attach_weights", "maybe_attach_weights"]
 
@@ -38,7 +37,7 @@ def attach_weights(
     low: float = 1.0,
     high: float = 10.0,
     seed: SeedLike = None,
-) -> WeightedCSRGraph:
+) -> CSRGraph:
     """Attach seeded edge weights to ``graph`` directly in CSR arrays.
 
     One weight is drawn per undirected edge (in canonical ``u < v`` key order,
@@ -53,11 +52,7 @@ def attach_weights(
     rng = as_rng(seed)
     n = graph.num_nodes
     if graph.indices.size == 0:
-        return WeightedCSRGraph(
-            indptr=graph.indptr,
-            indices=graph.indices,
-            weights=np.zeros(0, dtype=np.float64),
-        )
+        return CSRGraph(indptr=graph.indptr, indices=graph.indices, weights=np.zeros(0))
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
     dst = graph.indices
     keys = np.minimum(src, dst) * np.int64(n) + np.maximum(src, dst)
@@ -69,7 +64,7 @@ def attach_weights(
         v = unique_keys % n
         factor = np.sqrt(degrees[u] * degrees[v])
         per_edge = per_edge * (factor / factor.mean())
-    return WeightedCSRGraph(indptr=graph.indptr, indices=graph.indices, weights=per_edge[inverse])
+    return CSRGraph(indptr=graph.indptr, indices=graph.indices, weights=per_edge[inverse])
 
 
 def maybe_attach_weights(

@@ -34,6 +34,7 @@ from repro.graph.traversal import (
     BFSResult,
     bfs_distances,
     bfs_levels,
+    dijkstra,
     double_sweep,
     eccentricity,
     multi_source_bfs,
@@ -72,6 +73,7 @@ __all__ = [
     "BFSResult",
     "bfs_distances",
     "bfs_levels",
+    "dijkstra",
     "double_sweep",
     "eccentricity",
     "multi_source_bfs",

@@ -70,15 +70,6 @@ def relabel_compact(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return inverse.reshape(-1, 2).astype(np.int64), original_ids
 
 
-def _build(edges: np.ndarray, num_nodes: int, weights: Optional[np.ndarray]) -> CSRGraph:
-    """Construct the right substrate class for the (possibly weighted) edges."""
-    if weights is None:
-        return CSRGraph.from_edges(edges, num_nodes=num_nodes)
-    from repro.weighted.wgraph import WeightedCSRGraph
-
-    return WeightedCSRGraph.from_edges(edges, num_nodes=num_nodes, weights=weights)
-
-
 def add_path(
     graph: CSRGraph, length: int, attach_to: int, *, edge_weight: float = 1.0
 ) -> CSRGraph:
@@ -105,7 +96,7 @@ def add_path(
     weights = None
     if base_weights is not None:
         weights = np.concatenate([base_weights, np.full(length, float(edge_weight))])
-    return _build(edges, n + length, weights)
+    return CSRGraph.from_edges(edges, num_nodes=n + length, weights=weights)
 
 
 def disjoint_union(graphs: Sequence[CSRGraph]) -> CSRGraph:
@@ -119,8 +110,8 @@ def disjoint_union(graphs: Sequence[CSRGraph]) -> CSRGraph:
     weighted_flags = [g.weights is not None for g in graphs]
     if any(weighted_flags) and not all(weighted_flags):
         raise ValueError(
-            "cannot union weighted and unweighted graphs; lift the unweighted "
-            "inputs with WeightedCSRGraph.from_unit_graph first"
+            "cannot union weighted and unweighted graphs; give the unweighted "
+            "inputs weights first (repro.generators.attach_weights)"
         )
     offset = 0
     all_edges = []
@@ -139,7 +130,7 @@ def disjoint_union(graphs: Sequence[CSRGraph]) -> CSRGraph:
     weights = np.concatenate(all_weights) if all_weights else None
     if all(weighted_flags) and weights is None:
         weights = np.zeros(0, dtype=np.float64)
-    return _build(edges, offset, weights)
+    return CSRGraph.from_edges(edges, num_nodes=offset, weights=weights)
 
 
 def connect_graphs(
@@ -174,4 +165,4 @@ def connect_graphs(
         weights = np.concatenate(
             [union_weights, np.full(bridge_edges.shape[0], float(bridge_weight))]
         )
-    return _build(edges, union.num_nodes, weights)
+    return CSRGraph.from_edges(edges, num_nodes=union.num_nodes, weights=weights)

@@ -5,13 +5,12 @@ The whole library operates on undirected graphs stored in CSR
 vectorized NumPy frontier expansion and the closest analogue to the
 edge-partitioned representation a MapReduce/Spark implementation would use.
 
-:class:`CSRGraph` is the one substrate: ``indptr``/``indices`` plus an
-*optional* aligned ``weights`` array.  The weighted stack
-(:class:`~repro.weighted.wgraph.WeightedCSRGraph`) is a thin subclass that
-makes the weights mandatory and adds weight-flavoured accessors; construction,
-validation (including the per-node sorted-``indices`` invariant that the
-binary-search lookups rely on, with weights permuted alongside), self-loop
-removal, duplicate folding (min weight wins), and IO are all shared here.
+:class:`CSRGraph` is the one graph type: ``indptr``/``indices`` plus an
+*optional* aligned ``weights`` array, whose presence alone selects the metric
+(hops or summed edge weights) for every algorithm in the library.
+Construction, validation (including the per-node sorted-``indices`` invariant
+that the binary-search lookups rely on, with weights permuted alongside),
+self-loop removal, duplicate folding (min weight wins), and IO live here.
 
 Nodes are integers ``0 .. n-1``.  Edges are stored twice (once per endpoint),
 self-loops and parallel edges are removed at construction time.
@@ -204,17 +203,7 @@ class CSRGraph:
         """Graph with ``num_nodes`` isolated nodes and no edges."""
         if num_nodes < 0:
             raise ValueError("num_nodes must be non-negative")
-        weights = np.zeros(0, dtype=np.float64) if cls._weights_required() else None
-        return cls(
-            indptr=np.zeros(num_nodes + 1, dtype=np.int64),
-            indices=np.zeros(0, dtype=np.int64),
-            weights=weights,
-        )
-
-    @classmethod
-    def _weights_required(cls) -> bool:
-        """Whether this class mandates a weights array (overridden weighted)."""
-        return False
+        return cls(indptr=np.zeros(num_nodes + 1, dtype=np.int64), indices=np.zeros(0, dtype=np.int64))
 
     # ------------------------------------------------------------------ #
     # Snapshot IO (out-of-core storage surface)
@@ -225,10 +214,8 @@ class CSRGraph:
 
         With ``mmap=True`` (default) the CSR arrays are read-only
         ``np.memmap`` views and the graph reports ``mode == "mmap"``; with
-        ``mmap=False`` they are materialized in RAM.  The returned class
-        matches the file contents (weighted snapshots yield
-        :class:`~repro.weighted.wgraph.WeightedCSRGraph`), independent of the
-        class this is called on.
+        ``mmap=False`` they are materialized in RAM.  Weighted snapshots
+        come back with their ``weights`` array.
         """
         from repro.graph.snapshot import load_snapshot
 
@@ -253,7 +240,7 @@ class CSRGraph:
 
     def materialize(self) -> "CSRGraph":
         """An in-memory copy of this graph (no-op copy for in-memory graphs)."""
-        return type(self)(
+        return CSRGraph(
             indptr=np.array(self.indptr, dtype=np.int64),
             indices=np.array(self.indices, dtype=np.int64),
             weights=None if self.weights is None else np.array(self.weights, dtype=np.float64),
@@ -322,13 +309,27 @@ class CSRGraph:
         pos = np.searchsorted(row, vi)
         return bool(pos < row.size and row[pos] == vi)
 
+    def edge_weight(self, u: int, v: int) -> float:
+        """Weight of the undirected edge ``{u, v}`` (1.0 on an unweighted graph).
+
+        Raises ``IndexError`` naming an out-of-range id and ``KeyError`` when
+        the edge is absent.
+        """
+        ui = check_node_index(u, self.num_nodes, "u")
+        vi = check_node_index(v, self.num_nodes, "v")
+        row = self.indices[self.indptr[ui] : self.indptr[ui + 1]]
+        pos = int(np.searchsorted(row, vi))
+        if pos >= row.size or row[pos] != vi:
+            raise KeyError(f"no edge between {u} and {v}")
+        return 1.0 if self.weights is None else float(self.weights[self.indptr[ui] + pos])
+
     def edge_list(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """``(edge_array, weights_or_None)`` with each undirected edge once (``u < v``).
+        """``(edges, weights_or_None)`` with each undirected edge once (``u < v``).
 
         The single place where per-arc storage is folded back to one row per
-        undirected edge with the weight column aligned: IO, the composition
-        builders, and the weighted ``edges()`` accessor all delegate here so
-        the edge/weight alignment cannot drift between them.
+        undirected edge with the weight column aligned: IO and the composition
+        builders delegate here so the edge/weight alignment cannot drift
+        between them.
         """
         src = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
         mask = src < self.indices
@@ -336,18 +337,9 @@ class CSRGraph:
         weights = None if self.weights is None else self.weights[mask]
         return edges, weights
 
-    def edge_array(self) -> np.ndarray:
-        """``(m, 2)`` array of undirected edges with ``u < v``.
-
-        Unlike :meth:`edges` (whose return type the weighted subclass extends
-        with the weight column) this accessor is shape-stable across the whole
-        substrate, which is what the quotient/decomposition layers consume.
-        """
-        return self.edge_list()[0]
-
     def edges(self) -> np.ndarray:
         """Return an ``(m, 2)`` array of undirected edges with ``u < v``."""
-        return self.edge_array()
+        return self.edge_list()[0]
 
     def neighbor_blocks(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized neighbour gather for a batch of ``nodes``.
@@ -362,8 +354,8 @@ class CSRGraph:
         return sources, targets
 
     def unweighted(self) -> "CSRGraph":
-        """The hop-metric skeleton of the graph (weights dropped)."""
-        return CSRGraph(indptr=self.indptr.copy(), indices=self.indices.copy())
+        """The hop-metric skeleton of the graph (weights dropped, CSR arrays shared)."""
+        return CSRGraph(indptr=self.indptr, indices=self.indices)
 
     # ------------------------------------------------------------------ #
     # Transformations
@@ -383,10 +375,7 @@ class CSRGraph:
         mask = new_id[dst] >= 0
         edges = np.stack([new_id[src[mask]], new_id[dst[mask]]], axis=1)
         sub_weights = None if self.weights is None else self.weights[pos[mask]]
-        return (
-            type(self).from_edges(edges, num_nodes=keep.size, weights=sub_weights),
-            keep,
-        )
+        return CSRGraph.from_edges(edges, num_nodes=keep.size, weights=sub_weights), keep
 
     # ------------------------------------------------------------------ #
     # Dunder helpers

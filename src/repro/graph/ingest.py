@@ -371,13 +371,7 @@ def from_edge_chunks(
             path = writer.finalize()
             writer = None
             return load_snapshot(path, mmap=mmap)
-        if weighted:
-            from repro.weighted.wgraph import WeightedCSRGraph
-
-            return WeightedCSRGraph(
-                indptr=indptr_out, indices=indices_out, weights=weights_out
-            )
-        return CSRGraph(indptr=indptr_out, indices=indices_out)
+        return CSRGraph(indptr=indptr_out, indices=indices_out, weights=weights_out)
     finally:
         if writer is not None:
             writer.abort()
@@ -437,8 +431,7 @@ def largest_component_snapshot(
     """
     labels = kernels.component_labels(graph.indptr, graph.indices)
     if labels.size == 0:
-        empty = type(graph).empty(0)
-        empty.save(path)
+        graph.save(path)  # the empty graph, weighted or not
         return load_snapshot(path, mmap=mmap), np.zeros(0, dtype=np.int64)
     sizes = np.bincount(labels)
     keep = labels == int(np.argmax(sizes))

@@ -4,7 +4,7 @@ Supports the plain whitespace-separated edge-list format used by the SNAP
 datasets the paper evaluates on (``# comment`` lines, one ``u v`` pair per
 line, an optional weight column).  It round-trips the optional ``weights``
 array of the unified :class:`~repro.graph.csr.CSRGraph` core, so the
-weighted and unweighted stacks share one IO path; binary caching uses the
+weighted and unweighted graphs share one IO path; binary caching uses the
 snapshot format of :mod:`repro.graph.snapshot` (``CSRGraph.save`` / ``load``).
 
 Parsing is streaming at its core: :func:`iter_edge_list_chunks` reads a file
@@ -245,9 +245,8 @@ def load_edge_list(
     -------
     (graph, original_ids):
         ``original_ids[i]`` is the id in the file of node ``i``; when
-        ``relabel=False`` it is simply ``arange(n)``.  Weighted loads return
-        a :class:`~repro.weighted.wgraph.WeightedCSRGraph` (duplicate
-        undirected edges keep the minimum weight).
+        ``relabel=False`` it is simply ``arange(n)``.  Weighted loads carry
+        ``weights`` (duplicate undirected edges keep the minimum weight).
     """
     state = _ParseState()
     edge_chunks: list = []
@@ -296,12 +295,7 @@ def load_edge_list(
     else:
         explicit_nodes = num_nodes
         original_ids = None
-    if weights is None:
-        graph = CSRGraph.from_edges(edges, num_nodes=explicit_nodes)
-    else:
-        from repro.weighted.wgraph import WeightedCSRGraph
-
-        graph = WeightedCSRGraph.from_edges(edges, num_nodes=explicit_nodes, weights=weights)
+    graph = CSRGraph.from_edges(edges, num_nodes=explicit_nodes, weights=weights)
     if original_ids is None:
         original_ids = np.arange(graph.num_nodes, dtype=np.int64)
     return graph, original_ids

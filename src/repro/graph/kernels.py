@@ -6,9 +6,8 @@ same handful of array operations: gather the adjacency blocks of a frontier,
 resolve one claim per contested target, and iterate level-synchronously.
 This module implements those operations exactly once, on raw ``indptr`` /
 ``indices`` (/ ``weights``) arrays so that :class:`~repro.graph.csr.CSRGraph`,
-the weighted subclass, the :class:`~repro.core.growth_engine.GrowthEngine`
-policies, and the quotient graph machinery can all share them without import
-cycles.  Each job has one implementation here; the frozen references they are
+the :class:`~repro.core.growth_engine.GrowthEngine` policies, and the
+quotient graph machinery can all share them without import cycles.  Each job has one implementation here; the frozen references they are
 pinned against (sorted claims, one BFS per source) live with the tests.
 
 Kernel families

@@ -371,7 +371,7 @@ def load_snapshot(path: PathLike, *, mmap: bool = True, verify=False):
     construction-time invariant scan, and the returned graph reports
     ``mode == "mmap"``.  With ``mmap=False`` the arrays are materialized in
     memory (bit-identical, ``mode == "in_memory"``).  Weighted snapshots come
-    back as :class:`~repro.weighted.wgraph.WeightedCSRGraph`.
+    back with their ``weights`` array.
 
     ``verify`` controls payload integrity checking against the v2 checksum
     trailer (one full sequential read of the payloads before the graph is
@@ -410,12 +410,7 @@ def load_snapshot(path: PathLike, *, mmap: bool = True, verify=False):
             with open(path, "rb") as handle:
                 handle.seek(base + spec["offset"])
                 arrays[name] = np.fromfile(handle, dtype=dtype, count=count).reshape(shape)
-    if header["weighted"]:
-        from repro.weighted.wgraph import WeightedCSRGraph
-
-        return WeightedCSRGraph(
-            indptr=arrays["indptr"], indices=arrays["indices"], weights=arrays["weights"]
-        )
     from repro.graph.csr import CSRGraph
 
-    return CSRGraph(indptr=arrays["indptr"], indices=arrays["indices"])
+    weights = arrays["weights"] if header["weighted"] else None
+    return CSRGraph(indptr=arrays["indptr"], indices=arrays["indices"], weights=weights)

@@ -1,11 +1,12 @@
-"""Breadth-first traversals.
+"""Graph traversals: breadth-first search and Dijkstra.
 
-Every traversal in the library is *level-synchronous* and vectorized: a
-frontier (array of node ids) is expanded one hop at a time with the shared
-:func:`repro.graph.kernels.frontier_expansion` kernel.  This matches both the
+Every traversal in the library is vectorized over whole frontiers: BFS
+expands a frontier (array of node ids) one hop at a time with the shared
+:func:`repro.graph.kernels.frontier_expansion` kernel, which matches both the
 way the paper's algorithms are specified (cluster-growing steps) and the way
-they would be executed as MapReduce rounds, and it keeps the hot loops inside
-NumPy.  This module is the thin graph-object API over those kernels.
+they would be executed as MapReduce rounds; weighted distances come from the
+bucketed :func:`repro.graph.kernels.delta_stepping` relaxation.  This module
+is the thin graph-object API over those kernels.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "UNREACHED",
     "bfs_distances",
     "bfs_levels",
+    "dijkstra",
     "multi_source_bfs",
     "eccentricity",
     "double_sweep",
@@ -95,6 +97,14 @@ def bfs_levels(graph: CSRGraph, source: int) -> Tuple[np.ndarray, int]:
     return result.distances, result.num_levels
 
 
+def dijkstra(graph: CSRGraph, source: int) -> np.ndarray:
+    """Shortest-path distances from ``source`` in a weighted graph; ``inf`` for unreachable."""
+    src = check_node_index(source, graph.num_nodes, "source")
+    return kernels.delta_stepping(
+        graph.indptr, graph.indices, graph.weights, np.asarray([src], dtype=np.int64)
+    )[0]
+
+
 def eccentricity(graph: CSRGraph, source: int) -> int:
     """Eccentricity of ``source`` within its connected component."""
     src = check_node_index(source, graph.num_nodes, "source")
@@ -108,28 +118,34 @@ def eccentricity(graph: CSRGraph, source: int) -> int:
     )
 
 
-def double_sweep(graph: CSRGraph, start: Optional[int] = None, *, rng=None) -> Tuple[int, int, int]:
-    """Double-sweep lower bound on the diameter.
+def _farthest(graph: CSRGraph, source: int):
+    """The node farthest from ``source`` within its component, and its distance."""
+    if graph.is_weighted:
+        distances = dijkstra(graph, source)
+        reached = np.flatnonzero(np.isfinite(distances))
+    else:
+        distances = bfs_distances(graph, source)
+        reached = np.flatnonzero(distances >= 0)
+    farthest = int(reached[np.argmax(distances[reached])])
+    return farthest, distances[farthest]
 
-    BFS from ``start`` (or a random node), then BFS again from the farthest
-    node found.  Returns ``(lower_bound, endpoint_a, endpoint_b)``; the lower
-    bound equals the eccentricity of ``endpoint_a`` and is frequently tight on
-    real-world graphs.  This is the standard building block of BFS-based
-    diameter estimation (the "BFS" competitor in the paper's Table 4).
+
+def double_sweep(graph: CSRGraph, start: Optional[int] = None, *, rng=None) -> Tuple[float, int, int]:
+    """Double-sweep lower bound on the diameter (hops, or weighted on a weighted graph).
+
+    A shortest-path sweep from ``start`` (or a random node), then another
+    from the farthest node found.  Returns ``(lower_bound, endpoint_a,
+    endpoint_b)``; the lower bound equals the eccentricity of ``endpoint_a``
+    (an ``int`` in hops, a ``float`` on a weighted graph) and is frequently
+    tight on real-world graphs.  This is the standard building block of
+    BFS-based diameter estimation (the "BFS" competitor in the paper's
+    Table 4).
     """
     n = graph.num_nodes
     if n == 0:
-        return 0, -1, -1
+        return (0.0 if graph.is_weighted else 0), -1, -1
     if start is None:
-        if rng is not None:
-            start = int(rng.integers(0, n))
-        else:
-            start = 0
-    first = bfs_distances(graph, start)
-    reachable = np.flatnonzero(first >= 0)
-    farthest = int(reachable[np.argmax(first[reachable])])
-    second = bfs_distances(graph, farthest)
-    reachable2 = np.flatnonzero(second >= 0)
-    other = int(reachable2[np.argmax(second[reachable2])])
-    lower = int(second[other])
-    return lower, farthest, other
+        start = int(rng.integers(0, n)) if rng is not None else 0
+    farthest, _ = _farthest(graph, start)
+    other, lower = _farthest(graph, farthest)
+    return (float(lower) if graph.is_weighted else int(lower)), farthest, other

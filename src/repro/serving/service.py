@@ -42,15 +42,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.oracle import (
-    DistanceOracle,
-    build_distance_oracle,
-    check_node_batch,
-    default_oracle_tau,
-)
+from repro.core.oracle import DistanceOracle, build_distance_oracle, default_oracle_tau
 from repro.core.pipeline import DecompositionPipeline, PipelineConfig
 from repro.graph import kernels
 from repro.graph.csr import CSRGraph
+from repro.utils.validation import check_node_batch
 
 __all__ = ["GraphService", "SERVICE_METHODS"]
 

@@ -101,7 +101,7 @@ def save_snapshot(service, store: StoreLike) -> Path:
         "tau": int(service.tau),
         "seed": None if service.seed is None else int(service.seed),
         "weighted": bool(service.is_weighted),
-        "algorithm": getattr(clustering, "algorithm", "unknown"),
+        "algorithm": clustering.algorithm,
         "same_cluster_lower": float(service.oracle.same_cluster_lower),
     }
     arrays = {
@@ -137,6 +137,7 @@ def load_snapshot(path: Union[str, os.PathLike]):
     Raises ``ValueError`` for missing files, schema mismatches, or corrupt
     payloads.
     """
+    from repro.core.clustering import Clustering
     from repro.core.oracle import DistanceOracle
     from repro.serving.service import GraphService
 
@@ -166,38 +167,17 @@ def load_snapshot(path: Union[str, os.PathLike]):
             f"this build reads schema {SNAPSHOT_SCHEMA}"
         )
 
-    if "graph_weights" in arrays:
-        from repro.weighted.wgraph import WeightedCSRGraph
-
-        graph = WeightedCSRGraph(
-            indptr=arrays["indptr"],
-            indices=arrays["indices"],
-            weights=arrays["graph_weights"],
-        )
-    else:
-        graph = CSRGraph(indptr=arrays["indptr"], indices=arrays["indices"])
-
-    if meta.get("weighted"):
-        from repro.weighted.decomposition import WeightedClustering
-
-        clustering = WeightedClustering(
-            num_nodes=graph.num_nodes,
-            assignment=arrays["assignment"],
-            centers=arrays["centers"],
-            hop_distance=arrays["hop_distance"],
-            weighted_distance=arrays["weighted_distance"],
-            algorithm=meta.get("algorithm", "weighted-cluster"),
-        )
-    else:
-        from repro.core.clustering import Clustering
-
-        clustering = Clustering(
-            num_nodes=graph.num_nodes,
-            assignment=arrays["assignment"],
-            centers=arrays["centers"],
-            distance=arrays["hop_distance"],
-            algorithm=meta.get("algorithm", "cluster2"),
-        )
+    graph = CSRGraph(
+        indptr=arrays["indptr"], indices=arrays["indices"], weights=arrays.get("graph_weights")
+    )
+    clustering = Clustering(
+        num_nodes=graph.num_nodes,
+        assignment=arrays["assignment"],
+        centers=arrays["centers"],
+        distance=arrays["hop_distance"],
+        algorithm=meta.get("algorithm", "cluster2"),
+        weighted_distance=arrays["weighted_distance"] if meta.get("weighted") else None,
+    )
 
     oracle = DistanceOracle(
         clustering=clustering,

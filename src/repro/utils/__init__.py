@@ -6,18 +6,11 @@ harness) can rely on them without import cycles.
 """
 
 from repro.utils.rng import as_rng, spawn_rngs
-from repro.utils.validation import (
-    check_positive,
-    check_probability,
-    check_node_index,
-    require,
-)
+from repro.utils.validation import check_node_batch, check_node_index
 
 __all__ = [
     "as_rng",
     "spawn_rngs",
-    "check_positive",
-    "check_probability",
+    "check_node_batch",
     "check_node_index",
-    "require",
 ]

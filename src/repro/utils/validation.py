@@ -7,26 +7,6 @@ from typing import Any
 import numpy as np
 
 
-def require(condition: bool, message: str) -> None:
-    """Raise :class:`ValueError` with ``message`` unless ``condition`` holds."""
-    if not condition:
-        raise ValueError(message)
-
-
-def check_positive(value: float, name: str, *, strict: bool = True) -> None:
-    """Validate that ``value`` is positive (or non-negative if not strict)."""
-    if strict and not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
-    if not strict and not value >= 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-
-
-def check_probability(value: float, name: str) -> None:
-    """Validate that ``value`` lies in the closed interval [0, 1]."""
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-
-
 def check_node_index(node: Any, num_nodes: int, name: str = "node") -> int:
     """Validate and return ``node`` as a python int in ``[0, num_nodes)``."""
     idx = int(node)
@@ -35,18 +15,28 @@ def check_node_index(node: Any, num_nodes: int, name: str = "node") -> int:
     return idx
 
 
-def check_integer_array(array: np.ndarray, name: str) -> np.ndarray:
-    """Validate that ``array`` has an integer dtype and return it as int64."""
-    arr = np.asarray(array)
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise TypeError(f"{name} must be an integer array, got dtype {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
+def check_node_batch(nodes, num_nodes: int, name: str = "nodes") -> np.ndarray:
+    """Validate a 1-d integer array of node ids, returning it as ``int64``.
+
+    Raises ``ValueError`` for non-1-d input, ``TypeError`` for non-integer
+    dtypes, and ``IndexError`` (naming the first offender, mirroring
+    :func:`check_node_index`) for out-of-range ids.
+    """
+    array = np.asarray(nodes)
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be a 1-d array of node ids, got shape {array.shape}")
+    if array.size == 0:
+        return array.astype(np.int64)
+    if not np.issubdtype(array.dtype, np.integer):
+        raise TypeError(f"{name} must be an integer array, got dtype {array.dtype}")
+    array = array.astype(np.int64, copy=False)
+    bad = (array < 0) | (array >= num_nodes)
+    if np.any(bad):
+        offender = int(array[np.argmax(bad)])
+        raise IndexError(
+            f"{name} {offender} out of range for graph with {num_nodes} nodes"
+        )
+    return array
 
 
-__all__ = [
-    "require",
-    "check_positive",
-    "check_probability",
-    "check_node_index",
-    "check_integer_array",
-]
+__all__ = ["check_node_batch", "check_node_index"]

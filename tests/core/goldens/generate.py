@@ -52,11 +52,11 @@ def weighted_record(clustering) -> dict:
         "digest": array_digest(
             clustering.assignment.astype(np.int64),
             clustering.centers.astype(np.int64),
-            clustering.hop_distance.astype(np.int64),
+            clustering.distance.astype(np.int64),
             clustering.weighted_distance.astype(np.float64),
         ),
         "num_clusters": int(clustering.num_clusters),
-        "hop_radius": int(clustering.hop_radius),
+        "hop_radius": int(clustering.max_radius),
         "weighted_radius": round(float(clustering.weighted_radius), 9),
     }
 
@@ -94,8 +94,7 @@ def generate() -> dict:
     from repro.core.kcenter import kcenter
     from repro.core.mr_algorithms import mr_estimate_diameter
     from repro.experiments.ablations import single_batch_decomposition
-    from repro.weighted.decomposition import weighted_cluster
-    from repro.weighted.wgraph import WeightedCSRGraph
+    from repro.generators import attach_weights
 
     goldens: dict = {}
     for name, graph in build_graphs().items():
@@ -108,10 +107,8 @@ def generate() -> dict:
         )
         record["kcenter"] = kcenter_record(kcenter(graph, 10, seed=5))
         record["gonzalez"] = kcenter_record(gonzalez_kcenter(graph, 8, seed=13))
-        wgraph = WeightedCSRGraph.random_weights(
-            graph, low=1.0, high=5.0, rng=np.random.default_rng(2)
-        )
-        record["weighted-cluster"] = weighted_record(weighted_cluster(wgraph, 1, seed=9))
+        wgraph = attach_weights(graph, "uniform", low=1.0, high=5.0, seed=np.random.default_rng(2))
+        record["weighted-cluster"] = weighted_record(cluster(wgraph, 1, seed=9))
         if name != "two-meshes":  # diameter estimation assumes a connected graph
             estimate = estimate_diameter(graph, tau=1, seed=21, weighted=True)
             record["diameter"] = {

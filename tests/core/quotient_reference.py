@@ -12,15 +12,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.quotient import QuotientGraph
 from repro.graph.csr import CSRGraph
 
 
-def _fold(keys: np.ndarray, path_len, k: int, weighted: bool) -> QuotientGraph:
+def _empty(k: int, weighted: bool) -> CSRGraph:
+    weights = np.zeros(0) if weighted else None
+    return CSRGraph(indptr=np.zeros(k + 1, dtype=np.int64), indices=np.zeros(0, dtype=np.int64), weights=weights)
+
+
+def _fold(keys: np.ndarray, path_len, k: int, weighted: bool) -> CSRGraph:
     if not weighted:
         unique_keys = np.unique(keys)
         q_edges = np.stack([unique_keys // k, unique_keys % k], axis=1)
-        return QuotientGraph(graph=CSRGraph.from_edges(q_edges, num_nodes=k), weights=None)
+        return CSRGraph.from_edges(q_edges, num_nodes=k)
     unique_keys, inverse = np.unique(keys, return_inverse=True)
     min_weight = np.full(unique_keys.size, np.inf)
     np.minimum.at(min_weight, inverse, path_len)
@@ -31,37 +35,38 @@ def _fold(keys: np.ndarray, path_len, k: int, weighted: bool) -> QuotientGraph:
     src = np.repeat(np.arange(k, dtype=np.int64), np.diff(q_graph.indptr))
     arc_keys = np.minimum(src, q_graph.indices) * np.int64(k) + np.maximum(src, q_graph.indices)
     positions = np.searchsorted(unique_keys, arc_keys)
-    return QuotientGraph(graph=q_graph, weights=min_weight[positions].astype(np.float64))
+    weights = min_weight[positions].astype(np.float64)
+    return CSRGraph(indptr=q_graph.indptr, indices=q_graph.indices, weights=weights)
 
 
-def reference_quotient(graph: CSRGraph, clustering, *, weighted: bool = False) -> QuotientGraph:
+def reference_quotient(graph: CSRGraph, clustering, *, weighted: bool = False) -> CSRGraph:
     """Quotient over hop growth distances: ``dist(a) + 1 + dist(b)``."""
     k = clustering.num_clusters
-    edges = graph.edge_array()
+    edges = graph.edges()
     if edges.size == 0:
-        return QuotientGraph(graph=CSRGraph.empty(k), weights=np.zeros(0) if weighted else None)
+        return _empty(k, weighted)
     cu = clustering.assignment[edges[:, 0]]
     cv = clustering.assignment[edges[:, 1]]
     cross = cu != cv
     if not np.any(cross):
-        return QuotientGraph(graph=CSRGraph.empty(k), weights=np.zeros(0) if weighted else None)
+        return _empty(k, weighted)
     crossing = edges[cross]
     path_len = (clustering.distance[crossing[:, 0]] + clustering.distance[crossing[:, 1]] + 1).astype(np.float64)
     keys = np.minimum(cu[cross], cv[cross]) * np.int64(k) + np.maximum(cu[cross], cv[cross])
     return _fold(keys, path_len, k, weighted)
 
 
-def reference_weighted_quotient(graph, clustering) -> QuotientGraph:
+def reference_weighted_quotient(graph, clustering) -> CSRGraph:
     """Quotient of a weighted decomposition: ``wdist(a) + w(a, b) + wdist(b)``."""
     k = clustering.num_clusters
-    edges, weights = graph.edges()
+    edges, weights = graph.edge_list()
     if edges.size == 0:
-        return QuotientGraph(graph=CSRGraph.empty(k), weights=np.zeros(0))
+        return _empty(k, True)
     cu = clustering.assignment[edges[:, 0]]
     cv = clustering.assignment[edges[:, 1]]
     cross = cu != cv
     if not np.any(cross):
-        return QuotientGraph(graph=CSRGraph.empty(k), weights=np.zeros(0))
+        return _empty(k, True)
     crossing = edges[cross]
     path_len = (
         clustering.weighted_distance[crossing[:, 0]]

@@ -20,9 +20,13 @@ from repro.core.growth_engine import (
     multi_source_growth,
 )
 from repro.experiments.ablations import single_batch_decomposition
-from repro.generators import mesh_graph, path_graph
+from repro.generators import attach_weights, mesh_graph, path_graph
+from repro.graph.csr import CSRGraph
 from repro.graph.traversal import multi_source_bfs
-from repro.weighted.wgraph import WeightedCSRGraph
+
+
+def unit_weighted(graph: CSRGraph) -> CSRGraph:
+    return CSRGraph(indptr=graph.indptr, indices=graph.indices, weights=np.ones(graph.indices.size))
 
 
 class TestTieBreakSelection:
@@ -30,29 +34,24 @@ class TestTieBreakSelection:
         assert isinstance(GrowthEngine(mesh8).tie_break, ArbitraryTieBreak)
 
     def test_weighted_graph_defaults_to_min_weight(self, mesh8):
-        wgraph = WeightedCSRGraph.from_unit_graph(mesh8)
+        wgraph = unit_weighted(mesh8)
         engine = GrowthEngine(wgraph)
         assert isinstance(engine.tie_break, MinWeightTieBreak)
         assert engine.weighted_distance is not None
 
-    def test_named_policies(self, mesh8):
-        assert isinstance(GrowthEngine(mesh8, tie_break="arbitrary").tie_break, ArbitraryTieBreak)
-        with pytest.raises(ValueError, match="unknown tie-break"):
-            GrowthEngine(mesh8, tie_break="nope")
-
     def test_policy_graph_metric_mismatch_rejected(self, mesh8):
-        wgraph = WeightedCSRGraph.from_unit_graph(mesh8)
+        wgraph = unit_weighted(mesh8)
         with pytest.raises(ValueError, match="expects a weighted graph"):
-            GrowthEngine(mesh8, tie_break="min-weight")
+            GrowthEngine(mesh8, tie_break=MinWeightTieBreak())
         with pytest.raises(ValueError, match="expects an unweighted graph"):
-            GrowthEngine(wgraph, tie_break="arbitrary")
+            GrowthEngine(wgraph, tie_break=ArbitraryTieBreak())
         with pytest.raises(ValueError, match="expects an unweighted graph"):
             GrowthEngine(wgraph, tie_break=ShiftedStartTieBreak(np.zeros(wgraph.num_nodes)))
 
     def test_min_weight_awards_lightest_claim(self):
         # Node 2 is reachable from center 0 (weight 10) and center 3 (weight 1)
         # in the same round: it must join the lighter cluster.
-        graph = WeightedCSRGraph.from_edges(
+        graph = CSRGraph.from_edges(
             [(0, 2), (3, 2), (0, 1), (3, 4)], weights=[10.0, 1.0, 1.0, 1.0]
         )
         engine = GrowthEngine(graph)
@@ -159,20 +158,21 @@ class TestFarthestPoint:
 
 class TestWeightedEngineTrace:
     def test_weighted_run_records_unified_stats(self):
-        wgraph = WeightedCSRGraph.random_weights(
-            mesh_graph(12, 12), rng=np.random.default_rng(4)
-        )
+        wgraph = attach_weights(mesh_graph(12, 12), "uniform", seed=np.random.default_rng(4))
         engine = GrowthEngine(wgraph).run(BatchHalvingSchedule(1, np.random.default_rng(8)))
-        clustering = engine.to_weighted_clustering()
+        clustering = engine.to_clustering()
         clustering.validate(wgraph)
-        assert clustering.growth_rounds == len(clustering.step_log)
+        assert clustering.is_weighted
+        assert clustering.growth_steps == len(clustering.step_log)
         assert clustering.iterations, "weighted runs must record iteration stats"
         assert all(s.arcs_scanned >= 0 for s in clustering.step_log)
 
-    def test_to_weighted_clustering_requires_weighted_policy(self, mesh8):
-        engine = GrowthEngine(mesh8).run(StaticSchedule([0]))
-        with pytest.raises(RuntimeError, match="weighted"):
-            engine.to_weighted_clustering()
+    def test_to_clustering_records_weighted_distance(self, mesh8):
+        plain = GrowthEngine(mesh8).run(StaticSchedule([0])).to_clustering()
+        assert not plain.is_weighted and plain.weighted_distance is None
+        weighted = GrowthEngine(unit_weighted(mesh8)).run(StaticSchedule([0])).to_clustering()
+        assert weighted.is_weighted
+        assert np.array_equal(weighted.weighted_distance, weighted.distance.astype(np.float64))
 
 
 @pytest.mark.parametrize("algorithm", ["cluster", "cluster2", "mpx", "single-batch"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.cluster2 import cluster2
-from repro.core.oracle import build_distance_oracle, check_node_batch, default_oracle_tau
+from repro.core.oracle import build_distance_oracle, default_oracle_tau
 from repro.generators import (
     attach_weights,
     barabasi_albert_graph,
@@ -18,7 +18,8 @@ from repro.generators import (
     road_network_graph,
 )
 from repro.graph.csr import CSRGraph
-from repro.graph.traversal import bfs_distances
+from repro.graph.traversal import bfs_distances, dijkstra
+from repro.utils.validation import check_node_batch
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "oracle_queries.json"
 
@@ -175,8 +176,6 @@ class TestWeightedOracle:
         )
 
     def test_bounds_sandwich_dijkstra(self, weighted_oracle):
-        from repro.weighted.traversal import dijkstra
-
         graph = attach_weights(mesh_graph(12, 12), "uniform", seed=3)
         rng = np.random.default_rng(1)
         for s in rng.choice(graph.num_nodes, size=3, replace=False):

@@ -9,9 +9,8 @@ from repro.core.diameter import estimate_diameter
 from repro.core.mr_algorithms import mr_estimate_diameter
 from repro.core.pipeline import DecompositionPipeline, PipelineConfig
 from repro.experiments.config import ExperimentConfig
-from repro.generators import mesh_graph
+from repro.generators import attach_weights, mesh_graph
 from repro.graph.csr import CSRGraph
-from repro.weighted.wgraph import WeightedCSRGraph
 
 
 @pytest.fixture
@@ -148,7 +147,8 @@ class TestWeightedMethod:
         clustering.validate(wgraph)
         estimate = result.estimate
         assert estimate.lower_bound <= estimate.upper_bound + 1e-9
-        assert estimate.weighted_radius == clustering.weighted_radius
+        assert estimate.radius == clustering.weighted_radius
+        assert estimate.upper_bound_unweighted is None
         assert estimate.num_quotient_edges >= 0
         summary = result.summary()
         assert summary["method"] == "weighted"
@@ -166,7 +166,7 @@ class TestWeightedMethod:
         clustering = DecompositionPipeline(
             wgraph, PipelineConfig(method="weighted", target_clusters=16, seed=3)
         ).decompose()
-        assert clustering.algorithm == "weighted-cluster"
+        assert clustering.is_weighted
         assert 4 <= clustering.num_clusters <= 64
 
     def test_weighted_quotient_flavours(self):
@@ -195,9 +195,7 @@ class TestWeightedMethod:
 
 class TestWeightedMRAccounting:
     def test_weighted_runs_are_charged(self):
-        wgraph = WeightedCSRGraph.random_weights(
-            mesh_graph(14, 14), rng=np.random.default_rng(6)
-        )
+        wgraph = attach_weights(mesh_graph(14, 14), "uniform", seed=np.random.default_rng(6))
         report = DecompositionPipeline(wgraph, method="weighted", tau=1, seed=11).mr_report()
         assert report.estimate.lower_bound <= report.estimate.upper_bound
         assert report.rounds > 0

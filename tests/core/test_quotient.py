@@ -14,14 +14,9 @@ from repro.core import quotient as quotient_module
 from repro.core.cluster import cluster
 from repro.core.oracle import build_distance_oracle
 from repro.core.pipeline import DecompositionPipeline
-from repro.core.quotient import (
-    QuotientGraph,
-    build_quotient_graph,
-    quotient_apsp,
-    quotient_diameter,
-)
+from repro.core.quotient import build_quotient_graph, quotient_apsp, quotient_diameter
 from repro.core.clustering import Clustering
-from repro.generators import barabasi_albert_graph, path_graph, road_network_graph
+from repro.generators import barabasi_albert_graph, mesh_graph, path_graph, road_network_graph
 from repro.generators.rmat import rmat_graph
 from repro.graph import kernels
 from repro.graph.components import is_connected, largest_component
@@ -40,7 +35,7 @@ FLOAT_WEIGHTS = (0.1, 0.2, 0.3, 1 / 3, 1e-3, 1e3)
 TILE_BUDGETS = (1, 64, 1 << 16)
 
 
-def scipy_apsp(quotient: QuotientGraph) -> np.ndarray:
+def scipy_apsp(quotient: CSRGraph) -> np.ndarray:
     """Reference APSP through scipy.sparse.csgraph (not a dependency of src/)."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
@@ -49,21 +44,21 @@ def scipy_apsp(quotient: QuotientGraph) -> np.ndarray:
     data = (
         quotient.weights
         if quotient.weights is not None
-        else np.ones(quotient.graph.indices.size, dtype=np.float64)
+        else np.ones(quotient.indices.size, dtype=np.float64)
     )
-    matrix = csr_matrix((data, quotient.graph.indices, quotient.graph.indptr), shape=(n, n))
+    matrix = csr_matrix((data, quotient.indices, quotient.indptr), shape=(n, n))
     return shortest_path(
         matrix, method="D", directed=False, unweighted=not quotient.is_weighted
     )
 
 
-def per_source_apsp(quotient: QuotientGraph) -> np.ndarray:
+def per_source_apsp(quotient: CSRGraph) -> np.ndarray:
     """Reference APSP: one single-source delta_stepping per cluster.
 
     The unweighted flavour runs on unit weights, whose distances are hops.
     """
     n = quotient.num_nodes
-    indptr, indices = quotient.graph.indptr, quotient.graph.indices
+    indptr, indices = quotient.indptr, quotient.indices
     weights = quotient.weights if quotient.is_weighted else np.ones(indices.size)
     matrix = np.empty((n, n))
     for source in range(n):
@@ -79,7 +74,7 @@ def reference_diameter(matrix: np.ndarray) -> float:
     return float(matrix.max())
 
 
-def float_weighted_quotient() -> QuotientGraph:
+def float_weighted_quotient() -> CSRGraph:
     """A quotient of the weighted decomposition: non-integer arc weights."""
     graph = road_network_graph(30, 30, seed=3, weights="uniform")
     pipe = DecompositionPipeline(graph, method="weighted", target_clusters=100, seed=0)
@@ -89,7 +84,7 @@ def float_weighted_quotient() -> QuotientGraph:
 
 
 @st.composite
-def random_quotients(draw, kind: str) -> QuotientGraph:
+def random_quotients(draw, kind: str) -> CSRGraph:
     """A random connected graph as a quotient: a random tree plus extra edges.
 
     ``kind`` picks the arc weights: ``"hop"`` (none), ``"int"`` (1 to 9) or
@@ -101,14 +96,13 @@ def random_quotients(draw, kind: str) -> QuotientGraph:
     edges += draw(st.lists(st.tuples(node, node), max_size=2 * n))
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if kind == "hop":
-        return QuotientGraph(graph=CSRGraph.from_edges(edges, num_nodes=n))
+        return CSRGraph.from_edges(edges, num_nodes=n)
     values = st.integers(min_value=1, max_value=9) if kind == "int" else st.sampled_from(FLOAT_WEIGHTS)
     weights = draw(st.lists(values, min_size=len(edges), max_size=len(edges)))
-    graph = CSRGraph.from_edges(edges, num_nodes=n, weights=np.asarray(weights, dtype=np.float64))
-    return QuotientGraph(graph=CSRGraph(indptr=graph.indptr, indices=graph.indices), weights=graph.weights)
+    return CSRGraph.from_edges(edges, num_nodes=n, weights=np.asarray(weights, dtype=np.float64))
 
 
-def shaped_quotient(shape: str, kind: str) -> QuotientGraph:
+def shaped_quotient(shape: str, kind: str) -> CSRGraph:
     """k = 1, k = 2, or a 12-node path, star or complete graph."""
     n = {"k1": 1, "k2": 2}.get(shape, 12)
     pairs = {
@@ -120,18 +114,23 @@ def shaped_quotient(shape: str, kind: str) -> QuotientGraph:
     }[shape]
     edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if kind == "hop":
-        return QuotientGraph(graph=CSRGraph.from_edges(edges, num_nodes=n))
+        return CSRGraph.from_edges(edges, num_nodes=n)
     if kind == "int":
         weights = 1.0 + np.arange(len(edges)) % 5
     else:
         weights = np.resize(np.asarray(FLOAT_WEIGHTS), len(edges))
-    graph = CSRGraph.from_edges(edges, num_nodes=n, weights=weights)
-    return QuotientGraph(graph=CSRGraph(indptr=graph.indptr, indices=graph.indices), weights=graph.weights)
+    return CSRGraph.from_edges(edges, num_nodes=n, weights=weights)
 
 
-def assert_same_quotient(got: QuotientGraph, expected: QuotientGraph) -> None:
-    assert np.array_equal(got.graph.indptr, expected.graph.indptr)
-    assert np.array_equal(got.graph.indices, expected.graph.indices)
+def weighted_empty(n: int) -> CSRGraph:
+    """``n`` isolated clusters with an (empty) weights array."""
+    return CSRGraph(indptr=np.zeros(n + 1, dtype=np.int64), indices=np.zeros(0, dtype=np.int64), weights=np.zeros(0))
+
+
+def assert_same_quotient(got: CSRGraph, expected: CSRGraph) -> None:
+    assert type(got) is CSRGraph
+    assert np.array_equal(got.indptr, expected.indptr)
+    assert np.array_equal(got.indices, expected.indices)
     if expected.weights is None:
         assert got.weights is None
     else:
@@ -142,8 +141,6 @@ def assert_same_quotient(got: QuotientGraph, expected: QuotientGraph) -> None:
 def builder_case(name: str):
     """``(graph, clustering)`` pairs: hop growth on three graph families, and
     the weighted decomposition of a float-weighted road network."""
-    from repro.weighted.decomposition import weighted_cluster
-
     if name == "ba":
         graph = barabasi_albert_graph(300, 3, seed=1)
         return graph, cluster(graph, 4, seed=1)
@@ -154,7 +151,7 @@ def builder_case(name: str):
         graph = rmat_graph(10, 8, seed=3)  # isolated nodes: singleton clusters
         return graph, cluster(graph, 8, seed=3)
     graph, _ = largest_component(road_network_graph(25, 25, seed=4, weights="uniform"))
-    return graph, weighted_cluster(graph, 6, seed=4)
+    return graph, cluster(graph, 6, seed=4)
 
 
 @pytest.fixture
@@ -170,7 +167,7 @@ class TestBuildQuotient:
 
     def test_connected_quotient_of_connected_graph(self, mesh20, mesh_clustering):
         q = build_quotient_graph(mesh20, mesh_clustering)
-        assert is_connected(q.graph)
+        assert is_connected(q)
 
     def test_edges_correspond_to_crossing_edges(self, mesh20, mesh_clustering):
         q = build_quotient_graph(mesh20, mesh_clustering)
@@ -180,7 +177,7 @@ class TestBuildQuotient:
             cu, cv = int(assignment[u]), int(assignment[v])
             if cu != cv:
                 expected_pairs.add((min(cu, cv), max(cu, cv)))
-        got_pairs = set((min(int(a), int(b)), max(int(a), int(b))) for a, b in q.graph.edges())
+        got_pairs = set((min(int(a), int(b)), max(int(a), int(b))) for a, b in q.edges())
         assert got_pairs == expected_pairs
 
     def test_weighted_quotient_weights_positive(self, mesh20, mesh_clustering):
@@ -194,18 +191,18 @@ class TestBuildQuotient:
         assignment = mesh_clustering.assignment
         dist = mesh_clustering.distance
         # Recompute one arbitrary quotient edge's weight by brute force.
-        a, b = q.graph.edges()[0]
+        a, b = q.edges()[0]
         crossing = []
         for u, v in mesh20.edges():
             cu, cv = int(assignment[u]), int(assignment[v])
             if {cu, cv} == {int(a), int(b)}:
                 crossing.append(int(dist[u]) + int(dist[v]) + 1)
-        assert q.arc_weight(int(a), int(b)) == min(crossing)
+        assert q.edge_weight(int(a), int(b)) == min(crossing)
 
     def test_arc_weight_missing_edge(self, mesh20, mesh_clustering):
         q = build_quotient_graph(mesh20, mesh_clustering, weighted=True)
         # Find a non-adjacent pair of clusters (exists unless quotient is complete).
-        adj = {tuple(sorted(map(int, e))) for e in q.graph.edges()}
+        adj = {tuple(sorted(map(int, e))) for e in q.edges()}
         k = q.num_nodes
         missing = None
         for i in range(k):
@@ -217,7 +214,21 @@ class TestBuildQuotient:
                 break
         if missing is not None:
             with pytest.raises(KeyError):
-                q.arc_weight(*missing)
+                q.edge_weight(*missing)
+
+    def test_edge_weight_checks_both_ids(self):
+        """A negative id must not wrap around to the last row."""
+        graph = mesh_graph(10, 10)
+        q = build_quotient_graph(graph, Clustering.singleton_clustering(graph.num_nodes), weighted=True)
+        k = q.num_nodes
+        assert k == 100 and q.edge_weight(0, 1) == 1.0 and q.edge_weight(1, 0) == 1.0
+        for u, v, bad in ((-2, 98, "u -2"), (k, 0, f"u {k}"), (0, -1, "v -1"), (0, k, f"v {k}")):
+            with pytest.raises(IndexError, match=f"{bad} out of range"):
+                q.edge_weight(u, v)
+        with pytest.raises(KeyError):
+            q.edge_weight(0, 99)
+        hops = q.unweighted()
+        assert hops.weights is None and hops.edge_weight(10, 0) == 1.0
 
     def test_single_cluster_quotient_empty(self, mesh8):
         single = Clustering(
@@ -260,21 +271,20 @@ class TestQuotientDiameter:
         assert quotient_diameter(q) == 9
 
     def test_single_node_quotient(self):
-        assert quotient_diameter(QuotientGraph(graph=CSRGraph.empty(1))) == 0.0
-        weighted = QuotientGraph(graph=CSRGraph.empty(1), weights=np.zeros(0))
-        assert quotient_diameter(weighted) == 0.0
+        assert quotient_diameter(CSRGraph.empty(1)) == 0.0
+        assert quotient_diameter(weighted_empty(1)) == 0.0
 
     def test_empty_quotient_rejected(self):
         with pytest.raises(ValueError):
-            quotient_diameter(QuotientGraph(graph=CSRGraph.empty(0)))
+            quotient_diameter(CSRGraph.empty(0))
 
     def test_disconnected_quotient_rejected(self):
         graph = CSRGraph.from_edges([(0, 1)], num_nodes=3)
         for weights in (None, np.ones(2), np.full(2, 0.1)):
             with pytest.raises(ValueError, match="disconnected"):
-                quotient_diameter(QuotientGraph(graph=graph, weights=weights))
+                quotient_diameter(CSRGraph(indptr=graph.indptr, indices=graph.indices, weights=weights))
         with pytest.raises(ValueError, match="disconnected"):
-            quotient_diameter(QuotientGraph(graph=CSRGraph.empty(2), weights=np.zeros(0)))
+            quotient_diameter(weighted_empty(2))
 
     @pytest.mark.parametrize("kind", ["hop", "int", "float"])
     @given(data=st.data())
@@ -313,15 +323,14 @@ class TestQuotientDiameter:
             # Two light leaves make the hub the highest-degree node.
             edges = [(v, v + 1) for v in range(m - 1)] + [(hub, m), (hub, m + 1)]
             weights = np.asarray(path_weights + [1e-3, 1e-3])
-            graph = CSRGraph.from_edges(np.asarray(edges), num_nodes=m + 2, weights=weights)
-            q = QuotientGraph(graph=CSRGraph(indptr=graph.indptr, indices=graph.indices), weights=graph.weights)
+            q = CSRGraph.from_edges(np.asarray(edges), num_nodes=m + 2, weights=weights)
             with mock.patch.object(kernels, "_TILE_ARCS", 1):
                 assert quotient_diameter(q) == reference_diameter(per_source_apsp(q))
 
     def test_float_weighted_quotient_from_few_rows(self):
         q = float_weighted_quotient()
         with mock.patch.object(kernels, "_TILE_ARCS", 1):
-            diameter, rows = bounded_diameter(q.graph.indptr, q.graph.indices, q.weights)
+            diameter, rows = bounded_diameter(q.indptr, q.indices, q.weights)
         assert diameter == reference_diameter(per_source_apsp(q))
         assert rows < q.num_nodes // 2
 
@@ -331,10 +340,7 @@ class TestQuotientDiameter:
         big = path_graph(300)
         q = build_quotient_graph(big, Clustering.singleton_clustering(300), weighted=weighted)
         assert quotient_diameter(q) == 299.0
-        disconnected = QuotientGraph(
-            graph=CSRGraph.from_edges([(0, 1)], num_nodes=300),
-            weights=np.ones(2) if weighted else None,
-        )
+        disconnected = CSRGraph.from_edges([(0, 1)], num_nodes=300, weights=[1.0] if weighted else None)
         with pytest.raises(ValueError, match="disconnected"):
             quotient_diameter(disconnected)
 
@@ -374,15 +380,15 @@ class TestQuotientApsp:
         assert np.all(np.diag(matrix) == 0.0)
 
     def test_disconnected_pairs_are_inf(self):
-        q = QuotientGraph(graph=CSRGraph.from_edges([(0, 1)], num_nodes=3))
+        q = CSRGraph.from_edges([(0, 1)], num_nodes=3)
         matrix = quotient_apsp(q)
         assert matrix[0, 1] == 1.0
         assert np.isinf(matrix[0, 2]) and np.isinf(matrix[2, 1])
         assert np.array_equal(matrix, scipy_apsp(q))
 
     def test_empty_and_singleton(self):
-        assert quotient_apsp(QuotientGraph(graph=CSRGraph.empty(0))).shape == (0, 0)
-        single = quotient_apsp(QuotientGraph(graph=CSRGraph.empty(1)))
+        assert quotient_apsp(CSRGraph.empty(0)).shape == (0, 0)
+        single = quotient_apsp(CSRGraph.empty(1))
         assert np.array_equal(single, [[0.0]])
 
 
@@ -437,7 +443,7 @@ class TestOneBuildPerClustering:
         pipe.mr_report()
         pipe.quotient_diameter(weighted=False)
         assert len(calls) == 1
-        assert pipe.quotient(weighted=False).graph is pipe.quotient(weighted=True).graph
+        assert pipe.quotient(weighted=False).indices is pipe.quotient(weighted=True).indices
 
     @pytest.mark.parametrize("weights", [None, "uniform"])
     def test_oracle_builds_once(self, monkeypatch, weights):

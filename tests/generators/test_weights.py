@@ -21,7 +21,6 @@ from repro.generators import (
     torus_graph,
 )
 from repro.graph.csr import CSRGraph
-from repro.weighted.wgraph import WeightedCSRGraph
 
 WEIGHTED_BUILDERS = {
     "mesh": lambda w: mesh_graph(6, 6, weights=w, seed=1),
@@ -43,7 +42,7 @@ WEIGHTED_BUILDERS = {
 @pytest.mark.parametrize("kind", ["uniform", "degree"])
 def test_generators_emit_weighted_csr(name, kind):
     graph = WEIGHTED_BUILDERS[name](kind)
-    assert isinstance(graph, WeightedCSRGraph)
+    assert graph.is_weighted
     assert graph.weights.shape == graph.indices.shape
     if graph.weights.size:
         assert graph.weights.min() > 0
@@ -52,7 +51,7 @@ def test_generators_emit_weighted_csr(name, kind):
 @pytest.mark.parametrize("name", sorted(WEIGHTED_BUILDERS))
 def test_weights_none_keeps_unweighted(name):
     graph = WEIGHTED_BUILDERS[name](None)
-    assert not isinstance(graph, WeightedCSRGraph)
+    assert not graph.is_weighted
     assert graph.weights is None
 
 
@@ -74,7 +73,7 @@ def test_seeded_weights_are_reproducible():
 def test_attach_weights_symmetric_per_edge():
     graph = mesh_graph(5, 5)
     weighted = attach_weights(graph, "uniform", seed=1)
-    edges, _ = weighted.edges()
+    edges = weighted.edges()
     for u, v in edges[:20]:
         assert weighted.edge_weight(int(u), int(v)) == weighted.edge_weight(int(v), int(u))
 
@@ -88,7 +87,7 @@ def test_attach_weights_range():
 def test_degree_correlated_weights_favor_hubs():
     graph = barabasi_albert_graph(300, 3, seed=2)
     weighted = attach_weights(graph, "degree", seed=2)
-    edges, weights = weighted.edges()
+    edges, weights = weighted.edge_list()
     degrees = graph.degree()
     strength = np.sqrt(degrees[edges[:, 0]] * degrees[edges[:, 1]])
     top = strength >= np.quantile(strength, 0.9)
@@ -97,7 +96,7 @@ def test_degree_correlated_weights_favor_hubs():
 
 def test_attach_weights_empty_graph():
     weighted = attach_weights(CSRGraph.empty(4), "uniform", seed=0)
-    assert isinstance(weighted, WeightedCSRGraph)
+    assert weighted.is_weighted
     assert weighted.num_edges == 0
 
 

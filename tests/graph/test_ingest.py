@@ -14,7 +14,6 @@ from repro.graph.ingest import (
     largest_component_snapshot,
 )
 from repro.graph.io import save_edge_list
-from repro.weighted.wgraph import WeightedCSRGraph
 
 
 def _random_edges(rng, num_edges, num_nodes):
@@ -52,9 +51,9 @@ class TestFromEdgeChunks:
         rng = np.random.default_rng(seed)
         edges = _random_edges(rng, 400, 40)
         weights = rng.uniform(0.1, 5.0, size=len(edges))
-        expected = WeightedCSRGraph.from_edges(edges, weights=weights)
+        expected = CSRGraph.from_edges(edges, weights=weights)
         got = from_edge_chunks(_chunked(edges, chunk, weights))
-        assert isinstance(got, WeightedCSRGraph)
+        assert got.is_weighted
         assert np.array_equal(got.indptr, expected.indptr)
         assert np.array_equal(got.indices, expected.indices)
         assert np.array_equal(got.weights, expected.weights)
@@ -121,7 +120,7 @@ class TestIngestEdgeList:
         path = tmp_path / "weighted.txt"
         save_edge_list(graph, path)
         got = ingest_edge_list(path, weighted=True, chunk_edges=11)
-        assert isinstance(got, WeightedCSRGraph)
+        assert got.is_weighted
         assert got == graph
 
     def test_to_snapshot(self, tmp_path):
@@ -150,5 +149,5 @@ class TestLargestComponentSnapshot:
         graph = mesh_graph(5, 5, weights="uniform", seed=4)
         expected, _ = largest_component(graph)
         got, _ = largest_component_snapshot(graph, tmp_path / "w.snap", chunk_arcs=8)
-        assert isinstance(got, WeightedCSRGraph)
+        assert got.is_weighted
         assert np.array_equal(got.weights, expected.weights)

@@ -12,7 +12,7 @@ from repro.graph.io import (
     save_edge_list,
 )
 from repro.generators import mesh_graph
-from repro.weighted.wgraph import WeightedCSRGraph
+from repro.graph.csr import CSRGraph
 
 
 class TestParse:
@@ -92,7 +92,7 @@ class TestRoundTrip:
         path = tmp_path / "weighted.txt"
         save_edge_list(graph, path)
         loaded, ids = load_edge_list(path)
-        assert isinstance(loaded, WeightedCSRGraph)
+        assert loaded.is_weighted
         assert loaded == graph
         assert ids.tolist() == list(range(graph.num_nodes))
 
@@ -100,17 +100,17 @@ class TestRoundTrip:
         path = tmp_path / "dup.txt"
         path.write_text("0 1 3.0\n1 0 1.5\n1 2 2.0\n")
         graph, _ = load_edge_list(path, weighted=True)
-        assert isinstance(graph, WeightedCSRGraph)
+        assert graph.is_weighted
         assert graph.num_edges == 2
         assert graph.edge_weight(0, 1) == 1.5
         assert graph.edge_weight(1, 2) == 2.0
 
     def test_edgeless_weighted_roundtrip_stays_weighted(self, tmp_path):
-        g = WeightedCSRGraph.from_edges([], num_nodes=1, weights=[])
+        g = CSRGraph.from_edges([], num_nodes=1, weights=[])
         path = tmp_path / "edgeless.txt"
         save_edge_list(g, path)
         loaded, _ = load_edge_list(path)
-        assert isinstance(loaded, WeightedCSRGraph)
+        assert loaded.is_weighted
         assert loaded.weights is not None and loaded.weights.size == 0
 
     def test_extra_columns_stay_unweighted_by_default(self, tmp_path):
@@ -119,7 +119,7 @@ class TestRoundTrip:
         path = tmp_path / "temporal.txt"
         path.write_text("0 1 1217567877\n1 2 1217567878\n")
         graph, _ = load_edge_list(path)
-        assert not isinstance(graph, WeightedCSRGraph)
+        assert not graph.is_weighted
         assert graph.weights is None
 
     def test_weighted_load_requires_full_column(self, tmp_path):

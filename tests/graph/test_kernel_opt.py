@@ -29,7 +29,6 @@ from repro.graph.builders import disjoint_union
 from repro.graph.csr import CSRGraph
 from repro.graph.snapshot import load_snapshot, save_snapshot
 from repro.graph.traversal import multi_source_bfs
-from repro.weighted.wgraph import WeightedCSRGraph
 
 from kernel_reference import (  # rootless test layout: pytest puts this dir on sys.path
     eccentricities_loop,
@@ -259,7 +258,7 @@ class TestMsbfs:
         quotient = build_quotient_graph(graph, engine.to_clustering())
         matrix = quotient_apsp(quotient)
         for cluster_id in range(quotient.num_nodes):
-            result = multi_source_bfs(quotient.graph, [cluster_id])
+            result = multi_source_bfs(quotient, [cluster_id])
             expected = result.distances.astype(np.float64)
             expected[result.distances < 0] = np.inf
             assert np.array_equal(matrix[cluster_id], expected)
@@ -336,7 +335,7 @@ class TestDegreesCache:
 
     def test_weighted_graph(self):
         graph = mesh_graph(4, 4, weights="uniform", seed=1)
-        assert isinstance(graph, WeightedCSRGraph)
+        assert graph.is_weighted
         assert graph.degrees is graph.degrees
         assert np.array_equal(graph.degrees, np.diff(graph.indptr))
 

@@ -20,7 +20,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.diameter_exact import exact_diameter
 from repro.graph.snapshot import load_snapshot, save_snapshot
 from repro.graph.traversal import bfs_distances, multi_source_bfs
-from repro.weighted.wgraph import WeightedCSRGraph
 
 
 @pytest.fixture
@@ -190,14 +189,14 @@ class TestDeltaSteppingRows:
         tile = k if tile is None else tile
         for lo in range(0, k, tile):
             sources = np.arange(lo, min(lo + tile, k), dtype=np.int64)
-            self.assert_rows_match(q.graph.indptr, q.graph.indices, q.weights, sources)
+            self.assert_rows_match(q.indptr, q.indices, q.weights, sources)
 
     def test_duplicate_and_unordered_sources(self, quotients):
         q = quotients["road-float"]
         sources = np.asarray([5, 0, 5, 3, 0], dtype=np.int64)
-        got = kernels.delta_stepping_rows(q.graph.indptr, q.graph.indices, q.weights, sources)
+        got = kernels.delta_stepping_rows(q.indptr, q.indices, q.weights, sources)
         assert np.array_equal(got[0], got[2]) and np.array_equal(got[1], got[4])
-        self.assert_rows_match(q.graph.indptr, q.graph.indices, q.weights, sources)
+        self.assert_rows_match(q.indptr, q.indices, q.weights, sources)
 
     def test_disconnected_and_isolated_nodes(self):
         g = attach_weights(
@@ -213,22 +212,19 @@ class TestDeltaSteppingRows:
 
     def test_bucket_boundary_weights(self):
         # Mean weight 18/7: a bucket boundary rounds onto its own minimum 18.
-        g = WeightedCSRGraph.from_edges(
+        g = CSRGraph.from_edges(
             [(i, i + 1) for i in range(7)], weights=[3, 3, 3, 3, 2, 2, 2]
         )
         self.assert_rows_match(g.indptr, g.indices, g.weights, np.arange(8))
 
     def test_mmap_loaded_csr(self, quotients, tmp_path):
         q = quotients["ba-float"]
-        graph = WeightedCSRGraph(
-            indptr=q.graph.indptr, indices=q.graph.indices, weights=q.weights
-        )
-        mapped = load_snapshot(save_snapshot(graph, tmp_path / "q.snap"), mmap=True)
+        mapped = load_snapshot(save_snapshot(q, tmp_path / "q.snap"), mmap=True)
         assert mapped.mode == "mmap"
         sources = np.arange(q.num_nodes, dtype=np.int64)
         got = kernels.delta_stepping_rows(mapped.indptr, mapped.indices, mapped.weights, sources)
         assert np.array_equal(
-            got, _per_source_rows(q.graph.indptr, q.graph.indices, q.weights, sources)
+            got, _per_source_rows(q.indptr, q.indices, q.weights, sources)
         )
 
     def test_empty_inputs(self):

@@ -153,12 +153,11 @@ class TestCSRGraphVerifyPassthrough:
 
 class TestWeightedTrailer:
     def test_weighted_roundtrip_verified(self, tmp_path):
-        from repro.weighted.wgraph import WeightedCSRGraph
-
+        
         base = mesh_graph(5, 5)
         rng = np.random.default_rng(3)
         weights = rng.uniform(0.5, 2.0, size=base.num_edges * 2)
-        graph = WeightedCSRGraph(indptr=base.indptr, indices=base.indices, weights=weights)
+        graph = CSRGraph(indptr=base.indptr, indices=base.indices, weights=weights)
         path = tmp_path / "w.snap"
         save_snapshot(graph, path)
         checksums = read_snapshot_checksums(path)

@@ -9,10 +9,9 @@ from repro.core.oracle import build_distance_oracle
 from repro.core.pipeline import DecompositionPipeline, PipelineConfig
 from repro.generators import attach_weights, barabasi_albert_graph, mesh_graph
 from repro.graph import kernels
-from repro.graph.traversal import bfs_distances
+from repro.graph.traversal import bfs_distances, dijkstra
 from repro.serving import GraphService
-from repro.serving.service import resolve_method
-from repro.weighted.traversal import dijkstra
+from repro.serving.service import SERVICE_METHODS, resolve_method
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +47,19 @@ class TestBuild:
 
         with pytest.raises(ValueError):
             GraphService.build(CSRGraph.empty(0))
+
+    @pytest.mark.parametrize("method", SERVICE_METHODS)
+    def test_every_method_serves_a_weighted_graph(self, method):
+        """The graph decides the metric: every listed method bounds Dijkstra truth."""
+        graph = attach_weights(mesh_graph(12, 12), "uniform", seed=3)
+        service = GraphService.build(graph, tau=2, seed=0, method=method)
+        assert service.is_weighted and service.oracle.clustering.is_weighted
+        rng = np.random.default_rng(7)
+        for s in rng.choice(graph.num_nodes, size=4, replace=False):
+            targets = rng.integers(0, graph.num_nodes, size=50)
+            lower, upper = service.query_distance(np.full(targets.size, s), targets)
+            truth = dijkstra(graph, int(s))[targets]
+            assert np.all(lower <= truth + 1e-9) and np.all(truth <= upper + 1e-9)
 
     def test_stats_and_repr(self, mesh_service):
         stats = mesh_service.stats()

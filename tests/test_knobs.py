@@ -59,6 +59,7 @@ REMOVED = {
     "DirectionOptimizer(alpha=)": lambda: kernels.DirectionOptimizer(*_ARGS, np.full(16, -1), alpha=1.0),
     "DirectionOptimizer(beta=)": lambda: kernels.DirectionOptimizer(*_ARGS, np.full(16, -1), beta=1.0),
     "GrowthEngine(direction=)": lambda: GrowthEngine(_GRAPH, direction="push"),
+    "GrowthEngine(tie_break=<name>)": lambda: GrowthEngine(_GRAPH, tie_break="arbitrary"),
     "eccentricities(method=)": lambda: kernels.eccentricities(*_ARGS, _ONE, method="loop"),
     "eccentricities(batch=)": lambda: kernels.eccentricities(*_ARGS, _ONE, batch=8),
     "delta_stepping(delta=)": lambda: kernels.delta_stepping(*_ARGS, _WEIGHTS, _ONE, delta=1.0),

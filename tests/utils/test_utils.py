@@ -9,13 +9,7 @@ import pytest
 
 from repro.utils.logging import enable_verbose, get_logger
 from repro.utils.rng import as_rng, random_subset_mask, spawn_rngs
-from repro.utils.validation import (
-    check_integer_array,
-    check_node_index,
-    check_positive,
-    check_probability,
-    require,
-)
+from repro.utils.validation import check_node_index
 
 
 class TestRNG:
@@ -67,36 +61,12 @@ class TestRNG:
 
 
 class TestValidation:
-    def test_require(self):
-        require(True, "fine")
-        with pytest.raises(ValueError, match="broken"):
-            require(False, "broken")
-
-    def test_check_positive(self):
-        check_positive(1, "x")
-        check_positive(0, "x", strict=False)
-        with pytest.raises(ValueError):
-            check_positive(0, "x")
-        with pytest.raises(ValueError):
-            check_positive(-1, "x", strict=False)
-
-    def test_check_probability(self):
-        check_probability(0.5, "p")
-        with pytest.raises(ValueError):
-            check_probability(1.5, "p")
-
     def test_check_node_index(self):
         assert check_node_index(np.int64(3), 10) == 3
         with pytest.raises(IndexError):
             check_node_index(10, 10)
         with pytest.raises(IndexError):
             check_node_index(-1, 10)
-
-    def test_check_integer_array(self):
-        out = check_integer_array(np.asarray([1, 2, 3], dtype=np.int32), "a")
-        assert out.dtype == np.int64
-        with pytest.raises(TypeError):
-            check_integer_array(np.asarray([1.5]), "a")
 
 
 class TestLogging:

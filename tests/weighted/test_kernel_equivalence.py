@@ -1,9 +1,9 @@
 """Golden equivalence: vectorized weighted kernels vs. frozen heapq loops.
 
-Pins ``dijkstra`` / ``multi_source_dijkstra`` outputs *bit for bit* against
-the pre-refactor implementations kept frozen in ``frozen_heapq.py`` (the
-weighted analogue of the growth goldens), across seeded generator graphs
-including disconnected and single-node cases.
+Pins ``dijkstra`` and multi-source ``kernels.delta_stepping`` outputs *bit
+for bit* against the pre-refactor implementations kept frozen in
+``frozen_heapq.py`` (the weighted analogue of the growth goldens), across
+seeded generator graphs including disconnected and single-node cases.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from repro.generators import (
     path_graph,
     road_network_graph,
 )
+from repro.graph import kernels
 from repro.graph.builders import disjoint_union
-from repro.weighted.traversal import dijkstra, multi_source_dijkstra
-from repro.weighted.wgraph import WeightedCSRGraph
+from repro.graph.csr import CSRGraph
+from repro.graph.traversal import dijkstra
 
 from frozen_heapq import (  # rootless test layout: pytest puts this dir on sys.path
     frozen_dijkstra,
@@ -40,16 +41,20 @@ def _graphs():
             seed=13,
         ),
         "single-node": attach_weights(path_graph(1), "uniform", seed=14),
-        "unit-path": WeightedCSRGraph.from_unit_graph(path_graph(9)),
+        "unit-path": attach_weights(path_graph(9), "uniform", low=1.0, high=1.0),
         # Mean weight 18/7: delta_stepping's bucket boundary 7 * (18/7)
         # rounds onto the bucket minimum 18 itself and must be widened.
-        "path-bucket-boundary": WeightedCSRGraph.from_edges(
-            [(i, i + 1) for i in range(7)], weights=[3, 3, 3, 3, 2, 2, 2]
-        ),
+        "path-bucket-boundary": CSRGraph.from_edges([(i, i + 1) for i in range(7)], weights=[3, 3, 3, 3, 2, 2, 2]),
     }
 
 
 GRAPHS = _graphs()
+
+
+def multi_source_dijkstra(graph, sources):
+    """``(distances, owners)`` from the kernel, on deduplicated sources."""
+    sources = np.unique(np.asarray(sources, dtype=np.int64))
+    return kernels.delta_stepping(graph.indptr, graph.indices, graph.weights, sources)
 
 
 def _source_sets(graph):
@@ -64,9 +69,9 @@ def test_multi_source_dijkstra_matches_frozen_heapq(name):
     graph = GRAPHS[name]
     for sources in _source_sets(graph):
         ref_dist, ref_owner = frozen_multi_source_dijkstra(graph, sources)
-        result = multi_source_dijkstra(graph, sources)
-        assert np.array_equal(ref_dist, result.distances), (name, sources)
-        assert np.array_equal(ref_owner, result.sources), (name, sources)
+        distances, owners = multi_source_dijkstra(graph, sources)
+        assert np.array_equal(ref_dist, distances), (name, sources)
+        assert np.array_equal(ref_owner, owners), (name, sources)
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -77,14 +82,14 @@ def test_dijkstra_matches_frozen_heapq(name):
 
 def test_empty_source_set():
     graph = GRAPHS["mesh-uniform"]
-    result = multi_source_dijkstra(graph, [])
-    assert not np.any(np.isfinite(result.distances))
-    assert np.all(result.sources == -1)
+    distances, owners = multi_source_dijkstra(graph, [])
+    assert not np.any(np.isfinite(distances))
+    assert np.all(owners == -1)
 
 
 def test_source_out_of_range():
     graph = GRAPHS["mesh-uniform"]
     with pytest.raises(IndexError):
-        multi_source_dijkstra(graph, [graph.num_nodes])
+        dijkstra(graph, graph.num_nodes)
     with pytest.raises(IndexError):
-        multi_source_dijkstra(graph, [-1])
+        dijkstra(graph, -1)
