@@ -10,9 +10,7 @@ memory constraints.  This script shows the substrate on its own:
 2. tabulate the analytical round cost of the Fact-1 primitives (sort, prefix
    sums) under a shrinking local memory: O(log_ML n) rounds each,
 3. execute the CLUSTER-based diameter estimation under a memory-constrained
-   model and convert its metrics into simulated wall-clock time,
-4. run the same ``count`` round on both execution backends (serial /
-   vectorized) and check that output and metrics are bit-identical.
+   model and convert its metrics into simulated wall-clock time.
 
 Run with::
 
@@ -30,7 +28,6 @@ from repro.mapreduce import (
     CostModel,
     MREngine,
     MRModel,
-    available_backends,
     rounds_for_primitive,
 )
 
@@ -71,28 +68,10 @@ def constrained_diameter_demo() -> None:
     )
 
 
-def backends_demo() -> None:
-    """One count round, both backends — identical output and counters."""
-    rng = np.random.default_rng(0)
-    batch = ArrayPairs(rng.integers(0, 64, 5000), rng.integers(0, 100, 5000))
-
-    print("\nbackend equivalence on a 5000-pair count round:")
-    reference = None
-    for name in available_backends():
-        engine = MREngine(backend=name)
-        output = engine.run_structured_round(batch, "count")
-        snapshot = (output.to_pairs(), engine.metrics.as_dict())
-        if reference is None:
-            reference = snapshot
-        status = "consistent" if snapshot == reference else "MISMATCH"
-        print(f"  {name:>10}: {len(output)} groups, {engine.metrics.shuffled_pairs} pairs — {status}")
-
-
 def main() -> None:
     word_count_demo()
     fact1_demo()
     constrained_diameter_demo()
-    backends_demo()
 
 
 if __name__ == "__main__":

@@ -33,8 +33,8 @@ def main() -> None:
           f"diameter >= {reference}\n")
 
     ours = mr_estimate_diameter(graph, target_clusters=graph.num_nodes // 20, seed=7)
-    # The baselines execute every round for real now; the default vectorized
-    # backend runs them as segment reductions (serial takes the tuple path).
+    # The baselines execute every round for real, each as one sort of the
+    # round's keys plus segment reductions.
     bfs = mr_bfs_diameter(graph, seed=7)
     hadi = hadi_diameter(graph, seed=7, num_registers=16)
 

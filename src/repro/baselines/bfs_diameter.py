@@ -15,13 +15,10 @@ graphs and that our MR accounting captures.
 :func:`mr_bfs_diameter` *executes* every level as a structured MR round: the
 map phase gathers one ``(target, source)`` claim per arc leaving the frontier
 (plus the frontier's own bookkeeping pairs) directly into an
-:class:`~repro.mapreduce.backends.ArrayPairs` batch, and the ``first``
+:class:`~repro.mapreduce.structured.ArrayPairs` batch, and the ``first``
 segment reducer keeps one claimant per contested node — the same
 arbitrary-but-deterministic tie-break as
-:func:`repro.graph.kernels.claim_first`.  With ``backend="serial"`` the round
-runs through the flattened per-pair tuple path (the bit-compatibility
-reference); ``backend="vectorized"`` evaluates it with zero per-key Python
-calls.  Estimates and metrics are backend-independent.
+:func:`repro.graph.kernels.claim_first` — with zero per-key Python calls.
 
 The in-memory sweeps of :func:`bfs_diameter` run through the
 direction-optimizing :func:`repro.graph.kernels.frontier_expansion` (push or
@@ -41,11 +38,11 @@ import numpy as np
 from repro.graph import kernels
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import multi_source_bfs
-from repro.mapreduce.backends import ArrayPairs
 from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
-from repro.mapreduce.engine import BackendSpec, MREngine
+from repro.mapreduce.engine import MREngine
 from repro.mapreduce.metrics import MRMetrics
 from repro.mapreduce.model import MRModel
+from repro.mapreduce.structured import ArrayPairs
 from repro.utils.rng import SeedLike, as_rng
 
 __all__ = ["BFSDiameterResult", "bfs_diameter", "mr_bfs_diameter"]
@@ -148,17 +145,12 @@ def mr_bfs_diameter(
     start: Optional[int] = None,
     model: Optional[MRModel] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    backend: BackendSpec = "vectorized",
 ) -> BFSDiameterResult:
     """Double-sweep BFS with every level executed as a structured MR round.
 
     Each BFS level is one round whose communication volume is the number of
     adjacency entries scanned at that level plus the frontier bookkeeping (so
     the aggregate over a full BFS is ``2m`` arc messages plus ``O(n)``).
-    ``backend`` selects the engine's execution backend: the
-    ``vectorized`` default runs the segment fast path, ``serial`` the
-    per-pair tuple path (the bit-compatibility reference); estimates and
-    metrics are identical on every backend.
     """
     n = graph.num_nodes
     if n == 0:
@@ -166,7 +158,7 @@ def mr_bfs_diameter(
     rng = as_rng(seed)
     if start is None:
         start = int(rng.integers(0, n))
-    engine = MREngine(model=model if model is not None else MRModel(enforce=False), backend=backend)
+    engine = MREngine(model=model if model is not None else MRModel(enforce=False))
     first_dist, first_levels = _structured_bfs(engine, graph.indptr, graph.indices, n, int(start))
     reachable = np.flatnonzero(first_dist >= 0)
     ecc_first = int(first_dist[reachable].max())

@@ -18,13 +18,10 @@ slightly *underestimate* the true diameter.
 Every sketch-propagation iteration is *executed* as one structured MR round:
 the map phase ships each node's sketch to itself plus one sketch along every
 arc (a single CSR gather into an
-:class:`~repro.mapreduce.backends.ArrayPairs` batch of ``uint64`` register
-rows), and the registered ``bitwise_or`` segment reducer merges each node's
+:class:`~repro.mapreduce.structured.ArrayPairs` batch of ``uint64`` register
+rows), and the built-in ``bitwise_or`` segment reducer merges each node's
 incoming sketches with ``np.bitwise_or.reduceat`` — the HADI round, with
-zero per-key Python calls on the vectorized backend.  ``backend="serial"``
-runs the same round through the flattened per-pair tuple path (the
-bit-compatibility reference); estimates and metrics are identical either
-way.
+zero per-key Python calls.
 """
 
 from __future__ import annotations
@@ -35,11 +32,11 @@ from typing import List, Optional
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.mapreduce.backends import ArrayPairs
 from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
-from repro.mapreduce.engine import BackendSpec, MREngine
+from repro.mapreduce.engine import MREngine
 from repro.mapreduce.metrics import MRMetrics
 from repro.mapreduce.model import MRModel
+from repro.mapreduce.structured import ArrayPairs
 from repro.utils.rng import SeedLike, as_rng
 
 __all__ = ["HADIResult", "hadi_diameter", "fm_estimate", "make_fm_sketches"]
@@ -118,7 +115,6 @@ def hadi_diameter(
     seed: SeedLike = None,
     model: Optional[MRModel] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    backend: BackendSpec = "vectorized",
 ) -> HADIResult:
     """Estimate the diameter of ``graph`` with HADI/ANF.
 
@@ -132,16 +128,12 @@ def hadi_diameter(
     tolerance:
         Relative increase of the neighborhood function below which the
         process is considered saturated.
-    backend:
-        Execution backend of the engine running the sketch-OR rounds; the
-        ``vectorized`` default is the segment fast path, ``serial`` the
-        per-pair tuple path.  Estimates and metrics are backend-independent.
     """
     n = graph.num_nodes
     if n == 0:
         raise ValueError("graph must be non-empty")
     rng = as_rng(seed)
-    engine = MREngine(model=model if model is not None else MRModel(enforce=False), backend=backend)
+    engine = MREngine(model=model if model is not None else MRModel(enforce=False))
     limit = max_iterations if max_iterations is not None else n
 
     sketches = make_fm_sketches(n, num_registers=num_registers, rng=rng)

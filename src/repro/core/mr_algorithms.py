@@ -21,7 +21,7 @@ replay that trace against the MR(M_G, M_L) accounting of
 This is what turns the paper's Table 4 / Figure 1 "time" columns into
 measurable quantities on a single machine: rounds, shuffled pairs, and the
 simulated time of :class:`repro.mapreduce.cost.CostModel`.  The replay only
-charges rounds — it executes none — so it needs no execution backend;
+charges rounds — it executes none;
 :meth:`repro.core.pipeline.DecompositionPipeline.mr_report` is the one place
 that runs it, and :func:`mr_estimate_diameter` is its functional front end.
 """

@@ -84,9 +84,6 @@ class PipelineConfig:
     enforce_local_memory:
         Enforce the Theorem 4 requirement that the quotient graph fits in one
         reducer's local memory during MR accounting.
-
-    MR accounting charges rounds without executing any, so no execution
-    backend is configured here.
     """
 
     method: str = "cluster"

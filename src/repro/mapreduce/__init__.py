@@ -1,39 +1,17 @@
-"""MR(M_G, M_L) MapReduce simulation substrate (model, engine, backends, structured rounds)."""
+"""MR(M_G, M_L) MapReduce simulation substrate (model, engine, structured rounds)."""
 
-from repro.mapreduce.backends import (
-    ArrayPairs,
-    ExecutionBackend,
-    SerialBackend,
-    VectorizedBackend,
-    available_backends,
-    get_backend,
-)
 from repro.mapreduce.pool import SupervisedPool, WorkerLostError, fork_available
 from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
 from repro.mapreduce.engine import MREngine
 from repro.mapreduce.metrics import MRMetrics
 from repro.mapreduce.model import MRConstraintViolation, MRModel, rounds_for_primitive
-from repro.mapreduce.structured import (
-    StructuredOutcome,
-    StructuredReducer,
-    available_structured_reducers,
-    get_structured_reducer,
-    register_structured_reducer,
-)
+from repro.mapreduce.structured import ArrayPairs, StructuredOutcome, StructuredReducer
 
 __all__ = [
     "StructuredOutcome",
     "StructuredReducer",
-    "available_structured_reducers",
-    "get_structured_reducer",
-    "register_structured_reducer",
     "ArrayPairs",
-    "ExecutionBackend",
-    "SerialBackend",
-    "VectorizedBackend",
-    "available_backends",
     "fork_available",
-    "get_backend",
     "SupervisedPool",
     "WorkerLostError",
     "CostModel",

@@ -47,15 +47,5 @@ class CostModel:
         """Simulated seconds for an execution with the given metrics."""
         return self.round_latency * metrics.rounds + self.pair_cost * metrics.shuffled_pairs
 
-    def breakdown(self, metrics: MRMetrics) -> dict:
-        """Separate round-latency and communication contributions."""
-        round_time = self.round_latency * metrics.rounds
-        comm_time = self.pair_cost * metrics.shuffled_pairs
-        return {
-            "round_time": round_time,
-            "communication_time": comm_time,
-            "total_time": round_time + comm_time,
-        }
-
 
 DEFAULT_COST_MODEL = CostModel()

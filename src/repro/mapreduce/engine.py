@@ -12,23 +12,15 @@ to every group, and emits the next multiset.  After every round the engine
 
 Every round is a *structured round* (:meth:`MREngine.run_structured_round`):
 the driver hands the engine an unflattened
-:class:`~repro.mapreduce.backends.ArrayPairs` batch, and the reduce phase is a
-declarative :class:`~repro.mapreduce.structured.StructuredReducer` (``min`` /
+:class:`~repro.mapreduce.structured.ArrayPairs` batch, and the reduce phase is
+a declarative :class:`~repro.mapreduce.structured.StructuredReducer` (``min`` /
 ``max`` / ``sum`` / ``count`` / ``first`` / ``argmin`` / ``bitwise_or`` /
-custom) that the backends evaluate as C-level segment reductions — no
-per-pair or per-key Python calls on the fast path.  The metrics are metered
-from the array shapes.  Primitives whose round cost is known analytically
-(the sort / prefix sums of Fact 1, see
-:func:`~repro.mapreduce.model.rounds_for_primitive`) are charged with
-:meth:`MREngine.charge_rounds` instead of being executed.
-
-The physical execution of the shuffle+reduce is pluggable
-(:mod:`repro.mapreduce.backends`): ``backend="serial"`` is the per-pair tuple
-path (the bit-compatibility reference) and ``backend="vectorized"`` groups
-with one argsort and evaluates the reducer with segment reductions.  Both run
-in the calling process and are bit-compatible: identical output arrays and
-identical metrics, so round/communication numbers reported by the experiment
-harness do not depend on the backend choice.
+custom) evaluated in the calling process as C-level segment reductions
+(:func:`~repro.mapreduce.structured.execute_segments`) — no per-pair or
+per-key Python calls.  The metrics are metered from the array shapes.
+Primitives whose round cost is known analytically (the sort / prefix sums of
+Fact 1, see :func:`~repro.mapreduce.model.rounds_for_primitive`) are charged
+with :meth:`MREngine.charge_rounds` instead of being executed.
 
 The MR drivers of the core algorithms (:mod:`repro.core.mr_algorithms`) and
 of the baselines (BFS, HADI) are built on this engine, so the rounds /
@@ -42,12 +34,14 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.mapreduce.backends import ArrayPairs, ExecutionBackend, get_backend
 from repro.mapreduce.metrics import MRMetrics
 from repro.mapreduce.model import MRModel
-from repro.mapreduce.structured import StructuredReducer, resolve_structured_reducer
-
-BackendSpec = Union[str, ExecutionBackend, None]
+from repro.mapreduce.structured import (
+    ArrayPairs,
+    StructuredReducer,
+    execute_segments,
+    resolve_structured_reducer,
+)
 
 __all__ = ["MREngine"]
 
@@ -60,23 +54,11 @@ class MREngine:
     model:
         The MR(M_G, M_L) instance to validate against.  Defaults to an
         unbounded model (no constraint failures, metrics still collected).
-    backend:
-        Execution backend for the shuffle+reduce phase: a name from
-        :func:`repro.mapreduce.backends.available_backends` (``"serial"``,
-        ``"vectorized"``) or an
-        :class:`~repro.mapreduce.backends.ExecutionBackend` instance.
-        Backends are bit-compatible; pick ``vectorized`` for large workloads.
     """
 
-    def __init__(self, model: Optional[MRModel] = None, *, backend: BackendSpec = "serial") -> None:
+    def __init__(self, model: Optional[MRModel] = None) -> None:
         self.model = model if model is not None else MRModel(enforce=False)
         self.metrics = MRMetrics()
-        self.backend = get_backend(backend)
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the active execution backend."""
-        return self.backend.name
 
     # ------------------------------------------------------------------ #
     def run_structured_round(
@@ -89,16 +71,14 @@ class MREngine:
         """Execute one array-native shuffle → reduce round over ``pairs``.
 
         ``pairs`` is the round's unflattened :class:`ArrayPairs` batch, as
-        the driver's map phase emitted it; ``reducer`` is a registered
+        the driver's map phase emitted it; ``reducer`` is a built-in
         structured-reducer name (``"min"``, ``"sum"``, ``"first"``,
         ``"argmin"``, ``"bitwise_or"``, ...) or a
         :class:`~repro.mapreduce.structured.StructuredReducer` instance.  The
-        :class:`MRMetrics` counters are metered from the array shapes,
-        identically on every backend, and the output batch preserves
-        first-occurrence key order.
+        :class:`MRMetrics` counters are metered from the array shapes, and
+        the output batch preserves first-occurrence key order.
         """
-        structured_reducer = resolve_structured_reducer(reducer)
-        outcome = self.backend.shuffle_reduce_structured(pairs, structured_reducer)
+        outcome = execute_segments(pairs, resolve_structured_reducer(reducer))
         live_pairs = max(outcome.pairs_shuffled, len(outcome.output))
         self.metrics.record_round(
             pairs_shuffled=outcome.pairs_shuffled,
@@ -144,7 +124,3 @@ class MREngine:
         if charges.ndim != 1:
             raise ValueError(f"pairs_per_round must be one-dimensional, got shape {charges.shape}")
         self.metrics.record_charged_rounds(charges, label=label)
-
-    def reset(self) -> None:
-        """Clear accumulated metrics (the model's violation log is kept)."""
-        self.metrics = MRMetrics()

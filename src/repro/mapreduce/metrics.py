@@ -81,29 +81,6 @@ class MRMetrics:
         self.max_live_pairs = max(self.max_live_pairs, peak)
         self.per_label[label] = self.per_label.get(label, 0) + int(charges.size)
 
-    def merge(self, other: "MRMetrics") -> "MRMetrics":
-        """Accumulate ``other`` into ``self`` (returns self for chaining)."""
-        self.rounds += other.rounds
-        self.shuffled_pairs += other.shuffled_pairs
-        self.max_round_pairs = max(self.max_round_pairs, other.max_round_pairs)
-        self.max_reducer_input = max(self.max_reducer_input, other.max_reducer_input)
-        self.max_live_pairs = max(self.max_live_pairs, other.max_live_pairs)
-        for label, count in other.per_label.items():
-            self.per_label[label] = self.per_label.get(label, 0) + count
-        return self
-
-    def copy(self) -> "MRMetrics":
-        """Deep copy of the counters."""
-        clone = MRMetrics(
-            rounds=self.rounds,
-            shuffled_pairs=self.shuffled_pairs,
-            max_round_pairs=self.max_round_pairs,
-            max_reducer_input=self.max_reducer_input,
-            max_live_pairs=self.max_live_pairs,
-        )
-        clone.per_label = dict(self.per_label)
-        return clone
-
     def as_dict(self) -> Dict[str, int]:
         """Flat dict of the scalar counters (for table rendering)."""
         return {

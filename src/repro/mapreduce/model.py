@@ -18,7 +18,6 @@ exploring configurations).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -105,5 +104,11 @@ def rounds_for_primitive(input_size: int, local_memory: Optional[int]) -> int:
         return 1
     if local_memory is None or local_memory >= input_size:
         return 1
+    # The smallest r with M_L**r >= n, counted in integers: a float log
+    # rounds up past r at exact powers.
     base = max(2, int(local_memory))
-    return max(1, math.ceil(math.log(input_size, base)))
+    rounds, capacity = 1, base
+    while capacity < input_size:
+        capacity *= base
+        rounds += 1
+    return rounds

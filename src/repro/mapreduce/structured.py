@@ -1,35 +1,23 @@
 """Structured MR rounds: array-native reducers executed as segment reductions.
 
-A *structured round* pairs an unflattened
-:class:`~repro.mapreduce.backends.ArrayPairs` batch with a declarative
-:class:`StructuredReducer` drawn from a registry (``min``, ``max``, ``sum``,
-``count``, ``first``, ``argmin``, ``bitwise_or``, or a custom registration)
-that every backend knows how to execute — never one Python callable per key
-on the fast path, which is exactly the per-pair / per-key object cost the
-paper's linear-communication algorithms are supposed to avoid:
+A *structured round* pairs an unflattened :class:`ArrayPairs` batch with a
+declarative :class:`StructuredReducer` — a built-in (``min``, ``max``,
+``sum``, ``count``, ``first``, ``argmin``, ``bitwise_or``) or a custom
+instance — and executes it as one *segment pass*
+(:func:`execute_segments`): one stable sort of the key array, then
+``np.<ufunc>.reduceat``-style reductions over each group's slice
+(:meth:`~StructuredReducer.segment_reduce`).  There is never one Python
+callable per pair or per key, which is exactly the per-pair object cost the
+paper's linear-communication algorithms are supposed to avoid.
 
-``serial``
-    Flattens the batch to per-pair Python tuples and runs the reducer's
-    :meth:`~StructuredReducer.reference` callable through a dict shuffle —
-    the *tuple path* (:func:`execute_reference`), kept as the
-    bit-compatibility reference (and as the slow side of the
-    structured-vs-tuple benchmark gates).
-
-``vectorized``
-    Groups with one stable ``argsort`` over the key array and evaluates the
-    reducer with ``np.<ufunc>.reduceat``-style *segment reductions*
-    (:meth:`~StructuredReducer.segment_reduce`) — zero per-key Python calls.
-
-Both produce bit-identical :class:`StructuredOutcome`\\ s — same output
-arrays in the same (first-occurrence) order, same counters — so the metered
-``MRMetrics`` never depend on the execution strategy.  (One carve-out: the
-``sum`` reducer requires group sums to fit the value dtype — integer
-overflow wraps on the segment path but not in exact Python arithmetic, so
-overflowing workloads are outside the contract.)  Key arrays an argsort
-cannot group (object dtype, NaN floats) run the tuple path on every backend.
-Drivers build each round's ``ArrayPairs`` with whole-array operations (e.g.
-frontier claim expansion is one ``np.repeat``/gather over the CSR arrays,
-reusing the :mod:`repro.graph.kernels` primitives).
+The output is what a dict group-by calling one function per key would
+produce: groups are emitted in first-occurrence order of their key, each
+reducer sees its values in arrival order, and keys group by hash and ``==``.
+Key arrays a sort cannot group (object dtype, NaN floats, complex, datetime)
+are first mapped to int64 codes through a dict, so ``True`` and ``1`` merge,
+``"3"`` and ``3`` stay apart and each NaN is its own group.
+(``tests/mapreduce/mr_reference.py`` holds that dict shuffle as the frozen
+reference the segment pass is pinned to.)
 
 A reducer emits one row per group (plus an optional emit mask); rounds whose
 reduce step would emit many rows per group — the sample sort and prefix sums
@@ -37,53 +25,71 @@ of Fact 1 — are not executed but charged analytically
 (:func:`~repro.mapreduce.model.rounds_for_primitive`,
 :meth:`~repro.mapreduce.engine.MREngine.charge_rounds`).
 
-Registering a custom segment reducer::
+A custom segment reducer is passed as an instance::
 
     class MyReducer(StructuredReducer):
         name = "my-reducer"
         def segment_reduce(self, sorted_values, starts, ends): ...
-        def reference(self, key, values): ...
 
-    register_structured_reducer(MyReducer())
-    engine.run_structured_round(batch, "my-reducer")
+    engine.run_structured_round(batch, MyReducer())
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple, Union
+from typing import Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.mapreduce.backends import ArrayPairs
-
-Key = Hashable
-Value = object
-Pair = Tuple[Key, Value]
-
 __all__ = [
+    "ArrayPairs",
     "StructuredOutcome",
     "StructuredReducer",
-    "register_structured_reducer",
-    "get_structured_reducer",
-    "available_structured_reducers",
     "resolve_structured_reducer",
-    "execute_reference",
     "execute_segments",
     "grouping_order",
-    "segment_eligible",
 ]
 
-# Key-array dtypes a structured round can group with one argsort: integers,
-# unsigned, booleans, fixed-width strings/bytes, and floats (NaN-free — the
-# caller checks, since NaN breaks grouping-by-equality).
-_SEGMENT_KEY_KINDS = frozenset("iubUSf")
+# Key-array dtypes a structured round groups with one sort: integers,
+# unsigned, booleans, fixed-width strings/bytes, and floats (NaN-free — NaN
+# breaks grouping-by-equality).  Every other key array is grouped by dict codes.
+_SORTABLE_KEY_KINDS = frozenset("iubUSf")
+
+
+class ArrayPairs:
+    """Unflattened batch of key-value pairs: one keys array, one values array.
+
+    ``keys`` must be a one-dimensional NumPy array; ``values`` must be a NumPy
+    array (any dtype, including ``object``) whose first dimension matches
+    ``keys``.
+    """
+
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray) -> None:
+        keys = np.asarray(keys)
+        values = np.asarray(values)
+        if keys.ndim != 1:
+            raise ValueError(f"keys must be one-dimensional, got shape {keys.shape}")
+        if values.shape[:1] != keys.shape:
+            raise ValueError(
+                f"keys and values must have the same length, got shapes {keys.shape} and {values.shape}"
+            )
+        self.keys = keys
+        self.values = values
+
+    def __len__(self) -> int:
+        return int(self.keys.shape[0])
+
+    def to_pairs(self) -> List[Tuple[Hashable, object]]:
+        """Flatten into ``(key, value)`` tuples of Python scalars."""
+        return list(zip(self.keys.tolist(), self.values.tolist()))
 
 
 @dataclass(frozen=True)
 class StructuredOutcome:
-    """What a backend reports after executing one structured shuffle+reduce.
+    """What one structured shuffle+reduce reports.
 
     ``output`` is an :class:`ArrayPairs` batch (groups in first-occurrence
     order of their key); ``pairs_shuffled`` is the number of mapped pairs
@@ -100,21 +106,13 @@ class StructuredOutcome:
 # Reducer vocabulary
 # --------------------------------------------------------------------------- #
 class StructuredReducer(ABC):
-    """A reducer the backends can evaluate without per-key Python calls.
+    """A reducer evaluated as segment reductions, without per-key Python calls.
 
-    Implementations provide two semantically identical evaluations:
-
-    * :meth:`segment_reduce` — the array fast path: given the value rows
-      sorted by key and the segment boundaries of each group, produce one
-      reduced row per group (plus an optional emit mask for reducers that
-      drop groups); and
-    * :meth:`reference` — the per-key tuple-path callable with the exact
-      same semantics, used by the serial backend and by the fallback for
-      keys an argsort cannot group.  Bit-compatibility between the two is
-      what the cross-backend equivalence suite enforces.
-
+    :meth:`segment_reduce` receives the value rows sorted by key and the
+    segment boundaries of each group, and produces one reduced row per group
+    (plus an optional emit mask for reducers that drop groups).
     ``values_ndim`` restricts the accepted value-array rank (``None`` = any);
-    violating it raises ``ValueError`` identically on every backend.
+    violating it raises ``ValueError``.
     """
 
     name: str = "abstract"
@@ -132,10 +130,6 @@ class StructuredReducer(ABC):
         groups that produce output.
         """
 
-    @abstractmethod
-    def reference(self, key: Key, values: List[Value]) -> Iterable[Pair]:
-        """Tuple-path callable with semantics identical to the segment path."""
-
     # ------------------------------------------------------------------ #
     def result_dtype(self, values: np.ndarray) -> np.dtype:
         """Dtype of the output value array (defaults to the input dtype)."""
@@ -146,7 +140,7 @@ class StructuredReducer(ABC):
         return values.shape[1:]
 
     def validate_values(self, values: np.ndarray) -> None:
-        """Reject value arrays this reducer cannot evaluate (all backends)."""
+        """Reject value arrays this reducer cannot evaluate."""
         if self.values_ndim is not None and values.ndim != self.values_ndim:
             raise ValueError(
                 f"structured reducer {self.name!r} requires a "
@@ -164,9 +158,6 @@ class _MinReducer(StructuredReducer):
     def segment_reduce(self, sorted_values, starts, ends):
         return np.minimum.reduceat(sorted_values, starts), None
 
-    def reference(self, key, values):
-        yield (key, min(values))
-
 
 class _MaxReducer(StructuredReducer):
     name = "max"
@@ -175,15 +166,17 @@ class _MaxReducer(StructuredReducer):
     def segment_reduce(self, sorted_values, starts, ends):
         return np.maximum.reduceat(sorted_values, starts), None
 
-    def reference(self, key, values):
-        yield (key, max(values))
-
 
 class _SumReducer(StructuredReducer):
-    """Per-group sum.  Group sums must fit the value dtype: the segment path
-    wraps on int64/uint64 overflow (NumPy semantics) while the tuple path
-    sums exactly in Python and then fails to convert, so workloads whose sums
-    overflow are outside the bit-compatibility contract."""
+    """Per-group sum, with two departures from exact arrival-order addition.
+
+    Integer group sums must fit the value dtype: they wrap on int64/uint64
+    overflow (NumPy semantics), so overflowing workloads are outside the
+    contract.  Float sums are not added in arrival order (``np.add.reduceat``
+    sums each slice pairwise), so they may differ from a left-to-right sum
+    in the last bits: by at most ``2 (k - 1) 2**-53 sum(|v|)`` for a group
+    of ``k`` values.
+    """
 
     name = "sum"
     values_ndim = 1
@@ -191,18 +184,12 @@ class _SumReducer(StructuredReducer):
     def segment_reduce(self, sorted_values, starts, ends):
         return np.add.reduceat(sorted_values, starts), None
 
-    def reference(self, key, values):
-        yield (key, sum(values))
-
 
 class _CountReducer(StructuredReducer):
     name = "count"
 
     def segment_reduce(self, sorted_values, starts, ends):
         return (ends - starts).astype(np.int64), None
-
-    def reference(self, key, values):
-        yield (key, len(values))
 
     def result_dtype(self, values):
         return np.dtype(np.int64)
@@ -218,9 +205,6 @@ class _FirstReducer(StructuredReducer):
         # The stable key sort keeps arrival order within a group, so the
         # segment head is the first-arriving value — dict semantics.
         return sorted_values[starts], None
-
-    def reference(self, key, values):
-        yield (key, values[0])
 
 
 class _ArgminReducer(StructuredReducer):
@@ -242,9 +226,6 @@ class _ArgminReducer(StructuredReducer):
         order = np.lexsort(keys + (segment_ids,))
         return sorted_values[order[starts]], None
 
-    def reference(self, key, values):
-        yield (key, min(values))
-
 
 class _BitwiseOrReducer(StructuredReducer):
     """Bitwise OR of every value in the group (HADI/ANF sketch merging)."""
@@ -254,140 +235,44 @@ class _BitwiseOrReducer(StructuredReducer):
     def segment_reduce(self, sorted_values, starts, ends):
         return np.bitwise_or.reduceat(sorted_values, starts, axis=0), None
 
-    def reference(self, key, values):
-        merged = values[0]
-        for value in values[1:]:
-            if isinstance(merged, (list, tuple)):
-                merged = [a | b for a, b in zip(merged, value)]
-            else:
-                merged = merged | value
-        yield (key, merged)
 
-
-# --------------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------------- #
-_REGISTRY: Dict[str, StructuredReducer] = {}
-
-
-def register_structured_reducer(reducer: StructuredReducer, *, overwrite: bool = False) -> StructuredReducer:
-    """Add ``reducer`` to the registry under ``reducer.name``.
-
-    Returns the reducer for chaining.
-    """
-    if not isinstance(reducer, StructuredReducer):
-        raise TypeError(f"expected a StructuredReducer, got {type(reducer).__name__}")
-    if not overwrite and reducer.name in _REGISTRY:
-        raise ValueError(f"structured reducer {reducer.name!r} already registered")
-    _REGISTRY[reducer.name] = reducer
-    return reducer
-
-
-def get_structured_reducer(name: str) -> StructuredReducer:
-    """Look up a registered reducer by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown structured reducer {name!r}; available: {available_structured_reducers()}"
-        ) from None
-
-
-def available_structured_reducers() -> List[str]:
-    """Sorted names accepted by :func:`get_structured_reducer`."""
-    return sorted(_REGISTRY)
+_BUILTIN_REDUCERS = {
+    reducer.name: reducer
+    for reducer in (
+        _MinReducer(),
+        _MaxReducer(),
+        _SumReducer(),
+        _CountReducer(),
+        _FirstReducer(),
+        _ArgminReducer(),
+        _BitwiseOrReducer(),
+    )
+}
 
 
 def resolve_structured_reducer(spec: Union[str, StructuredReducer]) -> StructuredReducer:
-    """Resolve a registered name or an instance to a :class:`StructuredReducer`."""
+    """Resolve a built-in reducer name or an instance to a :class:`StructuredReducer`."""
     if isinstance(spec, StructuredReducer):
         return spec
+    if isinstance(spec, str) and spec in _BUILTIN_REDUCERS:
+        return _BUILTIN_REDUCERS[spec]
+    builtins = sorted(_BUILTIN_REDUCERS)
     if isinstance(spec, str):
-        return get_structured_reducer(spec)
+        raise ValueError(f"unknown structured reducer {spec!r}; built-ins: {builtins}")
     raise TypeError(
-        f"reducer must be a registered name or a StructuredReducer, got {spec!r}; "
-        f"registered: {available_structured_reducers()}"
+        f"reducer must be a built-in name or a StructuredReducer, got {spec!r}; built-ins: {builtins}"
     )
 
 
-for _reducer in (
-    _MinReducer(),
-    _MaxReducer(),
-    _SumReducer(),
-    _CountReducer(),
-    _FirstReducer(),
-    _ArgminReducer(),
-    _BitwiseOrReducer(),
-):
-    register_structured_reducer(_reducer)
-
-
 # --------------------------------------------------------------------------- #
-# Execution strategies
+# The segment pass
 # --------------------------------------------------------------------------- #
-def segment_eligible(keys: np.ndarray) -> bool:
-    """True when the key array can be grouped with one stable argsort."""
-    if keys.dtype.kind not in _SEGMENT_KEY_KINDS:
-        return False
-    if keys.dtype.kind == "f" and bool(np.isnan(keys).any()):
-        return False
-    return True
-
-
 def _empty_outcome(mapped: ArrayPairs, reducer: StructuredReducer) -> StructuredOutcome:
     keys = np.zeros(0, dtype=mapped.keys.dtype)
     values = np.zeros(
         (0,) + reducer.result_row_shape(mapped.values), dtype=reducer.result_dtype(mapped.values)
     )
     return StructuredOutcome(ArrayPairs(keys, values), 0, 0)
-
-
-def execute_reference(mapped: ArrayPairs, reducer: StructuredReducer) -> StructuredOutcome:
-    """The tuple path: flatten to per-pair tuples, dict shuffle, per-key calls.
-
-    This is the bit-compatibility reference every other strategy is tested
-    against — it deliberately pays the per-pair Python-object cost the
-    structured fast paths exist to avoid.
-    """
-    reducer.validate_values(mapped.values)
-    if len(mapped) == 0:
-        return _empty_outcome(mapped, reducer)
-    groups: Dict[Key, List[Value]] = {}
-    for key, value in mapped.to_pairs():
-        bucket = groups.get(key)
-        if bucket is None:
-            groups[key] = [value]
-        else:
-            bucket.append(value)
-    max_input = max(len(bucket) for bucket in groups.values())
-    out_keys: List[Key] = []
-    out_values: List[Value] = []
-    for key, bucket in groups.items():
-        for out_key, out_value in reducer.reference(key, bucket):
-            out_keys.append(out_key)
-            out_values.append(out_value)
-    if not out_keys:
-        outcome = _empty_outcome(mapped, reducer)
-        return StructuredOutcome(outcome.output, len(mapped), max_input)
-    keys_array = _pack(out_keys, mapped.keys.dtype, ())
-    values_array = _pack(
-        out_values, reducer.result_dtype(mapped.values), reducer.result_row_shape(mapped.values)
-    )
-    return StructuredOutcome(ArrayPairs(keys_array, values_array), len(mapped), max_input)
-
-
-def _pack(items: List[object], dtype: np.dtype, row_shape: Tuple[int, ...]) -> np.ndarray:
-    """``np.asarray(items, dtype)`` that keeps scalar object items whole.
-
-    NumPy unpacks a list of equal-length tuples into a 2-d array even with
-    ``dtype=object``; tuple keys must stay one element per group.
-    """
-    if np.dtype(dtype) != object or row_shape:
-        return np.asarray(items, dtype=dtype)
-    packed = np.empty(len(items), dtype=object)
-    for index, item in enumerate(items):
-        packed[index] = item
-    return packed
 
 
 def grouping_order(keys: np.ndarray) -> np.ndarray:
@@ -414,46 +299,45 @@ def grouping_order(keys: np.ndarray) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def _segment_groups(
-    keys: np.ndarray, values: np.ndarray, reducer: StructuredReducer
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Group+reduce one key/value array pair with segment reductions.
+def _dict_codes(keys: np.ndarray) -> np.ndarray:
+    """Int64 group codes in first-occurrence order, grouping like a dict.
 
-    Returns ``(first_occurrence, group_keys, rows, max_input)`` restricted to
-    the emitting groups; ``first_occurrence`` holds input positions.
+    Keys group by hash and ``==`` exactly as dict keys do: ``True`` and ``1``
+    share a code, ``"3"`` and ``3`` do not, and each NaN gets its own.
     """
-    order = grouping_order(keys)
-    sorted_keys = keys[order]
-    boundary = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-    starts = np.concatenate(([0], boundary))
-    ends = np.concatenate((boundary, [sorted_keys.size]))
-    max_input = int((ends - starts).max())
-    rows, emit = reducer.segment_reduce(values[order], starts, ends)
-    first_occurrence = order[starts]
-    group_keys = sorted_keys[starts]
-    if emit is not None:
-        first_occurrence = first_occurrence[emit]
-        group_keys = group_keys[emit]
-        rows = rows[emit]
-    return first_occurrence, group_keys, rows, max_input
+    codes: dict = {}
+    return np.fromiter(
+        (codes.setdefault(key, len(codes)) for key in keys.tolist()), dtype=np.int64, count=keys.size
+    )
 
 
 def execute_segments(mapped: ArrayPairs, reducer: StructuredReducer) -> StructuredOutcome:
-    """The array fast path: one stable argsort + pure segment reductions.
+    """Execute one structured round: one stable key sort + segment reductions.
 
-    Falls back to :func:`execute_reference` when the key array cannot be
-    argsort-grouped (object dtype, NaN floats) so the call never fails where
-    the serial backend would succeed.
+    Key arrays a sort cannot group (object dtype, NaN floats, complex,
+    datetime) are sorted by their dict codes instead; either way each group
+    emits the key of its first occurrence, so tuple keys stay whole.
     """
     reducer.validate_values(mapped.values)
     if len(mapped) == 0:
         return _empty_outcome(mapped, reducer)
-    if not segment_eligible(mapped.keys):
-        return execute_reference(mapped, reducer)
-    first_occurrence, group_keys, rows, max_input = _segment_groups(
-        mapped.keys, mapped.values, reducer
-    )
+    keys = mapped.keys
+    sortable = keys.dtype.kind in _SORTABLE_KEY_KINDS
+    if sortable and keys.dtype.kind == "f":
+        sortable = not bool(np.isnan(keys).any())
+    group_by = keys if sortable else _dict_codes(keys)
+    order = grouping_order(group_by)
+    sorted_keys = group_by[order]
+    boundary = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    starts = np.concatenate(([0], boundary))
+    ends = np.concatenate((boundary, [sorted_keys.size]))
+    max_input = int((ends - starts).max())
+    rows, emit = reducer.segment_reduce(mapped.values[order], starts, ends)
+    first_occurrence = order[starts]
+    if emit is not None:
+        first_occurrence = first_occurrence[emit]
+        rows = rows[emit]
     # First-occurrence indices are distinct, so an unstable sort suffices.
     emit_order = np.argsort(first_occurrence)
-    output = ArrayPairs(group_keys[emit_order], rows[emit_order])
+    output = ArrayPairs(keys[first_occurrence[emit_order]], rows[emit_order])
     return StructuredOutcome(output, len(mapped), max_input)

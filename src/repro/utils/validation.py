@@ -8,7 +8,13 @@ import numpy as np
 
 
 def check_node_index(node: Any, num_nodes: int, name: str = "node") -> int:
-    """Validate and return ``node`` as a python int in ``[0, num_nodes)``."""
+    """Validate and return ``node`` as a python int in ``[0, num_nodes)``.
+
+    Only Python and NumPy integers are node ids: a float, a string or a bool
+    raises ``TypeError`` instead of being truncated to some other node.
+    """
+    if isinstance(node, bool) or not isinstance(node, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer node id, got {type(node).__name__} {node!r}")
     idx = int(node)
     if idx < 0 or idx >= num_nodes:
         raise IndexError(f"{name} {idx} out of range for graph with {num_nodes} nodes")

@@ -1,9 +1,12 @@
-"""Cross-backend equivalence suite for the MR execution backends.
+"""The segment path against the frozen tuple-path reference.
 
-Every backend must be bit-compatible with the serial reference: identical
-output pairs (same order, same dtypes) and identical :class:`MRMetrics` for
-any structured round.  This is what allows the experiment harness to treat
-the backend as a pure performance knob.
+The production round (one key sort + segment reductions) must be
+bit-compatible with the tuple path of ``mr_reference.py``: identical output
+pairs (same order, same dtypes) and identical :class:`MRMetrics` for any
+structured round.  ``"serial"`` names the reference side (every round under
+``tuple_path()``), ``"vectorized"`` the production side.  The one exception
+is a float ``sum``, which may differ in the last bits and is held to a
+float64 rounding bound instead.
 """
 
 from __future__ import annotations
@@ -11,17 +14,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mapreduce.backends import (
-    ArrayPairs,
-    SerialBackend,
-    VectorizedBackend,
-    available_backends,
-    get_backend,
-)
+from mr_reference import PATHS, on_path  # rootless test layout: pytest puts this dir on sys.path
 from repro.mapreduce.engine import MREngine
 from repro.mapreduce.model import MRConstraintViolation, MRModel
+from repro.mapreduce.structured import ArrayPairs
 
-BACKENDS = ("serial", "vectorized")
 SCALAR_REDUCERS = ("min", "max", "sum", "count", "first")
 
 
@@ -41,12 +38,13 @@ def fanout_map(batch):
     )
 
 
-def run_all_backends(batch, reducer):
-    """One structured round per backend; returns {name: (pairs, dtypes, metrics)}."""
+def run_both_paths(batch, reducer):
+    """One structured round per path; returns {name: (pairs, dtypes, metrics)}."""
     results = {}
-    for name in BACKENDS:
-        engine = MREngine(backend=name)
-        out = engine.run_structured_round(batch, reducer)
+    for name in PATHS:
+        engine = MREngine()
+        with on_path(name):
+            out = engine.run_structured_round(batch, reducer)
         results[name] = (out.to_pairs(), (str(out.keys.dtype), str(out.values.dtype)), engine.metrics.as_dict())
     return results
 
@@ -80,7 +78,7 @@ def test_random_int_workloads_identical(seed):
     rng = np.random.default_rng(seed)
     size = int(rng.integers(1, 400))
     batch = ArrayPairs(rng.integers(0, max(2, size // 4), size=size), rng.integers(-100, 100, size=size))
-    assert_all_equal(run_all_backends(batch, "sum"))
+    assert_all_equal(run_both_paths(batch, "sum"))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -88,29 +86,29 @@ def test_random_workloads_with_mapper_identical(seed):
     rng = np.random.default_rng(100 + seed)
     size = int(rng.integers(1, 200))
     batch = ArrayPairs(rng.integers(0, 20, size=size), rng.integers(0, 9, size=size))
-    assert_all_equal(run_all_backends(fanout_map(batch), "sum"))
+    assert_all_equal(run_both_paths(fanout_map(batch), "sum"))
 
 
 def test_string_keys_identical():
     rng = np.random.default_rng(7)
     words = np.array(["alpha", "beta", "gamma", "delta", "a", "zz"])
     batch = ArrayPairs(words[rng.integers(0, len(words), 300)], rng.integers(0, 50, 300))
-    assert_all_equal(run_all_backends(batch, "sum"))
+    assert_all_equal(run_both_paths(batch, "sum"))
 
 
 def test_tuple_keys_fall_back_and_stay_identical():
-    # Object-dtype tuple keys defeat the argsort fast path; every backend
-    # must fall back to the tuple path and keep each tuple one key.
+    # Object-dtype tuple keys cannot be sorted: the segment pass groups their
+    # dict codes and must keep each tuple one key.
     rng = np.random.default_rng(8)
     keys = object_keys([(int(k) % 3, int(k) % 5) for k in rng.integers(0, 30, 200)])
-    results = run_all_backends(ArrayPairs(keys, rng.integers(0, 9, 200)), "sum")
+    results = run_both_paths(ArrayPairs(keys, rng.integers(0, 9, 200)), "sum")
     assert_all_equal(results)
     assert all(isinstance(key, tuple) for key, _ in results["serial"][0])
 
 
 def test_mixed_type_keys_identical():
     keys = object_keys([None, "x", 3, None, (1, 2), "x"])
-    results = run_all_backends(ArrayPairs(keys, np.arange(6)), "count")
+    results = run_both_paths(ArrayPairs(keys, np.arange(6)), "count")
     assert_all_equal(results)
     assert results["serial"][0] == [(None, 2), ("x", 2), (3, 1), ((1, 2), 1)]
 
@@ -118,30 +116,41 @@ def test_mixed_type_keys_identical():
 def test_str_and_int_keys_stay_distinct():
     # np.asarray([3, "3"]) coerces to one string dtype; an object key array
     # must keep keys a dict keeps distinct.
-    results = run_all_backends(ArrayPairs(object_keys(["3", 3, "3", 3]), np.array([1, 2, 4, 8])), "sum")
+    results = run_both_paths(ArrayPairs(object_keys(["3", 3, "3", 3]), np.array([1, 2, 4, 8])), "sum")
     assert_all_equal(results)
     assert results["serial"][0] == [("3", 5), (3, 10)]
 
 
 def test_bytes_and_str_keys_stay_distinct():
-    results = run_all_backends(ArrayPairs(object_keys([b"a", "a", b"a"]), np.array([1, 2, 4])), "sum")
+    results = run_both_paths(ArrayPairs(object_keys([b"a", "a", b"a"]), np.array([1, 2, 4])), "sum")
     assert_all_equal(results)
     assert results["serial"][0] == [(b"a", 5), ("a", 2)]
 
 
 def test_bool_and_int_keys_merge_like_dict():
-    # hash(True) == hash(1): a dict groups them; every backend must agree.
-    results = run_all_backends(ArrayPairs(object_keys([True, 1, 0, False]), np.array([1, 2, 4, 8])), "sum")
+    # hash(True) == hash(1): a dict groups them; the segment pass must agree.
+    results = run_both_paths(ArrayPairs(object_keys([True, 1, 0, False]), np.array([1, 2, 4, 8])), "sum")
     assert_all_equal(results)
     assert results["serial"][0] == [(True, 3), (0, 12)]
 
 
+def test_complex_and_datetime_keys_identical():
+    # Neither dtype sorts into groups: both take the dict codes.
+    values = np.array([1, 2, 4, 8, 16])
+    complex_keys = np.array([1 + 2j, 3j, 1 + 2j, 0j, 3j])
+    datetime_keys = np.array(["2015-06-13", "2015-06-14", "2015-06-13", "NaT", "NaT"], dtype="datetime64[D]")
+    for keys, sums in ((complex_keys, [5, 18, 8]), (datetime_keys, [5, 2, 24])):
+        results = run_both_paths(ArrayPairs(keys, values), "sum")
+        assert_all_equal(results)
+        assert [value for _, value in results["vectorized"][0]] == sums
+
+
 def test_numpy_array_values_identical():
-    # Row values (HADI-sketch-like payloads) must survive grouping on every
-    # backend.
+    # Row values (HADI-sketch-like payloads) must survive grouping on both
+    # paths.
     rng = np.random.default_rng(9)
     rows = rng.integers(0, 2**32, size=(40, 4), dtype=np.uint64)
-    results = run_all_backends(ArrayPairs(rng.integers(0, 6, 40), rows), "first")
+    results = run_both_paths(ArrayPairs(rng.integers(0, 6, 40), rows), "first")
     assert_all_equal(results)
     assert results["serial"][1][1] == "uint64"
 
@@ -149,7 +158,7 @@ def test_numpy_array_values_identical():
 def test_sorted_outputs_identical_on_large_random_workload():
     rng = np.random.default_rng(10)
     batch = ArrayPairs(rng.integers(0, 500, 5000), rng.integers(0, 1000, 5000))
-    results = run_all_backends(batch, "sum")
+    results = run_both_paths(batch, "sum")
     assert_all_equal(results)
     reference = sorted(results["serial"][0])
     for name, (pairs, _, _) in results.items():
@@ -157,14 +166,16 @@ def test_sorted_outputs_identical_on_large_random_workload():
 
 
 # ---------------------------------------------------------------------- #
-# Randomized cross-backend equivalence sweep
+# Randomized sweep against the tuple-path reference
 # ---------------------------------------------------------------------- #
-def _random_workload(rng):
+def _random_workload(rng, float_values=False):
     """One random structured round: (ArrayPairs, reducer name).
 
-    Samples the whole key space the backends must agree on: int keys,
+    Samples the whole key space the two paths must agree on: int keys,
     single-key and empty batches, string keys, object-dtype tuple and mixed
-    keys, and float keys with and without NaN.
+    keys, and float keys with and without NaN.  ``float_values`` swaps the
+    integer values for standard-normal floats (a tenth of them repeated, so
+    min, max and argmin see ties).
     """
     family = rng.choice(["int", "single-key", "empty", "str", "tuple", "mixed", "float", "nan-float"])
     size = int(rng.integers(1, 200))
@@ -187,17 +198,73 @@ def _random_workload(rng):
         keys = rng.uniform(-3, 3, size).round(1)
         if family == "nan-float":
             keys[rng.random(size) < 0.2] = np.nan
+    if float_values:
+        values = rng.standard_normal(size)
+        values[rng.random(size) < 0.1] = values[0]
     return ArrayPairs(keys, values), reducer
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_randomized_cross_backend_sweep(seed):
-    """Any key family, any scalar reducer, any backend: identical output
-    order, dtypes and metrics to the serial tuple-path reference."""
+    """Any key family, any scalar reducer: identical output order, dtypes
+    and metrics to the tuple-path reference."""
     rng = np.random.default_rng(1000 + seed)
     for _ in range(8):
         batch, reducer = _random_workload(rng)
-        assert_all_equal(run_all_backends(batch, reducer))
+        assert_all_equal(run_both_paths(batch, reducer))
+
+
+def _sum_tolerances(batch):
+    """Per-group float64 bound on |segment sum - arrival-order sum|.
+
+    Each of two float sums of ``k`` values errs from the exact sum by at most
+    ``(k - 1) 2**-53 sum(|v|)``, so they differ by at most twice that.
+    Groups are listed in first-occurrence order, grouped like dict keys.
+    """
+    groups = {}
+    for key, value in batch.to_pairs():
+        count, magnitude = groups.get(key, (0, 0.0))
+        groups[key] = (count + 1, magnitude + abs(value))
+    return [2 * (count - 1) * 2.0**-53 * magnitude for count, magnitude in groups.values()]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_randomized_float_value_sweep(seed):
+    """Float values: min, max, first and count match the reference bit for
+    bit; sum agrees within the float64 bound fixed in :func:`_sum_tolerances`."""
+    rng = np.random.default_rng(2000 + seed)
+    for _ in range(8):
+        batch, _ = _random_workload(rng, float_values=True)
+        for reducer in ("min", "max", "first", "count"):
+            assert_all_equal(run_both_paths(batch, reducer))
+        results = run_both_paths(batch, "sum")
+        (ref_pairs, ref_dtypes, ref_metrics), (pairs, dtypes, metrics) = results["serial"], results["vectorized"]
+        assert (dtypes, metrics) == (ref_dtypes, ref_metrics)
+        assert _pairs_equal([(k, 0) for k, _ in pairs], [(k, 0) for k, _ in ref_pairs])
+        for (_, got), (_, expected), bound in zip(pairs, ref_pairs, _sum_tolerances(batch)):
+            assert abs(got - expected) <= bound
+
+
+def test_float_sums_are_not_added_in_arrival_order():
+    # The sum exception is real: reduceat's pairwise summation departs from
+    # the arrival-order sum on this workload, within the float64 bound.
+    rng = np.random.default_rng(3)
+    batch = ArrayPairs(rng.integers(0, 4, 400), rng.standard_normal(400))
+    results = run_both_paths(batch, "sum")
+    got = dict(results["vectorized"][0])
+    expected = dict(results["serial"][0])
+    assert got.keys() == expected.keys()
+    assert any(got[key] != expected[key] for key in got)
+    for key, bound in zip(expected, _sum_tolerances(batch)):
+        assert abs(got[key] - expected[key]) <= bound
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_float_rows_argmin_identical(seed):
+    rng = np.random.default_rng(3000 + seed)
+    size = int(rng.integers(1, 300))
+    rows = rng.standard_normal((size, 2)).round(1)  # rounding leaves tied rows
+    assert_all_equal(run_both_paths(ArrayPairs(rng.integers(0, 20, size), rows), "argmin"))
 
 
 # ---------------------------------------------------------------------- #
@@ -207,7 +274,7 @@ def test_array_pairs_identical_across_backends():
     rng = np.random.default_rng(11)
     batch = ArrayPairs(rng.integers(0, 40, 600), rng.integers(0, 1000, 600))
     for reducer in SCALAR_REDUCERS:
-        assert_all_equal(run_all_backends(batch, reducer))
+        assert_all_equal(run_both_paths(batch, reducer))
 
 
 def test_array_pairs_matches_flattened_input():
@@ -217,7 +284,7 @@ def test_array_pairs_matches_flattened_input():
     expected = {}
     for key, value in batch.to_pairs():
         expected[key] = expected.get(key, 0) + value
-    engine = MREngine(backend="vectorized")
+    engine = MREngine()
     out = engine.run_structured_round(batch, "sum")
     assert out.to_pairs() == list(expected.items())
     assert engine.metrics.shuffled_pairs == 300
@@ -230,52 +297,42 @@ def test_array_pairs_validation():
         ArrayPairs(np.zeros(3), np.zeros(2))
 
 
+def test_array_pairs_rejects_scalar_values():
+    # A 0-d values array has no length: the same ValueError as a length
+    # mismatch, naming both shapes.
+    with pytest.raises(ValueError, match=r"same length, got shapes \(1,\) and \(\)"):
+        ArrayPairs(np.array([1]), np.array(5))
+    with pytest.raises(ValueError, match=r"same length, got shapes \(3,\) and \(2,\)"):
+        ArrayPairs(np.zeros(3), np.zeros(2))
+
+
 # ---------------------------------------------------------------------- #
-# Constraint checking behaves identically everywhere
+# Constraint checking behaves identically on both paths
 # ---------------------------------------------------------------------- #
-def assert_violation_enforced_and_recorded(backend, batch, **limits):
-    with pytest.raises(MRConstraintViolation):
-        MREngine(MRModel(enforce=True, **limits), backend=backend).run_structured_round(batch, "sum")
-    recording = MRModel(enforce=False, **limits)
-    out = MREngine(recording, backend=backend).run_structured_round(batch, "sum")
-    assert out.to_pairs() == MREngine(backend="serial").run_structured_round(batch, "sum").to_pairs()
+def assert_violation_enforced_and_recorded(path, batch, **limits):
+    with on_path(path):
+        with pytest.raises(MRConstraintViolation):
+            MREngine(MRModel(enforce=True, **limits)).run_structured_round(batch, "sum")
+        recording = MRModel(enforce=False, **limits)
+        out = MREngine(recording).run_structured_round(batch, "sum")
+    with on_path("serial"):
+        assert out.to_pairs() == MREngine().run_structured_round(batch, "sum").to_pairs()
     assert recording.num_violations == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_local_memory_violation_raises_on_every_backend(backend):
+@pytest.mark.parametrize("path", PATHS)
+def test_local_memory_violation_raises_on_every_backend(path):
     batch = ArrayPairs(np.zeros(5, dtype=np.int64), np.arange(5))
-    assert_violation_enforced_and_recorded(backend, batch, local_memory=2)
+    assert_violation_enforced_and_recorded(path, batch, local_memory=2)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_global_memory_violation_raises_on_every_backend(backend):
+@pytest.mark.parametrize("path", PATHS)
+def test_global_memory_violation_raises_on_every_backend(path):
     batch = ArrayPairs(np.arange(10), np.arange(10))
-    assert_violation_enforced_and_recorded(backend, batch, global_memory=3)
+    assert_violation_enforced_and_recorded(path, batch, global_memory=3)
 
 
-# ---------------------------------------------------------------------- #
-# Backend registry
-# ---------------------------------------------------------------------- #
-def test_available_backends():
-    assert available_backends() == ["serial", "vectorized"]
-
-
-def test_get_backend_resolution():
-    assert isinstance(get_backend(None), SerialBackend)
-    assert isinstance(get_backend("serial"), SerialBackend)
-    assert isinstance(get_backend("vectorized"), VectorizedBackend)
-    instance = VectorizedBackend()
-    assert get_backend(instance) is instance
-    with pytest.raises(ValueError):
-        get_backend("spark")
-
-
-def test_process_backend_is_gone():
-    with pytest.raises(ValueError, match=r"'process'; available: \['serial', 'vectorized'\]"):
-        get_backend("process")
-
-
-def test_engine_exposes_backend_name():
-    assert MREngine(backend="vectorized").backend_name == "vectorized"
-    assert MREngine().backend_name == "serial"
+def test_backends_module_is_gone():
+    # Rounds have one execution path: the module that selected one is gone.
+    with pytest.raises(ModuleNotFoundError):
+        import repro.mapreduce.backends  # noqa: F401

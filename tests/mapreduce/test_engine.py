@@ -5,12 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mapreduce.backends import ArrayPairs, available_backends
+from mr_reference import PATHS, on_path, tuple_path  # rootless test layout: pytest puts this dir on sys.path
 from repro.mapreduce.engine import MREngine
 from repro.mapreduce.model import MRConstraintViolation, MRModel
-from repro.mapreduce.structured import StructuredReducer
-
-ALL_BACKENDS = available_backends()
+from repro.mapreduce.structured import ArrayPairs, StructuredReducer
 
 
 def batch_of(pairs):
@@ -73,11 +71,12 @@ class TestRunRound:
         assert total.to_pairs() == [(0, 4)]
         assert engine.metrics.rounds == 2
 
-    def test_reset(self):
-        engine = MREngine()
-        engine.run_structured_round(batch_of([(0, 1)]), "sum")
-        engine.reset()
-        assert engine.metrics.rounds == 0
+    def test_tuple_path_runs_every_round_through_the_reference(self):
+        batch = batch_of([(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="boom on 2 groups"):
+            MREngine().run_structured_round(batch, Angry())
+        with tuple_path(), pytest.raises(ValueError, match="boom on key 0"):
+            MREngine().run_structured_round(batch, Angry())
 
 
 class TestConstraints:
@@ -103,12 +102,17 @@ class TestConstraints:
 
 
 class TestEdgeCases:
-    """Degenerate rounds must behave identically on every backend."""
+    """Degenerate rounds must behave identically on the segment path and
+    under the tuple-path reference."""
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_empty_pair_list(self, backend):
+    @pytest.fixture(params=PATHS)
+    def path(self, request):
+        with on_path(request.param):
+            yield request.param
+
+    def test_empty_pair_list(self, path):
         empty = ArrayPairs(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        engine = MREngine(backend=backend)
+        engine = MREngine()
         output = engine.run_structured_round(empty, "sum")
         assert len(output) == 0
         assert engine.metrics.rounds == 1
@@ -116,21 +120,19 @@ class TestEdgeCases:
         assert engine.metrics.max_reducer_input == 0
         assert engine.metrics.max_live_pairs == 0
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_mapper_that_emits_nothing(self, backend):
+    def test_mapper_that_emits_nothing(self, path):
         def silent_mapper(batch):
             return ArrayPairs(batch.keys[:0], batch.values[:0])
 
-        engine = MREngine(backend=backend)
+        engine = MREngine()
         output = engine.run_structured_round(silent_mapper(batch_of([(0, 1), (1, 2)])), "sum")
         assert len(output) == 0
         assert engine.metrics.rounds == 1
         assert engine.metrics.shuffled_pairs == 0
         assert engine.metrics.max_reducer_input == 0
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_reducer_that_emits_nothing(self, backend):
-        engine = MREngine(backend=backend)
+    def test_reducer_that_emits_nothing(self, path):
+        engine = MREngine()
         output = engine.run_structured_round(batch_of([(0, 1), (0, 2), (1, 3)]), DropAll())
         assert len(output) == 0
         assert engine.metrics.shuffled_pairs == 3
@@ -138,14 +140,12 @@ class TestEdgeCases:
         # Live pairs = max(input, output): inputs were alive during the round.
         assert engine.metrics.max_live_pairs == 3
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_reducer_exception_propagates(self, backend):
+    def test_reducer_exception_propagates(self, path):
         with pytest.raises(ValueError, match="boom on"):
-            MREngine(backend=backend).run_structured_round(batch_of([(0, 1), (1, 2), (2, 3)]), Angry())
+            MREngine().run_structured_round(batch_of([(0, 1), (1, 2), (2, 3)]), Angry())
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_local_memory_enforced(self, backend):
-        engine = MREngine(MRModel(local_memory=3, enforce=True), backend=backend)
+    def test_local_memory_enforced(self, path):
+        engine = MREngine(MRModel(local_memory=3, enforce=True))
         # Within budget: fine.
         engine.run_structured_round(batch_of([(0, i) for i in range(3)]), "sum")
         # One pair over budget: raises and records the violation.
@@ -153,9 +153,8 @@ class TestEdgeCases:
             engine.run_structured_round(batch_of([(0, i) for i in range(4)]), "sum")
         assert engine.model.num_violations == 1
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_global_memory_enforced(self, backend):
-        engine = MREngine(MRModel(global_memory=5, enforce=True), backend=backend)
+    def test_global_memory_enforced(self, path):
+        engine = MREngine(MRModel(global_memory=5, enforce=True))
         engine.run_structured_round(batch_of([(i, i) for i in range(5)]), "sum")
         with pytest.raises(MRConstraintViolation, match="exceed M_G"):
             engine.run_structured_round(batch_of([(i, i) for i in range(6)]), "sum")

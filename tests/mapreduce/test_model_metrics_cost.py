@@ -44,30 +44,28 @@ class TestRoundsForPrimitive:
         assert rounds_for_primitive(10_000, 10) == 4
         assert rounds_for_primitive(10**6, 100) == 3
 
+    def test_exact_powers(self):
+        # n = M_L**r takes r rounds; a float log rounds these three up to r + 1.
+        assert rounds_for_primitive(125, 5) == 3
+        assert rounds_for_primitive(216, 6) == 3
+        assert rounds_for_primitive(15625, 5) == 6
+        assert rounds_for_primitive(15626, 5) == 7
+
     def test_small_inputs(self):
         assert rounds_for_primitive(0, 10) == 1
         assert rounds_for_primitive(1, 10) == 1
 
 
 class TestMetrics:
-    def test_record_and_merge(self):
+    def test_record_round(self):
         a = MRMetrics()
         a.record_round(pairs_shuffled=10, max_reducer_input=3, live_pairs=10)
-        b = MRMetrics()
-        b.record_round(pairs_shuffled=20, max_reducer_input=7, live_pairs=25, label="x")
-        a.merge(b)
+        a.record_round(pairs_shuffled=20, max_reducer_input=7, live_pairs=25, label="x")
         assert a.rounds == 2
         assert a.shuffled_pairs == 30
         assert a.max_reducer_input == 7
         assert a.max_live_pairs == 25
         assert a.per_label["x"] == 1
-
-    def test_copy_independent(self):
-        a = MRMetrics()
-        a.record_round(pairs_shuffled=5, max_reducer_input=5, live_pairs=5)
-        b = a.copy()
-        b.record_round(pairs_shuffled=5, max_reducer_input=5, live_pairs=5)
-        assert a.rounds == 1 and b.rounds == 2
 
     def test_as_dict_keys(self):
         d = MRMetrics().as_dict()
@@ -87,14 +85,6 @@ class TestCostModel:
             metrics.record_round(pairs_shuffled=1000, max_reducer_input=10, live_pairs=1000)
         cost = CostModel(round_latency=2.0, pair_cost=0.001)
         assert cost.simulated_time(metrics) == pytest.approx(2.0 * 10 + 0.001 * 10_000)
-
-    def test_breakdown_sums_to_total(self):
-        metrics = MRMetrics()
-        metrics.record_round(pairs_shuffled=500, max_reducer_input=1, live_pairs=500)
-        parts = DEFAULT_COST_MODEL.breakdown(metrics)
-        assert parts["total_time"] == pytest.approx(
-            parts["round_time"] + parts["communication_time"]
-        )
 
     def test_more_rounds_costs_more(self):
         few, many = MRMetrics(), MRMetrics()

@@ -1,9 +1,11 @@
-"""Structured-round suite: registry, segment reducers, cross-backend equality.
+"""Structured-round suite: reducer lookup, segment reducers, reference equality.
 
-Structured rounds must be bit-compatible with the serial tuple path: for any
-workload and any registered reducer, every backend returns the same output
-arrays (same dtype, same first-occurrence order) and meters the same
-:class:`MRMetrics`.  These tests enforce that, plus the registry contract
+Structured rounds must be bit-compatible with the tuple-path reference of
+``mr_reference.py``: for any workload and any built-in reducer, the segment
+pass returns the same output arrays (same dtype, same first-occurrence
+order) and meters the same :class:`MRMetrics`.  ``"serial"`` names the
+reference side (every round under ``tuple_path()``), ``"vectorized"`` the
+production side.  These tests enforce that, plus the reducer lookup contract
 and the driver-level equivalence of the MR drivers.
 """
 
@@ -12,30 +14,28 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mr_reference import PATHS, on_path, per_key_function  # rootless test layout: pytest puts this dir on sys.path
 from repro.baselines.bfs_diameter import mr_bfs_diameter
 from repro.baselines.hadi import hadi_diameter
 from repro.generators import barabasi_albert_graph, mesh_graph
-from repro.mapreduce.backends import ArrayPairs
 from repro.mapreduce.engine import MREngine
 from repro.mapreduce.structured import (
+    ArrayPairs,
     StructuredReducer,
-    available_structured_reducers,
-    get_structured_reducer,
     grouping_order,
-    register_structured_reducer,
     resolve_structured_reducer,
-    segment_eligible,
 )
 
-BACKENDS = ("serial", "vectorized")
+BUILTIN_REDUCERS = ("argmin", "bitwise_or", "count", "first", "max", "min", "sum")
 
 
 def run_structured_on_all(batch, reducer):
-    """One structured round per backend; returns {name: (keys, values, dtypes, metrics)}."""
+    """One structured round per path; returns {name: (keys, values, dtypes, metrics)}."""
     results = {}
-    for name in BACKENDS:
-        engine = MREngine(backend=name)
-        out = engine.run_structured_round(batch, reducer)
+    for name in PATHS:
+        engine = MREngine()
+        with on_path(name):
+            out = engine.run_structured_round(batch, reducer)
         results[name] = (
             out.keys.tolist(),
             out.values.tolist(),
@@ -52,45 +52,30 @@ def assert_structured_identical(results):
 
 
 # ---------------------------------------------------------------------- #
-# Registry
+# Reducer lookup
 # ---------------------------------------------------------------------- #
 def test_builtin_reducers_registered():
-    names = available_structured_reducers()
-    for name in ("min", "max", "sum", "count", "first", "argmin", "bitwise_or"):
-        assert name in names
-
-
-def test_registry_rejects_duplicates_and_unknown_names():
-    class Dummy(StructuredReducer):
-        name = "min"  # collides with the builtin
-
-        def segment_reduce(self, sorted_values, starts, ends):
-            return sorted_values[starts], None
-
-        def reference(self, key, values):
-            yield (key, values[0])
-
-    with pytest.raises(ValueError):
-        register_structured_reducer(Dummy())
-    with pytest.raises(ValueError):
-        get_structured_reducer("not-a-reducer")
-    with pytest.raises(TypeError):
-        register_structured_reducer(object())  # type: ignore[arg-type]
+    for name in BUILTIN_REDUCERS:
+        assert resolve_structured_reducer(name).name == name
 
 
 def test_resolve_structured_reducer():
     assert resolve_structured_reducer("sum").name == "sum"
-    instance = get_structured_reducer("min")
+    instance = resolve_structured_reducer("min")
     assert resolve_structured_reducer(instance) is instance
-    # A plain per-key callable is rejected with the registered names listed.
-    with pytest.raises(TypeError, match="registered: .*'sum'"):
+    # An unknown name is a ValueError, anything else but an instance a
+    # TypeError; both list the built-ins.
+    builtins = r"built-ins: \['argmin', 'bitwise_or', 'count', 'first', 'max', 'min', 'sum'\]"
+    with pytest.raises(ValueError, match="'not-a-reducer'; " + builtins):
+        resolve_structured_reducer("not-a-reducer")
+    with pytest.raises(TypeError, match=builtins):
         resolve_structured_reducer(lambda k, vs: [(k, len(vs))])  # type: ignore[arg-type]
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=builtins):
         resolve_structured_reducer(123)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------- #
-# Built-in segment reducers, cross-backend
+# Built-in segment reducers against the reference
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", ["min", "max", "sum", "count", "first"])
 @pytest.mark.parametrize("seed", [0, 1])
@@ -123,7 +108,7 @@ def test_argmin_matches_python_min_semantics():
         np.array([5, 5, 5, 9]),
         np.array([[2, 7], [1, 9], [1, 3], [0, 0]]),
     )
-    out = MREngine(backend="vectorized").run_structured_round(batch, "argmin")
+    out = MREngine().run_structured_round(batch, "argmin")
     assert out.keys.tolist() == [5, 9]
     assert out.values.tolist() == [[1, 3], [0, 0]]
 
@@ -145,7 +130,10 @@ def test_bitwise_or_scalar_values_identical():
 
 
 class EvenSums(StructuredReducer):
-    """Group sums, emitted only for the groups whose sum is even."""
+    """Group sums, emitted only for the groups whose sum is even.
+
+    ``reference`` is its tuple-path twin, called by ``mr_reference``.
+    """
 
     name = "test-even-sums"
     values_ndim = 1
@@ -184,9 +172,9 @@ def test_empty_and_single_key_batches():
 
 def test_values_ndim_validation_identical_on_all_backends():
     batch = ArrayPairs(np.array([0, 1]), np.array([[1, 2], [3, 4]]))
-    for name in BACKENDS:
-        with pytest.raises(ValueError):
-            MREngine(backend=name).run_structured_round(batch, "min")
+    for name in PATHS:
+        with on_path(name), pytest.raises(ValueError):
+            MREngine().run_structured_round(batch, "min")
 
 
 def test_structured_output_matches_classic_reference_round():
@@ -197,9 +185,10 @@ def test_structured_output_matches_classic_reference_round():
     for key, value in batch.to_pairs():
         groups.setdefault(key, []).append(value)
     for name in ("min", "max", "sum", "count", "first"):
-        reducer = get_structured_reducer(name)
-        expected = [pair for key, values in groups.items() for pair in reducer.reference(key, values)]
-        engine = MREngine(backend="vectorized")
+        reducer = resolve_structured_reducer(name)
+        function = per_key_function(reducer)
+        expected = [pair for key, values in groups.items() for pair in function(key, values)]
+        engine = MREngine()
         structured = engine.run_structured_round(batch, reducer)
         assert structured.to_pairs() == expected, name
         assert engine.metrics.shuffled_pairs == 500, name
@@ -214,12 +203,14 @@ def test_string_keys_and_nan_float_keys_fall_back_identically():
     assert_structured_identical(results)
 
     keys = rng.uniform(0, 4, 50).round(1)
-    keys[::7] = np.nan  # NaN defeats argsort grouping: reference fallback
+    keys[::7] = np.nan  # NaN defeats sort grouping: the pass groups dict codes
     nan_batch = ArrayPairs(keys, rng.integers(0, 9, 50))
     results = run_structured_on_all(nan_batch, "count")
     for name, result in results.items():
         assert result[1] == results["serial"][1], name
         assert result[3] == results["serial"][3], name
+    # Each NaN is its own group, exactly as in a dict.
+    assert np.isnan(results["vectorized"][0]).sum() == np.isnan(keys).sum()
 
 
 # ---------------------------------------------------------------------- #
@@ -243,14 +234,8 @@ def test_grouping_order_matches_stable_argsort(keys):
 
 
 # ---------------------------------------------------------------------- #
-# Float keys on the argsort fast path (NaN-free only)
+# Float keys (NaN-free) group by sort
 # ---------------------------------------------------------------------- #
-def test_float_keys_take_argsort_fast_path():
-    assert segment_eligible(np.array([1.5, 2.5, 1.5, -0.0, 0.0]))
-    assert not segment_eligible(np.array([1.5, np.nan]))
-    assert not segment_eligible(np.array([1.5, None], dtype=object))
-
-
 def test_float_key_workloads_identical_across_backends():
     rng = np.random.default_rng(9)
     batch = ArrayPairs(rng.uniform(-5, 5, 400).round(2), rng.integers(0, 50, 400))
@@ -265,8 +250,9 @@ def test_float_key_workloads_identical_across_backends():
 def test_mr_bfs_diameter_identical_across_backends():
     graph = mesh_graph(15, 15)
     reference = None
-    for backend in BACKENDS:
-        result = mr_bfs_diameter(graph, seed=11, backend=backend)
+    for path in PATHS:
+        with on_path(path):
+            result = mr_bfs_diameter(graph, seed=11)
         snapshot = (
             result.estimate,
             result.lower_bound,
@@ -277,7 +263,7 @@ def test_mr_bfs_diameter_identical_across_backends():
         if reference is None:
             reference = snapshot
         else:
-            assert snapshot == reference, backend
+            assert snapshot == reference, path
     assert reference[4]["max_reducer_input"] > 0  # rounds are executed, not charged
 
 
@@ -298,7 +284,7 @@ def test_hadi_sketch_round_matches_neighbor_reduce_kernel():
         np.concatenate((nodes, owners)),
         np.concatenate((sketches, sketches[graph.indices])),
     )
-    merged = MREngine(backend="vectorized").run_structured_round(batch, "bitwise_or")
+    merged = MREngine().run_structured_round(batch, "bitwise_or")
 
     expected = sketches.copy()
     has_neighbors = np.diff(graph.indptr) > 0
@@ -312,10 +298,11 @@ def test_hadi_sketch_round_matches_neighbor_reduce_kernel():
 def test_hadi_identical_across_backends():
     graph = barabasi_albert_graph(250, 3, seed=5)
     reference = None
-    for backend in BACKENDS:
-        result = hadi_diameter(graph, seed=12, num_registers=8, backend=backend)
+    for path in PATHS:
+        with on_path(path):
+            result = hadi_diameter(graph, seed=12, num_registers=8)
         snapshot = (result.estimate, result.neighborhood_function, result.metrics.as_dict())
         if reference is None:
             reference = snapshot
         else:
-            assert snapshot == reference, backend
+            assert snapshot == reference, path

@@ -75,9 +75,12 @@ REMOVED = {
     "mr_estimate_diameter(num_shards=)": lambda: mr_estimate_diameter(_GRAPH, tau=1, num_shards=2),
     "save_snapshot(version=)": lambda: save_snapshot(_GRAPH, "unused.snap", version=1),
     "SnapshotWriter(version=)": lambda: SnapshotWriter("unused.snap", 1, 0, version=1),
-    "MREngine(num_shards=)": lambda: MREngine(backend="vectorized", num_shards=2),
+    "MREngine(num_shards=)": lambda: MREngine(num_shards=2),
+    "MREngine(backend=)": lambda: MREngine(backend="serial"),
     "mr_bfs_diameter(num_shards=)": lambda: mr_bfs_diameter(_GRAPH, seed=0, num_shards=2),
+    "mr_bfs_diameter(backend=)": lambda: mr_bfs_diameter(_GRAPH, seed=0, backend="serial"),
     "hadi_diameter(num_shards=)": lambda: hadi_diameter(_GRAPH, seed=0, num_shards=2),
+    "hadi_diameter(backend=)": lambda: hadi_diameter(_GRAPH, seed=0, backend="vectorized"),
     "ExperimentConfig(mr_backend=)": lambda: ExperimentConfig(mr_backend="serial"),
     "ExperimentConfig(mr_shards=)": lambda: ExperimentConfig(mr_shards=2),
     "run_structured_round(mapper=)": lambda: MREngine().run_structured_round(

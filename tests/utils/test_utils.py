@@ -7,6 +7,9 @@ import logging
 import numpy as np
 import pytest
 
+from repro.core.oracle import build_distance_oracle
+from repro.generators import mesh_graph
+from repro.graph.traversal import bfs_distances, bfs_levels, dijkstra, eccentricity
 from repro.utils.logging import enable_verbose, get_logger
 from repro.utils.rng import as_rng, random_subset_mask, spawn_rngs
 from repro.utils.validation import check_node_index
@@ -67,6 +70,36 @@ class TestValidation:
             check_node_index(10, 10)
         with pytest.raises(IndexError):
             check_node_index(-1, 10)
+
+
+    def test_check_node_index_rejects_non_integers(self):
+        assert check_node_index(3, 10) == 3 and check_node_index(np.int32(3), 10) == 3
+        for bad in (2.7, np.float64(2.0), "3", True, np.True_, None):
+            with pytest.raises(TypeError, match="u must be an integer node id"):
+                check_node_index(bad, 10, "u")
+
+    def test_scalar_node_ids_are_checked_not_truncated(self):
+        # Every scalar entry point used to run int(node): 2.7 answered for
+        # node 2 and "3" for node 3.
+        graph = mesh_graph(5, 5)
+        oracle = build_distance_oracle(graph, seed=0)
+        calls = [
+            lambda: graph.neighbors(2.7),
+            lambda: graph.neighbors("3"),
+            lambda: graph.degree(1.0),
+            lambda: graph.has_edge(0.5, 1.5),
+            lambda: graph.edge_weight(0, 1.0),
+            lambda: bfs_distances(graph, 1.9),
+            lambda: bfs_levels(graph, True),
+            lambda: eccentricity(graph, 0.0),
+            lambda: dijkstra(graph, "0"),
+            lambda: oracle.query(2.7, 0),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="must be an integer node id"):
+                call()
+        assert graph.neighbors(np.int64(2)).tolist() == graph.neighbors(2).tolist()
+        assert oracle.query(np.int64(2), 0) == oracle.query(2, 0)
 
 
 class TestLogging:
