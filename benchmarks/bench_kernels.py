@@ -1,9 +1,10 @@
 """Frontier-kernel benchmarks and the kernel-layer no-regression gates.
 
-The kernel rebuild makes four performance claims, each of which is *also* a
+The kernel layer makes six performance claims, each of which is *also* a
 bit-identity claim — the optimized path must produce byte-for-byte the same
 arrays as the frozen reference it replaces.  The references of gates 1–2 live
-in ``tests/graph/kernel_reference.py`` (they never run in production), and
+in ``tests/graph/kernel_reference.py`` and gate 6's in
+``tests/core/quotient_reference.py`` (they never run in production), and
 gate 3's push-only baseline is the production kernel with its private pull
 threshold patched to 0:
 
@@ -26,6 +27,10 @@ threshold patched to 0:
    least ``DIAMETER_GATE``x faster than the full sweep
    (``quotient_apsp(q).max()``), with the same value; the hop flavour is
    recorded alongside, ungated.
+6. **Packed quotient build**: :func:`repro.core.quotient.build_quotient_graph`
+   builds gate 5's R-MAT quotient at least ``BUILD_GATE``x faster than the
+   frozen ``reference_quotient`` of ``tests/core/quotient_reference.py``,
+   with identical ``indptr``, ``indices`` and ``weights``.
 
 Every measurement lands in ``BENCH_kernels.json`` via the shared recorder so
 the kernel-perf trajectory stays machine-readable across PRs; CI runs this
@@ -41,9 +46,10 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.core.pipeline import DecompositionPipeline
-from repro.core.quotient import quotient_apsp, quotient_diameter
+from repro.core.quotient import build_quotient_graph, quotient_apsp, quotient_diameter
 from repro.generators import road_network_graph
 from repro.generators.rmat import rmat_graph
 from repro.graph import kernels
@@ -51,18 +57,21 @@ from repro.graph.components import largest_component
 from repro.graph.diameter_exact import bounded_diameter
 
 # The frozen references live with the tests, never in src/.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "graph"))
+_TESTS = Path(__file__).resolve().parent.parent / "tests"
+sys.path[:0] = [str(_TESTS / "graph"), str(_TESTS / "core")]
 from kernel_reference import (
     eccentricities_loop,
     forced_direction,
     sorted_claim_first,
     sorted_claim_min,
 )
+from quotient_reference import reference_quotient
 
 CLAIMS_GATE = 2.0
 MSBFS_GATE = 5.0
 ROWS_GATE = 5.0
 DIAMETER_GATE = 5.0
+BUILD_GATE = 3.0
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -72,7 +81,7 @@ CLAIM_PAIRS = 1_000_000 if QUICK else 2_000_000
 RMAT_SCALE = 14 if QUICK else 16
 #: Side of the road grid whose weighted quotient the rows gate relaxes.
 ROAD_SIDE = 40 if QUICK else 50
-#: R-MAT scale of the graph whose quotients (n // 50 clusters) gate 5 measures.
+#: R-MAT scale of the graph whose quotients (n // 50 clusters) gates 5 and 6 measure.
 QUOTIENT_RMAT_SCALE = 14 if QUICK else 15
 
 
@@ -280,14 +289,18 @@ def test_delta_stepping_rows_gate(kernel_bench_recorder):
 # ------------------------------------------------------------------ #
 # Gate 5: bounded quotient diameter >= 5x over the full row sweep
 # ------------------------------------------------------------------ #
-def test_bounded_quotient_diameter_gate(kernel_bench_recorder):
-    # The rmat-social regime: the largest component of a seed-1 R-MAT sample
-    # (what its snapshot generator keeps), at DEFAULT_CONFIG's n // 50 clusters.
+@pytest.fixture(scope="module")
+def rmat_pipeline():
+    """The rmat-social regime: the largest component of a seed-1 R-MAT sample
+    (what its snapshot generator keeps), at DEFAULT_CONFIG's n // 50 clusters."""
     graph, _ = largest_component(rmat_graph(QUOTIENT_RMAT_SCALE, 16, seed=1))
-    pipe = DecompositionPipeline(graph, target_clusters=graph.num_nodes // 50, seed=1)
+    return DecompositionPipeline(graph, target_clusters=graph.num_nodes // 50, seed=1)
+
+
+def test_bounded_quotient_diameter_gate(kernel_bench_recorder, rmat_pipeline):
     speedups = {}
     for flavour in ("weighted", "hop"):
-        quotient = pipe.quotient(weighted=flavour == "weighted")
+        quotient = rmat_pipeline.quotient(weighted=flavour == "weighted")
         k, arcs = quotient.num_nodes, quotient.indices.size
         workload = f"rmat{QUOTIENT_RMAT_SCALE}-quotient/{flavour}/k{k}-arcs{arcs}"
         _, rows = bounded_diameter(
@@ -315,4 +328,33 @@ def test_bounded_quotient_diameter_gate(kernel_bench_recorder):
     assert speedups["weighted"] >= DIAMETER_GATE, (
         f"the bounded weighted quotient diameter must be >= {DIAMETER_GATE}x over the full "
         f"sweep on rmat{QUOTIENT_RMAT_SCALE}, got {speedups['weighted']:.2f}x"
+    )
+
+
+# ------------------------------------------------------------------ #
+# Gate 6: packed quotient build >= 3x over the frozen builder
+# ------------------------------------------------------------------ #
+def test_quotient_build_gate(kernel_bench_recorder, rmat_pipeline):
+    graph, clustering = rmat_pipeline.graph, rmat_pipeline.decompose()
+    arcs = graph.indices.size
+    workload = f"rmat{QUOTIENT_RMAT_SCALE}-quotient-build/k{clustering.num_clusters}-arcs{arcs}"
+    timings, results = interleaved_best(
+        {
+            "reference": lambda: reference_quotient(graph, clustering, weighted=True),
+            "packed": lambda: build_quotient_graph(graph, clustering, weighted=True),
+        },
+        repetitions=3 if QUICK else 5,
+    )
+    for field in ("indptr", "indices", "weights"):
+        assert np.array_equal(getattr(results["packed"], field), getattr(results["reference"], field))
+    speedup = timings["reference"] / timings["packed"]
+    for mode in ("reference", "packed"):
+        kernel_bench_recorder(benchmark="quotient_build", workload=workload, units=arcs, mode=mode, seconds=timings[mode])
+    kernel_bench_recorder(
+        benchmark="quotient_build", workload=workload, units=arcs,
+        mode="speedup", seconds=timings["packed"], speedup=speedup, gate=BUILD_GATE,
+    )
+    assert speedup >= BUILD_GATE, (
+        f"the packed quotient build must be >= {BUILD_GATE}x over reference_quotient "
+        f"on rmat{QUOTIENT_RMAT_SCALE}, got {speedup:.2f}x"
     )

@@ -80,7 +80,8 @@ def cluster(
     Returns
     -------
     Clustering
-        Validated decomposition with per-iteration / per-step execution trace.
+        The decomposition with its per-iteration / per-step execution trace;
+        :meth:`~repro.core.clustering.Clustering.validate` checks one.
     """
     if tau < 1:
         raise ValueError(f"tau must be a positive integer, got {tau}")

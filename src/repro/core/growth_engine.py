@@ -49,6 +49,7 @@ from repro.core.clustering import Clustering, GrowthStepStats, IterationStats
 from repro.graph import kernels
 from repro.graph.traversal import dijkstra
 from repro.utils.rng import SeedLike, as_rng, random_subset_mask
+from repro.utils.validation import check_node_batch
 
 UNCOVERED = -1
 
@@ -300,9 +301,7 @@ class GrowthEngine:
         Nodes that are already covered are ignored (they cannot become
         centers).  Returns the array of accepted center node ids.
         """
-        candidate = np.unique(np.asarray(list(nodes), dtype=np.int64))
-        if candidate.size and (candidate.min() < 0 or candidate.max() >= self.num_nodes):
-            raise IndexError("center node id out of range")
+        candidate = np.unique(check_node_batch(nodes, self.num_nodes, "centers"))
         accepted = candidate[self.assignment[candidate] == UNCOVERED]
         if accepted.size == 0:
             return accepted
@@ -726,7 +725,7 @@ class StaticSchedule(CenterSchedule):
     """
 
     def __init__(self, centers: Sequence[int], *, promote_singletons: bool = True) -> None:
-        self._centers = np.asarray(list(centers), dtype=np.int64)
+        self._centers = np.asarray(centers)
         self.promote_singletons = promote_singletons
 
     def should_run(self, engine: GrowthEngine, iteration: int) -> bool:

@@ -39,6 +39,7 @@ from repro.graph import kernels
 from repro.graph.components import num_connected_components
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike, as_rng
+from repro.utils.validation import check_node_batch
 
 __all__ = ["KCenterResult", "kcenter", "evaluate_centers", "merge_clusters_to_k"]
 
@@ -87,11 +88,9 @@ def evaluate_centers(graph: CSRGraph, centers: "np.ndarray | List[int]", algorit
     multi-source :func:`~repro.graph.kernels.delta_stepping` run instead, and
     an unreachable node makes the radius ``inf``.
     """
-    center_array = np.unique(np.asarray(list(centers), dtype=np.int64))
+    center_array = np.unique(check_node_batch(centers, graph.num_nodes, "centers"))
     if center_array.size == 0:
         raise ValueError("at least one center is required")
-    if center_array[0] < 0 or center_array[-1] >= graph.num_nodes:
-        raise IndexError("center node id out of range")
     if graph.is_weighted:
         distances, owner = kernels.delta_stepping(graph.indptr, graph.indices, graph.weights, center_array)
         return KCenterResult(

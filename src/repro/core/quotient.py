@@ -17,7 +17,9 @@ two variants:
 Both variants are plain :class:`~repro.graph.csr.CSRGraph` objects over the
 clusters and share one CSR: the unweighted one is the weighted one without
 its ``weights`` (:meth:`~repro.graph.csr.CSRGraph.unweighted`), so a caller
-that needs both builds once.
+that needs both builds once.  The build is the sort of arcs by cluster pair
+that Section 4 charges: it reads each arc once, through one packed
+``cluster << s | distance`` code per node (see :func:`build_quotient_graph`).
 """
 
 from __future__ import annotations
@@ -75,17 +77,30 @@ def build_quotient_graph(graph: CSRGraph, clustering: Clustering, *, weighted: b
     ``wdist(a) + w(a, b) + wdist(b)``, a genuine path length.
 
     The CSR is read in row blocks of at most ``_BLOCK_ARCS`` arcs, so an
-    out-of-core graph is never materialised.  Each block reduces its
-    crossing arcs ``(a, b)``, ``a < b``, to (cluster pair, minimum length)
-    by a key sort and a segment minimum; the blocks are merged the same way.
+    out-of-core graph is never materialised.  Every node carries one code,
+    ``cluster << s | distance``, where ``s`` is the bit length of the largest
+    growth distance (``s = 0``, the bare cluster id, when no hop length is
+    needed); codes are ``int32`` while ``k << s < 2**31`` and ``int64``
+    beyond.  An arc ``(a, b)`` reads its two codes once.  With ``low = 2**s
+    - 1``, ``code(a) | low < code(b)`` holds exactly when ``a``'s cluster is
+    the lower one, so the test keeps one arc per crossing edge (the CSR
+    stores both directions of every edge), and the same two codes give the
+    pair key and the hop length.  Each block reduces its kept arcs to
+    (cluster pair, minimum length) by a key sort and a segment minimum; the
+    blocks are merged the same way.
     """
     if graph.num_nodes != clustering.num_nodes:
         raise ValueError("graph and clustering refer to different node sets")
     k = clustering.num_clusters
-    assignment = clustering.assignment
     weighted_distance = clustering.weighted_distance
     if weighted and weighted_distance is not None and graph.weights is None:
         raise ValueError("a weighted clustering's quotient needs the weighted graph it was grown on")
+    hops = weighted and weighted_distance is None
+    s = int(clustering.distance.max()).bit_length() if hops and graph.num_nodes else 0
+    low = (1 << s) - 1
+    code = clustering.assignment.astype(np.int32 if k << s < 1 << 31 else np.int64) << s
+    if s:
+        code |= clustering.distance
     indptr = graph.indptr
     degrees = graph.degrees
     key_parts = [np.zeros(0, dtype=np.int64)]
@@ -94,22 +109,17 @@ def build_quotient_graph(graph: CSRGraph, clustering: Clustering, *, weighted: b
     while start < graph.num_nodes:
         stop = max(start + 1, int(np.searchsorted(indptr, indptr[start] + _BLOCK_ARCS, side="right")) - 1)
         first, last = int(indptr[start]), int(indptr[stop])
-        a = np.repeat(np.arange(start, stop, dtype=np.int64), degrees[start:stop])
         b = np.asarray(graph.indices[first:last])
-        forward = a < b
-        a, b = a[forward], b[forward]
-        ca, cb = assignment[a], assignment[b]
-        cross = ca != cb
-        ca, cb = ca[cross], cb[cross]
-        keys = np.minimum(ca, cb) * np.int64(k) + np.maximum(ca, cb)
-        lengths = None
-        if weighted:
-            a, b = a[cross], b[cross]
-            if weighted_distance is None:
-                lengths = clustering.distance[a] + clustering.distance[b] + 1
-            else:
-                arc_weights = np.asarray(graph.weights[first:last])[forward][cross]
-                lengths = weighted_distance[a] + weighted_distance[b] + arc_weights
+        pa = np.repeat(code[start:stop], degrees[start:stop])
+        pb = code[b]
+        # The arc of each crossing edge that leaves the lower cluster.
+        sel = np.flatnonzero((pa | low) < pb)
+        pa, pb = pa[sel].astype(np.int64), pb[sel].astype(np.int64)
+        keys = (pa >> s) * k + (pb >> s)
+        lengths = (pa & low) + (pb & low) + 1 if hops else None
+        if weighted and not hops:
+            wa = np.repeat(weighted_distance[start:stop], degrees[start:stop])[sel]
+            lengths = wa + weighted_distance[b[sel]] + np.asarray(graph.weights[first:last])[sel]
         keys, lengths = _min_per_key(keys, lengths)
         key_parts.append(keys)
         length_parts.append(lengths)

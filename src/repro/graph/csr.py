@@ -28,12 +28,12 @@ must take one explicitly (copy-on-write stays the caller's choice).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph import kernels
-from repro.utils.validation import check_node_index
+from repro.utils.validation import check_node_batch, check_node_index
 
 __all__ = ["CSRGraph"]
 
@@ -350,6 +350,7 @@ class CSRGraph:
         :func:`repro.graph.kernels.gather_neighbors` primitive behind every
         frontier-expansion step in the library.
         """
+        nodes = check_node_batch(nodes, self.num_nodes)
         sources, targets, _ = kernels.gather_neighbors(self.indptr, self.indices, nodes)
         return sources, targets
 
@@ -360,15 +361,13 @@ class CSRGraph:
     # ------------------------------------------------------------------ #
     # Transformations
     # ------------------------------------------------------------------ #
-    def subgraph(self, nodes: Iterable[int]) -> Tuple["CSRGraph", np.ndarray]:
+    def subgraph(self, nodes: Sequence[int]) -> Tuple["CSRGraph", np.ndarray]:
         """Induced subgraph on ``nodes`` (weights carried over when present).
 
         Returns ``(subgraph, mapping)`` where ``mapping[i]`` is the original
         id of new node ``i``.
         """
-        keep = np.unique(np.asarray(list(nodes), dtype=np.int64))
-        if keep.size and (keep.min() < 0 or keep.max() >= self.num_nodes):
-            raise IndexError("subgraph nodes out of range")
+        keep = np.unique(check_node_batch(nodes, self.num_nodes))
         new_id = -np.ones(self.num_nodes, dtype=np.int64)
         new_id[keep] = np.arange(keep.size, dtype=np.int64)
         src, dst, pos = kernels.gather_neighbors(self.indptr, self.indices, keep)

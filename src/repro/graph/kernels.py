@@ -187,6 +187,13 @@ if os.environ.get("REPRO_KERNEL_STATS", "") not in ("", "0"):
 # --------------------------------------------------------------------------- #
 # Gather / claim primitives
 # --------------------------------------------------------------------------- #
+def _arc_positions(indptr: np.ndarray, nodes: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Positions in ``indices`` of the adjacency slices of a non-empty
+    ``nodes`` batch (``degrees`` theirs), concatenated in batch order."""
+    ends = np.cumsum(degrees)
+    return np.repeat(indptr[nodes] - (ends - degrees), degrees) + np.arange(ends[-1])
+
+
 def gather_neighbors(
     indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -201,16 +208,10 @@ def gather_neighbors(
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.size == 0:
         return _EMPTY, _EMPTY, _EMPTY
-    starts = indptr[nodes]
-    degrees = indptr[nodes + 1] - starts
-    total = int(degrees.sum())
-    if total == 0:
+    degrees = indptr[nodes + 1] - indptr[nodes]
+    positions = _arc_positions(indptr, nodes, degrees)
+    if positions.size == 0:
         return _EMPTY, _EMPTY, _EMPTY
-    # offsets[i] = position of targets[i] within its source's adjacency slice
-    cumulative = np.cumsum(degrees)
-    block_starts = np.repeat(cumulative - degrees, degrees)
-    offsets = np.arange(total, dtype=np.int64) - block_starts
-    positions = np.repeat(starts, degrees) + offsets
     return np.repeat(nodes, degrees), indices[positions], positions
 
 
@@ -402,8 +403,9 @@ class DirectionOptimizer:
             self._frontier_rank = np.full(self.num_nodes, _NO_RANK, dtype=np.int64)
         frontier_rank = self._frontier_rank
         frontier_rank[frontier] = np.arange(frontier.size, dtype=np.int64)
-        _, neighbors, _ = gather_neighbors(self.indptr, self.indices, candidates)
-        segment_starts = np.concatenate(([0], np.cumsum(candidate_deg[has_arcs])))[:-1]
+        candidate_deg = candidate_deg[has_arcs]
+        neighbors = self.indices[_arc_positions(self.indptr, candidates, candidate_deg)]
+        segment_starts = np.concatenate(([0], np.cumsum(candidate_deg)))[:-1]
         best = np.minimum.reduceat(frontier_rank[neighbors], segment_starts)
         frontier_rank[frontier] = _NO_RANK
         self.last_pull_arcs = int(neighbors.size)
@@ -506,9 +508,7 @@ def component_labels(indptr: np.ndarray, indices: np.ndarray, *, degrees: Option
         if degrees[start]:
             frontier = np.asarray([start], dtype=np.int64)
             while frontier.size:
-                _, targets, _ = gather_neighbors(indptr, indices, frontier)
-                if targets.size == 0:
-                    break
+                targets = indices[_arc_positions(indptr, frontier, degrees[frontier])]
                 fresh = targets[labels[targets] < 0]
                 if fresh.size == 0:
                     break
@@ -580,8 +580,9 @@ def _msbfs_sweep(
             rows = unfinished[has_arcs]
             if rows.size == 0:
                 break
-            _, neighbors, _ = gather_neighbors(indptr, indices, rows)
-            segment_starts = np.concatenate(([0], np.cumsum(candidate_deg[has_arcs])))[:-1]
+            candidate_deg = candidate_deg[has_arcs]
+            neighbors = indices[_arc_positions(indptr, rows, candidate_deg)]
+            segment_starts = np.concatenate(([0], np.cumsum(candidate_deg)))[:-1]
             orred = np.bitwise_or.reduceat(frontier_bits[neighbors], segment_starts, axis=0)
             scanned = int(neighbors.size)
         else:
@@ -827,13 +828,11 @@ def _relax_buckets(
             settled[frontier] = True
             nodes = frontier % n if size > n else frontier
             deg = degrees[nodes]
-            ends = np.cumsum(deg)
-            total = int(ends[-1])
-            if total == 0:
+            pos = _arc_positions(indptr, nodes, deg)
+            if pos.size == 0:
                 break
-            # The frontier's adjacency slices in scan order (gather_neighbors),
-            # shifted into each pair's row.
-            pos = np.repeat(indptr[nodes] - (ends - deg), deg) + np.arange(total)
+            # The frontier's adjacency slices in scan order, shifted into
+            # each pair's row.
             dst = indices[pos]
             if size > n:
                 dst = dst + np.repeat(frontier - nodes, deg)

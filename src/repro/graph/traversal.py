@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.graph import kernels
 from repro.graph.csr import CSRGraph
-from repro.utils.validation import check_node_index
+from repro.utils.validation import check_node_batch, check_node_index
 
 UNREACHED = -1
 
@@ -74,10 +74,7 @@ def multi_source_bfs(
     tie-break), mirroring the arbitrary tie-breaking of the paper's disjoint
     cluster growing.
     """
-    n = graph.num_nodes
-    source_array = np.unique(np.asarray(list(sources), dtype=np.int64))
-    if source_array.size and (source_array.min() < 0 or source_array.max() >= n):
-        raise IndexError("BFS source out of range")
+    source_array = np.unique(check_node_batch(sources, graph.num_nodes, "sources"))
     distances, owners, num_levels = kernels.frontier_expansion(
         graph.indptr, graph.indices, source_array, max_depth=max_depth, degrees=graph.degrees
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -152,6 +154,38 @@ def builder_case(name: str):
         return graph, cluster(graph, 8, seed=3)
     graph, _ = largest_component(road_network_graph(25, 25, seed=4, weights="uniform"))
     return graph, cluster(graph, 6, seed=4)
+
+
+@st.composite
+def builder_inputs(draw):
+    """A random graph of 0 to 60 nodes (isolated nodes, several components,
+    unweighted or float-weighted) and a clustering of it: ``cluster``'s,
+    singletons, or a hand-made one whose growth distances can reach 2**40."""
+    n = draw(st.integers(min_value=0, max_value=60))
+    node = st.integers(min_value=0, max_value=max(n - 1, 0))
+    edges = np.asarray(draw(st.lists(st.tuples(node, node), max_size=3 * n)), dtype=np.int64).reshape(-1, 2)
+    weights = None
+    if draw(st.booleans()):
+        weights = np.asarray(draw(st.lists(st.sampled_from(FLOAT_WEIGHTS), min_size=len(edges), max_size=len(edges))))
+    graph = CSRGraph.from_edges(edges, num_nodes=n, weights=weights)
+    kind = draw(st.sampled_from(["cluster", "singletons", "hand-made"])) if n else "singletons"
+    if kind == "cluster":
+        return graph, cluster(graph, draw(st.integers(min_value=1, max_value=4)), seed=draw(st.integers(0, 3)))
+    if kind == "singletons":
+        return graph, Clustering.singleton_clustering(n)
+    k = draw(st.integers(min_value=1, max_value=n))
+    assignment = np.asarray(draw(st.permutations(np.arange(n) % k)), dtype=np.int64)
+    centers = np.asarray([np.flatnonzero(assignment == c)[0] for c in range(k)], dtype=np.int64)
+    top = draw(st.sampled_from([1, 7, 1 << 40]))
+    distance = np.asarray(draw(st.lists(st.integers(1, top), min_size=n, max_size=n)), dtype=np.int64)
+    distance[centers] = 0
+    weighted_distance = None
+    if weights is not None and draw(st.booleans()):
+        weighted_distance = np.asarray(draw(st.lists(st.sampled_from(FLOAT_WEIGHTS), min_size=n, max_size=n)))
+        weighted_distance[centers] = 0.0
+    return graph, Clustering(
+        num_nodes=n, assignment=assignment, centers=centers, distance=distance, weighted_distance=weighted_distance
+    )
 
 
 @pytest.fixture
@@ -412,6 +446,24 @@ class TestBuilderMatchesReference:
                 else:
                     expected = reference_quotient(graph, clustering, weighted=weighted)
                 assert_same_quotient(got, expected)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_frozen_builders_on_random_inputs(self, data):
+        graph, clustering = data.draw(builder_inputs())
+        block = data.draw(st.sampled_from([1, 7, 1 << 22]))
+        with tempfile.TemporaryDirectory() as tmp:
+            if data.draw(st.booleans()):
+                graph = load_snapshot(save_snapshot(graph, Path(tmp) / "graph.snap"), mmap=True)
+            with mock.patch.object(quotient_module, "_BLOCK_ARCS", block):
+                for weighted in (False, True):
+                    got = build_quotient_graph(graph, clustering, weighted=weighted)
+                    if weighted and clustering.is_weighted:
+                        expected = reference_weighted_quotient(graph, clustering)
+                    else:
+                        expected = reference_quotient(graph, clustering, weighted=weighted)
+                    assert_same_quotient(got, expected)
+            del graph
 
     def test_weighted_clustering_needs_weighted_graph(self):
         graph, clustering = builder_case("weighted-road")

@@ -5,6 +5,8 @@ kernel replaced; tests and ``benchmarks/bench_kernels.py`` compare the
 production kernel against it bit for bit (and time the two).  None of this
 runs in production.
 
+* :func:`gather_neighbors_loop` — one adjacency slice per node, behind the
+  one-``repeat`` batch gather;
 * :func:`sorted_claim_first` / :func:`sorted_claim_min` — the stable
   ``argsort`` / ``lexsort`` winner selection behind the sort-free scatter
   claims;
@@ -23,6 +25,17 @@ import numpy as np
 import pytest
 
 from repro.graph import kernels
+
+
+def gather_neighbors_loop(indptr, indices, nodes):
+    """``(sources, targets, positions)``: each node's slice, in batch order."""
+    sources, targets, positions = [], [], []
+    for node in np.asarray(nodes).tolist():
+        lo, hi = int(indptr[node]), int(indptr[node + 1])
+        sources += [node] * (hi - lo)
+        targets += np.asarray(indices[lo:hi]).tolist()
+        positions += range(lo, hi)
+    return tuple(np.asarray(part, dtype=np.int64) for part in (sources, targets, positions))
 
 
 def sorted_claim_first(dst: np.ndarray, src: np.ndarray):

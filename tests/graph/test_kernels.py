@@ -21,6 +21,8 @@ from repro.graph.diameter_exact import exact_diameter
 from repro.graph.snapshot import load_snapshot, save_snapshot
 from repro.graph.traversal import bfs_distances, multi_source_bfs
 
+from kernel_reference import gather_neighbors_loop  # rootless test layout: pytest puts this dir on sys.path
+
 
 @pytest.fixture
 def mesh():
@@ -46,6 +48,24 @@ class TestGatherNeighbors:
             g.indptr, g.indices, np.asarray([2, 3], dtype=np.int64)
         )
         assert src.size == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_node_loop(self, seed):
+        """Duplicate, unsorted, isolated and empty batches; int32 ids too."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        graph = CSRGraph.from_edges(edges, num_nodes=n + 3)  # the last 3 are isolated
+        batches = [rng.integers(0, n + 3, size=size) for size in (0, 1, 5, 40)]
+        batches += [np.arange(n, n + 3), rng.permutation(n + 3)[::-1]]
+        for batch in batches:
+            for dtype in (np.int64, np.int32):
+                nodes = batch.astype(dtype)
+                got = kernels.gather_neighbors(graph.indptr, graph.indices, nodes)
+                expected = gather_neighbors_loop(graph.indptr, graph.indices, nodes)
+                for part, reference in zip(got, expected):
+                    assert part.dtype == np.int64
+                    assert np.array_equal(part, reference)
 
 
 class TestClaims:

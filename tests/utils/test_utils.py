@@ -7,9 +7,11 @@ import logging
 import numpy as np
 import pytest
 
+from repro.core.growth_engine import GrowthEngine, multi_source_growth
+from repro.core.kcenter import evaluate_centers
 from repro.core.oracle import build_distance_oracle
 from repro.generators import mesh_graph
-from repro.graph.traversal import bfs_distances, bfs_levels, dijkstra, eccentricity
+from repro.graph.traversal import bfs_distances, bfs_levels, dijkstra, eccentricity, multi_source_bfs
 from repro.utils.logging import enable_verbose, get_logger
 from repro.utils.rng import as_rng, random_subset_mask, spawn_rngs
 from repro.utils.validation import check_node_index
@@ -100,6 +102,40 @@ class TestValidation:
                 call()
         assert graph.neighbors(np.int64(2)).tolist() == graph.neighbors(2).tolist()
         assert oracle.query(np.int64(2), 0) == oracle.query(2, 0)
+
+    def test_batch_node_ids_are_checked_not_truncated(self):
+        # Five batch entry points converted ids with np.asarray(list(x),
+        # dtype=np.int64) or not at all: [2.7] ran on node 2, and
+        # neighbor_blocks([-9]) returned node 1's arcs labelled with source -9.
+        graph = mesh_graph(3, 3)
+        entries = {
+            "nodes": [lambda b: graph.neighbor_blocks(np.asarray(b)), graph.subgraph],
+            "centers": [
+                lambda b: evaluate_centers(graph, b),
+                lambda b: multi_source_growth(graph, b),
+                lambda b: GrowthEngine(graph).add_centers(np.asarray(b)),
+            ],
+            "sources": [lambda b: multi_source_bfs(graph, b)],
+        }
+        for name, calls in entries.items():
+            for call in calls:
+                for bad in ([2.7], np.array([2.0]), [True], [0, 0.5]):
+                    with pytest.raises(TypeError, match=f"{name} must be an integer array"):
+                        call(bad)
+                for bad in ([-9], [-1], [9], [0, 12]):
+                    with pytest.raises(IndexError, match=f"{name} {bad[-1]} out of range"):
+                        call(bad)
+
+    def test_batch_node_ids_accept_sequences_and_arrays(self):
+        graph = mesh_graph(3, 3)
+        src, dst = graph.neighbor_blocks([4])
+        assert src.tolist() == [4] * 4 and dst.tolist() == [1, 3, 5, 7]
+        forms = ([0, 8], (0, 8), range(0, 9, 8), np.array([8, 0], dtype=np.int32))
+        for form in forms:
+            assert graph.subgraph(form)[1].tolist() == [0, 8]
+            assert evaluate_centers(graph, form).radius == 2
+            assert multi_source_growth(graph, form).num_clusters == 2
+            assert multi_source_bfs(graph, form).distances.max() == 2
 
 
 class TestLogging:
