@@ -40,8 +40,12 @@ __all__ = [
 ]
 
 #: Arcs per CSR row block in :func:`build_quotient_graph`; bounds the block's
-#: temporaries (a few arrays of this length) on graphs of any size.
-_BLOCK_ARCS = 1 << 22
+#: temporaries (a few arrays of this length) on graphs of any size.  At 2^18
+#: they take a few MB, which the allocator reuses from build to build; 2^22
+#: blocks put ~15 MB of them at the top of the heap on a 1M-arc graph, and
+#: whether glibc then trimmed it (to page-fault it back in on the next build)
+#: differed from one process to the next.
+_BLOCK_ARCS = 1 << 18
 
 
 def _min_per_key(keys: np.ndarray, lengths: Optional[np.ndarray]):
