@@ -2,12 +2,13 @@
 
 ``_reference_growth`` below is a frozen copy of the pre-refactor
 ``ClusterGrowth`` inner loop (vectorized gather + stable argsort claim
-resolution, without any policy indirection).  The engine now routes every
-growing step through a pluggable :class:`TieBreakPolicy`;
-``test_engine_not_slower_than_reference`` asserts that this indirection does
-not regress the hot path on the largest generator workload, and the
-pytest-benchmark cases feed the CI timings artifact so drift is visible over
-time.
+resolution).  The engine grows every unweighted step through the kernels'
+direction-optimizing ``DirectionOptimizer.expand`` with sort-free claims;
+``test_engine_matches_reference`` pins its output to the frozen loop and
+``test_engine_not_slower_than_reference`` asserts that the engine's
+bookkeeping (step log, optimizer state) does not regress the hot path on the
+largest generator workload.  The pytest-benchmark cases feed the CI timings
+artifact so drift is visible over time.
 
 Quick mode (``REPRO_BENCH_QUICK=1``, used by the CI smoke job) shrinks the
 workload but keeps the no-regression assertion meaningful.
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core.cluster import cluster
-from repro.core.growth_engine import GrowthEngine, StaticSchedule
+from repro.core.growth_engine import GrowthEngine
 from repro.generators import attach_weights, barabasi_albert_graph, mesh_graph
 
 
@@ -82,7 +83,9 @@ def _reference_growth(graph, centers: np.ndarray):
 
 
 def _engine_growth(graph, centers: np.ndarray):
-    engine = GrowthEngine(graph).run(StaticSchedule(centers, promote_singletons=False))
+    engine = GrowthEngine(graph)
+    engine.add_centers(centers)
+    engine.grow_to_exhaustion()
     return engine.assignment, engine.distance
 
 
@@ -104,7 +107,7 @@ def test_engine_matches_reference(social):
 
 
 def test_engine_not_slower_than_reference(social, mesh):
-    """No-regression gate: the policy indirection must not slow the hot path.
+    """No-regression gate: the engine must not be slower than the frozen loop.
 
     Uses best-of-N wall-clock on two workload shapes (shallow scale-free,
     deep mesh); the 1.5x margin absorbs CI noise while still catching any

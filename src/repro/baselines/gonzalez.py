@@ -2,11 +2,9 @@
 
 Gonzalez (1985) and Hochbaum–Shmoys (1985) give 2-approximations for metric
 k-center; the graph variant repeatedly adds the node farthest from the current
-center set.  Both the farthest-point selection and the final nearest-center
-evaluation drive the shared :class:`~repro.core.growth_engine.GrowthEngine`
-(one single-source :func:`~repro.core.growth_engine.multi_source_growth` run
-per added center; see
-:func:`~repro.core.growth_engine.farthest_point_centers`).  It is the natural
+center set (:func:`~repro.core.growth_engine.farthest_point_centers`, one
+shortest-path row per added center), and the result is scored by
+:func:`~repro.core.kcenter.evaluate_centers`.  It is the natural
 sequential quality baseline for the paper's CLUSTER-based k-center
 approximation (Theorem 2): no decomposition-based parallel algorithm can beat
 it on solution quality, so comparing against it bounds the practical
@@ -41,7 +39,7 @@ def gonzalez_kcenter(
 
     Notes
     -----
-    Runs ``k`` multi-source growths, i.e. ``O(k (n + m))`` work and, in a
+    Runs ``k`` single-source traversals, i.e. ``O(k (n + m))`` work and, in a
     round-synchronous distributed setting, ``Θ(k ∆)`` rounds — which is why
     the paper needs a decomposition-based approach for the parallel setting.
     """

@@ -13,41 +13,29 @@ does not minimize the maximum radius for a given number of clusters, which is
 exactly what the experiments demonstrate.
 
 The implementation follows the level-synchronous integer-time variant used in
-practice (and in the paper's own Spark reimplementation): it is the shared
-:class:`~repro.core.growth_engine.GrowthEngine` driven by a
-:class:`~repro.core.growth_engine.ShiftActivationSchedule` — round ``t``
+practice (and in the paper's own Spark reimplementation): a loop over the
+shared :class:`~repro.core.growth_engine.GrowthEngine` in which round ``t``
 activates (as singleton clusters) all still-uncovered nodes whose start time
-``δ_max − δ_u`` has arrived, then every active cluster grows one hop,
-disjointly.  Contested nodes go to the first claimant in the adjacency scan
-(the default, matching the historical behaviour of this module); pass
-``tie_break="shifted-start"`` to resolve them toward the cluster whose center
-started earliest, the continuous-time MPX rule.
+``δ_max − δ_u`` falls in ``[t, t + 1)``, then every active cluster grows one
+hop, disjointly.  Contested nodes go to the first claimant in the adjacency
+scan.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
+import numpy as np
+
 from repro.core.clustering import Clustering
-from repro.core.growth_engine import (
-    GrowthEngine,
-    ShiftActivationSchedule,
-    ShiftedStartTieBreak,
-)
+from repro.core.growth_engine import GrowthEngine
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike, as_rng
 
 __all__ = ["mpx_decomposition", "mpx_with_target_clusters"]
 
 
-def mpx_decomposition(
-    graph: CSRGraph,
-    beta: float,
-    *,
-    seed: SeedLike = None,
-    tie_break: str = "arbitrary",
-) -> Clustering:
+def mpx_decomposition(graph: CSRGraph, beta: float, *, seed: SeedLike = None) -> Clustering:
     """Run the MPX random-shift decomposition with parameter ``beta``.
 
     Parameters
@@ -59,11 +47,6 @@ def mpx_decomposition(
         shifts ⇒ more clusters of smaller radius.
     seed:
         Randomness for the shifts.
-    tie_break:
-        ``"arbitrary"`` (default) resolves contested nodes toward the first
-        claimant in the adjacency scan; ``"shifted-start"`` resolves them
-        toward the cluster whose center has the earliest shifted start time
-        (the continuous-time MPX semantics).
 
     Returns
     -------
@@ -74,23 +57,32 @@ def mpx_decomposition(
         raise ValueError(f"beta must be positive, got {beta}")
     rng = as_rng(seed)
     n = graph.num_nodes
+    engine = GrowthEngine(graph)
     if n == 0:
-        return GrowthEngine(graph).to_clustering(algorithm="mpx")
+        return engine.to_clustering("mpx")
 
     shifts = rng.exponential(scale=1.0 / beta, size=n)
-    delta_max = float(shifts.max())
-    start_times = delta_max - shifts  # earliest time each node may start a cluster
-    max_round = int(math.floor(delta_max)) + 1
+    # Node u may start its own cluster in integer round ⌊δ_max − δ_u⌋.
+    start_round = np.floor(shifts.max() - shifts).astype(np.int64)
+    by_round = np.argsort(start_round)
+    sorted_rounds = start_round[by_round]
+    last_round = int(sorted_rounds[-1])
 
-    if tie_break == "arbitrary":
-        policy = None
-    elif tie_break == "shifted-start":
-        policy = ShiftedStartTieBreak(start_times)
-    else:
-        raise ValueError(f"unknown MPX tie_break {tie_break!r}")
-    engine = GrowthEngine(graph, tie_break=policy)
-    engine.run(ShiftActivationSchedule(start_times, max_round))
-    return engine.to_clustering(algorithm="mpx")
+    t = 0
+    while engine.num_uncovered:
+        uncovered_before = engine.num_uncovered
+        lo, hi = np.searchsorted(sorted_rounds, (t, t + 1))
+        new_centers = engine.add_centers(by_round[lo:hi]).size
+        newly = engine.grow_step()
+        engine.record_iteration(t, uncovered_before, new_centers, 1 if engine.num_clusters else 0)
+        if t >= last_round and newly == 0 and engine.num_uncovered:
+            # Every node has started or been absorbed, so a fruitless step
+            # means the rest is unreachable from every cluster (another
+            # component): those nodes become singletons.
+            break
+        t += 1
+    engine.cover_remaining_as_singletons()
+    return engine.to_clustering("mpx")
 
 
 def mpx_with_target_clusters(

@@ -4,20 +4,7 @@ from repro.core.cluster import cluster, cluster_with_target_clusters
 from repro.core.cluster2 import Cluster2Result, cluster2
 from repro.core.clustering import Clustering, GrowthStepStats, IterationStats
 from repro.core.diameter import DiameterEstimate, estimate_diameter
-from repro.core.growth_engine import (
-    ArbitraryTieBreak,
-    BatchHalvingSchedule,
-    CenterSchedule,
-    GeometricSchedule,
-    GrowthEngine,
-    MinWeightTieBreak,
-    ShiftActivationSchedule,
-    ShiftedStartTieBreak,
-    StaticSchedule,
-    TieBreakPolicy,
-    farthest_point_centers,
-    multi_source_growth,
-)
+from repro.core.growth_engine import GrowthEngine, farthest_point_centers
 from repro.core.kcenter import KCenterResult, evaluate_centers, kcenter, merge_clusters_to_k
 from repro.core.mr_algorithms import (
     MRExecutionReport,
@@ -45,16 +32,6 @@ __all__ = [
     "DiameterEstimate",
     "estimate_diameter",
     "GrowthEngine",
-    "TieBreakPolicy",
-    "ArbitraryTieBreak",
-    "MinWeightTieBreak",
-    "ShiftedStartTieBreak",
-    "CenterSchedule",
-    "BatchHalvingSchedule",
-    "GeometricSchedule",
-    "ShiftActivationSchedule",
-    "StaticSchedule",
-    "multi_source_growth",
     "farthest_point_centers",
     "KCenterResult",
     "evaluate_centers",

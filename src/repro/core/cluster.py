@@ -1,4 +1,4 @@
-"""Algorithm 1 of the paper: CLUSTER(τ).
+"""Algorithm 1 of the paper, CLUSTER(τ), and the single-batch ablation.
 
 CLUSTER partitions the node set into disjoint connected clusters by growing
 clusters from *progressive batches* of centers:
@@ -10,14 +10,11 @@ clusters from *progressive batches* of centers:
   of the previously uncovered nodes become covered,
 * finally, promote any leftover uncovered nodes to singleton clusters.
 
-The growing itself is delegated to the shared
-:class:`~repro.core.growth_engine.GrowthEngine`: CLUSTER is exactly the
-engine driven by a :class:`~repro.core.growth_engine.BatchHalvingSchedule`
-with the arbitrary tie-break policy.  On a weighted graph the same schedule
-runs with the :class:`~repro.core.growth_engine.MinWeightTieBreak` policy —
-the hop-bounded weighted decomposition of the paper's §7 outlook: a growing
-step still extends every cluster by one hop (one parallel round), and a
-contested node joins the cluster offering the smallest accumulated weighted
+:func:`cluster` is that loop over the primitives of the shared
+:class:`~repro.core.growth_engine.GrowthEngine`.  On a weighted graph the same
+loop is the hop-bounded weighted decomposition of the paper's §7 outlook: a
+growing step still extends every cluster by one hop (one parallel round), and
+a contested node joins the cluster offering the smallest accumulated weighted
 distance, so the hop radius controls the parallel depth while the weighted
 radius stays controlled.
 
@@ -25,38 +22,30 @@ Theorem 1 shows the result has ``O(τ log² n)`` clusters and that the maximum
 radius is within an ``O(log n)`` factor of the best radius achievable with
 ``τ`` clusters; Lemma 1 bounds the radius by ``O(⌈∆ / τ^{1/b}⌉ log n)`` for a
 graph with diameter ∆ and doubling dimension b.
+
+:func:`single_batch_decomposition` is the ablation's strawman without
+progressive batches: every center is chosen up front and grown once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from repro.core.clustering import Clustering
-from repro.core.growth_engine import (
-    BatchHalvingSchedule,
-    GrowthEngine,
-    selection_probability,
-    uncovered_threshold,
-)
+from repro.core.growth_engine import GrowthEngine, selection_probability, uncovered_threshold
 from repro.graph.csr import CSRGraph
-from repro.utils.rng import SeedLike, as_rng
+from repro.utils.rng import SeedLike, as_rng, random_subset_mask
 
 __all__ = [
     "cluster",
     "cluster_with_target_clusters",
+    "single_batch_decomposition",
     "selection_probability",
     "uncovered_threshold",
 ]
 
 
-def cluster(
-    graph: CSRGraph,
-    tau: int,
-    *,
-    seed: SeedLike = None,
-    max_iterations: Optional[int] = None,
-) -> Clustering:
+def cluster(graph: CSRGraph, tau: int, *, seed: SeedLike = None) -> Clustering:
     """Run CLUSTER(τ) on ``graph`` and return the resulting decomposition.
 
     Parameters
@@ -73,9 +62,6 @@ def cluster(
         radius.
     seed:
         Randomness for center selection.
-    max_iterations:
-        Optional safety cap on outer iterations (defaults to ``4 log n + 8``;
-        the analysis guarantees ``⌈log(n / (8 τ log n))⌉`` iterations).
 
     Returns
     -------
@@ -85,8 +71,49 @@ def cluster(
     """
     if tau < 1:
         raise ValueError(f"tau must be a positive integer, got {tau}")
-    schedule = BatchHalvingSchedule(tau, as_rng(seed), max_iterations=max_iterations)
-    return GrowthEngine(graph).run(schedule).to_clustering(algorithm="cluster")
+    rng = as_rng(seed)
+    n = graph.num_nodes
+    engine = GrowthEngine(graph)
+    threshold = uncovered_threshold(n, tau)
+    # Safety cap; the analysis needs only ⌈log(n / (8 τ log n))⌉ iterations.
+    max_iterations = int(4 * math.log2(max(2, n))) + 8
+    iteration = 0
+    while engine.num_uncovered >= threshold and iteration < max_iterations:
+        uncovered = engine.uncovered_nodes
+        probability = selection_probability(n, tau, uncovered.size)
+        selected = uncovered[random_subset_mask(uncovered.size, probability, rng)]
+        if selected.size == 0 and engine.num_clusters == 0:
+            # A (very unlikely) empty draw with no active cluster: force one
+            # random center so the process makes progress.
+            selected = rng.choice(uncovered, size=1)
+        engine.mark()
+        new_centers = engine.add_centers(selected).size
+        steps = engine.grow_until(int(math.ceil(uncovered.size / 2.0)))
+        engine.record_iteration(iteration, uncovered.size, new_centers, steps, probability)
+        iteration += 1
+    engine.cover_remaining_as_singletons()
+    return engine.to_clustering("cluster")
+
+
+def single_batch_decomposition(graph: CSRGraph, num_centers: int, *, seed: SeedLike = None) -> Clustering:
+    """Ablation baseline: all centers chosen up front, then plain parallel growth.
+
+    This is the "no progressive batches" strawman: a uniformly random set of
+    ``num_centers`` centers grown disjointly until the graph is covered (any
+    still-uncovered nodes — other components — become singletons).
+    """
+    if num_centers < 1:
+        raise ValueError("num_centers must be >= 1")
+    rng = as_rng(seed)
+    n = graph.num_nodes
+    centers = rng.choice(n, size=min(num_centers, n), replace=False)
+    engine = GrowthEngine(graph)
+    uncovered_before = engine.num_uncovered
+    new_centers = engine.add_centers(centers).size
+    steps = engine.grow_to_exhaustion()
+    engine.record_iteration(0, uncovered_before, new_centers, steps)
+    engine.cover_remaining_as_singletons()
+    return engine.to_clustering("single-batch")
 
 
 def cluster_with_target_clusters(

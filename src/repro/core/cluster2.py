@@ -5,9 +5,9 @@ runs CLUSTER(τ) to learn the maximum radius ``R_ALG`` achievable at that
 granularity, then rebuilds the decomposition from scratch over ``log n``
 iterations.  In iteration ``i`` every uncovered node becomes a new center
 independently with probability ``2^i / n`` and all active clusters grow for
-exactly ``2 R_ALG`` steps.  Both phases drive the shared
-:class:`~repro.core.growth_engine.GrowthEngine`; the refinement phase is the
-engine under a :class:`~repro.core.growth_engine.GeometricSchedule`.
+exactly ``2 R_ALG`` steps; the last iteration selects every uncovered node,
+so the graph ends fully covered.  Both phases are loops over the shared
+:class:`~repro.core.growth_engine.GrowthEngine`.
 
 The smooth (geometric) growth of the selection probability together with the
 fixed lower bound on the number of growing steps per iteration is what makes
@@ -21,14 +21,15 @@ Lemma 2: the result has ``O(τ log⁴ n)`` clusters of radius at most
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.cluster import cluster
 from repro.core.clustering import Clustering
-from repro.core.growth_engine import GeometricSchedule, GrowthEngine
+from repro.core.growth_engine import GrowthEngine
 from repro.graph.csr import CSRGraph
-from repro.utils.rng import SeedLike, as_rng
+from repro.utils.rng import SeedLike, as_rng, random_subset_mask
 
 __all__ = ["cluster2", "Cluster2Result"]
 
@@ -95,11 +96,20 @@ def cluster2(
     r_alg = pilot.max_radius
     growth_budget = max(1, 2 * r_alg)
 
+    n = graph.num_nodes
     engine = GrowthEngine(graph)
-    if graph.num_nodes > 0:
-        engine.run(GeometricSchedule(growth_budget, rng))
-    # The final iteration selects every uncovered node as a center, so the
-    # graph is fully covered by the schedule; the engine's closing singleton
-    # promotion is a no-op kept for robustness (e.g. a pilot with radius 0).
-    refined = engine.to_clustering(algorithm="cluster2")
+    num_iterations = max(1, int(math.ceil(math.log2(max(2, n)))))
+    for iteration in range(1, num_iterations + 1):
+        if engine.num_uncovered == 0:
+            break
+        # The paper's 2^i / n, which reaches 1 at i = log n; the last
+        # iteration forces 1 against floating-point shortfall.
+        probability = 1.0 if iteration == num_iterations else min(1.0, (2.0**iteration) / n)
+        uncovered = engine.uncovered_nodes
+        selected = uncovered[random_subset_mask(uncovered.size, probability, rng)]
+        new_centers = engine.add_centers(selected).size
+        steps = growth_budget if engine.num_clusters else 0
+        engine.grow_steps(steps)
+        engine.record_iteration(iteration, uncovered.size, new_centers, steps, probability)
+    refined = engine.to_clustering("cluster2")
     return Cluster2Result(clustering=refined, pilot=pilot, r_alg=r_alg)

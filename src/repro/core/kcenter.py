@@ -17,10 +17,9 @@ The graph k-center problem asks for a set ``M`` of ``k`` nodes minimizing
 Theorem 2: the result is an ``O(log³ n)``-approximation with high
 probability (for ``k = Ω(log² n)``).
 
-Both the decomposition (step 1, via :func:`repro.core.cluster.cluster`) and
-the nearest-center evaluation (step 3, via
-:func:`repro.core.growth_engine.multi_source_growth`) drive the shared
-:class:`~repro.core.growth_engine.GrowthEngine`.
+Step 1 is :func:`repro.core.cluster.cluster`; step 3 is one
+:func:`~repro.graph.kernels.frontier_expansion` (hops) or
+:func:`~repro.graph.kernels.delta_stepping` (weighted) run from all centers.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import numpy as np
 
 from repro.core.cluster import cluster
 from repro.core.clustering import Clustering
-from repro.core.growth_engine import multi_source_growth
 from repro.core.quotient import build_quotient_graph
 from repro.graph import kernels
 from repro.graph.components import num_connected_components
@@ -78,40 +76,34 @@ class KCenterResult:
 def evaluate_centers(graph: CSRGraph, centers: "np.ndarray | List[int]", algorithm: str = "custom") -> KCenterResult:
     """Evaluate an arbitrary center set: nearest-center assignment and radius.
 
-    The nearest-center assignment is one disjoint multi-source growth of the
-    shared :class:`~repro.core.growth_engine.GrowthEngine` (cluster id ``i``
-    is the ``i``-th center in sorted order).  Unreachable nodes (disconnected
-    graphs whose component contains no center) make the radius infinite,
-    reported as ``graph.num_nodes`` (a value larger than any finite
-    eccentricity) to keep the arithmetic integral; they are assigned to the
-    first center.  On a weighted graph the distances come from one
-    multi-source :func:`~repro.graph.kernels.delta_stepping` run instead, and
-    an unreachable node makes the radius ``inf``.
+    ``assignment[v]`` is the index, in sorted ``centers``, of the source whose
+    multi-source shortest-path tree holds ``v``: one
+    :func:`~repro.graph.kernels.frontier_expansion` in hops, or one
+    :func:`~repro.graph.kernels.delta_stepping` on a weighted graph.
+    Unreachable nodes (disconnected graphs whose component contains no
+    center) are assigned to the first center.  They make the radius
+    infinite: ``inf`` on a weighted graph, and in hops ``graph.num_nodes`` (a
+    value larger than any finite eccentricity, keeping the arithmetic
+    integral), which is also their reported distance.
     """
     center_array = np.unique(check_node_batch(centers, graph.num_nodes, "centers"))
     if center_array.size == 0:
         raise ValueError("at least one center is required")
     if graph.is_weighted:
         distances, owner = kernels.delta_stepping(graph.indptr, graph.indices, graph.weights, center_array)
-        return KCenterResult(
-            centers=center_array,
-            assignment=np.searchsorted(center_array, owner),  # unreachable (-1) -> 0
-            distance=distances,
-            radius=float(distances.max()),
-            algorithm=algorithm,
+        radius = float(distances.max())
+    else:
+        distances, owner, _ = kernels.frontier_expansion(
+            graph.indptr, graph.indices, center_array, degrees=graph.degrees
         )
-    engine = multi_source_growth(graph, center_array)
-    distances = engine.distance.copy()
-    unreachable = distances < 0
-    radius = int(distances[~unreachable].max()) if np.any(~unreachable) else 0
-    assignment = engine.assignment.copy()
-    if np.any(unreachable):
-        radius = graph.num_nodes
-        distances[unreachable] = graph.num_nodes
-        assignment[unreachable] = 0
+        unreachable = distances < 0
+        radius = int(distances.max())
+        if unreachable.any():
+            radius = graph.num_nodes
+            distances[unreachable] = graph.num_nodes
     return KCenterResult(
         centers=center_array,
-        assignment=assignment,
+        assignment=np.searchsorted(center_array, owner),  # unreachable (-1) -> 0
         distance=distances,
         radius=radius,
         algorithm=algorithm,

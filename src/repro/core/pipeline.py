@@ -228,7 +228,7 @@ class DecompositionPipeline:
 
     def _run_decomposition(self) -> Clustering:
         from repro.baselines.mpx import mpx_decomposition, mpx_with_target_clusters
-        from repro.core.cluster import cluster, cluster_with_target_clusters
+        from repro.core.cluster import cluster, cluster_with_target_clusters, single_batch_decomposition
         from repro.core.cluster2 import cluster2
         from repro.core.diameter import default_tau
 
@@ -239,8 +239,6 @@ class DecompositionPipeline:
                 return mpx_with_target_clusters(self.graph, cfg.target_clusters, seed=rng)
             return mpx_decomposition(self.graph, cfg.beta if cfg.beta is not None else 0.1, seed=rng)
         if cfg.method == "single-batch":
-            from repro.experiments.ablations import single_batch_decomposition
-
             num_centers = cfg.target_clusters if cfg.target_clusters is not None else (
                 cfg.tau if cfg.tau is not None else default_tau(self.graph)
             )

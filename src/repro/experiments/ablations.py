@@ -29,19 +29,16 @@ import numpy as np
 from repro.analysis.stats import clustering_report
 from repro.baselines.gonzalez import gonzalez_kcenter, random_centers_kcenter
 from repro.baselines.mpx import mpx_with_target_clusters
-from repro.core.cluster import cluster, cluster_with_target_clusters
+from repro.core.cluster import cluster, cluster_with_target_clusters, single_batch_decomposition
 from repro.core.cluster2 import cluster2
 from repro.core.diameter import estimate_diameter
-from repro.core.growth_engine import GrowthEngine, StaticSchedule
 from repro.core.kcenter import kcenter
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig, dataset_rng, granularity_for
 from repro.experiments.datasets import dataset_names, load_dataset, reference_diameter
 from repro.generators.composite import expander_with_path
-from repro.graph.csr import CSRGraph
-from repro.utils.rng import SeedLike, as_rng
+from repro.utils.rng import as_rng
 
 __all__ = [
-    "single_batch_decomposition",
     "batch_policy_row",
     "run_batch_policy_ablation",
     "run_tau_sweep",
@@ -64,22 +61,6 @@ KCENTER_OFFSET = 15
 # Default dataset selections of the dataset-restricted parts.
 CLUSTER2_DATASETS = ("mesh", "roads-PA-like", "livejournal-like")
 KCENTER_DATASETS = ("mesh", "roads-CA-like", "livejournal-like")
-
-
-def single_batch_decomposition(graph: CSRGraph, num_centers: int, *, seed: SeedLike = None):
-    """Ablation baseline: all centers chosen up front, then plain parallel growth.
-
-    This is the "no progressive batches" strawman: a uniformly random set of
-    ``num_centers`` centers grown disjointly until the graph is covered (any
-    still-uncovered nodes — other components — become singletons).
-    """
-    if num_centers < 1:
-        raise ValueError("num_centers must be >= 1")
-    rng = as_rng(seed)
-    n = graph.num_nodes
-    centers = rng.choice(n, size=min(num_centers, n), replace=False)
-    engine = GrowthEngine(graph).run(StaticSchedule(centers))
-    return engine.to_clustering(algorithm="single-batch")
 
 
 def batch_policy_row(

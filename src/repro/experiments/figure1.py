@@ -25,7 +25,6 @@ from repro.generators.composite import tail_family
 __all__ = ["run_figure1", "figure1_rows", "SEED_OFFSET", "DEFAULT_DATASETS"]
 
 DEFAULT_DATASETS = ("twitter-like", "livejournal-like")
-_DEFAULT_DATASETS = DEFAULT_DATASETS  # backwards-compatible alias
 
 SEED_OFFSET = 5
 

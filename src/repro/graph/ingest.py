@@ -451,12 +451,11 @@ def largest_component_snapshot(
         while start < kept_nodes.size:
             stop = int(np.searchsorted(bounds, bounds[start] - degrees[start] + chunk_arcs, side="right"))
             stop = max(stop, start + 1)
-            block = kept_nodes[start:stop]
-            _, dst, positions = kernels.gather_neighbors(graph.indptr, graph.indices, block)
-            writer.indices[offset : offset + dst.size] = new_id[dst]
+            positions = kernels._arc_positions(graph.indptr, kept_nodes[start:stop], degrees[start:stop])
+            writer.indices[offset : offset + positions.size] = new_id[graph.indices[positions]]
             if weighted:
-                writer.weights[offset : offset + dst.size] = graph.weights[positions]
-            offset += dst.size
+                writer.weights[offset : offset + positions.size] = graph.weights[positions]
+            offset += positions.size
             start = stop
         assert offset == num_arcs
         _advise_dontneed(writer.indices)

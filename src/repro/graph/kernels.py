@@ -6,9 +6,10 @@ same handful of array operations: gather the adjacency blocks of a frontier,
 resolve one claim per contested target, and iterate level-synchronously.
 This module implements those operations exactly once, on raw ``indptr`` /
 ``indices`` (/ ``weights``) arrays so that :class:`~repro.graph.csr.CSRGraph`,
-the :class:`~repro.core.growth_engine.GrowthEngine` policies, and the
-quotient graph machinery can all share them without import cycles.  Each job has one implementation here; the frozen references they are
-pinned against (sorted claims, one BFS per source) live with the tests.
+the :class:`~repro.core.growth_engine.GrowthEngine`, and the quotient graph
+machinery can all share them without import cycles.  Each job has one
+implementation here; the frozen references they are pinned against (sorted
+claims, one BFS per source) live with the tests.
 
 Kernel families
 ---------------
@@ -20,13 +21,13 @@ Kernel families
   selected by scattering emission-order ranks (and keys) into dense scratch
   arrays instead of sorting the whole claim list per level.
 * :func:`frontier_expansion` — level-synchronous multi-source BFS with owner
-  tracking and an optional per-level hook (used by the MR-metered BFS).  The
-  expansion is *direction-optimizing*: a :class:`DirectionOptimizer` switches
-  each level between the classic push gather and a pull step that scans
+  tracking.  Each level is one :meth:`DirectionOptimizer.expand`, which
+  switches between the classic push gather and a pull step that scans
   still-unvisited vertices against the frontier (Beamer-style heuristic with
   the fixed thresholds ``_PULL_ALPHA`` / ``_PULL_BETA``), with pull winners
   replicated via min-frontier-rank so the outputs are bit-identical in
-  either direction.
+  either direction.  The growth engine's unweighted growing step is the same
+  ``expand`` call.
 * :func:`msbfs_levels` — bit-parallel multi-source BFS advancing 64 sources
   per ``uint64`` word with HADI-style OR sweeps; backs :func:`eccentricities`,
   the quotient APSP of the distance oracle, and the serving plane's
@@ -162,9 +163,9 @@ def reset_kernel_stats() -> None:
 def record_level_stats(direction: str, frontier_size: int, edges_scanned: int) -> None:
     """Record one frontier level (no-op unless stats are enabled).
 
-    Exposed so non-kernel level loops (the :class:`~repro.core.growth_engine.
-    GrowthEngine` growing step) feed the same counters as
-    :func:`frontier_expansion`.
+    Exposed so the :class:`~repro.core.growth_engine.GrowthEngine`'s
+    weighted growing step feeds the same counters as
+    :meth:`DirectionOptimizer.expand`.
     """
     stats = _STATS
     if stats is None:
@@ -318,8 +319,8 @@ class DirectionOptimizer:
     ``status`` is a dense int64 array where ``-1`` marks still-unvisited
     nodes — the BFS ``distances`` array or the growth engine's cluster
     ``assignment``.  The caller keeps mutating it and reports coverage through
-    :meth:`on_covered`; the optimizer reads it during pull steps to enumerate
-    candidate vertices.
+    :meth:`on_covered`; :meth:`expand` reads it to drop claims on visited
+    nodes and, in pull steps, to enumerate candidate vertices.
 
     A level runs *pull* when the frontier's outgoing arcs dominate the arcs
     still incident to unvisited nodes (``m_f · _PULL_ALPHA > m_u``) and the
@@ -341,6 +342,7 @@ class DirectionOptimizer:
         "frontier_arcs",
         "last_pull_arcs",
         "unvisited_arcs",
+        "workspace",
         "_pull_list",
         "_frontier_rank",
     )
@@ -365,6 +367,7 @@ class DirectionOptimizer:
         self.last_direction = "push"
         self.frontier_arcs = 0
         self.last_pull_arcs = 0
+        self.workspace = ClaimWorkspace(self.num_nodes)
         self._pull_list: Optional[np.ndarray] = None
         self._frontier_rank: Optional[np.ndarray] = None
 
@@ -378,6 +381,27 @@ class DirectionOptimizer:
             if _STATS is not None:
                 _STATS.direction_switches += 1
         return direction
+
+    def expand(self, frontier: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One level from ``frontier``: ``(new_nodes, parents)``, sorted by node.
+
+        Runs the direction :meth:`choose` picks: a push gather whose claims on
+        unvisited nodes go through :func:`claim_first`, or a
+        :meth:`pull_expand` scan; both keep each new node's first claimant in
+        the push scan order, so the result does not depend on the direction.
+        The caller commits the claims to ``status`` and reports them through
+        :meth:`on_covered`.
+        """
+        if self.choose(frontier) == "pull":
+            new_nodes, parents = self.pull_expand(frontier)
+            record_level_stats("pull", frontier.size, self.last_pull_arcs)
+            return new_nodes, parents
+        src, dst, _ = gather_neighbors(self.indptr, self.indices, frontier)
+        record_level_stats("push", frontier.size, dst.size)
+        unvisited = self.status[dst] == -1
+        if not unvisited.any():
+            return _EMPTY, _EMPTY
+        return claim_first(dst[unvisited], src[unvisited], workspace=self.workspace)
 
     def pull_expand(self, frontier: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """One pull level: ``(new_nodes, parents)``, bit-identical to push.
@@ -426,7 +450,6 @@ def frontier_expansion(
     sources: np.ndarray,
     *,
     max_depth: Optional[int] = None,
-    on_level: Optional[Callable[[np.ndarray], None]] = None,
     degrees: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Level-synchronous multi-source BFS (direction-optimizing).
@@ -435,15 +458,12 @@ def frontier_expansion(
     unreached), the source whose tree claimed each node (``-1`` when
     unreached; ties within a level resolved by :func:`claim_first`), and the
     number of productive expansion rounds.  ``sources`` must be unique and in
-    range (callers validate).  ``on_level`` is invoked with the current
-    frontier at the start of every expansion attempt — including a final
-    fruitless one — which is exactly the per-round accounting hook the
-    MR-metered BFS drivers need.
+    range (callers validate).
 
-    Each level runs either as a push gather + sort-free claim or as a
-    :meth:`DirectionOptimizer.pull_expand` scan over unvisited vertices; the
-    two are bit-identical, so the per-level choice only affects speed.  Pass
-    the graph's cached ``degrees`` to skip the per-call ``np.diff``.
+    Each level is one :meth:`DirectionOptimizer.expand`, the step the growth
+    engine's unweighted clusters also take, so the per-level push/pull choice
+    only affects speed.  Pass the graph's cached ``degrees`` to skip the
+    per-call ``np.diff``.
     """
     n = indptr.size - 1
     distances = np.full(n, -1, dtype=np.int64)
@@ -455,25 +475,8 @@ def frontier_expansion(
     frontier = sources
     level = 0
     optimizer = DirectionOptimizer(indptr, indices, distances, degrees=degrees, covered=sources)
-    workspace = ClaimWorkspace(n)
     while frontier.size and (max_depth is None or level < max_depth):
-        if on_level is not None:
-            on_level(frontier)
-        step_direction = optimizer.choose(frontier)
-        if step_direction == "pull":
-            new_nodes, parents = optimizer.pull_expand(frontier)
-            record_level_stats("pull", frontier.size, optimizer.last_pull_arcs)
-        else:
-            src, dst, _ = gather_neighbors(indptr, indices, frontier)
-            record_level_stats("push", frontier.size, dst.size)
-            if dst.size == 0:
-                break
-            unvisited = distances[dst] == -1
-            dst = dst[unvisited]
-            src = src[unvisited]
-            if dst.size == 0:
-                break
-            new_nodes, parents = claim_first(dst, src, workspace=workspace)
+        new_nodes, parents = optimizer.expand(frontier)
         if new_nodes.size == 0:
             break
         level += 1
@@ -528,7 +531,6 @@ def _msbfs_sweep(
     indices: np.ndarray,
     sources: np.ndarray,
     degrees: np.ndarray,
-    max_depth: Optional[int],
     on_new: Callable[[int, np.ndarray, np.ndarray], None],
 ) -> int:
     """Core bit-parallel OR sweep: 64 sources per ``uint64`` word.
@@ -568,7 +570,7 @@ def _msbfs_sweep(
     level = 0
     if _STATS is not None:
         _STATS.msbfs_sweeps += 1
-    while frontier_rows.size and (max_depth is None or level < max_depth):
+    while frontier_rows.size:
         frontier_arcs = int(degrees[frontier_rows].sum())
         if frontier_arcs * _PULL_ALPHA > unvisited_arcs:
             if unfinished is None:
@@ -622,7 +624,6 @@ def msbfs_levels(
     sources: np.ndarray,
     *,
     degrees: Optional[np.ndarray] = None,
-    max_depth: Optional[int] = None,
 ) -> np.ndarray:
     """Bit-parallel multi-source BFS distances: one sweep, 64 sources per word.
 
@@ -647,7 +648,7 @@ def msbfs_levels(
         row_pos, source_pos = np.nonzero(bits[:, : sources.size])
         dist[source_pos, rows[row_pos]] = level
 
-    _msbfs_sweep(indptr, indices, sources, degrees, max_depth, on_new)
+    _msbfs_sweep(indptr, indices, sources, degrees, on_new)
     return dist
 
 
@@ -684,7 +685,7 @@ def eccentricities(
             grew = np.unpackbits(column.view(np.uint8), bitorder="little")[: ecc_chunk.size]
             ecc_chunk[grew.astype(bool)] = level
 
-        _msbfs_sweep(indptr, indices, chunk, degrees, None, on_new)
+        _msbfs_sweep(indptr, indices, chunk, degrees, on_new)
     return out
 
 

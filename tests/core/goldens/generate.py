@@ -88,12 +88,11 @@ def build_graphs() -> dict:
 def generate() -> dict:
     from repro.baselines.gonzalez import gonzalez_kcenter
     from repro.baselines.mpx import mpx_decomposition
-    from repro.core.cluster import cluster
+    from repro.core.cluster import cluster, single_batch_decomposition
     from repro.core.cluster2 import cluster2
     from repro.core.diameter import estimate_diameter
     from repro.core.kcenter import kcenter
     from repro.core.mr_algorithms import mr_estimate_diameter
-    from repro.experiments.ablations import single_batch_decomposition
     from repro.generators import attach_weights
 
     goldens: dict = {}

@@ -16,12 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.growth_engine import (
-    BatchHalvingSchedule,
-    GrowthEngine,
-    MinWeightTieBreak,
-    StaticSchedule,
-)
+from repro.core.cluster import cluster
+from repro.core.growth_engine import GrowthEngine
 from repro.core.quotient import build_quotient_graph, quotient_apsp
 from repro.generators import mesh_graph, path_graph, rmat_graph
 from repro.graph import kernels
@@ -38,6 +34,14 @@ from kernel_reference import (  # rootless test layout: pytest puts this dir on 
 )
 
 DIRECTIONS = ("push", "pull", "auto")
+
+
+def grow_from(graph: CSRGraph, centers) -> GrowthEngine:
+    """All ``centers`` up front, grown until no step makes progress."""
+    engine = GrowthEngine(graph)
+    engine.add_centers(centers)
+    engine.grow_to_exhaustion()
+    return engine
 
 
 def star_graph(num_leaves: int) -> CSRGraph:
@@ -147,22 +151,20 @@ class TestDirectionEquivalence:
             assert np.array_equal(push_owner, owner), (name, direction)
             assert levels == push_levels, (name, direction)
 
-    def test_pull_respects_max_depth_and_on_level(self):
+    def test_pull_respects_max_depth(self):
         graph = mesh_graph(9, 9)
         sources = np.asarray([0], dtype=np.int64)
-        seen = {"push": [], "pull": []}
+        runs = {}
         for direction in ("push", "pull"):
             with forced_direction(direction):
-                kernels.frontier_expansion(
-                    graph.indptr,
-                    graph.indices,
-                    sources,
-                    max_depth=4,
-                    on_level=lambda f, d=direction: seen[d].append(f.copy()),
+                runs[direction] = kernels.frontier_expansion(
+                    graph.indptr, graph.indices, sources, max_depth=4
                 )
-        assert len(seen["push"]) == len(seen["pull"]) == 4
-        for push_frontier, pull_frontier in zip(seen["push"], seen["pull"]):
-            assert np.array_equal(push_frontier, pull_frontier)
+        push_dist, push_owner, push_levels = runs["push"]
+        pull_dist, pull_owner, pull_levels = runs["pull"]
+        assert push_levels == pull_levels == 4 and push_dist.max() == 4
+        assert np.array_equal(push_dist, pull_dist)
+        assert np.array_equal(push_owner, pull_owner)
 
     def test_empty_sources(self):
         graph = mesh_graph(4, 4)
@@ -215,13 +217,6 @@ class TestMsbfs:
         assert (levels[0, 5:] == -1).all() and (levels[0, :5] >= 0).all()
         assert (levels[1, :5] == -1).all() and (levels[1, 5:] >= 0).all()
 
-    def test_max_depth_truncates(self):
-        graph = path_graph(20)
-        levels = kernels.msbfs_levels(
-            graph.indptr, graph.indices, np.asarray([0], dtype=np.int64), max_depth=3
-        )
-        assert levels[0].max() == 3 and (levels[0, 4:] == -1).all()
-
     def test_empty_sources(self):
         graph = mesh_graph(3, 3)
         levels = kernels.msbfs_levels(
@@ -252,10 +247,7 @@ class TestMsbfs:
 
     def test_quotient_apsp_matches_per_source_bfs(self):
         graph = mesh_graph(10, 10)
-        engine = GrowthEngine(graph).run(
-            BatchHalvingSchedule(3, np.random.default_rng(4))
-        )
-        quotient = build_quotient_graph(graph, engine.to_clustering())
+        quotient = build_quotient_graph(graph, cluster(graph, 3, seed=4))
         matrix = quotient_apsp(quotient)
         for cluster_id in range(quotient.num_nodes):
             result = multi_source_bfs(quotient, [cluster_id])
@@ -307,8 +299,7 @@ class TestMmapBitIdentity:
         graph, mapped = pair
         results = {}
         for label, g in (("memory", graph), ("mmap", mapped)):
-            engine = GrowthEngine(g).run(StaticSchedule([0, 11, 23]))
-            results[label] = engine
+            results[label] = grow_from(g, [0, 11, 23])
         assert np.array_equal(results["memory"].assignment, results["mmap"].assignment)
         assert np.array_equal(results["memory"].distance, results["mmap"].distance)
 
@@ -344,7 +335,8 @@ class TestDegreesCache:
 # GrowthEngine direction forcing: full runs and MR accounting
 # ---------------------------------------------------------------------- #
 class TestEngineDirection:
-    def assert_runs_identical(self, reference: GrowthEngine, other: GrowthEngine):
+    def assert_runs_identical(self, reference, other):
+        """Two engines or clusterings with identical state and step logs."""
         assert np.array_equal(reference.assignment, other.assignment)
         assert np.array_equal(reference.distance, other.distance)
         assert len(reference.step_log) == len(other.step_log)
@@ -356,18 +348,16 @@ class TestEngineDirection:
     @pytest.mark.parametrize("name", ["rmat", "mesh", "disconnected", "star"])
     def test_forced_directions_full_run(self, name):
         graph = graph_zoo()[name]
-        engines = {}
+        runs = {}
         for direction in DIRECTIONS:
             with forced_direction(direction):
-                engines[direction] = GrowthEngine(graph).run(
-                    BatchHalvingSchedule(2, np.random.default_rng(7))
-                )
-        self.assert_runs_identical(engines["push"], engines["pull"])
-        self.assert_runs_identical(engines["push"], engines["auto"])
+                runs[direction] = cluster(graph, 2, seed=7)
+        self.assert_runs_identical(runs["push"], runs["pull"])
+        self.assert_runs_identical(runs["push"], runs["auto"])
 
     def test_incremental_centers_after_growth(self):
-        # The optimizer is created lazily at the first grow_step; centers
-        # added afterwards must feed its unvisited-arcs accounting.
+        # Centers added after growth has started must feed the optimizer's
+        # unvisited-arcs accounting.
         graph = mesh_graph(11, 11)
         runs = {}
         for direction in ("push", "pull"):
@@ -384,10 +374,10 @@ class TestEngineDirection:
         # Min-weight claims have no pull path; forcing pull must be a no-op,
         # not an error, and results must match the default engine.
         graph = mesh_graph(6, 6, weights="uniform", seed=2)
-        baseline = GrowthEngine(graph).run(StaticSchedule([0, 35]))
+        baseline = grow_from(graph, [0, 35])
         with forced_direction("pull"):
-            forced = GrowthEngine(graph).run(StaticSchedule([0, 35]))
-        assert isinstance(forced.tie_break, MinWeightTieBreak)
+            forced = grow_from(graph, [0, 35])
+        assert forced.weighted_distance is not None
         self.assert_runs_identical(baseline, forced)
 
 
@@ -432,7 +422,7 @@ class TestKernelStats:
             kernels.frontier_expansion(
                 graph.indptr, graph.indices, np.asarray([0], dtype=np.int64), degrees=graph.degrees
             )
-            GrowthEngine(graph).run(BatchHalvingSchedule(2, np.random.default_rng(7)))
+            cluster(graph, 2, seed=7)
         stats = kernels.kernel_stats_snapshot()
         other = "pull" if direction == "push" else "push"
         assert stats[f"{direction}_levels"] > 0

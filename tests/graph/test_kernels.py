@@ -102,18 +102,6 @@ class TestFrontierExpansion:
         assert np.array_equal(owners, result.sources)
         assert levels == result.num_levels
 
-    def test_on_level_counts_every_round(self, mesh):
-        calls = []
-        kernels.frontier_expansion(
-            mesh.indptr,
-            mesh.indices,
-            np.asarray([0], dtype=np.int64),
-            on_level=lambda frontier: calls.append(int(frontier.size)),
-        )
-        # One call per expansion attempt; total frontier sizes cover the graph.
-        assert sum(calls) == mesh.num_nodes
-        assert calls[0] == 1
-
     def test_max_depth(self, mesh):
         dist, _, levels = kernels.frontier_expansion(
             mesh.indptr, mesh.indices, np.asarray([0], dtype=np.int64), max_depth=2

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.baselines import hadi_diameter, mr_bfs_diameter
+from repro.baselines import hadi_diameter, mpx_decomposition, mr_bfs_diameter
+from repro.core.cluster import cluster
 from repro.core.growth_engine import GrowthEngine
 from repro.core.mr_algorithms import mr_estimate_diameter
 from repro.core.pipeline import DecompositionPipeline, PipelineConfig
@@ -53,6 +54,8 @@ _PAIRS = ArrayPairs(_ONE, _ONE)
 
 REMOVED = {
     "frontier_expansion(direction=)": lambda: kernels.frontier_expansion(*_ARGS, _ONE, direction="push"),
+    "frontier_expansion(on_level=)": lambda: kernels.frontier_expansion(*_ARGS, _ONE, on_level=print),
+    "msbfs_levels(max_depth=)": lambda: kernels.msbfs_levels(*_ARGS, _ONE, max_depth=2),
     "DirectionOptimizer(direction=)": lambda: kernels.DirectionOptimizer(
         *_ARGS, np.full(16, -1), direction="pull"
     ),
@@ -60,6 +63,8 @@ REMOVED = {
     "DirectionOptimizer(beta=)": lambda: kernels.DirectionOptimizer(*_ARGS, np.full(16, -1), beta=1.0),
     "GrowthEngine(direction=)": lambda: GrowthEngine(_GRAPH, direction="push"),
     "GrowthEngine(tie_break=<name>)": lambda: GrowthEngine(_GRAPH, tie_break="arbitrary"),
+    "mpx_decomposition(tie_break=)": lambda: mpx_decomposition(_GRAPH, 0.5, seed=0, tie_break="shifted-start"),
+    "cluster(max_iterations=)": lambda: cluster(_GRAPH, 1, seed=0, max_iterations=3),
     "eccentricities(method=)": lambda: kernels.eccentricities(*_ARGS, _ONE, method="loop"),
     "eccentricities(batch=)": lambda: kernels.eccentricities(*_ARGS, _ONE, batch=8),
     "delta_stepping(delta=)": lambda: kernels.delta_stepping(*_ARGS, _WEIGHTS, _ONE, delta=1.0),

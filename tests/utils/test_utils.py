@@ -7,7 +7,7 @@ import logging
 import numpy as np
 import pytest
 
-from repro.core.growth_engine import GrowthEngine, multi_source_growth
+from repro.core.growth_engine import GrowthEngine
 from repro.core.kcenter import evaluate_centers
 from repro.core.oracle import build_distance_oracle
 from repro.generators import mesh_graph
@@ -112,7 +112,6 @@ class TestValidation:
             "nodes": [lambda b: graph.neighbor_blocks(np.asarray(b)), graph.subgraph],
             "centers": [
                 lambda b: evaluate_centers(graph, b),
-                lambda b: multi_source_growth(graph, b),
                 lambda b: GrowthEngine(graph).add_centers(np.asarray(b)),
             ],
             "sources": [lambda b: multi_source_bfs(graph, b)],
@@ -134,7 +133,7 @@ class TestValidation:
         for form in forms:
             assert graph.subgraph(form)[1].tolist() == [0, 8]
             assert evaluate_centers(graph, form).radius == 2
-            assert multi_source_growth(graph, form).num_clusters == 2
+            assert GrowthEngine(graph).add_centers(form).tolist() == [0, 8]
             assert multi_source_bfs(graph, form).distances.max() == 2
 
 

@@ -12,7 +12,7 @@ import pytest
 from repro.baselines.gonzalez import gonzalez_kcenter, random_centers_kcenter
 from repro.core.cluster import cluster
 from repro.core.diameter import estimate_diameter
-from repro.core.growth_engine import GrowthEngine, MinWeightTieBreak
+from repro.core.growth_engine import GrowthEngine
 from repro.core.kcenter import evaluate_centers, kcenter
 from repro.core.pipeline import DecompositionPipeline
 from repro.core.quotient import build_quotient_graph
@@ -53,8 +53,10 @@ def exact_weighted_diameter(graph: CSRGraph) -> float:
 
 
 def weighted_growth(graph: CSRGraph) -> GrowthEngine:
-    """The weighted growth loop: the shared engine with min-weight claims."""
-    return GrowthEngine(graph, tie_break=MinWeightTieBreak())
+    """The weighted growth loop: the shared engine, which claims by min weight
+    on a weighted graph."""
+    assert graph.is_weighted
+    return GrowthEngine(graph)
 
 
 class TestWeightedGrowth:
