@@ -1,19 +1,21 @@
-"""Ablation benchmarks (A1–A3 and the §3 expander+path example)."""
+"""Ablation benchmarks (A1–A3 and the §3 expander+path example), one per part."""
 
 from __future__ import annotations
 
 from repro.experiments.ablations import (
-    run_batch_policy_ablation,
-    run_cluster_vs_cluster2,
+    CLUSTER2_DATASETS,
+    batch_policy_row,
+    cluster_vs_cluster2_row,
     run_expander_path_example,
     run_tau_sweep,
 )
+from repro.experiments.datasets import dataset_names
 
 
 def test_batch_policy_ablation(benchmark, scale, show_table):
     """A1 — CLUSTER's progressive batches vs single-batch growth vs MPX."""
     rows = benchmark.pedantic(
-        lambda: run_batch_policy_ablation(scale=scale), rounds=1, iterations=1
+        lambda: [batch_policy_row(name, scale=scale) for name in dataset_names()], rounds=1, iterations=1
     )
     show_table(rows, "A1 — batch-policy ablation (max radius)")
     # The progressive policy is never worse than the single-batch strawman by
@@ -37,7 +39,9 @@ def test_tau_sweep(benchmark, scale, show_table):
 def test_cluster_vs_cluster2(benchmark, scale, show_table):
     """A3 — CLUSTER2's guarantees cost extra clusters but keep valid bounds."""
     rows = benchmark.pedantic(
-        lambda: run_cluster_vs_cluster2(scale=scale), rounds=1, iterations=1
+        lambda: [cluster_vs_cluster2_row(name, scale=scale) for name in CLUSTER2_DATASETS],
+        rounds=1,
+        iterations=1,
     )
     show_table(rows, "A3 — CLUSTER vs CLUSTER2")
     for row in rows:

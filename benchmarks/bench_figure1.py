@@ -6,11 +6,9 @@ BFS's cost grow linearly in ``c`` while CLUSTER's cost stays essentially flat.
 
 from __future__ import annotations
 
-from repro.experiments.figure1 import run_figure1
 
-
-def test_figure1(benchmark, scale, show_table):
-    rows = benchmark.pedantic(lambda: run_figure1(scale=scale), rounds=1, iterations=1)
+def test_figure1(benchmark, suite_rows, show_table):
+    rows = benchmark.pedantic(lambda: suite_rows("figure1"), rounds=1, iterations=1)
     show_table(rows, "Figure 1 — cost vs tail length")
     datasets = sorted({row["dataset"] for row in rows})
     assert datasets == ["livejournal-like", "twitter-like"]

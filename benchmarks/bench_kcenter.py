@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from repro.experiments.ablations import run_kcenter_comparison
+from repro.experiments.ablations import KCENTER_DATASETS, kcenter_rows
 
 
 def test_kcenter_quality(benchmark, scale, show_table):
     rows = benchmark.pedantic(
-        lambda: run_kcenter_comparison(scale=scale), rounds=1, iterations=1
+        lambda: [row for name in KCENTER_DATASETS for row in kcenter_rows(name, scale=scale)],
+        rounds=1,
+        iterations=1,
     )
     show_table(rows, "A4 — k-center: CLUSTER vs Gonzalez vs random")
     for row in rows:

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from repro.experiments.table1 import run_table1
 
-
-def test_table1(benchmark, scale, show_table):
-    rows = benchmark.pedantic(lambda: run_table1(scale=scale), rounds=1, iterations=1)
+def test_table1(benchmark, suite_rows, show_table):
+    rows = benchmark.pedantic(lambda: suite_rows("table1"), rounds=1, iterations=1)
     show_table(rows, "Table 1 — dataset characteristics")
     assert len(rows) == 6
     # Regime sanity: road/mesh stand-ins have much larger diameters than the

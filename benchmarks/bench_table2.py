@@ -8,11 +8,9 @@ the social graphs.
 
 from __future__ import annotations
 
-from repro.experiments.table2 import run_table2
 
-
-def test_table2(benchmark, scale, show_table):
-    rows = benchmark.pedantic(lambda: run_table2(scale=scale), rounds=1, iterations=1)
+def test_table2(benchmark, suite_rows, show_table):
+    rows = benchmark.pedantic(lambda: suite_rows("table2"), rounds=1, iterations=1)
     show_table(rows, "Table 2 — CLUSTER vs MPX")
     assert len(rows) == 6
     long_diameter = {"roads-CA-like", "roads-PA-like", "roads-TX-like", "mesh"}

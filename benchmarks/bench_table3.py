@@ -7,11 +7,9 @@ essentially independent of the clustering granularity.
 
 from __future__ import annotations
 
-from repro.experiments.table3 import run_table3
 
-
-def test_table3(benchmark, scale, show_table):
-    rows = benchmark.pedantic(lambda: run_table3(scale=scale), rounds=1, iterations=1)
+def test_table3(benchmark, suite_rows, show_table):
+    rows = benchmark.pedantic(lambda: suite_rows("table3"), rounds=1, iterations=1)
     show_table(rows, "Table 3 — diameter approximation quality")
     assert len(rows) == 6
     long_diameter = {"roads-CA-like", "roads-PA-like", "roads-TX-like", "mesh"}

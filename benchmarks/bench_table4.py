@@ -12,13 +12,9 @@ Paper's claims (under MR-round / communication accounting, see DESIGN.md):
 
 from __future__ import annotations
 
-from repro.experiments.table4 import run_table4
 
-
-def test_table4(benchmark, scale, show_table):
-    rows = benchmark.pedantic(
-        lambda: run_table4(scale=scale, include_hadi=True), rounds=1, iterations=1
-    )
+def test_table4(benchmark, suite_rows, show_table):
+    rows = benchmark.pedantic(lambda: suite_rows("table4"), rounds=1, iterations=1)
     show_table(rows, "Table 4 — diameter estimation cost (MR accounting)")
     assert len(rows) == 6
     long_diameter = {"roads-CA-like", "roads-PA-like", "roads-TX-like", "mesh"}

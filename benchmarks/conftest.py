@@ -1,8 +1,9 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark regenerates one artifact of the paper's evaluation section
-(Tables 1-4, Figure 1) or an ablation, using the experiment drivers in
-:mod:`repro.experiments`.  Run them with::
+(Tables 1-4, Figure 1) or an ablation: a whole table runs its suite cells
+through :class:`~repro.experiments.suite.SuiteRunner` (the CLI's path), an
+ablation part calls its row function.  Run them with::
 
     pytest benchmarks/ --benchmark-only                 # quick (small scale)
     REPRO_BENCH_SCALE=default pytest benchmarks/ --benchmark-only   # full stand-ins
@@ -148,6 +149,21 @@ def bench_scale() -> str:
 @pytest.fixture(scope="session")
 def scale() -> str:
     return bench_scale()
+
+
+@pytest.fixture(scope="session")
+def suite_rows(scale):
+    """Run one experiment's suite cells serially and return its rows."""
+    from repro.experiments.suite import SuiteRunner
+
+    def _run(experiment):
+        with SuiteRunner(cell_retries=0) as runner:
+            result = runner.run([experiment], scale=scale)
+        failed = [(o.cell.cell_id, o.error) for o in result.outcomes if o.status == "failed"]
+        assert not failed, failed
+        return result.rows_for(experiment)
+
+    return _run
 
 
 @pytest.fixture(scope="session")

@@ -31,7 +31,6 @@ Quick start::
 
 from repro import analysis, baselines, core, generators, graph, mapreduce, serving, utils
 from repro.baselines import (
-    bfs_diameter,
     gonzalez_kcenter,
     hadi_diameter,
     mpx_decomposition,
@@ -77,7 +76,6 @@ __all__ = [
     "CSRGraph",
     "load_edge_list",
     # Baselines
-    "bfs_diameter",
     "gonzalez_kcenter",
     "hadi_diameter",
     "mpx_decomposition",

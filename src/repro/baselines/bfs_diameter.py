@@ -20,12 +20,11 @@ segment reducer keeps one claimant per contested node — the same
 arbitrary-but-deterministic tie-break as
 :func:`repro.graph.kernels.claim_first` — with zero per-key Python calls.
 
-The in-memory sweeps of :func:`bfs_diameter` run through the
-direction-optimizing :func:`repro.graph.kernels.frontier_expansion` (push or
-pull per level, bit-identical either way); the MR path deliberately stays a
-push-only per-level plan, since its per-round accounting *is* the metered
-quantity — every arc leaving the frontier is charged whatever the local
-execution strategy.
+The MR path deliberately stays a push-only per-level plan (the in-memory
+:func:`repro.graph.traversal.double_sweep` runs the direction-optimizing
+kernel instead), since its per-round accounting *is* the metered quantity —
+every arc leaving the frontier is charged whatever the local execution
+strategy.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import numpy as np
 
 from repro.graph import kernels
 from repro.graph.csr import CSRGraph
-from repro.graph.traversal import multi_source_bfs
 from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
 from repro.mapreduce.engine import MREngine
 from repro.mapreduce.metrics import MRMetrics
@@ -45,7 +43,7 @@ from repro.mapreduce.model import MRModel
 from repro.mapreduce.structured import ArrayPairs
 from repro.utils.rng import SeedLike, as_rng
 
-__all__ = ["BFSDiameterResult", "bfs_diameter", "mr_bfs_diameter"]
+__all__ = ["BFSDiameterResult", "mr_bfs_diameter"]
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ class BFSDiameterResult:
     num_levels:
         Total number of BFS levels across the traversals — the MR round count.
     metrics / simulated_time:
-        Present only when produced by :func:`mr_bfs_diameter`.
+        The metered MR rounds and their simulated time.
     """
 
     estimate: int
@@ -73,34 +71,8 @@ class BFSDiameterResult:
     upper_bound: int
     num_bfs: int
     num_levels: int
-    metrics: Optional[MRMetrics] = None
-    simulated_time: Optional[float] = None
-
-
-def bfs_diameter(
-    graph: CSRGraph, *, seed: SeedLike = None, start: Optional[int] = None
-) -> BFSDiameterResult:
-    """Double-sweep BFS diameter estimation (in-memory, no MR accounting)."""
-    n = graph.num_nodes
-    if n == 0:
-        raise ValueError("graph must be non-empty")
-    rng = as_rng(seed)
-    if start is None:
-        start = int(rng.integers(0, n))
-    first = multi_source_bfs(graph, [start])
-    reachable = np.flatnonzero(first.distances >= 0)
-    ecc_first = int(first.distances[reachable].max())
-    farthest = int(reachable[np.argmax(first.distances[reachable])])
-    second = multi_source_bfs(graph, [farthest])
-    reachable2 = np.flatnonzero(second.distances >= 0)
-    ecc_second = int(second.distances[reachable2].max())
-    return BFSDiameterResult(
-        estimate=ecc_second,
-        lower_bound=ecc_second,
-        upper_bound=2 * ecc_first,
-        num_bfs=2,
-        num_levels=first.num_levels + second.num_levels,
-    )
+    metrics: MRMetrics
+    simulated_time: float
 
 
 def _structured_bfs(

@@ -18,7 +18,10 @@ shared :class:`~repro.core.growth_engine.GrowthEngine` in which round ``t``
 activates (as singleton clusters) all still-uncovered nodes whose start time
 ``δ_max − δ_u`` falls in ``[t, t + 1)``, then every active cluster grows one
 hop, disjointly.  Contested nodes go to the first claimant in the adjacency
-scan.
+scan.  A round in which no cluster can grow and no node starts changes
+nothing, so the loop skips it: on a disconnected graph the clusters of a
+finished component wait for the next start round instead of stepping
+through ``O(log n / β)`` idle rounds.
 """
 
 from __future__ import annotations
@@ -66,22 +69,20 @@ def mpx_decomposition(graph: CSRGraph, beta: float, *, seed: SeedLike = None) ->
     start_round = np.floor(shifts.max() - shifts).astype(np.int64)
     by_round = np.argsort(start_round)
     sorted_rounds = start_round[by_round]
-    last_round = int(sorted_rounds[-1])
 
     t = 0
     while engine.num_uncovered:
         uncovered_before = engine.num_uncovered
         lo, hi = np.searchsorted(sorted_rounds, (t, t + 1))
         new_centers = engine.add_centers(by_round[lo:hi]).size
-        newly = engine.grow_step()
-        engine.record_iteration(t, uncovered_before, new_centers, 1 if engine.num_clusters else 0)
-        if t >= last_round and newly == 0 and engine.num_uncovered:
-            # Every node has started or been absorbed, so a fruitless step
-            # means the rest is unreachable from every cluster (another
-            # component): those nodes become singletons.
-            break
+        if engine.frontier.size == 0:
+            # Nothing can grow and nothing started: skip to the next round in
+            # which a node starts (every uncovered node starts after t).
+            t = int(sorted_rounds[hi])
+            continue
+        engine.grow_step()
+        engine.record_iteration(t, uncovered_before, new_centers, 1)
         t += 1
-    engine.cover_remaining_as_singletons()
     return engine.to_clustering("mpx")
 
 

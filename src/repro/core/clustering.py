@@ -14,13 +14,12 @@ per-growing-step statistics) needed by the MR-round accounting of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.graph import kernels
 from repro.graph.csr import CSRGraph
-from repro.graph.traversal import multi_source_bfs
 
 __all__ = ["Clustering", "IterationStats", "GrowthStepStats"]
 
@@ -138,23 +137,6 @@ class Clustering:
             raise IndexError(f"cluster {cluster_id} out of range")
         return np.flatnonzero(self.assignment == cluster_id)
 
-    def exact_radii(self, graph: CSRGraph) -> np.ndarray:
-        """Exact cluster radii: true graph distance from each node to its center.
-
-        The growth distance can overestimate the true distance when a shorter
-        path to the center runs through another cluster's territory; the exact
-        own-center distance is therefore computed with one BFS per cluster
-        within the cluster's induced subgraph.
-        """
-        radii = np.zeros(self.num_clusters, dtype=np.int64)
-        for cid in range(self.num_clusters):
-            nodes = self.members(cid)
-            sub, mapping = graph.subgraph(nodes)
-            center_local = int(np.searchsorted(mapping, self.centers[cid]))
-            dist = multi_source_bfs(sub, [center_local]).distances
-            radii[cid] = int(dist.max()) if dist.size else 0
-        return radii
-
     # ------------------------------------------------------------------ #
     # Validation
     # ------------------------------------------------------------------ #
@@ -211,19 +193,6 @@ class Clustering:
         assert missing.size == 0, (
             f"{missing.size} nodes (e.g. {missing[:5].tolist()}) lack a same-cluster "
             "parent one growth step closer to the center"
-        )
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def singleton_clustering(cls, num_nodes: int) -> "Clustering":
-        """Degenerate clustering where every node is its own center."""
-        ids = np.arange(num_nodes, dtype=np.int64)
-        return cls(
-            num_nodes=num_nodes,
-            assignment=ids.copy(),
-            centers=ids.copy(),
-            distance=np.zeros(num_nodes, dtype=np.int64),
-            algorithm="singletons",
         )
 
     def summary(self) -> dict:

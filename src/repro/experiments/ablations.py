@@ -24,9 +24,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.analysis.stats import clustering_report
 from repro.baselines.gonzalez import gonzalez_kcenter, random_centers_kcenter
 from repro.baselines.mpx import mpx_with_target_clusters
 from repro.core.cluster import cluster, cluster_with_target_clusters, single_batch_decomposition
@@ -34,19 +31,16 @@ from repro.core.cluster2 import cluster2
 from repro.core.diameter import estimate_diameter
 from repro.core.kcenter import kcenter
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig, dataset_rng, granularity_for
-from repro.experiments.datasets import dataset_names, load_dataset, reference_diameter
+from repro.experiments.datasets import load_dataset, reference_diameter
 from repro.generators.composite import expander_with_path
 from repro.utils.rng import as_rng
 
 __all__ = [
     "batch_policy_row",
-    "run_batch_policy_ablation",
     "run_tau_sweep",
     "cluster_vs_cluster2_row",
-    "run_cluster_vs_cluster2",
     "run_expander_path_example",
     "kcenter_rows",
-    "run_kcenter_comparison",
     "CLUSTER2_DATASETS",
     "KCENTER_DATASETS",
 ]
@@ -64,15 +58,10 @@ KCENTER_DATASETS = ("mesh", "roads-CA-like", "livejournal-like")
 
 
 def batch_policy_row(
-    name: str,
-    *,
-    scale: str = "default",
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    rng=None,
+    name: str, *, scale: str = "default", config: ExperimentConfig = DEFAULT_CONFIG
 ) -> Dict:
     """A1 for one dataset (the per-cell unit of the suite)."""
-    if rng is None:
-        rng = dataset_rng(name, offset=BATCH_POLICY_OFFSET, config=config)
+    rng = dataset_rng(name, offset=BATCH_POLICY_OFFSET, config=config)
     graph = load_dataset(name, scale)
     target = granularity_for(name, graph.num_nodes, config=config)
     ours = cluster_with_target_clusters(graph, target, seed=rng)
@@ -88,17 +77,6 @@ def batch_policy_row(
         "mpx_nC": mpx.num_clusters,
         "mpx_r": mpx.max_radius,
     }
-
-
-def run_batch_policy_ablation(
-    *,
-    scale: str = "default",
-    datasets: Optional[Sequence[str]] = None,
-    config: ExperimentConfig = DEFAULT_CONFIG,
-) -> List[Dict]:
-    """A1: CLUSTER vs single-batch vs MPX at matched granularity."""
-    names = list(datasets) if datasets is not None else dataset_names()
-    return [batch_policy_row(name, scale=scale, config=config) for name in names]
 
 
 def run_tau_sweep(
@@ -133,15 +111,10 @@ def run_tau_sweep(
 
 
 def cluster_vs_cluster2_row(
-    name: str,
-    *,
-    scale: str = "default",
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    rng=None,
+    name: str, *, scale: str = "default", config: ExperimentConfig = DEFAULT_CONFIG
 ) -> Dict:
     """A3 for one dataset (the per-cell unit of the suite)."""
-    if rng is None:
-        rng = dataset_rng(name, offset=CLUSTER2_OFFSET, config=config)
+    rng = dataset_rng(name, offset=CLUSTER2_OFFSET, config=config)
     graph = load_dataset(name, scale)
     true_diameter = reference_diameter(name, scale)
     tau = max(1, granularity_for(name, graph.num_nodes, config=config) // 8)
@@ -161,17 +134,6 @@ def cluster_vs_cluster2_row(
         "cluster2_upper": round(est_refined.upper_bound, 1),
         "cluster2_radius_bound": 2 * refined.r_alg * math.ceil(math.log2(max(2, graph.num_nodes))),
     }
-
-
-def run_cluster_vs_cluster2(
-    *,
-    scale: str = "default",
-    datasets: Optional[Sequence[str]] = None,
-    config: ExperimentConfig = DEFAULT_CONFIG,
-) -> List[Dict]:
-    """A3: CLUSTER vs CLUSTER2 decomposition and diameter-bound quality."""
-    names = list(datasets) if datasets is not None else list(CLUSTER2_DATASETS)
-    return [cluster_vs_cluster2_row(name, scale=scale, config=config) for name in names]
 
 
 def run_expander_path_example(
@@ -209,11 +171,9 @@ def kcenter_rows(
     scale: str = "default",
     k_values: Optional[Sequence[int]] = None,
     config: ExperimentConfig = DEFAULT_CONFIG,
-    rng=None,
 ) -> List[Dict]:
     """A4 for one dataset (the per-cell unit of the suite)."""
-    if rng is None:
-        rng = dataset_rng(name, offset=KCENTER_OFFSET, config=config)
+    rng = dataset_rng(name, offset=KCENTER_OFFSET, config=config)
     graph = load_dataset(name, scale)
     ks = list(k_values) if k_values is not None else [16, 64]
     rows: List[Dict] = []
@@ -232,19 +192,4 @@ def kcenter_rows(
                 "ratio_vs_gonzalez": round(ours.radius / max(1, greedy.radius), 2),
             }
         )
-    return rows
-
-
-def run_kcenter_comparison(
-    *,
-    scale: str = "default",
-    datasets: Optional[Sequence[str]] = None,
-    k_values: Optional[Sequence[int]] = None,
-    config: ExperimentConfig = DEFAULT_CONFIG,
-) -> List[Dict]:
-    """A4: CLUSTER-based k-center vs Gonzalez vs random centers."""
-    names = list(datasets) if datasets is not None else list(KCENTER_DATASETS)
-    rows: List[Dict] = []
-    for name in names:
-        rows.extend(kcenter_rows(name, scale=scale, k_values=k_values, config=config))
     return rows

@@ -21,7 +21,7 @@ Two scales are provided: ``"default"`` (used by the benchmark harness) and
 are seeded, so every experiment is reproducible bit-for-bit.
 
 Built graphs are memoized through a :class:`~repro.experiments.store.DatasetCache`
-— a bounded in-memory LRU with an optional ``.snap`` disk layer.  The cache is
+— the built graphs in memory, with an optional ``.snap`` disk layer.  The cache is
 memory-only by default (set ``REPRO_DATASET_CACHE`` or call
 :func:`configure_dataset_cache` to add the disk layer); the suite runner
 points it at the artifact store's ``datasets/`` directory so one build is
@@ -228,15 +228,10 @@ def dataset_cache() -> DatasetCache:
     return _CACHE
 
 
-def configure_dataset_cache(
-    directory=None, *, memory_items: Optional[int] = None
-) -> DatasetCache:
+def configure_dataset_cache(directory=None) -> DatasetCache:
     """Replace the process-wide cache (e.g. to add or move the disk layer)."""
     global _CACHE
-    _CACHE = DatasetCache(
-        directory=directory,
-        memory_items=memory_items if memory_items is not None else _CACHE.memory_items,
-    )
+    _CACHE = DatasetCache(directory=directory)
     return _CACHE
 
 

@@ -22,7 +22,7 @@ from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig, dataset_r
 from repro.experiments.datasets import load_dataset, reference_diameter
 from repro.generators.composite import tail_family
 
-__all__ = ["run_figure1", "figure1_rows", "SEED_OFFSET", "DEFAULT_DATASETS"]
+__all__ = ["figure1_rows", "SEED_OFFSET", "DEFAULT_DATASETS"]
 
 DEFAULT_DATASETS = ("twitter-like", "livejournal-like")
 
@@ -35,11 +35,9 @@ def figure1_rows(
     scale: str = "default",
     multipliers: Optional[Sequence[int]] = None,
     config: ExperimentConfig = DEFAULT_CONFIG,
-    rng=None,
 ) -> List[Dict]:
     """The Figure 1 series for one dataset (the per-cell unit of the suite)."""
-    if rng is None:
-        rng = dataset_rng(name, offset=SEED_OFFSET, config=config)
+    rng = dataset_rng(name, offset=SEED_OFFSET, config=config)
     if multipliers is None:
         multipliers = config.tail_multipliers
     base = load_dataset(name, scale)
@@ -72,21 +70,5 @@ def figure1_rows(
                 "bfs_time": round(bfs.simulated_time, 1),
                 "bfs_estimate": bfs.estimate,
             }
-        )
-    return rows
-
-
-def run_figure1(
-    *,
-    scale: str = "default",
-    datasets: Sequence[str] = DEFAULT_DATASETS,
-    multipliers: Optional[Sequence[int]] = None,
-    config: ExperimentConfig = DEFAULT_CONFIG,
-) -> List[Dict]:
-    """Compute the Figure 1 series (one row per dataset × tail multiplier)."""
-    rows: List[Dict] = []
-    for name in datasets:
-        rows.extend(
-            figure1_rows(name, scale=scale, multipliers=multipliers, config=config)
         )
     return rows

@@ -30,15 +30,10 @@ SEED_OFFSET = 23
 
 
 def pipeline_row(
-    name: str,
-    *,
-    scale: str = "default",
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    rng=None,
+    name: str, *, scale: str = "default", config: ExperimentConfig = DEFAULT_CONFIG
 ) -> Dict:
     """One end-to-end pipeline run on one dataset (the per-cell unit of the suite)."""
-    if rng is None:
-        rng = dataset_rng(name, offset=SEED_OFFSET, config=config)
+    rng = dataset_rng(name, offset=SEED_OFFSET, config=config)
     graph = load_dataset(name, scale)
     if config.decomposition_method == "weighted":
         graph = attach_weights(graph, "uniform", seed=rng)

@@ -48,7 +48,7 @@ from repro.experiments.store import ArtifactStore
 from repro.experiments.suite import DEFAULT_EXPERIMENTS, EXPERIMENTS, SuiteRunner
 from repro.utils.logging import enable_verbose
 
-__all__ = ["main", "EXPERIMENTS", "run_experiment", "build_parser"]
+__all__ = ["main", "EXPERIMENTS", "build_parser"]
 
 _TITLES = {name: definition.title for name, definition in EXPERIMENTS.items()}
 
@@ -59,20 +59,6 @@ def _config_for(args) -> ExperimentConfig:
     if method is None:
         return DEFAULT_CONFIG
     return dataclasses.replace(DEFAULT_CONFIG, decomposition_method=method)
-
-
-def run_experiment(name: str, args) -> List[Dict]:
-    """Run a single named experiment (serially, no store) and return its rows."""
-    if name not in EXPERIMENTS:
-        raise KeyError(f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}")
-    with SuiteRunner(config=_config_for(args)) as runner:
-        result = runner.run(
-            [name],
-            scale=args.scale,
-            datasets=args.datasets,
-            include_hadi=not args.no_hadi,
-        )
-    return result.rows_for(name)
 
 
 def _positive_int(text: str) -> int:

@@ -17,15 +17,15 @@ Two cooperating pieces live here:
   store is served from disk and never recomputed, while any edit to the cell
   spec or the experiment config changes the key and forces a recompute.
 
-* :class:`DatasetCache` — the bounded two-level cache behind
-  :func:`repro.experiments.datasets.load_dataset`: a small in-memory LRU of
-  built graphs in front of an optional disk layer (graphs in the mmap-able
+* :class:`DatasetCache` — the two-level cache behind
+  :func:`repro.experiments.datasets.load_dataset`: the built graphs in
+  memory in front of an optional disk layer (graphs in the mmap-able
   snapshot format of :mod:`repro.graph.snapshot`, reference diameters as one
   small ``*.diameter.json`` file per key — per-key files make concurrent
   worker writes idempotent instead of a read-modify-write race on a shared
   dictionary).  Pointing the cache at a store's ``datasets/`` directory lets
   the suite's worker processes share one build of every benchmark graph
-  across runs — with ``mmap=True`` they share the *pages* too.
+  across runs, and its *pages* through the mapped snapshots.
 
 Everything written is plain JSON / NumPy ``.npz``; :func:`to_jsonable`
 normalizes NumPy scalars and arrays so rows loaded from the store compare
@@ -37,7 +37,6 @@ from __future__ import annotations
 import json
 import os
 import secrets
-from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, Optional, Union
 
@@ -164,16 +163,17 @@ class ArtifactStore:
 class DatasetCache:
     """Two-level cache for built benchmark graphs and reference diameters.
 
-    A bounded in-memory LRU (``memory_items`` graphs — repeated loads of a
-    resident graph return the *same object*, which several callers rely on)
-    sits in front of an optional disk layer: graphs in the raw snapshot
-    format of :mod:`repro.graph.snapshot` (``*.snap``) and reference
-    diameters as one ``*.diameter.json`` file per key.  With ``mmap=True`` (the default)
-    disk hits open the snapshot as read-only ``np.memmap`` views, so every
-    process mapping the same cache file shares one physical copy through the
-    OS page cache — this is how ``SuiteRunner --jobs`` workers share
-    disk-resident datasets without reshipping arrays.  With no ``directory``
-    configured the cache is memory-only, which is the test-suite default;
+    An in-memory layer (repeated loads of a resident graph return the *same
+    object*, which several callers rely on; nothing is evicted, since the
+    registry has only a dozen ``(dataset, scale)`` keys) sits in front of an
+    optional disk layer: graphs in the raw snapshot format of
+    :mod:`repro.graph.snapshot` (``*.snap``) and reference diameters as one
+    ``*.diameter.json`` file per key.  Disk hits open the snapshot as
+    read-only ``np.memmap`` views, so every process mapping the same cache
+    file shares one physical copy through the OS page cache — this is how
+    ``SuiteRunner --jobs`` workers share disk-resident datasets without
+    reshipping arrays.  With no ``directory`` configured the cache is
+    memory-only, which is the test-suite default;
     the suite runner points it at the artifact store so builds persist
     across runs and are shared by worker processes (each key is its own
     file, written atomically via a collision-safe temp name + rename, and
@@ -183,20 +183,10 @@ class DatasetCache:
     *pinned*: the suite runner will not repoint it at a store.
     """
 
-    def __init__(
-        self,
-        directory: Optional[PathLike] = None,
-        memory_items: int = 16,
-        *,
-        mmap: bool = True,
-    ) -> None:
-        if memory_items < 1:
-            raise ValueError(f"memory_items must be >= 1, got {memory_items}")
-        self.memory_items = int(memory_items)
+    def __init__(self, directory: Optional[PathLike] = None) -> None:
         self._directory: Optional[Path] = Path(directory) if directory is not None else None
         self.pinned = directory is not None
-        self.mmap = bool(mmap)
-        self._graphs: "OrderedDict[tuple, object]" = OrderedDict()
+        self._graphs: Dict[tuple, object] = {}
         self._diameters: Dict[str, int] = {}
 
     @property
@@ -219,16 +209,15 @@ class DatasetCache:
     def graph(self, name: str, scale: str, build: Callable[[], object]):
         """The cached graph for ``(name, scale)``, building via ``build()`` on miss.
 
-        Disk hits come back as read-only mmap views when the cache was
-        constructed with ``mmap=True``.  Disk entries are loaded
-        with ``verify="auto"`` so a version-2 snapshot whose checksum trailer
-        disagrees with its payload is treated as corrupt: the cache logs a
-        warning and rebuilds over it instead of serving damaged arrays.
+        Disk hits come back as read-only mmap views.  Disk entries are
+        loaded with ``verify=True``, so a snapshot whose checksum trailer
+        disagrees with its payload, or one in a format version this build
+        does not read, is treated as corrupt: the cache logs a warning and
+        rebuilds over it instead of serving damaged arrays.
         """
         key = (name, scale)
         hit = self._graphs.get(key)
         if hit is not None:
-            self._graphs.move_to_end(key)
             return hit
         graph = None
         if self._directory is not None:
@@ -237,7 +226,7 @@ class DatasetCache:
             path = self._graph_path(name, scale)
             if path.exists():
                 try:
-                    graph = load_snapshot(path, mmap=self.mmap, verify="auto")
+                    graph = load_snapshot(path, verify=True)
                 except (OSError, ValueError) as exc:
                     # Corrupt cache file: warn and fall through to a rebuild
                     # that overwrites it.
@@ -248,13 +237,10 @@ class DatasetCache:
             if self._directory is not None:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 save_snapshot(graph, path)
-                if self.mmap:
-                    # Serve the disk-backed views immediately so even the
-                    # building process shares pages with its siblings.
-                    graph = self._reload_saved(path, graph)
+                # Serve the disk-backed views immediately so even the
+                # building process shares pages with its siblings.
+                graph = self._reload_saved(path, graph)
         self._graphs[key] = graph
-        while len(self._graphs) > self.memory_items:
-            self._graphs.popitem(last=False)
         return graph
 
     def _reload_saved(self, path: Path, fallback):
@@ -270,7 +256,7 @@ class DatasetCache:
 
         for attempt in range(2):
             try:
-                return load_snapshot(path, mmap=self.mmap, verify="auto")
+                return load_snapshot(path, verify=True)
             except (OSError, ValueError) as exc:
                 _LOG.warning(
                     "freshly saved dataset snapshot %s failed to load back (%s); %s",

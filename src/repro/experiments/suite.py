@@ -219,7 +219,7 @@ def _pipeline_cells(request: SuiteRequest) -> List[ExperimentCell]:
 
 
 def _ablations_cells(request: SuiteRequest) -> List[ExperimentCell]:
-    """Ablations decompose into their parts (matching the legacy run order)."""
+    """Ablations decompose into their parts: A1, A2, A3, E6, then A4."""
     cells: List[ExperimentCell] = []
 
     def part(name: str) -> Tuple[Tuple[str, str], ...]:
@@ -622,7 +622,7 @@ class SuiteRunner:
         for name, cell_scale in needed:
             load_dataset(name, cell_scale)
         cache = dataset_cache()
-        if cache.directory is not None and cache.mmap:
+        if cache.directory is not None:
             return {"dataset_dir": str(cache.directory)}
         if self.pool.pids and not needed.keys() <= self._inherited:
             self.pool.close()

@@ -9,12 +9,12 @@ graphs).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
-from repro.experiments.datasets import DATASETS, dataset_names, load_dataset, reference_diameter
+from repro.experiments.datasets import DATASETS, load_dataset, reference_diameter
 
-__all__ = ["run_table1", "table1_row"]
+__all__ = ["table1_row"]
 
 
 def table1_row(
@@ -35,14 +35,3 @@ def table1_row(
         "paper_edges": paper_edges,
         "paper_diameter": paper_diameter,
     }
-
-
-def run_table1(
-    *,
-    scale: str = "default",
-    datasets: Optional[Sequence[str]] = None,
-    config: ExperimentConfig = DEFAULT_CONFIG,
-) -> List[Dict]:
-    """Compute the Table 1 rows; returns a list of row dicts."""
-    names = list(datasets) if datasets is not None else dataset_names()
-    return [table1_row(name, scale=scale, config=config) for name in names]

@@ -18,62 +18,35 @@ while MPX often produces fewer inter-cluster edges on the social graphs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
-from repro.analysis.stats import clustering_report
 from repro.baselines.mpx import mpx_with_target_clusters
 from repro.core.cluster import cluster_with_target_clusters
+from repro.core.quotient import build_quotient_graph
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig, dataset_rng, granularity_for
-from repro.experiments.datasets import dataset_names, load_dataset
+from repro.experiments.datasets import load_dataset
 
-__all__ = ["run_table2", "table2_row", "SEED_OFFSET"]
+__all__ = ["table2_row", "SEED_OFFSET"]
 
 SEED_OFFSET = 0
 
 
 def table2_row(
-    name: str,
-    *,
-    scale: str = "default",
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    rng=None,
+    name: str, *, scale: str = "default", config: ExperimentConfig = DEFAULT_CONFIG
 ) -> Dict:
     """The Table 2 row for one dataset (the per-cell unit of the suite)."""
-    if rng is None:
-        rng = dataset_rng(name, offset=SEED_OFFSET, config=config)
+    rng = dataset_rng(name, offset=SEED_OFFSET, config=config)
     graph = load_dataset(name, scale)
     target = granularity_for(name, graph.num_nodes, config=config)
-
     ours = cluster_with_target_clusters(graph, target, seed=rng)
-    ours_report = clustering_report(graph, ours)
-
     # The paper gives MPX a comparable but *larger* number of clusters.
     mpx = mpx_with_target_clusters(
         graph, max(target, ours.num_clusters), seed=rng, require_at_least_target=True
     )
-    mpx_report = clustering_report(graph, mpx)
-
-    return {
-        "dataset": name,
-        "target_clusters": target,
-        "cluster_nC": ours_report.num_clusters,
-        "cluster_mC": ours_report.quotient_edges,
-        "cluster_r": ours_report.max_radius,
-        "mpx_nC": mpx_report.num_clusters,
-        "mpx_mC": mpx_report.quotient_edges,
-        "mpx_r": mpx_report.max_radius,
-        "radius_ratio_mpx_over_cluster": (
-            float(mpx_report.max_radius) / max(1.0, float(ours_report.max_radius))
-        ),
-    }
-
-
-def run_table2(
-    *,
-    scale: str = "default",
-    datasets: Optional[Sequence[str]] = None,
-    config: ExperimentConfig = DEFAULT_CONFIG,
-) -> List[Dict]:
-    """Compute the Table 2 rows (one row per dataset, both algorithms inline)."""
-    names = list(datasets) if datasets is not None else dataset_names()
-    return [table2_row(name, scale=scale, config=config) for name in names]
+    row: Dict = {"dataset": name, "target_clusters": target}
+    for label, clustering in (("cluster", ours), ("mpx", mpx)):
+        row[f"{label}_nC"] = clustering.num_clusters
+        row[f"{label}_mC"] = build_quotient_graph(graph, clustering).num_edges
+        row[f"{label}_r"] = clustering.max_radius
+    row["radius_ratio_mpx_over_cluster"] = float(mpx.max_radius) / max(1.0, float(ours.max_radius))
+    return row

@@ -13,27 +13,22 @@ essentially independent of the granularity.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 from repro.core.diameter import estimate_diameter
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig, dataset_rng, granularity_for
-from repro.experiments.datasets import dataset_names, load_dataset, reference_diameter
+from repro.experiments.datasets import load_dataset, reference_diameter
 
-__all__ = ["run_table3", "table3_row", "SEED_OFFSET"]
+__all__ = ["table3_row", "SEED_OFFSET"]
 
 SEED_OFFSET = 3
 
 
 def table3_row(
-    name: str,
-    *,
-    scale: str = "default",
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    rng=None,
+    name: str, *, scale: str = "default", config: ExperimentConfig = DEFAULT_CONFIG
 ) -> Dict:
     """The Table 3 row for one dataset (the per-cell unit of the suite)."""
-    if rng is None:
-        rng = dataset_rng(name, offset=SEED_OFFSET, config=config)
+    rng = dataset_rng(name, offset=SEED_OFFSET, config=config)
     graph = load_dataset(name, scale)
     true_diameter = reference_diameter(name, scale)
     row: Dict = {"dataset": name, "true_diameter": true_diameter}
@@ -46,14 +41,3 @@ def table3_row(
         row[f"{label}_upper"] = round(estimate.upper_bound, 1)
         row[f"{label}_ratio"] = round(estimate.approximation_ratio(true_diameter), 3)
     return row
-
-
-def run_table3(
-    *,
-    scale: str = "default",
-    datasets: Optional[Sequence[str]] = None,
-    config: ExperimentConfig = DEFAULT_CONFIG,
-) -> List[Dict]:
-    """Compute the Table 3 rows (coarser and finer clustering per dataset)."""
-    names = list(datasets) if datasets is not None else dataset_names()
-    return [table3_row(name, scale=scale, config=config) for name in names]

@@ -21,15 +21,15 @@ of ∆.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 from repro.baselines.bfs_diameter import mr_bfs_diameter
 from repro.baselines.hadi import hadi_diameter
 from repro.core.mr_algorithms import mr_estimate_diameter
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig, dataset_rng, granularity_for
-from repro.experiments.datasets import dataset_names, load_dataset, reference_diameter
+from repro.experiments.datasets import load_dataset, reference_diameter
 
-__all__ = ["run_table4", "table4_row", "SEED_OFFSET"]
+__all__ = ["table4_row", "SEED_OFFSET"]
 
 SEED_OFFSET = 4
 
@@ -40,11 +40,12 @@ def table4_row(
     scale: str = "default",
     config: ExperimentConfig = DEFAULT_CONFIG,
     include_hadi: bool = True,
-    rng=None,
 ) -> Dict:
-    """The Table 4 row for one dataset (the per-cell unit of the suite)."""
-    if rng is None:
-        rng = dataset_rng(name, offset=SEED_OFFSET, config=config)
+    """The Table 4 row for one dataset (the per-cell unit of the suite).
+
+    ``include_hadi=False`` skips the (deliberately slow) HADI baseline.
+    """
+    rng = dataset_rng(name, offset=SEED_OFFSET, config=config)
     graph = load_dataset(name, scale)
     true_diameter = reference_diameter(name, scale)
     target = granularity_for(name, graph.num_nodes, coarse=False, config=config)
@@ -90,22 +91,3 @@ def table4_row(
             }
         )
     return row
-
-
-def run_table4(
-    *,
-    scale: str = "default",
-    datasets: Optional[Sequence[str]] = None,
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    include_hadi: bool = True,
-) -> List[Dict]:
-    """Compute the Table 4 rows.
-
-    ``include_hadi=False`` skips the (deliberately slow) HADI baseline, which
-    is convenient for smoke runs.
-    """
-    names = list(datasets) if datasets is not None else dataset_names()
-    return [
-        table4_row(name, scale=scale, config=config, include_hadi=include_hadi)
-        for name in names
-    ]

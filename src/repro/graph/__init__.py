@@ -9,7 +9,6 @@ from repro.graph.builders import (
     symmetrize_edges,
 )
 from repro.graph.components import (
-    component_sizes,
     connected_components,
     is_connected,
     largest_component,
@@ -18,7 +17,6 @@ from repro.graph.components import (
 from repro.graph.csr import CSRGraph
 from repro.graph.diameter_exact import (
     bounded_diameter,
-    diameter_bounds,
     exact_diameter,
 )
 from repro.graph.ingest import from_edge_chunks, ingest_edge_list, largest_component_snapshot
@@ -27,13 +25,11 @@ from repro.graph.io import (
     load_edge_list,
     save_edge_list,
 )
-from repro.graph.properties import GraphSummary, degree_statistics, summarize_graph
 from repro.graph.snapshot import is_snapshot, load_snapshot, read_snapshot_header, save_snapshot
 from repro.graph.traversal import (
     UNREACHED,
     BFSResult,
     bfs_distances,
-    bfs_levels,
     dijkstra,
     double_sweep,
     eccentricity,
@@ -48,13 +44,11 @@ __all__ = [
     "from_adjacency_dict",
     "relabel_compact",
     "symmetrize_edges",
-    "component_sizes",
     "connected_components",
     "is_connected",
     "largest_component",
     "num_connected_components",
     "bounded_diameter",
-    "diameter_bounds",
     "exact_diameter",
     "from_edge_chunks",
     "ingest_edge_list",
@@ -66,13 +60,9 @@ __all__ = [
     "load_snapshot",
     "read_snapshot_header",
     "save_snapshot",
-    "GraphSummary",
-    "degree_statistics",
-    "summarize_graph",
     "UNREACHED",
     "BFSResult",
     "bfs_distances",
-    "bfs_levels",
     "dijkstra",
     "double_sweep",
     "eccentricity",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -14,7 +14,6 @@ __all__ = [
     "num_connected_components",
     "is_connected",
     "largest_component",
-    "component_sizes",
 ]
 
 
@@ -40,15 +39,6 @@ def num_connected_components(graph: CSRGraph) -> int:
 def is_connected(graph: CSRGraph) -> bool:
     """True if the graph is non-empty and has a single connected component."""
     return graph.num_nodes > 0 and num_connected_components(graph) == 1
-
-
-def component_sizes(graph: CSRGraph) -> np.ndarray:
-    """Sizes of all connected components, sorted descending."""
-    if graph.num_nodes == 0:
-        return np.zeros(0, dtype=np.int64)
-    labels = connected_components(graph)
-    sizes = np.bincount(labels)
-    return np.sort(sizes)[::-1].astype(np.int64)
 
 
 def largest_component(graph: CSRGraph) -> Tuple[CSRGraph, np.ndarray]:

@@ -209,7 +209,7 @@ class CSRGraph:
     # Snapshot IO (out-of-core storage surface)
     # ------------------------------------------------------------------ #
     @classmethod
-    def load(cls, path, *, mmap: bool = True, verify=False) -> "CSRGraph":
+    def load(cls, path, *, mmap: bool = True, verify: bool = False) -> "CSRGraph":
         """Open a graph snapshot written by :meth:`save` / the ingest plane.
 
         With ``mmap=True`` (default) the CSR arrays are read-only
@@ -237,14 +237,6 @@ class CSRGraph:
                     return "mmap"
                 candidate = getattr(candidate, "base", None)
         return "in_memory"
-
-    def materialize(self) -> "CSRGraph":
-        """An in-memory copy of this graph (no-op copy for in-memory graphs)."""
-        return CSRGraph(
-            indptr=np.array(self.indptr, dtype=np.int64),
-            indices=np.array(self.indices, dtype=np.int64),
-            weights=None if self.weights is None else np.array(self.weights, dtype=np.float64),
-        )
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -277,8 +269,8 @@ class CSRGraph:
         caller — the per-level direction heuristics read it constantly.  The
         cache lives on the instance (the frozen dataclass still has a
         ``__dict__``), so mmap-backed and in-memory graphs both pay the
-        ``np.diff`` exactly once; derived graphs (``materialize()``,
-        ``unweighted()``, ``subgraph()``) are new instances with fresh caches.
+        ``np.diff`` exactly once; derived graphs (``unweighted()``,
+        ``subgraph()``) are new instances with fresh caches.
         """
         cached = self.__dict__.get("_degrees")
         if cached is None:

@@ -1,4 +1,4 @@
-"""Exact diameters (ground truth) and a cheap diameter sandwich.
+"""Exact diameters (ground truth).
 
 The paper reports a "true diameter" column (Tables 1, 3 and 4) computed with
 accurate external tools.  At laptop scale the library computes it directly:
@@ -9,8 +9,6 @@ accurate external tools.  At laptop scale the library computes it directly:
   scheme of [10] in the paper).  The quotient diameters ``∆_C`` and
   ``∆'_C`` of Section 4 run it too.
 * :func:`exact_diameter` — the exact hop diameter of a connected graph.
-* :func:`diameter_bounds` — cheap ``(lower, upper)`` sandwich from a double
-  sweep.
 """
 
 from __future__ import annotations
@@ -20,13 +18,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.graph import kernels
-from repro.graph.components import is_connected
 from repro.graph.csr import CSRGraph
-from repro.graph.traversal import bfs_distances, double_sweep
 
 __all__ = [
     "bounded_diameter",
-    "diameter_bounds",
     "exact_diameter",
 ]
 
@@ -109,19 +104,6 @@ def bounded_diameter(
         far_first = not far_first
         _, first = np.unique(picks, return_index=True)
         picked = picks[np.sort(first)[:tile]]
-
-
-def diameter_bounds(graph: CSRGraph, *, rng: Optional[np.random.Generator] = None) -> Tuple[int, int]:
-    """Cheap ``(lower, upper)`` diameter bounds.
-
-    Lower bound: double-sweep.  Upper bound: twice the minimum eccentricity
-    observed among the sweep endpoints (``diam <= 2 * ecc(v)`` for any v).
-    """
-    if graph.num_nodes == 0 or not is_connected(graph):
-        raise ValueError("diameter bounds need a non-empty connected graph; extract the largest component first")
-    lower, a, _ = double_sweep(graph, rng=rng)
-    ecc_a = int(bfs_distances(graph, a).max())
-    return lower, 2 * ecc_a
 
 
 def exact_diameter(graph: CSRGraph) -> int:

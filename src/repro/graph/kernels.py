@@ -76,7 +76,6 @@ __all__ = [
     "enable_kernel_stats",
     "kernel_stats_enabled",
     "kernel_stats_snapshot",
-    "reset_kernel_stats",
     "record_level_stats",
 ]
 
@@ -152,12 +151,6 @@ def kernel_stats_enabled() -> bool:
 def kernel_stats_snapshot() -> Dict[str, int]:
     """Copy of the current counters (all-zero when collection is off)."""
     return _STATS.snapshot() if _STATS is not None else _KernelStats().snapshot()
-
-
-def reset_kernel_stats() -> None:
-    """Zero the counters without changing whether they are collected."""
-    if _STATS is not None:
-        enable_kernel_stats(True)
 
 
 def record_level_stats(direction: str, frontier_size: int, edges_scanned: int) -> None:

@@ -9,11 +9,11 @@ OS page cache.
 Layout (all integers little-endian)::
 
     bytes 0..7    magic  b"REPROGS\\0"
-    bytes 8..11   format version (uint32; currently 2)
+    bytes 8..11   format version (uint32; 2)
     bytes 12..15  header length in bytes (uint32)
     bytes 16..    header JSON (utf-8), then zero padding to a 64-byte boundary
     ...           array payloads, each starting on a 64-byte boundary
-    ...           (v2 only) checksum trailer: magic b"RGCKSUM\\0", JSON length
+    ...           checksum trailer: magic b"RGCKSUM\\0", JSON length
                   (uint32), then JSON ``{"algo": "crc32", "arrays": {name: crc}}``
 
 The JSON header records ``num_nodes`` / ``num_arcs`` / ``endianness`` plus a
@@ -22,13 +22,12 @@ per-array table of ``{dtype, shape, offset}`` entries for ``indptr`` (int64,
 ``2m``).  Payloads are the raw C-contiguous array bytes; 64-byte alignment
 keeps the mapped views SIMD-friendly.
 
-Version 2 appends a per-array CRC-32 trailer after the payloads, so readers
-can detect bit-flips and short writes (``load_snapshot(..., verify=True)``)
-without changing the payload layout at all — the trailer sits past every
-array, mapped views are byte-identical to v1, and v1 files (no trailer)
-remain fully readable; writers always produce v2.  Verification is opt-in
-because a full-payload read defeats the point of lazily mapping a 100M-edge
-graph.
+A per-array CRC-32 trailer follows the payloads, so readers can detect
+bit-flips and short writes (``load_snapshot(..., verify=True)``); it sits
+past every array, so the mapped views do not depend on it.  Only version 2
+is read: a version-1 file (no trailer) raises ``ValueError`` like any other
+unreadable snapshot.  Verification is opt-in because a full-payload read
+defeats the point of lazily mapping a 100M-edge graph.
 
 Writes are atomic (temp file in the destination directory + ``os.replace``)
 so a crashed writer never leaves a half-written snapshot behind, and
@@ -56,7 +55,6 @@ PathLike = Union[str, os.PathLike]
 
 MAGIC = b"REPROGS\x00"
 SNAPSHOT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
 _ALIGN = 64
 _PREAMBLE = 16  # magic + version + header length
 _TRAILER_MAGIC = b"RGCKSUM\x00"
@@ -70,7 +68,6 @@ _WEIGHTS_DTYPE = "<f8"
 __all__ = [
     "MAGIC",
     "SNAPSHOT_VERSION",
-    "SUPPORTED_VERSIONS",
     "SnapshotWriter",
     "read_snapshot_header",
     "read_snapshot_checksums",
@@ -128,7 +125,7 @@ def read_snapshot_header(path: PathLike) -> Dict:
 
     Returns the header dict extended with ``"data_offset"`` (the absolute
     file offset of the payload base).  Raises ``ValueError`` for anything
-    that is not a readable snapshot of a supported version.
+    that is not a readable version-2 snapshot.
     """
     path = Path(path)
     with open(path, "rb") as handle:
@@ -136,10 +133,10 @@ def read_snapshot_header(path: PathLike) -> Dict:
         if len(preamble) < _PREAMBLE or preamble[:8] != MAGIC:
             raise ValueError(f"{path}: not a repro graph snapshot (bad magic)")
         version = int.from_bytes(preamble[8:12], "little")
-        if version not in SUPPORTED_VERSIONS:
+        if version != SNAPSHOT_VERSION:
             raise ValueError(
                 f"{path}: unsupported snapshot version {version} "
-                f"(this build reads versions {SUPPORTED_VERSIONS})"
+                f"(this build reads version {SNAPSHOT_VERSION})"
             )
         header_len = int.from_bytes(preamble[12:16], "little")
         blob = handle.read(header_len)
@@ -177,19 +174,16 @@ def _region_nbytes(spec: Dict) -> int:
     return int(dtype.itemsize * int(np.prod(spec["shape"], dtype=np.int64)))
 
 
-def read_snapshot_checksums(path: PathLike, header: Optional[Dict] = None) -> Optional[Dict[str, int]]:
-    """The per-array CRC-32 map from a snapshot's v2 trailer.
+def read_snapshot_checksums(path: PathLike, header: Optional[Dict] = None) -> Dict[str, int]:
+    """The per-array CRC-32 map from a snapshot's checksum trailer.
 
-    Returns ``None`` for version-1 snapshots (no trailer exists); raises
-    ``ValueError`` for a version-2 snapshot whose trailer is missing or
-    unreadable — in v2 the trailer is part of the format, so its absence is
-    itself corruption (e.g. a short write that lost the file's tail).
+    Raises ``ValueError`` when the trailer is missing or unreadable — the
+    trailer is part of the format, so its absence is itself corruption (e.g.
+    a short write that lost the file's tail).
     """
     path = Path(path)
     if header is None:
         header = read_snapshot_header(path)
-    if header["version"] < 2:
-        return None
     trailer_offset = header["data_offset"] + int(header["payload_bytes"])
     with open(path, "rb") as handle:
         handle.seek(trailer_offset)
@@ -290,7 +284,7 @@ class SnapshotWriter:
         return self._maps.get("weights")
 
     def finalize(self) -> Path:
-        """Flush every view, append the v2 checksum trailer, and atomically
+        """Flush every view, append the checksum trailer, and atomically
         move the snapshot into place."""
         if self._tmp is None:
             raise RuntimeError("snapshot writer already finalized or aborted")
@@ -339,8 +333,7 @@ class SnapshotWriter:
 
 
 def save_snapshot(graph, path: PathLike) -> Path:
-    """Write ``graph`` as a (version-2) snapshot file (atomic); returns the
-    final path.
+    """Write ``graph`` as a snapshot file (atomic); returns the final path.
 
     The arrays are dumped as-is — a graph loaded back from the file is
     bit-identical to ``graph`` (same ``indptr``/``indices``/``weights``) —
@@ -363,7 +356,7 @@ def save_snapshot(graph, path: PathLike) -> Path:
         raise
 
 
-def load_snapshot(path: PathLike, *, mmap: bool = True, verify=False):
+def load_snapshot(path: PathLike, *, mmap: bool = True, verify: bool = False):
     """Open a snapshot as a :class:`~repro.graph.csr.CSRGraph`.
 
     With ``mmap=True`` (the default) the CSR arrays are read-only
@@ -373,29 +366,15 @@ def load_snapshot(path: PathLike, *, mmap: bool = True, verify=False):
     memory (bit-identical, ``mode == "in_memory"``).  Weighted snapshots come
     back with their ``weights`` array.
 
-    ``verify`` controls payload integrity checking against the v2 checksum
-    trailer (one full sequential read of the payloads before the graph is
-    constructed):
-
-    * ``False`` (default) — trust the file; no extra I/O.
-    * ``True`` — verify every array; a version-1 snapshot (which has no
-      trailer to verify against) raises ``ValueError``.
-    * ``"auto"`` — verify when a trailer exists, accept v1 files as-is.
-
-    Any mismatch, truncation, or missing v2 trailer raises ``ValueError``.
+    With ``verify=True`` every array is checked against the checksum trailer
+    (one full sequential read of the payloads before the graph is
+    constructed); any mismatch, truncation, or missing trailer raises
+    ``ValueError``.  The default trusts the file and does no extra I/O.
     """
     path = Path(path)
     header = read_snapshot_header(path)
     if verify:
-        checksums = read_snapshot_checksums(path, header)
-        if checksums is None:
-            if verify != "auto":
-                raise ValueError(
-                    f"{path}: cannot verify a version-{header['version']} snapshot "
-                    "(no checksum trailer; re-save to upgrade)"
-                )
-        else:
-            _verify_payloads(path, header, checksums)
+        _verify_payloads(path, header, read_snapshot_checksums(path, header))
     base = header["data_offset"]
     arrays = {}
     for name, spec in header["arrays"].items():

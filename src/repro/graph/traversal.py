@@ -25,7 +25,6 @@ UNREACHED = -1
 __all__ = [
     "UNREACHED",
     "bfs_distances",
-    "bfs_levels",
     "dijkstra",
     "multi_source_bfs",
     "eccentricity",
@@ -85,13 +84,6 @@ def bfs_distances(graph: CSRGraph, source: int, *, max_depth: Optional[int] = No
     """Shortest-path (hop) distances from ``source``; -1 for unreachable."""
     src = check_node_index(source, graph.num_nodes, "source")
     return multi_source_bfs(graph, [src], max_depth=max_depth).distances
-
-
-def bfs_levels(graph: CSRGraph, source: int) -> Tuple[np.ndarray, int]:
-    """Distances from ``source`` plus the number of BFS levels executed."""
-    src = check_node_index(source, graph.num_nodes, "source")
-    result = multi_source_bfs(graph, [src])
-    return result.distances, result.num_levels
 
 
 def dijkstra(graph: CSRGraph, source: int) -> np.ndarray:

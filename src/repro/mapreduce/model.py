@@ -87,11 +87,6 @@ class MRModel:
         if self.enforce:
             raise MRConstraintViolation(message)
 
-    @property
-    def num_violations(self) -> int:
-        """Number of recorded constraint violations."""
-        return len(self.violations)
-
 
 def rounds_for_primitive(input_size: int, local_memory: Optional[int]) -> int:
     """Round complexity of the sorting / prefix-sum primitives (Fact 1).

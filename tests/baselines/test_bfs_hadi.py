@@ -5,34 +5,37 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.bfs_diameter import bfs_diameter, mr_bfs_diameter
+from repro.baselines.bfs_diameter import mr_bfs_diameter
 from repro.baselines.hadi import fm_estimate, hadi_diameter, make_fm_sketches
 from repro.generators import barabasi_albert_graph, cycle_graph, mesh_graph, path_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.diameter_exact import exact_diameter
+from repro.graph.traversal import double_sweep, eccentricity
 
 
 class TestBFSDiameter:
     def test_exact_on_path(self):
-        result = bfs_diameter(path_graph(40), start=20)
+        result = mr_bfs_diameter(path_graph(40), start=20)
         assert result.estimate == 39
         assert result.lower_bound <= 39 <= result.upper_bound
 
     def test_bounds_on_mesh(self, mesh20):
-        result = bfs_diameter(mesh20, seed=0)
+        result = mr_bfs_diameter(mesh20, seed=0)
         true_diameter = 38
         assert result.lower_bound <= true_diameter <= result.upper_bound
         assert result.num_bfs == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            bfs_diameter(CSRGraph.empty(0))
+            mr_bfs_diameter(CSRGraph.empty(0))
 
     def test_mr_variant_matches_estimate(self, mesh20):
-        plain = bfs_diameter(mesh20, start=0)
+        # The metered double sweep answers what the in-memory one does.
+        lower, farthest, _ = double_sweep(mesh20, start=0)
         metered = mr_bfs_diameter(mesh20, start=0)
-        assert metered.estimate == plain.estimate
-        assert metered.metrics is not None
+        assert metered.estimate == metered.lower_bound == lower
+        assert metered.upper_bound == 2 * eccentricity(mesh20, 0)
+        assert metered.num_levels == eccentricity(mesh20, 0) + eccentricity(mesh20, farthest)
 
     def test_mr_rounds_theta_diameter(self):
         """BFS needs Θ(∆) rounds: on a path of length L the two sweeps cost ~2L."""

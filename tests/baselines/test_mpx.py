@@ -10,6 +10,8 @@ import pytest
 from repro.baselines.mpx import mpx_decomposition, mpx_with_target_clusters
 from repro.core.cluster import cluster_with_target_clusters
 from repro.generators import barabasi_albert_graph, mesh_graph, road_network_graph
+from repro.generators.rmat import rmat_graph
+from repro.graph.components import num_connected_components
 from repro.graph.csr import CSRGraph
 
 
@@ -39,6 +41,15 @@ class TestMPXInvariants:
         result = mpx_decomposition(disconnected_graph, 0.4, seed=3)
         result.validate(disconnected_graph)
 
+    def test_no_idle_rounds_on_disconnected_graph(self):
+        # Every recorded round grows a cluster or starts one: once a
+        # component is covered, the loop skips to the next start round
+        # instead of stepping through ~ln(n)/beta idle rounds.
+        graph = rmat_graph(10, 8, seed=3)  # 218 components, most of them isolated nodes
+        result = mpx_decomposition(graph, 1e-3, seed=0)
+        result.validate(graph)
+        assert len(result.iterations) <= result.growth_steps + result.num_clusters
+
     def test_beta_controls_granularity(self, mesh20):
         few = mpx_decomposition(mesh20, 0.05, seed=4)
         many = mpx_decomposition(mesh20, 2.0, seed=4)
@@ -65,6 +76,14 @@ class TestMPXTargeting:
         )
         # The paper's protocol gives MPX at least as many clusters as requested.
         assert result.num_clusters >= 0.65 * target
+
+    def test_target_below_component_count(self):
+        # Isolated nodes keep the count above the target, so every trial
+        # overshoots and beta shrinks 8x per trial down to ~1e-12.
+        graph = rmat_graph(10, 8, seed=3)
+        result = mpx_with_target_clusters(graph, 12, seed=0)
+        result.validate(graph)
+        assert result.num_clusters == num_connected_components(graph)
 
     def test_invalid_target(self, mesh8):
         with pytest.raises(ValueError):

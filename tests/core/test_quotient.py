@@ -30,6 +30,7 @@ from quotient_reference import (  # rootless test layout: pytest puts this dir o
     reference_quotient,
     reference_weighted_quotient,
 )
+from singletons import singleton_clustering  # rootless test layout: pytest puts this dir on sys.path
 
 #: Float weights whose sums round, mixed with magnitudes far apart.
 FLOAT_WEIGHTS = (0.1, 0.2, 0.3, 1 / 3, 1e-3, 1e3)
@@ -172,7 +173,7 @@ def builder_inputs(draw):
     if kind == "cluster":
         return graph, cluster(graph, draw(st.integers(min_value=1, max_value=4)), seed=draw(st.integers(0, 3)))
     if kind == "singletons":
-        return graph, Clustering.singleton_clustering(n)
+        return graph, singleton_clustering(n)
     k = draw(st.integers(min_value=1, max_value=n))
     assignment = np.asarray(draw(st.permutations(np.arange(n) % k)), dtype=np.int64)
     centers = np.asarray([np.flatnonzero(assignment == c)[0] for c in range(k)], dtype=np.int64)
@@ -253,7 +254,7 @@ class TestBuildQuotient:
     def test_edge_weight_checks_both_ids(self):
         """A negative id must not wrap around to the last row."""
         graph = mesh_graph(10, 10)
-        q = build_quotient_graph(graph, Clustering.singleton_clustering(graph.num_nodes), weighted=True)
+        q = build_quotient_graph(graph, singleton_clustering(graph.num_nodes), weighted=True)
         k = q.num_nodes
         assert k == 100 and q.edge_weight(0, 1) == 1.0 and q.edge_weight(1, 0) == 1.0
         for u, v, bad in ((-2, 98, "u -2"), (k, 0, f"u {k}"), (0, -1, "v -1"), (0, k, f"v {k}")):
@@ -300,7 +301,7 @@ class TestQuotientDiameter:
         self.assert_exact(float_weighted_quotient())
 
     def test_singleton_clusters_recover_graph_diameter(self, path10):
-        singles = Clustering.singleton_clustering(path10.num_nodes)
+        singles = singleton_clustering(path10.num_nodes)
         q = build_quotient_graph(path10, singles)
         assert quotient_diameter(q) == 9
 
@@ -372,7 +373,7 @@ class TestQuotientDiameter:
     def test_large_quotient_spans_several_tiles(self, weighted):
         """300 clusters: more rows than one msbfs batch or weighted tile."""
         big = path_graph(300)
-        q = build_quotient_graph(big, Clustering.singleton_clustering(300), weighted=weighted)
+        q = build_quotient_graph(big, singleton_clustering(300), weighted=weighted)
         assert quotient_diameter(q) == 299.0
         disconnected = CSRGraph.from_edges([(0, 1)], num_nodes=300, weights=[1.0] if weighted else None)
         with pytest.raises(ValueError, match="disconnected"):

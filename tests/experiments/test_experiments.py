@@ -1,8 +1,8 @@
 """Integration tests for the experiment harness (small scale).
 
-These run every table/figure driver end-to-end on the ``small`` dataset scale
-and assert the qualitative *shape* claims the paper makes — the same checks a
-reader would perform against Tables 2-4 and Figure 1.
+These run every table/figure row function end-to-end on the ``small``
+dataset scale and assert the qualitative *shape* claims the paper makes — the
+same checks a reader would perform against Tables 2-4 and Figure 1.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import ablations, figure1, table1, table2, table3, table4
-from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig, granularity_for
+from repro.experiments.config import ExperimentConfig, granularity_for
 from repro.experiments.datasets import (
     DATASETS,
     dataset_names,
@@ -68,7 +68,7 @@ class TestDatasets:
 
 class TestTable1:
     def test_rows_complete(self):
-        rows = table1.run_table1(**SMALL)
+        rows = [table1.table1_row(name, **SMALL) for name in dataset_names()]
         assert len(rows) == 6
         for row in rows:
             assert row["nodes"] > 0 and row["edges"] > 0 and row["diameter"] > 0
@@ -77,61 +77,55 @@ class TestTable1:
 
 class TestTable2:
     def test_cluster_radius_never_larger_than_mpx(self):
-        rows = table2.run_table2(datasets=FAST_DATASETS, **SMALL)
+        rows = [table2.table2_row(name, **SMALL) for name in FAST_DATASETS]
         assert len(rows) == len(FAST_DATASETS)
         for row in rows:
             assert row["cluster_r"] <= row["mpx_r"] + 1, row["dataset"]
 
     def test_granularities_comparable(self):
-        rows = table2.run_table2(datasets=["mesh"], **SMALL)
-        row = rows[0]
+        row = table2.table2_row("mesh", **SMALL)
         assert 0.2 <= row["cluster_nC"] / max(1, row["mpx_nC"]) <= 5.0
 
 
 class TestTable3:
     def test_upper_bounds_contain_truth(self):
-        rows = table3.run_table3(datasets=FAST_DATASETS, **SMALL)
+        rows = [table3.table3_row(name, **SMALL) for name in FAST_DATASETS]
         for row in rows:
             for label in ("coarse", "fine"):
                 assert row[f"{label}_lower"] <= row["true_diameter"], row["dataset"]
                 assert row[f"{label}_upper"] >= row["true_diameter"], row["dataset"]
 
     def test_ratio_small_on_road_graphs(self):
-        rows = table3.run_table3(datasets=["roads-PA-like", "mesh"], **SMALL)
-        for row in rows:
+        for name in ("roads-PA-like", "mesh"):
+            row = table3.table3_row(name, **SMALL)
             assert row["fine_ratio"] < 2.5
             assert row["coarse_ratio"] < 2.5
 
     def test_granularity_does_not_change_quality_much(self):
-        rows = table3.run_table3(datasets=["mesh"], **SMALL)
-        row = rows[0]
+        row = table3.table3_row("mesh", **SMALL)
         assert abs(row["coarse_ratio"] - row["fine_ratio"]) < 1.0
 
 
 class TestTable4:
     def test_cluster_needs_fewer_rounds_than_bfs_on_road_graphs(self):
-        rows = table4.run_table4(datasets=["roads-PA-like", "mesh"], include_hadi=False, **SMALL)
-        for row in rows:
+        for name in ("roads-PA-like", "mesh"):
+            row = table4.table4_row(name, include_hadi=False, **SMALL)
             assert row["cluster_rounds"] < row["bfs_rounds"], row["dataset"]
             assert row["cluster_time"] < row["bfs_time"], row["dataset"]
 
     def test_hadi_slowest_on_long_diameter(self):
-        rows = table4.run_table4(datasets=["mesh"], include_hadi=True, **SMALL)
-        row = rows[0]
+        row = table4.table4_row("mesh", include_hadi=True, **SMALL)
         assert row["hadi_time"] > row["cluster_time"]
         assert row["hadi_pairs"] > row["bfs_pairs"]
 
     def test_estimates_are_upper_bounds(self):
-        rows = table4.run_table4(datasets=["roads-PA-like"], include_hadi=False, **SMALL)
-        row = rows[0]
+        row = table4.table4_row("roads-PA-like", include_hadi=False, **SMALL)
         assert row["cluster_estimate"] >= row["true_diameter"]
 
 
 class TestFigure1:
     def test_bfs_grows_linearly_cluster_flat(self):
-        rows = figure1.run_figure1(
-            datasets=["livejournal-like"], multipliers=(0, 2, 6), **SMALL
-        )
+        rows = figure1.figure1_rows("livejournal-like", multipliers=(0, 2, 6), **SMALL)
         by_c = {row["tail_multiplier"]: row for row in rows}
         assert by_c[6]["bfs_rounds"] > by_c[2]["bfs_rounds"] > by_c[0]["bfs_rounds"]
         bfs_growth = by_c[6]["bfs_rounds"] - by_c[0]["bfs_rounds"]
@@ -141,8 +135,7 @@ class TestFigure1:
 
 class TestAblations:
     def test_batch_policy(self):
-        rows = ablations.run_batch_policy_ablation(datasets=["mesh"], **SMALL)
-        row = rows[0]
+        row = ablations.batch_policy_row("mesh", **SMALL)
         assert row["cluster_r"] <= row["single_batch_r"] + 2
 
     def test_tau_sweep_monotone(self):
@@ -153,8 +146,7 @@ class TestAblations:
         assert clusters[0] <= clusters[-1]
 
     def test_cluster_vs_cluster2(self):
-        rows = ablations.run_cluster_vs_cluster2(datasets=["mesh"], scale="small")
-        row = rows[0]
+        row = ablations.cluster_vs_cluster2_row("mesh", **SMALL)
         assert row["cluster2_upper"] >= row["true_diameter"]
         assert row["cluster_upper"] >= row["true_diameter"]
 
@@ -163,9 +155,6 @@ class TestAblations:
         assert result["radius_much_smaller_than_diameter"]
 
     def test_kcenter_comparison(self):
-        rows = ablations.run_kcenter_comparison(
-            datasets=["mesh"], k_values=[8], scale="small"
-        )
-        row = rows[0]
+        (row,) = ablations.kcenter_rows("mesh", k_values=[8], **SMALL)
         assert row["cluster_radius"] >= row["gonzalez_radius"] * 0.5
         assert row["cluster_radius"] <= 8 * row["gonzalez_radius"]

@@ -7,7 +7,8 @@ import json
 import pytest
 
 from repro.experiments.config import DEFAULT_CONFIG
-from repro.experiments.runner import EXPERIMENTS, build_parser, main, run_experiment
+from repro.experiments.runner import EXPERIMENTS, build_parser, main
+from repro.experiments.suite import SuiteRunner
 
 
 class TestParser:
@@ -67,9 +68,8 @@ class TestDispatch:
         assert set(DEFAULT_EXPERIMENTS) == set(EXPERIMENTS) - {"scale"}
 
     def test_run_experiment_unknown(self):
-        args = build_parser().parse_args(["table1"])
-        with pytest.raises(KeyError):
-            run_experiment("nope", args)
+        with SuiteRunner() as runner, pytest.raises(KeyError):
+            runner.run(["nope"])
 
     def test_main_table1_small(self, capsys):
         code = main(["table1", "--scale", "small"])

@@ -19,6 +19,7 @@ from repro.experiments.datasets import (
     clear_dataset_cache,
     configure_dataset_cache,
     dataset_cache,
+    dataset_names,
     load_dataset,
     reference_diameter,
 )
@@ -32,6 +33,8 @@ from repro.experiments.suite import (
     deterministic_view,
     run_cell,
 )
+from repro.experiments.table2 import table2_row
+from repro.graph.snapshot import read_snapshot_header
 
 SMALL_EXPERIMENTS = ["table1", "table2", "pipeline"]
 SMALL_DATASETS = ["mesh", "roads-PA-like"]
@@ -153,7 +156,9 @@ class TestArtifactStore:
 
 class TestDatasetCache:
     def test_memory_identity_and_bound(self):
-        cache = DatasetCache(memory_items=1)
+        # Resident graphs come back as the same object, and nothing is
+        # evicted: the registry has only a dozen (dataset, scale) keys.
+        cache = DatasetCache()
         calls = []
 
         def build(tag):
@@ -165,9 +170,9 @@ class TestDatasetCache:
 
         a1 = cache.graph("a", "small", build("a"))
         assert cache.graph("a", "small", build("a")) is a1
-        cache.graph("b", "small", build("b"))  # evicts "a" (memory_items=1)
-        cache.graph("a", "small", build("a"))
-        assert calls == ["a", "b", "a"]
+        cache.graph("b", "small", build("b"))
+        assert cache.graph("a", "small", build("a")) is a1
+        assert calls == ["a", "b"]
 
     def test_disk_round_trip(self, tmp_path):
         configure_dataset_cache(tmp_path / "cache")
@@ -196,9 +201,20 @@ class TestDatasetCache:
         assert not list((tmp_path / "cache").glob("*.npz"))
         assert not list((tmp_path / "cache").glob("*.diameter.json"))
 
-    def test_invalid_memory_items(self):
-        with pytest.raises(ValueError):
-            DatasetCache(memory_items=0)
+    def test_version_1_entry_is_rebuilt(self, tmp_path):
+        # The cache loads with verify=True: a snapshot in the retired
+        # trailer-less version-1 format is rebuilt like a corrupt one.
+        configure_dataset_cache(tmp_path / "cache")
+        indices = np.array(load_dataset("mesh", "small").indices)
+        path = tmp_path / "cache" / "mesh@small.snap"
+        header = read_snapshot_header(path)
+        blob = bytearray(path.read_bytes()[: header["data_offset"] + header["payload_bytes"]])
+        blob[8:12] = (1).to_bytes(4, "little")
+        path.unlink()  # the loaded graph keeps its mapping of the old file
+        path.write_bytes(bytes(blob))
+        configure_dataset_cache(tmp_path / "cache")
+        assert np.array_equal(load_dataset("mesh", "small").indices, indices)
+        assert read_snapshot_header(path)["version"] == 2
 
 
 class TestMeshDiameter:
@@ -302,13 +318,13 @@ class TestSuiteRunner:
         assert manifest["config"]["seed"] == DEFAULT_CONFIG.seed
 
     def test_rows_match_legacy_drivers_on_full_registry(self):
-        # Suite cells must reproduce the historical driver rows exactly when
-        # the full registry runs (the seed-derivation compatibility claim).
-        from repro.experiments.table2 import run_table2
-
+        # Suite cells reproduce the row function the retired per-table
+        # drivers looped over, exactly, when the full registry runs: every
+        # cell derives its seed from its own spec.
         with SuiteRunner() as runner:
             result = runner.run(["table2"], scale="small")
-        assert result.rows_for("table2") == to_jsonable(run_table2(scale="small"))
+        expected = [table2_row(name, scale="small") for name in dataset_names()]
+        assert result.rows_for("table2") == to_jsonable(expected)
 
 
 class TestRenderStored:

@@ -12,7 +12,8 @@ from repro.generators.rmat import rmat_graph
 from repro.graph import kernels
 from repro.graph.components import largest_component
 from repro.graph.csr import CSRGraph
-from repro.graph.diameter_exact import bounded_diameter, diameter_bounds, exact_diameter
+from repro.graph.diameter_exact import bounded_diameter, exact_diameter
+from repro.graph.traversal import double_sweep, eccentricity
 from tests.conftest import to_networkx
 
 
@@ -94,14 +95,12 @@ class TestBoundsAndErrors:
         import networkx as nx
 
         true_diameter = nx.diameter(to_networkx(ba_graph))
-        lower, upper = diameter_bounds(ba_graph)
-        assert lower <= true_diameter <= upper
+        lower, a, _ = double_sweep(ba_graph)
+        assert lower <= true_diameter <= 2 * eccentricity(ba_graph, a)
 
     def test_disconnected_rejected(self, disconnected_graph):
         with pytest.raises(ValueError, match="disconnected"):
             exact_diameter(disconnected_graph)
-        with pytest.raises(ValueError):
-            diameter_bounds(disconnected_graph)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

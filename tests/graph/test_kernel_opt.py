@@ -65,8 +65,6 @@ def stats_guard():
     was_enabled = kernels.kernel_stats_enabled()
     yield
     kernels.enable_kernel_stats(was_enabled)
-    if was_enabled:
-        kernels.reset_kernel_stats()
 
 
 # ---------------------------------------------------------------------- #
@@ -393,7 +391,6 @@ class TestKernelStats:
 
     def test_direction_counters(self, stats_guard):
         kernels.enable_kernel_stats()
-        kernels.reset_kernel_stats()
         graph = rmat_graph(10, 8, seed=3)
         kernels.frontier_expansion(
             graph.indptr,
@@ -430,7 +427,6 @@ class TestKernelStats:
 
     def test_msbfs_counters_and_reset(self, stats_guard):
         kernels.enable_kernel_stats()
-        kernels.reset_kernel_stats()
         graph = mesh_graph(8, 8)
         kernels.eccentricities(
             graph.indptr,
@@ -441,5 +437,5 @@ class TestKernelStats:
         assert stats["msbfs_sweeps"] >= 1
         assert stats["msbfs_levels"] > 0
         assert stats["msbfs_edges_scanned"] > 0
-        kernels.reset_kernel_stats()
+        kernels.enable_kernel_stats(True)  # restarts from zero
         assert all(value == 0 for value in kernels.kernel_stats_snapshot().values())

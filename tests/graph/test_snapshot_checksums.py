@@ -1,4 +1,4 @@
-"""The version-2 snapshot checksum trailer: verification and v1 compat."""
+"""The snapshot checksum trailer: verification, and the retired version 1."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.generators import mesh_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.snapshot import (
     SNAPSHOT_VERSION,
-    SUPPORTED_VERSIONS,
     load_snapshot,
     read_snapshot_checksums,
     read_snapshot_header,
@@ -28,7 +27,7 @@ def mesh(tmp_path):
 
 
 def save_v1(graph, path):
-    """Write ``graph`` as a version-1 snapshot (the library writes only v2).
+    """Write ``graph`` as a version-1 snapshot (the library writes and reads only v2).
 
     A v1 file is a v2 file without the checksum trailer, with version 1 in
     the preamble (which the reader treats as authoritative).
@@ -75,8 +74,6 @@ class TestTrailer:
         flip_payload_byte(path, extra_offset=5)
         with pytest.raises(ValueError, match="checksum mismatch"):
             load_snapshot(path, verify=True)
-        with pytest.raises(ValueError, match="checksum mismatch"):
-            load_snapshot(path, verify="auto")
 
     def test_truncated_trailer_detected(self, mesh):
         _, path = mesh
@@ -105,29 +102,22 @@ class TestTrailer:
 
 
 class TestV1Compat:
-    def test_v1_still_readable(self, tmp_path):
-        graph = mesh_graph(6, 6)
-        path = save_v1(graph, tmp_path / "v1.snap")
-        header = read_snapshot_header(path)
-        assert header["version"] == 1
+    """Version 1 (no trailer) is no longer read: it fails like a corrupt file."""
+
+    def test_v1_rejected(self, tmp_path):
+        path = save_v1(mesh_graph(6, 6), tmp_path / "v1.snap")
         for mmap in (True, False):
-            loaded = load_snapshot(path, mmap=mmap)
-            assert np.array_equal(np.asarray(loaded.indptr), np.asarray(graph.indptr))
-            assert np.array_equal(np.asarray(loaded.indices), np.asarray(graph.indices))
+            with pytest.raises(ValueError, match="unsupported snapshot version 1"):
+                load_snapshot(path, mmap=mmap)
 
     def test_v1_has_no_checksums(self, tmp_path):
         path = save_v1(mesh_graph(4, 4), tmp_path / "v1.snap")
-        assert read_snapshot_checksums(path) is None
-
-    def test_v1_auto_verify_skips(self, tmp_path):
-        graph = mesh_graph(4, 4)
-        path = save_v1(graph, tmp_path / "v1.snap")
-        loaded = load_snapshot(path, verify="auto")
-        assert np.array_equal(np.asarray(loaded.indptr), np.asarray(graph.indptr))
+        with pytest.raises(ValueError, match="unsupported snapshot version 1"):
+            read_snapshot_checksums(path)
 
     def test_v1_strict_verify_rejected(self, tmp_path):
         path = save_v1(mesh_graph(4, 4), tmp_path / "v1.snap")
-        with pytest.raises(ValueError, match="cannot verify a version-1 snapshot"):
+        with pytest.raises(ValueError, match="unsupported snapshot version 1"):
             load_snapshot(path, verify=True)
 
     def test_unknown_version_rejected(self, tmp_path):
@@ -137,7 +127,6 @@ class TestV1Compat:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="unsupported snapshot version 9"):
             read_snapshot_header(path)
-        assert SUPPORTED_VERSIONS == (1, 2)
 
 
 class TestCSRGraphVerifyPassthrough:

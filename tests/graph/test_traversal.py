@@ -9,7 +9,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.traversal import (
     UNREACHED,
     bfs_distances,
-    bfs_levels,
     double_sweep,
     eccentricity,
     multi_source_bfs,
@@ -55,8 +54,8 @@ class TestSingleSourceBFS:
             bfs_distances(path10, 99)
 
     def test_levels_equal_eccentricity(self, mesh8):
-        dist, levels = bfs_levels(mesh8, 0)
-        assert levels == dist.max() == 14
+        result = multi_source_bfs(mesh8, [0])
+        assert result.num_levels == result.distances.max() == 14
 
 
 class TestMultiSourceBFS:

@@ -93,12 +93,12 @@ class TestConstraints:
     def test_record_mode_collects_violations(self):
         model = MRModel(local_memory=1, enforce=False)
         MREngine(model).run_structured_round(batch_of([(0, 1), (0, 2)]), "sum")
-        assert model.num_violations == 1
+        assert len(model.violations) == 1
 
     def test_within_budget_no_violation(self):
         model = MRModel(local_memory=10, global_memory=100, enforce=True)
         MREngine(model).run_structured_round(batch_of([(i % 4, i) for i in range(20)]), "sum")
-        assert model.num_violations == 0
+        assert len(model.violations) == 0
 
 
 class TestEdgeCases:
@@ -151,14 +151,14 @@ class TestEdgeCases:
         # One pair over budget: raises and records the violation.
         with pytest.raises(MRConstraintViolation, match="exceeding M_L"):
             engine.run_structured_round(batch_of([(0, i) for i in range(4)]), "sum")
-        assert engine.model.num_violations == 1
+        assert len(engine.model.violations) == 1
 
     def test_global_memory_enforced(self, path):
         engine = MREngine(MRModel(global_memory=5, enforce=True))
         engine.run_structured_round(batch_of([(i, i) for i in range(5)]), "sum")
         with pytest.raises(MRConstraintViolation, match="exceed M_G"):
             engine.run_structured_round(batch_of([(i, i) for i in range(6)]), "sum")
-        assert engine.model.num_violations == 1
+        assert len(engine.model.violations) == 1
 
     def test_global_memory_counts_output_when_larger(self):
         # The live pairs of a round are its mapped batch: a map phase fanning

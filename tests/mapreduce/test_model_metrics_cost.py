@@ -27,12 +27,12 @@ class TestMRModel:
     def test_check_round_recording(self):
         model = MRModel(local_memory=5, global_memory=5, enforce=False)
         model.check_round(max_reducer_input=6, live_pairs=10)
-        assert model.num_violations == 2
+        assert len(model.violations) == 2
 
     def test_unbounded_model_never_violates(self):
         model = MRModel()
         model.check_round(max_reducer_input=10**9, live_pairs=10**9)
-        assert model.num_violations == 0
+        assert len(model.violations) == 0
 
 
 class TestRoundsForPrimitive:

@@ -19,7 +19,10 @@ from repro.core.cluster import cluster
 from repro.core.growth_engine import GrowthEngine
 from repro.core.mr_algorithms import mr_estimate_diameter
 from repro.core.pipeline import DecompositionPipeline, PipelineConfig
+from repro.experiments import ablations, figure1, pipeline_stages, table2, table3, table4
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.datasets import configure_dataset_cache
+from repro.experiments.store import DatasetCache
 from repro.generators import mesh_graph
 from repro.graph import kernels
 from repro.graph.diameter_exact import exact_diameter
@@ -91,6 +94,17 @@ REMOVED = {
     "run_structured_round(mapper=)": lambda: MREngine().run_structured_round(
         _PAIRS, "sum", mapper=lambda batch: batch
     ),
+    "DatasetCache(memory_items=)": lambda: DatasetCache(memory_items=16),
+    "DatasetCache(mmap=)": lambda: DatasetCache(mmap=False),
+    "configure_dataset_cache(memory_items=)": lambda: configure_dataset_cache(memory_items=16),
+    "table2_row(rng=)": lambda: table2.table2_row("mesh", scale="small", rng=0),
+    "table3_row(rng=)": lambda: table3.table3_row("mesh", scale="small", rng=0),
+    "table4_row(rng=)": lambda: table4.table4_row("mesh", scale="small", rng=0),
+    "figure1_rows(rng=)": lambda: figure1.figure1_rows("twitter-like", scale="small", rng=0),
+    "pipeline_row(rng=)": lambda: pipeline_stages.pipeline_row("mesh", scale="small", rng=0),
+    "batch_policy_row(rng=)": lambda: ablations.batch_policy_row("mesh", scale="small", rng=0),
+    "cluster_vs_cluster2_row(rng=)": lambda: ablations.cluster_vs_cluster2_row("mesh", scale="small", rng=0),
+    "kcenter_rows(rng=)": lambda: ablations.kcenter_rows("mesh", scale="small", rng=0),
 }
 
 
