@@ -2,25 +2,28 @@
 
 The kernel layer makes six performance claims, each of which is *also* a
 bit-identity claim — the optimized path must produce byte-for-byte the same
-arrays as the frozen reference it replaces.  The references of gates 1–2 live
-in ``tests/graph/kernel_reference.py`` and gate 6's in
-``tests/core/quotient_reference.py`` (they never run in production), and
-gate 3's push-only baseline is the production kernel with its private pull
-threshold patched to 0:
+arrays as the frozen reference it replaces.  Gate 1's references live in
+``tests/graph/kernel_reference.py`` and gate 6's in
+``tests/core/quotient_reference.py`` (they never run in production); gate
+3's push-only baseline is the production kernel with its private pull
+threshold patched to 0, and the per-source baselines of gates 2 and 4 are
+the production single-source kernels:
 
 1. **Sort-free claims**: scatter-based winner selection in
    :func:`repro.graph.kernels.claim_first` / ``claim_min`` is at least
    ``CLAIMS_GATE``x faster than the original ``argsort`` / ``lexsort``
    selection on a ≥1M-pair level.
-2. **Bit-parallel multi-source BFS**: :func:`repro.graph.kernels.msbfs_levels`
-   (64 sources per ``uint64`` word) computes a 64-source eccentricity batch at
-   least ``MSBFS_GATE``x faster than the looped single-source path.
+2. **Pair-id hop rows**: :func:`repro.graph.kernels.msbfs_levels` computes
+   every hop row of gate 4's road-network quotient, in the quotient layer's
+   :func:`~repro.graph.kernels.row_tile` tiles, at least ``MSBFS_GATE``x
+   faster than one :func:`~repro.graph.kernels.frontier_expansion` per
+   source.
 3. **Direction-optimizing BFS**: Beamer-style push/pull switching beats the
    push-only expansion on an R-MAT sample (low-diameter scale-free graphs are
    exactly the regime pull mode targets).
 4. **Batched weighted rows**: :func:`repro.graph.kernels.delta_stepping_rows`
-   relaxes every source of a road-network quotient, in the quotient layer's
-   tiles, at least ``ROWS_GATE``x faster than one
+   relaxes every source of the weighted flavour of that quotient, in the
+   same tiles, at least ``ROWS_GATE``x faster than one
    :func:`~repro.graph.kernels.delta_stepping` call per source.
 5. **Bounded quotient diameter**: :func:`repro.core.quotient.quotient_diameter`
    finds the exact weighted diameter of an R-MAT quotient from a few rows at
@@ -60,7 +63,6 @@ from repro.graph.diameter_exact import bounded_diameter
 _TESTS = Path(__file__).resolve().parent.parent / "tests"
 sys.path[:0] = [str(_TESTS / "graph"), str(_TESTS / "core")]
 from kernel_reference import (
-    eccentricities_loop,
     forced_direction,
     sorted_claim_first,
     sorted_claim_min,
@@ -77,9 +79,9 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
 #: The claims gate is defined at >= 1M contested pairs per level.
 CLAIM_PAIRS = 1_000_000 if QUICK else 2_000_000
-#: R-MAT scale for the BFS-level gates (2^scale nodes, ~16 arcs per node).
+#: R-MAT scale for the direction gate (2^scale nodes, ~16 arcs per node).
 RMAT_SCALE = 14 if QUICK else 16
-#: Side of the road grid whose weighted quotient the rows gate relaxes.
+#: Side of the road grid whose quotient the hop-rows and weighted-rows gates relax.
 ROAD_SIDE = 40 if QUICK else 50
 #: R-MAT scale of the graph whose quotients (n // 50 clusters) gates 5 and 6 measure.
 QUOTIENT_RMAT_SCALE = 14 if QUICK else 15
@@ -152,41 +154,59 @@ def test_sortfree_claims_gate(kernel_bench_recorder):
 
 
 # ------------------------------------------------------------------ #
-# Gate 2: bit-parallel msbfs >= 5x over looped single-source BFS
+# Gate 2: pair-id hop rows >= 5x over one frontier_expansion per source
 # ------------------------------------------------------------------ #
-def test_msbfs_gate(kernel_bench_recorder):
-    graph = rmat_graph(RMAT_SCALE, 16, seed=7)
-    rng = np.random.default_rng(1)
-    sources = np.sort(rng.choice(graph.num_nodes, 64, replace=False).astype(np.int64))
-    degrees = graph.degrees
-    workload = f"rmat{RMAT_SCALE}/64-sources"
+@pytest.fixture(scope="module")
+def road_quotient():
+    """The weighted quotient of a road grid's largest component at n // 20 clusters."""
+    graph, _ = largest_component(road_network_graph(ROAD_SIDE, ROAD_SIDE, seed=1))
+    pipe = DecompositionPipeline(graph, target_clusters=graph.num_nodes // 20, seed=1)
+    return pipe.quotient(weighted=True)
+
+
+def test_msbfs_gate(kernel_bench_recorder, road_quotient):
+    quotient = road_quotient.unweighted()
+    indptr, indices, degrees = quotient.indptr, quotient.indices, quotient.degrees
+    k = quotient.num_nodes
+    tile = kernels.row_tile(indices.size)
+    workload = f"road{ROAD_SIDE}-quotient/hop/k{k}-arcs{indices.size}/tile{tile}"
 
     def loop_run():
-        return eccentricities_loop(graph.indptr, graph.indices, sources, degrees=degrees)
+        return np.stack(
+            [
+                kernels.frontier_expansion(indptr, indices, np.asarray([s], dtype=np.int64), degrees=degrees)[0]
+                for s in range(k)
+            ]
+        )
 
-    def msbfs_run():
-        return kernels.eccentricities(graph.indptr, graph.indices, sources, degrees=degrees)
+    def rows_run():
+        return np.concatenate(
+            [
+                kernels.msbfs_levels(indptr, indices, np.arange(lo, min(lo + tile, k)), degrees=degrees)
+                for lo in range(0, k, tile)
+            ]
+        )
 
     timings, results = interleaved_best(
-        {"loop": loop_run, "msbfs": msbfs_run}, repetitions=2 if QUICK else 3
+        {"loop": loop_run, "rows": rows_run}, repetitions=2 if QUICK else 3
     )
-    assert np.array_equal(results["loop"], results["msbfs"])
+    assert np.array_equal(results["loop"], results["rows"])
 
     for mode, seconds in timings.items():
         kernel_bench_recorder(
-            benchmark="eccentricities", workload=workload, units=64,
+            benchmark="msbfs_levels", workload=workload, units=k,
             mode=mode, seconds=seconds,
         )
-    speedup = timings["loop"] / timings["msbfs"]
+    speedup = timings["loop"] / timings["rows"]
     kernel_bench_recorder(
-        benchmark="eccentricities", workload=workload, units=64,
-        mode="speedup", seconds=timings["msbfs"],
+        benchmark="msbfs_levels", workload=workload, units=k,
+        mode="speedup", seconds=timings["rows"],
         speedup=speedup, gate=MSBFS_GATE,
     )
     assert speedup >= MSBFS_GATE, (
-        f"bit-parallel msbfs must be >= {MSBFS_GATE}x over the looped "
-        f"single-source path on a 64-source batch, got {speedup:.2f}x "
-        f"(loop {timings['loop'] * 1000:.0f} ms, msbfs {timings['msbfs'] * 1000:.0f} ms)"
+        f"msbfs_levels must be >= {MSBFS_GATE}x over one frontier_expansion "
+        f"per source on a {k}-cluster road quotient, got {speedup:.2f}x "
+        f"(loop {timings['loop'] * 1000:.0f} ms, rows {timings['rows'] * 1000:.0f} ms)"
     )
 
 
@@ -238,10 +258,8 @@ def test_direction_optimized_bfs_gate(kernel_bench_recorder):
 # ------------------------------------------------------------------ #
 # Gate 4: batched weighted rows >= 5x over one delta_stepping per source
 # ------------------------------------------------------------------ #
-def test_delta_stepping_rows_gate(kernel_bench_recorder):
-    graph, _ = largest_component(road_network_graph(ROAD_SIDE, ROAD_SIDE, seed=1))
-    pipe = DecompositionPipeline(graph, target_clusters=graph.num_nodes // 20, seed=1)
-    quotient = pipe.quotient(weighted=True)
+def test_delta_stepping_rows_gate(kernel_bench_recorder, road_quotient):
+    quotient = road_quotient
     indptr, indices, weights = quotient.indptr, quotient.indices, quotient.weights
     k = quotient.num_nodes
     tile = kernels.row_tile(indices.size)

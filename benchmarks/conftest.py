@@ -91,8 +91,10 @@ def oracle_bench_recorder():
 # Machine-readable frontier-kernel trajectory (BENCH_kernels.json)
 # ------------------------------------------------------------------ #
 # bench_kernels.py records one row per measured (workload, mode) pair —
-# sort-free vs sorted claims, bit-parallel msbfs vs the looped single-source
-# path, direction-optimized vs push-only BFS — written to BENCH_kernels.json
+# sort-free vs sorted claims, pair-id hop rows and batched weighted rows vs
+# one single-source call per row, direction-optimized vs push-only BFS, the
+# bounded vs full-sweep quotient diameter and the packed vs frozen quotient
+# build — written to BENCH_kernels.json
 # at session end (override with REPRO_BENCH_KERNELS_JSON).  When the session
 # ran with REPRO_KERNEL_STATS=1 the aggregate kernel counters are embedded
 # alongside the rows so the direction-switch heuristics are observable in

@@ -148,19 +148,18 @@ def quotient_apsp(quotient: CSRGraph) -> np.ndarray:
 
     The distance oracle's data structure, filled by
     :func:`~repro.graph.kernels.distance_rows` in tiles of
-    :data:`~repro.graph.kernels.MSBFS_TILE` sources (bit-parallel BFS, hop
-    flavour) or :func:`~repro.graph.kernels.row_tile` sources (batched
-    Δ-stepping, weighted flavour), so the serving plane needs no external
-    shortest-path dependency.  Entries are ``float64``, ``inf`` between
-    components, as in ``scipy.sparse.csgraph.shortest_path``; row ``a`` is
-    bit-identical to a single-source :func:`~repro.graph.kernels.delta_stepping`
-    from ``a``.  With non-integer weights the matrix need not be bitwise
+    :func:`~repro.graph.kernels.row_tile` sources (pair-id BFS for the hop
+    flavour, batched Δ-stepping for the weighted one), so the serving plane
+    needs no external shortest-path dependency.  Entries are ``float64``,
+    ``inf`` between components, as in ``scipy.sparse.csgraph.shortest_path``;
+    row ``a`` is bit-identical to a single-source
+    :func:`~repro.graph.kernels.delta_stepping` from ``a``.  With non-integer weights the matrix need not be bitwise
     symmetric: ``(a, b)`` and ``(b, a)`` round one path's sum in opposite
     orders.
     """
     n = quotient.num_nodes
     weights = quotient.weights
-    tile = kernels.MSBFS_TILE if weights is None else kernels.row_tile(quotient.indices.size)
+    tile = kernels.row_tile(quotient.indices.size)
     matrix = np.empty((n, n), dtype=np.float64)
     for lo in range(0, n, tile):
         sources = np.arange(lo, min(lo + tile, n), dtype=np.int64)

@@ -32,7 +32,6 @@ from repro.graph.traversal import (
     bfs_distances,
     dijkstra,
     double_sweep,
-    eccentricity,
     multi_source_bfs,
 )
 
@@ -65,6 +64,5 @@ __all__ = [
     "bfs_distances",
     "dijkstra",
     "double_sweep",
-    "eccentricity",
     "multi_source_bfs",
 ]

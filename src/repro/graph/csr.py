@@ -133,10 +133,11 @@ class CSRGraph:
         # Enforce the documented invariant that every node's neighbour slice is
         # sorted (``has_edge`` / ``edge_weight`` binary-search it): inputs built
         # via the raw constructor with unsorted rows are sorted here, once,
-        # with any weights permuted alongside.
+        # with any weights permuted alongside.  A descent that is no row start
+        # (looked up in the sorted indptr) lies inside an unsorted row.
         if indices.size > 1:
             descending = np.flatnonzero(indices[1:] < indices[:-1]) + 1
-            if descending.size and np.setdiff1d(descending, indptr).size:
+            if descending.size and (indptr[np.searchsorted(indptr, descending)] != descending).any():
                 rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
                 order = np.lexsort((indices, rows))
                 indices = indices[order]

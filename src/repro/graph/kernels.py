@@ -28,16 +28,14 @@ Kernel families
   replicated via min-frontier-rank so the outputs are bit-identical in
   either direction.  The growth engine's unweighted growing step is the same
   ``expand`` call.
-* :func:`msbfs_levels` — bit-parallel multi-source BFS advancing 64 sources
-  per ``uint64`` word with HADI-style OR sweeps; backs :func:`eccentricities`,
-  the quotient APSP of the distance oracle, and the serving plane's
-  per-cluster eccentricity bounds.
-* :func:`component_labels` / :func:`eccentricities` — BFS-derived utilities.
+* :func:`component_labels` — connected-component labels by frontier sweeps.
 * :func:`delta_stepping` — bucketed relaxation computing *exact* weighted
   shortest paths (the vectorized replacement for per-node binary-heap
   Dijkstra loops); :func:`delta_stepping_rows` runs the same bucket loop for
-  a tile of sources at once (one distance row each), the weighted analogue
-  of :func:`msbfs_levels`.
+  a tile of sources at once (one distance row each).
+* :func:`msbfs_levels` — the hop twin of :func:`delta_stepping_rows`: one
+  level-synchronous BFS over flat pair ids ``j·n + v`` computes a hop
+  distance row per source.
 * :func:`distance_rows` — hop or weighted distance rows for a tile of
   :func:`row_tile` sources as one ``float64`` matrix, behind the quotient
   APSP and every exact diameter.
@@ -46,7 +44,7 @@ Observability
 -------------
 ``REPRO_KERNEL_STATS=1`` (or :func:`enable_kernel_stats`) turns on lightweight
 aggregate counters — levels by direction, frontier sizes, edges scanned,
-direction switches, claim and msbfs activity — readable via
+direction switches, claim and hop-row (``msbfs_*``) activity — readable via
 :func:`kernel_stats_snapshot` and surfaced in the pipeline stage timings and
 the kernel benchmark JSON.
 """
@@ -54,7 +52,7 @@ the kernel benchmark JSON.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -66,11 +64,9 @@ __all__ = [
     "DirectionOptimizer",
     "frontier_expansion",
     "component_labels",
-    "eccentricities",
-    "msbfs_levels",
-    "MSBFS_TILE",
     "delta_stepping",
     "delta_stepping_rows",
+    "msbfs_levels",
     "distance_rows",
     "row_tile",
     "enable_kernel_stats",
@@ -84,20 +80,12 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 #: int64 sentinel marking "no frontier neighbour" in the pull-mode rank scan.
 _NO_RANK = np.iinfo(np.int64).max
 
-_WORD_BITS = 64
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
 #: Beamer's push/pull thresholds: a level runs pull when the frontier's arcs
 #: times ``_PULL_ALPHA`` exceed the arcs still incident to unvisited nodes and
-#: the frontier size times ``_PULL_BETA`` exceeds ``n`` (the msbfs sweep uses
-#: only the arc test).  Both directions give bit-identical results, so these
-#: only trade speed.
+#: the frontier size times ``_PULL_BETA`` exceeds ``n``.  Both directions give
+#: bit-identical results, so these only trade speed.
 _PULL_ALPHA = 4.0
 _PULL_BETA = 24.0
-
-#: Sources per bit-parallel sweep in :func:`eccentricities` and the quotient
-#: layer's hop tiles; bounds the live ``(n, MSBFS_TILE / 64)`` word matrices.
-MSBFS_TILE = 256
 
 #: Source-by-arc budget of one :func:`row_tile`: in a sweep of 2^14 to 2^19
 #: (EXPERIMENTS.md), 2^16 was the fastest on dense R-MAT quotients.
@@ -120,6 +108,7 @@ class _KernelStats:
         "edges_scanned_push",
         "edges_scanned_pull",
         "claims_scatter",
+        # msbfs_levels calls, levels and scanned (source, arc) pairs
         "msbfs_sweeps",
         "msbfs_levels",
         "msbfs_edges_scanned",
@@ -517,174 +506,27 @@ def component_labels(indptr: np.ndarray, indices: np.ndarray, *, degrees: Option
 
 
 # --------------------------------------------------------------------------- #
-# Bit-parallel multi-source BFS
+# Shortest-path kernels and distance rows over pair ids
 # --------------------------------------------------------------------------- #
-def _msbfs_sweep(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    sources: np.ndarray,
-    degrees: np.ndarray,
-    on_new: Callable[[int, np.ndarray, np.ndarray], None],
-) -> int:
-    """Core bit-parallel OR sweep: 64 sources per ``uint64`` word.
+def _pair_arcs(
+    indptr: np.ndarray, indices: np.ndarray, degrees: np.ndarray, frontier: np.ndarray, rows: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arcs out of a non-empty ``frontier`` of pair ids ``j·n + v`` (``rows`` rows).
 
-    ``visited`` / frontier bits are ``(n, words)`` matrices; a level ORs the
-    frontier bits along every arc into each target and keeps the bits not yet
-    visited.  Levels run push (gather frontier rows, group by target, one
-    ``bitwise_or.reduceat``) or pull (gather the not-yet-finished rows and
-    reduce their neighbours' frontier bits), switched by the arc test of
-    :class:`DirectionOptimizer` (``_PULL_ALPHA``); BFS distances are
-    direction-independent, so the result is exact either way.
-
-    ``on_new(level, rows, new_bits)`` is called once per productive level with
-    the rows that gained bits and their ``(len(rows), words)`` newly set bit
-    matrix.  Returns the number of productive levels.
+    Returns ``(positions, targets, frontier_degrees)``: the positions in
+    ``indices`` of each pair's adjacency slice in frontier order, the target
+    pair ids (arcs never cross rows), and the degree of each frontier pair.
+    One row needs no ``% n`` or shift.
     """
-    n = indptr.size - 1
-    count = sources.size
-    if count == 0 or n == 0:
-        return 0
-    words = (count + _WORD_BITS - 1) // _WORD_BITS
-    full = np.full(words, _ALL_ONES)
-    remainder = count % _WORD_BITS
-    if remainder:
-        full[-1] = (np.uint64(1) << np.uint64(remainder)) - np.uint64(1)
-    visited = np.zeros((n, words), dtype=np.uint64)
-    word_of = (np.arange(count) // _WORD_BITS).astype(np.int64)
-    bit_of = np.uint64(1) << (np.arange(count, dtype=np.uint64) % np.uint64(_WORD_BITS))
-    np.bitwise_or.at(visited, (sources, word_of), bit_of)
-    frontier_bits = visited.copy()
-    frontier_rows = np.unique(sources)
-    unvisited_arcs = int(indices.size)
-    seeded_full = frontier_rows[(visited[frontier_rows] == full).all(axis=1)]
-    if seeded_full.size:
-        unvisited_arcs -= int(degrees[seeded_full].sum())
-    unfinished: Optional[np.ndarray] = None
-    level = 0
-    if _STATS is not None:
-        _STATS.msbfs_sweeps += 1
-    while frontier_rows.size:
-        frontier_arcs = int(degrees[frontier_rows].sum())
-        if frontier_arcs * _PULL_ALPHA > unvisited_arcs:
-            if unfinished is None:
-                unfinished = np.flatnonzero((visited != full).any(axis=1))
-            else:
-                unfinished = unfinished[(visited[unfinished] != full).any(axis=1)]
-            candidate_deg = degrees[unfinished]
-            has_arcs = candidate_deg > 0
-            rows = unfinished[has_arcs]
-            if rows.size == 0:
-                break
-            candidate_deg = candidate_deg[has_arcs]
-            neighbors = indices[_arc_positions(indptr, rows, candidate_deg)]
-            segment_starts = np.concatenate(([0], np.cumsum(candidate_deg)))[:-1]
-            orred = np.bitwise_or.reduceat(frontier_bits[neighbors], segment_starts, axis=0)
-            scanned = int(neighbors.size)
-        else:
-            src, dst, _ = gather_neighbors(indptr, indices, frontier_rows)
-            if dst.size == 0:
-                break
-            order = np.argsort(dst)
-            dst_sorted = dst[order]
-            segment_starts = np.concatenate(([0], np.flatnonzero(dst_sorted[1:] != dst_sorted[:-1]) + 1))
-            orred = np.bitwise_or.reduceat(frontier_bits[src[order]], segment_starts, axis=0)
-            rows = dst_sorted[segment_starts]
-            scanned = int(dst.size)
-        new_bits = orred & ~visited[rows]
-        gained = new_bits.any(axis=1)
-        rows = rows[gained]
-        new_bits = new_bits[gained]
-        if _STATS is not None:
-            _STATS.msbfs_levels += 1
-            _STATS.msbfs_edges_scanned += scanned
-        if rows.size == 0:
-            break
-        level += 1
-        visited[rows] |= new_bits
-        newly_finished = rows[(visited[rows] == full).all(axis=1)]
-        if newly_finished.size:
-            unvisited_arcs -= int(degrees[newly_finished].sum())
-        frontier_bits[frontier_rows] = 0
-        frontier_bits[rows] = new_bits
-        frontier_rows = rows
-        on_new(level, rows, new_bits)
-    return level
+    nodes = frontier % (indptr.size - 1) if rows > 1 else frontier
+    deg = degrees[nodes]
+    positions = _arc_positions(indptr, nodes, deg)
+    targets = indices[positions]
+    if rows > 1:
+        targets = targets + np.repeat(frontier - nodes, deg)
+    return positions, targets, deg
 
 
-def msbfs_levels(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    sources: np.ndarray,
-    *,
-    degrees: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Bit-parallel multi-source BFS distances: one sweep, 64 sources per word.
-
-    Returns an ``(len(sources), n)`` int64 matrix whose row ``j`` holds the
-    hop distances from ``sources[j]`` (``-1`` when unreached) — bit-identical
-    to ``len(sources)`` independent :func:`frontier_expansion` runs, at the
-    cost of a single OR sweep over the graph.  Callers wanting bounded memory
-    chunk their sources (in tiles of :data:`MSBFS_TILE`); the matrix rows stay
-    aligned with the given source order, duplicates included.
-    """
-    sources = np.asarray(sources, dtype=np.int64)
-    n = indptr.size - 1
-    dist = np.full((sources.size, n), -1, dtype=np.int64)
-    if sources.size == 0 or n == 0:
-        return dist
-    if degrees is None:
-        degrees = np.diff(indptr)
-    dist[np.arange(sources.size), sources] = 0
-
-    def on_new(level: int, rows: np.ndarray, new_bits: np.ndarray) -> None:
-        bits = np.unpackbits(new_bits.view(np.uint8), axis=1, bitorder="little")
-        row_pos, source_pos = np.nonzero(bits[:, : sources.size])
-        dist[source_pos, rows[row_pos]] = level
-
-    _msbfs_sweep(indptr, indices, sources, degrees, on_new)
-    return dist
-
-
-def eccentricities(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    sources: np.ndarray,
-    *,
-    degrees: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Hop eccentricity of every node in ``sources`` within its component.
-
-    One source runs one :func:`frontier_expansion`.  More run the
-    bit-parallel sweep in tiles of :data:`MSBFS_TILE` sources, tracking only
-    the last level at which each source's bit column grew — no per-source
-    Python BFS loop and no ``(S, n)`` distance matrix.  Isolated nodes report
-    0.
-    """
-    sources = np.asarray(sources, dtype=np.int64)
-    out = np.zeros(sources.size, dtype=np.int64)
-    if sources.size == 1:
-        distances, _, _ = frontier_expansion(indptr, indices, sources, degrees=degrees)
-        out[0] = distances.max()
-        return out
-    if degrees is None:
-        degrees = np.diff(indptr)
-    tile = MSBFS_TILE
-    for lo in range(0, sources.size, tile):
-        chunk = sources[lo : lo + tile]
-        ecc_chunk = out[lo : lo + chunk.size]
-
-        def on_new(level: int, rows: np.ndarray, new_bits: np.ndarray) -> None:
-            column = np.bitwise_or.reduce(new_bits, axis=0)
-            grew = np.unpackbits(column.view(np.uint8), bitorder="little")[: ecc_chunk.size]
-            ecc_chunk[grew.astype(bool)] = level
-
-        _msbfs_sweep(indptr, indices, chunk, degrees, on_new)
-    return out
-
-
-# --------------------------------------------------------------------------- #
-# Weighted relaxation kernels
-# --------------------------------------------------------------------------- #
 def delta_stepping(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -748,6 +590,52 @@ def delta_stepping_rows(
     return dist
 
 
+def msbfs_levels(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    sources: np.ndarray,
+    *,
+    degrees: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Hop distances from each of ``sources``, one row each.
+
+    Returns an ``(len(sources), n)`` int64 matrix whose row ``j`` is
+    bit-identical to ``frontier_expansion(indptr, indices, [sources[j]])[0]``
+    (``-1`` when unreached; duplicates give equal rows).  The hop twin of
+    :func:`delta_stepping_rows`: one level-synchronous BFS over flat pair ids
+    ``j·n + v`` advances every row per level.  A level keeps one copy of each
+    unvisited pair it reaches by scattering negative ranks into the distance
+    matrix itself (the last write per pair survives), so the result is the
+    only ``(len(sources), n)`` array.  Callers wanting bounded memory tile
+    their sources by :func:`row_tile`.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    n = indptr.size - 1
+    dist = np.full((sources.size, n), -1, dtype=np.int64)
+    if sources.size == 0 or n == 0:
+        return dist
+    if degrees is None:
+        degrees = np.diff(indptr)
+    flat = dist.reshape(-1)
+    frontier = np.arange(sources.size, dtype=np.int64) * n + sources
+    flat[frontier] = 0
+    if _STATS is not None:
+        _STATS.msbfs_sweeps += 1
+    level = 0
+    while frontier.size:
+        _, dst, _ = _pair_arcs(indptr, indices, degrees, frontier, sources.size)
+        if _STATS is not None:
+            _STATS.msbfs_levels += 1
+            _STATS.msbfs_edges_scanned += dst.size
+        dst = dst[flat[dst] == -1]
+        marks = -2 - np.arange(dst.size, dtype=np.int64)
+        flat[dst] = marks
+        frontier = dst[flat[dst] == marks]
+        level += 1
+        flat[frontier] = level
+    return dist
+
+
 def row_tile(num_arcs: int) -> int:
     """Sources per :func:`distance_rows` call: ``max(1, _TILE_ARCS // num_arcs)``,
     so small graphs share each round's overhead over many rows."""
@@ -804,6 +692,7 @@ def _relax_buckets(
     # re-relaxation work inside each bucket.
     delta = max(float(weights.mean()) or 1.0, np.finfo(np.float64).tiny)
     size = dist.size
+    rows = size // n
     degrees = np.diff(indptr)
     workspace = ClaimWorkspace(size)
     settled = np.zeros(size, dtype=bool)
@@ -820,16 +709,9 @@ def _relax_buckets(
         frontier = np.flatnonzero(open_mask & (dist < boundary))
         while frontier.size:
             settled[frontier] = True
-            nodes = frontier % n if size > n else frontier
-            deg = degrees[nodes]
-            pos = _arc_positions(indptr, nodes, deg)
+            pos, dst, deg = _pair_arcs(indptr, indices, degrees, frontier, rows)
             if pos.size == 0:
                 break
-            # The frontier's adjacency slices in scan order, shifted into
-            # each pair's row.
-            dst = indices[pos]
-            if size > n:
-                dst = dst + np.repeat(frontier - nodes, deg)
             candidate = np.repeat(dist[frontier], deg) + weights[pos]
             improving = candidate < dist[dst]
             if not np.any(improving):

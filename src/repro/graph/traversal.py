@@ -27,7 +27,6 @@ __all__ = [
     "bfs_distances",
     "dijkstra",
     "multi_source_bfs",
-    "eccentricity",
     "double_sweep",
     "BFSResult",
 ]
@@ -92,19 +91,6 @@ def dijkstra(graph: CSRGraph, source: int) -> np.ndarray:
     return kernels.delta_stepping(
         graph.indptr, graph.indices, graph.weights, np.asarray([src], dtype=np.int64)
     )[0]
-
-
-def eccentricity(graph: CSRGraph, source: int) -> int:
-    """Eccentricity of ``source`` within its connected component."""
-    src = check_node_index(source, graph.num_nodes, "source")
-    return int(
-        kernels.eccentricities(
-            graph.indptr,
-            graph.indices,
-            np.asarray([src], dtype=np.int64),
-            degrees=graph.degrees,
-        )[0]
-    )
 
 
 def _farthest(graph: CSRGraph, source: int):

@@ -9,9 +9,9 @@ decomposed):
   the underlying :class:`~repro.core.oracle.DistanceOracle`;
 * per-cluster: ``centers``, growth ``radii``, and the precomputed
   eccentricity-bound vectors folded out of the quotient APSP matrices (the
-  unweighted APSP runs on the bit-parallel
-  :func:`~repro.graph.kernels.msbfs_levels` sweep — 64 cluster sources per
-  ``uint64`` word — so oracle builds no longer loop one BFS per cluster).
+  unweighted APSP runs :func:`~repro.graph.kernels.msbfs_levels`, one BFS
+  over a whole tile of cluster sources, so oracle builds do not loop one BFS
+  per cluster).
 
 Every query method takes whole id arrays and answers with aligned result
 arrays — the hot path is index gathers and ufuncs only.  Queries served:

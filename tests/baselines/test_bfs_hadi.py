@@ -10,7 +10,7 @@ from repro.baselines.hadi import fm_estimate, hadi_diameter, make_fm_sketches
 from repro.generators import barabasi_albert_graph, cycle_graph, mesh_graph, path_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.diameter_exact import exact_diameter
-from repro.graph.traversal import double_sweep, eccentricity
+from repro.graph.traversal import bfs_distances, double_sweep
 
 
 class TestBFSDiameter:
@@ -34,8 +34,8 @@ class TestBFSDiameter:
         lower, farthest, _ = double_sweep(mesh20, start=0)
         metered = mr_bfs_diameter(mesh20, start=0)
         assert metered.estimate == metered.lower_bound == lower
-        assert metered.upper_bound == 2 * eccentricity(mesh20, 0)
-        assert metered.num_levels == eccentricity(mesh20, 0) + eccentricity(mesh20, farthest)
+        assert metered.upper_bound == 2 * bfs_distances(mesh20, 0).max()
+        assert metered.num_levels == bfs_distances(mesh20, 0).max() + bfs_distances(mesh20, farthest).max()
 
     def test_mr_rounds_theta_diameter(self):
         """BFS needs Θ(∆) rounds: on a path of length L the two sweeps cost ~2L."""

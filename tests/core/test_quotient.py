@@ -371,7 +371,7 @@ class TestQuotientDiameter:
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_large_quotient_spans_several_tiles(self, weighted):
-        """300 clusters: more rows than one msbfs batch or weighted tile."""
+        """300 clusters: more rows than one row_tile, in both flavours."""
         big = path_graph(300)
         q = build_quotient_graph(big, singleton_clustering(300), weighted=weighted)
         assert quotient_diameter(q) == 299.0

@@ -10,8 +10,8 @@ runs in production.
 * :func:`sorted_claim_first` / :func:`sorted_claim_min` — the stable
   ``argsort`` / ``lexsort`` winner selection behind the sort-free scatter
   claims;
-* :func:`eccentricities_loop` — one BFS per source, behind the bit-parallel
-  msbfs eccentricities;
+* :func:`eccentricities_loop` — one BFS per source: the eccentricity truth
+  of the diameter, property and service tests;
 * :func:`forced_direction` — pins every BFS level to push or pull by patching
   the private pull thresholds (``inf`` forces pull, ``0`` forces push): the
   push-only run is the reference for the direction-optimizing heuristic.

@@ -1,7 +1,7 @@
 """Bit-identity tests for the optimized frontier kernels.
 
 The sort-free claims, the direction-optimizing expansion, and the
-bit-parallel multi-source BFS are pure execution-strategy changes: every
+pair-id multi-source BFS are pure execution-strategy changes: every
 test here pins an optimized path against its frozen reference in
 ``kernel_reference.py`` (stable argsort/lexsort claims, push-only levels,
 one-BFS-per-source loops) and asserts byte-for-byte equality — on in-memory
@@ -183,7 +183,7 @@ class TestDirectionEquivalence:
 
 
 # ---------------------------------------------------------------------- #
-# Bit-parallel multi-source BFS vs per-source frontier expansion
+# Pair-id multi-source BFS vs per-source frontier expansion
 # ---------------------------------------------------------------------- #
 class TestMsbfs:
     @pytest.mark.parametrize("batch", [1, 3, 64, 130, 200])
@@ -222,26 +222,33 @@ class TestMsbfs:
         )
         assert levels.shape == (0, graph.num_nodes)
 
-    @pytest.mark.parametrize("batch", [7, 48, 500])
-    def test_eccentricities_msbfs_matches_loop(self, batch, monkeypatch):
-        # ``batch`` sources per sweep: one tile, several, and a ragged last one.
-        monkeypatch.setattr(kernels, "MSBFS_TILE", batch)
-        graph = disjoint_union([rmat_graph(8, 6, seed=2), star_graph(10)])
-        sources = np.arange(graph.num_nodes, dtype=np.int64)
-        loop = eccentricities_loop(graph.indptr, graph.indices, sources)
-        msbfs = kernels.eccentricities(graph.indptr, graph.indices, sources)
-        assert np.array_equal(loop, msbfs)
+    @pytest.mark.parametrize("budget", [1, 7, 1 << 16])
+    def test_quotient_apsp_tiles_match_per_source_bfs(self, budget, monkeypatch):
+        # budget // arcs rows per tile: one row (the single-source BFS), or
+        # pair-id tiles with a ragged last one (on the one-edge graph, 3 rows
+        # at budget 7).
+        monkeypatch.setattr(kernels, "_TILE_ARCS", budget)
+        for quotient in (
+            disjoint_union([rmat_graph(8, 6, seed=2), star_graph(10)]),
+            CSRGraph.from_edges([(0, 1)], num_nodes=7),
+        ):
+            matrix = quotient_apsp(quotient)
+            for source in range(quotient.num_nodes):
+                dist, _, _ = kernels.frontier_expansion(
+                    quotient.indptr, quotient.indices, np.asarray([source], dtype=np.int64)
+                )
+                expected = dist.astype(np.float64)
+                expected[dist < 0] = np.inf
+                assert np.array_equal(matrix[source], expected), f"row {source}"
 
-    def test_eccentricities_isolated_nodes_report_zero(self):
+    def test_isolated_sources(self):
         graph = CSRGraph.from_edges([(0, 1)], num_nodes=4)
-        sources = np.arange(4, dtype=np.int64)
-        expected = [1, 1, 0, 0]
-        assert eccentricities_loop(graph.indptr, graph.indices, sources).tolist() == expected
-        assert kernels.eccentricities(graph.indptr, graph.indices, sources).tolist() == expected
-        # A single source takes the one-BFS path instead of a sweep.
-        for source in range(4):
-            single = np.asarray([source], dtype=np.int64)
-            assert kernels.eccentricities(graph.indptr, graph.indices, single).tolist() == [expected[source]]
+        sources = np.asarray([2, 0, 3, 3], dtype=np.int64)
+        levels = kernels.msbfs_levels(graph.indptr, graph.indices, sources)
+        assert levels.tolist() == [[-1, -1, 0, -1], [0, 1, -1, -1], [-1, -1, -1, 0], [-1, -1, -1, 0]]
+        assert levels.max(axis=1).tolist() == eccentricities_loop(graph.indptr, graph.indices, sources).tolist()
+        single = CSRGraph.empty(1)
+        assert kernels.msbfs_levels(single.indptr, single.indices, np.zeros(2, dtype=np.int64)).tolist() == [[0], [0]]
 
     def test_quotient_apsp_matches_per_source_bfs(self):
         graph = mesh_graph(10, 10)
@@ -281,16 +288,12 @@ class TestMmapBitIdentity:
         assert np.array_equal(expected[1], got[1])
         assert expected[2] == got[2]
 
-    def test_msbfs_and_eccentricities(self, pair):
+    def test_msbfs_levels(self, pair):
         graph, mapped = pair
         sources = np.arange(0, graph.num_nodes, 3, dtype=np.int64)
         assert np.array_equal(
             kernels.msbfs_levels(graph.indptr, graph.indices, sources),
             kernels.msbfs_levels(mapped.indptr, mapped.indices, sources),
-        )
-        assert np.array_equal(
-            kernels.eccentricities(graph.indptr, graph.indices, sources),
-            kernels.eccentricities(mapped.indptr, mapped.indices, sources),
         )
 
     def test_engine_over_mmap_graph(self, pair):
@@ -428,14 +431,15 @@ class TestKernelStats:
     def test_msbfs_counters_and_reset(self, stats_guard):
         kernels.enable_kernel_stats()
         graph = mesh_graph(8, 8)
-        kernels.eccentricities(
+        kernels.msbfs_levels(
             graph.indptr,
             graph.indices,
             np.arange(graph.num_nodes, dtype=np.int64),
         )
         stats = kernels.kernel_stats_snapshot()
-        assert stats["msbfs_sweeps"] >= 1
+        assert stats["msbfs_sweeps"] == 1
         assert stats["msbfs_levels"] > 0
-        assert stats["msbfs_edges_scanned"] > 0
+        # Every (source, node) pair is reached, and each scans its node's arcs once.
+        assert stats["msbfs_edges_scanned"] == graph.num_nodes * graph.indices.size
         kernels.enable_kernel_stats(True)  # restarts from zero
         assert all(value == 0 for value in kernels.kernel_stats_snapshot().values())

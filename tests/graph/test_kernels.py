@@ -21,7 +21,7 @@ from repro.graph.diameter_exact import exact_diameter
 from repro.graph.snapshot import load_snapshot, save_snapshot
 from repro.graph.traversal import bfs_distances, multi_source_bfs
 
-from kernel_reference import gather_neighbors_loop  # rootless test layout: pytest puts this dir on sys.path
+from kernel_reference import eccentricities_loop, gather_neighbors_loop  # rootless test layout: pytest puts this dir on sys.path
 
 
 @pytest.fixture
@@ -127,13 +127,14 @@ class TestComponentAndEccentricity:
 
     def test_eccentricities_match_bfs(self, mesh):
         nodes = np.asarray([0, 12, 80], dtype=np.int64)
-        eccs = kernels.eccentricities(mesh.indptr, mesh.indices, nodes)
+        eccs = kernels.msbfs_levels(mesh.indptr, mesh.indices, nodes).max(axis=1)
+        assert eccs.tolist() == eccentricities_loop(mesh.indptr, mesh.indices, nodes).tolist()
         for node, ecc in zip(nodes, eccs):
             assert ecc == int(bfs_distances(mesh, int(node)).max())
 
     def test_exact_diameter_matches_kernel_eccentricities(self, mesh):
         nodes = np.arange(mesh.num_nodes, dtype=np.int64)
-        assert kernels.eccentricities(mesh.indptr, mesh.indices, nodes).max() == 16
+        assert eccentricities_loop(mesh.indptr, mesh.indices, nodes).max() == 16
         assert exact_diameter(mesh) == 16
 
 

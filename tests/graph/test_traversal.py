@@ -10,7 +10,6 @@ from repro.graph.traversal import (
     UNREACHED,
     bfs_distances,
     double_sweep,
-    eccentricity,
     multi_source_bfs,
 )
 from tests.conftest import to_networkx
@@ -102,8 +101,8 @@ class TestMultiSourceBFS:
 
 class TestEccentricityAndDoubleSweep:
     def test_path_eccentricity(self, path10):
-        assert eccentricity(path10, 0) == 9
-        assert eccentricity(path10, 5) == 5
+        assert bfs_distances(path10, 0).max() == 9
+        assert bfs_distances(path10, 5).max() == 5
 
     def test_double_sweep_exact_on_path(self, path10):
         lower, a, b = double_sweep(path10, start=4)

@@ -10,15 +10,15 @@ from repro.baselines.mpx import mpx_decomposition
 from repro.core.cluster import cluster
 from repro.core.diameter import estimate_diameter
 from repro.core.quotient import build_quotient_graph, quotient_diameter
-from repro.graph import kernels
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import bfs_distances
+from tests.graph.kernel_reference import eccentricities_loop
 
 
 def all_pairs_diameter(graph: CSRGraph) -> int:
     """Reference diameter: the largest eccentricity over every node."""
     nodes = np.arange(graph.num_nodes, dtype=np.int64)
-    return int(kernels.eccentricities(graph.indptr, graph.indices, nodes).max())
+    return int(eccentricities_loop(graph.indptr, graph.indices, nodes).max())
 
 
 @st.composite

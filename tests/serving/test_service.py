@@ -8,10 +8,10 @@ import pytest
 from repro.core.oracle import build_distance_oracle
 from repro.core.pipeline import DecompositionPipeline, PipelineConfig
 from repro.generators import attach_weights, barabasi_albert_graph, mesh_graph
-from repro.graph import kernels
 from repro.graph.traversal import bfs_distances, dijkstra
 from repro.serving import GraphService
 from repro.serving.service import SERVICE_METHODS, resolve_method
+from tests.graph.kernel_reference import eccentricities_loop
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +203,7 @@ class TestQueryEccentricity:
     def test_bounds_sandwich_true_eccentricity_unweighted(self, mesh_service):
         graph = mesh_service.graph
         nodes = np.arange(graph.num_nodes)
-        true_ecc = kernels.eccentricities(graph.indptr, graph.indices, nodes)
+        true_ecc = eccentricities_loop(graph.indptr, graph.indices, nodes)
         lower, upper = mesh_service.query_eccentricity(nodes)
         assert np.all(lower <= true_ecc)
         assert np.all(true_ecc <= upper)

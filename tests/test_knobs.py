@@ -24,7 +24,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.datasets import configure_dataset_cache
 from repro.experiments.store import DatasetCache
 from repro.generators import mesh_graph
-from repro.graph import kernels
+from repro.graph import kernels, traversal
 from repro.graph.diameter_exact import exact_diameter
 from repro.graph.snapshot import SnapshotWriter, save_snapshot
 from repro.mapreduce import ArrayPairs, MREngine
@@ -68,8 +68,6 @@ REMOVED = {
     "GrowthEngine(tie_break=<name>)": lambda: GrowthEngine(_GRAPH, tie_break="arbitrary"),
     "mpx_decomposition(tie_break=)": lambda: mpx_decomposition(_GRAPH, 0.5, seed=0, tie_break="shifted-start"),
     "cluster(max_iterations=)": lambda: cluster(_GRAPH, 1, seed=0, max_iterations=3),
-    "eccentricities(method=)": lambda: kernels.eccentricities(*_ARGS, _ONE, method="loop"),
-    "eccentricities(batch=)": lambda: kernels.eccentricities(*_ARGS, _ONE, batch=8),
     "delta_stepping(delta=)": lambda: kernels.delta_stepping(*_ARGS, _WEIGHTS, _ONE, delta=1.0),
     "exact_diameter(all_pairs_threshold=)": lambda: exact_diameter(_GRAPH, all_pairs_threshold=10),
     "claim_first() without workspace": lambda: kernels.claim_first(_ONE, _ONE),
@@ -106,6 +104,12 @@ REMOVED = {
     "cluster_vs_cluster2_row(rng=)": lambda: ablations.cluster_vs_cluster2_row("mesh", scale="small", rng=0),
     "kcenter_rows(rng=)": lambda: ablations.kcenter_rows("mesh", scale="small", rng=0),
 }
+
+
+@pytest.mark.parametrize("name", ["kernels.eccentricities", "kernels.MSBFS_TILE", "traversal.eccentricity"])
+def test_removed_names_are_gone(name):
+    module, attribute = name.split(".")
+    assert not hasattr({"kernels": kernels, "traversal": traversal}[module], attribute)
 
 
 @pytest.mark.parametrize("call", sorted(REMOVED))

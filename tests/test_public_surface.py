@@ -26,7 +26,6 @@ LIBRARY_SURFACE = ("graph/io.py", "graph/ingest.py", "generators/", "faults/")
 ALLOWED = {
     "graph/csr.py: CSRGraph.has_edge": "adjacency query of the graph type, beside neighbors() and degree()",
     "graph/components.py: is_connected": "the connectivity predicate the README and the docstrings name",
-    "graph/traversal.py: eccentricity": "single-source eccentricity, the scalar form of kernels.eccentricities",
     "graph/builders.py: from_adjacency_dict": "the hand-written-graph constructor of the builder API",
     "core/clustering.py: Clustering.members": "node ids of one cluster, the basic query on a decomposition",
     "core/diameter.py: DiameterEstimate.contains": "the sandwich test lower <= d <= upper on an estimate",

@@ -11,7 +11,7 @@ from repro.core.growth_engine import GrowthEngine
 from repro.core.kcenter import evaluate_centers
 from repro.core.oracle import build_distance_oracle
 from repro.generators import mesh_graph
-from repro.graph.traversal import bfs_distances, dijkstra, eccentricity, multi_source_bfs
+from repro.graph.traversal import bfs_distances, dijkstra, multi_source_bfs
 from repro.utils.logging import enable_verbose, get_logger
 from repro.utils.rng import as_rng, random_subset_mask, spawn_rngs
 from repro.utils.validation import check_node_index
@@ -93,7 +93,6 @@ class TestValidation:
             lambda: graph.edge_weight(0, 1.0),
             lambda: bfs_distances(graph, 1.9),
             lambda: bfs_distances(graph, True),
-            lambda: eccentricity(graph, 0.0),
             lambda: dijkstra(graph, "0"),
             lambda: oracle.query(2.7, 0),
         ]
