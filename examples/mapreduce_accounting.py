@@ -10,7 +10,9 @@ memory constraints.  This script shows the substrate on its own:
 2. tabulate the analytical round cost of the Fact-1 primitives (sort, prefix
    sums) under a shrinking local memory: O(log_ML n) rounds each,
 3. execute the CLUSTER-based diameter estimation under a memory-constrained
-   model and convert its metrics into simulated wall-clock time.
+   model and convert its metrics into simulated wall-clock time.  The model
+   records (rather than raises on) violations: the quotient-diameter round,
+   which Theorem 4 runs on a single reducer, overflows M_L at this τ.
 
 Run with::
 
@@ -66,6 +68,10 @@ def constrained_diameter_demo() -> None:
         f"  diameter bounds   [{report.estimate.lower_bound}, {report.estimate.upper_bound:.0f}] (true: 118)\n"
         f"  memory violations {len(model.violations)}"
     )
+    # The quotient-diameter round ships the whole quotient to one reducer; at
+    # tau = 16 the quotient has more arcs than M_L, so that round overflows.
+    for violation in model.violations:
+        print(f"    quotient-diameter round: {violation}")
 
 
 def main() -> None:

@@ -11,7 +11,7 @@ regenerated from persisted artifacts without recomputation.
 from __future__ import annotations
 
 import io
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 __all__ = ["render_table", "render_csv", "render_stored_tables", "format_value"]
 
@@ -33,20 +33,16 @@ def format_value(value) -> str:
     return str(value)
 
 
-def render_table(
-    rows: Sequence[Dict],
-    *,
-    columns: Optional[Sequence[str]] = None,
-    title: Optional[str] = None,
-) -> str:
-    """Render ``rows`` (list of dicts) as an aligned text table."""
+def _columns(rows: Sequence[Dict]) -> List[str]:
+    """Every key of ``rows``, in first-appearance order."""
+    return list(dict.fromkeys(key for row in rows for key in row))
+
+
+def render_table(rows: Sequence[Dict], *, title: Optional[str] = None) -> str:
+    """Render ``rows`` (list of dicts) as an aligned text table, one column
+    per key in first-appearance order."""
     rows = list(rows)
-    if columns is None:
-        columns = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
+    columns = _columns(rows)
     header = [str(c) for c in columns]
     body = [[format_value(row.get(c)) for c in columns] for row in rows]
     widths = [len(h) for h in header]
@@ -65,15 +61,10 @@ def render_table(
     return out.getvalue()
 
 
-def render_csv(rows: Sequence[Dict], *, columns: Optional[Sequence[str]] = None) -> str:
+def render_csv(rows: Sequence[Dict]) -> str:
     """Render rows as CSV text (for piping into plotting tools)."""
     rows = list(rows)
-    if columns is None:
-        columns = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
+    columns = _columns(rows)
     out = io.StringIO()
     out.write(",".join(str(c) for c in columns) + "\n")
     for row in rows:

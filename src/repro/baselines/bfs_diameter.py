@@ -30,7 +30,7 @@ strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from repro.graph.csr import CSRGraph
 from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
 from repro.mapreduce.engine import MREngine
 from repro.mapreduce.metrics import MRMetrics
-from repro.mapreduce.model import MRModel
 from repro.mapreduce.structured import ArrayPairs
 from repro.utils.rng import SeedLike, as_rng
 
@@ -114,24 +113,22 @@ def mr_bfs_diameter(
     graph: CSRGraph,
     *,
     seed: SeedLike = None,
-    start: Optional[int] = None,
-    model: Optional[MRModel] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
 ) -> BFSDiameterResult:
     """Double-sweep BFS with every level executed as a structured MR round.
 
-    Each BFS level is one round whose communication volume is the number of
-    adjacency entries scanned at that level plus the frontier bookkeeping (so
-    the aggregate over a full BFS is ``2m`` arc messages plus ``O(n)``).
+    The first sweep starts at a node drawn from ``seed``.  Each BFS level is
+    one round whose communication volume is the number of adjacency entries
+    scanned at that level plus the frontier bookkeeping (so the aggregate
+    over a full BFS is ``2m`` arc messages plus ``O(n)``), metered on an
+    unbounded :class:`~repro.mapreduce.model.MRModel`.
     """
     n = graph.num_nodes
     if n == 0:
         raise ValueError("graph must be non-empty")
-    rng = as_rng(seed)
-    if start is None:
-        start = int(rng.integers(0, n))
-    engine = MREngine(model=model if model is not None else MRModel(enforce=False))
-    first_dist, first_levels = _structured_bfs(engine, graph.indptr, graph.indices, n, int(start))
+    start = int(as_rng(seed).integers(0, n))
+    engine = MREngine()
+    first_dist, first_levels = _structured_bfs(engine, graph.indptr, graph.indices, n, start)
     reachable = np.flatnonzero(first_dist >= 0)
     ecc_first = int(first_dist[reachable].max())
     farthest = int(reachable[np.argmax(first_dist[reachable])])

@@ -25,17 +25,17 @@ from repro.utils.rng import SeedLike, as_rng
 __all__ = ["gonzalez_kcenter", "random_centers_kcenter"]
 
 
-def gonzalez_kcenter(
-    graph: CSRGraph, k: int, *, seed: SeedLike = None, first_center: int | None = None
-) -> KCenterResult:
+def gonzalez_kcenter(graph: CSRGraph, k: int, *, seed: SeedLike = None) -> KCenterResult:
     """Farthest-point traversal k-center (2-approximation on connected graphs).
+
+    The traversal starts from a random node drawn from ``seed``
+    (:func:`~repro.core.growth_engine.farthest_point_centers` takes an
+    explicit first center).
 
     Parameters
     ----------
     k:
         Number of centers (1 ≤ k ≤ n).
-    first_center:
-        Optional explicit first center; defaults to a random node.
 
     Notes
     -----
@@ -50,9 +50,7 @@ def gonzalez_kcenter(
         raise ValueError("k must be >= 1")
     if k >= n:
         return evaluate_centers(graph, np.arange(n, dtype=np.int64), algorithm="gonzalez")
-    rng = as_rng(seed)
-    if first_center is None:
-        first_center = int(rng.integers(0, n))
+    first_center = int(as_rng(seed).integers(0, n))
     centers = farthest_point_centers(graph, k, first_center)
     return evaluate_centers(graph, centers, algorithm="gonzalez")
 

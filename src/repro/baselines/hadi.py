@@ -35,7 +35,6 @@ from repro.graph.csr import CSRGraph
 from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
 from repro.mapreduce.engine import MREngine
 from repro.mapreduce.metrics import MRMetrics
-from repro.mapreduce.model import MRModel
 from repro.mapreduce.structured import ArrayPairs
 from repro.utils.rng import SeedLike, as_rng
 
@@ -70,20 +69,20 @@ class HADIResult:
 
 
 def make_fm_sketches(
-    num_items: int, *, num_registers: int = 32, num_bits: int = 64, rng: Optional[np.random.Generator] = None
+    num_items: int, *, num_registers: int = 32, rng: Optional[np.random.Generator] = None
 ) -> np.ndarray:
     """Initial FM sketches: one geometric bit per (item, register).
 
     Returns a ``uint64`` array of shape ``(num_items, num_registers)`` where
     each entry has exactly one bit set; bit ``b`` is chosen with probability
-    ``2^{-(b+1)}`` (clamped to the register width).
+    ``2^{-(b+1)}`` (clamped to the 64-bit register width).
     """
     if rng is None:
         rng = np.random.default_rng()
     if num_items < 0 or num_registers < 1:
         raise ValueError("num_items must be >= 0 and num_registers >= 1")
     geometric = rng.geometric(0.5, size=(num_items, num_registers)) - 1
-    geometric = np.minimum(geometric, num_bits - 1).astype(np.uint64)
+    geometric = np.minimum(geometric, 63).astype(np.uint64)
     return (np.uint64(1) << geometric).astype(np.uint64)
 
 
@@ -111,12 +110,14 @@ def hadi_diameter(
     *,
     num_registers: int = 32,
     max_iterations: Optional[int] = None,
-    tolerance: float = 1e-3,
     seed: SeedLike = None,
-    model: Optional[MRModel] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
 ) -> HADIResult:
     """Estimate the diameter of ``graph`` with HADI/ANF.
+
+    The process counts as saturated once the neighborhood function grows by
+    at most 0.1% in an iteration.  Rounds are metered on an unbounded
+    :class:`~repro.mapreduce.model.MRModel`.
 
     Parameters
     ----------
@@ -125,15 +126,12 @@ def hadi_diameter(
         proportionally more communication).
     max_iterations:
         Safety cap on iterations (defaults to ``n``).
-    tolerance:
-        Relative increase of the neighborhood function below which the
-        process is considered saturated.
     """
     n = graph.num_nodes
     if n == 0:
         raise ValueError("graph must be non-empty")
     rng = as_rng(seed)
-    engine = MREngine(model=model if model is not None else MRModel(enforce=False))
+    engine = MREngine()
     limit = max_iterations if max_iterations is not None else n
 
     sketches = make_fm_sketches(n, num_registers=num_registers, rng=rng)
@@ -160,7 +158,7 @@ def hadi_diameter(
         total_pairs = float(fm_estimate(sketches).sum())
         neighborhood.append(total_pairs)
         previous = neighborhood[-2]
-        if previous > 0 and (total_pairs - previous) / previous <= tolerance:
+        if previous > 0 and (total_pairs - previous) / previous <= 1e-3:
             estimate = t - 1
             break
         estimate = t

@@ -37,6 +37,11 @@ from repro.utils.rng import SeedLike, as_rng
 
 __all__ = ["mpx_decomposition", "mpx_with_target_clusters"]
 
+# The β search accepts a cluster count within ±35% of the target, and
+# otherwise returns the closest of this many MPX runs.
+_TOLERANCE = 0.35
+_MAX_TRIALS = 12
+
 
 def mpx_decomposition(graph: CSRGraph, beta: float, *, seed: SeedLike = None) -> Clustering:
     """Run the MPX random-shift decomposition with parameter ``beta``.
@@ -91,11 +96,10 @@ def mpx_with_target_clusters(
     target_clusters: int,
     *,
     seed: SeedLike = None,
-    tolerance: float = 0.35,
-    max_trials: int = 12,
     require_at_least_target: bool = False,
 ) -> Clustering:
-    """Tune β so that MPX returns approximately ``target_clusters`` clusters.
+    """Tune β so that MPX returns approximately ``target_clusters`` clusters
+    (within ±35%, or the closest of 12 runs).
 
     The paper's Table 2 protocol gives MPX "a slight advantage" by always
     letting it produce a comparable but *larger* number of clusters than
@@ -113,11 +117,11 @@ def mpx_with_target_clusters(
     beta = max(1e-6, target_clusters / max(1, n))
     best: Optional[Clustering] = None
     best_gap = float("inf")
-    for _ in range(max_trials):
+    for _ in range(_MAX_TRIALS):
         result = mpx_decomposition(graph, beta, seed=rng)
         count = result.num_clusters
         gap = abs(count - target_clusters) / target_clusters
-        acceptable = (1 - tolerance) * target_clusters <= count <= (1 + tolerance) * target_clusters
+        acceptable = (1 - _TOLERANCE) * target_clusters <= count <= (1 + _TOLERANCE) * target_clusters
         if require_at_least_target:
             acceptable = acceptable and count >= target_clusters
             effective_gap = gap if count >= target_clusters else gap + 1.0

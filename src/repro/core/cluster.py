@@ -44,6 +44,11 @@ __all__ = [
     "uncovered_threshold",
 ]
 
+# The granularity search accepts a cluster count within ±35% of the target,
+# and otherwise returns the closest of this many CLUSTER runs.
+_TOLERANCE = 0.35
+_MAX_TRIALS = 12
+
 
 def cluster(graph: CSRGraph, tau: int, *, seed: SeedLike = None) -> Clustering:
     """Run CLUSTER(τ) on ``graph`` and return the resulting decomposition.
@@ -121,8 +126,6 @@ def cluster_with_target_clusters(
     target_clusters: int,
     *,
     seed: SeedLike = None,
-    tolerance: float = 0.35,
-    max_trials: int = 12,
 ) -> Clustering:
     """Run CLUSTER with τ tuned so the number of clusters lands near a target.
 
@@ -133,19 +136,14 @@ def cluster_with_target_clusters(
     a multiplicative search on τ, mirroring the experimental protocol of §6.1:
     it inverts Theorem 1's ``#clusters = O(τ log² n)`` bound for the starting
     τ, then moves τ multiplicatively toward the target until the count lands
-    within tolerance (or returns the closest attempt after ``max_trials``).
+    within ``(1 ± 0.35) * target_clusters`` (or returns the closest attempt
+    after 12 CLUSTER runs).
 
     Parameters
     ----------
     target_clusters:
         Desired number of clusters (e.g. ``n / 1000`` for small-diameter
         graphs in Table 2).
-    tolerance:
-        Accept a clustering whose cluster count is within
-        ``(1 ± tolerance) * target_clusters``.
-    max_trials:
-        Maximum number of CLUSTER invocations before returning the closest
-        attempt seen.
     """
     if target_clusters < 1:
         raise ValueError("target_clusters must be >= 1")
@@ -158,13 +156,13 @@ def cluster_with_target_clusters(
     tau = max(1, int(round(target_clusters / max(1.0, 0.25 * log_sq))))
     best = None
     best_gap = float("inf")
-    for _ in range(max_trials):
+    for _ in range(_MAX_TRIALS):
         result = cluster(graph, tau, seed=rng)
         count = result.num_clusters
         gap = abs(count - target_clusters) / target_clusters
         if gap < best_gap:
             best, best_gap = result, gap
-        if (1 - tolerance) * target_clusters <= count <= (1 + tolerance) * target_clusters:
+        if (1 - _TOLERANCE) * target_clusters <= count <= (1 + _TOLERANCE) * target_clusters:
             return result
         ratio = target_clusters / max(1, count)
         # Dampened multiplicative update; τ moves in the direction of the miss.

@@ -25,8 +25,9 @@ weighted with center-to-center path lengths — the upper bound.
 
 :func:`estimate_diameter` is a thin wrapper over the
 :class:`~repro.core.pipeline.DecompositionPipeline` (which caches the
-decomposition and quotient stages for reuse); use the pipeline directly when
-you need the intermediates.
+decomposition and quotient stages for reuse) that decomposes with CLUSTER;
+use the pipeline directly for CLUSTER2 or when you need the intermediates.
+Every estimate carries both upper bounds, ``∆'`` and ``∆''``.
 """
 
 from __future__ import annotations
@@ -52,12 +53,13 @@ class DiameterEstimate:
         ``∆_C`` — unweighted quotient diameter (a true lower bound on ∆); on
         a weighted graph, the weighted double-sweep bound.
     upper_bound:
-        The estimate reported by the algorithm: the weighted bound ``∆''``
-        when the weighted quotient was computed, otherwise ``∆'``.
+        The estimate reported by the algorithm: the weighted bound ``∆''``.
     upper_bound_unweighted:
         ``∆' = 2·R·(∆_C + 1) + ∆_C``, or ``None`` on a weighted graph.
     upper_bound_weighted:
-        ``∆'' = 2·R + ∆'_C`` or ``None`` when ``weighted=False``.
+        ``∆'' = 2·R + ∆'_C``, set on every graph (on a weighted graph
+        ``∆'_C`` is the diameter of the quotient weighted with
+        center-to-center path lengths).
     radius:
         Maximum cluster radius ``R`` of the decomposition used (the weighted
         radius on a weighted graph).
@@ -70,7 +72,7 @@ class DiameterEstimate:
     lower_bound: Union[int, float]
     upper_bound: float
     upper_bound_unweighted: Optional[int]
-    upper_bound_weighted: Optional[float]
+    upper_bound_weighted: float
     radius: Union[int, float]
     num_clusters: int
     num_quotient_edges: int
@@ -87,35 +89,24 @@ class DiameterEstimate:
         return float(self.upper_bound) / float(true_diameter)
 
 
-def default_tau(graph: CSRGraph, *, local_memory: Optional[int] = None) -> int:
+def default_tau(graph: CSRGraph) -> int:
     """Pick τ so the quotient graph fits in a single reducer (Theorem 4).
 
     Theorem 4 sets ``τ = Θ(n^{ε'} / log⁴ n)`` so that the quotient graph has
     ``O(n^{ε'})`` nodes and can be processed by one reducer with
-    ``M_L = Θ(n^ε)`` local memory.  With an explicit ``local_memory`` budget
-    we simply aim for ``≈ sqrt(local_memory)`` quotient nodes; otherwise we
-    default to ``≈ sqrt(n)`` clusters.
+    ``M_L = Θ(n^ε)`` local memory; we aim for ``≈ sqrt(n)`` clusters.
     """
     n = graph.num_nodes
     if n <= 2:
         return 1
-    if local_memory is not None:
-        target_nodes = max(2.0, math.sqrt(local_memory))
-    else:
-        target_nodes = math.sqrt(n)
     log_sq = math.log2(max(2, n)) ** 2
-    return max(1, int(round(target_nodes / max(1.0, 0.25 * log_sq))))
+    return max(1, int(round(math.sqrt(n) / max(1.0, 0.25 * log_sq))))
 
 
-def diameter_upper_bounds(
-    lower_bound: float, radius: int, weighted_quotient_diameter: Optional[float]
-) -> tuple:
+def diameter_upper_bounds(lower_bound: float, radius: int, weighted_quotient_diameter: float) -> tuple:
     """Compute (∆', ∆'') from the quotient diameters and the cluster radius."""
     unweighted_upper = int(2 * radius * (int(lower_bound) + 1) + int(lower_bound))
-    weighted_upper = None
-    if weighted_quotient_diameter is not None:
-        weighted_upper = float(2 * radius + weighted_quotient_diameter)
-    return unweighted_upper, weighted_upper
+    return unweighted_upper, float(2 * radius + weighted_quotient_diameter)
 
 
 def estimate_diameter(
@@ -124,11 +115,14 @@ def estimate_diameter(
     tau: Optional[int] = None,
     target_clusters: Optional[int] = None,
     seed: SeedLike = None,
-    use_cluster2: bool = False,
-    weighted: bool = True,
     clustering: Optional[Clustering] = None,
 ) -> DiameterEstimate:
     """Estimate the diameter of a connected graph via graph decomposition.
+
+    Decomposes with CLUSTER, the simplified pipeline of the paper's
+    experiments (CLUSTER2 runs through
+    ``DecompositionPipeline(graph, PipelineConfig(method="cluster2"))``), and
+    always reports the tighter ``∆''`` bound of the weighted quotient.
 
     Parameters
     ----------
@@ -141,12 +135,6 @@ def estimate_diameter(
     target_clusters:
         Ask for a decomposition with approximately this many clusters instead
         of fixing τ (matches the experimental protocol of §6.2).
-    use_cluster2:
-        Use CLUSTER2 (full theoretical guarantees) instead of the simplified
-        CLUSTER pipeline used in the paper's experiments.
-    weighted:
-        Also compute the weighted quotient graph and the tighter ``∆''`` bound
-        (always done on a weighted graph).
     clustering:
         Reuse an existing decomposition instead of computing one.
 
@@ -159,11 +147,5 @@ def estimate_diameter(
     provided = sum(x is not None for x in (tau, target_clusters, clustering))
     if provided > 1:
         raise ValueError("provide at most one of tau, target_clusters, clustering")
-    config = PipelineConfig(
-        method="cluster2" if use_cluster2 else "cluster",
-        tau=tau,
-        target_clusters=target_clusters,
-        seed=seed,
-        weighted_quotient=weighted,
-    )
+    config = PipelineConfig(tau=tau, target_clusters=target_clusters, seed=seed)
     return DecompositionPipeline(graph, config, clustering=clustering).diameter()

@@ -211,16 +211,14 @@ class GrowthEngine:
         )
         return newly
 
-    def grow_until(self, target_new_nodes: int, *, max_steps: Optional[int] = None) -> int:
+    def grow_until(self, target_new_nodes: int) -> int:
         """Grow until at least ``target_new_nodes`` nodes are covered since the
-        last :meth:`mark`, a step makes no progress, or ``max_steps`` is hit.
+        last :meth:`mark` or a step makes no progress.
 
         Returns the number of growing steps executed.
         """
         steps = 0
         while self.newly_covered_since_mark < target_new_nodes:
-            if max_steps is not None and steps >= max_steps:
-                break
             covered = self.grow_step()
             steps += 1
             if covered == 0:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -186,13 +186,7 @@ def merge_clusters_to_k(
     return np.unique(reps)
 
 
-def kcenter(
-    graph: CSRGraph,
-    k: int,
-    *,
-    seed: SeedLike = None,
-    tau: Optional[int] = None,
-) -> KCenterResult:
+def kcenter(graph: CSRGraph, k: int, *, seed: SeedLike = None) -> KCenterResult:
     """Approximate graph k-center via CLUSTER (Theorem 2 / Section 3.2).
 
     Parameters
@@ -202,11 +196,9 @@ def kcenter(
         must be at least the number of connected components for a finite
         radius).
     k:
-        Number of centers.
-    tau:
-        Override the granularity parameter; defaults to
-        ``max(1, round(k / log² n))`` for connected-ish cases and to the
-        number of components ``h`` when ``k < h log² n`` (the §3.2 recipe).
+        Number of centers.  CLUSTER runs at ``τ = max(1, round(k / log² n))``
+        (Theorem 2), or at the number of components ``h`` when
+        ``k < h log² n`` (the §3.2 recipe).
 
     Returns
     -------
@@ -224,13 +216,12 @@ def kcenter(
         return evaluate_centers(graph, np.arange(n, dtype=np.int64), algorithm="cluster")
 
     log_sq = math.log2(max(2, n)) ** 2
-    if tau is None:
-        h = num_connected_components(graph)
-        if h > 1 and k < h * log_sq:
-            # §3.2: run CLUSTER(h) and merge the O(h log² n) clusters down to k.
-            tau = max(1, h)
-        else:
-            tau = max(1, int(round(k / log_sq)))
+    h = num_connected_components(graph)
+    if h > 1 and k < h * log_sq:
+        # §3.2: run CLUSTER(h) and merge the O(h log² n) clusters down to k.
+        tau = max(1, h)
+    else:
+        tau = max(1, int(round(k / log_sq)))
     clustering = cluster(graph, tau, seed=rng)
     centers = merge_clusters_to_k(graph, clustering, k, seed=rng)
     return evaluate_centers(graph, centers, algorithm="cluster")

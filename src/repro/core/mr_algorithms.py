@@ -15,8 +15,11 @@ replay that trace against the MR(M_G, M_L) accounting of
 * ``O(log_{M_L} m)`` rounds to build the quotient graph (a sort of the edge
   multiset by cluster pair), and
 * a single round with a single reducer to compute the quotient diameter
-  (Theorem 4's small-quotient regime), after checking that the quotient graph
-  actually fits in the local memory ``M_L``.
+  (Theorem 4's small-quotient regime), checked against the engine's
+  :class:`~repro.mapreduce.model.MRModel` like every executed round: a
+  quotient larger than the local memory ``M_L`` raises
+  :class:`~repro.mapreduce.model.MRConstraintViolation` under an enforcing
+  model and is recorded in ``model.violations`` otherwise.
 
 This is what turns the paper's Table 4 / Figure 1 "time" columns into
 measurable quantities on a single machine: rounds, shuffled pairs, and the
@@ -122,14 +125,13 @@ def charge_clustering_rounds(engine: MREngine, clustering: Clustering) -> None:
     engine.charge_rounds_batch(scanned, label="growing-step")
 
 
-def charge_quotient_rounds(
-    engine: MREngine,
-    graph: CSRGraph,
-    *,
-    num_quotient_edges: int,
-    enforce_local_memory: bool = True,
-) -> None:
-    """Charge the rounds for building the quotient graph and computing its diameter."""
+def charge_quotient_rounds(engine: MREngine, graph: CSRGraph, *, num_quotient_edges: int) -> None:
+    """Charge the rounds for building the quotient graph and computing its diameter.
+
+    The quotient-diameter round is checked against ``engine.model``, as
+    executed rounds are; on the default unbounded model the check never
+    objects.
+    """
     ml = engine.model.local_memory
     # Building the quotient graph: a sort of the 2m arcs by cluster pair.
     engine.charge_rounds(
@@ -140,8 +142,7 @@ def charge_quotient_rounds(
     # Quotient diameter on a single reducer: the quotient graph (2 * m_C arcs)
     # must fit in local memory; this is the Theorem 4 requirement.
     quotient_arcs = 2 * num_quotient_edges
-    if enforce_local_memory and ml is not None and quotient_arcs > ml:
-        engine.model.check_round(max_reducer_input=quotient_arcs, live_pairs=quotient_arcs)
+    engine.model.check_round(max_reducer_input=quotient_arcs, live_pairs=quotient_arcs)
     engine.charge_rounds(1, pairs_per_round=quotient_arcs, label="quotient-diameter")
 
 
@@ -153,27 +154,20 @@ def mr_estimate_diameter(
     seed: SeedLike = None,
     model: Optional[MRModel] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    use_cluster2: bool = False,
-    enforce_local_memory: bool = False,
 ) -> MRExecutionReport:
     """Full decomposition-based diameter estimation under MR accounting.
 
     This is the driver behind the CLUSTER columns of the Table 4 and Figure 1
     reproductions: the returned report carries both the diameter estimate and
     the rounds / communication / simulated-time metrics.  Implemented as the
-    :class:`~repro.core.pipeline.DecompositionPipeline`'s MR accounting pass.
+    :class:`~repro.core.pipeline.DecompositionPipeline`'s MR accounting pass
+    with CLUSTER (``DecompositionPipeline(graph, method="cluster2").mr_report()``
+    accounts for CLUSTER2).  The quotient-diameter round is checked against
+    ``model``; see :func:`charge_quotient_rounds`.
     """
     from repro.core.pipeline import DecompositionPipeline, PipelineConfig
 
     pipeline = DecompositionPipeline(
-        graph,
-        PipelineConfig(
-            method="cluster2" if use_cluster2 else "cluster",
-            tau=tau,
-            target_clusters=target_clusters,
-            seed=seed,
-            weighted_quotient=True,
-            enforce_local_memory=enforce_local_memory,
-        ),
+        graph, PipelineConfig(tau=tau, target_clusters=target_clusters, seed=seed)
     )
     return pipeline.mr_report(model=model, cost_model=cost_model)

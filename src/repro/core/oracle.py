@@ -21,10 +21,14 @@ bit-identical to the historical per-query implementation by the
 frozen-reference tests.  :class:`~repro.serving.GraphService` builds its
 serving plane directly on these arrays.
 
-Both matrices come from one :func:`~repro.core.quotient.build_quotient_graph`
-call: the upper matrix is the APSP of the weighted quotient, and the lower
-one that of the same CSR without weights.  Weighted graphs are served through
-the §7 weighted decomposition (CLUSTER on the weighted graph): the upper
+:func:`build_distance_oracle` takes the decomposition as an argument and
+never runs one itself; :meth:`repro.serving.GraphService.build` decomposes
+through :class:`~repro.core.pipeline.DecompositionPipeline` and hands the
+clustering over.  Both matrices come from one
+:func:`~repro.core.quotient.build_quotient_graph` call: the upper matrix is
+the APSP of the weighted quotient, and the lower one that of the same CSR
+without weights.  Weighted graphs are served through the §7 weighted
+decomposition (CLUSTER on the weighted graph): the upper
 matrix holds genuine center-to-center path lengths (weighted growth distances
 plus edge weights) and the hop lower bound is scaled by the minimum edge
 weight (every cluster crossing costs at least one edge, hence at least
@@ -35,16 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.core.cluster import cluster
-from repro.core.cluster2 import cluster2
 from repro.core.clustering import Clustering
 from repro.core.quotient import build_quotient_graph, quotient_apsp
 from repro.graph.csr import CSRGraph
-from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_node_batch, check_node_index
 
 __all__ = [
@@ -182,54 +183,27 @@ class DistanceOracle:
         return float(lower[0]), float(upper[0])
 
 
-def build_distance_oracle(
-    graph: CSRGraph,
-    *,
-    tau: Optional[int] = None,
-    seed: SeedLike = None,
-    use_cluster2: bool = True,
-    clustering=None,
-) -> DistanceOracle:
-    """Build a :class:`DistanceOracle` for a connected graph.
+def build_distance_oracle(graph: CSRGraph, clustering: Clustering) -> DistanceOracle:
+    """Build a :class:`DistanceOracle` on a decomposition of ``graph``.
 
-    Parameters
-    ----------
-    tau:
-        Decomposition granularity; defaults to :func:`default_oracle_tau` so
-        the number of clusters is ``O(sqrt(n))`` and the APSP matrices stay
-        linear in the graph size.  Ignored when ``clustering`` is given.
-    use_cluster2:
-        Use CLUSTER2 (the variant with the Theorem 3 path-intersection
-        guarantee); CLUSTER alone still yields valid bounds, just without the
-        polylog approximation guarantee.  Ignored for weighted graphs (which
-        use CLUSTER, the §7 weighted decomposition) and when ``clustering``
-        is given.
-    clustering:
-        A precomputed decomposition to build on (e.g. from
-        :meth:`repro.core.pipeline.DecompositionPipeline.decompose`), instead
-        of re-running the decomposition here; it must be weighted exactly
-        when the graph is.
+    The oracle never decomposes: ``clustering`` comes from the one
+    decomposition path, :class:`~repro.core.pipeline.DecompositionPipeline`
+    (as :meth:`repro.serving.GraphService.build` runs it), or from any
+    decomposition the caller already holds.  It must be weighted exactly when
+    the graph is; :func:`default_oracle_tau` gives the granularity that keeps
+    the APSP matrices linear in the graph size.
     """
     n = graph.num_nodes
     if n == 0:
         raise ValueError("graph must be non-empty")
     weighted = graph.is_weighted
-    if clustering is not None:
-        if clustering.num_nodes != n:
-            raise ValueError("graph and clustering refer to different node sets")
-        if clustering.is_weighted != weighted:
-            raise ValueError(
-                "graph/clustering metric mismatch: a weighted graph needs a "
-                "weighted clustering and an unweighted graph an unweighted one"
-            )
-    else:
-        rng = as_rng(seed)
-        if tau is None:
-            tau = default_oracle_tau(n)
-        if use_cluster2 and not weighted:
-            clustering = cluster2(graph, tau, seed=rng).clustering
-        else:
-            clustering = cluster(graph, tau, seed=rng)
+    if clustering.num_nodes != n:
+        raise ValueError("graph and clustering refer to different node sets")
+    if clustering.is_weighted != weighted:
+        raise ValueError(
+            "graph/clustering metric mismatch: a weighted graph needs a "
+            "weighted clustering and an unweighted graph an unweighted one"
+        )
     # One build: the hop quotient is the weighted one's CSR without weights.
     upper_quotient = build_quotient_graph(graph, clustering, weighted=True)
     upper = quotient_apsp(upper_quotient)

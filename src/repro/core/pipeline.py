@@ -1,16 +1,21 @@
 """End-to-end decomposition pipeline: decompose → quotient → diameter bounds.
 
 Every consumer of the decomposition machinery — the diameter-approximation
-experiments (Tables 3/4, Figure 1), the MR-accounting drivers, and any future
-serving workload — runs the same three-stage chain:
+experiments (Tables 3/4, Figure 1), the MR-accounting drivers, and the
+serving plane (:meth:`repro.serving.GraphService.build` decomposes through
+this pipeline and hands the clustering to
+:func:`~repro.core.oracle.build_distance_oracle`) — runs the same chain:
 
 1. **decompose** the graph with a growth-engine algorithm (CLUSTER, CLUSTER2,
    MPX, or the single-batch baseline, selected by
    :attr:`PipelineConfig.method`),
 2. build the **quotient** graph of the decomposition once (the weighted
-   flavour; the unweighted one is its CSR without weights), and
+   flavour; the unweighted one is its CSR without weights),
 3. compute the **diameter bounds** ``∆_C ≤ ∆ ≤ ∆''`` of Section 4 — or, on a
-   weighted graph, the §7 weighted bounds.
+   weighted graph, the §7 weighted bounds — and
+4. optionally account for the run in the MR(M_G, M_L) model
+   (:meth:`DecompositionPipeline.mr_report`), checking the quotient-diameter
+   round against the given :class:`~repro.mapreduce.model.MRModel`.
 
 :class:`DecompositionPipeline` implements that chain once, with every
 intermediate result cached on the pipeline object so repeated or partial
@@ -72,27 +77,22 @@ class PipelineConfig:
     target_clusters:
         Tune the granularity (τ or β) so the decomposition lands near this
         cluster count instead of fixing it a priori (the §6 protocol).  At
-        most one of ``tau`` / ``target_clusters`` may be set.
-    beta:
-        Shift rate for ``method="mpx"`` (default ``0.1``) when
-        ``target_clusters`` is not given.
+        most one of ``tau`` / ``target_clusters`` may be set; ``"mpx"``
+        without a target runs at β = 0.1.
     seed:
         Randomness for the decomposition stage.
-    weighted_quotient:
-        Also compute the weighted quotient's diameter and report the tighter
-        ``∆''`` upper bound (the number used in Tables 3 and 4).
-    enforce_local_memory:
-        Enforce the Theorem 4 requirement that the quotient graph fits in one
-        reducer's local memory during MR accounting.
+
+    The diameter stage always reports the tighter ``∆''`` upper bound of the
+    weighted quotient (the number used in Tables 3 and 4), and MR accounting
+    always checks the quotient-diameter round against the engine's
+    :class:`~repro.mapreduce.model.MRModel` (Theorem 4: the quotient must fit
+    in one reducer's local memory).
     """
 
     method: str = "cluster"
     tau: Optional[int] = None
     target_clusters: Optional[int] = None
-    beta: Optional[float] = None
     seed: SeedLike = None
-    weighted_quotient: bool = True
-    enforce_local_memory: bool = False
 
     def __post_init__(self) -> None:
         if self.method not in PIPELINE_METHODS:
@@ -237,7 +237,7 @@ class DecompositionPipeline:
         if cfg.method == "mpx":
             if cfg.target_clusters is not None:
                 return mpx_with_target_clusters(self.graph, cfg.target_clusters, seed=rng)
-            return mpx_decomposition(self.graph, cfg.beta if cfg.beta is not None else 0.1, seed=rng)
+            return mpx_decomposition(self.graph, 0.1, seed=rng)
         if cfg.method == "single-batch":
             num_centers = cfg.target_clusters if cfg.target_clusters is not None else (
                 cfg.tau if cfg.tau is not None else default_tau(self.graph)
@@ -309,9 +309,7 @@ class DecompositionPipeline:
                 return self._estimate
             radius = clustering.max_radius
             lower = self.quotient_diameter(weighted=False)
-            weighted_diam: Optional[float] = None
-            if self.config.weighted_quotient:
-                weighted_diam = self.quotient_diameter(weighted=True)
+            weighted_diam = self.quotient_diameter(weighted=True)
             num_quotient_edges = self.quotient(weighted=False).num_edges
             # Sub-stages above record their own timings; "diameter" covers
             # only the bound assembly so the stage entries stay disjoint.
@@ -319,12 +317,9 @@ class DecompositionPipeline:
                 unweighted_upper, weighted_upper = diameter_upper_bounds(
                     lower, radius, weighted_diam
                 )
-                upper = (
-                    weighted_upper if weighted_upper is not None else float(unweighted_upper)
-                )
                 self._estimate = DiameterEstimate(
                     lower_bound=int(lower),
-                    upper_bound=upper,
+                    upper_bound=weighted_upper,
                     upper_bound_unweighted=unweighted_upper,
                     upper_bound_weighted=weighted_upper,
                     radius=radius,
@@ -369,7 +364,10 @@ class DecompositionPipeline:
         Charges the decomposition's growth trace (one round per growing step,
         Lemma 3) plus the quotient-build and quotient-diameter rounds against
         a charge-only :class:`~repro.mapreduce.engine.MREngine`; returns an
-        :class:`~repro.core.mr_algorithms.MRExecutionReport`.
+        :class:`~repro.core.mr_algorithms.MRExecutionReport`.  The
+        quotient-diameter round is checked against ``model`` (default: an
+        unbounded one, which never objects); the model's ``enforce`` decides
+        whether an oversized quotient raises or is recorded.
         """
         from repro.core.mr_algorithms import (
             MRExecutionReport,
@@ -383,12 +381,7 @@ class DecompositionPipeline:
         with _StageScope(self, "mr-accounting"):
             engine = MREngine(model=model if model is not None else MRModel(enforce=False))
             charge_clustering_rounds(engine, estimate.clustering)
-            charge_quotient_rounds(
-                engine,
-                self.graph,
-                num_quotient_edges=estimate.num_quotient_edges,
-                enforce_local_memory=self.config.enforce_local_memory,
-            )
+            charge_quotient_rounds(engine, self.graph, num_quotient_edges=estimate.num_quotient_edges)
         return MRExecutionReport(
             estimate=estimate,
             clustering=estimate.clustering,

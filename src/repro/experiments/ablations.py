@@ -22,7 +22,7 @@ behind CLUSTER:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.baselines.gonzalez import gonzalez_kcenter, random_centers_kcenter
 from repro.baselines.mpx import mpx_with_target_clusters
@@ -83,24 +83,22 @@ def run_tau_sweep(
     *,
     dataset: str = "mesh",
     scale: str = "default",
-    taus: Optional[Sequence[int]] = None,
     config: ExperimentConfig = DEFAULT_CONFIG,
 ) -> List[Dict]:
-    """A2: radius / cluster count as a function of τ (Lemma 1 scaling check)."""
+    """A2: radius / cluster count as a function of τ (Lemma 1 scaling check),
+    over τ = 1, 2, 4, …, 64."""
     graph = load_dataset(dataset, scale)
     diameter = reference_diameter(dataset, scale)
-    if taus is None:
-        taus = [1, 2, 4, 8, 16, 32, 64]
     rows: List[Dict] = []
     rng = as_rng(config.seed + TAU_SWEEP_OFFSET)
-    for tau in taus:
-        result = cluster(graph, int(tau), seed=rng)
+    for tau in (1, 2, 4, 8, 16, 32, 64):
+        result = cluster(graph, tau, seed=rng)
         # Lemma 1 predicts R_ALG = O(ceil(∆ / τ^(1/b)) log n) with b = 2 for the mesh.
         predicted = math.ceil(diameter / max(1.0, float(tau) ** 0.5))
         rows.append(
             {
                 "dataset": dataset,
-                "tau": int(tau),
+                "tau": tau,
                 "num_clusters": result.num_clusters,
                 "max_radius": result.max_radius,
                 "lemma1_scale_b2": predicted,
@@ -120,8 +118,8 @@ def cluster_vs_cluster2_row(
     tau = max(1, granularity_for(name, graph.num_nodes, config=config) // 8)
     plain = cluster(graph, tau, seed=rng)
     refined = cluster2(graph, tau, seed=rng, pilot=plain)
-    est_plain = estimate_diameter(graph, clustering=plain, weighted=True)
-    est_refined = estimate_diameter(graph, clustering=refined.clustering, weighted=True)
+    est_plain = estimate_diameter(graph, clustering=plain)
+    est_refined = estimate_diameter(graph, clustering=refined.clustering)
     return {
         "dataset": name,
         "tau": tau,
@@ -139,12 +137,12 @@ def cluster_vs_cluster2_row(
 def run_expander_path_example(
     *,
     num_nodes: int = 4096,
-    degree: int = 4,
     config: ExperimentConfig = DEFAULT_CONFIG,
 ) -> Dict:
-    """E6: the §3 expander+path example — CLUSTER(√n) radius ≪ diameter."""
+    """E6: the §3 expander+path example — CLUSTER(√n) radius ≪ diameter, on a
+    4-regular expander."""
     rng = as_rng(config.seed + EXPANDER_OFFSET)
-    graph = expander_with_path(num_nodes, degree=degree, seed=rng)
+    graph = expander_with_path(num_nodes, degree=4, seed=rng)
     # The paper's example uses τ = √n; at laptop scale we divide by log n so the
     # 8 τ log n stopping threshold of Algorithm 1 stays well below n.
     tau = max(1, math.isqrt(graph.num_nodes) // int(math.log2(graph.num_nodes)))
@@ -166,18 +164,13 @@ def run_expander_path_example(
 
 
 def kcenter_rows(
-    name: str,
-    *,
-    scale: str = "default",
-    k_values: Optional[Sequence[int]] = None,
-    config: ExperimentConfig = DEFAULT_CONFIG,
+    name: str, *, scale: str = "default", config: ExperimentConfig = DEFAULT_CONFIG
 ) -> List[Dict]:
-    """A4 for one dataset (the per-cell unit of the suite)."""
+    """A4 for one dataset at k = 16 and k = 64 (the per-cell unit of the suite)."""
     rng = dataset_rng(name, offset=KCENTER_OFFSET, config=config)
     graph = load_dataset(name, scale)
-    ks = list(k_values) if k_values is not None else [16, 64]
     rows: List[Dict] = []
-    for k in ks:
+    for k in (16, 64):
         ours = kcenter(graph, k, seed=rng)
         greedy = gonzalez_kcenter(graph, k, seed=rng)
         random_pick = random_centers_kcenter(graph, k, seed=rng)

@@ -195,13 +195,9 @@ DATASETS: Dict[str, DatasetSpec] = {
 }
 
 
-def dataset_names(regime: Optional[str] = None) -> List[str]:
-    """Names of the registered datasets, optionally filtered by regime."""
-    return [
-        name
-        for name, spec in DATASETS.items()
-        if regime is None or spec.regime == regime
-    ]
+def dataset_names() -> List[str]:
+    """Names of the registered datasets, in registry order."""
+    return list(DATASETS)
 
 
 def canonical_index(name: str) -> int:
@@ -222,6 +218,9 @@ def canonical_index(name: str) -> int:
 # ---------------------------------------------------------------------- #
 _CACHE = DatasetCache(directory=os.environ.get("REPRO_DATASET_CACHE"))
 
+#: Double sweeps behind a reference diameter (part of its cache key).
+_NUM_SWEEPS = 4
+
 
 def dataset_cache() -> DatasetCache:
     """The process-wide dataset cache behind :func:`load_dataset`."""
@@ -235,9 +234,10 @@ def configure_dataset_cache(directory=None) -> DatasetCache:
     return _CACHE
 
 
-def clear_dataset_cache(*, disk: bool = False) -> None:
-    """Drop all cached graphs/diameters (tests call this for isolation)."""
-    _CACHE.clear(disk=disk)
+def clear_dataset_cache() -> None:
+    """Drop the in-memory graphs/diameters (tests call this for isolation);
+    disk entries stay."""
+    _CACHE.clear()
 
 
 def load_dataset(name: str, scale: str = "default") -> CSRGraph:
@@ -252,13 +252,13 @@ def load_dataset(name: str, scale: str = "default") -> CSRGraph:
     return _CACHE.graph(name, scale, build)
 
 
-def reference_diameter(name: str, scale: str = "default", *, num_sweeps: int = 4) -> int:
+def reference_diameter(name: str, scale: str = "default") -> int:
     """Reference ("true") diameter of a benchmark graph.
 
     For the exact mesh the analytic value ``(rows - 1) + (cols - 1)`` is
     returned directly (the corner-to-corner distance of the grid).  All other
-    graphs use the best lower bound over ``num_sweeps`` double sweeps from
-    random starts; on road networks the double sweep is within a node or two
+    graphs use the best lower bound over four double sweeps from random
+    starts; on road networks the double sweep is within a node or two
     of exact, and the paper itself notes that its "true diameter" column comes
     from approximate-but-accurate algorithms.
     """
@@ -273,9 +273,9 @@ def reference_diameter(name: str, scale: str = "default", *, num_sweeps: int = 4
         graph = load_dataset(name, scale)
         rng = as_rng(1234)
         best = 0
-        for _ in range(num_sweeps):
+        for _ in range(_NUM_SWEEPS):
             lower, _, _ = double_sweep(graph, rng=rng)
             best = max(best, lower)
         return best
 
-    return _CACHE.diameter(name, scale, num_sweeps, compute)
+    return _CACHE.diameter(name, scale, _NUM_SWEEPS, compute)

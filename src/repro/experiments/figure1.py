@@ -14,7 +14,7 @@ decomposition absorbs the tail with a few extra clusters.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.baselines.bfs_diameter import mr_bfs_diameter
 from repro.core.mr_algorithms import mr_estimate_diameter
@@ -30,19 +30,14 @@ SEED_OFFSET = 5
 
 
 def figure1_rows(
-    name: str,
-    *,
-    scale: str = "default",
-    multipliers: Optional[Sequence[int]] = None,
-    config: ExperimentConfig = DEFAULT_CONFIG,
+    name: str, *, scale: str = "default", config: ExperimentConfig = DEFAULT_CONFIG
 ) -> List[Dict]:
-    """The Figure 1 series for one dataset (the per-cell unit of the suite)."""
+    """The Figure 1 series for one dataset over ``config.tail_multipliers``
+    (the per-cell unit of the suite)."""
     rng = dataset_rng(name, offset=SEED_OFFSET, config=config)
-    if multipliers is None:
-        multipliers = config.tail_multipliers
     base = load_dataset(name, scale)
     base_diameter = max(1, reference_diameter(name, scale))
-    family = tail_family(base, base_diameter, multipliers=multipliers, seed=rng)
+    family = tail_family(base, base_diameter, multipliers=config.tail_multipliers, seed=rng)
     target = granularity_for(name, base.num_nodes, coarse=False, config=config)
     rows: List[Dict] = []
     for c, graph in sorted(family.items()):

@@ -294,11 +294,7 @@ class DatasetCache:
         self._diameters[key] = value
         return value
 
-    def clear(self, *, disk: bool = False) -> None:
-        """Drop the in-memory layer; with ``disk=True`` also delete disk entries."""
+    def clear(self) -> None:
+        """Drop the in-memory layer (disk entries stay)."""
         self._graphs.clear()
         self._diameters.clear()
-        if disk and self._directory is not None and self._directory.is_dir():
-            for pattern in ("*.snap", "*.diameter.json"):
-                for path in self._directory.glob(pattern):
-                    path.unlink(missing_ok=True)

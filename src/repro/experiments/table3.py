@@ -34,7 +34,7 @@ def table3_row(
     row: Dict = {"dataset": name, "true_diameter": true_diameter}
     for label, coarse in (("coarse", True), ("fine", False)):
         target = granularity_for(name, graph.num_nodes, coarse=coarse, config=config)
-        estimate = estimate_diameter(graph, target_clusters=target, seed=rng, weighted=True)
+        estimate = estimate_diameter(graph, target_clusters=target, seed=rng)
         row[f"{label}_nC"] = estimate.num_clusters
         row[f"{label}_mC"] = estimate.num_quotient_edges
         row[f"{label}_lower"] = estimate.lower_bound

@@ -106,7 +106,7 @@ def rmat_to_snapshot(
 ) -> Tuple[CSRGraph, Path]:
     """Synthesize an R-MAT graph directly into an on-disk snapshot.
 
-    The streaming counterpart of ``rmat_graph(...)`` + ``graph.save(path)``
+    The streaming counterpart of ``rmat_graph(...)`` + ``save_snapshot(graph, path)``
     for unweighted graphs: edges are drawn in chunks
     (:func:`rmat_edge_chunks`) and scattered straight into the snapshot file,
     so peak memory is a few chunk-sized temporaries plus the O(n) degree

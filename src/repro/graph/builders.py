@@ -1,8 +1,8 @@
 """Graph construction helpers: edge manipulation, relabeling, composition.
 
 All composition helpers operate on the unified substrate: weighted inputs
-keep their edge weights (new edges carry an explicit default weight), so the
-composite generators' ``weights=`` option flows through ``add_path`` /
+keep their edge weights (new edges carry unit weight), so the composite
+generators' ``weights=`` option flows through ``add_path`` /
 ``connect_graphs`` / ``disjoint_union`` unchanged.
 """
 
@@ -70,16 +70,14 @@ def relabel_compact(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return inverse.reshape(-1, 2).astype(np.int64), original_ids
 
 
-def add_path(
-    graph: CSRGraph, length: int, attach_to: int, *, edge_weight: float = 1.0
-) -> CSRGraph:
+def add_path(graph: CSRGraph, length: int, attach_to: int) -> CSRGraph:
     """Append a simple path of ``length`` new nodes to node ``attach_to``.
 
     This reproduces the "tail" construction of the paper's third experiment
     (Figure 1): a chain of ``c * diameter`` extra nodes appended to a randomly
     chosen node, stretching the diameter without altering the base structure.
-    Weighted bases keep their edge weights; the new chain edges carry
-    ``edge_weight``.
+    Weighted bases keep their edge weights; the new chain edges carry unit
+    weight.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
@@ -95,7 +93,7 @@ def add_path(
     edges = np.concatenate([base_edges, chain_edges], axis=0)
     weights = None
     if base_weights is not None:
-        weights = np.concatenate([base_weights, np.full(length, float(edge_weight))])
+        weights = np.concatenate([base_weights, np.ones(length)])
     return CSRGraph.from_edges(edges, num_nodes=n + length, weights=weights)
 
 
@@ -133,18 +131,12 @@ def disjoint_union(graphs: Sequence[CSRGraph]) -> CSRGraph:
     return CSRGraph.from_edges(edges, num_nodes=offset, weights=weights)
 
 
-def connect_graphs(
-    first: CSRGraph,
-    second: CSRGraph,
-    bridges: Sequence[Tuple[int, int]],
-    *,
-    bridge_weight: float = 1.0,
-) -> CSRGraph:
+def connect_graphs(first: CSRGraph, second: CSRGraph, bridges: Sequence[Tuple[int, int]]) -> CSRGraph:
     """Union of two graphs plus ``bridges`` edges ``(u_in_first, v_in_second)``.
 
     Used by the composite generators (expander + path of the paper's Section 3
     example) to attach structures with controlled connectivity.  When both
-    inputs are weighted the bridges carry ``bridge_weight``.
+    inputs are weighted the bridges carry unit weight.
     """
     union = disjoint_union([first, second])
     if not bridges:
@@ -162,7 +154,5 @@ def connect_graphs(
     edges = np.concatenate([union_edges, bridge_edges], axis=0)
     weights = None
     if union_weights is not None:
-        weights = np.concatenate(
-            [union_weights, np.full(bridge_edges.shape[0], float(bridge_weight))]
-        )
+        weights = np.concatenate([union_weights, np.ones(bridge_edges.shape[0])])
     return CSRGraph.from_edges(edges, num_nodes=union.num_nodes, weights=weights)

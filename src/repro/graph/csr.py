@@ -10,19 +10,20 @@ edge-partitioned representation a MapReduce/Spark implementation would use.
 (hops or summed edge weights) for every algorithm in the library.
 Construction, validation (including the per-node sorted-``indices`` invariant
 that the binary-search lookups rely on, with weights permuted alongside),
-self-loop removal, duplicate folding (min weight wins), and IO live here.
+self-loop removal, and duplicate folding (min weight wins) live here.
 
 Nodes are integers ``0 .. n-1``.  Edges are stored twice (once per endpoint),
 self-loops and parallel edges are removed at construction time.
 
 The substrate is storage-agnostic: the arrays may live in RAM or be read-only
-``np.memmap`` views over an on-disk snapshot
-(:mod:`repro.graph.snapshot` — see :meth:`CSRGraph.load` /
-:meth:`CSRGraph.save`), distinguished by the :attr:`CSRGraph.mode` surface
-(``"in_memory"`` / ``"mmap"``).  Every kernel and consumer treats the arrays
-as read-only, so mmap-backed graphs flow through decomposition, the MR plane,
-and the oracle builder unchanged; anything that needs a private mutable copy
-must take one explicitly (copy-on-write stays the caller's choice).
+``np.memmap`` views over an on-disk snapshot (written and opened by
+:func:`~repro.graph.snapshot.save_snapshot` /
+:func:`~repro.graph.snapshot.load_snapshot`), distinguished by the
+:attr:`CSRGraph.mode` surface (``"in_memory"`` / ``"mmap"``).  Every kernel
+and consumer treats the arrays as read-only, so mmap-backed graphs flow
+through decomposition, the MR plane, and the oracle builder unchanged;
+anything that needs a private mutable copy must take one explicitly
+(copy-on-write stays the caller's choice).
 """
 
 from __future__ import annotations
@@ -207,27 +208,8 @@ class CSRGraph:
         return cls(indptr=np.zeros(num_nodes + 1, dtype=np.int64), indices=np.zeros(0, dtype=np.int64))
 
     # ------------------------------------------------------------------ #
-    # Snapshot IO (out-of-core storage surface)
+    # Storage
     # ------------------------------------------------------------------ #
-    @classmethod
-    def load(cls, path, *, mmap: bool = True, verify: bool = False) -> "CSRGraph":
-        """Open a graph snapshot written by :meth:`save` / the ingest plane.
-
-        With ``mmap=True`` (default) the CSR arrays are read-only
-        ``np.memmap`` views and the graph reports ``mode == "mmap"``; with
-        ``mmap=False`` they are materialized in RAM.  Weighted snapshots
-        come back with their ``weights`` array.
-        """
-        from repro.graph.snapshot import load_snapshot
-
-        return load_snapshot(path, mmap=mmap, verify=verify)
-
-    def save(self, path) -> "Path":  # noqa: F821 - forward ref to pathlib.Path
-        """Write this graph as an atomic on-disk snapshot; returns the path."""
-        from repro.graph.snapshot import save_snapshot
-
-        return save_snapshot(self, path)
-
     @property
     def mode(self) -> str:
         """``"mmap"`` when any CSR array is a view over an ``np.memmap``."""
@@ -358,16 +340,24 @@ class CSRGraph:
         """Induced subgraph on ``nodes`` (weights carried over when present).
 
         Returns ``(subgraph, mapping)`` where ``mapping[i]`` is the original
-        id of new node ``i``.
+        id of new node ``i``.  The kept rows are copied in node order without
+        their arcs to dropped nodes; relabelling preserves order, so every
+        row stays sorted and nothing is re-sorted.
         """
         keep = np.unique(check_node_batch(nodes, self.num_nodes))
-        new_id = -np.ones(self.num_nodes, dtype=np.int64)
+        new_id = np.full(self.num_nodes, -1, dtype=np.int64)
         new_id[keep] = np.arange(keep.size, dtype=np.int64)
-        src, dst, pos = kernels.gather_neighbors(self.indptr, self.indices, keep)
-        mask = new_id[dst] >= 0
-        edges = np.stack([new_id[src[mask]], new_id[dst[mask]]], axis=1)
-        sub_weights = None if self.weights is None else self.weights[pos[mask]]
-        return CSRGraph.from_edges(edges, num_nodes=keep.size, weights=sub_weights), keep
+        degrees = self.degrees[keep]
+        # _arc_positions needs a non-empty batch; an empty ``keep`` has no arcs.
+        positions = kernels._arc_positions(self.indptr, keep, degrees) if keep.size else keep
+        targets = new_id[self.indices[positions]]
+        inside = targets >= 0
+        # The new indptr counts the kept arcs before each row end.
+        kept = np.zeros(positions.size + 1, dtype=np.int64)
+        np.cumsum(inside, out=kept[1:])
+        indptr = kept[np.concatenate(([0], np.cumsum(degrees)))]
+        weights = None if self.weights is None else self.weights[positions[inside]]
+        return CSRGraph(indptr=indptr, indices=targets[inside], weights=weights), keep
 
     # ------------------------------------------------------------------ #
     # Dunder helpers

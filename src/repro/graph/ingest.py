@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.graph import kernels
 from repro.graph.csr import CSRGraph
-from repro.graph.snapshot import SnapshotWriter, load_snapshot
+from repro.graph.snapshot import SnapshotWriter, load_snapshot, save_snapshot
 
 PathLike = Union[str, os.PathLike]
 
@@ -431,7 +431,7 @@ def largest_component_snapshot(
     """
     labels = kernels.component_labels(graph.indptr, graph.indices)
     if labels.size == 0:
-        graph.save(path)  # the empty graph, weighted or not
+        save_snapshot(graph, path)  # the empty graph, weighted or not
         return load_snapshot(path, mmap=mmap), np.zeros(0, dtype=np.int64)
     sizes = np.bincount(labels)
     keep = labels == int(np.argmax(sizes))

@@ -5,7 +5,8 @@ datasets the paper evaluates on (``# comment`` lines, one ``u v`` pair per
 line, an optional weight column).  It round-trips the optional ``weights``
 array of the unified :class:`~repro.graph.csr.CSRGraph` core, so the
 weighted and unweighted graphs share one IO path; binary caching uses the
-snapshot format of :mod:`repro.graph.snapshot` (``CSRGraph.save`` / ``load``).
+snapshot format of :mod:`repro.graph.snapshot` (``save_snapshot`` /
+``load_snapshot``).
 
 Parsing is streaming at its core: :func:`iter_edge_list_chunks` reads a file
 in bounded line chunks and yields ``(edges, weights)`` arrays, which is what

@@ -431,7 +431,6 @@ def frontier_expansion(
     indices: np.ndarray,
     sources: np.ndarray,
     *,
-    max_depth: Optional[int] = None,
     degrees: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Level-synchronous multi-source BFS (direction-optimizing).
@@ -457,7 +456,7 @@ def frontier_expansion(
     frontier = sources
     level = 0
     optimizer = DirectionOptimizer(indptr, indices, distances, degrees=degrees, covered=sources)
-    while frontier.size and (max_depth is None or level < max_depth):
+    while frontier.size:
         new_nodes, parents = optimizer.expand(frontier)
         if new_nodes.size == 0:
             break

@@ -12,7 +12,7 @@ is the thin graph-object API over those kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -59,12 +59,7 @@ class BFSResult:
         return self.distances >= 0
 
 
-def multi_source_bfs(
-    graph: CSRGraph,
-    sources: Sequence[int],
-    *,
-    max_depth: Optional[int] = None,
-) -> BFSResult:
+def multi_source_bfs(graph: CSRGraph, sources: Sequence[int]) -> BFSResult:
     """Level-synchronous BFS from a set of sources.
 
     When multiple sources reach a node in the same round, the node is assigned
@@ -74,15 +69,15 @@ def multi_source_bfs(
     """
     source_array = np.unique(check_node_batch(sources, graph.num_nodes, "sources"))
     distances, owners, num_levels = kernels.frontier_expansion(
-        graph.indptr, graph.indices, source_array, max_depth=max_depth, degrees=graph.degrees
+        graph.indptr, graph.indices, source_array, degrees=graph.degrees
     )
     return BFSResult(distances=distances, sources=owners, num_levels=num_levels)
 
 
-def bfs_distances(graph: CSRGraph, source: int, *, max_depth: Optional[int] = None) -> np.ndarray:
+def bfs_distances(graph: CSRGraph, source: int) -> np.ndarray:
     """Shortest-path (hop) distances from ``source``; -1 for unreachable."""
     src = check_node_index(source, graph.num_nodes, "source")
-    return multi_source_bfs(graph, [src], max_depth=max_depth).distances
+    return multi_source_bfs(graph, [src]).distances
 
 
 def dijkstra(graph: CSRGraph, source: int) -> np.ndarray:
@@ -105,11 +100,11 @@ def _farthest(graph: CSRGraph, source: int):
     return farthest, distances[farthest]
 
 
-def double_sweep(graph: CSRGraph, start: Optional[int] = None, *, rng=None) -> Tuple[float, int, int]:
+def double_sweep(graph: CSRGraph, *, rng=None) -> Tuple[float, int, int]:
     """Double-sweep lower bound on the diameter (hops, or weighted on a weighted graph).
 
-    A shortest-path sweep from ``start`` (or a random node), then another
-    from the farthest node found.  Returns ``(lower_bound, endpoint_a,
+    A shortest-path sweep from a node drawn from ``rng`` (node 0 without
+    one), then another from the farthest node found.  Returns ``(lower_bound, endpoint_a,
     endpoint_b)``; the lower bound equals the eccentricity of ``endpoint_a``
     (an ``int`` in hops, a ``float`` on a weighted graph) and is frequently
     tight on real-world graphs.  This is the standard building block of
@@ -119,8 +114,7 @@ def double_sweep(graph: CSRGraph, start: Optional[int] = None, *, rng=None) -> T
     n = graph.num_nodes
     if n == 0:
         return (0.0 if graph.is_weighted else 0), -1, -1
-    if start is None:
-        start = int(rng.integers(0, n)) if rng is not None else 0
+    start = int(rng.integers(0, n)) if rng is not None else 0
     farthest, _ = _farthest(graph, start)
     other, lower = _farthest(graph, farthest)
     return (float(lower) if graph.is_weighted else int(lower)), farthest, other

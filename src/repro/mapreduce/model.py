@@ -49,25 +49,17 @@ class MRModel:
     violations: List[str] = field(default_factory=list)
 
     @classmethod
-    def for_graph(
-        cls,
-        num_nodes: int,
-        num_edges: int,
-        *,
-        local_exponent: float = 0.5,
-        slack: float = 8.0,
-        enforce: bool = True,
-    ) -> "MRModel":
+    def for_graph(cls, num_nodes: int, num_edges: int, *, enforce: bool = True) -> "MRModel":
         """Instantiate the model the paper assumes for a graph of given size.
 
         The paper requires linear global space, ``M_G = Θ(m)``, and local
-        space ``M_L = Θ(n^ε)`` for a constant ``ε`` (``local_exponent``).  The
-        ``slack`` constant absorbs the Θ's.
+        space ``M_L = Θ(n^ε)`` for a constant ``ε``; here ``ε = 1/2`` and a
+        slack factor of 8 absorbs the Θ's.
         """
         if num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
-        mg = int(slack * max(num_edges, num_nodes) * 2) + 16
-        ml = int(slack * (num_nodes ** local_exponent)) + 16
+        mg = int(8.0 * max(num_edges, num_nodes) * 2) + 16
+        ml = int(8.0 * (num_nodes**0.5)) + 16
         return cls(global_memory=mg, local_memory=ml, enforce=enforce)
 
     # ------------------------------------------------------------------ #

@@ -1,9 +1,12 @@
 """The :class:`GraphService`: one decomposition, millions of batched queries.
 
 Serving state is a handful of aligned arrays, all derived from a single
-decomposition run (shared with :class:`~repro.core.pipeline.DecompositionPipeline`
-— the service never re-clusters a graph an existing pipeline already
-decomposed):
+decomposition run: :meth:`GraphService.build` decomposes through
+:class:`~repro.core.pipeline.DecompositionPipeline`, the serving plane's one
+decomposition path.  A graph an existing pipeline already decomposed needs no
+second run: :func:`build_distance_oracle(graph, clustering)
+<repro.core.oracle.build_distance_oracle>` builds the oracle on that
+clustering.  The arrays are:
 
 * per-node: cluster ``assignment``, ``center_distance`` (float64), owned by
   the underlying :class:`~repro.core.oracle.DistanceOracle`;
@@ -119,16 +122,16 @@ class GraphService:
         tau: Optional[int] = None,
         seed=None,
         method: str = "auto",
-        clustering=None,
     ) -> "GraphService":
         """Run the full precompute once and return a ready-to-serve instance.
 
         The decomposition stage runs through a
-        :class:`~repro.core.pipeline.DecompositionPipeline` (so service and
-        pipeline share one implementation and one result); a precomputed
-        ``clustering`` — e.g. from an existing pipeline — skips it entirely.
-        ``seed`` must be an ``int`` or ``None`` if the service is to be
-        snapshotted (the snapshot content key covers graph + tau + seed).
+        :class:`~repro.core.pipeline.DecompositionPipeline`, the serving
+        plane's one decomposition path, and
+        :func:`~repro.core.oracle.build_distance_oracle` builds on its
+        clustering.  ``seed`` must be an ``int`` or ``None`` if the service
+        is to be snapshotted (the snapshot content key covers graph + tau +
+        seed).
         """
         if graph.num_nodes == 0:
             raise ValueError("graph must be non-empty")
@@ -139,15 +142,12 @@ class GraphService:
         stats_before = (
             kernels.kernel_stats_snapshot() if kernels.kernel_stats_enabled() else None
         )
-        if clustering is None:
-            pipeline = DecompositionPipeline(
-                graph, PipelineConfig(method=method, tau=tau, seed=seed)
-            )
-            clustering = pipeline.decompose()
-            graph = pipeline.graph  # method="weighted" lifts to unit weights
-            timings.update(pipeline.timings)
+        pipeline = DecompositionPipeline(graph, PipelineConfig(method=method, tau=tau, seed=seed))
+        clustering = pipeline.decompose()
+        graph = pipeline.graph  # method="weighted" lifts to unit weights
+        timings.update(pipeline.timings)
         start = time.perf_counter()
-        oracle = build_distance_oracle(graph, clustering=clustering)
+        oracle = build_distance_oracle(graph, clustering)
         timings["oracle"] = time.perf_counter() - start
         service = cls(graph, oracle, method=method, tau=tau, seed=seed, timings=timings)
         if stats_before is not None:

@@ -2,9 +2,10 @@
 
 A workload is a :class:`QueryLog` — three aligned arrays (query kind, ``u``,
 ``v``; ``v = -1`` for unary kinds) in arrival order.  Logs can be synthesized
-with a seeded kind mix (:func:`synthetic_workload`), round-tripped through a
-plain text file (:func:`save_query_log` / :func:`load_query_log`, one
-``<kind> <u> [<v>]`` line per query), and replayed against a
+as a seeded draw over :data:`DEFAULT_MIX` (:func:`synthetic_workload`),
+round-tripped through a plain text file (:func:`save_query_log` /
+:func:`load_query_log`, one ``<kind> <u> [<v>]`` line per query), and
+replayed against a
 :class:`~repro.serving.GraphService` in fixed-size batches
 (:func:`replay`).  The replay harness times every batch, reports latency
 percentiles and queries/sec, and folds every answer array into a SHA-256
@@ -19,7 +20,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -76,31 +77,18 @@ class QueryLog:
         return {name: int(totals[code]) for code, name in enumerate(QUERY_KINDS)}
 
 
-def synthetic_workload(
-    num_nodes: int,
-    num_queries: int,
-    *,
-    mix: Optional[Dict[str, float]] = None,
-    seed: SeedLike = None,
-) -> QueryLog:
+def synthetic_workload(num_nodes: int, num_queries: int, *, seed: SeedLike = None) -> QueryLog:
     """A seeded mixed workload of ``num_queries`` over ``num_nodes`` ids.
 
-    ``mix`` maps kind names to non-negative sampling weights (normalized
-    internally; defaults to :data:`DEFAULT_MIX`).  Endpoints are uniform over
-    the node set, so the workload exercises same-cluster, cross-cluster, and
-    ``u == v`` pairs alike.
+    Kinds are drawn with the weights of :data:`DEFAULT_MIX`.  Endpoints are
+    uniform over the node set, so the workload exercises same-cluster,
+    cross-cluster, and ``u == v`` pairs alike.
     """
     if num_nodes <= 0:
         raise ValueError("num_nodes must be positive")
     if num_queries < 0:
         raise ValueError("num_queries must be non-negative")
-    mix = dict(DEFAULT_MIX if mix is None else mix)
-    unknown = set(mix) - set(QUERY_KINDS)
-    if unknown:
-        raise ValueError(f"unknown query kinds in mix: {sorted(unknown)}")
-    weights = np.asarray([max(0.0, float(mix.get(name, 0.0))) for name in QUERY_KINDS])
-    if weights.sum() <= 0:
-        raise ValueError("mix must give positive weight to at least one kind")
+    weights = np.asarray([DEFAULT_MIX[name] for name in QUERY_KINDS])
     rng = as_rng(seed)
     kinds = rng.choice(len(QUERY_KINDS), size=num_queries, p=weights / weights.sum())
     kinds = kinds.astype(np.int8)

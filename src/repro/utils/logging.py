@@ -19,10 +19,11 @@ def get_logger(name: str) -> logging.Logger:
     return logging.getLogger(f"{_LOGGER_PREFIX}.{name}")
 
 
-def enable_verbose(level: int = logging.INFO) -> None:
-    """Attach a stream handler to the ``repro`` logger (idempotent)."""
+def enable_verbose() -> None:
+    """Log INFO and above through a stream handler on the ``repro`` logger
+    (idempotent)."""
     logger = logging.getLogger(_LOGGER_PREFIX)
-    logger.setLevel(level)
+    logger.setLevel(logging.INFO)
     if not any(isinstance(h, logging.StreamHandler) for h in logger.handlers):
         handler = logging.StreamHandler()
         handler.setFormatter(

@@ -21,9 +21,9 @@ class TestTables:
         assert "a" in text and "b" in text
         assert "10" in text
 
-    def test_render_table_explicit_columns(self):
-        text = render_table([{"x": 1, "y": 2}], columns=["y"])
-        assert "x" not in text.splitlines()[0]
+    def test_render_table_column_order(self):
+        text = render_table([{"x": 1}, {"y": 2, "x": 3}])
+        assert text.splitlines()[0].split() == ["x", "|", "y"]
 
     def test_render_csv(self):
         text = render_csv([{"a": 1, "b": "z"}])

@@ -15,7 +15,7 @@ from repro.graph.traversal import bfs_distances, double_sweep
 
 class TestBFSDiameter:
     def test_exact_on_path(self):
-        result = mr_bfs_diameter(path_graph(40), start=20)
+        result = mr_bfs_diameter(path_graph(40), seed=0)
         assert result.estimate == 39
         assert result.lower_bound <= 39 <= result.upper_bound
 
@@ -30,17 +30,19 @@ class TestBFSDiameter:
             mr_bfs_diameter(CSRGraph.empty(0))
 
     def test_mr_variant_matches_estimate(self, mesh20):
-        # The metered double sweep answers what the in-memory one does.
-        lower, farthest, _ = double_sweep(mesh20, start=0)
-        metered = mr_bfs_diameter(mesh20, start=0)
+        # The metered double sweep answers what the in-memory one does: both
+        # draw their start from the same seeded stream.
+        start = int(np.random.default_rng(0).integers(0, mesh20.num_nodes))
+        lower, farthest, _ = double_sweep(mesh20, rng=np.random.default_rng(0))
+        metered = mr_bfs_diameter(mesh20, seed=0)
         assert metered.estimate == metered.lower_bound == lower
-        assert metered.upper_bound == 2 * bfs_distances(mesh20, 0).max()
-        assert metered.num_levels == bfs_distances(mesh20, 0).max() + bfs_distances(mesh20, farthest).max()
+        assert metered.upper_bound == 2 * bfs_distances(mesh20, start).max()
+        assert metered.num_levels == bfs_distances(mesh20, start).max() + bfs_distances(mesh20, farthest).max()
 
     def test_mr_rounds_theta_diameter(self):
         """BFS needs Θ(∆) rounds: on a path of length L the two sweeps cost ~2L."""
         graph = path_graph(100)
-        result = mr_bfs_diameter(graph, start=50)
+        result = mr_bfs_diameter(graph, seed=0)
         assert result.metrics.rounds >= 99
         assert result.metrics.rounds <= 2 * 99 + 4
 

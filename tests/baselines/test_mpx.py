@@ -71,9 +71,7 @@ class TestMPXTargeting:
 
     def test_at_least_target_bias(self, road_graph):
         target = 25
-        result = mpx_with_target_clusters(
-            road_graph, target, seed=7, require_at_least_target=True, max_trials=20
-        )
+        result = mpx_with_target_clusters(road_graph, target, seed=7, require_at_least_target=True)
         # The paper's protocol gives MPX at least as many clusters as requested.
         assert result.num_clusters >= 0.65 * target
 
@@ -100,5 +98,5 @@ class TestPaperComparison:
         target = max(10, graph.num_nodes // 20)
         ours = cluster_with_target_clusters(graph, target, seed=9)
         mpx = mpx_with_target_clusters(graph, max(target, ours.num_clusters), seed=9,
-                                       require_at_least_target=True, max_trials=20)
+                                       require_at_least_target=True)
         assert ours.max_radius <= mpx.max_radius + 1

@@ -109,7 +109,7 @@ def generate() -> dict:
         wgraph = attach_weights(graph, "uniform", low=1.0, high=5.0, seed=np.random.default_rng(2))
         record["weighted-cluster"] = weighted_record(cluster(wgraph, 1, seed=9))
         if name != "two-meshes":  # diameter estimation assumes a connected graph
-            estimate = estimate_diameter(graph, tau=1, seed=21, weighted=True)
+            estimate = estimate_diameter(graph, tau=1, seed=21)
             record["diameter"] = {
                 "clustering": clustering_record(estimate.clustering),
                 "lower_bound": int(estimate.lower_bound),

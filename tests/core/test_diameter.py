@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.cluster import cluster
 from repro.core.diameter import default_tau, diameter_upper_bounds, estimate_diameter
+from repro.core.pipeline import DecompositionPipeline, PipelineConfig
 from repro.generators import (
     barabasi_albert_graph,
     cycle_graph,
@@ -33,7 +34,7 @@ class TestBoundsSandwich:
     def test_sandwich(self, graph_builder, name, seed):
         graph = graph_builder()
         true_diameter = exact_diameter(graph)
-        estimate = estimate_diameter(graph, tau=2, seed=seed, weighted=True)
+        estimate = estimate_diameter(graph, tau=2, seed=seed)
         assert estimate.lower_bound <= true_diameter, name
         assert estimate.upper_bound >= true_diameter, name
         assert estimate.upper_bound_weighted <= estimate.upper_bound_unweighted + 1e-9, name
@@ -41,15 +42,15 @@ class TestBoundsSandwich:
 
     def test_sandwich_with_cluster2(self, mesh20):
         true_diameter = exact_diameter(mesh20)
-        estimate = estimate_diameter(mesh20, tau=2, seed=5, use_cluster2=True)
+        estimate = DecompositionPipeline(mesh20, PipelineConfig(method="cluster2", tau=2, seed=5)).diameter()
         assert estimate.lower_bound <= true_diameter <= estimate.upper_bound
 
-    def test_unweighted_only(self, mesh20):
+    def test_both_upper_bounds_reported(self, mesh20):
+        """An unweighted graph always gets ∆'' as its estimate, beside ∆'."""
         true_diameter = exact_diameter(mesh20)
-        estimate = estimate_diameter(mesh20, tau=2, seed=6, weighted=False)
-        assert estimate.upper_bound_weighted is None
-        assert estimate.upper_bound == estimate.upper_bound_unweighted
-        assert estimate.lower_bound <= true_diameter <= estimate.upper_bound
+        estimate = estimate_diameter(mesh20, tau=2, seed=6)
+        assert estimate.upper_bound == estimate.upper_bound_weighted
+        assert true_diameter <= estimate.upper_bound_weighted <= estimate.upper_bound_unweighted
 
 
 class TestApproximationQuality:
@@ -87,7 +88,6 @@ class TestParameterHandling:
     def test_default_tau_positive(self, mesh20, ba_graph):
         assert default_tau(mesh20) >= 1
         assert default_tau(ba_graph) >= 1
-        assert default_tau(ba_graph, local_memory=10_000) >= 1
 
     def test_default_tau_used_when_nothing_given(self, mesh8):
         estimate = estimate_diameter(mesh8, seed=12)
@@ -97,8 +97,6 @@ class TestParameterHandling:
         unweighted, weighted = diameter_upper_bounds(5, 3, 12.0)
         assert unweighted == 2 * 3 * 6 + 5
         assert weighted == 2 * 3 + 12.0
-        _, none_weighted = diameter_upper_bounds(5, 3, None)
-        assert none_weighted is None
 
 
 class TestQuotientSizeReporting:

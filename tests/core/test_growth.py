@@ -86,13 +86,6 @@ class TestGrowStep:
         assert growth.newly_covered_since_mark >= 200
         assert steps >= 1
 
-    def test_grow_until_max_steps(self, mesh20):
-        growth = GrowthEngine(mesh20)
-        growth.mark()
-        growth.add_centers([0])
-        steps = growth.grow_until(10_000, max_steps=3)
-        assert steps == 3
-
     def test_grow_steps_exact_count(self, mesh20):
         growth = GrowthEngine(mesh20)
         growth.add_centers([0])

@@ -83,8 +83,9 @@ class TestKCenter:
         assert result.radius < disconnected_graph.num_nodes
 
     def test_explicit_tau(self, mesh20):
-        result = kcenter(mesh20, 12, seed=5, tau=2)
-        assert result.k <= 12
+        """CLUSTER at a chosen τ, merged down to k, keeps at most k centers."""
+        centers = merge_clusters_to_k(mesh20, cluster(mesh20, 2, seed=5), 12, seed=5)
+        assert evaluate_centers(mesh20, centers).k <= 12
 
     def test_deterministic(self, mesh20):
         a = kcenter(mesh20, 10, seed=6)
@@ -114,9 +115,9 @@ class TestMergeClusters:
 
 class TestBaselines:
     def test_gonzalez_two_approximation_property(self, mesh20):
-        """Gonzalez radius decreases (weakly) in k and is non-trivial."""
-        r_small = gonzalez_kcenter(mesh20, 2, seed=10, first_center=0).radius
-        r_large = gonzalez_kcenter(mesh20, 16, seed=10, first_center=0).radius
+        """Gonzalez radius decreases (weakly) in k from the same (seeded) first center."""
+        r_small = gonzalez_kcenter(mesh20, 2, seed=10).radius
+        r_large = gonzalez_kcenter(mesh20, 16, seed=10).radius
         assert r_large <= r_small
 
     def test_gonzalez_k_equals_n(self, mesh8):

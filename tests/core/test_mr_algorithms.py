@@ -11,6 +11,7 @@ from repro.core.mr_algorithms import (
     charge_quotient_rounds,
     mr_estimate_diameter,
 )
+from repro.core.pipeline import DecompositionPipeline, PipelineConfig
 from repro.generators import mesh_graph, path_graph
 from repro.graph.builders import add_path
 from repro.graph.diameter_exact import exact_diameter
@@ -85,14 +86,34 @@ class TestMREstimateDiameter:
         assert ours_growth < bfs_growth / 2
 
     def test_cluster2_variant(self, mesh20):
-        report = mr_estimate_diameter(mesh20, tau=2, seed=6, use_cluster2=True)
+        report = DecompositionPipeline(mesh20, PipelineConfig(method="cluster2", tau=2, seed=6)).mr_report()
         assert report.estimate.lower_bound <= exact_diameter(mesh20) <= report.estimate.upper_bound
 
     def test_local_memory_enforcement_optional(self, mesh20):
-        model = MRModel(local_memory=8, enforce=True)
-        # With enforcement disabled for the quotient stage the run completes.
-        report = mr_estimate_diameter(
-            mesh20, tau=2, seed=7, model=MRModel(local_memory=8, enforce=False)
-        )
+        """A recording model lets the run complete and notes the oversized quotient."""
+        model = MRModel(local_memory=8, enforce=False)
+        report = mr_estimate_diameter(mesh20, tau=2, seed=7, model=model)
         assert report.rounds > 0
-        _ = model
+        assert len(model.violations) == 1
+
+
+class TestQuotientMemoryCheck:
+    """Theorem 4: the quotient-diameter round runs on one reducer, so the
+    quotient must fit in M_L; the model's ``enforce`` picks raise or record."""
+
+    def test_recorded_by_a_recording_model(self):
+        graph = mesh_graph(60, 60)
+        model = MRModel.for_graph(graph.num_nodes, graph.num_edges, enforce=False)
+        mr_estimate_diameter(graph, tau=16, seed=0, model=model)
+        assert model.violations == ["reducer received 7928 pairs, exceeding M_L=496"]
+
+    def test_raised_by_an_enforcing_model(self):
+        graph = mesh_graph(60, 60)
+        model = MRModel.for_graph(graph.num_nodes, graph.num_edges)
+        with pytest.raises(MRConstraintViolation, match="reducer received 7928 pairs"):
+            mr_estimate_diameter(graph, tau=16, seed=0, model=model)
+
+    def test_silent_on_the_default_model(self, mesh20):
+        engine = MREngine()
+        charge_quotient_rounds(engine, mesh20, num_quotient_edges=10**6)
+        assert engine.model.violations == []

@@ -1,4 +1,10 @@
-"""Unit tests for the approximate distance oracle."""
+"""Unit tests for the approximate distance oracle.
+
+The oracle builds on a given decomposition.  Most tests build it on CLUSTER2
+at :func:`default_oracle_tau` (the serving plane's choice for unweighted
+graphs); the weighted ones take the oracle of
+:meth:`~repro.serving.GraphService.build`, which decomposes with CLUSTER.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.cluster import cluster
 from repro.core.cluster2 import cluster2
 from repro.core.oracle import build_distance_oracle, default_oracle_tau
 from repro.generators import (
@@ -19,6 +26,7 @@ from repro.generators import (
 )
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import bfs_distances, dijkstra
+from repro.serving import GraphService
 from repro.utils.validation import check_node_batch
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "oracle_queries.json"
@@ -33,6 +41,12 @@ GOLDEN_GRAPHS = {
 }
 
 
+def cluster2_oracle(graph, seed, tau=None):
+    """The oracle on a seeded CLUSTER2 run, by default at the oracle's τ."""
+    tau = default_oracle_tau(graph.num_nodes) if tau is None else tau
+    return build_distance_oracle(graph, cluster2(graph, tau, seed=seed).clustering)
+
+
 class TestOracleBounds:
     @pytest.mark.parametrize(
         "graph_builder",
@@ -44,7 +58,7 @@ class TestOracleBounds:
     )
     def test_lower_true_upper_sandwich(self, graph_builder):
         graph = graph_builder()
-        oracle = build_distance_oracle(graph, seed=0)
+        oracle = cluster2_oracle(graph, 0)
         rng = np.random.default_rng(0)
         sources = rng.choice(graph.num_nodes, size=5, replace=False)
         for s in sources:
@@ -55,34 +69,36 @@ class TestOracleBounds:
                 assert lower <= true_dist[t] <= upper
 
     def test_same_node_zero(self, mesh20):
-        oracle = build_distance_oracle(mesh20, seed=1)
+        oracle = cluster2_oracle(mesh20, 1)
         assert oracle.query(7, 7) == (0.0, 0.0)
 
     def test_out_of_range_rejected(self, mesh8):
-        oracle = build_distance_oracle(mesh8, seed=3)
+        oracle = cluster2_oracle(mesh8, 3)
         with pytest.raises(IndexError):
             oracle.query(0, 999)
 
 
 class TestOracleConstruction:
     def test_cluster_variant(self, mesh20):
-        oracle = build_distance_oracle(mesh20, seed=4, use_cluster2=False)
+        """CLUSTER alone still yields valid bounds (without CLUSTER2's guarantee)."""
+        oracle = build_distance_oracle(mesh20, cluster(mesh20, default_oracle_tau(mesh20.num_nodes), seed=4))
         lower, upper = oracle.query(0, 399)
         assert lower <= 38 <= upper
 
     def test_explicit_tau(self, mesh20):
-        oracle = build_distance_oracle(mesh20, seed=5, tau=2)
+        oracle = cluster2_oracle(mesh20, 5, tau=2)
         assert oracle.num_clusters >= 1
 
     def test_space_is_subquadratic(self, mesh20):
         """The oracle must use far less space than the full distance matrix."""
-        oracle = build_distance_oracle(mesh20, seed=6)
+        oracle = cluster2_oracle(mesh20, 6)
         n = mesh20.num_nodes
         assert oracle.space_entries < n * n / 2
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            build_distance_oracle(CSRGraph.empty(0))
+        empty = CSRGraph.empty(0)
+        with pytest.raises(ValueError, match="non-empty"):
+            build_distance_oracle(empty, cluster(empty, 1, seed=0))
 
     def test_default_tau_formula(self):
         assert default_oracle_tau(1) == 1
@@ -91,28 +107,28 @@ class TestOracleConstruction:
 
     def test_precomputed_clustering_used_verbatim(self, mesh20):
         clustering = cluster2(mesh20, 4, seed=9).clustering
-        oracle = build_distance_oracle(mesh20, clustering=clustering)
+        oracle = build_distance_oracle(mesh20, clustering)
         assert oracle.clustering is clustering
-        fresh = build_distance_oracle(mesh20, tau=4, seed=9)
+        fresh = GraphService.build(mesh20, tau=4, seed=9).oracle
         assert np.array_equal(oracle.upper_matrix, fresh.upper_matrix)
         assert np.array_equal(oracle.lower_matrix, fresh.lower_matrix)
 
     def test_clustering_node_mismatch_rejected(self, mesh8, mesh20):
         clustering = cluster2(mesh20, 4, seed=9).clustering
         with pytest.raises(ValueError, match="different node sets"):
-            build_distance_oracle(mesh8, clustering=clustering)
+            build_distance_oracle(mesh8, clustering)
 
     def test_clustering_metric_mismatch_rejected(self, mesh8):
         hop_clustering = cluster2(mesh8, 2, seed=0).clustering
         weighted = attach_weights(mesh8, "uniform", seed=0)
         with pytest.raises(ValueError, match="metric mismatch"):
-            build_distance_oracle(weighted, clustering=hop_clustering)
+            build_distance_oracle(weighted, hop_clustering)
 
 
 class TestQueryBatch:
     @pytest.fixture(scope="class")
     def oracle(self):
-        return build_distance_oracle(mesh_graph(15, 15), seed=0)
+        return cluster2_oracle(mesh_graph(15, 15), 0)
 
     def test_batched_equals_scalar(self, oracle):
         n = oracle.num_nodes
@@ -164,7 +180,7 @@ class TestWeightedOracle:
     @pytest.fixture(scope="class")
     def weighted_oracle(self):
         graph = attach_weights(mesh_graph(12, 12), "uniform", seed=3)
-        return build_distance_oracle(graph, seed=5)
+        return GraphService.build(graph, seed=5).oracle
 
     def test_is_weighted(self, weighted_oracle):
         assert weighted_oracle.is_weighted
@@ -199,7 +215,7 @@ class TestFrozenReference:
     @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
     def test_scalar_queries_bit_identical(self, golden, name):
         payload = golden[name]
-        oracle = build_distance_oracle(GOLDEN_GRAPHS[name](), seed=payload["seed"])
+        oracle = cluster2_oracle(GOLDEN_GRAPHS[name](), payload["seed"])
         assert oracle.num_clusters == payload["num_clusters"]
         assert oracle.space_entries == payload["space_entries"]
         for u, v, lower, upper in payload["queries"]:
@@ -208,7 +224,7 @@ class TestFrozenReference:
     @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
     def test_batched_queries_bit_identical(self, golden, name):
         payload = golden[name]
-        oracle = build_distance_oracle(GOLDEN_GRAPHS[name](), seed=payload["seed"])
+        oracle = cluster2_oracle(GOLDEN_GRAPHS[name](), payload["seed"])
         queries = np.asarray(payload["queries"], dtype=np.float64)
         us = queries[:, 0].astype(np.int64)
         vs = queries[:, 1].astype(np.int64)

@@ -503,6 +503,6 @@ class TestOneBuildPerClustering:
         graph, _ = largest_component(road_network_graph(20, 20, seed=1, weights=weights))
         calls = []
         monkeypatch.setattr(oracle, "build_quotient_graph", _counting(calls))
-        built = build_distance_oracle(graph, seed=0)
+        built = build_distance_oracle(graph, cluster(graph, 4, seed=0))
         assert len(calls) == 1
         assert np.array_equal(np.isfinite(built.lower_matrix), np.isfinite(built.upper_matrix))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.oracle import build_distance_oracle
 from repro.core.pipeline import DecompositionPipeline, PipelineConfig
 from repro.experiments.datasets import (
     configure_dataset_cache,
@@ -32,6 +31,7 @@ from repro.experiments.scale import (
 from repro.experiments.suite import SuiteRunner, deterministic_view
 from repro.graph.snapshot import save_snapshot, load_snapshot
 from repro.mapreduce import ArrayPairs, MREngine
+from repro.serving import GraphService
 
 
 def _snapshot_pair(tmp_path, name):
@@ -68,7 +68,7 @@ class TestMmapBitIdentity:
     @pytest.mark.parametrize("name", dataset_names())
     def test_oracle(self, tmp_path, name):
         graph, mapped = _snapshot_pair(tmp_path, name)
-        oracles = [build_distance_oracle(candidate, seed=5) for candidate in (graph, mapped)]
+        oracles = [GraphService.build(candidate, seed=5).oracle for candidate in (graph, mapped)]
         assert np.array_equal(oracles[0].upper_matrix, oracles[1].upper_matrix)
         assert np.array_equal(oracles[0].lower_matrix, oracles[1].lower_matrix)
         assert np.array_equal(oracles[0].assignment, oracles[1].assignment)

@@ -195,11 +195,8 @@ class TestDatasetCache:
         a = load_dataset("mesh", "small")
         clear_dataset_cache()
         b = load_dataset("mesh", "small")  # reloaded from disk: equal, new object
-        assert b is not a
-        clear_dataset_cache(disk=True)
-        assert not list((tmp_path / "cache").glob("*.snap"))
-        assert not list((tmp_path / "cache").glob("*.npz"))
-        assert not list((tmp_path / "cache").glob("*.diameter.json"))
+        assert b is not a and b == a
+        assert [path.name for path in (tmp_path / "cache").glob("*.snap")] == ["mesh@small.snap"]
 
     def test_version_1_entry_is_rebuilt(self, tmp_path):
         # The cache loads with verify=True: a snapshot in the retired

@@ -45,9 +45,9 @@ class TestRoundTrip:
         loaded = load_snapshot(path)
         assert loaded.num_nodes == 3 and loaded.num_edges == 0
 
-    def test_csr_graph_save_load_methods(self, tmp_path, tiny_graph):
-        path = tiny_graph.save(tmp_path / "tiny.snap")
-        loaded = CSRGraph.load(path)
+    def test_default_load_is_mmap(self, tmp_path, tiny_graph):
+        path = save_snapshot(tiny_graph, tmp_path / "tiny.snap")
+        loaded = load_snapshot(path)
         assert loaded == tiny_graph and loaded.mode == "mmap"
 
     def test_mmap_views_are_readonly(self, tmp_path, tiny_graph):

@@ -149,21 +149,6 @@ class TestDirectionEquivalence:
             assert np.array_equal(push_owner, owner), (name, direction)
             assert levels == push_levels, (name, direction)
 
-    def test_pull_respects_max_depth(self):
-        graph = mesh_graph(9, 9)
-        sources = np.asarray([0], dtype=np.int64)
-        runs = {}
-        for direction in ("push", "pull"):
-            with forced_direction(direction):
-                runs[direction] = kernels.frontier_expansion(
-                    graph.indptr, graph.indices, sources, max_depth=4
-                )
-        push_dist, push_owner, push_levels = runs["push"]
-        pull_dist, pull_owner, pull_levels = runs["pull"]
-        assert push_levels == pull_levels == 4 and push_dist.max() == 4
-        assert np.array_equal(push_dist, pull_dist)
-        assert np.array_equal(push_owner, pull_owner)
-
     def test_empty_sources(self):
         graph = mesh_graph(4, 4)
         empty = np.zeros(0, dtype=np.int64)

@@ -102,13 +102,6 @@ class TestFrontierExpansion:
         assert np.array_equal(owners, result.sources)
         assert levels == result.num_levels
 
-    def test_max_depth(self, mesh):
-        dist, _, levels = kernels.frontier_expansion(
-            mesh.indptr, mesh.indices, np.asarray([0], dtype=np.int64), max_depth=2
-        )
-        assert levels == 2
-        assert int(dist.max()) == 2
-
     def test_no_sources(self, mesh):
         dist, owners, levels = kernels.frontier_expansion(
             mesh.indptr, mesh.indices, np.zeros(0, dtype=np.int64)

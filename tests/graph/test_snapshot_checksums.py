@@ -129,17 +129,6 @@ class TestV1Compat:
             read_snapshot_header(path)
 
 
-class TestCSRGraphVerifyPassthrough:
-    def test_load_verify_kwarg(self, tmp_path, tiny_graph):
-        path = tmp_path / "g.snap"
-        tiny_graph.save(path)
-        loaded = CSRGraph.load(path, verify=True)
-        assert np.array_equal(np.asarray(loaded.indices), np.asarray(tiny_graph.indices))
-        flip_payload_byte(path, extra_offset=3)
-        with pytest.raises(ValueError):
-            CSRGraph.load(path, verify=True)
-
-
 class TestWeightedTrailer:
     def test_weighted_roundtrip_verified(self, tmp_path):
         

@@ -43,11 +43,6 @@ class TestSingleSourceBFS:
         assert np.any(dist == UNREACHED)
         assert dist[0] == 0
 
-    def test_max_depth_truncates(self, path10):
-        dist = bfs_distances(path10, 0, max_depth=3)
-        assert dist[3] == 3
-        assert dist[4] == UNREACHED
-
     def test_source_out_of_range(self, path10):
         with pytest.raises(IndexError):
             bfs_distances(path10, 99)
@@ -105,7 +100,7 @@ class TestEccentricityAndDoubleSweep:
         assert bfs_distances(path10, 5).max() == 5
 
     def test_double_sweep_exact_on_path(self, path10):
-        lower, a, b = double_sweep(path10, start=4)
+        lower, a, b = double_sweep(path10)  # starts at node 0 without an rng
         assert lower == 9
         assert {a, b} == {0, 9}
 
@@ -113,7 +108,7 @@ class TestEccentricityAndDoubleSweep:
         import networkx as nx
 
         true_diameter = nx.diameter(to_networkx(ba_graph))
-        lower, _, _ = double_sweep(ba_graph, start=0)
+        lower, _, _ = double_sweep(ba_graph)
         assert lower <= true_diameter
 
     def test_double_sweep_with_rng(self, mesh8):

@@ -74,7 +74,7 @@ class TestDiameterProperties:
     def test_diameter_sandwich(self, graph, tau, seed):
         """∆_C <= ∆ <= ∆'' <= ∆' for every decomposition of every graph."""
         true_diameter = all_pairs_diameter(graph)
-        estimate = estimate_diameter(graph, tau=tau, seed=seed, weighted=True)
+        estimate = estimate_diameter(graph, tau=tau, seed=seed)
         assert estimate.lower_bound <= true_diameter
         assert estimate.upper_bound >= true_diameter
         assert estimate.upper_bound_weighted <= estimate.upper_bound_unweighted + 1e-9

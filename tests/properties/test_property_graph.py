@@ -100,6 +100,41 @@ class TestCSRProperties:
         assert np.array_equal(np.sort(once, axis=0), np.sort(twice, axis=0))
 
 
+    @given(
+        edge_lists(),
+        st.lists(st.integers(min_value=0, max_value=MAX_NODES - 1), max_size=2 * MAX_NODES),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_subgraph_matches_edge_list_rebuild(self, data, picks, weighted, seed):
+        """The row-copying subgraph equals the induced edge list folded
+        through ``from_edges`` (node picks may repeat, and nodes may be
+        isolated or dropped entirely)."""
+        n, edges = data
+        edge_array = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        weights = np.random.default_rng(seed).uniform(0.5, 4.0, size=len(edges)) if weighted else None
+        graph = CSRGraph.from_edges(edge_array, num_nodes=n, weights=weights)
+        nodes = [p % n for p in picks]
+        sub, mapping = graph.subgraph(nodes)
+        keep = np.unique(np.asarray(nodes, dtype=np.int64))
+        new_id = np.full(n, -1, dtype=np.int64)
+        new_id[keep] = np.arange(keep.size)
+        induced, induced_weights = graph.edge_list()
+        inside = (new_id[induced[:, 0]] >= 0) & (new_id[induced[:, 1]] >= 0)
+        reference = CSRGraph.from_edges(
+            new_id[induced[inside]],
+            num_nodes=keep.size,
+            weights=None if induced_weights is None else induced_weights[inside],
+        )
+        assert np.array_equal(mapping, keep)
+        assert sub == reference
+        assert sub.indptr.dtype == sub.indices.dtype == np.int64
+        assert sub.is_weighted == weighted
+        if weighted:
+            assert sub.weights.dtype == np.float64
+
+
 # ---------------------------------------------------------------------------
 # BFS / components against networkx
 # ---------------------------------------------------------------------------

@@ -74,31 +74,30 @@ class TestBuild:
         assert "oracle" in mesh_service.timings
 
     def test_shares_pipeline_decomposition(self, mesh20):
-        """Injecting a pipeline's clustering must skip re-clustering and give
-        a service identical to one that decomposed itself."""
+        """A pipeline's clustering needs no second decomposition: the oracle
+        built on it answers exactly like a service that decomposed itself."""
         pipeline = DecompositionPipeline(
             mesh20, PipelineConfig(method="cluster2", tau=4, seed=9)
         )
         clustering = pipeline.decompose()
-        injected = GraphService.build(mesh20, tau=4, seed=9, clustering=clustering)
+        shared = build_distance_oracle(mesh20, clustering)
         fresh = GraphService.build(mesh20, tau=4, seed=9)
-        assert injected.oracle.clustering is clustering
-        assert "decompose" not in injected.timings
-        assert np.array_equal(injected.assignment, fresh.assignment)
-        assert np.array_equal(injected.oracle.upper_matrix, fresh.oracle.upper_matrix)
+        assert shared.clustering is clustering
+        assert np.array_equal(shared.assignment, fresh.assignment)
+        assert np.array_equal(shared.upper_matrix, fresh.oracle.upper_matrix)
         rng = np.random.default_rng(0)
         us = rng.integers(0, mesh20.num_nodes, size=500)
         vs = rng.integers(0, mesh20.num_nodes, size=500)
-        for a, b in zip(injected.query_distance(us, vs), fresh.query_distance(us, vs)):
+        for a, b in zip(shared.query_batch(us, vs), fresh.query_distance(us, vs)):
             assert np.array_equal(a, b)
 
     def test_oracle_accepts_pipeline_clustering(self, mesh20):
-        """build_distance_oracle(clustering=...) is the same sharing hook."""
+        """build_distance_oracle(graph, clustering) builds on the clustering it is given."""
         pipeline = DecompositionPipeline(
             mesh20, PipelineConfig(method="cluster2", tau=4, seed=9)
         )
         clustering = pipeline.decompose()
-        oracle = build_distance_oracle(mesh20, clustering=clustering)
+        oracle = build_distance_oracle(mesh20, clustering)
         assert oracle.clustering is clustering
 
     def test_graph_oracle_node_mismatch_rejected(self, mesh8, mesh_service):

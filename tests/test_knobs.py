@@ -16,8 +16,10 @@ import pytest
 
 from repro.baselines import hadi_diameter, mpx_decomposition, mr_bfs_diameter
 from repro.core.cluster import cluster
+from repro.core.diameter import estimate_diameter
 from repro.core.growth_engine import GrowthEngine
 from repro.core.mr_algorithms import mr_estimate_diameter
+from repro.core.oracle import build_distance_oracle
 from repro.core.pipeline import DecompositionPipeline, PipelineConfig
 from repro.experiments import ablations, figure1, pipeline_stages, table2, table3, table4
 from repro.experiments.config import ExperimentConfig
@@ -28,6 +30,7 @@ from repro.graph import kernels, traversal
 from repro.graph.diameter_exact import exact_diameter
 from repro.graph.snapshot import SnapshotWriter, save_snapshot
 from repro.mapreduce import ArrayPairs, MREngine
+from repro.serving import GraphService
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -103,6 +106,19 @@ REMOVED = {
     "batch_policy_row(rng=)": lambda: ablations.batch_policy_row("mesh", scale="small", rng=0),
     "cluster_vs_cluster2_row(rng=)": lambda: ablations.cluster_vs_cluster2_row("mesh", scale="small", rng=0),
     "kcenter_rows(rng=)": lambda: ablations.kcenter_rows("mesh", scale="small", rng=0),
+    "estimate_diameter(use_cluster2=)": lambda: estimate_diameter(_GRAPH, tau=1, seed=0, use_cluster2=True),
+    "estimate_diameter(weighted=)": lambda: estimate_diameter(_GRAPH, tau=1, seed=0, weighted=False),
+    "mr_estimate_diameter(use_cluster2=)": lambda: mr_estimate_diameter(_GRAPH, tau=1, seed=0, use_cluster2=True),
+    "mr_estimate_diameter(enforce_local_memory=)": lambda: mr_estimate_diameter(
+        _GRAPH, tau=1, seed=0, enforce_local_memory=True
+    ),
+    "build_distance_oracle(seed=)": lambda: build_distance_oracle(
+        _GRAPH, clustering=cluster(_GRAPH, 1, seed=0), seed=0
+    ),
+    "GraphService.build(clustering=)": lambda: GraphService.build(_GRAPH, clustering=cluster(_GRAPH, 1, seed=0)),
+    "DecompositionPipeline(beta=)": lambda: DecompositionPipeline(_GRAPH, method="mpx", beta=0.5),
+    "DecompositionPipeline(weighted_quotient=)": lambda: DecompositionPipeline(_GRAPH, weighted_quotient=False),
+    "DecompositionPipeline(enforce_local_memory=)": lambda: DecompositionPipeline(_GRAPH, enforce_local_memory=True),
 }
 
 

@@ -9,9 +9,9 @@ import pytest
 
 from repro.core.growth_engine import GrowthEngine
 from repro.core.kcenter import evaluate_centers
-from repro.core.oracle import build_distance_oracle
 from repro.generators import mesh_graph
 from repro.graph.traversal import bfs_distances, dijkstra, multi_source_bfs
+from repro.serving import GraphService
 from repro.utils.logging import enable_verbose, get_logger
 from repro.utils.rng import as_rng, random_subset_mask, spawn_rngs
 from repro.utils.validation import check_node_index
@@ -84,7 +84,7 @@ class TestValidation:
         # Every scalar entry point used to run int(node): 2.7 answered for
         # node 2 and "3" for node 3.
         graph = mesh_graph(5, 5)
-        oracle = build_distance_oracle(graph, seed=0)
+        oracle = GraphService.build(graph, seed=0).oracle
         calls = [
             lambda: graph.neighbors(2.7),
             lambda: graph.neighbors("3"),

@@ -160,8 +160,8 @@ class TestWeightedKCenter:
             gonzalez_kcenter(weighted_mesh, 0)
 
     def test_gonzalez_radius_decreases_with_k(self, weighted_road):
-        r2 = gonzalez_kcenter(weighted_road, 2, seed=3, first_center=0).radius
-        r10 = gonzalez_kcenter(weighted_road, 10, seed=3, first_center=0).radius
+        r2 = gonzalez_kcenter(weighted_road, 2, seed=3).radius
+        r10 = gonzalez_kcenter(weighted_road, 10, seed=3).radius
         assert r10 <= r2
 
 

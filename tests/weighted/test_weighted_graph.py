@@ -146,7 +146,7 @@ class TestDijkstra:
 
 class TestEccentricityAndSweep:
     def test_double_sweep_exact_on_path(self, weighted_path):
-        lower, a, b = double_sweep(weighted_path, start=2)
+        lower, a, b = double_sweep(weighted_path)
         assert lower == pytest.approx(10.0)
         assert {a, b} == {0, 4}
 
