@@ -118,21 +118,13 @@ def degree_workload(arcs):
     return ArrayPairs(dst, src)
 
 
-@pytest.fixture(scope="module")
-def claim_workload(arcs):
-    """One argmin round over every arc: (dst, (dist, src)) composite rows."""
-    src, dst = arcs
-    rows = np.column_stack((np.abs(src - dst) % 17, src))
-    return ArrayPairs(dst, rows)
-
-
 def test_segments_beat_tuple_path_count_round(degree_workload, mr_bench_recorder):
     """Acceptance check: the segment-reduced count round beats the tuple
     path on >= 100k pairs, with bit-identical output and metrics."""
     engines = {name: MREngine() for name in PATHS}
     timings, results = interleaved_best(
         {
-            name: lambda engine=engine: engine.run_structured_round(degree_workload, "count", label="bench")
+            name: lambda engine=engine: engine.run_structured_round(degree_workload, "count")
             for name, engine in engines.items()
         },
         repetitions=7,
@@ -165,23 +157,3 @@ def test_paths_identical_on_degree_count_round(degree_workload):
         outcomes[path] = (out.keys.tolist(), out.values.tolist(), engine.metrics.as_dict())
     for path, outcome in outcomes.items():
         assert outcome == outcomes["tuple-path"], path
-
-
-@pytest.mark.parametrize("path", list(PATHS))
-def test_bench_structured_argmin_round(benchmark, path, claim_workload, mr_bench_recorder):
-    engine = MREngine()
-    with PATHS[path]():
-        result = benchmark.pedantic(
-            engine.run_structured_round,
-            args=(claim_workload, "argmin"),
-            rounds=1 if path == "tuple-path" else 3,
-            iterations=1,
-        )
-    assert len(result) > 0
-    mr_bench_recorder(
-        benchmark="structured_argmin_round",
-        workload=f"arc-claims/{len(claim_workload)}-pairs",
-        pairs=len(claim_workload),
-        backend=path,
-        seconds=benchmark.stats.stats.min,
-    )

@@ -99,7 +99,7 @@ def _structured_bfs(
     while frontier.size:
         src, dst, _ = kernels.gather_neighbors(indptr, indices, frontier)
         batch = ArrayPairs(np.concatenate((frontier, dst)), np.concatenate((frontier, src)))
-        claimed = engine.run_structured_round(batch, "first", label="bfs-level")
+        claimed = engine.run_structured_round(batch, "first")
         fresh = claimed.keys[distances[claimed.keys] < 0]
         if fresh.size == 0:
             break

@@ -151,7 +151,7 @@ def hadi_diameter(
         # reducer ORs every node's incoming rows, so zero-degree nodes
         # simply keep their own sketch.
         batch = ArrayPairs(round_keys, np.concatenate((sketches, sketches[indices])))
-        merged = engine.run_structured_round(batch, "bitwise_or", label="hadi-iteration")
+        merged = engine.run_structured_round(batch, "bitwise_or")
         updated = np.empty_like(sketches)
         updated[merged.keys] = merged.values
         sketches = updated

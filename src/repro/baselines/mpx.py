@@ -104,6 +104,11 @@ def mpx_with_target_clusters(
     The paper's Table 2 protocol gives MPX "a slight advantage" by always
     letting it produce a comparable but *larger* number of clusters than
     CLUSTER; setting ``require_at_least_target=True`` reproduces that bias.
+
+    No decomposition has fewer clusters than the graph has components, so
+    the search stops at the first trial above the target in which no arc
+    joins two clusters (every cluster is a whole component): that trial is
+    the closest any β can get.
     """
     if target_clusters < 1:
         raise ValueError("target_clusters must be >= 1")
@@ -131,6 +136,10 @@ def mpx_with_target_clusters(
             best, best_gap = result, effective_gap
         if acceptable:
             return result
+        if count > target_clusters and not np.any(
+            result.assignment[graph.indices] != np.repeat(result.assignment, graph.degrees)
+        ):
+            break  # every cluster is a whole component: no β gives fewer
         ratio = target_clusters / max(1, count)
         beta = beta * min(8.0, max(0.125, ratio))
     assert best is not None

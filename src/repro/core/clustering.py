@@ -110,12 +110,6 @@ class Clustering:
         """Array of cluster sizes (indexed by cluster id)."""
         return np.bincount(self.assignment, minlength=self.num_clusters).astype(np.int64)
 
-    def radii(self) -> np.ndarray:
-        """Growth radius of every cluster (max growth distance of its members)."""
-        radii = np.zeros(self.num_clusters, dtype=np.int64)
-        np.maximum.at(radii, self.assignment, self.distance)
-        return radii
-
     @property
     def max_radius(self) -> int:
         """Maximum cluster radius ``R_ALG`` (growth-based, as tracked by the algorithm)."""

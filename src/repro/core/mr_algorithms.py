@@ -96,12 +96,10 @@ def charge_clustering_rounds(engine: MREngine, clustering: Clustering) -> None:
     unchanged.
 
     The replay itself is array-native: the whole trace is charged through
-    :meth:`~repro.mapreduce.engine.MREngine.charge_rounds_batch` (whole-array
-    sum/max counter updates) instead of one Python-level ``charge_rounds``
-    call per growing step, so replaying a long weighted trace costs two array
-    reductions, not thousands of metric-record calls.  The resulting
-    :class:`~repro.mapreduce.metrics.MRMetrics` are identical to the
-    per-round loop by construction.
+    :meth:`~repro.mapreduce.engine.MREngine.charge_rounds` (one charged round
+    per array entry, whole-array sum/max counter updates), so replaying a
+    long weighted trace costs two array reductions, not thousands of
+    metric-record calls.
     """
     ml = engine.model.local_memory
     primitive_rounds = rounds_for_primitive(
@@ -114,7 +112,7 @@ def charge_clustering_rounds(engine: MREngine, clustering: Clustering) -> None:
         dtype=np.int64,
         count=len(clustering.iterations),
     )
-    engine.charge_rounds_batch(np.repeat(uncovered, primitive_rounds), label="center-selection")
+    engine.charge_rounds(np.repeat(uncovered, primitive_rounds))
     # Growing steps: one (constant number of) round(s) each; communication is
     # the adjacency volume actually scanned by the step.
     scanned = np.fromiter(
@@ -122,7 +120,7 @@ def charge_clustering_rounds(engine: MREngine, clustering: Clustering) -> None:
         dtype=np.int64,
         count=len(clustering.step_log),
     )
-    engine.charge_rounds_batch(scanned, label="growing-step")
+    engine.charge_rounds(scanned)
 
 
 def charge_quotient_rounds(engine: MREngine, graph: CSRGraph, *, num_quotient_edges: int) -> None:
@@ -135,15 +133,13 @@ def charge_quotient_rounds(engine: MREngine, graph: CSRGraph, *, num_quotient_ed
     ml = engine.model.local_memory
     # Building the quotient graph: a sort of the 2m arcs by cluster pair.
     engine.charge_rounds(
-        rounds_for_primitive(max(1, graph.num_directed_edges), ml),
-        pairs_per_round=graph.num_directed_edges,
-        label="quotient-build",
+        np.full(rounds_for_primitive(max(1, graph.num_directed_edges), ml), graph.num_directed_edges)
     )
     # Quotient diameter on a single reducer: the quotient graph (2 * m_C arcs)
     # must fit in local memory; this is the Theorem 4 requirement.
     quotient_arcs = 2 * num_quotient_edges
     engine.model.check_round(max_reducer_input=quotient_arcs, live_pairs=quotient_arcs)
-    engine.charge_rounds(1, pairs_per_round=quotient_arcs, label="quotient-diameter")
+    engine.charge_rounds([quotient_arcs])
 
 
 def mr_estimate_diameter(

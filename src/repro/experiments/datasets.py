@@ -35,7 +35,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.experiments.store import DatasetCache
+from repro.experiments.store import REFERENCE_SWEEPS, DatasetCache
 from repro.generators import (
     barabasi_albert_graph,
     mesh_graph,
@@ -218,9 +218,6 @@ def canonical_index(name: str) -> int:
 # ---------------------------------------------------------------------- #
 _CACHE = DatasetCache(directory=os.environ.get("REPRO_DATASET_CACHE"))
 
-#: Double sweeps behind a reference diameter (part of its cache key).
-_NUM_SWEEPS = 4
-
 
 def dataset_cache() -> DatasetCache:
     """The process-wide dataset cache behind :func:`load_dataset`."""
@@ -273,9 +270,9 @@ def reference_diameter(name: str, scale: str = "default") -> int:
         graph = load_dataset(name, scale)
         rng = as_rng(1234)
         best = 0
-        for _ in range(_NUM_SWEEPS):
+        for _ in range(REFERENCE_SWEEPS):
             lower, _, _ = double_sweep(graph, rng=rng)
             best = max(best, lower)
         return best
 
-    return _CACHE.diameter(name, scale, _NUM_SWEEPS, compute)
+    return _CACHE.diameter(name, scale, compute)

@@ -50,6 +50,9 @@ _LOG = get_logger("experiments.store")
 
 STORE_SCHEMA = 1
 
+#: Double sweeps behind a reference diameter (part of its cache key).
+REFERENCE_SWEEPS = 4
+
 __all__ = ["ArtifactStore", "DatasetCache", "to_jsonable", "STORE_SCHEMA"]
 
 
@@ -271,14 +274,14 @@ class DatasetCache:
                         break
         return fallback
 
-    def diameter(self, name: str, scale: str, num_sweeps: int, compute: Callable[[], int]) -> int:
+    def diameter(self, name: str, scale: str, compute: Callable[[], int]) -> int:
         """The cached reference diameter, computing via ``compute()`` on miss.
 
         Each key lives in its own tiny JSON file, so concurrent workers never
         overwrite each other's entries (they either write distinct files or
         the identical deterministic value).
         """
-        key = f"{name}@{scale}#sweeps={num_sweeps}"
+        key = f"{name}@{scale}#sweeps={REFERENCE_SWEEPS}"
         if key in self._diameters:
             return self._diameters[key]
         value: Optional[int] = None

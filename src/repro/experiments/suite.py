@@ -509,13 +509,6 @@ class SuiteResult:
     def failed(self) -> int:
         return sum(1 for outcome in self.outcomes if outcome.status == "failed")
 
-    def experiments(self) -> List[str]:
-        names: List[str] = []
-        for outcome in self.outcomes:
-            if outcome.cell.experiment not in names:
-                names.append(outcome.cell.experiment)
-        return names
-
     def rows_for(self, experiment: str) -> List[Dict]:
         """Concatenated rows of one experiment, in suite (cell) order."""
         rows: List[Dict] = []

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import numpy as np
-
+from repro.generators.streaming import rmat_edge_chunks
 from repro.generators.weights import maybe_attach_weights
 from repro.graph.builders import symmetrize_edges
 from repro.graph.csr import CSRGraph
@@ -47,32 +46,14 @@ def rmat_graph(
     connected_only:
         If True, return the largest connected component only (relabelled).
     """
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
-    if edge_factor < 1:
-        raise ValueError("edge_factor must be >= 1")
-    d = 1.0 - a - b - c
-    if min(a, b, c, d) < 0:
-        raise ValueError("quadrant probabilities must be non-negative and sum to <= 1")
     rng = as_rng(seed)
     num_nodes = 1 << scale
-    num_samples = num_nodes * edge_factor
-
-    src = np.zeros(num_samples, dtype=np.int64)
-    dst = np.zeros(num_samples, dtype=np.int64)
-    # Recursively descend the adjacency matrix one bit per level, vectorized
-    # over all sampled edges at once.
-    for level in range(scale):
-        r = rng.random(num_samples)
-        right = (r >= a + c).astype(np.int64)        # choose the right half (column bit)
-        # probability of the bottom half depends on which column half was chosen
-        bottom_prob = np.where(right == 1, d / max(b + d, 1e-12), c / max(a + c, 1e-12))
-        bottom = (rng.random(num_samples) < bottom_prob).astype(np.int64)
-        bit = np.int64(1) << np.int64(scale - 1 - level)
-        src += bottom * bit
-        dst += right * bit
-
-    edges = symmetrize_edges(np.stack([src, dst], axis=1))
+    # The whole sample as one chunk of the streaming sampler (which validates
+    # the parameters): the same draws, in the same order, from ``rng``.
+    sample, _ = next(
+        rmat_edge_chunks(scale, edge_factor, a=a, b=b, c=c, seed=rng, chunk_edges=num_nodes * edge_factor)
+    )
+    edges = symmetrize_edges(sample)
     graph = CSRGraph.from_edges(edges, num_nodes=num_nodes)
     if connected_only:
         from repro.graph.components import largest_component

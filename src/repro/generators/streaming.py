@@ -1,8 +1,8 @@
 """Streaming generator emitters: synthesize graphs straight to snapshots.
 
 :func:`repro.generators.rmat.rmat_graph` samples every directed edge in one
-vectorized shot — ``2**scale * edge_factor`` int64 pairs plus temporaries —
-which caps generation at RAM.  The streaming emitters here draw the same
+chunk — ``2**scale * edge_factor`` int64 pairs plus temporaries — which
+caps generation at RAM.  The streaming emitters here draw the same
 R-MAT model in bounded edge chunks and feed them to the out-of-core builder
 (:func:`repro.graph.ingest.from_edge_chunks`), so a ~10⁸-edge graph is
 synthesized with peak memory proportional to one chunk while the CSR arrays
@@ -59,14 +59,14 @@ def rmat_edge_chunks(
     seed: SeedLike = None,
     chunk_edges: int = DEFAULT_CHUNK_EDGES,
 ) -> Iterator[EdgeChunk]:
-    """Yield the directed R-MAT sample of ``rmat_graph`` in edge chunks.
+    """Yield the directed R-MAT sample in edge chunks (the one R-MAT sampler).
 
-    Same recursive-matrix model and Graph500 default parameters as
-    :func:`~repro.generators.rmat.rmat_graph`, but drawn ``chunk_edges``
-    samples at a time: each chunk runs the level-major bit descent over its
-    own slice, so memory is bounded by the chunk.  Chunks are ``(edges,
-    None)`` pairs ready for :func:`~repro.graph.ingest.from_edge_chunks`
-    (whose undirected fold makes explicit symmetrization unnecessary).
+    Draws ``chunk_edges`` samples at a time: each chunk runs the level-major
+    bit descent over its own slice, so memory is bounded by the chunk.
+    :func:`~repro.generators.rmat.rmat_graph` draws its whole sample as one
+    chunk.  Chunks are ``(edges, None)`` pairs ready for
+    :func:`~repro.graph.ingest.from_edge_chunks` (whose undirected fold makes
+    explicit symmetrization unnecessary).
     """
     d = _validate_rmat(scale, edge_factor, a, b, c)
     if chunk_edges < 1:

@@ -53,11 +53,6 @@ class BFSResult:
     sources: np.ndarray
     num_levels: int
 
-    @property
-    def reached(self) -> np.ndarray:
-        """Boolean mask of reached nodes."""
-        return self.distances >= 0
-
 
 def multi_source_bfs(graph: CSRGraph, sources: Sequence[int]) -> BFSResult:
     """Level-synchronous BFS from a set of sources.

@@ -5,11 +5,10 @@ from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
 from repro.mapreduce.engine import MREngine
 from repro.mapreduce.metrics import MRMetrics
 from repro.mapreduce.model import MRConstraintViolation, MRModel, rounds_for_primitive
-from repro.mapreduce.structured import ArrayPairs, StructuredOutcome, StructuredReducer
+from repro.mapreduce.structured import ArrayPairs, StructuredOutcome
 
 __all__ = [
     "StructuredOutcome",
-    "StructuredReducer",
     "ArrayPairs",
     "fork_available",
     "SupervisedPool",

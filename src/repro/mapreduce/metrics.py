@@ -2,15 +2,17 @@
 
 The paper's performance story is told in terms of (i) the number of parallel
 rounds and (ii) the communication volume per round / in aggregate.  The
-engine meters exactly those quantities, and the cost model in
-:mod:`repro.mapreduce.cost` converts them to a simulated wall-clock time used
-by the Table 4 / Figure 1 reproductions.
+engine meters exactly those quantities, for executed and charged rounds
+alike, and the cost model in :mod:`repro.mapreduce.cost` converts them to a
+simulated wall-clock time used by the Table 4 / Figure 1 reproductions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
+
+import numpy as np
 
 __all__ = ["MRMetrics"]
 
@@ -22,7 +24,7 @@ class MRMetrics:
     Attributes
     ----------
     rounds:
-        Number of map-shuffle-reduce rounds executed.
+        Number of map-shuffle-reduce rounds executed or charged.
     shuffled_pairs:
         Total number of key-value pairs moved through the shuffle across all
         rounds (the aggregate communication volume).
@@ -35,9 +37,6 @@ class MRMetrics:
     max_live_pairs:
         Largest total number of pairs alive after any round — the quantity
         constrained by the global memory M_G.
-    per_label:
-        Optional breakdown of rounds by a caller-provided label (e.g.
-        "growing-step", "center-selection", "quotient-diameter").
     """
 
     rounds: int = 0
@@ -45,25 +44,16 @@ class MRMetrics:
     max_round_pairs: int = 0
     max_reducer_input: int = 0
     max_live_pairs: int = 0
-    per_label: Dict[str, int] = field(default_factory=dict)
 
-    def record_round(
-        self,
-        *,
-        pairs_shuffled: int,
-        max_reducer_input: int,
-        live_pairs: int,
-        label: str = "round",
-    ) -> None:
+    def record_round(self, *, pairs_shuffled: int, max_reducer_input: int, live_pairs: int) -> None:
         """Record the counters of one executed round."""
         self.rounds += 1
         self.shuffled_pairs += int(pairs_shuffled)
         self.max_round_pairs = max(self.max_round_pairs, int(pairs_shuffled))
         self.max_reducer_input = max(self.max_reducer_input, int(max_reducer_input))
         self.max_live_pairs = max(self.max_live_pairs, int(live_pairs))
-        self.per_label[label] = self.per_label.get(label, 0) + 1
 
-    def record_charged_rounds(self, pairs_per_round, *, label: str = "charged") -> None:
+    def record_charged_rounds(self, pairs_per_round: np.ndarray) -> None:
         """Record a batch of charged rounds with whole-array reductions.
 
         ``pairs_per_round`` holds one entry per charged round (its shuffled /
@@ -71,15 +61,13 @@ class MRMetrics:
         updates are identical to calling :meth:`record_round` once per entry
         with ``max_reducer_input=0`` — only the per-round Python loop is gone.
         """
-        charges = pairs_per_round
-        if charges.size == 0:
+        if pairs_per_round.size == 0:
             return
-        self.rounds += int(charges.size)
-        self.shuffled_pairs += int(charges.sum())
-        peak = int(charges.max())
+        self.rounds += int(pairs_per_round.size)
+        self.shuffled_pairs += int(pairs_per_round.sum())
+        peak = int(pairs_per_round.max())
         self.max_round_pairs = max(self.max_round_pairs, peak)
         self.max_live_pairs = max(self.max_live_pairs, peak)
-        self.per_label[label] = self.per_label.get(label, 0) + int(charges.size)
 
     def as_dict(self) -> Dict[str, int]:
         """Flat dict of the scalar counters (for table rendering)."""

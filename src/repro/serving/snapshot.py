@@ -161,11 +161,17 @@ def load_snapshot(path: Union[str, os.PathLike]):
         # BadZipFile to JSONDecodeError; normalize them all to ValueError so
         # callers have one "snapshot is unusable" signal to degrade on.
         raise ValueError(f"cannot read snapshot {path}: {exc}") from exc
-    if not isinstance(meta, dict) or meta.get("schema") != SNAPSHOT_SCHEMA:
+    if not isinstance(meta, dict):
+        raise ValueError(f"snapshot {path} has a meta record that is not a JSON object: a {type(meta).__name__}")
+    if meta.get("schema") != SNAPSHOT_SCHEMA:
         raise ValueError(
             f"snapshot {path} has schema {meta.get('schema')!r}, "
             f"this build reads schema {SNAPSHOT_SCHEMA}"
         )
+    try:
+        tau = int(meta["tau"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"snapshot {path} has no integer tau in its meta record") from exc
 
     graph = CSRGraph(
         indptr=arrays["indptr"], indices=arrays["indices"], weights=arrays.get("graph_weights")
@@ -189,7 +195,7 @@ def load_snapshot(path: Union[str, os.PathLike]):
         graph,
         oracle,
         method=meta.get("method", "cluster2"),
-        tau=int(meta["tau"]),
+        tau=tau,
         seed=meta.get("seed"),
         snapshot_key=meta.get("key"),
     )

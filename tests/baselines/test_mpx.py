@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import repro.baselines.mpx as mpx_module
 from repro.baselines.mpx import mpx_decomposition, mpx_with_target_clusters
 from repro.core.cluster import cluster_with_target_clusters
 from repro.generators import barabasi_albert_graph, mesh_graph, road_network_graph
@@ -76,12 +77,30 @@ class TestMPXTargeting:
         assert result.num_clusters >= 0.65 * target
 
     def test_target_below_component_count(self):
-        # Isolated nodes keep the count above the target, so every trial
-        # overshoots and beta shrinks 8x per trial down to ~1e-12.
+        # Isolated nodes keep the count above the target: no beta reaches it.
         graph = rmat_graph(10, 8, seed=3)
         result = mpx_with_target_clusters(graph, 12, seed=0)
         result.validate(graph)
         assert result.num_clusters == num_connected_components(graph)
+
+    def test_search_stops_at_the_component_floor(self, monkeypatch):
+        # 218 components, target 12: the first trial already has one cluster
+        # per component, so it is the only decomposition the search runs, and
+        # it is the clustering the full 12-trial search used to return.
+        graph = rmat_graph(10, 8, seed=3)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return mpx_decomposition(*args, **kwargs)
+
+        monkeypatch.setattr(mpx_module, "mpx_decomposition", counted)
+        result = mpx_with_target_clusters(graph, 12, seed=0)
+        assert len(calls) == 1
+        first_trial = mpx_decomposition(graph, 12 / graph.num_nodes, seed=np.random.default_rng(0))
+        assert result.num_clusters == 218
+        assert np.array_equal(result.assignment, first_trial.assignment)
+        assert np.array_equal(result.centers, first_trial.centers)
 
     def test_invalid_target(self, mesh8):
         with pytest.raises(ValueError):

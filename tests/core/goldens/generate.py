@@ -33,6 +33,13 @@ def array_digest(*arrays: np.ndarray) -> str:
     return h.hexdigest()
 
 
+def growth_radii(clustering) -> np.ndarray:
+    """Growth radius of every cluster (max growth distance of its members)."""
+    radii = np.zeros(clustering.num_clusters, dtype=np.int64)
+    np.maximum.at(radii, clustering.assignment, clustering.distance)
+    return radii
+
+
 def clustering_record(clustering) -> dict:
     return {
         "digest": array_digest(
@@ -43,7 +50,7 @@ def clustering_record(clustering) -> dict:
         "num_clusters": int(clustering.num_clusters),
         "max_radius": int(clustering.max_radius),
         "growth_steps": int(clustering.growth_steps),
-        "radii_digest": array_digest(clustering.radii().astype(np.int64)),
+        "radii_digest": array_digest(growth_radii(clustering)),
     }
 
 

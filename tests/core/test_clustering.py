@@ -12,6 +12,13 @@ from repro.graph.traversal import multi_source_bfs
 from singletons import singleton_clustering  # rootless test layout: pytest puts this dir on sys.path
 
 
+def growth_radii(clustering):
+    """Growth radius of every cluster (max growth distance of its members)."""
+    radii = np.zeros(clustering.num_clusters, dtype=np.int64)
+    np.maximum.at(radii, clustering.assignment, clustering.distance)
+    return radii
+
+
 class TestDerivedQuantities:
     def test_singleton_clustering(self):
         c = singleton_clustering(5)
@@ -23,7 +30,7 @@ class TestDerivedQuantities:
     def test_radii_and_sizes(self, mesh8):
         c = cluster(mesh8, tau=2, seed=0)
         sizes = c.cluster_sizes()
-        radii = c.radii()
+        radii = growth_radii(c)
         assert sizes.sum() == mesh8.num_nodes
         assert radii.max() == c.max_radius
         assert len(sizes) == len(radii) == c.num_clusters
@@ -51,7 +58,7 @@ class TestDerivedQuantities:
         # The exact radius is the distance to the center inside the
         # cluster's induced subgraph; the growth distance bounds it.
         c = cluster(mesh20, tau=4, seed=2)
-        growth = c.radii()
+        growth = growth_radii(c)
         for cid in range(c.num_clusters):
             sub, mapping = mesh20.subgraph(c.members(cid))
             center = int(np.searchsorted(mapping, c.centers[cid]))

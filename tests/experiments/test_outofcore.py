@@ -80,7 +80,7 @@ class TestMmapBitIdentity:
         outcomes = []
         for candidate in (graph, mapped):
             batch = ArrayPairs(np.asarray(candidate.indices), values)
-            outcomes.append(MREngine().run_structured_round(batch, "min"))
+            outcomes.append(MREngine().run_structured_round(batch, "sum"))
         assert np.array_equal(outcomes[0].keys, outcomes[1].keys)
         assert np.array_equal(outcomes[0].values, outcomes[1].values)
 

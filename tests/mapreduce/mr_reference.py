@@ -1,16 +1,15 @@
 """Frozen tuple-path reference the structured MR rounds are pinned to.
 
 The production round (:func:`repro.mapreduce.structured.execute_segments`)
-sorts the key array once and reduces each group's slice with
-``np.<ufunc>.reduceat``.  The *tuple path* here is the original,
-obviously-correct implementation it replaced: flatten the batch to Python
-``(key, value)`` tuples, group them in a dict, and call one Python function
-per key.  Tests and ``benchmarks/bench_structured.py`` compare the two bit
-for bit (and time them).  None of this runs in production.
+sorts the key array once and reduces each group's slice with one NumPy
+reduction.  The *tuple path* here is the original, obviously-correct
+implementation it replaced: flatten the batch to Python ``(key, value)``
+tuples, group them in a dict, and call one Python function per key.  Tests
+and ``benchmarks/bench_structured.py`` compare the two bit for bit (and time
+them).  None of this runs in production.
 
 * :func:`execute_reference` — the dict shuffle with one call per key;
-* :data:`PER_KEY` — one per-key function per built-in reducer (a custom
-  test reducer supplies its own ``reference(key, values)`` method instead);
+* :data:`PER_KEY` — one per-key function per reducer name;
 * :func:`tuple_path` — sends every ``MREngine`` round through
   :func:`execute_reference` inside the block, by patching the one
   module-level name through which ``repro.mapreduce.engine`` calls
@@ -31,59 +30,27 @@ from repro.mapreduce.structured import ArrayPairs, StructuredOutcome
 PATHS = ("serial", "vectorized")
 
 
-def _bitwise_or(key, values):
+def _bitwise_or(values):
     merged = values[0]
     for value in values[1:]:
         if isinstance(merged, (list, tuple)):
             merged = [a | b for a, b in zip(merged, value)]
         else:
             merged = merged | value
-    yield (key, merged)
+    return merged
 
 
 PER_KEY = {
-    "min": lambda key, values: [(key, min(values))],
-    "max": lambda key, values: [(key, max(values))],
-    "sum": lambda key, values: [(key, sum(values))],
-    "count": lambda key, values: [(key, len(values))],
-    "first": lambda key, values: [(key, values[0])],
-    "argmin": lambda key, values: [(key, min(values))],
+    "first": lambda values: values[0],
+    "sum": sum,
+    "count": len,
     "bitwise_or": _bitwise_or,
 }
 
 
-def per_key_function(reducer):
-    """``reducer.reference`` for a custom test reducer, else the built-in's twin."""
-    return getattr(reducer, "reference", None) or PER_KEY[reducer.name]
-
-
-def _empty(mapped, reducer, pairs_shuffled=0, max_input=0):
-    keys = np.zeros(0, dtype=mapped.keys.dtype)
-    values = np.zeros(
-        (0,) + reducer.result_row_shape(mapped.values), dtype=reducer.result_dtype(mapped.values)
-    )
-    return StructuredOutcome(ArrayPairs(keys, values), pairs_shuffled, max_input)
-
-
-def _pack(items, dtype, row_shape):
-    """``np.asarray(items, dtype)`` that keeps scalar object items whole.
-
-    NumPy unpacks a list of equal-length tuples into a 2-d array even with
-    ``dtype=object``; tuple keys must stay one element per group.
-    """
-    if np.dtype(dtype) != object or row_shape:
-        return np.asarray(items, dtype=dtype)
-    packed = np.empty(len(items), dtype=object)
-    for index, item in enumerate(items):
-        packed[index] = item
-    return packed
-
-
-def execute_reference(mapped: ArrayPairs, reducer) -> StructuredOutcome:
+def execute_reference(mapped: ArrayPairs, reducer: str) -> StructuredOutcome:
     """The tuple path: flatten to per-pair tuples, dict shuffle, per-key calls."""
-    reducer.validate_values(mapped.values)
-    if len(mapped) == 0:
-        return _empty(mapped, reducer)
+    function = PER_KEY[reducer]
     groups = {}
     for key, value in mapped.to_pairs():
         bucket = groups.get(key)
@@ -91,20 +58,16 @@ def execute_reference(mapped: ArrayPairs, reducer) -> StructuredOutcome:
             groups[key] = [value]
         else:
             bucket.append(value)
-    max_input = max(len(bucket) for bucket in groups.values())
-    function = per_key_function(reducer)
-    out_keys, out_values = [], []
-    for key, bucket in groups.items():
-        for out_key, out_value in function(key, bucket):
-            out_keys.append(out_key)
-            out_values.append(out_value)
-    if not out_keys:
-        return _empty(mapped, reducer, len(mapped), max_input)
-    keys_array = _pack(out_keys, mapped.keys.dtype, ())
-    values_array = _pack(
-        out_values, reducer.result_dtype(mapped.values), reducer.result_row_shape(mapped.values)
+    if reducer == "count":
+        dtype, row_shape = np.int64, ()
+    else:
+        dtype, row_shape = mapped.values.dtype, mapped.values.shape[1:]
+    keys = np.asarray(list(groups), dtype=mapped.keys.dtype)
+    values = np.asarray([function(bucket) for bucket in groups.values()], dtype=dtype)
+    max_input = max(map(len, groups.values()), default=0)
+    return StructuredOutcome(
+        ArrayPairs(keys, values.reshape((len(groups),) + row_shape)), len(mapped), max_input
     )
-    return StructuredOutcome(ArrayPairs(keys_array, values_array), len(mapped), max_input)
 
 
 @contextlib.contextmanager

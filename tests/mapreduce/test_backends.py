@@ -19,15 +19,7 @@ from repro.mapreduce.engine import MREngine
 from repro.mapreduce.model import MRConstraintViolation, MRModel
 from repro.mapreduce.structured import ArrayPairs
 
-SCALAR_REDUCERS = ("min", "max", "sum", "count", "first")
-
-
-def object_keys(items):
-    """A 1-d object key array holding ``items`` whole (tuples included)."""
-    keys = np.empty(len(items), dtype=object)
-    for index, item in enumerate(items):
-        keys[index] = item
-    return keys
+REDUCERS = ("bitwise_or", "sum", "count", "first")
 
 
 def fanout_map(batch):
@@ -96,53 +88,14 @@ def test_string_keys_identical():
     assert_all_equal(run_both_paths(batch, "sum"))
 
 
-def test_tuple_keys_fall_back_and_stay_identical():
-    # Object-dtype tuple keys cannot be sorted: the segment pass groups their
-    # dict codes and must keep each tuple one key.
-    rng = np.random.default_rng(8)
-    keys = object_keys([(int(k) % 3, int(k) % 5) for k in rng.integers(0, 30, 200)])
-    results = run_both_paths(ArrayPairs(keys, rng.integers(0, 9, 200)), "sum")
-    assert_all_equal(results)
-    assert all(isinstance(key, tuple) for key, _ in results["serial"][0])
-
-
-def test_mixed_type_keys_identical():
-    keys = object_keys([None, "x", 3, None, (1, 2), "x"])
-    results = run_both_paths(ArrayPairs(keys, np.arange(6)), "count")
-    assert_all_equal(results)
-    assert results["serial"][0] == [(None, 2), ("x", 2), (3, 1), ((1, 2), 1)]
-
-
-def test_str_and_int_keys_stay_distinct():
-    # np.asarray([3, "3"]) coerces to one string dtype; an object key array
-    # must keep keys a dict keeps distinct.
-    results = run_both_paths(ArrayPairs(object_keys(["3", 3, "3", 3]), np.array([1, 2, 4, 8])), "sum")
-    assert_all_equal(results)
-    assert results["serial"][0] == [("3", 5), (3, 10)]
-
-
-def test_bytes_and_str_keys_stay_distinct():
-    results = run_both_paths(ArrayPairs(object_keys([b"a", "a", b"a"]), np.array([1, 2, 4])), "sum")
-    assert_all_equal(results)
-    assert results["serial"][0] == [(b"a", 5), ("a", 2)]
-
-
 def test_bool_and_int_keys_merge_like_dict():
-    # hash(True) == hash(1): a dict groups them; the segment pass must agree.
-    results = run_both_paths(ArrayPairs(object_keys([True, 1, 0, False]), np.array([1, 2, 4, 8])), "sum")
+    # hash(True) == hash(1): a dict groups them, and NumPy coerces a mixed
+    # bool/int key list to one int64 array that groups them the same way.
+    keys = np.asarray([True, 1, 0, False])
+    assert keys.dtype == np.int64
+    results = run_both_paths(ArrayPairs(keys, np.array([1, 2, 4, 8])), "sum")
     assert_all_equal(results)
-    assert results["serial"][0] == [(True, 3), (0, 12)]
-
-
-def test_complex_and_datetime_keys_identical():
-    # Neither dtype sorts into groups: both take the dict codes.
-    values = np.array([1, 2, 4, 8, 16])
-    complex_keys = np.array([1 + 2j, 3j, 1 + 2j, 0j, 3j])
-    datetime_keys = np.array(["2015-06-13", "2015-06-14", "2015-06-13", "NaT", "NaT"], dtype="datetime64[D]")
-    for keys, sums in ((complex_keys, [5, 18, 8]), (datetime_keys, [5, 2, 24])):
-        results = run_both_paths(ArrayPairs(keys, values), "sum")
-        assert_all_equal(results)
-        assert [value for _, value in results["vectorized"][0]] == sums
+    assert results["serial"][0] == [(1, 3), (0, 12)]
 
 
 def test_numpy_array_values_identical():
@@ -171,33 +124,30 @@ def test_sorted_outputs_identical_on_large_random_workload():
 def _random_workload(rng, float_values=False):
     """One random structured round: (ArrayPairs, reducer name).
 
-    Samples the whole key space the two paths must agree on: int keys,
-    single-key and empty batches, string keys, object-dtype tuple and mixed
-    keys, and float keys with and without NaN.  ``float_values`` swaps the
-    integer values for standard-normal floats (a tenth of them repeated, so
-    min, max and argmin see ties).
+    Samples the whole key space the two paths must agree on: narrow and
+    wide int keys (the radix and the pack-sort grouping routes), single-key
+    and empty batches, bool keys, string keys, and NaN-free float keys.
+    ``float_values`` swaps the integer values for standard-normal floats (a
+    tenth of them repeated, so sums see ties).
     """
-    family = rng.choice(["int", "single-key", "empty", "str", "tuple", "mixed", "float", "nan-float"])
+    family = rng.choice(["int", "wide-int", "single-key", "empty", "bool", "str", "float"])
     size = int(rng.integers(1, 200))
     values = rng.integers(-50, 50, size=size)
-    reducer = str(rng.choice(SCALAR_REDUCERS))
+    reducer = str(rng.choice(REDUCERS))
     if family == "empty":
         return ArrayPairs(np.zeros(0, np.int64), np.zeros(0, np.int64)), reducer
     if family == "int":
         keys = rng.integers(-10, 25, size=size)
+    elif family == "wide-int":
+        keys = rng.integers(0, 2**40, size=8)[rng.integers(0, 8, size)]
     elif family == "single-key":
         keys = np.full(size, int(rng.integers(0, 5)))
+    elif family == "bool":
+        keys = rng.random(size) < 0.5
     elif family == "str":
         keys = np.array(["alpha", "beta", "gamma", "d", "ee"])[rng.integers(0, 5, size)]
-    elif family == "tuple":
-        keys = object_keys([(int(k) % 3, int(k) % 4) for k in rng.integers(0, 24, size)])
-    elif family == "mixed":
-        pool = [None, "x", 3, (1, 2), "3", b"x", True, 0]
-        keys = object_keys([pool[int(k) % len(pool)] for k in rng.integers(0, 64, size)])
-    else:  # float / nan-float
+    else:  # float
         keys = rng.uniform(-3, 3, size).round(1)
-        if family == "nan-float":
-            keys[rng.random(size) < 0.2] = np.nan
     if float_values:
         values = rng.standard_normal(size)
         values[rng.random(size) < 0.1] = values[0]
@@ -206,8 +156,8 @@ def _random_workload(rng, float_values=False):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_randomized_cross_backend_sweep(seed):
-    """Any key family, any scalar reducer: identical output order, dtypes
-    and metrics to the tuple-path reference."""
+    """Any key family, any reducer: identical output order, dtypes and
+    metrics to the tuple-path reference."""
     rng = np.random.default_rng(1000 + seed)
     for _ in range(8):
         batch, reducer = _random_workload(rng)
@@ -230,12 +180,12 @@ def _sum_tolerances(batch):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_randomized_float_value_sweep(seed):
-    """Float values: min, max, first and count match the reference bit for
-    bit; sum agrees within the float64 bound fixed in :func:`_sum_tolerances`."""
+    """Float values: first and count match the reference bit for bit; sum
+    agrees within the float64 bound fixed in :func:`_sum_tolerances`."""
     rng = np.random.default_rng(2000 + seed)
     for _ in range(8):
         batch, _ = _random_workload(rng, float_values=True)
-        for reducer in ("min", "max", "first", "count"):
+        for reducer in ("first", "count"):
             assert_all_equal(run_both_paths(batch, reducer))
         results = run_both_paths(batch, "sum")
         (ref_pairs, ref_dtypes, ref_metrics), (pairs, dtypes, metrics) = results["serial"], results["vectorized"]
@@ -259,12 +209,33 @@ def test_float_sums_are_not_added_in_arrival_order():
         assert abs(got[key] - expected[key]) <= bound
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_float_rows_argmin_identical(seed):
-    rng = np.random.default_rng(3000 + seed)
-    size = int(rng.integers(1, 300))
-    rows = rng.standard_normal((size, 2)).round(1)  # rounding leaves tied rows
-    assert_all_equal(run_both_paths(ArrayPairs(rng.integers(0, 20, size), rows), "argmin"))
+def _key_family(rng, family, size):
+    if family == "radix-int":  # key range below 2**16
+        return rng.integers(-300, 300, size)
+    if family == "pack-sort-int":  # wide non-negative keys
+        return rng.integers(0, 2**40, 25)[rng.integers(0, 25, size)]
+    if family == "bool":
+        return rng.random(size) < 0.3
+    if family == "str":
+        return np.array(["alpha", "beta", "gamma", "d", "ee"])[rng.integers(0, 5, size)]
+    return rng.uniform(-3, 3, size).round(1)  # NaN-free float
+
+
+@pytest.mark.parametrize("family", ["radix-int", "pack-sort-int", "bool", "str", "float"])
+@pytest.mark.parametrize("reducer", REDUCERS)
+def test_every_reducer_identical_over_every_key_family(reducer, family):
+    """Each of the four reducers, over each sortable key family (integer keys
+    through both fast grouping routes): identical output order, dtypes and
+    metrics to the tuple-path reference, scalar and row values alike."""
+    rng = np.random.default_rng(4000)
+    for size in (1, 2, 300):
+        keys = _key_family(rng, family, size)
+        if family == "pack-sort-int" and size > 1:
+            assert keys.max() - keys.min() >= 2**16 and keys.min() >= 0
+        for values in (rng.integers(0, 2**20, size), rng.integers(0, 2**20, (size, 3))):
+            if reducer == "sum" and values.ndim == 2:
+                continue  # the reference sums scalars only
+            assert_all_equal(run_both_paths(ArrayPairs(keys, values), reducer))
 
 
 # ---------------------------------------------------------------------- #
@@ -273,7 +244,7 @@ def test_float_rows_argmin_identical(seed):
 def test_array_pairs_identical_across_backends():
     rng = np.random.default_rng(11)
     batch = ArrayPairs(rng.integers(0, 40, 600), rng.integers(0, 1000, 600))
-    for reducer in SCALAR_REDUCERS:
+    for reducer in REDUCERS:
         assert_all_equal(run_both_paths(batch, reducer))
 
 

@@ -8,7 +8,7 @@ import pytest
 from mr_reference import PATHS, on_path, tuple_path  # rootless test layout: pytest puts this dir on sys.path
 from repro.mapreduce.engine import MREngine
 from repro.mapreduce.model import MRConstraintViolation, MRModel
-from repro.mapreduce.structured import ArrayPairs, StructuredReducer
+from repro.mapreduce.structured import ArrayPairs
 
 
 def batch_of(pairs):
@@ -19,30 +19,6 @@ def batch_of(pairs):
 def word_count_mapper(batch):
     words = [word for line in batch.values.tolist() for word in line.split()]
     return ArrayPairs(np.asarray(words), np.ones(len(words), dtype=np.int64))
-
-
-class DropAll(StructuredReducer):
-    """Emits nothing: every group is masked out."""
-
-    name = "test-drop-all"
-
-    def segment_reduce(self, sorted_values, starts, ends):
-        return sorted_values[starts], np.zeros(starts.size, dtype=bool)
-
-    def reference(self, key, values):
-        return []
-
-
-class Angry(StructuredReducer):
-    """Raises on every group, on the segment path and on the tuple path."""
-
-    name = "test-angry"
-
-    def segment_reduce(self, sorted_values, starts, ends):
-        raise ValueError(f"boom on {starts.size} groups")
-
-    def reference(self, key, values):
-        raise ValueError(f"boom on key {key}")
 
 
 class TestRunRound:
@@ -72,11 +48,15 @@ class TestRunRound:
         assert engine.metrics.rounds == 2
 
     def test_tuple_path_runs_every_round_through_the_reference(self):
-        batch = batch_of([(0, 1), (1, 2)])
-        with pytest.raises(ValueError, match="boom on 2 groups"):
-            MREngine().run_structured_round(batch, Angry())
-        with tuple_path(), pytest.raises(ValueError, match="boom on key 0"):
-            MREngine().run_structured_round(batch, Angry())
+        # The reference adds a float group in arrival order, the segment pass
+        # pairwise; on this workload the two sums differ, so each side shows
+        # which path ran.
+        values = np.random.default_rng(3).standard_normal(400)
+        batch = ArrayPairs(np.zeros(400, dtype=np.int64), values)
+        arrival_order = sum(values.tolist())
+        with tuple_path():
+            assert MREngine().run_structured_round(batch, "sum").values[0] == arrival_order
+        assert MREngine().run_structured_round(batch, "sum").values[0] != arrival_order
 
 
 class TestConstraints:
@@ -131,18 +111,10 @@ class TestEdgeCases:
         assert engine.metrics.shuffled_pairs == 0
         assert engine.metrics.max_reducer_input == 0
 
-    def test_reducer_that_emits_nothing(self, path):
-        engine = MREngine()
-        output = engine.run_structured_round(batch_of([(0, 1), (0, 2), (1, 3)]), DropAll())
-        assert len(output) == 0
-        assert engine.metrics.shuffled_pairs == 3
-        assert engine.metrics.max_reducer_input == 2
-        # Live pairs = max(input, output): inputs were alive during the round.
-        assert engine.metrics.max_live_pairs == 3
-
     def test_reducer_exception_propagates(self, path):
-        with pytest.raises(ValueError, match="boom on"):
-            MREngine().run_structured_round(batch_of([(0, 1), (1, 2), (2, 3)]), Angry())
+        # OR is undefined on floats, on the segment path and the tuple path.
+        with pytest.raises(TypeError):
+            MREngine().run_structured_round(batch_of([(0, 1.5), (0, 2.5), (1, 3.5)]), "bitwise_or")
 
     def test_local_memory_enforced(self, path):
         engine = MREngine(MRModel(local_memory=3, enforce=True))
@@ -172,11 +144,27 @@ class TestEdgeCases:
 class TestChargeRounds:
     def test_charge_accumulates(self):
         engine = MREngine()
-        engine.charge_rounds(5, pairs_per_round=100, label="synthetic")
-        assert engine.metrics.rounds == 5
-        assert engine.metrics.shuffled_pairs == 500
-        assert engine.metrics.per_label["synthetic"] == 5
+        engine.charge_rounds(np.full(5, 100))
+        engine.charge_rounds([7, 300])
+        engine.charge_rounds([])
+        assert engine.metrics.as_dict() == {
+            "rounds": 7,
+            "shuffled_pairs": 807,
+            "max_round_pairs": 300,
+            "max_reducer_input": 0,
+            "max_live_pairs": 300,
+        }
+
+    def test_charged_rounds_meter_like_executed_rounds_without_reducer_input(self):
+        charges = [5, 0, 12, 3]
+        charged, recorded = MREngine(), MREngine()
+        charged.charge_rounds(charges)
+        for pairs in charges:
+            recorded.metrics.record_round(pairs_shuffled=pairs, max_reducer_input=0, live_pairs=pairs)
+        assert charged.metrics == recorded.metrics
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            MREngine().charge_rounds(-1)
+        # A negative pair count, or anything but one count per round.
+        for charges in (-1, [3, -1], [[1, 2]]):
+            with pytest.raises(ValueError):
+                MREngine().charge_rounds(charges)

@@ -60,12 +60,11 @@ class TestMetrics:
     def test_record_round(self):
         a = MRMetrics()
         a.record_round(pairs_shuffled=10, max_reducer_input=3, live_pairs=10)
-        a.record_round(pairs_shuffled=20, max_reducer_input=7, live_pairs=25, label="x")
+        a.record_round(pairs_shuffled=20, max_reducer_input=7, live_pairs=25)
         assert a.rounds == 2
         assert a.shuffled_pairs == 30
         assert a.max_reducer_input == 7
         assert a.max_live_pairs == 25
-        assert a.per_label["x"] == 1
 
     def test_as_dict_keys(self):
         d = MRMetrics().as_dict()

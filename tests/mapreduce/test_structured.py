@@ -1,32 +1,30 @@
 """Structured-round suite: reducer lookup, segment reducers, reference equality.
 
 Structured rounds must be bit-compatible with the tuple-path reference of
-``mr_reference.py``: for any workload and any built-in reducer, the segment
-pass returns the same output arrays (same dtype, same first-occurrence
-order) and meters the same :class:`MRMetrics`.  ``"serial"`` names the
-reference side (every round under ``tuple_path()``), ``"vectorized"`` the
-production side.  These tests enforce that, plus the reducer lookup contract
-and the driver-level equivalence of the MR drivers.
+``mr_reference.py``: for any workload and any of the four reducers, the
+segment pass returns the same output arrays (same dtype, same
+first-occurrence order) and meters the same :class:`MRMetrics`.
+``"serial"`` names the reference side (every round under ``tuple_path()``),
+``"vectorized"`` the production side.  These tests enforce that, plus the
+reducer lookup and key contracts and the equivalence of the MR algorithms
+built on the engine.
 """
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from mr_reference import PATHS, on_path, per_key_function  # rootless test layout: pytest puts this dir on sys.path
+from mr_reference import PATHS, PER_KEY, on_path  # rootless test layout: pytest puts this dir on sys.path
 from repro.baselines.bfs_diameter import mr_bfs_diameter
 from repro.baselines.hadi import hadi_diameter
 from repro.generators import barabasi_albert_graph, mesh_graph
 from repro.mapreduce.engine import MREngine
-from repro.mapreduce.structured import (
-    ArrayPairs,
-    StructuredReducer,
-    grouping_order,
-    resolve_structured_reducer,
-)
+from repro.mapreduce.structured import ArrayPairs, execute_segments, grouping_order
 
-BUILTIN_REDUCERS = ("argmin", "bitwise_or", "count", "first", "max", "min", "sum")
+REDUCERS = ("bitwise_or", "count", "first", "sum")
 
 
 def run_structured_on_all(batch, reducer):
@@ -55,29 +53,26 @@ def assert_structured_identical(results):
 # Reducer lookup
 # ---------------------------------------------------------------------- #
 def test_builtin_reducers_registered():
-    for name in BUILTIN_REDUCERS:
-        assert resolve_structured_reducer(name).name == name
+    # The reference keys its per-key functions by the same four names.
+    assert sorted(PER_KEY) == list(REDUCERS)
+    batch = ArrayPairs(np.array([3, 1, 3]), np.array([4, 2, 8]))
+    for name in REDUCERS:
+        assert execute_segments(batch, name).output.keys.tolist() == [3, 1], name
 
 
-def test_resolve_structured_reducer():
-    assert resolve_structured_reducer("sum").name == "sum"
-    instance = resolve_structured_reducer("min")
-    assert resolve_structured_reducer(instance) is instance
-    # An unknown name is a ValueError, anything else but an instance a
-    # TypeError; both list the built-ins.
-    builtins = r"built-ins: \['argmin', 'bitwise_or', 'count', 'first', 'max', 'min', 'sum'\]"
-    with pytest.raises(ValueError, match="'not-a-reducer'; " + builtins):
-        resolve_structured_reducer("not-a-reducer")
-    with pytest.raises(TypeError, match=builtins):
-        resolve_structured_reducer(lambda k, vs: [(k, len(vs))])  # type: ignore[arg-type]
-    with pytest.raises(TypeError, match=builtins):
-        resolve_structured_reducer(123)  # type: ignore[arg-type]
+def test_unknown_reducer_names_rejected():
+    # The lookup is exact and lists the four reducers; min, max and argmin
+    # are not among them, and neither is a per-key callable.
+    batch = ArrayPairs(np.array([0, 1]), np.array([1, 2]))
+    for name in ("min", "max", "argmin", "not-a-reducer", "SUM", lambda key, values: values):
+        with pytest.raises(ValueError, match=r"reducers are \['bitwise_or', 'count', 'first', 'sum'\]"):
+            MREngine().run_structured_round(batch, name)
 
 
 # ---------------------------------------------------------------------- #
-# Built-in segment reducers against the reference
+# Segment reducers against the reference
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("name", ["min", "max", "sum", "count", "first"])
+@pytest.mark.parametrize("name", ["sum", "count", "first"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_scalar_reducers_identical_across_backends(name, seed):
     rng = np.random.default_rng(seed)
@@ -88,29 +83,6 @@ def test_scalar_reducers_identical_across_backends(name, seed):
     results = run_structured_on_all(batch, name)
     assert_structured_identical(results)
     assert results["serial"][3]["shuffled_pairs"] == size
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_argmin_composite_rows_identical(seed):
-    rng = np.random.default_rng(10 + seed)
-    size = int(rng.integers(1, 400))
-    rows = np.column_stack(
-        [rng.integers(0, 4, size), rng.integers(0, 6, size), rng.integers(0, 9, size)]
-    )
-    batch = ArrayPairs(rng.integers(0, 30, size), rows)
-    results = run_structured_on_all(batch, "argmin")
-    assert_structured_identical(results)
-
-
-def test_argmin_matches_python_min_semantics():
-    # Lexicographic row minimum with ties resolved by arrival order.
-    batch = ArrayPairs(
-        np.array([5, 5, 5, 9]),
-        np.array([[2, 7], [1, 9], [1, 3], [0, 0]]),
-    )
-    out = MREngine().run_structured_round(batch, "argmin")
-    assert out.keys.tolist() == [5, 9]
-    assert out.values.tolist() == [[1, 3], [0, 0]]
 
 
 def test_bitwise_or_sketch_rows_identical():
@@ -129,33 +101,6 @@ def test_bitwise_or_scalar_values_identical():
     assert_structured_identical(results)
 
 
-class EvenSums(StructuredReducer):
-    """Group sums, emitted only for the groups whose sum is even.
-
-    ``reference`` is its tuple-path twin, called by ``mr_reference``.
-    """
-
-    name = "test-even-sums"
-    values_ndim = 1
-
-    def segment_reduce(self, sorted_values, starts, ends):
-        sums = np.add.reduceat(sorted_values, starts)
-        return sums, sums % 2 == 0
-
-    def reference(self, key, values):
-        if sum(values) % 2 == 0:
-            yield (key, sum(values))
-
-
-def test_emit_mask_reducer_identical():
-    # EvenSums drops odd groups: exercises the emit-mask path.
-    rng = np.random.default_rng(5)
-    batch = ArrayPairs(rng.integers(0, 40, 400), rng.integers(0, 7, 400))
-    results = run_structured_on_all(batch, EvenSums())
-    assert_structured_identical(results)
-    assert 0 < len(results["serial"][0]) < 40
-
-
 def test_empty_and_single_key_batches():
     empty = ArrayPairs(np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64))
     results = run_structured_on_all(empty, "first")
@@ -170,13 +115,6 @@ def test_empty_and_single_key_batches():
     assert results["serial"][3]["max_reducer_input"] == 64
 
 
-def test_values_ndim_validation_identical_on_all_backends():
-    batch = ArrayPairs(np.array([0, 1]), np.array([[1, 2], [3, 4]]))
-    for name in PATHS:
-        with on_path(name), pytest.raises(ValueError):
-            MREngine().run_structured_round(batch, "min")
-
-
 def test_structured_output_matches_classic_reference_round():
     """Structured output flattened == a dict group-by calling the reference."""
     rng = np.random.default_rng(6)
@@ -184,33 +122,39 @@ def test_structured_output_matches_classic_reference_round():
     groups = {}
     for key, value in batch.to_pairs():
         groups.setdefault(key, []).append(value)
-    for name in ("min", "max", "sum", "count", "first"):
-        reducer = resolve_structured_reducer(name)
-        function = per_key_function(reducer)
-        expected = [pair for key, values in groups.items() for pair in function(key, values)]
+    for name in REDUCERS:
+        expected = [(key, PER_KEY[name](values)) for key, values in groups.items()]
         engine = MREngine()
-        structured = engine.run_structured_round(batch, reducer)
+        structured = engine.run_structured_round(batch, name)
         assert structured.to_pairs() == expected, name
         assert engine.metrics.shuffled_pairs == 500, name
         assert engine.metrics.max_reducer_input == max(map(len, groups.values())), name
 
 
-def test_string_keys_and_nan_float_keys_fall_back_identically():
-    rng = np.random.default_rng(8)
-    words = np.array(["a", "bb", "ccc", "a", "bb"] * 40)
-    batch = ArrayPairs(words, rng.integers(0, 9, words.size))
-    results = run_structured_on_all(batch, "sum")
-    assert_structured_identical(results)
+def object_keys(items):
+    """A 1-d object key array holding ``items`` whole (tuples included)."""
+    keys = np.empty(len(items), dtype=object)
+    for index, item in enumerate(items):
+        keys[index] = item
+    return keys
 
-    keys = rng.uniform(0, 4, 50).round(1)
-    keys[::7] = np.nan  # NaN defeats sort grouping: the pass groups dict codes
-    nan_batch = ArrayPairs(keys, rng.integers(0, 9, 50))
-    results = run_structured_on_all(nan_batch, "count")
-    for name, result in results.items():
-        assert result[1] == results["serial"][1], name
-        assert result[3] == results["serial"][3], name
-    # Each NaN is its own group, exactly as in a dict.
-    assert np.isnan(results["vectorized"][0]).sum() == np.isnan(keys).sum()
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        object_keys([(0, 1), (2, 3), (0, 1)]),
+        object_keys(["3", 3, None]),
+        np.array([1 + 2j, 3j, 1 + 2j]),
+        np.array(["2015-06-13", "2015-06-14", "NaT"], dtype="datetime64[D]"),
+        np.array([0.5, np.nan, 0.5]),
+    ],
+    ids=["tuple-object", "mixed-object", "complex", "datetime", "nan-float"],
+)
+@pytest.mark.parametrize("name", REDUCERS)
+def test_unsortable_keys_rejected(keys, name):
+    # One sort cannot group these key arrays; the error names the dtype.
+    with pytest.raises(ValueError, match=re.escape(f"keys of dtype {keys.dtype} cannot be grouped")):
+        MREngine().run_structured_round(ArrayPairs(keys, np.arange(keys.size)), name)
 
 
 # ---------------------------------------------------------------------- #

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,14 @@ def assert_identical_service(a: GraphService, b: GraphService) -> None:
     assert np.array_equal(a.oracle.lower_matrix, b.oracle.lower_matrix)
     log = synthetic_workload(a.num_nodes, 2_000, seed=13)
     assert replay(a, log).checksum == replay(b, log).checksum
+
+
+def rewrite_meta(path, edit):
+    """Replace the JSON meta record of the snapshot at ``path`` by ``edit(meta)``."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays["meta"] = np.asarray(json.dumps(edit(json.loads(str(arrays["meta"])))))
+    np.savez_compressed(path, **arrays)
 
 
 class TestSnapshotKey:
@@ -84,18 +94,31 @@ class TestRoundTrip:
             load_snapshot(tmp_path / "absent.npz")
 
     def test_schema_mismatch_rejected(self, mesh12, tmp_path):
-        import json
-
-        service = GraphService.build(mesh12, seed=0)
-        path = save_snapshot(service, tmp_path)
-        with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files}
-        meta = json.loads(str(arrays["meta"]))
-        meta["schema"] = SNAPSHOT_SCHEMA + 1
-        arrays["meta"] = np.asarray(json.dumps(meta))
-        np.savez_compressed(path, **arrays)
+        path = save_snapshot(GraphService.build(mesh12, seed=0), tmp_path)
+        rewrite_meta(path, lambda meta: {**meta, "schema": SNAPSHOT_SCHEMA + 1})
         with pytest.raises(ValueError, match="schema"):
             load_snapshot(path)
+
+    def test_meta_that_is_not_an_object_rejected(self, mesh12, tmp_path):
+        path = save_snapshot(GraphService.build(mesh12, seed=0), tmp_path)
+        rewrite_meta(path, lambda meta: list(meta.items()))
+        with pytest.raises(ValueError, match="not a JSON object"):
+            load_snapshot(path)
+
+    def test_meta_without_tau_rejected(self, mesh12, tmp_path):
+        path = save_snapshot(GraphService.build(mesh12, seed=0), tmp_path)
+        rewrite_meta(path, lambda meta: {key: value for key, value in meta.items() if key != "tau"})
+        with pytest.raises(ValueError, match="no integer tau"):
+            load_snapshot(path)
+
+    def test_bad_meta_rebuilds_in_load_or_build(self, mesh12, tmp_path):
+        store = ArtifactStore(tmp_path)
+        built, _ = GraphService.load_or_build(store, mesh12, seed=0)
+        rewrite_meta(snapshot_path(store, built.snapshot_key), lambda meta: [meta])
+        with pytest.warns(RuntimeWarning, match="not a JSON object"):
+            rebuilt, loaded = GraphService.load_or_build(store, mesh12, seed=0)
+        assert not loaded
+        assert_identical_service(built, rebuilt)
 
     def test_missing_array_rejected(self, mesh12, tmp_path):
         service = GraphService.build(mesh12, seed=0)

@@ -14,8 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.mapreduce
+
 from repro.baselines import hadi_diameter, mpx_decomposition, mr_bfs_diameter
 from repro.core.cluster import cluster
+from repro.core.clustering import Clustering
 from repro.core.diameter import estimate_diameter
 from repro.core.growth_engine import GrowthEngine
 from repro.core.mr_algorithms import mr_estimate_diameter
@@ -25,11 +28,13 @@ from repro.experiments import ablations, figure1, pipeline_stages, table2, table
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.datasets import configure_dataset_cache
 from repro.experiments.store import DatasetCache
+from repro.experiments.suite import SuiteResult
 from repro.generators import mesh_graph
 from repro.graph import kernels, traversal
 from repro.graph.diameter_exact import exact_diameter
 from repro.graph.snapshot import SnapshotWriter, save_snapshot
-from repro.mapreduce import ArrayPairs, MREngine
+from repro.graph.traversal import BFSResult
+from repro.mapreduce import ArrayPairs, MREngine, MRMetrics, structured
 from repro.serving import GraphService
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -95,6 +100,16 @@ REMOVED = {
     "run_structured_round(mapper=)": lambda: MREngine().run_structured_round(
         _PAIRS, "sum", mapper=lambda batch: batch
     ),
+    "run_structured_round(label=)": lambda: MREngine().run_structured_round(_PAIRS, "sum", label="round"),
+    "charge_rounds(label=)": lambda: MREngine().charge_rounds([1], label="charged"),
+    "charge_rounds(count, pairs_per_round=)": lambda: MREngine().charge_rounds(3, pairs_per_round=5),
+    "MRMetrics.record_round(label=)": lambda: MRMetrics().record_round(
+        pairs_shuffled=1, max_reducer_input=1, live_pairs=1, label="round"
+    ),
+    "MRMetrics.record_charged_rounds(label=)": lambda: MRMetrics().record_charged_rounds(_ONE, label="charged"),
+    "DatasetCache.diameter(num_sweeps=)": lambda: DatasetCache().diameter(
+        "mesh", "small", num_sweeps=4, compute=lambda: 1
+    ),
     "DatasetCache(memory_items=)": lambda: DatasetCache(memory_items=16),
     "DatasetCache(mmap=)": lambda: DatasetCache(mmap=False),
     "configure_dataset_cache(memory_items=)": lambda: configure_dataset_cache(memory_items=16),
@@ -122,10 +137,39 @@ REMOVED = {
 }
 
 
-@pytest.mark.parametrize("name", ["kernels.eccentricities", "kernels.MSBFS_TILE", "traversal.eccentricity"])
+_OWNERS = {
+    "kernels": kernels,
+    "traversal": traversal,
+    "structured": structured,
+    "mapreduce": repro.mapreduce,
+    "MREngine": MREngine(),
+    "MRMetrics": MRMetrics(),
+    "Clustering": Clustering,
+    "BFSResult": BFSResult,
+    "SuiteResult": SuiteResult,
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "kernels.eccentricities",
+        "kernels.MSBFS_TILE",
+        "traversal.eccentricity",
+        "structured.StructuredReducer",
+        "structured.resolve_structured_reducer",
+        "structured._dict_codes",
+        "mapreduce.StructuredReducer",
+        "MREngine.charge_rounds_batch",
+        "MRMetrics.per_label",
+        "Clustering.radii",
+        "BFSResult.reached",
+        "SuiteResult.experiments",
+    ],
+)
 def test_removed_names_are_gone(name):
-    module, attribute = name.split(".")
-    assert not hasattr({"kernels": kernels, "traversal": traversal}[module], attribute)
+    owner, attribute = name.split(".")
+    assert not hasattr(_OWNERS[owner], attribute)
 
 
 @pytest.mark.parametrize("call", sorted(REMOVED))

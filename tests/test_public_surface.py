@@ -3,11 +3,13 @@ and every defaulted parameter of one has a setter there.
 
 A public function, class or method that only tests call is surface nobody
 uses: it goes, or it is named below with the reason it stays.  The check is
-static and by name: a definition counts as used when its name appears as an
-identifier (``name`` or ``obj.name``) in any module under ``src/``,
-``benchmarks/`` or ``examples/``.  Import statements and ``__all__`` strings
-do not count, so a re-export alone is not a use, while any same-named use
-is (the check errs towards keeping code).
+static and by name: a function or class counts as used when its name
+appears as an identifier (``name`` or ``obj.name``) in any module under
+``src/``, ``benchmarks/`` or ``examples/``, and a method only when it
+appears as an attribute (``obj.name``): a parameter or local that shares a
+method's name does not keep the method.  Import statements and ``__all__``
+strings do not count, so a re-export alone is not a use, while any
+same-named use is (the check errs towards keeping code).
 
 The same holds one level down.  A defaulted parameter of a public function,
 of a public class's ``__init__`` or of its public methods that no call in
@@ -36,6 +38,7 @@ LIBRARY_SURFACE = ("graph/io.py", "graph/ingest.py", "generators/", "faults/")
 ALLOWED = {
     "graph/csr.py: CSRGraph.has_edge": "adjacency query of the graph type, beside neighbors() and degree()",
     "graph/csr.py: CSRGraph.edge_weight": "weight query of the graph type, beside has_edge()",
+    "graph/csr.py: CSRGraph.degree": "the per-node degree query of the graph type, beside neighbors()",
     "graph/components.py: is_connected": "the connectivity predicate the README and the docstrings name",
     "graph/builders.py: from_adjacency_dict": "the hand-written-graph constructor of the builder API",
     "core/clustering.py: Clustering.members": "node ids of one cluster, the basic query on a decomposition",
@@ -43,47 +46,59 @@ ALLOWED = {
 }
 
 
-def _definitions(path: Path):
-    """``(qualified name, bare name)`` of each public top-level function and
-    class and of each public method of those classes."""
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+def _definitions(source: str):
+    """``(qualified name, bare name, is method)`` of each public top-level
+    function and class and of each public method of those classes."""
+    for node in ast.parse(source).body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
         if node.name.startswith("_"):
             continue
-        yield node.name, node.name
+        yield node.name, node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name
+                    yield f"{node.name}.{item.name}", item.name, True
 
 
-def _identifiers():
-    names = set()
-    for tree in CALLER_TREES:
-        for path in (ROOT / tree).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-    return names
+def _identifiers(sources):
+    """``(bare names, attribute names)`` used in ``sources``."""
+    names, attributes = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def _caller_sources():
+    return [path.read_text(encoding="utf-8") for tree in CALLER_TREES for path in (ROOT / tree).rglob("*.py")]
 
 
 def _library_surface(relative: str) -> bool:
     return any(relative.startswith(entry) if entry.endswith("/") else relative == entry for entry in LIBRARY_SURFACE)
 
 
+def _unused_in(definitions, names, attributes):
+    """Qualified names of the ``definitions`` (a source) that neither the
+    bare ``names`` nor the ``attributes`` of the callers use."""
+    return {
+        qualified
+        for qualified, name, is_method in _definitions(definitions)
+        if name not in attributes and (is_method or name not in names)
+    }
+
+
 def _unused():
-    used = _identifiers()
+    names, attributes = _identifiers(_caller_sources())
     unused = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         relative = path.relative_to(PACKAGE).as_posix()
-        if _library_surface(relative):
-            continue
-        for qualified, name in _definitions(path):
-            if name not in used:
-                unused.add(f"{relative}: {qualified}")
+        if not _library_surface(relative):
+            source = path.read_text(encoding="utf-8")
+            unused |= {f"{relative}: {name}" for name in _unused_in(source, names, attributes)}
     return unused
 
 
@@ -184,6 +199,24 @@ def test_every_parameter_has_a_setter():
     # Exact, as above: an allowed parameter that gained a setter (or was
     # deleted) leaves the list.
     assert sorted(set(ALLOWED_DEFAULTS) - unset) == []
+
+
+def test_a_same_named_parameter_does_not_use_a_method():
+    definitions = (
+        "class Graph:\n"
+        "    def degree(self, node): ...\n"
+        "    def radii(self): ...\n"
+        "    def reached(self): ...\n"
+        "def helper(): ...\n"
+    )
+    callers = [
+        "def f(degree, helper=None):\n"
+        "    radii = degree + 1\n"
+        "    return Graph().reached(), radii, helper\n"
+    ]
+    # A function still counts through its bare name; a method only through
+    # an attribute reference.
+    assert _unused_in(definitions, *_identifiers(callers)) == {"Graph.degree", "Graph.radii"}
 
 
 def test_every_public_definition_has_a_caller():
