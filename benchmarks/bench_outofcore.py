@@ -10,8 +10,7 @@ same ≥5M-edge R-MAT sample and fails the build if the streaming path's peak
 RSS is not **under 35%** of the in-memory path's.
 
 Both measurements land in ``BENCH_mr.json`` (rows carry ``peak_rss_bytes``)
-so the memory trajectory stays machine-comparable across PRs, next to the
-throughput rows of the other MR benchmarks.
+so the memory trajectory stays machine-comparable across changes.
 """
 
 from __future__ import annotations

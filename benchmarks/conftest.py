@@ -27,13 +27,14 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 # ------------------------------------------------------------------ #
-# Machine-readable MR-performance trajectory (BENCH_mr.json)
+# Machine-readable out-of-core memory trajectory (BENCH_mr.json)
 # ------------------------------------------------------------------ #
-# The MR benchmarks (bench_structured.py) record one row per measured
-# (workload, backend) pair; at session end the rows are written to
-# BENCH_mr.json (override the path with REPRO_BENCH_MR_JSON) so the perf
-# trajectory stays comparable across PRs.  CI uploads the file as an
-# artifact next to the pytest-benchmark timings.
+# bench_outofcore.py records one peak-RSS row per ingest path (the
+# streamed snapshot and the in-memory builder); at session end the rows are
+# written to BENCH_mr.json (override the path with
+# REPRO_BENCH_MR_JSON) so the memory trajectory stays comparable across
+# changes.  CI uploads the file as an artifact next to the pytest-benchmark
+# timings.
 _MR_BENCH_RESULTS: list = []
 
 

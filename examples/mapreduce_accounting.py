@@ -1,15 +1,15 @@
 #!/usr/bin/env python
-"""Working with the MR(M_G, M_L) simulation engine directly.
+"""Working with the MR(M_G, M_L) accounting directly.
 
 The library's performance claims are stated in the MapReduce model of
 Pietracaprina et al.: number of rounds, communication volume, and local/global
-memory constraints.  This script shows the substrate on its own:
+memory constraints.  No round is executed: every algorithm runs in memory and
+charges the rounds its run stands for.  This script shows the accounting on
+its own:
 
-1. run a word-count round (a ``sum`` reducer over string keys) and inspect
-   the metered counters,
-2. tabulate the analytical round cost of the Fact-1 primitives (sort, prefix
+1. tabulate the analytical round cost of the Fact-1 primitives (sort, prefix
    sums) under a shrinking local memory: O(log_ML n) rounds each,
-3. execute the CLUSTER-based diameter estimation under a memory-constrained
+2. run the CLUSTER-based diameter estimation under a memory-constrained
    model and convert its metrics into simulated wall-clock time.  The model
    records (rather than raises on) violations: the quotient-diameter round,
    which Theorem 4 runs on a single reducer, overflows M_L at this τ.
@@ -21,29 +21,9 @@ Run with::
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import mr_estimate_diameter
 from repro.generators import mesh_graph
-from repro.mapreduce import (
-    ArrayPairs,
-    CostModel,
-    MREngine,
-    MRModel,
-    rounds_for_primitive,
-)
-
-
-def word_count_demo() -> None:
-    engine = MREngine()
-    documents = np.array(["graphs are large", "graphs are sparse"])
-
-    # The map phase: one (word, 1) pair per token.
-    words = [word for line in documents.tolist() for word in line.split()]
-    batch = ArrayPairs(np.asarray(words), np.ones(len(words), dtype=np.int64))
-    result = engine.run_structured_round(batch, "sum")
-    print("word count:", dict(result.to_pairs()))
-    print("metrics:", engine.metrics.as_dict(), "\n")
+from repro.mapreduce import CostModel, MRModel, rounds_for_primitive
 
 
 def fact1_demo() -> None:
@@ -75,7 +55,6 @@ def constrained_diameter_demo() -> None:
 
 
 def main() -> None:
-    word_count_demo()
     fact1_demo()
     constrained_diameter_demo()
 

@@ -33,8 +33,8 @@ def main() -> None:
           f"diameter >= {reference}\n")
 
     ours = mr_estimate_diameter(graph, target_clusters=graph.num_nodes // 20, seed=7)
-    # The baselines execute every round for real, each as one sort of the
-    # round's keys plus segment reductions.
+    # The baselines charge one round per BFS level or HADI iteration, as
+    # CLUSTER charges one per growing step.
     bfs = mr_bfs_diameter(graph, seed=7)
     hadi = hadi_diameter(graph, seed=7, num_registers=16)
 

@@ -14,8 +14,8 @@ The package provides:
   contribution) and their applications — k-center approximation, diameter
   approximation, and the batch-first approximate distance oracle;
 * every substrate needed to run and evaluate them from scratch: a CSR graph
-  library, synthetic workload generators, a metered MR(M_G, M_L) MapReduce
-  simulation engine, and the baselines (MPX, BFS, HADI/ANF, Gonzalez);
+  library, synthetic workload generators, MR(M_G, M_L) round accounting,
+  and the baselines (MPX, BFS, HADI/ANF, Gonzalez);
 * an experiment harness regenerating every table and figure of the paper's
   evaluation section (``python -m repro.experiments``).
 

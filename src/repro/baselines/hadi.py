@@ -15,13 +15,13 @@ neighborhood function stops increasing (within a small tolerance), i.e. the
 (estimated) effective diameter at 100%; like the original HADI it tends to
 slightly *underestimate* the true diameter.
 
-Every sketch-propagation iteration is *executed* as one structured MR round:
-the map phase ships each node's sketch to itself plus one sketch along every
-arc (a single CSR gather into an
-:class:`~repro.mapreduce.structured.ArrayPairs` batch of ``uint64`` register
-rows), and the built-in ``bitwise_or`` segment reducer merges each node's
-incoming sketches with ``np.bitwise_or.reduceat`` — the HADI round, with
-zero per-key Python calls.
+Every sketch-propagation iteration is one MR round.  The CSR rows already
+group its pairs by receiving node (each node's own sketch plus one sketch per
+arc of its row), so the round is one ``np.bitwise_or.reduceat`` over the
+gathered neighbour sketches, ORed into each node's own sketch, and it is
+charged ``n + 2m`` shuffled pairs through
+:meth:`~repro.mapreduce.engine.MREngine.charge_rounds` — the way
+:func:`repro.core.mr_algorithms.charge_clustering_rounds` charges CLUSTER.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.graph.csr import CSRGraph
 from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
 from repro.mapreduce.engine import MREngine
 from repro.mapreduce.metrics import MRMetrics
-from repro.mapreduce.structured import ArrayPairs
 from repro.utils.rng import SeedLike, as_rng
 
 __all__ = ["HADIResult", "hadi_diameter", "fm_estimate", "make_fm_sketches"]
@@ -116,7 +115,7 @@ def hadi_diameter(
     """Estimate the diameter of ``graph`` with HADI/ANF.
 
     The process counts as saturated once the neighborhood function grows by
-    at most 0.1% in an iteration.  Rounds are metered on an unbounded
+    at most 0.1% in an iteration.  Rounds are charged on an unbounded
     :class:`~repro.mapreduce.model.MRModel`.
 
     Parameters
@@ -137,24 +136,14 @@ def hadi_diameter(
     sketches = make_fm_sketches(n, num_registers=num_registers, rng=rng)
     neighborhood = [float(n)]  # N(0) = n (every node reaches itself)
     estimate = 0
-    indptr, indices = graph.indptr, graph.indices
-    # The round's key layout is graph structure only — hoisted out of the loop:
-    # every node keys its own sketch, then one key per arc (the row owner
-    # receives the sketch of each of its neighbours).
-    nodes = np.arange(n, dtype=np.int64)
-    arc_owners = np.repeat(nodes, np.diff(indptr))
-    round_keys = np.concatenate((nodes, arc_owners))
+    indices = graph.indices
+    # Each row's arcs are contiguous, so the non-empty rows' offsets are the
+    # reduceat segment starts; zero-degree nodes keep their own sketch.
+    rows = np.flatnonzero(graph.degrees)
+    starts = graph.indptr[rows]
 
     for t in range(1, limit + 1):
-        # One HADI iteration = one structured MR round shuffling a sketch
-        # along every arc (plus each node's own): the bitwise_or segment
-        # reducer ORs every node's incoming rows, so zero-degree nodes
-        # simply keep their own sketch.
-        batch = ArrayPairs(round_keys, np.concatenate((sketches, sketches[indices])))
-        merged = engine.run_structured_round(batch, "bitwise_or")
-        updated = np.empty_like(sketches)
-        updated[merged.keys] = merged.values
-        sketches = updated
+        sketches[rows] |= np.bitwise_or.reduceat(sketches[indices], starts, axis=0)
         total_pairs = float(fm_estimate(sketches).sum())
         neighborhood.append(total_pairs)
         previous = neighborhood[-2]
@@ -162,10 +151,13 @@ def hadi_diameter(
             estimate = t - 1
             break
         estimate = t
+    iterations = len(neighborhood) - 1
+    # One round per iteration: every node's own sketch plus one per arc.
+    engine.charge_rounds(np.full(iterations, n + indices.size))
     return HADIResult(
         estimate=estimate,
         neighborhood_function=neighborhood,
-        iterations=len(neighborhood) - 1,
+        iterations=iterations,
         metrics=engine.metrics,
         simulated_time=cost_model.simulated_time(engine.metrics),
     )

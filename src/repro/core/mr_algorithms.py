@@ -15,9 +15,9 @@ replay that trace against the MR(M_G, M_L) accounting of
 * ``O(log_{M_L} m)`` rounds to build the quotient graph (a sort of the edge
   multiset by cluster pair), and
 * a single round with a single reducer to compute the quotient diameter
-  (Theorem 4's small-quotient regime), checked against the engine's
-  :class:`~repro.mapreduce.model.MRModel` like every executed round: a
-  quotient larger than the local memory ``M_L`` raises
+  (Theorem 4's small-quotient regime), the one round checked against the
+  engine's :class:`~repro.mapreduce.model.MRModel`: a quotient larger than
+  the local memory ``M_L`` raises
   :class:`~repro.mapreduce.model.MRConstraintViolation` under an enforcing
   model and is recorded in ``model.violations`` otherwise.
 
@@ -126,9 +126,8 @@ def charge_clustering_rounds(engine: MREngine, clustering: Clustering) -> None:
 def charge_quotient_rounds(engine: MREngine, graph: CSRGraph, *, num_quotient_edges: int) -> None:
     """Charge the rounds for building the quotient graph and computing its diameter.
 
-    The quotient-diameter round is checked against ``engine.model``, as
-    executed rounds are; on the default unbounded model the check never
-    objects.
+    The quotient-diameter round is checked against ``engine.model``; on the
+    default unbounded model the check never objects.
     """
     ml = engine.model.local_memory
     # Building the quotient graph: a sort of the 2m arcs by cluster pair.

@@ -8,8 +8,9 @@ single machine the honest equivalents are the quantities the wall-clock time
 is made of in a round-synchronous system — the number of MR rounds, the
 shuffled communication volume, and the simulated time
 ``round_latency · rounds + pair_cost · pairs`` of the configured cost model
-(see DESIGN.md, substitution table).  All three algorithms are metered by the
-same :mod:`repro.mapreduce` engine, so the comparison is apples to apples.
+(see DESIGN.md, substitution table).  All three algorithms charge their rounds
+to the same :mod:`repro.mapreduce` engine, so the comparison is apples to
+apples.
 
 Expected shape (paper Table 4): HADI needs Θ(∆) rounds each shuffling Θ(m)
 data and is slowest everywhere (orders of magnitude on the road networks);

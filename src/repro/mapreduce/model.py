@@ -9,11 +9,14 @@ group of pairs sharing a key.  The model has two parameters:
 * ``M_L`` — the maximum number of pairs any single reducer may receive
   (local memory).
 
-The class below captures the parameters and performs the constraint checks;
-:class:`repro.mapreduce.engine.MREngine` consults it after every round.  By
-default violations raise :class:`MRConstraintViolation`; the experiment
-harness can switch to "record" mode to merely count violations (useful when
-exploring configurations).
+The class below captures the parameters and performs the constraint checks.
+Every round is charged rather than executed, and the one round whose
+reducer input is known — the quotient diameter on a single reducer — is
+checked against the engine's model by
+:func:`repro.core.mr_algorithms.charge_quotient_rounds`.  By default
+violations raise :class:`MRConstraintViolation`; the experiment harness can
+switch to "record" mode to merely count violations (useful when exploring
+configurations).
 """
 
 from __future__ import annotations

@@ -40,16 +40,18 @@ class TestBFSDiameter:
         assert metered.num_levels == bfs_distances(mesh20, start).max() + bfs_distances(mesh20, farthest).max()
 
     def test_mr_rounds_theta_diameter(self):
-        """BFS needs Θ(∆) rounds: on a path of length L the two sweeps cost ~2L."""
+        """BFS needs Θ(∆) rounds: on a path of length L the two sweeps cost L to 2L."""
         graph = path_graph(100)
         result = mr_bfs_diameter(graph, seed=0)
-        assert result.metrics.rounds >= 99
-        assert result.metrics.rounds <= 2 * 99 + 4
+        # One round per level, plus each sweep's fruitless last level.
+        assert result.metrics.rounds == result.num_levels + 2
+        assert 99 <= result.num_levels <= 2 * 99
 
     def test_mr_communication_linear_aggregate(self, mesh20):
         result = mr_bfs_diameter(mesh20, seed=1)
-        # Two BFS sweeps: aggregate communication ~ 2 * (2m + n) plus slack.
-        assert result.metrics.shuffled_pairs <= 3 * (mesh20.num_directed_edges + mesh20.num_nodes)
+        # Each sweep of a connected graph ships every node once and every arc once.
+        assert result.metrics.shuffled_pairs == 2 * (mesh20.num_nodes + mesh20.num_directed_edges)
+        assert result.metrics.rounds == result.num_levels + 2
 
     def test_simulated_time_present(self, mesh20):
         result = mr_bfs_diameter(mesh20, seed=2)
@@ -101,15 +103,18 @@ class TestHADI:
         assert all(b >= a * 0.99 for a, b in zip(nf, nf[1:]))
 
     def test_rounds_theta_diameter(self):
-        """HADI executes ~∆ sketch-propagation rounds."""
+        """HADI runs ~∆ sketch-propagation rounds."""
         graph = cycle_graph(60)  # diameter 30
         result = hadi_diameter(graph, seed=6, num_registers=16)
+        assert result.metrics.rounds == result.iterations
         assert 20 <= result.metrics.rounds <= 40
 
     def test_communication_per_round_linear_in_edges(self, mesh20):
         result = hadi_diameter(mesh20, seed=7, num_registers=8, max_iterations=5)
-        per_round = result.metrics.max_round_pairs
-        assert per_round >= mesh20.num_directed_edges
+        # Every round ships each node's own sketch plus one sketch per arc.
+        per_round = mesh20.num_nodes + mesh20.num_directed_edges
+        assert result.metrics.max_round_pairs == per_round
+        assert result.metrics.shuffled_pairs == result.metrics.rounds * per_round
 
     def test_max_iterations_cap(self, mesh20):
         result = hadi_diameter(mesh20, seed=8, num_registers=8, max_iterations=3)

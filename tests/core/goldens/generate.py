@@ -1,15 +1,18 @@
 """Regenerate the cross-implementation equivalence goldens.
 
-The goldens pin the *exact* seeded outputs (SHA-256 of the result arrays plus
-human-readable summary numbers) of every growth-loop-driven algorithm:
-CLUSTER, CLUSTER2, MPX, k-center (CLUSTER-based and Gonzalez), the
-single-batch ablation baseline, the weighted decomposition, and the
-decomposition-based diameter estimate with its MR-round accounting.
+``growth_goldens.json`` pins the *exact* seeded outputs (SHA-256 of the
+result arrays plus human-readable summary numbers) of every
+growth-loop-driven algorithm: CLUSTER, CLUSTER2, MPX, k-center (CLUSTER-based
+and Gonzalez), the single-batch ablation baseline, the weighted
+decomposition, and the decomposition-based diameter estimate with its
+MR-round accounting.  ``baseline_goldens.json`` pins the Table 4 / Figure 1
+baselines — the double-sweep BFS and HADI — with their MR counters and
+simulated time, on the six small datasets and a graph with isolated nodes.
 
 ``tests/core/test_golden_equivalence.py`` asserts current outputs match these
 files bit for bit, so any refactor of the growth machinery (such as the
-GrowthEngine port) is provably output-preserving.  Regenerate only when an
-output change is *intended*::
+GrowthEngine port) or of the MR accounting is provably output-preserving.
+Regenerate only when an output change is *intended*::
 
     PYTHONPATH=src python tests/core/goldens/generate.py
 """
@@ -23,6 +26,8 @@ from pathlib import Path
 import numpy as np
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "growth_goldens.json"
+BASELINE_PATH = Path(__file__).resolve().parent / "baseline_goldens.json"
+BASELINE_SEEDS = (0, 1, 2)
 
 
 def array_digest(*arrays: np.ndarray) -> str:
@@ -136,10 +141,59 @@ def generate() -> dict:
     return goldens
 
 
+def baseline_graphs() -> dict:
+    from repro.experiments.datasets import dataset_names, load_dataset
+    from repro.graph.csr import CSRGraph
+
+    graphs = {name: load_dataset(name, "small") for name in dataset_names()}
+    # Nodes 1 and 4 are isolated: an empty CSR row inside and at the end,
+    # and seeds 0 and 2 start the double sweep on node 4.
+    graphs["isolated-5"] = CSRGraph.from_edges(np.array([[0, 2], [2, 3]]), num_nodes=5)
+    return graphs
+
+
+def metrics_record(result) -> dict:
+    return {
+        "rounds": int(result.metrics.rounds),
+        "shuffled_pairs": int(result.metrics.shuffled_pairs),
+        "max_round_pairs": int(result.metrics.max_round_pairs),
+        "simulated_time": float(result.simulated_time),
+    }
+
+
+def generate_baselines() -> dict:
+    from repro.baselines.bfs_diameter import mr_bfs_diameter
+    from repro.baselines.hadi import hadi_diameter
+
+    goldens: dict = {}
+    for name, graph in baseline_graphs().items():
+        record: dict = {}
+        for seed in BASELINE_SEEDS:
+            bfs = mr_bfs_diameter(graph, seed=seed)
+            hadi = hadi_diameter(graph, num_registers=16, seed=seed)
+            record[f"seed={seed}"] = {
+                "bfs": {
+                    "estimate": int(bfs.estimate),
+                    "lower_bound": int(bfs.lower_bound),
+                    "upper_bound": int(bfs.upper_bound),
+                    "num_levels": int(bfs.num_levels),
+                    **metrics_record(bfs),
+                },
+                "hadi": {
+                    "estimate": int(hadi.estimate),
+                    "neighborhood_function": [float(x) for x in hadi.neighborhood_function],
+                    "iterations": int(hadi.iterations),
+                    **metrics_record(hadi),
+                },
+            }
+        goldens[name] = record
+    return goldens
+
+
 def main() -> None:
-    goldens = generate()
-    GOLDEN_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN_PATH}")
+    for path, records in ((GOLDEN_PATH, generate()), (BASELINE_PATH, generate_baselines())):
+        path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@
 algorithm, captured from the implementations that predate the GrowthEngine
 port.  These tests re-run the algorithms and assert the outputs are still bit
 identical, proving the unification is output-preserving.
+``baseline_goldens.json`` does the same for the BFS and HADI baselines and
+their charged MR rounds; it was recorded while their rounds still ran
+through a sort-and-reduce executor, so charging them from pair counts is
+pinned as output-preserving too.
 
 Regenerate the goldens (only when an output change is intended) with::
 
@@ -70,3 +74,37 @@ def test_goldens_cover_every_graph(goldens):
     for name in GRAPHS:
         missing = [a for a in ALGORITHMS if a not in goldens[name] and name != "two-meshes"]
         assert not missing, f"goldens for {name} lack {missing}"
+
+
+BASELINE_GRAPHS = [
+    "twitter-like",
+    "livejournal-like",
+    "roads-CA-like",
+    "roads-PA-like",
+    "roads-TX-like",
+    "mesh",
+    "isolated-5",
+]
+
+
+@pytest.fixture(scope="module")
+def baseline_goldens() -> dict:
+    return json.loads((GOLDEN_DIR / "baseline_goldens.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def current_baselines() -> dict:
+    return _load_generator().generate_baselines()
+
+
+@pytest.mark.parametrize("graph_name", BASELINE_GRAPHS)
+def test_baselines_match_golden(baseline_goldens, current_baselines, graph_name):
+    assert current_baselines[graph_name] == baseline_goldens[graph_name], (
+        f"seeded BFS / HADI output or MR counters on {graph_name} diverged from "
+        "the golden; if the change is intended, regenerate with "
+        "`PYTHONPATH=src python tests/core/goldens/generate.py`"
+    )
+
+
+def test_baseline_goldens_cover_every_graph(baseline_goldens, current_baselines):
+    assert sorted(baseline_goldens) == sorted(current_baselines) == sorted(BASELINE_GRAPHS)

@@ -2,10 +2,10 @@
 
 Two layers of guarantees:
 
-* Every consumer of CSR arrays — the decomposition pipeline, the distance
-  oracle, and the structured MR rounds — produces bit-identical results
-  whether the graph's arrays are resident or read-only ``np.memmap`` views
-  over a snapshot, for every registry dataset.
+* Every consumer of CSR arrays — the decomposition pipeline, its MR
+  accounting, the distance oracle, and the BFS and HADI baselines — produces
+  bit-identical results whether the graph's arrays are resident or read-only
+  ``np.memmap`` views over a snapshot, for every registry dataset.
 * The ``scale`` experiment tier streams its R-MAT graphs to disk, reuses
   cached snapshots, and reports measured columns the deterministic view
   strips.
@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import hadi_diameter, mr_bfs_diameter
 from repro.core.pipeline import DecompositionPipeline, PipelineConfig
 from repro.experiments.datasets import (
     configure_dataset_cache,
@@ -30,7 +31,6 @@ from repro.experiments.scale import (
 )
 from repro.experiments.suite import SuiteRunner, deterministic_view
 from repro.graph.snapshot import save_snapshot, load_snapshot
-from repro.mapreduce import ArrayPairs, MREngine
 from repro.serving import GraphService
 
 
@@ -62,7 +62,7 @@ class TestMmapBitIdentity:
             DecompositionPipeline(candidate, PipelineConfig(tau=3, seed=11)).mr_report()
             for candidate in (graph, mapped)
         ]
-        assert reports[0].metrics.as_dict() == reports[1].metrics.as_dict()
+        assert reports[0].metrics == reports[1].metrics
         assert reports[0].simulated_time == reports[1].simulated_time
 
     @pytest.mark.parametrize("name", dataset_names())
@@ -74,15 +74,14 @@ class TestMmapBitIdentity:
         assert np.array_equal(oracles[0].assignment, oracles[1].assignment)
         assert np.array_equal(oracles[0].center_distance, oracles[1].center_distance)
 
-    def test_structured_round_on_memmap_arrays(self, tmp_path):
-        graph, mapped = _snapshot_pair(tmp_path, "mesh")
-        values = np.arange(graph.num_directed_edges, dtype=np.int64) % 97
-        outcomes = []
-        for candidate in (graph, mapped):
-            batch = ArrayPairs(np.asarray(candidate.indices), values)
-            outcomes.append(MREngine().run_structured_round(batch, "sum"))
-        assert np.array_equal(outcomes[0].keys, outcomes[1].keys)
-        assert np.array_equal(outcomes[0].values, outcomes[1].values)
+    @pytest.mark.parametrize("name", dataset_names())
+    def test_baselines(self, tmp_path, name):
+        graph, mapped = _snapshot_pair(tmp_path, name)
+        results = [
+            (mr_bfs_diameter(candidate, seed=3), hadi_diameter(candidate, num_registers=8, seed=3))
+            for candidate in (graph, mapped)
+        ]
+        assert results[0] == results[1]
 
 
 class TestScaleTier:

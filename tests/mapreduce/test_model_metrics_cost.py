@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
-from repro.mapreduce.metrics import MRMetrics
+from repro.mapreduce.engine import MREngine
 from repro.mapreduce.model import MRConstraintViolation, MRModel, rounds_for_primitive
 
 
@@ -21,8 +23,12 @@ class TestMRModel:
 
     def test_check_round_enforcing(self):
         model = MRModel(local_memory=5, enforce=True)
-        with pytest.raises(MRConstraintViolation):
+        with pytest.raises(MRConstraintViolation, match="exceeding M_L"):
             model.check_round(max_reducer_input=6, live_pairs=1)
+        model = MRModel(global_memory=3, enforce=True)
+        with pytest.raises(MRConstraintViolation, match="exceed M_G"):
+            model.check_round(max_reducer_input=1, live_pairs=10)
+        assert model.violations == ["10 live pairs exceed M_G=3"]
 
     def test_check_round_recording(self):
         model = MRModel(local_memory=5, global_memory=5, enforce=False)
@@ -58,37 +64,28 @@ class TestRoundsForPrimitive:
 
 class TestMetrics:
     def test_record_round(self):
-        a = MRMetrics()
-        a.record_round(pairs_shuffled=10, max_reducer_input=3, live_pairs=10)
-        a.record_round(pairs_shuffled=20, max_reducer_input=7, live_pairs=25)
-        assert a.rounds == 2
-        assert a.shuffled_pairs == 30
-        assert a.max_reducer_input == 7
-        assert a.max_live_pairs == 25
+        engine = MREngine()
+        engine.charge_rounds([10, 20])
+        engine.charge_rounds([15])
+        assert engine.metrics.rounds == 3
+        assert engine.metrics.shuffled_pairs == 45
+        assert engine.metrics.max_round_pairs == 20
 
     def test_as_dict_keys(self):
-        d = MRMetrics().as_dict()
-        assert set(d) == {
-            "rounds",
-            "shuffled_pairs",
-            "max_round_pairs",
-            "max_reducer_input",
-            "max_live_pairs",
-        }
+        engine = MREngine()
+        engine.charge_rounds([4, 9])
+        assert dataclasses.asdict(engine.metrics) == {"rounds": 2, "shuffled_pairs": 13, "max_round_pairs": 9}
 
 
 class TestCostModel:
     def test_simulated_time_linear(self):
-        metrics = MRMetrics()
-        for _ in range(10):
-            metrics.record_round(pairs_shuffled=1000, max_reducer_input=10, live_pairs=1000)
+        engine = MREngine()
+        engine.charge_rounds([1000] * 10)
         cost = CostModel(round_latency=2.0, pair_cost=0.001)
-        assert cost.simulated_time(metrics) == pytest.approx(2.0 * 10 + 0.001 * 10_000)
+        assert cost.simulated_time(engine.metrics) == pytest.approx(2.0 * 10 + 0.001 * 10_000)
 
     def test_more_rounds_costs_more(self):
-        few, many = MRMetrics(), MRMetrics()
-        for _ in range(3):
-            few.record_round(pairs_shuffled=100, max_reducer_input=1, live_pairs=100)
-        for _ in range(30):
-            many.record_round(pairs_shuffled=100, max_reducer_input=1, live_pairs=100)
-        assert DEFAULT_COST_MODEL.simulated_time(many) > DEFAULT_COST_MODEL.simulated_time(few)
+        few, many = MREngine(), MREngine()
+        few.charge_rounds([100] * 3)
+        many.charge_rounds([100] * 30)
+        assert DEFAULT_COST_MODEL.simulated_time(many.metrics) > DEFAULT_COST_MODEL.simulated_time(few.metrics)

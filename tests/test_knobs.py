@@ -8,6 +8,7 @@ removed parameters below must fail loudly instead of being silently ignored.
 
 from __future__ import annotations
 
+import importlib.util
 import re
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from repro.graph import kernels, traversal
 from repro.graph.diameter_exact import exact_diameter
 from repro.graph.snapshot import SnapshotWriter, save_snapshot
 from repro.graph.traversal import BFSResult
-from repro.mapreduce import ArrayPairs, MREngine, MRMetrics, structured
+from repro.mapreduce import MREngine, MRMetrics
 from repro.serving import GraphService
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -61,7 +62,6 @@ _GRAPH = mesh_graph(4, 4)
 _ONE = np.asarray([0], dtype=np.int64)
 _ARGS = (_GRAPH.indptr, _GRAPH.indices)
 _WEIGHTS = np.ones(_GRAPH.indices.size)
-_PAIRS = ArrayPairs(_ONE, _ONE)
 
 REMOVED = {
     "frontier_expansion(direction=)": lambda: kernels.frontier_expansion(*_ARGS, _ONE, direction="push"),
@@ -97,15 +97,8 @@ REMOVED = {
     "hadi_diameter(backend=)": lambda: hadi_diameter(_GRAPH, seed=0, backend="vectorized"),
     "ExperimentConfig(mr_backend=)": lambda: ExperimentConfig(mr_backend="serial"),
     "ExperimentConfig(mr_shards=)": lambda: ExperimentConfig(mr_shards=2),
-    "run_structured_round(mapper=)": lambda: MREngine().run_structured_round(
-        _PAIRS, "sum", mapper=lambda batch: batch
-    ),
-    "run_structured_round(label=)": lambda: MREngine().run_structured_round(_PAIRS, "sum", label="round"),
     "charge_rounds(label=)": lambda: MREngine().charge_rounds([1], label="charged"),
     "charge_rounds(count, pairs_per_round=)": lambda: MREngine().charge_rounds(3, pairs_per_round=5),
-    "MRMetrics.record_round(label=)": lambda: MRMetrics().record_round(
-        pairs_shuffled=1, max_reducer_input=1, live_pairs=1, label="round"
-    ),
     "MRMetrics.record_charged_rounds(label=)": lambda: MRMetrics().record_charged_rounds(_ONE, label="charged"),
     "DatasetCache.diameter(num_sweeps=)": lambda: DatasetCache().diameter(
         "mesh", "small", num_sweeps=4, compute=lambda: 1
@@ -140,7 +133,6 @@ REMOVED = {
 _OWNERS = {
     "kernels": kernels,
     "traversal": traversal,
-    "structured": structured,
     "mapreduce": repro.mapreduce,
     "MREngine": MREngine(),
     "MRMetrics": MRMetrics(),
@@ -156,12 +148,18 @@ _OWNERS = {
         "kernels.eccentricities",
         "kernels.MSBFS_TILE",
         "traversal.eccentricity",
-        "structured.StructuredReducer",
-        "structured.resolve_structured_reducer",
-        "structured._dict_codes",
         "mapreduce.StructuredReducer",
+        "mapreduce.ArrayPairs",
+        "mapreduce.StructuredOutcome",
+        "mapreduce.structured",
+        "mapreduce.backends",
         "MREngine.charge_rounds_batch",
+        "MREngine.run_structured_round",
         "MRMetrics.per_label",
+        "MRMetrics.record_round",
+        "MRMetrics.as_dict",
+        "MRMetrics.max_reducer_input",
+        "MRMetrics.max_live_pairs",
         "Clustering.radii",
         "BFSResult.reached",
         "SuiteResult.experiments",
@@ -170,6 +168,9 @@ _OWNERS = {
 def test_removed_names_are_gone(name):
     owner, attribute = name.split(".")
     assert not hasattr(_OWNERS[owner], attribute)
+    # A package's submodule is an attribute only once imported: look for its file.
+    if hasattr(_OWNERS[owner], "__path__"):
+        assert importlib.util.find_spec(f"{_OWNERS[owner].__name__}.{attribute}") is None
 
 
 @pytest.mark.parametrize("call", sorted(REMOVED))
