@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.mr_algorithms import charge_quotient_rounds
+from repro.generators import mesh_graph
 from repro.mapreduce.engine import MREngine
 from repro.mapreduce.metrics import MRMetrics
+from repro.mapreduce.model import MRConstraintViolation, MRModel
 
 
 class TestChargeRounds:
@@ -30,3 +33,14 @@ class TestChargeRounds:
         for charges in (-1, [3, -1], [[1, 2]]):
             with pytest.raises(ValueError):
                 MREngine().charge_rounds(charges)
+
+
+class TestConstraints:
+    def test_global_memory_violation_raises(self):
+        # The quotient-diameter round is the round checked against the
+        # engine's model: its 2 * 5 arcs exceed M_G = 3, so it raises before
+        # it is charged, after the one quotient-build round.
+        engine = MREngine(MRModel(global_memory=3, enforce=True))
+        with pytest.raises(MRConstraintViolation, match="10 live pairs exceed M_G=3"):
+            charge_quotient_rounds(engine, mesh_graph(4, 4), num_quotient_edges=5)
+        assert engine.metrics.rounds == 1
