@@ -94,6 +94,10 @@ def mr_bfs_diameter(
     scanned at that level plus the frontier bookkeeping (so the aggregate
     over a full BFS is ``2m`` arc messages plus ``n``), charged on an
     unbounded :class:`~repro.mapreduce.model.MRModel`.
+
+    Raises ``ValueError`` for an empty graph, and for a disconnected one
+    (the first sweep reaches fewer than ``n`` nodes), whose diameter is
+    infinite.
     """
     n = graph.num_nodes
     if n == 0:
@@ -101,7 +105,8 @@ def mr_bfs_diameter(
     start = int(as_rng(seed).integers(0, n))
     engine = MREngine()
     first = _charged_bfs(engine, graph, start)
-    # Unreachable nodes read -1, so the first maximum is the farthest node.
+    if np.any(first < 0):
+        raise ValueError("graph is disconnected; its diameter is infinite")
     farthest = int(np.argmax(first))
     second = _charged_bfs(engine, graph, farthest)
     ecc_first = int(first[farthest])

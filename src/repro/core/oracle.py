@@ -128,15 +128,7 @@ class DistanceOracle:
 
         ``us`` and ``vs`` are equal-length 1-d integer arrays; the return
         value is a pair of aligned ``float64`` arrays bounding
-        ``dist_G(us[i], vs[i])`` for every ``i``.  Semantics per pair (kept
-        bit-identical to the historical scalar implementation):
-
-        * ``u == v`` → ``(0, 0)``;
-        * same cluster → lower :attr:`same_cluster_lower`, upper
-          ``dist(u, c) + dist(v, c)`` (or ``same_cluster_lower`` when both
-          are centers of a degenerate cluster);
-        * different clusters → the quotient lower bound and the
-          route-through-centers upper bound.
+        ``dist_G(us[i], vs[i])`` for every ``i``, by :meth:`bounds`.
         """
         n = self.num_nodes
         us = check_node_batch(us, n, "us")
@@ -145,26 +137,42 @@ class DistanceOracle:
             raise ValueError(
                 f"us and vs must have the same length, got {us.size} and {vs.size}"
             )
-        if us.size == 0:
-            empty = np.zeros(0, dtype=np.float64)
-            return empty, empty.copy()
-        cu = self.assignment[us]
-        cv = self.assignment[vs]
-        du = self.center_distance[us]
-        dv = self.center_distance[vs]
-        through_centers = du + self.upper_matrix[cu, cv] + dv
-        via_own_center = du + dv
-        same = cu == cv
-        upper = np.where(
-            same,
-            np.where(via_own_center > 0, via_own_center, self.same_cluster_lower),
-            through_centers,
+        return self.bounds(
+            self.assignment[us],
+            self.assignment[vs],
+            self.center_distance[us],
+            self.center_distance[vs],
+            us == vs,
         )
-        lower = np.where(same, self.same_cluster_lower, self.lower_matrix[cu, cv])
-        identical = us == vs
-        if np.any(identical):
-            lower[identical] = 0.0
-            upper[identical] = 0.0
+
+    def bounds(self, cu, cv, du, dv, identical) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lower, upper)`` distance bounds from gathered endpoint data.
+
+        ``cu``/``cv`` are the endpoints' cluster ids, ``du``/``dv`` their
+        center distances and ``identical`` marks ``u == v``.  Semantics per
+        pair (kept bit-identical to the historical scalar implementation):
+
+        * ``u == v`` → ``(0, 0)``;
+        * same cluster → lower :attr:`same_cluster_lower`, upper
+          ``dist(u, c) + dist(v, c)`` (or ``same_cluster_lower`` when both
+          are centers of a degenerate cluster);
+        * different clusters → the quotient lower bound and the
+          route-through-centers upper bound.
+
+        Both matrices are read through one flat index ``cu·k + cv``.
+        """
+        flat = cu * self.num_clusters + cv
+        upper = du + np.take(self.upper_matrix, flat)
+        upper += dv
+        lower = np.take(self.lower_matrix, flat)
+        # Same-cluster pairs (u == v among them) are overwritten in place.
+        same = np.flatnonzero(cu == cv)
+        via_own_center = du[same] + dv[same]
+        upper[same] = np.where(via_own_center > 0, via_own_center, self.same_cluster_lower)
+        lower[same] = self.same_cluster_lower
+        same_node = same[identical[same]]
+        upper[same_node] = 0.0
+        lower[same_node] = 0.0
         return lower, upper
 
     def query(self, u: int, v: int) -> Tuple[float, float]:

@@ -147,19 +147,26 @@ def quotient_apsp(quotient: CSRGraph) -> np.ndarray:
     """All-pairs shortest-path matrix of a (small) quotient graph.
 
     The distance oracle's data structure, filled by
-    :func:`~repro.graph.kernels.distance_rows` in tiles of
-    :func:`~repro.graph.kernels.row_tile` sources (pair-id BFS for the hop
-    flavour, batched Δ-stepping for the weighted one), so the serving plane
-    needs no external shortest-path dependency.  Entries are ``float64``,
-    ``inf`` between components, as in ``scipy.sparse.csgraph.shortest_path``;
-    row ``a`` is bit-identical to a single-source
-    :func:`~repro.graph.kernels.delta_stepping` from ``a``.  With non-integer weights the matrix need not be bitwise
-    symmetric: ``(a, b)`` and ``(b, a)`` round one path's sum in opposite
-    orders.
+    :func:`~repro.graph.kernels.distance_rows` in tiles of sources (pair-id
+    BFS for the hop flavour, batched Δ-stepping for the weighted one), so the
+    serving plane needs no external shortest-path dependency.  Entries are
+    ``float64``, ``inf`` between components, as in
+    ``scipy.sparse.csgraph.shortest_path``; row ``a`` is bit-identical to a
+    single-source :func:`~repro.graph.kernels.delta_stepping` from ``a``.
+    With non-integer weights the matrix need not be bitwise symmetric:
+    ``(a, b)`` and ``(b, a)`` round one path's sum in opposite orders.
+
+    Hop tiles hold :func:`~repro.graph.kernels.row_tile` ``(arcs)`` sources,
+    weighted tiles ``row_tile(n)``, sized by their output block.  A
+    Δ-stepping tile runs about as many bucket rounds as the weighted
+    diameter has buckets, whatever its size, and each round scans the tile's
+    whole distance block, so fewer, larger tiles pay that per-round overhead
+    less often.  The pair-id BFS's work per level is its frontier's arcs, and
+    output-sized hop tiles were slower on a dense R-MAT quotient.
     """
     n = quotient.num_nodes
     weights = quotient.weights
-    tile = kernels.row_tile(quotient.indices.size)
+    tile = kernels.row_tile(quotient.indices.size if weights is None else n)
     matrix = np.empty((n, n), dtype=np.float64)
     for lo in range(0, n, tile):
         sources = np.arange(lo, min(lo + tile, n), dtype=np.int64)

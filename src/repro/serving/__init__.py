@@ -15,7 +15,7 @@ query-log file format, and a latency-percentile replay harness backing the
 ``python -m repro.experiments serve`` CLI and the ``bench_oracle.py`` gates.
 """
 
-from repro.serving.service import SERVICE_METHODS, GraphService
+from repro.serving.service import QUERY_KINDS, SERVICE_METHODS, GraphService
 from repro.serving.snapshot import (
     SNAPSHOT_SCHEMA,
     load_snapshot,
@@ -25,7 +25,6 @@ from repro.serving.snapshot import (
 )
 from repro.serving.workload import (
     DEFAULT_MIX,
-    QUERY_KINDS,
     QueryLog,
     ReplayReport,
     load_query_log,

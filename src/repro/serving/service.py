@@ -26,6 +26,8 @@ query_distance       ``(lower, upper)`` bounds on ``dist(u, v)``
 query_same_cluster   whether ``u`` and ``v`` share a cluster
 query_eccentricity   ``(lower, upper)`` bounds on the eccentricity of ``u``
 query_centers        ``(center node, center-distance upper bound)`` of ``u``
+answer               a mixed batch of the four kinds above, in batch order,
+                     as two ``float64`` columns (see :meth:`~GraphService.answer`)
 ===================  =====================================================
 
 The eccentricity bounds come from the decomposition alone: for a node ``u``
@@ -51,7 +53,14 @@ from repro.graph import kernels
 from repro.graph.csr import CSRGraph
 from repro.utils.validation import check_node_batch
 
-__all__ = ["GraphService", "SERVICE_METHODS"]
+__all__ = ["GraphService", "SERVICE_METHODS", "QUERY_KINDS", "PAIR_KINDS", "check_query_kinds"]
+
+#: Query kinds a service answers, in wire order: code ``i`` ↔ ``QUERY_KINDS[i]``.
+QUERY_KINDS = ("distance", "same-cluster", "eccentricity", "center")
+
+#: The kinds that take a pair ``(u, v)``: codes below ``len(PAIR_KINDS)``.
+#: The other kinds read ``u`` only.
+PAIR_KINDS = QUERY_KINDS[:2]
 
 #: Decomposition methods the serving plane supports (a subset of
 #: :data:`repro.core.pipeline.PIPELINE_METHODS`; ``"auto"`` resolves to
@@ -68,6 +77,29 @@ def resolve_method(graph: CSRGraph, method: str) -> str:
             f"unknown service method {method!r}; choose from {SERVICE_METHODS} or 'auto'"
         )
     return method
+
+
+def check_query_kinds(kinds) -> np.ndarray:
+    """Validate a 1-d integer array of codes into :data:`QUERY_KINDS`.
+
+    Returns the codes as an array, in their own dtype.  Raises ``ValueError``
+    for non-1-d input or an unknown code (naming the first one and its
+    position) and ``TypeError`` for a non-integer dtype.
+    """
+    codes = np.asarray(kinds)
+    if codes.ndim != 1:
+        raise ValueError(f"kinds must be a 1-d array of query kind codes, got shape {codes.shape}")
+    if codes.size == 0:
+        return codes
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise TypeError(f"kinds must be an integer array, got dtype {codes.dtype}")
+    if codes.min() < 0 or codes.max() >= len(QUERY_KINDS):
+        position = int(np.argmax((codes < 0) | (codes >= len(QUERY_KINDS))))
+        raise ValueError(
+            f"unknown query kind code {int(codes[position])} at position {position}; "
+            f"codes are 0..{len(QUERY_KINDS) - 1} for {QUERY_KINDS}"
+        )
+    return codes
 
 
 class GraphService:
@@ -233,10 +265,7 @@ class GraphService:
     def query_eccentricity(self, nodes) -> Tuple[np.ndarray, np.ndarray]:
         """Per-node ``(lower, upper)`` eccentricity bounds (float64 arrays)."""
         idx = check_node_batch(nodes, self.num_nodes, "nodes")
-        cluster_ids = self.assignment[idx]
-        lower = self._ecc_lower_by_cluster[cluster_ids].copy()
-        upper = self.center_distance[idx] + self._ecc_upper_by_cluster[cluster_ids]
-        return lower, upper
+        return self._eccentricity(self.assignment[idx], self.center_distance[idx])
 
     def query_centers(self, nodes) -> Tuple[np.ndarray, np.ndarray]:
         """Per-node k-center assignment: ``(center node id, distance bound)``.
@@ -247,8 +276,56 @@ class GraphService:
         assignment radius the decomposition guarantees.
         """
         idx = check_node_batch(nodes, self.num_nodes, "nodes")
-        cluster_ids = self.assignment[idx]
-        return self.centers[cluster_ids], self.center_distance[idx].copy()
+        return self.centers[self.assignment[idx]], self.center_distance[idx]
+
+    def answer(self, kinds, us, vs) -> Tuple[np.ndarray, np.ndarray]:
+        """Answer a mixed batch in order, as two aligned ``float64`` columns.
+
+        ``kinds`` holds codes into :data:`QUERY_KINDS`; ``vs`` is read only
+        where the kind takes a pair (:data:`PAIR_KINDS`).  Row ``i`` is:
+
+        ============  ================================  =================
+        kind          ``a[i]``                          ``b[i]``
+        ============  ================================  =================
+        distance      lower bound                       upper bound
+        same-cluster  ``1.0`` or ``0.0``                ``0.0``
+        eccentricity  lower bound                       upper bound
+        center        center node id                    center distance
+        ============  ================================  =================
+
+        each bit-identical to what the kind's ``query_*`` method returns.
+        The batch is validated once and each endpoint's cluster id and center
+        distance are gathered once.  Every row evaluates every kind's formula
+        into a ``(kinds, rows)`` table per column, and keeps its own kind's
+        entry by one gather.
+        """
+        kinds = check_query_kinds(kinds)
+        n = self.num_nodes
+        us = check_node_batch(us, n, "us")
+        vs = np.asarray(vs)
+        if not kinds.shape == us.shape == vs.shape:
+            raise ValueError(
+                f"kinds, us and vs must have the same length, got {kinds.size}, {us.size} and {vs.size}"
+            )
+        # A unary row reads its u twice, so vs is validated only where it is read.
+        vs = check_node_batch(np.where(kinds < len(PAIR_KINDS), vs, us), n, "vs")
+        cu, cv = self.assignment[us], self.assignment[vs]
+        du = self.center_distance[us]
+        a = np.empty((len(QUERY_KINDS), kinds.size))
+        b = np.empty_like(a)
+        a[0], b[0] = self.oracle.bounds(cu, cv, du, self.center_distance[vs], us == vs)
+        a[1], b[1] = cu == cv, 0.0
+        a[2], b[2] = self._eccentricity(cu, du)
+        a[3], b[3] = self.centers[cu], du
+        pick = kinds.astype(np.int64) * kinds.size + np.arange(kinds.size)
+        return np.take(a, pick), np.take(b, pick)
+
+    def _eccentricity(self, cluster_ids, center_distance) -> Tuple[np.ndarray, np.ndarray]:
+        """Eccentricity bounds from gathered cluster ids and center distances."""
+        return (
+            self._ecc_lower_by_cluster[cluster_ids],
+            center_distance + self._ecc_upper_by_cluster[cluster_ids],
+        )
 
     # ------------------------------------------------------------------ #
     # Introspection

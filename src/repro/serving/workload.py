@@ -7,10 +7,12 @@ round-tripped through a plain text file (:func:`save_query_log` /
 :func:`load_query_log`, one ``<kind> <u> [<v>]`` line per query), and
 replayed against a
 :class:`~repro.serving.GraphService` in fixed-size batches
-(:func:`replay`).  The replay harness times every batch, reports latency
-percentiles and queries/sec, and folds every answer array into a SHA-256
-checksum — so two replays (e.g. a fresh build versus a snapshot cold-start)
-can assert they served *identical* answers by comparing one hash.
+(:func:`replay`), each answered by one
+:meth:`~repro.serving.GraphService.answer` call.  The replay harness times
+every batch, reports latency percentiles and queries/sec, and folds both
+answer columns into a SHA-256 checksum — so two replays (e.g. a fresh build
+versus a snapshot cold-start) can assert they served *identical* answers by
+comparing one hash.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Dict, Union
 
 import numpy as np
 
+from repro.serving.service import PAIR_KINDS, QUERY_KINDS, check_query_kinds
 from repro.utils.rng import SeedLike, as_rng
 
 __all__ = [
@@ -37,9 +40,6 @@ __all__ = [
     "replay",
 ]
 
-#: Query kinds a service answers, in wire order: code ``i`` ↔ ``QUERY_KINDS[i]``.
-QUERY_KINDS = ("distance", "same-cluster", "eccentricity", "center")
-
 #: Kind mix of the default synthetic workload (distance-heavy, as a
 #: production distance oracle would see).
 DEFAULT_MIX: Dict[str, float] = {
@@ -49,15 +49,15 @@ DEFAULT_MIX: Dict[str, float] = {
     "center": 0.10,
 }
 
-_PAIR_KINDS = frozenset({"distance", "same-cluster"})
-
 
 @dataclass(frozen=True)
 class QueryLog:
     """An ordered batch-friendly query stream.
 
     ``kinds`` holds codes into :data:`QUERY_KINDS`; ``vs`` is ``-1`` wherever
-    the kind is unary (eccentricity / center).
+    the kind is unary (eccentricity / center).  The three fields are stored
+    as arrays; an unknown code raises ``ValueError`` naming the first one and
+    its position.
     """
 
     kinds: np.ndarray
@@ -65,8 +65,11 @@ class QueryLog:
     vs: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("kinds", "us", "vs"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
         if not (self.kinds.shape == self.us.shape == self.vs.shape):
             raise ValueError("kinds, us, and vs must be aligned 1-d arrays")
+        check_query_kinds(self.kinds)
 
     def __len__(self) -> int:
         return int(self.kinds.size)
@@ -94,8 +97,7 @@ def synthetic_workload(num_nodes: int, num_queries: int, *, seed: SeedLike = Non
     kinds = kinds.astype(np.int8)
     us = rng.integers(0, num_nodes, size=num_queries, dtype=np.int64)
     vs = rng.integers(0, num_nodes, size=num_queries, dtype=np.int64)
-    unary = ~np.isin(kinds, [QUERY_KINDS.index(k) for k in _PAIR_KINDS])
-    vs[unary] = -1
+    vs[kinds >= len(PAIR_KINDS)] = -1
     return QueryLog(kinds=kinds, us=us, vs=vs)
 
 
@@ -105,7 +107,7 @@ def save_query_log(log: QueryLog, path: Union[str, os.PathLike]) -> Path:
     lines = []
     for code, u, v in zip(log.kinds, log.us, log.vs):
         name = QUERY_KINDS[code]
-        if name in _PAIR_KINDS:
+        if name in PAIR_KINDS:
             lines.append(f"{name} {int(u)} {int(v)}")
         else:
             lines.append(f"{name} {int(u)}")
@@ -126,7 +128,7 @@ def load_query_log(path: Union[str, os.PathLike]) -> QueryLog:
             raise ValueError(
                 f"line {lineno}: unknown query kind {name!r}; expected one of {QUERY_KINDS}"
             )
-        pair = name in _PAIR_KINDS
+        pair = name in PAIR_KINDS
         expected = 3 if pair else 2
         if len(parts) != expected:
             raise ValueError(
@@ -177,47 +179,31 @@ class ReplayReport:
 def replay(service, log: QueryLog, *, batch_size: int = 8192) -> ReplayReport:
     """Replay ``log`` against ``service`` in order, ``batch_size`` at a time.
 
-    Within each arrival-order batch the queries are grouped by kind (stable,
-    so the per-kind sub-batches preserve log order) and dispatched as one
-    vectorized call per kind.  Every answer is scattered back to its log
-    position (as float64) and the full log-ordered answer arrays are folded
+    Each arrival-order batch is answered by one
+    :meth:`~repro.serving.GraphService.answer` call, whose two ``float64``
+    columns land in the log-ordered answer arrays.  Both arrays are folded
     into the report's SHA-256 checksum — so the checksum depends only on the
-    workload and the served answers, *not* on ``batch_size``, and two replays
-    (e.g. a fresh build versus a snapshot cold-start, or different batch
-    sizes) can assert they served identical answers by comparing one hash.
+    workload and the served answers, *not* on ``batch_size``, and two
+    replays (e.g. a fresh build versus a snapshot cold-start, or different
+    batch sizes) can assert they served identical answers by comparing one
+    hash.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    dispatch = {
-        "distance": lambda u, v: service.query_distance(u, v),
-        "same-cluster": lambda u, v: (service.query_same_cluster(u, v),),
-        "eccentricity": lambda u, v: service.query_eccentricity(u),
-        "center": lambda u, v: service.query_centers(u),
-    }
     total = len(log)
-    # Log-ordered answer slots: primary and (for pair-answer kinds) secondary.
-    answers_a = np.zeros(total, dtype=np.float64)
-    answers_b = np.zeros(total, dtype=np.float64)
+    answers_a = np.empty(total, dtype=np.float64)
+    answers_b = np.empty(total, dtype=np.float64)
     batch_seconds = []
     for start in range(0, total, batch_size):
         stop = min(start + batch_size, total)
-        kinds = log.kinds[start:stop]
-        us = log.us[start:stop]
-        vs = log.vs[start:stop]
         tick = time.perf_counter()
-        for code, name in enumerate(QUERY_KINDS):
-            mask = kinds == code
-            if not np.any(mask):
-                continue
-            answers = dispatch[name](us[mask], vs[mask])
-            slots = start + np.flatnonzero(mask)
-            answers_a[slots] = answers[0]
-            if len(answers) > 1:
-                answers_b[slots] = answers[1]
+        answers_a[start:stop], answers_b[start:stop] = service.answer(
+            log.kinds[start:stop], log.us[start:stop], log.vs[start:stop]
+        )
         batch_seconds.append(time.perf_counter() - tick)
     digest = hashlib.sha256()
-    digest.update(answers_a.tobytes())
-    digest.update(answers_b.tobytes())
+    digest.update(memoryview(answers_a))
+    digest.update(memoryview(answers_b))
     seconds = np.asarray(batch_seconds, dtype=np.float64)
     elapsed = float(seconds.sum())
     if seconds.size:

@@ -36,9 +36,8 @@ def check_node_batch(nodes, num_nodes: int, name: str = "nodes") -> np.ndarray:
     if not np.issubdtype(array.dtype, np.integer):
         raise TypeError(f"{name} must be an integer array, got dtype {array.dtype}")
     array = array.astype(np.int64, copy=False)
-    bad = (array < 0) | (array >= num_nodes)
-    if np.any(bad):
-        offender = int(array[np.argmax(bad)])
+    if array.min() < 0 or array.max() >= num_nodes:
+        offender = int(array[np.argmax((array < 0) | (array >= num_nodes))])
         raise IndexError(
             f"{name} {offender} out of range for graph with {num_nodes} nodes"
         )

@@ -29,6 +29,14 @@ class TestBFSDiameter:
         with pytest.raises(ValueError):
             mr_bfs_diameter(CSRGraph.empty(0))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_disconnected_rejected(self, seed):
+        # Seeds 0 and 2 start on the isolated node 4, seed 1 in the path 0-2-3:
+        # either way the first sweep misses a component.
+        graph = CSRGraph.from_edges(np.array([[0, 2], [2, 3]]), num_nodes=5)
+        with pytest.raises(ValueError, match="graph is disconnected; its diameter is infinite"):
+            mr_bfs_diameter(graph, seed=seed)
+
     def test_mr_variant_matches_estimate(self, mesh20):
         # The metered double sweep answers what the in-memory one does: both
         # draw their start from the same seeded stream.

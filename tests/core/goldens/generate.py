@@ -146,8 +146,8 @@ def baseline_graphs() -> dict:
     from repro.graph.csr import CSRGraph
 
     graphs = {name: load_dataset(name, "small") for name in dataset_names()}
-    # Nodes 1 and 4 are isolated: an empty CSR row inside and at the end,
-    # and seeds 0 and 2 start the double sweep on node 4.
+    # Nodes 1 and 4 are isolated: an empty CSR row inside and at the end.
+    # The double sweep rejects the graph as disconnected; HADI runs on it.
     graphs["isolated-5"] = CSRGraph.from_edges(np.array([[0, 2], [2, 3]]), num_nodes=5)
     return graphs
 
@@ -161,24 +161,34 @@ def metrics_record(result) -> dict:
     }
 
 
-def generate_baselines() -> dict:
+def bfs_record(graph, seed) -> dict:
+    """The double sweep's bounds and MR counters, or the error it raises
+    (a disconnected graph has no finite diameter)."""
     from repro.baselines.bfs_diameter import mr_bfs_diameter
+
+    try:
+        bfs = mr_bfs_diameter(graph, seed=seed)
+    except ValueError as exc:
+        return {"error": str(exc)}
+    return {
+        "estimate": int(bfs.estimate),
+        "lower_bound": int(bfs.lower_bound),
+        "upper_bound": int(bfs.upper_bound),
+        "num_levels": int(bfs.num_levels),
+        **metrics_record(bfs),
+    }
+
+
+def generate_baselines() -> dict:
     from repro.baselines.hadi import hadi_diameter
 
     goldens: dict = {}
     for name, graph in baseline_graphs().items():
         record: dict = {}
         for seed in BASELINE_SEEDS:
-            bfs = mr_bfs_diameter(graph, seed=seed)
             hadi = hadi_diameter(graph, num_registers=16, seed=seed)
             record[f"seed={seed}"] = {
-                "bfs": {
-                    "estimate": int(bfs.estimate),
-                    "lower_bound": int(bfs.lower_bound),
-                    "upper_bound": int(bfs.upper_bound),
-                    "num_levels": int(bfs.num_levels),
-                    **metrics_record(bfs),
-                },
+                "bfs": bfs_record(graph, seed),
                 "hadi": {
                     "estimate": int(hadi.estimate),
                     "neighborhood_function": [float(x) for x in hadi.neighborhood_function],

@@ -209,9 +209,9 @@ class TestMsbfs:
 
     @pytest.mark.parametrize("budget", [1, 7, 1 << 16])
     def test_quotient_apsp_tiles_match_per_source_bfs(self, budget, monkeypatch):
-        # budget // arcs rows per tile: one row (the single-source BFS), or
-        # pair-id tiles with a ragged last one (on the one-edge graph, 3 rows
-        # at budget 7).
+        # Hop tiles hold budget // arcs rows: one row (the single-source
+        # BFS), or pair-id tiles with a ragged last one (on the one-edge
+        # graph, 3 rows at budget 7).
         monkeypatch.setattr(kernels, "_TILE_ARCS", budget)
         for quotient in (
             disjoint_union([rmat_graph(8, 6, seed=2), star_graph(10)]),
@@ -225,6 +225,32 @@ class TestMsbfs:
                 expected = dist.astype(np.float64)
                 expected[dist < 0] = np.inf
                 assert np.array_equal(matrix[source], expected), f"row {source}"
+
+    @pytest.mark.parametrize("budget", [1, 16, 1 << 16])
+    def test_weighted_quotient_apsp_tiles_match_per_source(self, budget, monkeypatch):
+        # Weighted tiles hold budget // n rows, whatever the arc count: one
+        # row, ragged tiles (2 + 2 + 2 + 1 rows on 7 nodes at budget 16), or
+        # one tile of every row.
+        monkeypatch.setattr(kernels, "_TILE_ARCS", budget)
+        tiles = []
+        rows = kernels.distance_rows
+
+        def recording_rows(indptr, indices, weights, sources, **kwargs):
+            tiles.append(sources.size)
+            return rows(indptr, indices, weights, sources, **kwargs)
+
+        monkeypatch.setattr(kernels, "distance_rows", recording_rows)
+        quotient = CSRGraph.from_edges(
+            [(0, 1), (1, 2), (2, 3), (4, 5)], num_nodes=7, weights=[0.5, 1 / 3, 2.25, 0.1]
+        )
+        matrix = quotient_apsp(quotient)
+        tile = kernels.row_tile(quotient.num_nodes)
+        assert tiles == [min(tile, 7 - lo) for lo in range(0, 7, tile)]
+        for source in range(quotient.num_nodes):
+            expected, _ = kernels.delta_stepping(
+                quotient.indptr, quotient.indices, quotient.weights, np.asarray([source], dtype=np.int64)
+            )
+            assert np.array_equal(matrix[source], expected), f"row {source}"
 
     def test_isolated_sources(self):
         graph = CSRGraph.from_edges([(0, 1)], num_nodes=4)

@@ -249,6 +249,42 @@ class TestQueryCenters:
         assert np.all(mesh_service.center_distance <= radii[mesh_service.assignment])
 
 
+class TestAnswer:
+    """Mixed batches: validation once, kinds by code, vs read only for pairs."""
+
+    def test_columns_per_kind(self, mesh_service):
+        svc = mesh_service
+        kinds = np.asarray([0, 1, 2, 3], dtype=np.int8)
+        a, b = svc.answer(kinds, [3, 3, 40, 40], [90, 4, -1, -1])
+        lower, upper = svc.query_distance([3], [90])
+        ecc_lower, ecc_upper = svc.query_eccentricity([40])
+        center, center_distance = svc.query_centers([40])
+        assert a.tolist() == [lower[0], float(svc.query_same_cluster([3], [4])[0]), ecc_lower[0], center[0]]
+        assert b.tolist() == [upper[0], 0.0, ecc_upper[0], center_distance[0]]
+
+    def test_unknown_kind_names_code_and_position(self, mesh_service):
+        with pytest.raises(ValueError, match="unknown query kind code 7 at position 1"):
+            mesh_service.answer(np.asarray([0, 7, 2]), [0, 1, 2], [1, -1, -1])
+        with pytest.raises(ValueError, match="code -1 at position 0"):
+            mesh_service.answer(np.asarray([-1], dtype=np.int8), [0], [1])
+
+    def test_vs_checked_only_for_pair_kinds(self, mesh_service):
+        n = mesh_service.num_nodes
+        mesh_service.answer([2, 3], [0, 1], [-1, n + 5])
+        with pytest.raises(IndexError, match=f"vs {n} out of range"):
+            mesh_service.answer([2, 1], [0, 1], [-1, n])
+        with pytest.raises(IndexError, match="us -1 out of range"):
+            mesh_service.answer([2], [-1], [-1])
+
+    def test_misaligned_and_malformed_rejected(self, mesh_service):
+        with pytest.raises(ValueError, match="same length"):
+            mesh_service.answer([0, 0], [1, 2], [3])
+        with pytest.raises(TypeError, match="integer"):
+            mesh_service.answer([0.0], [1], [2])
+        with pytest.raises(ValueError, match="1-d"):
+            mesh_service.answer([[0]], [[1]], [[2]])
+
+
 class TestBatchedVsScalarWeighted:
     def test_batched_equals_scalar_sweep(self, weighted_service):
         n = weighted_service.num_nodes

@@ -66,6 +66,23 @@ class TestSyntheticWorkload:
             )
 
 
+    def test_unknown_kind_code_rejected(self):
+        with pytest.raises(ValueError, match="unknown query kind code 7 at position 1"):
+            QueryLog(
+                kinds=np.asarray([0, 7, 2], dtype=np.int8),
+                us=np.zeros(3, dtype=np.int64),
+                vs=np.asarray([1, -1, -1], dtype=np.int64),
+            )
+        with pytest.raises(ValueError, match="code -3 at position 0"):
+            QueryLog(
+                kinds=np.asarray([-3], dtype=np.int64),
+                us=np.zeros(1, dtype=np.int64),
+                vs=np.zeros(1, dtype=np.int64),
+            )
+        with pytest.raises(ValueError, match="unknown query kind code 7 at position 1"):
+            QueryLog(kinds=[0, 7, 2], us=[0, 1, 2], vs=[1, -1, -1])
+
+
 class TestQueryLogFiles:
     def test_round_trip(self, tmp_path):
         log = synthetic_workload(80, 300, seed=4)
