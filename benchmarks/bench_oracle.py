@@ -3,15 +3,16 @@
 The tentpole claim of the serving plane is that the redesigned batch query
 API answers a 100k-query workload at least 10x faster than 100k scalar
 ``DistanceOracle.query`` calls, with *bit-identical* answers — batching is a
-pure execution-strategy change, not an approximation.  The same file times
-snapshot cold-starts against fresh decompositions (a cold start must skip
-clustering entirely) and the mixed-workload replay throughput of
-:func:`repro.serving.replay` on a road network whose oracle has k = 426
-clusters, so every cross-cluster answer reads the quotient matrices.  The
-replay runs beside the frozen per-kind loop of
-``tests/serving/replay_reference.py`` on the same log; both must serve the
-same checksum, and both timings are recorded (no timing gate: at 100k
-queries in-process the one-call replay read only about 1.2x).
+pure execution-strategy change, not an approximation.  The gate runs on a
+road network whose oracle has k = 426 clusters, so nearly every random pair
+spans two clusters and both passes read the quotient matrices.  The same
+file times snapshot cold-starts against fresh decompositions (a cold start
+must skip clustering entirely) and the mixed-workload replay throughput of
+:func:`repro.serving.replay` on the same oracle.  The replay runs beside the
+frozen per-kind loop of ``tests/serving/replay_reference.py`` on the same
+log; both must serve the same checksum, and both timings are recorded (no
+timing gate: at 100k queries in-process the one-call replay read only about
+1.2x).
 
 ``test_batched_beats_scalar_queries`` is the CI smoke gate: it fails the
 build if the ≥10x speedup or the bit-identity ever regresses.  All
@@ -34,7 +35,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.store import ArtifactStore
-from repro.generators import barabasi_albert_graph, mesh_graph, road_network_graph
+from repro.generators import mesh_graph, road_network_graph
 from repro.graph.components import largest_component
 from repro.serving import GraphService, replay, synthetic_workload
 
@@ -49,10 +50,10 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
 
 @pytest.fixture(scope="module")
-def gate_service():
-    """Service over a scale-free graph sized so the gate workload is honest."""
-    graph = barabasi_albert_graph(20_000, 6, seed=1)
-    return GraphService.build(graph, seed=0)
+def road_service():
+    """A road network's oracle at τ = 128: k = 426 clusters."""
+    graph, _ = largest_component(road_network_graph(200, 200, seed=1))
+    return GraphService.build(graph, tau=128, seed=1)
 
 
 def interleaved_best(runners, repetitions=3):
@@ -71,8 +72,11 @@ def interleaved_best(runners, repetitions=3):
 # ------------------------------------------------------------------ #
 # Smoke gate: batched query plane >= 10x over scalar, bit-identical
 # ------------------------------------------------------------------ #
-def test_batched_beats_scalar_queries(gate_service, oracle_bench_recorder):
-    service = gate_service
+def test_batched_beats_scalar_queries(road_service, oracle_bench_recorder):
+    service = road_service
+    # With k = 426 almost every random pair spans two clusters, so both
+    # passes read the quotient matrices.
+    assert service.num_clusters == 426
     oracle = service.oracle
     rng = np.random.default_rng(7)
     us = rng.integers(0, service.num_nodes, size=GATE_QUERIES)
@@ -99,10 +103,11 @@ def test_batched_beats_scalar_queries(gate_service, oracle_bench_recorder):
     assert np.array_equal(scalar_lower, batch_lower)
     assert np.array_equal(scalar_upper, batch_upper)
 
+    workload = f"road-200x200-k{service.num_clusters}/{GATE_QUERIES}-queries"
     for mode, seconds in timings.items():
         oracle_bench_recorder(
             benchmark="query_distance",
-            workload=f"ba-20k-m6/{GATE_QUERIES}-queries",
+            workload=workload,
             queries=GATE_QUERIES,
             mode=mode,
             seconds=seconds,
@@ -110,7 +115,7 @@ def test_batched_beats_scalar_queries(gate_service, oracle_bench_recorder):
     speedup = timings["scalar"] / timings["batched"]
     oracle_bench_recorder(
         benchmark="batched_vs_scalar",
-        workload=f"ba-20k-m6/{GATE_QUERIES}-queries",
+        workload=workload,
         queries=GATE_QUERIES,
         mode="speedup",
         seconds=timings["batched"],
@@ -168,13 +173,6 @@ def test_snapshot_cold_start(tmp_path, oracle_bench_recorder):
 # ------------------------------------------------------------------ #
 # Mixed-workload replay throughput (feeds BENCH_oracle.json)
 # ------------------------------------------------------------------ #
-@pytest.fixture(scope="module")
-def road_service():
-    """A road network's oracle at τ = 128: k = 426 clusters."""
-    graph, _ = largest_component(road_network_graph(200, 200, seed=1))
-    return GraphService.build(graph, tau=128, seed=1)
-
-
 def test_replay_throughput(road_service, oracle_bench_recorder):
     service = road_service
     assert service.num_clusters == 426

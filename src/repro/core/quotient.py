@@ -19,12 +19,12 @@ clusters and share one CSR: the unweighted one is the weighted one without
 its ``weights`` (:meth:`~repro.graph.csr.CSRGraph.unweighted`), so a caller
 that needs both builds once.  The build is the sort of arcs by cluster pair
 that Section 4 charges: it reads each arc once, through one packed
-``cluster << s | distance`` code per node (see :func:`build_quotient_graph`).
+``cluster << s | distance`` code per node, and keeps the shortest crossing
+per cluster pair with :func:`~repro.graph.kernels.min_per_key`, the fold
+behind every CSR build (see :func:`build_quotient_graph`).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -48,27 +48,6 @@ __all__ = [
 _BLOCK_ARCS = 1 << 18
 
 
-def _min_per_key(keys: np.ndarray, lengths: Optional[np.ndarray]):
-    """Sorted distinct ``keys`` and, per key, the minimum of its ``lengths``.
-
-    Integer lengths (or none) ride in the low digits of one sorted ``int64``
-    (a plain sort is several times faster than an argsort); float lengths
-    take an argsort by key and a segment minimum.
-    """
-    if keys.size == 0:
-        return keys, lengths
-    span = 1 if lengths is None else int(lengths.max()) + 1
-    if lengths is None or (lengths.dtype.kind == "i" and int(keys.max()) < np.iinfo(np.int64).max // span):
-        packed = np.sort(keys * span if lengths is None else keys * span + lengths)
-        keys = packed // span
-        heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        return keys[heads], None if lengths is None else packed[heads] % span
-    order = np.argsort(keys)
-    keys = keys[order]
-    heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[heads], np.minimum.reduceat(lengths[order], heads)
-
-
 def build_quotient_graph(graph: CSRGraph, clustering: Clustering, *, weighted: bool = False) -> CSRGraph:
     """Construct the (optionally weighted) quotient graph of ``clustering``.
 
@@ -90,8 +69,10 @@ def build_quotient_graph(graph: CSRGraph, clustering: Clustering, *, weighted: b
     the lower one, so the test keeps one arc per crossing edge (the CSR
     stores both directions of every edge), and the same two codes give the
     pair key and the hop length.  Each block reduces its kept arcs to
-    (cluster pair, minimum length) by a key sort and a segment minimum; the
-    blocks are merged the same way.
+    (cluster pair, minimum length) with
+    :func:`~repro.graph.kernels.min_per_key`, the blocks are merged by the
+    same fold, and :func:`~repro.graph.kernels.pairs_to_csr` mirrors the
+    pairs into CSR order, as in :meth:`CSRGraph.from_edges`.
     """
     if graph.num_nodes != clustering.num_nodes:
         raise ValueError("graph and clustering refer to different node sets")
@@ -124,23 +105,17 @@ def build_quotient_graph(graph: CSRGraph, clustering: Clustering, *, weighted: b
         if weighted and not hops:
             wa = np.repeat(weighted_distance[start:stop], degrees[start:stop])[sel]
             lengths = wa + weighted_distance[b[sel]] + np.asarray(graph.weights[first:last])[sel]
-        keys, lengths = _min_per_key(keys, lengths)
+        keys, lengths = kernels.min_per_key(keys, lengths)
         key_parts.append(keys)
         length_parts.append(lengths)
         start = stop
     keys = np.concatenate(key_parts)
     lengths = np.concatenate(length_parts) if weighted else None
     if len(key_parts) > 2:
-        keys, lengths = _min_per_key(keys, lengths)
-    # Both arcs of every pair, in CSR order (by source, then target).
-    lo, hi = keys // k, keys % k
-    src = np.concatenate((lo, hi))
-    dst = np.concatenate((hi, lo))
-    order = np.argsort(src * np.int64(k) + dst)
-    q_indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=k), out=q_indptr[1:])
-    weights = np.concatenate((lengths, lengths))[order].astype(np.float64) if weighted else None
-    return CSRGraph(indptr=q_indptr, indices=dst[order], weights=weights)
+        keys, lengths = kernels.min_per_key(keys, lengths)
+    q_indptr, q_indices, lengths = kernels.pairs_to_csr(keys // k, keys % k, lengths, k)
+    weights = lengths.astype(np.float64, copy=False) if weighted else None
+    return CSRGraph(indptr=q_indptr, indices=q_indices, weights=weights)
 
 
 def quotient_apsp(quotient: CSRGraph) -> np.ndarray:

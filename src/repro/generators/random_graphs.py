@@ -12,6 +12,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.generators.weights import maybe_attach_weights
+from repro.graph import kernels
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike, as_rng
 
@@ -57,16 +58,16 @@ def _erdos_renyi_topology(
         pairs = np.stack([iu[chosen], iv[chosen]], axis=1)
         return CSRGraph.from_edges(pairs, num_nodes=num_nodes)
     # Sparse regime: oversample pairs to compensate for duplicates / self loops,
-    # then trim to the target count.
+    # then trim to the target count.  The distinct pairs come sorted, as
+    # ``lo << 32 | hi`` keys order them.
     oversample = int(target * 1.2) + 16
     u = rng.integers(0, num_nodes, size=oversample)
     v = rng.integers(0, num_nodes, size=oversample)
-    pairs = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    pairs = np.unique(pairs, axis=0)
-    if pairs.shape[0] > target:
-        keep = rng.choice(pairs.shape[0], size=target, replace=False)
-        pairs = pairs[keep]
+    keys = (np.minimum(u, v) << np.int64(32)) | np.maximum(u, v)
+    keys, _ = kernels.min_per_key(keys[u != v], None)
+    if keys.size > target:
+        keys = keys[rng.choice(keys.size, size=target, replace=False)]
+    pairs = np.stack([keys >> np.int64(32), keys & np.int64(0xFFFFFFFF)], axis=1)
     return CSRGraph.from_edges(pairs, num_nodes=num_nodes)
 
 

@@ -3,8 +3,10 @@
 R-MAT graphs reproduce the skewed degree distributions and community-like
 structure of large social graphs and are the standard synthetic stand-in for
 crawled networks such as the paper's Twitter subgraph (Graph500 uses the same
-model).  We generate directed samples and symmetrize them, mirroring the
-paper's preprocessing of the Twitter crawl.
+model).  We generate directed samples and let ``CSRGraph.from_edges`` fold
+them into an undirected graph (every edge mirrored, self-loops and
+duplicates dropped), mirroring the paper's symmetrization of the Twitter
+crawl.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from typing import Optional, Tuple
 
 from repro.generators.streaming import rmat_edge_chunks
 from repro.generators.weights import maybe_attach_weights
-from repro.graph.builders import symmetrize_edges
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike, as_rng
 
@@ -53,8 +54,7 @@ def rmat_graph(
     sample, _ = next(
         rmat_edge_chunks(scale, edge_factor, a=a, b=b, c=c, seed=rng, chunk_edges=num_nodes * edge_factor)
     )
-    edges = symmetrize_edges(sample)
-    graph = CSRGraph.from_edges(edges, num_nodes=num_nodes)
+    graph = CSRGraph.from_edges(sample, num_nodes=num_nodes)
     if connected_only:
         from repro.graph.components import largest_component
 

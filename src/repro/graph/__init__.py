@@ -6,7 +6,6 @@ from repro.graph.builders import (
     disjoint_union,
     from_adjacency_dict,
     relabel_compact,
-    symmetrize_edges,
 )
 from repro.graph.components import (
     connected_components,
@@ -42,7 +41,6 @@ __all__ = [
     "disjoint_union",
     "from_adjacency_dict",
     "relabel_compact",
-    "symmetrize_edges",
     "connected_components",
     "is_connected",
     "largest_component",

@@ -16,7 +16,6 @@ from repro.graph.csr import CSRGraph
 
 __all__ = [
     "from_adjacency_dict",
-    "symmetrize_edges",
     "relabel_compact",
     "add_path",
     "disjoint_union",
@@ -35,25 +34,6 @@ def from_adjacency_dict(adjacency: Dict[int, Iterable[int]], num_nodes: Optional
             edges.append((int(u), int(v)))
     n = num_nodes if num_nodes is not None else max_node + 1
     return CSRGraph.from_edges(np.asarray(edges, dtype=np.int64).reshape(-1, 2), num_nodes=n)
-
-
-def symmetrize_edges(edges: np.ndarray) -> np.ndarray:
-    """Return the symmetric closure of a directed edge array (deduplicated).
-
-    Mirrors the preprocessing the paper applies to the Twitter graph ("a
-    symmetrization of a subgraph of the Twitter network").
-    """
-    edge_array = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edge_array.size == 0:
-        return edge_array
-    both = np.concatenate([edge_array, edge_array[:, ::-1]], axis=0)
-    both = both[both[:, 0] != both[:, 1]]
-    canonical = np.sort(both, axis=1)
-    order = np.lexsort((canonical[:, 1], canonical[:, 0]))
-    canonical = canonical[order]
-    keep = np.ones(canonical.shape[0], dtype=bool)
-    keep[1:] = np.any(canonical[1:] != canonical[:-1], axis=1)
-    return canonical[keep]
 
 
 def relabel_compact(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

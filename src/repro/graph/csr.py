@@ -8,9 +8,10 @@ edge-partitioned representation a MapReduce/Spark implementation would use.
 :class:`CSRGraph` is the one graph type: ``indptr``/``indices`` plus an
 *optional* aligned ``weights`` array, whose presence alone selects the metric
 (hops or summed edge weights) for every algorithm in the library.
-Construction, validation (including the per-node sorted-``indices`` invariant
-that the binary-search lookups rely on, with weights permuted alongside),
-self-loop removal, and duplicate folding (min weight wins) live here.
+Construction and validation (including the per-node sorted-``indices``
+invariant that the binary-search lookups rely on, with weights permuted
+alongside) live here; :meth:`CSRGraph.from_edges` folds an edge list with
+:func:`~repro.graph.kernels.min_per_key`, the fold behind every CSR build.
 
 Nodes are integers ``0 .. n-1``.  Edges are stored twice (once per endpoint),
 self-loops and parallel edges are removed at construction time.
@@ -39,46 +40,51 @@ from repro.utils.validation import check_node_batch, check_node_index
 __all__ = ["CSRGraph"]
 
 
-def _fold_undirected_edges(
-    edge_array: np.ndarray,
-    weight_array: Optional[np.ndarray],
-    num_nodes: int,
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Shared edge-list folding: drop self-loops, symmetrize, deduplicate.
+#: Node ids must fit the packed ``u << 32 | v`` int64 edge key.
+_MAX_NODE_ID = (1 << 31) - 1
 
-    Returns ``(indptr, indices, weights)``.  Duplicate undirected edges keep
-    the *minimum* weight (the only sensible choice for shortest-path
-    purposes); without weights the duplicates are simply dropped.
+
+def _edge_keys(edges, weights) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
+    """Validate an edge list and pack each edge that is no self-loop into one key.
+
+    Returns ``(keys, weights, max_id)``: ``lo << 32 | hi`` per kept edge
+    (``lo < hi`` its endpoints, so ``keys`` order the edges as ``(lo, hi)``
+    pairs), the kept weights, and the largest endpoint (-1 without edges).
+    :meth:`CSRGraph.from_edges` and streamed ingestion
+    (:mod:`repro.graph.ingest`) both read their edges through it.
     """
-    n = num_nodes
-    mask = edge_array[:, 0] != edge_array[:, 1]
-    edge_array = edge_array[mask]
-    if weight_array is not None:
-        weight_array = weight_array[mask]
+    edge_array = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
     if edge_array.size == 0:
-        return (
-            np.zeros(n + 1, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            None if weight_array is None else np.zeros(0, dtype=np.float64),
-        )
-    # Canonicalize to (min, max), fold duplicates, then mirror both ways.
-    canonical = np.sort(edge_array, axis=1)
-    keys = canonical[:, 0] * np.int64(n) + canonical[:, 1]
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
-    unique_edges = np.stack([unique_keys // n, unique_keys % n], axis=1)
-    both = np.concatenate([unique_edges, unique_edges[:, ::-1]], axis=0)
-    both_weights = None
-    if weight_array is not None:
-        folded = np.full(unique_keys.size, np.inf)
-        np.minimum.at(folded, inverse, weight_array)
-        both_weights = np.concatenate([folded, folded])
-    order = np.lexsort((both[:, 1], both[:, 0]))
-    both = both[order]
-    counts = np.bincount(both[:, 0], minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    weights = None if both_weights is None else both_weights[order].copy()
-    return indptr, both[:, 1].copy(), weights
+        edge_array = edge_array.reshape(0, 2)
+    if edge_array.ndim != 2 or edge_array.shape[1] != 2:
+        raise ValueError(f"edges must have shape (m, 2), got {edge_array.shape}")
+    edge_array = edge_array.astype(np.int64, copy=False)
+    if weights is not None:
+        weights = np.asarray(
+            weights if isinstance(weights, np.ndarray) else list(weights), dtype=np.float64
+        ).reshape(-1)
+        if weights.shape[0] != edge_array.shape[0]:
+            raise ValueError("edges and weights must have the same length")
+        if weights.size and not (weights.min() > 0 and weights.max() < np.inf):
+            raise ValueError("edge weights must be finite and strictly positive")
+    lo = np.minimum(edge_array[:, 0], edge_array[:, 1])
+    hi = np.maximum(edge_array[:, 0], edge_array[:, 1])
+    if lo.size and lo.min() < 0:
+        raise ValueError("edge endpoints must be non-negative")
+    max_id = int(hi.max()) if hi.size else -1
+    if max_id > _MAX_NODE_ID:
+        raise ValueError(f"node id {max_id} exceeds the 2^31 - 1 limit of the packed edge key")
+    keep = lo != hi
+    keys = (lo[keep] << np.int64(32)) | hi[keep]
+    return keys, None if weights is None else weights[keep], max_id
+
+
+def _node_count(num_nodes: Optional[int], max_id: int) -> int:
+    """``num_nodes``, or ``max_id + 1`` by default; it must cover ``max_id``."""
+    n = max_id + 1 if num_nodes is None else int(num_nodes)
+    if n <= max_id:
+        raise ValueError(f"num_nodes={n} is smaller than the largest endpoint + 1 ({max_id + 1})")
+    return n
 
 
 @dataclass(frozen=True)
@@ -161,43 +167,25 @@ class CSRGraph:
         The input is treated as undirected: each edge is inserted in both
         directions; self-loops are dropped.  Without ``weights`` duplicate
         edges are removed; with ``weights`` (a length-``m`` array of strictly
-        positive values) duplicates keep the minimum weight.
+        positive values) duplicates keep the minimum weight.  Streamed
+        ingestion packs and folds its chunks the same way, so the two builds
+        agree bit for bit.
 
         Parameters
         ----------
         edges:
-            Array-like of shape ``(m, 2)`` with integer endpoints.
+            Array-like of shape ``(m, 2)`` with integer endpoints in
+            ``[0, 2^31)``.
         num_nodes:
             Number of nodes.  Defaults to ``max endpoint + 1`` (0 for an empty
             edge list), and may be larger to include isolated nodes.
         weights:
             Optional per-edge weights aligned with ``edges``.
         """
-        edge_array = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
-        if edge_array.size == 0:
-            edge_array = edge_array.reshape(0, 2)
-        if edge_array.ndim != 2 or edge_array.shape[1] != 2:
-            raise ValueError(f"edges must have shape (m, 2), got {edge_array.shape}")
-        edge_array = edge_array.astype(np.int64, copy=False)
-        weight_array: Optional[np.ndarray] = None
-        if weights is not None:
-            weight_array = np.asarray(
-                list(weights) if not isinstance(weights, np.ndarray) else weights,
-                dtype=np.float64,
-            ).reshape(-1)
-            if edge_array.shape[0] != weight_array.shape[0]:
-                raise ValueError("edges and weights must have the same length")
-            if weight_array.size and not (weight_array.min() > 0 and weight_array.max() < np.inf):
-                raise ValueError("edge weights must be finite and strictly positive")
-        if edge_array.size and edge_array.min() < 0:
-            raise ValueError("edge endpoints must be non-negative")
-        inferred = int(edge_array.max()) + 1 if edge_array.size else 0
-        n = inferred if num_nodes is None else int(num_nodes)
-        if n < inferred:
-            raise ValueError(
-                f"num_nodes={n} is smaller than the largest endpoint + 1 ({inferred})"
-            )
-        indptr, indices, folded = _fold_undirected_edges(edge_array, weight_array, n)
+        keys, weight_array, max_id = _edge_keys(edges, weights)
+        n = _node_count(num_nodes, max_id)
+        keys, folded = kernels.min_per_key(keys, weight_array)
+        indptr, indices, folded = kernels.pairs_to_csr(keys >> np.int64(32), keys & np.int64(0xFFFFFFFF), folded, n)
         return cls(indptr=indptr, indices=indices, weights=folded)
 
     @classmethod

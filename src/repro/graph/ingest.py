@@ -5,16 +5,18 @@ array plus several same-sized temporaries, which caps construction at what
 fits in RAM.  This module builds the *identical* graph from a stream of edge
 chunks in bounded memory:
 
-1. **Chunked external sort** — every incoming chunk is canonicalized
-   (self-loops dropped, endpoints ordered, packed into one ``int64`` key per
-   undirected edge), sorted, deduplicated (minimum weight wins, matching
-   ``from_edges``), and written to a sorted *run* file on disk.  Peak memory
-   is a few chunk-sized temporaries.
+1. **Chunked external sort** — every incoming chunk goes through the edge
+   validation and packing of ``from_edges`` (self-loops dropped, one
+   ``lo << 32 | hi`` ``int64`` key per undirected edge), is folded by
+   :func:`~repro.graph.kernels.min_per_key` (sorted, deduplicated, minimum
+   weight wins — the fold of ``from_edges``), and written to a sorted *run*
+   file on disk.  Peak memory is a few chunk-sized temporaries.
 2. **K-way merge** — the runs are merged block-wise into one globally sorted,
-   globally deduplicated stream.  Runs are strictly increasing, so a cutoff
-   chosen as the minimum next-block boundary guarantees every duplicate of an
-   emitted key is folded in the same round.  The merge is re-runnable, which
-   is what makes the counting build two-pass.
+   globally deduplicated stream, each block by the same fold.  Runs are
+   strictly increasing, so a cutoff chosen as the minimum next-block
+   boundary guarantees every duplicate of an emitted key is folded in the
+   same round.  The merge is re-runnable, which is what makes the counting
+   build two-pass.
 3. **Two-pass counting build** — pass 1 accumulates per-node degrees from the
    merged stream (one ``int64`` array of length ``n``); pass 2 replays the
    merge and scatters both arc directions into a preallocated ``indices``
@@ -41,7 +43,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.graph import kernels
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _edge_keys, _node_count
 from repro.graph.snapshot import SnapshotWriter, load_snapshot, save_snapshot
 
 PathLike = Union[str, os.PathLike]
@@ -51,15 +53,14 @@ PathLike = Union[str, os.PathLike]
 #: built graph itself is chunk-size-invariant.
 DEFAULT_CHUNK_EDGES = 1 << 20
 
-#: Entries per merge block read from each sorted run.
-_MERGE_BLOCK = 1 << 19
+#: Entries per merge block read from each sorted run.  With the scatter
+#: slice below it bounds the temporaries: bench_outofcore's scale-19 build
+#: peaked at 230 MB with both at 2^16, 353 MB at 2^19, in about equal time.
+_MERGE_BLOCK = 1 << 16
 
 #: Edges per counting/scatter slice: caps the size of the ~10 edge-length
 #: temporaries of :func:`_scatter_chunk` independently of merge chunk sizes.
-_SCATTER_BLOCK = 1 << 19
-
-#: Node ids must fit the packed (u << 32 | v) int64 edge key.
-_MAX_NODE_ID = (1 << 31) - 1
+_SCATTER_BLOCK = 1 << 16
 
 #: An edge chunk: an ``(m, 2)`` int64 array plus optional aligned weights.
 EdgeChunk = Tuple[np.ndarray, Optional[np.ndarray]]
@@ -94,52 +95,6 @@ def _advise_dontneed(array) -> None:
         candidate = getattr(candidate, "base", None)
 
 
-def _canonical_chunk(
-    edges: np.ndarray, weights: Optional[np.ndarray]
-) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
-    """Canonicalize one chunk: drop self-loops, pack sorted ``int64`` keys.
-
-    Returns ``(sorted_unique_keys, folded_weights, max_node_id)`` where the
-    keys are strictly increasing (in-chunk duplicates folded, min weight).
-    """
-    edges = np.asarray(edges, dtype=np.int64)
-    if edges.size == 0:
-        return np.zeros(0, dtype=np.int64), None if weights is None else np.zeros(0), -1
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise ValueError(f"edge chunks must have shape (m, 2), got {edges.shape}")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if weights.shape[0] != edges.shape[0]:
-            raise ValueError("edge chunk and weight chunk must have the same length")
-        if weights.size and not (weights.min() > 0 and weights.max() < np.inf):
-            raise ValueError("edge weights must be finite and strictly positive")
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    if lo.size and lo.min() < 0:
-        raise ValueError("edge endpoints must be non-negative")
-    max_id = int(hi.max()) if hi.size else -1
-    if max_id > _MAX_NODE_ID:
-        raise ValueError(
-            f"node id {max_id} exceeds the 2^31 - 1 limit of the packed edge key"
-        )
-    mask = lo != hi
-    lo, hi = lo[mask], hi[mask]
-    if weights is not None:
-        weights = weights[mask]
-    keys = (lo << np.int64(32)) | hi
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.ones(keys.size, dtype=bool)
-    if keys.size > 1:
-        first[1:] = keys[1:] != keys[:-1]
-    unique_keys = keys[first]
-    folded: Optional[np.ndarray] = None
-    if weights is not None:
-        sorted_weights = weights[order]
-        folded = np.minimum.reduceat(sorted_weights, np.flatnonzero(first)) if keys.size else sorted_weights
-    return unique_keys, folded, max_id
-
-
 def _write_runs(
     chunks: Iterable[EdgeChunk], run_dir: Path
 ) -> Tuple[List[Path], List[Optional[Path]], int, bool]:
@@ -160,7 +115,8 @@ def _write_runs(
             weighted = has_weights
         elif weighted != has_weights:
             raise ValueError("edge chunks must be uniformly weighted or unweighted")
-        keys, folded, chunk_max = _canonical_chunk(edges, weights)
+        keys, weights, chunk_max = _edge_keys(edges, weights)
+        keys, folded = kernels.min_per_key(keys, weights)
         max_id = max(max_id, chunk_max)
         if keys.size == 0:
             continue
@@ -219,19 +175,12 @@ def _merge_runs(
             positions[i] = end
         if not key_parts:  # pragma: no cover - cutoff always consumes one block
             raise RuntimeError("merge made no progress")
-        merged = np.concatenate(key_parts)
-        order = np.argsort(merged, kind="stable")
-        merged = merged[order]
-        first = np.ones(merged.size, dtype=bool)
-        if merged.size > 1:
-            first[1:] = merged[1:] != merged[:-1]
-        folded: Optional[np.ndarray] = None
-        if weighted:
-            merged_weights = np.concatenate(weight_parts)[order]
-            folded = np.minimum.reduceat(merged_weights, np.flatnonzero(first))
-        yield merged[first], folded
-    for array in keys:
-        _advise_dontneed(array)
+        yield kernels.min_per_key(
+            np.concatenate(key_parts), np.concatenate(weight_parts) if weighted else None
+        )
+        # The consumed blocks are never read again in this pass.
+        for array in keys + weights:
+            _advise_dontneed(array)
 
 
 def _scatter_chunk(
@@ -319,12 +268,7 @@ def from_edge_chunks(
     writer: Optional[SnapshotWriter] = None
     try:
         key_runs, weight_runs, max_id, weighted = _write_runs(chunks(), run_dir)
-        inferred = max_id + 1
-        n = inferred if num_nodes is None else int(num_nodes)
-        if n < inferred:
-            raise ValueError(
-                f"num_nodes={n} is smaller than the largest endpoint + 1 ({inferred})"
-            )
+        n = _node_count(num_nodes, max_id)
 
         # Pass 1: count degrees over the merged, deduplicated stream.
         degrees = np.zeros(n, dtype=np.int64)

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.graph.builders import relabel_compact, symmetrize_edges
+from repro.graph.builders import relabel_compact
 from repro.graph.csr import CSRGraph
 
 PathLike = Union[str, os.PathLike]
@@ -220,8 +220,11 @@ def load_edge_list(
     path:
         File to read.
     symmetrize:
-        Treat the file as a directed edge list and take its symmetric closure
-        (the preprocessing the paper applies to the Twitter crawl).
+        Drop self-loops before relabelling, so a node that appears only in
+        self-loops gets no id.  Without it such a node stays, isolated.
+        Either way the graph is undirected: ``CSRGraph.from_edges`` mirrors
+        every edge and drops self-loops and duplicates, which is the
+        symmetrization the paper applies to the Twitter crawl.
     relabel:
         Remap arbitrary node ids to a dense ``0..n-1`` range.
     num_nodes:
@@ -288,8 +291,11 @@ def load_edge_list(
             raise ValueError(
                 f"{path}: weighted load requires a numeric third column on every data line"
             )
-    if weights is None and symmetrize:
-        edges = symmetrize_edges(edges)
+    if symmetrize:
+        keep = edges[:, 0] != edges[:, 1]
+        edges = edges[keep]
+        if weights is not None:
+            weights = weights[keep]
     if relabel:
         edges, original_ids = relabel_compact(edges)
         explicit_nodes = int(original_ids.size)

@@ -9,10 +9,16 @@ This module implements those operations exactly once, on raw ``indptr`` /
 the :class:`~repro.core.growth_engine.GrowthEngine`, and the quotient graph
 machinery can all share them without import cycles.  Each job has one
 implementation here; the frozen references they are pinned against (sorted
-claims, one BFS per source) live with the tests.
+claims, one BFS per source, the old edge-list fold) live with the tests.
 
 Kernel families
 ---------------
+* :func:`min_per_key` — the one fold of an edge multiset: sorted distinct
+  packed keys and the minimum value per key.  Every CSR build runs it:
+  ``CSRGraph.from_edges``, streamed ingestion's chunks and run merge, the
+  quotient build and the Erdős–Rényi pair dedupe.
+  :func:`pairs_to_csr` mirrors distinct pairs into both arcs and puts them
+  in CSR order with the same fold.
 * :func:`gather_neighbors` — the frontier-expansion gather primitive (also
   returns the arc *positions* so weighted callers can align edge weights).
 * :func:`claim_first` / :func:`claim_min` — keep exactly one claimant per
@@ -57,6 +63,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 __all__ = [
+    "min_per_key",
+    "pairs_to_csr",
     "gather_neighbors",
     "ClaimWorkspace",
     "claim_first",
@@ -165,6 +173,59 @@ def record_level_stats(direction: str, frontier_size: int, edges_scanned: int) -
 
 if os.environ.get("REPRO_KERNEL_STATS", "") not in ("", "0"):
     enable_kernel_stats(True)
+
+
+# --------------------------------------------------------------------------- #
+# Edge-multiset fold
+# --------------------------------------------------------------------------- #
+def _heads(sorted_keys: np.ndarray) -> np.ndarray:
+    """Positions of the first entry of each run of a non-empty sorted array."""
+    return np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+
+
+def min_per_key(keys: np.ndarray, values: Optional[np.ndarray]) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Sorted distinct non-negative ``int64`` ``keys`` and the minimum ``values`` per key.
+
+    Without values the keys are sorted as they are.  Non-negative integer
+    values ride in the low digits of one packed ``int64`` (a plain sort is
+    several times faster than an argsort) when the packed keys fit; other
+    values take an argsort by key and a segment minimum.  The minimum does
+    not depend on the order of equal keys, so no sort needs to be stable.
+    """
+    if keys.size == 0:
+        return keys, values
+    if values is None:
+        keys = np.sort(keys)
+        return keys[_heads(keys)], None
+    span = int(values.max()) + 1
+    if values.dtype.kind == "i" and int(values.min()) >= 0 and int(keys.max()) < np.iinfo(np.int64).max // span:
+        packed = np.sort(keys * span + values)
+        keys = packed // span
+        heads = _heads(keys)
+        return keys[heads], packed[heads] % span
+    order = np.argsort(keys)
+    keys = keys[order]
+    heads = _heads(keys)
+    return keys[heads], np.minimum.reduceat(values[order], heads)
+
+
+def pairs_to_csr(
+    lo: np.ndarray, hi: np.ndarray, values: Optional[np.ndarray], num_nodes: int
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """``(indptr, indices, values)`` of the undirected graph on distinct pairs.
+
+    Each pair ``(lo[i], hi[i])`` becomes both of its arcs, carrying
+    ``values[i]``; :func:`min_per_key` over ``source · n + target`` puts the
+    arcs in CSR order (by source, then target).
+    """
+    n = np.int64(num_nodes)
+    arcs, values = min_per_key(
+        np.concatenate((lo * n + hi, hi * n + lo)),
+        None if values is None else np.concatenate((values, values)),
+    )
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lo, minlength=num_nodes) + np.bincount(hi, minlength=num_nodes), out=indptr[1:])
+    return indptr, arcs % n, values
 
 
 # --------------------------------------------------------------------------- #

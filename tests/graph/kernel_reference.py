@@ -5,6 +5,10 @@ kernel replaced; tests and ``benchmarks/bench_kernels.py`` compare the
 production kernel against it bit for bit (and time the two).  None of this
 runs in production.
 
+* :func:`fold_undirected_edges` — ``np.unique`` with ``return_inverse``,
+  ``np.minimum.at`` and a two-key ``lexsort`` over all arcs: the edge-list
+  fold ``CSRGraph.from_edges`` ran before it and streamed ingestion shared
+  :func:`~repro.graph.kernels.min_per_key`;
 * :func:`gather_neighbors_loop` — one adjacency slice per node, behind the
   one-``repeat`` batch gather;
 * :func:`sorted_claim_first` / :func:`sorted_claim_min` — the stable
@@ -20,11 +24,54 @@ runs in production.
 from __future__ import annotations
 
 import contextlib
+from typing import Optional, Tuple
 
 import numpy as np
 import pytest
 
 from repro.graph import kernels
+
+
+def fold_undirected_edges(
+    edge_array: np.ndarray,
+    weight_array: Optional[np.ndarray],
+    num_nodes: int,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Shared edge-list folding: drop self-loops, symmetrize, deduplicate.
+
+    Returns ``(indptr, indices, weights)``.  Duplicate undirected edges keep
+    the *minimum* weight (the only sensible choice for shortest-path
+    purposes); without weights the duplicates are simply dropped.
+    """
+    n = num_nodes
+    mask = edge_array[:, 0] != edge_array[:, 1]
+    edge_array = edge_array[mask]
+    if weight_array is not None:
+        weight_array = weight_array[mask]
+    if edge_array.size == 0:
+        return (
+            np.zeros(n + 1, dtype=np.int64),
+            np.zeros(0, dtype=np.int64),
+            None if weight_array is None else np.zeros(0, dtype=np.float64),
+        )
+    # Canonicalize to (min, max), fold duplicates, then mirror both ways.
+    canonical = np.sort(edge_array, axis=1)
+    keys = canonical[:, 0] * np.int64(n) + canonical[:, 1]
+    unique_keys, inverse = np.unique(keys, return_inverse=True)
+    unique_edges = np.stack([unique_keys // n, unique_keys % n], axis=1)
+    both = np.concatenate([unique_edges, unique_edges[:, ::-1]], axis=0)
+    both_weights = None
+    if weight_array is not None:
+        folded = np.full(unique_keys.size, np.inf)
+        np.minimum.at(folded, inverse, weight_array)
+        both_weights = np.concatenate([folded, folded])
+    order = np.lexsort((both[:, 1], both[:, 0]))
+    both = both[order]
+    counts = np.bincount(both[:, 0], minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    weights = None if both_weights is None else both_weights[order].copy()
+    return indptr, both[:, 1].copy(), weights
 
 
 def gather_neighbors_loop(indptr, indices, nodes):

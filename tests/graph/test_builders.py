@@ -11,7 +11,6 @@ from repro.graph.builders import (
     disjoint_union,
     from_adjacency_dict,
     relabel_compact,
-    symmetrize_edges,
 )
 from repro.graph.components import is_connected, num_connected_components
 from repro.graph.csr import CSRGraph
@@ -28,21 +27,6 @@ class TestFromAdjacencyDict:
     def test_explicit_num_nodes(self):
         g = from_adjacency_dict({0: [1]}, num_nodes=5)
         assert g.num_nodes == 5
-
-
-class TestSymmetrize:
-    def test_directed_pair_collapses(self):
-        edges = symmetrize_edges(np.asarray([[0, 1], [1, 0], [2, 3]]))
-        assert edges.shape == (2, 2)
-        assert np.all(edges[:, 0] <= edges[:, 1])
-
-    def test_removes_self_loops(self):
-        edges = symmetrize_edges(np.asarray([[0, 0], [1, 2]]))
-        assert edges.shape == (1, 2)
-
-    def test_empty(self):
-        edges = symmetrize_edges(np.zeros((0, 2), dtype=np.int64))
-        assert edges.size == 0
 
 
 class TestRelabel:

@@ -43,6 +43,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CSRGraph.from_edges([(-1, 2)])
 
+    def test_node_id_over_packed_key_limit_rejected(self):
+        # Raised before anything node-sized is allocated.
+        with pytest.raises(ValueError, match="2\\^31"):
+            CSRGraph.from_edges([(0, 1 << 31)])
+
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             CSRGraph.from_edges(np.zeros((3, 3), dtype=np.int64))

@@ -87,6 +87,19 @@ class TestRoundTrip:
         graph, _ = load_edge_list(path, symmetrize=True)
         assert graph.num_edges == 2
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("symmetrize, ids", [(True, [0, 1]), (False, [0, 1, 7])])
+    def test_symmetrize_decides_self_loop_only_nodes(self, tmp_path, weighted, symmetrize, ids):
+        # Every load is undirected; the flag only decides whether a node seen
+        # solely in self-loops keeps an id.
+        path = tmp_path / "loops.txt"
+        path.write_text("0 1 2.5\n7 7 1.0\n")
+        graph, got_ids = load_edge_list(path, symmetrize=symmetrize, weighted=weighted)
+        assert got_ids.tolist() == ids
+        assert graph.num_nodes == len(ids) and graph.num_edges == 1
+        assert graph.is_weighted == weighted
+        assert graph.edge_weight(0, 1) == (2.5 if weighted else 1.0)
+
     def test_weighted_edge_list_roundtrip(self, tmp_path):
         graph = mesh_graph(4, 4, weights="uniform", seed=1)
         path = tmp_path / "weighted.txt"

@@ -6,7 +6,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.builders import symmetrize_edges
 from repro.graph.components import connected_components, num_connected_components
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import bfs_distances, multi_source_bfs
@@ -89,16 +88,6 @@ class TestCSRProperties:
         g = CSRGraph.from_edges(np.asarray(edges, dtype=np.int64).reshape(-1, 2), num_nodes=n)
         rebuilt = CSRGraph.from_edges(g.edges(), num_nodes=n)
         assert rebuilt == g
-
-    @given(edge_lists())
-    @settings(max_examples=40, deadline=None)
-    def test_symmetrize_idempotent(self, data):
-        _, edges = data
-        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        once = symmetrize_edges(arr)
-        twice = symmetrize_edges(once)
-        assert np.array_equal(np.sort(once, axis=0), np.sort(twice, axis=0))
-
 
     @given(
         edge_lists(),

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.graph
 import repro.mapreduce
 
 from repro.baselines import hadi_diameter, mpx_decomposition, mr_bfs_diameter
@@ -31,7 +32,7 @@ from repro.experiments.datasets import configure_dataset_cache
 from repro.experiments.store import DatasetCache
 from repro.experiments.suite import SuiteResult
 from repro.generators import mesh_graph
-from repro.graph import kernels, traversal
+from repro.graph import builders, kernels, traversal
 from repro.graph.diameter_exact import exact_diameter
 from repro.graph.snapshot import SnapshotWriter, save_snapshot
 from repro.graph.traversal import BFSResult
@@ -145,6 +146,8 @@ _METHOD_REMOVED = {
 
 
 _OWNERS = {
+    "graph": repro.graph,
+    "builders": builders,
     "kernels": kernels,
     "traversal": traversal,
     "structured": "repro.mapreduce.structured",
@@ -160,6 +163,8 @@ _OWNERS = {
 @pytest.mark.parametrize(
     "name",
     [
+        "graph.symmetrize_edges",
+        "builders.symmetrize_edges",
         "kernels.eccentricities",
         "kernels.MSBFS_TILE",
         "traversal.eccentricity",
