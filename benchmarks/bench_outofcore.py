@@ -2,12 +2,13 @@
 
 The tentpole claim of the out-of-core plane is that streaming ingestion
 (:func:`repro.graph.ingest.from_edge_chunks` scattering into an on-disk
-snapshot) builds the *bit-identical* CSR graph at a small fraction of the
-peak memory of the in-memory ``CSRGraph.from_edges`` path.  The gate
-measures both paths in fresh interpreters (``_memory.measure_peak_rss`` —
-``ru_maxrss`` is monotonic, so in-process deltas cannot be trusted) on the
-same ≥5M-edge R-MAT sample and fails the build if the streaming path's peak
-RSS is not **under 35%** of the in-memory path's.
+snapshot) builds the *bit-identical* CSR graph in bounded memory.  The gate
+measures the streamed build and the in-memory ``CSRGraph.from_edges`` path
+in fresh interpreters (``_memory.measure_peak_rss`` — ``ru_maxrss`` is
+monotonic, so in-process deltas cannot be trusted) on the same ≥5M-edge
+R-MAT sample, requires the same graph from both, and fails the build if the
+streamed build's peak RSS is not **under 260 MB**.  The bound is on the
+streamed build alone, so a leaner ``from_edges`` cannot fail it.
 
 Both measurements land in ``BENCH_mr.json`` (rows carry ``peak_rss_bytes``)
 so the memory trajectory stays machine-comparable across changes.
@@ -28,8 +29,11 @@ EDGE_FACTOR = 16
 SEED = 77
 CHUNK_EDGES = 1 << 20
 
-#: The gate: streaming peak RSS < 35% of the in-memory builder's.
-RSS_RATIO_GATE = 0.35
+#: The gate: the streamed build's peak RSS at this scale, in MB.  It is
+#: tighter than the 35%-of-``from_edges`` ratio it replaced (0.35 x 763 MB =
+#: 267 MB); on Linux x86-64 with CPython 3.11 and numpy 2.4 the streamed
+#: build peaks at 241 MB and ``from_edges`` at 763 MB.
+STREAMING_PEAK_GATE_MB = 260
 
 _RESULT_PRELUDE = """
 import json
@@ -71,7 +75,7 @@ finally:
 """
 
 
-def test_streaming_ingest_peak_rss_under_35_percent(mr_bench_recorder):
+def test_streaming_ingest_peak_rss_bounded(mr_bench_recorder):
     """The acceptance gate: same graph, bounded memory.
 
     Runs always at full size (the gate is defined on a >= 5M-edge input, so
@@ -101,9 +105,8 @@ def test_streaming_ingest_peak_rss_under_35_percent(mr_bench_recorder):
     assert streaming_result == in_memory_result
     assert in_memory_result["num_edges"] >= 5_000_000
 
-    ratio = streaming_peak / in_memory_peak
-    assert ratio < RSS_RATIO_GATE, (
-        f"streaming ingestion must peak under {RSS_RATIO_GATE:.0%} of the in-memory "
-        f"builder's RSS on {in_memory_result['num_edges']} edges, got {ratio:.0%} "
-        f"(in-memory {in_memory_peak / 1e6:.0f} MB, streaming {streaming_peak / 1e6:.0f} MB)"
+    assert streaming_peak < STREAMING_PEAK_GATE_MB * 1e6, (
+        f"streaming ingestion must peak under {STREAMING_PEAK_GATE_MB} MB on "
+        f"{in_memory_result['num_edges']} edges, got {streaming_peak / 1e6:.0f} MB "
+        f"(in-memory {in_memory_peak / 1e6:.0f} MB)"
     )

@@ -26,21 +26,15 @@ through ``O(log n / β)`` idle rounds.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
+from repro.core.cluster import search_granularity
 from repro.core.clustering import Clustering
 from repro.core.growth_engine import GrowthEngine
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike, as_rng
 
 __all__ = ["mpx_decomposition", "mpx_with_target_clusters"]
-
-# The β search accepts a cluster count within ±35% of the target, and
-# otherwise returns the closest of this many MPX runs.
-_TOLERANCE = 0.35
-_MAX_TRIALS = 12
 
 
 def mpx_decomposition(graph: CSRGraph, beta: float, *, seed: SeedLike = None) -> Clustering:
@@ -101,6 +95,10 @@ def mpx_with_target_clusters(
     """Tune β so that MPX returns approximately ``target_clusters`` clusters
     (within ±35%, or the closest of 12 runs).
 
+    :func:`~repro.core.cluster.search_granularity` with MPX's rules: the
+    first β is ``target_clusters / n`` (at least ``1e-6``), and each miss
+    multiplies β by ``target / count`` clamped to ``[1/8, 8]``.
+
     The paper's Table 2 protocol gives MPX "a slight advantage" by always
     letting it produce a comparable but *larger* number of clusters than
     CLUSTER; setting ``require_at_least_target=True`` reproduces that bias.
@@ -110,37 +108,17 @@ def mpx_with_target_clusters(
     joins two clusters (every cluster is a whole component): that trial is
     the closest any β can get.
     """
-    if target_clusters < 1:
-        raise ValueError("target_clusters must be >= 1")
-    n = graph.num_nodes
-    if n == 0:
-        raise ValueError("graph must be non-empty")
-    rng = as_rng(seed)
-    # Expected number of activated centers grows with β; start from the
-    # heuristic that roughly a fraction β/(β+1)… of nodes become centers and
-    # search multiplicatively.
-    beta = max(1e-6, target_clusters / max(1, n))
-    best: Optional[Clustering] = None
-    best_gap = float("inf")
-    for _ in range(_MAX_TRIALS):
-        result = mpx_decomposition(graph, beta, seed=rng)
-        count = result.num_clusters
-        gap = abs(count - target_clusters) / target_clusters
-        acceptable = (1 - _TOLERANCE) * target_clusters <= count <= (1 + _TOLERANCE) * target_clusters
-        if require_at_least_target:
-            acceptable = acceptable and count >= target_clusters
-            effective_gap = gap if count >= target_clusters else gap + 1.0
-        else:
-            effective_gap = gap
-        if effective_gap < best_gap:
-            best, best_gap = result, effective_gap
-        if acceptable:
-            return result
-        if count > target_clusters and not np.any(
-            result.assignment[graph.indices] != np.repeat(result.assignment, graph.degrees)
-        ):
-            break  # every cluster is a whole component: no β gives fewer
-        ratio = target_clusters / max(1, count)
-        beta = beta * min(8.0, max(0.125, ratio))
-    assert best is not None
-    return best
+
+    def whole_components(result: Clustering) -> bool:
+        return not np.any(result.assignment[graph.indices] != np.repeat(result.assignment, graph.degrees))
+
+    return search_granularity(
+        graph,
+        target_clusters,
+        mpx_decomposition,
+        max(1e-6, target_clusters / max(1, graph.num_nodes)),
+        lambda beta, ratio: beta * min(8.0, max(0.125, ratio)),
+        seed=seed,
+        at_least=require_at_least_target,
+        floor=whole_components,
+    )

@@ -4,7 +4,7 @@ from repro.core.cluster import cluster, cluster_with_target_clusters
 from repro.core.cluster2 import Cluster2Result, cluster2
 from repro.core.clustering import Clustering, GrowthStepStats, IterationStats
 from repro.core.diameter import DiameterEstimate, estimate_diameter
-from repro.core.growth_engine import GrowthEngine, farthest_point_centers
+from repro.core.growth_engine import GrowthEngine
 from repro.core.kcenter import KCenterResult, evaluate_centers, kcenter, merge_clusters_to_k
 from repro.core.mr_algorithms import (
     MRExecutionReport,
@@ -32,7 +32,6 @@ __all__ = [
     "DiameterEstimate",
     "estimate_diameter",
     "GrowthEngine",
-    "farthest_point_centers",
     "KCenterResult",
     "evaluate_centers",
     "kcenter",

@@ -188,16 +188,3 @@ class Clustering:
             f"{missing.size} nodes (e.g. {missing[:5].tolist()}) lack a same-cluster "
             "parent one growth step closer to the center"
         )
-
-    def summary(self) -> dict:
-        """Compact dict used by the experiment tables."""
-        sizes = self.cluster_sizes()
-        return {
-            "algorithm": self.algorithm,
-            "num_clusters": self.num_clusters,
-            "max_radius": self.max_radius,
-            "growth_steps": self.growth_steps,
-            "largest_cluster": int(sizes.max()) if sizes.size else 0,
-            "mean_cluster_size": float(sizes.mean()) if sizes.size else 0.0,
-            **({"weighted_radius": round(self.weighted_radius, 3)} if self.is_weighted else {}),
-        }

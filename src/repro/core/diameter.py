@@ -40,7 +40,7 @@ from repro.core.clustering import Clustering
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike
 
-__all__ = ["DiameterEstimate", "estimate_diameter", "diameter_upper_bounds", "default_tau"]
+__all__ = ["DiameterEstimate", "estimate_diameter", "diameter_upper_bounds"]
 
 
 @dataclass(frozen=True)
@@ -89,20 +89,6 @@ class DiameterEstimate:
         return float(self.upper_bound) / float(true_diameter)
 
 
-def default_tau(graph: CSRGraph) -> int:
-    """Pick τ so the quotient graph fits in a single reducer (Theorem 4).
-
-    Theorem 4 sets ``τ = Θ(n^{ε'} / log⁴ n)`` so that the quotient graph has
-    ``O(n^{ε'})`` nodes and can be processed by one reducer with
-    ``M_L = Θ(n^ε)`` local memory; we aim for ``≈ sqrt(n)`` clusters.
-    """
-    n = graph.num_nodes
-    if n <= 2:
-        return 1
-    log_sq = math.log2(max(2, n)) ** 2
-    return max(1, int(round(math.sqrt(n) / max(1.0, 0.25 * log_sq))))
-
-
 def diameter_upper_bounds(lower_bound: float, radius: int, weighted_quotient_diameter: float) -> tuple:
     """Compute (∆', ∆'') from the quotient diameters and the cluster radius."""
     unweighted_upper = int(2 * radius * (int(lower_bound) + 1) + int(lower_bound))
@@ -131,7 +117,8 @@ def estimate_diameter(
         the weighted diameter (see the module docstring).
     tau:
         Granularity parameter.  Exactly one of ``tau`` / ``target_clusters`` /
-        ``clustering`` may be provided; with none, :func:`default_tau` is used.
+        ``clustering`` may be provided; with none,
+        :func:`~repro.core.cluster.default_tau` is used.
     target_clusters:
         Ask for a decomposition with approximately this many clusters instead
         of fixing τ (matches the experimental protocol of §6.2).

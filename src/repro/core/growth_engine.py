@@ -23,9 +23,6 @@ distance (§7).  The unweighted step is
 :meth:`~repro.graph.kernels.DirectionOptimizer.expand`, the same push/pull
 level that :func:`~repro.graph.kernels.frontier_expansion` runs; the weighted
 step is a gather plus :func:`~repro.graph.kernels.claim_min`.
-
-This module also holds CLUSTER's parameter helpers and the farthest-point
-traversal behind Gonzalez's k-center baseline.
 """
 
 from __future__ import annotations
@@ -37,17 +34,11 @@ import numpy as np
 
 from repro.core.clustering import Clustering, GrowthStepStats, IterationStats
 from repro.graph import kernels
-from repro.utils.validation import check_node_batch, check_node_index
+from repro.utils.validation import check_node_batch
 
 UNCOVERED = -1
 
-__all__ = [
-    "UNCOVERED",
-    "GrowthEngine",
-    "farthest_point_centers",
-    "selection_probability",
-    "uncovered_threshold",
-]
+__all__ = ["UNCOVERED", "GrowthEngine"]
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -272,57 +263,3 @@ class GrowthEngine:
                 None if self.weighted_distance is None else self.weighted_distance.copy()
             ),
         )
-
-
-# ---------------------------------------------------------------------------
-# CLUSTER's parameters (Algorithm 1)
-# ---------------------------------------------------------------------------
-def _log_n(num_nodes: int) -> float:
-    """``log₂ n`` guarded against degenerate sizes (paper uses base-2 logs)."""
-    return math.log2(max(2, num_nodes))
-
-
-def uncovered_threshold(num_nodes: int, tau: int) -> float:
-    """The ``8 τ log n`` stopping threshold of Algorithm 1's while loop."""
-    return 8.0 * tau * _log_n(num_nodes)
-
-
-def selection_probability(num_nodes: int, tau: int, num_uncovered: int) -> float:
-    """The ``4 τ log n / |V - V'|`` center-selection probability (clamped to 1)."""
-    if num_uncovered <= 0:
-        return 0.0
-    return min(1.0, 4.0 * tau * _log_n(num_nodes) / num_uncovered)
-
-
-# ---------------------------------------------------------------------------
-# Farthest-point traversal
-# ---------------------------------------------------------------------------
-def farthest_point_centers(graph, k: int, first_center: int) -> List[int]:
-    """Gonzalez's farthest-point traversal.
-
-    Repeatedly adds the node farthest from the current center set: each
-    addition takes the new center's distance row from
-    :func:`~repro.graph.kernels.distance_rows` (hops, or weighted distance on
-    a weighted graph) and merges it into the running minimum.  Nodes
-    unreachable from every center (other components) take priority so every
-    component gets a center as soon as possible.  Returns the selected center
-    list (size ``min(k, n)``).
-    """
-    if graph.num_nodes == 0:
-        raise ValueError("graph must be non-empty")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-
-    def distances_from(source: int) -> np.ndarray:
-        return kernels.distance_rows(
-            graph.indptr, graph.indices, graph.weights, [source], degrees=graph.degrees
-        )[0]
-
-    centers = [check_node_index(first_center, graph.num_nodes, "first_center")]
-    distances = distances_from(centers[0])
-    for _ in range(k - 1):
-        unreachable = np.flatnonzero(np.isinf(distances))
-        next_center = int(unreachable[0]) if unreachable.size else int(np.argmax(distances))
-        centers.append(next_center)
-        distances = np.minimum(distances, distances_from(next_center))
-    return centers

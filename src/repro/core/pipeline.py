@@ -73,7 +73,7 @@ class PipelineConfig:
         tie-break and the diameter stage reports weighted bounds.
     tau:
         Granularity parameter for cluster/cluster2 (default:
-        :func:`repro.core.diameter.default_tau`).
+        :func:`repro.core.cluster.default_tau`).
     target_clusters:
         Tune the granularity (τ or β) so the decomposition lands near this
         cluster count instead of fixing it a priori (the §6 protocol).  At
@@ -228,9 +228,8 @@ class DecompositionPipeline:
 
     def _run_decomposition(self) -> Clustering:
         from repro.baselines.mpx import mpx_decomposition, mpx_with_target_clusters
-        from repro.core.cluster import cluster, cluster_with_target_clusters, single_batch_decomposition
+        from repro.core.cluster import cluster, cluster_with_target_clusters, default_tau, single_batch_decomposition
         from repro.core.cluster2 import cluster2
-        from repro.core.diameter import default_tau
 
         cfg = self.config
         rng = as_rng(cfg.seed)

@@ -18,7 +18,7 @@ whole harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.experiments.datasets import DATASETS, canonical_index
 from repro.mapreduce.cost import CostModel
@@ -34,10 +34,20 @@ __all__ = ["ExperimentConfig", "DEFAULT_CONFIG", "granularity_for", "dataset_rng
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Tunable knobs of the experiment harness.
+    """Settings of the experiment harness.
 
-    Attributes
-    ----------
+    ``decomposition_method`` is the one field: the decomposition algorithm
+    used by the pipeline-driven experiments (``cluster`` / ``cluster2`` /
+    ``mpx`` / ``single-batch`` / ``weighted``; the CLI's ``--method`` flag).
+    With ``weighted`` the pipeline experiment attaches seeded uniform edge
+    weights to the benchmark graphs (via
+    :func:`repro.generators.attach_weights`) and runs the §7 hop-bounded
+    weighted decomposition end to end.  The paper-table reproductions always
+    pin their own methods.
+
+    The protocol's constants are class attributes, the same on every
+    instance:
+
     seed:
         Master seed; every driver derives per-run seeds from it.
     social_divisor / road_divisor:
@@ -50,26 +60,18 @@ class ExperimentConfig:
         FM registers per node for the HADI baseline.
     tail_multipliers:
         The ``c`` values of Figure 1 (tail length = c × diameter).
-    decomposition_method:
-        Decomposition algorithm used by the pipeline-driven experiments
-        (``cluster`` / ``cluster2`` / ``mpx`` / ``single-batch`` /
-        ``weighted``; the CLI's ``--method`` flag).  With ``weighted`` the
-        pipeline experiment attaches seeded uniform edge weights to the
-        benchmark graphs (via :func:`repro.generators.attach_weights`) and
-        runs the §7 hop-bounded weighted decomposition end to end.  The
-        paper-table reproductions always pin their own methods.
     """
 
-    seed: int = 20150613
-    social_divisor: int = 50
-    road_divisor: int = 20
-    coarse_factor: int = 4
+    seed: ClassVar[int] = 20150613
+    social_divisor: ClassVar[int] = 50
+    road_divisor: ClassVar[int] = 20
+    coarse_factor: ClassVar[int] = 4
     # Round latency dominates for round-bound algorithms (BFS); the per-pair
     # cost is chosen so that HADI's Θ(m)-per-round shuffle is clearly visible,
     # as it is on the paper's cluster (HADI is the slowest method there).
-    cost_model: CostModel = CostModel(round_latency=1.0, pair_cost=5.0e-5)
-    hadi_registers: int = 16
-    tail_multipliers: tuple = (0, 1, 2, 4, 6, 8, 10)
+    cost_model: ClassVar[CostModel] = CostModel(round_latency=1.0, pair_cost=5.0e-5)
+    hadi_registers: ClassVar[int] = 16
+    tail_multipliers: ClassVar[tuple] = (0, 1, 2, 4, 6, 8, 10)
     decomposition_method: str = "cluster"
 
     def divisor(self, regime: str) -> int:

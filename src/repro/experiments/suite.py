@@ -4,9 +4,9 @@ The paper's evaluation (Sections 6–7) is a grid of *(experiment × dataset ×
 params)* measurements.  This module makes that grid explicit:
 
 * :class:`ExperimentCell` — one independent unit of work (e.g. "Table 2 on
-  ``mesh``"), content-hashed from its spec plus the full
-  :class:`~repro.experiments.config.ExperimentConfig` so any change to the
-  harness configuration invalidates exactly the affected artifacts.
+  ``mesh``"), content-hashed from its spec plus the fields of the
+  :class:`~repro.experiments.config.ExperimentConfig` so a changed setting
+  invalidates exactly the affected artifacts.
 * ``EXPERIMENTS`` — the registry mapping experiment names to
   :class:`ExperimentDef` entries: a cell *builder* (which cells exist for a
   request) and a cell *runner* (module-level and picklable, so cells can be
@@ -139,10 +139,11 @@ class ExperimentCell:
     def content_key(self, scale: str, config: ExperimentConfig) -> str:
         """Content hash identifying this cell's result.
 
-        Covers the cell spec, the dataset scale, and the *entire* experiment
-        config (conservative: a knob irrelevant to this experiment still
-        invalidates the artifact — correctness over cache hits) plus the
-        suite schema version, bumped when result semantics change.
+        Covers the cell spec, the dataset scale, every field of the
+        experiment config (conservative: a setting irrelevant to this
+        experiment still invalidates the artifact — correctness over cache
+        hits) plus the suite schema version, bumped when result semantics
+        change, an edit of the config's class constants included.
         """
         spec = {
             "schema": SUITE_SCHEMA,
@@ -254,7 +255,7 @@ def _scale_cells(request: SuiteRequest) -> List[ExperimentCell]:
 # Cell runners (module-level, picklable; each returns a list of row dicts)
 # ---------------------------------------------------------------------- #
 def _run_table1_cell(cell, scale, config):
-    return [table1.table1_row(cell.dataset, scale=scale, config=config)]
+    return [table1.table1_row(cell.dataset, scale=scale)]
 
 
 def _run_table2_cell(cell, scale, config):

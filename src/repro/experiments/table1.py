@@ -11,15 +11,12 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.experiments.datasets import DATASETS, load_dataset, reference_diameter
 
 __all__ = ["table1_row"]
 
 
-def table1_row(
-    name: str, *, scale: str = "default", config: ExperimentConfig = DEFAULT_CONFIG
-) -> Dict:
+def table1_row(name: str, *, scale: str = "default") -> Dict:
     """The Table 1 row for one dataset (the per-cell unit of the suite)."""
     spec = DATASETS[name]
     graph = load_dataset(name, scale)

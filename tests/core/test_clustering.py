@@ -47,13 +47,6 @@ class TestDerivedQuantities:
         with pytest.raises(IndexError):
             c.members(c.num_clusters)
 
-    def test_summary_keys(self, mesh8):
-        c = cluster(mesh8, tau=2, seed=1)
-        summary = c.summary()
-        assert summary["num_clusters"] == c.num_clusters
-        assert summary["algorithm"] == "cluster"
-        assert summary["max_radius"] == c.max_radius
-
     def test_exact_radii_not_larger_than_growth_radii(self, mesh20):
         # The exact radius is the distance to the center inside the
         # cluster's induced subgraph; the growth distance bounds it.

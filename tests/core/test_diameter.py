@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.cluster import cluster
-from repro.core.diameter import default_tau, diameter_upper_bounds, estimate_diameter
+from repro.core.cluster import cluster, default_tau
+from repro.core.diameter import diameter_upper_bounds, estimate_diameter
 from repro.core.pipeline import DecompositionPipeline, PipelineConfig
 from repro.generators import (
     barabasi_albert_graph,

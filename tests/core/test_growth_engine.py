@@ -7,16 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from repro.baselines.gonzalez import farthest_point_centers
 from repro.baselines.mpx import mpx_decomposition
-from repro.core.cluster import cluster, single_batch_decomposition
+from repro.core.cluster import cluster, selection_probability, single_batch_decomposition
 from repro.core.cluster2 import cluster2
 from repro.core.clustering import Clustering
-from repro.core.growth_engine import (
-    UNCOVERED,
-    GrowthEngine,
-    farthest_point_centers,
-    selection_probability,
-)
+from repro.core.growth_engine import UNCOVERED, GrowthEngine
 from repro.generators import attach_weights, mesh_graph, path_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import multi_source_bfs

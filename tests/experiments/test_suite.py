@@ -78,8 +78,8 @@ class TestExperimentCell:
         key = cell.content_key("small", DEFAULT_CONFIG)
         assert key == cell.content_key("small", DEFAULT_CONFIG)
         assert key != cell.content_key("default", DEFAULT_CONFIG)
-        other_seed = dataclasses.replace(DEFAULT_CONFIG, seed=7)
-        assert key != cell.content_key("small", other_seed)
+        other_method = dataclasses.replace(DEFAULT_CONFIG, decomposition_method="mpx")
+        assert key != cell.content_key("small", other_method)
         assert key != ExperimentCell("table3", "mesh").content_key("small", DEFAULT_CONFIG)
         hadi = ExperimentCell("table4", "mesh", (("hadi", True),))
         no_hadi = ExperimentCell("table4", "mesh", (("hadi", False),))
@@ -293,7 +293,7 @@ class TestSuiteRunner:
         with SuiteRunner(store=store) as runner:
             small_run(runner, experiments=["table2"], datasets=["mesh"])
         # A config change must invalidate the artifact...
-        changed = dataclasses.replace(DEFAULT_CONFIG, seed=7)
+        changed = dataclasses.replace(DEFAULT_CONFIG, decomposition_method="mpx")
         with SuiteRunner(store=store, config=changed, resume=True) as runner:
             rerun = small_run(runner, experiments=["table2"], datasets=["mesh"])
         assert rerun.computed == 1 and rerun.cached == 0
@@ -312,7 +312,7 @@ class TestSuiteRunner:
         assert manifest["scale"] == "small"
         assert manifest["cells"][0]["cell_id"] == "table1/mesh"
         assert manifest["cells"][0]["key"] == result.outcomes[0].key
-        assert manifest["config"]["seed"] == DEFAULT_CONFIG.seed
+        assert manifest["config"] == {"decomposition_method": DEFAULT_CONFIG.decomposition_method}
 
     def test_rows_match_legacy_drivers_on_full_registry(self):
         # Suite cells reproduce the row function the retired per-table

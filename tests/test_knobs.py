@@ -26,7 +26,7 @@ from repro.core.growth_engine import GrowthEngine
 from repro.core.mr_algorithms import mr_estimate_diameter
 from repro.core.oracle import build_distance_oracle
 from repro.core.pipeline import DecompositionPipeline, PipelineConfig
-from repro.experiments import ablations, figure1, pipeline_stages, table2, table3, table4
+from repro.experiments import ablations, figure1, pipeline_stages, table1, table2, table3, table4
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.datasets import configure_dataset_cache
 from repro.experiments.store import DatasetCache
@@ -36,7 +36,7 @@ from repro.graph import builders, kernels, traversal
 from repro.graph.diameter_exact import exact_diameter
 from repro.graph.snapshot import SnapshotWriter, save_snapshot
 from repro.graph.traversal import BFSResult
-from repro.mapreduce import MREngine, MRMetrics
+from repro.mapreduce import CostModel, MREngine, MRMetrics
 from repro.serving import GraphService
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -98,6 +98,14 @@ REMOVED = {
     "hadi_diameter(backend=)": lambda: hadi_diameter(_GRAPH, seed=0, backend="vectorized"),
     "ExperimentConfig(mr_backend=)": lambda: ExperimentConfig(mr_backend="serial"),
     "ExperimentConfig(mr_shards=)": lambda: ExperimentConfig(mr_shards=2),
+    "ExperimentConfig(seed=)": lambda: ExperimentConfig(seed=7),
+    "ExperimentConfig(social_divisor=)": lambda: ExperimentConfig(social_divisor=10),
+    "ExperimentConfig(road_divisor=)": lambda: ExperimentConfig(road_divisor=10),
+    "ExperimentConfig(coarse_factor=)": lambda: ExperimentConfig(coarse_factor=2),
+    "ExperimentConfig(cost_model=)": lambda: ExperimentConfig(cost_model=CostModel(1.0, 0.0)),
+    "ExperimentConfig(hadi_registers=)": lambda: ExperimentConfig(hadi_registers=8),
+    "ExperimentConfig(tail_multipliers=)": lambda: ExperimentConfig(tail_multipliers=(0, 1)),
+    "table1_row(config=)": lambda: table1.table1_row("mesh", scale="small", config=ExperimentConfig()),
     "run_structured_round(mapper=)": lambda: MREngine().run_structured_round(
         (_ONE, _ONE), "sum", mapper=lambda batch: batch
     ),
@@ -184,6 +192,7 @@ _OWNERS = {
         "MRMetrics.max_reducer_input",
         "MRMetrics.max_live_pairs",
         "Clustering.radii",
+        "Clustering.summary",
         "BFSResult.reached",
         "SuiteResult.experiments",
     ],

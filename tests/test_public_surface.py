@@ -16,9 +16,14 @@ of a public class's ``__init__`` or of its public methods that no call in
 those trees passes is a setting only tests vary: its one value belongs
 inline.  A call passes it by keyword, by position, or possibly through
 ``*args`` / ``**kwargs``; the callee is matched by bare name (``cls(...)``
-names the enclosing class), so again any same-named call counts.  Run as a
-script, the module prints the number of defaulted public parameters (a
-tracked number, like the line counts).
+names the enclosing class), so again any same-named call counts.  A
+defaulted field of a public frozen dataclass is a parameter of its
+constructor, and a ``replace(obj, field=...)`` call naming it by keyword
+also sets it (a ``**`` in such a call does not count: ``replace`` takes any
+dataclass).  Non-frozen dataclasses hold state, and their defaults are
+initial values, not settings.  Run as a script, the module prints the
+number of defaulted public parameters and fields (a tracked number, like
+the line counts).
 """
 
 from __future__ import annotations
@@ -126,10 +131,35 @@ def _defaults(function: ast.FunctionDef, bound: bool):
             yield arg.arg, None
 
 
+def _frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(decorator, ast.Call)
+        and getattr(decorator.func, "id", getattr(decorator.func, "attr", None)) == "dataclass"
+        and any(kw.arg == "frozen" and getattr(kw.value, "value", None) is True for kw in decorator.keywords)
+        for decorator in node.decorator_list
+    )
+
+
+def _fields(node: ast.ClassDef):
+    """``(name, position)`` of each defaulted field of a dataclass body;
+    ``ClassVar`` annotations are constants, not fields."""
+    fields = [
+        item
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+        and isinstance(item.target, ast.Name)
+        and "ClassVar" not in ast.unparse(item.annotation)
+    ]
+    for position, item in enumerate(fields):
+        if item.value is not None:
+            yield item.target.id, position
+
+
 def _defaulted_parameters():
     """``{"<file>: <qualified>(<parameter>=)": (callee name, parameter,
-    position)}`` over the public functions, ``__init__`` methods and public
-    methods outside the library surface."""
+    position, is field)}`` over the public functions, ``__init__`` methods,
+    public methods and public frozen dataclass fields outside the library
+    surface."""
     found = {}
     for path in sorted(PACKAGE.rglob("*.py")):
         relative = path.relative_to(PACKAGE).as_posix()
@@ -139,6 +169,9 @@ def _defaulted_parameters():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
                 members = [(node.name, node.name, node, False)]
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                if _frozen_dataclass(node):
+                    for name, position in _fields(node):
+                        found[f"{relative}: {node.name}({name}=)"] = (node.name, name, position, True)
                 members = []
                 for item in node.body:
                     if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -151,7 +184,7 @@ def _defaulted_parameters():
                 continue
             for qualified, callee, function, bound in members:
                 for name, position in _defaults(function, bound):
-                    found[f"{relative}: {qualified}({name}=)"] = (callee, name, position)
+                    found[f"{relative}: {qualified}({name}=)"] = (callee, name, position, False)
     return found
 
 
@@ -185,9 +218,12 @@ def _calls():
 
 def _unset_parameters():
     calls = _calls()
+    replaced = calls.get("replace", (set(), 0, False))[0]
     unset = set()
-    for key, (callee, name, position) in _defaulted_parameters().items():
+    for key, (callee, name, position, is_field) in _defaulted_parameters().items():
         keywords, most, starred = calls.get(callee, (set(), 0, False))
+        if is_field and name in replaced:
+            continue
         if not (starred or name in keywords or (position is not None and position < most)):
             unset.add(key)
     return unset
@@ -217,6 +253,23 @@ def test_a_same_named_parameter_does_not_use_a_method():
     # A function still counts through its bare name; a method only through
     # an attribute reference.
     assert _unused_in(definitions, *_identifiers(callers)) == {"Graph.degree", "Graph.radii"}
+
+
+def test_frozen_dataclass_fields_are_parameters():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class Config:\n"
+        "    LIMIT: ClassVar[int] = 3\n"
+        "    name: str\n"
+        "    seed: int = 0\n"
+        "@dataclass\n"
+        "class State:\n"
+        "    count: int = 0\n"
+    )
+    config, state = ast.parse(source).body
+    # A ClassVar is a constant; positions count the required fields too.
+    assert _frozen_dataclass(config) and not _frozen_dataclass(state)
+    assert list(_fields(config)) == [("seed", 1)]
 
 
 def test_every_public_definition_has_a_caller():

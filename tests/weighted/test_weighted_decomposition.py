@@ -125,11 +125,8 @@ class TestWeightedCluster:
         assert fine.num_clusters >= coarse.num_clusters
         assert fine.weighted_radius <= coarse.weighted_radius + 1e-9
 
-    def test_summary_and_members(self, weighted_mesh):
+    def test_members(self, weighted_mesh):
         clustering = cluster(weighted_mesh, 2, seed=5)
-        summary = clustering.summary()
-        assert summary["num_clusters"] == clustering.num_clusters
-        assert summary["weighted_radius"] == round(clustering.weighted_radius, 3)
         members = clustering.members(0)
         assert np.all(clustering.assignment[members] == 0)
         with pytest.raises(IndexError):
